@@ -20,10 +20,14 @@ use crate::{Diag, SourceFile};
 const LINT: &str = "panic-freedom";
 
 /// Decode-path files under audit (suffix match against the repo-relative
-/// path).
+/// path): the codecs, and the gm-net server loop, client and fleet that act
+/// on what a peer sent. `proto.rs`'s `frames!` macro body *is* the frame
+/// decoder, so it is held to the same rules.
 pub const AUDITED: &[&str] = &[
     "crates/net/src/wire.rs",
     "crates/net/src/proto.rs",
+    "crates/net/src/server.rs",
+    "crates/net/src/client.rs",
     "crates/net/src/fleet.rs",
     "crates/storage/src/valcodec.rs",
     "crates/storage/src/codec.rs",

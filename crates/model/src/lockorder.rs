@@ -56,6 +56,8 @@ pub enum LockRank {
 impl LockRank {
     /// Total order key: class in the high bits, shard index in the low bits,
     /// so `Shard(0) < Shard(1) < CellWriter` falls out of integer compare.
+    /// Only the debug-build tracker orders ranks.
+    #[cfg(debug_assertions)]
     fn key(self) -> u64 {
         match self {
             LockRank::Driver => 0,

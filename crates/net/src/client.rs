@@ -63,22 +63,15 @@ impl Connection {
             magic: MAGIC,
             version: PROTO_VERSION,
         })?;
-        match conn.recv()? {
-            Response::HelloAck {
-                version,
-                engine,
-                shard,
-            } if version == PROTO_VERSION => {
-                conn.engine = engine;
-                conn.shard = shard;
-                Ok(conn)
-            }
-            Response::HelloAck { version, .. } => Err(GdbError::Invalid(format!(
+        let (version, engine, shard) = conn.recv()?.into_hello_ack()?;
+        if version != PROTO_VERSION {
+            return Err(GdbError::Invalid(format!(
                 "server speaks protocol version {version}, client speaks {PROTO_VERSION}"
-            ))),
-            Response::Err(e) => Err(e),
-            other => Err(protocol_mismatch("HelloAck", &other)),
+            )));
         }
+        conn.engine = engine;
+        conn.shard = shard;
+        Ok(conn)
     }
 
     /// The hosted engine's display name (from the handshake).
@@ -128,43 +121,33 @@ impl Connection {
     pub fn call_batch(&mut self, reqs: Vec<Request>) -> GdbResult<Vec<Response>> {
         let n = reqs.len();
         self.send(&Request::ExecBatch(reqs))?;
-        match self.recv()? {
-            Response::BatchDone(rsps) if rsps.len() == n => Ok(rsps),
-            Response::BatchDone(rsps) => Err(GdbError::Corrupt(format!(
+        let rsps = self.recv()?.into_batch_done()?;
+        if rsps.len() != n {
+            return Err(GdbError::Corrupt(format!(
                 "batch of {n} answered with {} responses",
                 rsps.len()
-            ))),
-            Response::Err(e) => Err(e),
-            other => Err(protocol_mismatch("BatchDone", &other)),
+            )));
         }
+        Ok(rsps)
     }
 
     /// Probe the server's serving epoch (v6): the epoch a read would pin
     /// right now, `0` under locked hosting.
     pub fn epoch(&mut self) -> GdbResult<u64> {
-        match self.call(&Request::Epoch)? {
-            Response::U64(e) => Ok(e),
-            other => Err(protocol_mismatch("U64", &other)),
-        }
+        self.call(&Request::Epoch)?.into_u64()
     }
 
     /// Fetch a point-in-time snapshot of the server's metrics registry
     /// (counters, gauges, histograms). Empty when the server runs
     /// `GM_OBS=off`.
     pub fn get_stats(&mut self) -> GdbResult<RegistrySnapshot> {
-        match self.call(&Request::GetStats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(protocol_mismatch("Stats", &other)),
-        }
+        self.call(&Request::GetStats)?.into_stats()
     }
 
     /// Fetch a copy of the server's trace flight recorder (oldest record
     /// first). Empty when the server runs `GM_TRACE=off`.
     pub fn get_traces(&mut self) -> GdbResult<Vec<TraceRecord>> {
-        match self.call(&Request::GetTraces)? {
-            Response::Traces(rs) => Ok(rs),
-            other => Err(protocol_mismatch("Traces", &other)),
-        }
+        self.call(&Request::GetTraces)?.into_traces()
     }
 
     /// Open an epoch-pinned write transaction on this connection (v7);
@@ -173,10 +156,7 @@ impl Connection {
     /// overlay until [`Connection::txn_commit`] / [`Connection::txn_abort`].
     /// Requires snapshot hosting.
     pub fn txn_begin(&mut self) -> GdbResult<u64> {
-        match self.call(&Request::TxnBegin)? {
-            Response::TxnBegun { epoch } => Ok(epoch),
-            other => Err(protocol_mismatch("TxnBegun", &other)),
-        }
+        self.call(&Request::TxnBegin)?.into_txn_begun()
     }
 
     /// Validate and atomically publish the connection's open transaction;
@@ -184,27 +164,14 @@ impl Connection {
     /// loss surfaces as [`GdbError::TxnConflict`] with the write set
     /// discarded — restart the transaction against a fresh epoch to retry.
     pub fn txn_commit(&mut self) -> GdbResult<(u64, u64)> {
-        match self.call(&Request::TxnCommit)? {
-            Response::TxnCommitted { ops, epoch } => Ok((ops, epoch)),
-            other => Err(protocol_mismatch("TxnCommitted", &other)),
-        }
+        self.call(&Request::TxnCommit)?.into_txn_committed()
     }
 
     /// Discard the connection's open transaction; returns the number of
     /// buffered ops thrown away.
     pub fn txn_abort(&mut self) -> GdbResult<u64> {
-        match self.call(&Request::TxnAbort)? {
-            Response::TxnAborted { ops } => Ok(ops),
-            other => Err(protocol_mismatch("TxnAborted", &other)),
-        }
+        self.call(&Request::TxnAbort)?.into_txn_aborted()
     }
-}
-
-fn protocol_mismatch(expected: &str, got: &Response) -> GdbError {
-    GdbError::Corrupt(format!(
-        "protocol mismatch: expected {expected} response, got {}",
-        got.kind()
-    ))
 }
 
 /// Wire deadline for a read call: the context's *remaining* budget in
@@ -259,13 +226,13 @@ impl RemoteEngine {
     /// dataset / prepared workload). The benchmark analogue of dropping and
     /// recreating a database.
     pub fn reset(&self) -> GdbResult<()> {
-        expect_unit(self.call(&Request::Reset)?)
+        self.call(&Request::Reset)?.into_unit()
     }
 
     /// Resolve workload parameters server-side (required before
     /// [`RemoteEngine::exec_op`]). `seed`/`slots` must match the driver's.
     pub fn prepare(&self, seed: u64, slots: u32) -> GdbResult<()> {
-        expect_unit(self.call(&Request::Prepare { seed, slots })?)
+        self.call(&Request::Prepare { seed, slots })?.into_unit()
     }
 
     /// Execute one whole driver op server-side in a single round trip. The
@@ -278,7 +245,7 @@ impl RemoteEngine {
         op_index: u64,
         timeout: Duration,
     ) -> GdbResult<OpResult> {
-        expect_exec_done(self.call(&Request::ExecOp {
+        op_result(self.call(&Request::ExecOp {
             worker: worker as u32,
             op_index,
             trace_id: trace::current(),
@@ -306,75 +273,37 @@ impl RemoteEngine {
     }
 }
 
-fn expect_unit(rsp: Response) -> GdbResult<()> {
-    match rsp {
-        Response::Unit => Ok(()),
-        other => Err(protocol_mismatch("Unit", &other)),
-    }
-}
-
-fn expect_u64(rsp: Response) -> GdbResult<u64> {
-    match rsp {
-        Response::U64(v) => Ok(v),
-        other => Err(protocol_mismatch("U64", &other)),
-    }
-}
-
 /// Build an [`OpResult`] from an `ExecDone` frame: the server-measured
 /// phases (lock wait, engine exec, snapshot pin, clone/publish) land in
 /// their own slots; the wire phases stay zero until the caller fills them
 /// from its own clock.
-fn expect_exec_done(rsp: Response) -> GdbResult<OpResult> {
-    match rsp {
-        Response::ExecDone {
-            card,
-            lock_wait,
-            exec_nanos,
-            pin_nanos,
-            clone_nanos,
-            epoch,
-        } => {
-            let mut phases = PhaseNanos::zero();
-            phases.set(Phase::LockWait, lock_wait);
-            phases.set(Phase::EngineExec, exec_nanos);
-            phases.set(Phase::SnapshotPin, pin_nanos);
-            phases.set(Phase::ClonePublish, clone_nanos);
-            Ok(OpResult {
-                cardinality: card,
-                epoch,
-                phases,
-            })
-        }
-        other => Err(protocol_mismatch("ExecDone", &other)),
-    }
+fn op_result(rsp: Response) -> GdbResult<OpResult> {
+    let Response::ExecDone {
+        card,
+        lock_wait,
+        exec_nanos,
+        pin_nanos,
+        clone_nanos,
+        epoch,
+    } = rsp
+    else {
+        return Err(rsp.mismatch("ExecDone"));
+    };
+    let mut phases = PhaseNanos::zero();
+    phases.set(Phase::LockWait, lock_wait);
+    phases.set(Phase::EngineExec, exec_nanos);
+    phases.set(Phase::SnapshotPin, pin_nanos);
+    phases.set(Phase::ClonePublish, clone_nanos);
+    Ok(OpResult {
+        cardinality: card,
+        epoch,
+        phases,
+    })
 }
 
-fn expect_opt_u64(rsp: Response) -> GdbResult<Option<u64>> {
-    match rsp {
-        Response::OptU64(v) => Ok(v),
-        other => Err(protocol_mismatch("OptU64", &other)),
-    }
-}
-
-fn expect_u64_list(rsp: Response) -> GdbResult<Vec<u64>> {
-    match rsp {
-        Response::U64List(v) => Ok(v),
-        other => Err(protocol_mismatch("U64List", &other)),
-    }
-}
-
-fn expect_str_list(rsp: Response) -> GdbResult<Vec<String>> {
-    match rsp {
-        Response::StrList(v) => Ok(v),
-        other => Err(protocol_mismatch("StrList", &other)),
-    }
-}
-
-fn expect_opt_value(rsp: Response) -> GdbResult<Option<Value>> {
-    match rsp {
-        Response::OptValue(v) => Ok(v),
-        other => Err(protocol_mismatch("OptValue", &other)),
-    }
+/// An id-list response as typed ids.
+fn ids<T>(rsp: Response, wrap: fn(u64) -> T) -> GdbResult<Vec<T>> {
+    Ok(rsp.into_u64_list()?.into_iter().map(wrap).collect())
 }
 
 impl GraphSnapshot for RemoteEngine {
@@ -384,9 +313,9 @@ impl GraphSnapshot for RemoteEngine {
     }
 
     fn features(&self) -> EngineFeatures {
-        match self.call(&Request::Features) {
-            Ok(Response::Features(f)) => f,
-            _ => EngineFeatures {
+        self.call(&Request::Features)
+            .and_then(Response::into_features)
+            .unwrap_or_else(|_| EngineFeatures {
                 name: self.name.clone(),
                 system_type: "Remote".into(),
                 storage: "network-attached (features unavailable)".into(),
@@ -394,32 +323,31 @@ impl GraphSnapshot for RemoteEngine {
                 optimized_adapter: false,
                 async_writes: false,
                 attribute_indexes: false,
-            },
-        }
+            })
     }
 
     fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        expect_opt_u64(self.call(&Request::ResolveVertex(canonical)).ok()?)
-            .ok()?
-            .map(Vid)
+        let rsp = self.call(&Request::ResolveVertex(canonical)).ok()?;
+        rsp.into_opt_u64().ok()?.map(Vid)
     }
 
     fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        expect_opt_u64(self.call(&Request::ResolveEdge(canonical)).ok()?)
-            .ok()?
-            .map(Eid)
+        let rsp = self.call(&Request::ResolveEdge(canonical)).ok()?;
+        rsp.into_opt_u64().ok()?.map(Eid)
     }
 
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        expect_u64(self.call(&Request::VertexCount { t: t_of(ctx) })?)
+        self.call(&Request::VertexCount { t: t_of(ctx) })?
+            .into_u64()
     }
 
     fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        expect_u64(self.call(&Request::EdgeCount { t: t_of(ctx) })?)
+        self.call(&Request::EdgeCount { t: t_of(ctx) })?.into_u64()
     }
 
     fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        expect_str_list(self.call(&Request::EdgeLabelSet { t: t_of(ctx) })?)
+        self.call(&Request::EdgeLabelSet { t: t_of(ctx) })?
+            .into_str_list()
     }
 
     fn vertices_with_property(
@@ -428,14 +356,12 @@ impl GraphSnapshot for RemoteEngine {
         value: &Value,
         ctx: &QueryCtx,
     ) -> GdbResult<Vec<Vid>> {
-        Ok(expect_u64_list(self.call(&Request::VerticesWithProperty {
+        let req = Request::VerticesWithProperty {
             name: name.to_string(),
             value: value.clone(),
             t: t_of(ctx),
-        })?)?
-        .into_iter()
-        .map(Vid)
-        .collect())
+        };
+        ids(self.call(&req)?, Vid)
     }
 
     fn edges_with_property(
@@ -444,38 +370,28 @@ impl GraphSnapshot for RemoteEngine {
         value: &Value,
         ctx: &QueryCtx,
     ) -> GdbResult<Vec<Eid>> {
-        Ok(expect_u64_list(self.call(&Request::EdgesWithProperty {
+        let req = Request::EdgesWithProperty {
             name: name.to_string(),
             value: value.clone(),
             t: t_of(ctx),
-        })?)?
-        .into_iter()
-        .map(Eid)
-        .collect())
+        };
+        ids(self.call(&req)?, Eid)
     }
 
     fn edges_with_label(&self, label: &str, ctx: &QueryCtx) -> GdbResult<Vec<Eid>> {
-        Ok(expect_u64_list(self.call(&Request::EdgesWithLabel {
+        let req = Request::EdgesWithLabel {
             label: label.to_string(),
             t: t_of(ctx),
-        })?)?
-        .into_iter()
-        .map(Eid)
-        .collect())
+        };
+        ids(self.call(&req)?, Eid)
     }
 
     fn vertex(&self, v: Vid) -> GdbResult<Option<VertexData>> {
-        match self.call(&Request::GetVertex(v.0))? {
-            Response::OptVertex(v) => Ok(v),
-            other => Err(protocol_mismatch("OptVertex", &other)),
-        }
+        self.call(&Request::GetVertex(v.0))?.into_opt_vertex()
     }
 
     fn edge(&self, e: Eid) -> GdbResult<Option<EdgeData>> {
-        match self.call(&Request::GetEdge(e.0))? {
-            Response::OptEdge(e) => Ok(e),
-            other => Err(protocol_mismatch("OptEdge", &other)),
-        }
+        self.call(&Request::GetEdge(e.0))?.into_opt_edge()
     }
 
     fn neighbors(
@@ -485,15 +401,13 @@ impl GraphSnapshot for RemoteEngine {
         label: Option<&str>,
         ctx: &QueryCtx,
     ) -> GdbResult<Vec<Vid>> {
-        Ok(expect_u64_list(self.call(&Request::Neighbors {
+        let req = Request::Neighbors {
             v: v.0,
             dir,
             label: label.map(str::to_string),
             t: t_of(ctx),
-        })?)?
-        .into_iter()
-        .map(Vid)
-        .collect())
+        };
+        ids(self.call(&req)?, Vid)
     }
 
     fn vertex_edges(
@@ -503,31 +417,25 @@ impl GraphSnapshot for RemoteEngine {
         label: Option<&str>,
         ctx: &QueryCtx,
     ) -> GdbResult<Vec<EdgeRef>> {
-        match self.call(&Request::VertexEdges {
+        let req = Request::VertexEdges {
             v: v.0,
             dir,
             label: label.map(str::to_string),
             t: t_of(ctx),
-        })? {
-            Response::EdgeRefs(refs) => Ok(refs),
-            other => Err(protocol_mismatch("EdgeRefs", &other)),
-        }
+        };
+        self.call(&req)?.into_edge_refs()
     }
 
     fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        expect_u64(self.call(&Request::VertexDegree {
-            v: v.0,
-            dir,
-            t: t_of(ctx),
-        })?)
+        let t = t_of(ctx);
+        self.call(&Request::VertexDegree { v: v.0, dir, t })?
+            .into_u64()
     }
 
     fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        expect_str_list(self.call(&Request::VertexEdgeLabels {
-            v: v.0,
-            dir,
-            t: t_of(ctx),
-        })?)
+        let t = t_of(ctx);
+        self.call(&Request::VertexEdgeLabels { v: v.0, dir, t })?
+            .into_str_list()
     }
 
     fn scan_vertices<'a>(
@@ -537,168 +445,144 @@ impl GraphSnapshot for RemoteEngine {
         // The server materializes the scan (honoring the forwarded deadline)
         // and ships the ids in one response; the client then iterates the
         // buffered ids. A mid-scan server timeout surfaces as Err here.
-        let ids = expect_u64_list(self.call(&Request::ScanVertices { t: t_of(ctx) })?)?;
-        Ok(Box::new(ids.into_iter().map(|v| Ok(Vid(v)))))
+        let ids = ids(self.call(&Request::ScanVertices { t: t_of(ctx) })?, Vid)?;
+        Ok(Box::new(ids.into_iter().map(Ok)))
     }
 
     fn scan_edges<'a>(
         &'a self,
         ctx: &'a QueryCtx,
     ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'a>> {
-        let ids = expect_u64_list(self.call(&Request::ScanEdges { t: t_of(ctx) })?)?;
-        Ok(Box::new(ids.into_iter().map(|e| Ok(Eid(e)))))
+        let ids = ids(self.call(&Request::ScanEdges { t: t_of(ctx) })?, Eid)?;
+        Ok(Box::new(ids.into_iter().map(Ok)))
     }
 
     fn vertex_property(&self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        expect_opt_value(self.call(&Request::VertexProperty {
-            v: v.0,
-            name: name.to_string(),
-        })?)
+        let name = name.to_string();
+        self.call(&Request::VertexProperty { v: v.0, name })?
+            .into_opt_value()
     }
 
     fn edge_property(&self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        expect_opt_value(self.call(&Request::EdgeProperty {
-            e: e.0,
-            name: name.to_string(),
-        })?)
+        let name = name.to_string();
+        self.call(&Request::EdgeProperty { e: e.0, name })?
+            .into_opt_value()
     }
 
     fn edge_endpoints(&self, e: Eid) -> GdbResult<Option<(Vid, Vid)>> {
-        match self.call(&Request::EdgeEndpoints(e.0))? {
-            Response::OptPair(p) => Ok(p.map(|(s, d)| (Vid(s), Vid(d)))),
-            other => Err(protocol_mismatch("OptPair", &other)),
-        }
+        let ends = self.call(&Request::EdgeEndpoints(e.0))?.into_opt_pair()?;
+        Ok(ends.map(|(s, d)| (Vid(s), Vid(d))))
     }
 
     fn edge_label(&self, e: Eid) -> GdbResult<Option<String>> {
-        match self.call(&Request::EdgeLabel(e.0))? {
-            Response::OptStr(s) => Ok(s),
-            other => Err(protocol_mismatch("OptStr", &other)),
-        }
+        self.call(&Request::EdgeLabel(e.0))?.into_opt_str()
     }
 
     fn vertex_label(&self, v: Vid) -> GdbResult<Option<String>> {
-        match self.call(&Request::VertexLabel(v.0))? {
-            Response::OptStr(s) => Ok(s),
-            other => Err(protocol_mismatch("OptStr", &other)),
-        }
+        self.call(&Request::VertexLabel(v.0))?.into_opt_str()
     }
 
     fn degree_scan(&self, dir: Direction, k: u64, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
         // One frame instead of the default per-vertex decomposition: the
         // *hosted* engine's own strategy answers, so per-engine physical
         // differences survive the wire.
-        Ok(expect_u64_list(self.call(&Request::DegreeScan {
-            dir,
-            k,
-            t: t_of(ctx),
-        })?)?
-        .into_iter()
-        .map(Vid)
-        .collect())
+        let t = t_of(ctx);
+        ids(self.call(&Request::DegreeScan { dir, k, t })?, Vid)
     }
 
     fn distinct_neighbor_scan(&self, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        Ok(
-            expect_u64_list(self.call(&Request::DistinctNeighborScan { dir, t: t_of(ctx) })?)?
-                .into_iter()
-                .map(Vid)
-                .collect(),
-        )
+        let t = t_of(ctx);
+        ids(self.call(&Request::DistinctNeighborScan { dir, t })?, Vid)
     }
 
     fn has_vertex_index(&self, prop: &str) -> bool {
-        matches!(
-            self.call(&Request::HasVertexIndex {
-                prop: prop.to_string(),
-            }),
-            Ok(Response::Bool(true))
-        )
+        let prop = prop.to_string();
+        self.call(&Request::HasVertexIndex { prop })
+            .and_then(Response::into_bool)
+            .unwrap_or(false)
     }
 
     fn space(&self) -> SpaceReport {
-        match self.call(&Request::Space) {
-            Ok(Response::Space(report)) => report,
-            _ => SpaceReport::default(),
-        }
+        self.call(&Request::Space)
+            .and_then(Response::into_space)
+            .unwrap_or_default()
     }
 }
 
 impl GraphDb for RemoteEngine {
     fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
-        match self.call(&Request::BulkLoad {
+        let req = Request::BulkLoad {
             opts: opts.clone(),
             data: data.clone(),
-        })? {
-            Response::Load(stats) => Ok(stats),
-            other => Err(protocol_mismatch("Load", &other)),
-        }
+        };
+        self.call(&req)?.into_load()
     }
 
     fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
-        expect_u64(self.call(&Request::AddVertex {
+        let req = Request::AddVertex {
             label: label.to_string(),
             props: props.clone(),
-        })?)
-        .map(Vid)
+        };
+        self.call(&req)?.into_u64().map(Vid)
     }
 
     fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
-        expect_u64(self.call(&Request::AddEdge {
+        let req = Request::AddEdge {
             src: src.0,
             dst: dst.0,
             label: label.to_string(),
             props: props.clone(),
-        })?)
-        .map(Eid)
+        };
+        self.call(&req)?.into_u64().map(Eid)
     }
 
     fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
-        expect_unit(self.call(&Request::SetVertexProp {
+        let name = name.to_string();
+        self.call(&Request::SetVertexProp {
             v: v.0,
-            name: name.to_string(),
+            name,
             value,
-        })?)
+        })?
+        .into_unit()
     }
 
     fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
-        expect_unit(self.call(&Request::SetEdgeProp {
+        let name = name.to_string();
+        self.call(&Request::SetEdgeProp {
             e: e.0,
-            name: name.to_string(),
+            name,
             value,
-        })?)
+        })?
+        .into_unit()
     }
 
     fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
-        expect_unit(self.call(&Request::RemoveVertex(v.0))?)
+        self.call(&Request::RemoveVertex(v.0))?.into_unit()
     }
 
     fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
-        expect_unit(self.call(&Request::RemoveEdge(e.0))?)
+        self.call(&Request::RemoveEdge(e.0))?.into_unit()
     }
 
     fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        expect_opt_value(self.call(&Request::RemoveVertexProp {
-            v: v.0,
-            name: name.to_string(),
-        })?)
+        let name = name.to_string();
+        self.call(&Request::RemoveVertexProp { v: v.0, name })?
+            .into_opt_value()
     }
 
     fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        expect_opt_value(self.call(&Request::RemoveEdgeProp {
-            e: e.0,
-            name: name.to_string(),
-        })?)
+        let name = name.to_string();
+        self.call(&Request::RemoveEdgeProp { e: e.0, name })?
+            .into_opt_value()
     }
 
     fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
-        expect_unit(self.call(&Request::CreateVertexIndex {
-            prop: prop.to_string(),
-        })?)
+        let prop = prop.to_string();
+        self.call(&Request::CreateVertexIndex { prop })?.into_unit()
     }
 
     fn sync(&mut self) -> GdbResult<()> {
-        expect_unit(self.call(&Request::Sync)?)
+        self.call(&Request::Sync)?.into_unit()
     }
 }
 
@@ -791,12 +675,9 @@ impl Session for RemoteSession {
         let frame = wire::read_frame(&mut self.conn.stream)?;
         let io = t_io.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let t_dec = timing.then(Instant::now);
-        let rsp = match Response::decode(&frame)? {
-            Response::Err(e) => return Err(e),
-            rsp => rsp,
-        };
+        let rsp = Response::decode(&frame)?;
         let dec = t_dec.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let mut out = expect_exec_done(rsp)?;
+        let mut out = op_result(rsp)?;
         if timing {
             // Server-attributed time (lock wait + exec + pin + clone) rode
             // inside the socket round trip; only the remainder is the wire.

@@ -106,13 +106,6 @@ fn split_deferred(e: Eid) -> Option<(usize, u64)> {
     ))
 }
 
-fn mismatch(expected: &str, got: &Response) -> GdbError {
-    GdbError::Corrupt(format!(
-        "fleet protocol mismatch: expected {expected} response, got {}",
-        got.kind()
-    ))
-}
-
 fn poisoned(what: &str) -> GdbError {
     GdbError::Poisoned(format!("fleet {what} poisoned"))
 }
@@ -365,17 +358,11 @@ impl Fleet {
             ]))?;
         }
         for conn in conns.iter_mut() {
-            match conn.recv()? {
-                Response::BatchDone(rsps) => {
-                    for rsp in rsps {
-                        if let Response::Err(e) = rsp {
-                            self.note_routing_error();
-                            return Err(e);
-                        }
-                    }
+            for rsp in conn.recv()?.into_batch_done()? {
+                if let Response::Err(e) = rsp {
+                    self.note_routing_error();
+                    return Err(e);
                 }
-                Response::Err(e) => return Err(e),
-                other => return Err(mismatch("BatchDone", &other)),
             }
         }
         Ok(())
@@ -487,11 +474,7 @@ impl Fleet {
                 break;
             }
             for rsp in conn.call_batch(chunk)? {
-                match rsp {
-                    Response::OptU64(v) => out.push(v),
-                    Response::Err(e) => return Err(e),
-                    other => return Err(mismatch("OptU64", &other)),
-                }
+                out.push(rsp.into_opt_u64()?);
             }
         }
         Ok(out)
@@ -615,13 +598,13 @@ impl Fleet {
         }
         let cell = cell_of(cells, s)?;
         cell.flush()?;
-        let ghost = match cell.call(&Request::AddVertex {
-            label: GHOST_LABEL.to_string(),
-            props: Vec::new(),
-        })? {
-            Response::U64(v) => Vid(v),
-            other => return Err(mismatch("U64 (ghost AddVertex)", &other)),
-        };
+        let ghost = cell
+            .call(&Request::AddVertex {
+                label: GHOST_LABEL.to_string(),
+                props: Vec::new(),
+            })?
+            .into_u64()
+            .map(Vid)?;
         meta.ghosts
             .get_mut(s)
             .ok_or_else(|| GdbError::Corrupt(format!("fleet: no ghost map for shard {s}")))?
@@ -759,7 +742,7 @@ impl FleetCell<'_> {
                 }
                 (Some(_), other) => {
                     self.fleet.note_routing_error();
-                    return Err(mismatch("U64 (deferred AddEdge)", &other));
+                    return Err(other.mismatch("U64"));
                 }
                 (None, _) => {}
             }
@@ -1282,13 +1265,9 @@ impl GraphDb for FleetWriter<'_> {
         let (local, owner) = decode_vid(v, self.fleet.shards);
         let cell = cell_of(self.cells, owner)?;
         cell.flush()?; // the previous value answers: FIFO before reading
-        match cell.call(&Request::RemoveVertexProp {
-            v: local.0,
-            name: name.to_string(),
-        })? {
-            Response::OptValue(v) => Ok(v),
-            other => Err(mismatch("OptValue", &other)),
-        }
+        let name = name.to_string();
+        cell.call(&Request::RemoveVertexProp { v: local.0, name })?
+            .into_opt_value()
     }
 
     fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
@@ -1296,25 +1275,18 @@ impl GraphDb for FleetWriter<'_> {
         let (local, s) = decode_eid(e, self.fleet.shards);
         let cell = cell_of(self.cells, s)?;
         cell.flush()?;
-        match cell.call(&Request::RemoveEdgeProp {
-            e: local.0,
-            name: name.to_string(),
-        })? {
-            Response::OptValue(v) => Ok(v),
-            other => Err(mismatch("OptValue", &other)),
-        }
+        let name = name.to_string();
+        cell.call(&Request::RemoveEdgeProp { e: local.0, name })?
+            .into_opt_value()
     }
 
     fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
         // Homogeneous shards, same as in-process: all or none support it.
         for cell in self.cells {
             cell.flush()?;
-            match cell.call(&Request::CreateVertexIndex {
-                prop: prop.to_string(),
-            })? {
-                Response::Unit => {}
-                other => return Err(mismatch("Unit", &other)),
-            }
+            let prop = prop.to_string();
+            cell.call(&Request::CreateVertexIndex { prop })?
+                .into_unit()?;
         }
         Ok(())
     }
@@ -1322,10 +1294,7 @@ impl GraphDb for FleetWriter<'_> {
     fn sync(&mut self) -> GdbResult<()> {
         for cell in self.cells {
             cell.flush()?;
-            match cell.call(&Request::Sync)? {
-                Response::Unit => {}
-                other => return Err(mismatch("Unit", &other)),
-            }
+            cell.call(&Request::Sync)?.into_unit()?;
         }
         Ok(())
     }

@@ -1,4 +1,5 @@
-//! The gm-net message set: versioned request/response frames.
+//! The gm-net message set: versioned request/response frames, declared
+//! **once** in the two frame tables below.
 //!
 //! A connection starts with a [`Request::Hello`] carrying [`MAGIC`] and
 //! [`PROTO_VERSION`]; the server answers [`Response::HelloAck`] (or an error
@@ -18,10 +19,24 @@
 //!   server executes it against its resolved parameters in one round trip,
 //!   which is how real client/server deployments execute Gremlin
 //!   server-side.
+//!
+//! # Where a frame is defined
+//!
+//! One row of a `frames!` table is the whole definition of a frame: its
+//! opcode, its name, its fields in wire order (each field's type names its
+//! codec through the private `Wire` trait) and, for requests, how the
+//! server dispatches it ([`FrameKind`]). The enum variant, the opcode
+//! constant, the `encode` and `decode` arms, [`Request::kind`], the typed
+//! `Response::into_*` accessors and the [`Request::FRAMES`] /
+//! [`Response::FRAMES`] lists the tests enumerate are all generated from
+//! that row. Adding a primitive is one row here, one arm in the server's
+//! `answer_read`/`answer_write`, and one `RemoteEngine` method.
 
 use gm_core::catalog::{QueryId, QueryInstance};
 use gm_model::api::{Direction, EdgeRef, EngineFeatures, LoadOptions, LoadStats, SpaceReport};
-use gm_model::{Dataset, DsEdge, DsVertex, EdgeData, GdbError, GdbResult, Value, VertexData};
+use gm_model::{
+    Dataset, DsEdge, DsVertex, EdgeData, Eid, GdbError, GdbResult, Props, Value, VertexData, Vid,
+};
 use gm_obs::{
     HistSnapshot, PhaseNanos, RegistrySnapshot, TraceOrigin, TraceRecord, BUCKETS, PHASES,
 };
@@ -35,88 +50,613 @@ pub const MAGIC: u32 = 0x474D_4E54;
 /// Protocol version; bumped on any frame-format change. The server refuses
 /// mismatched clients at handshake instead of misparsing their frames.
 ///
-/// v2: `ExecOp` answers with [`Response::ExecDone`] (cardinality **plus the
-/// serving epoch** when the server hosts a snapshot source) instead of a
-/// bare `U64`.
-///
-/// v3: `ExecDone` additionally carries the op's server-side **lock wait**
-/// (nanoseconds spent acquiring engine locks), so remote runs feed the
-/// driver's lock-wait accounting — the per-shard vs single-lock comparison
-/// works across the wire.
-///
-/// v4: `ExecDone` carries the full server-side phase breakdown (engine
-/// execution, snapshot pin, clone/publish nanoseconds next to the lock
-/// wait), so fig9 can split a remote op's latency into wire time vs server
-/// time; and [`Request::GetStats`] / [`Response::Stats`] expose the
-/// server's `gm-obs` metrics registry over the connection.
-///
-/// v5: `ExecOp` carries the client's deterministic **trace id** so the
-/// server records its phase tree under the same id (the client stitches one
-/// cross-process trace per op from the phases `ExecDone` already ships);
-/// [`Request::GetTraces`] / [`Response::Traces`] drain the server's flight
-/// recorder over the connection; and the `GetStats` snapshot gains a
-/// monotonic `captured_at_us` uptime stamp so two snapshots diff into true
-/// interval rates client-side.
-///
-/// v6: [`Request::ExecBatch`] ships many requests in one length-prefixed
-/// frame and is answered by one [`Response::BatchDone`] carrying one
-/// response per entry — the fleet coordinator's write path flushes a whole
-/// deferred batch in a single round trip; [`Request::Epoch`] probes the
-/// serving epoch without pinning work to it (the fleet-wide epoch is the
-/// min over per-shard probes); and [`Response::HelloAck`] carries the
-/// server's optional **shard identity** (`shard id` / `fleet size`) so a
-/// fleet client can verify it dialed the shard it routed to.
-///
-/// v7: write transactions. [`Request::TxnBegin`] opens an epoch-pinned
-/// write transaction on the connection (answered by [`Response::TxnBegun`]
-/// with the pinned epoch); subsequent write primitives buffer into it and
-/// reads answer from its read-your-writes overlay; [`Request::TxnCommit`]
-/// validates first-committer-wins and publishes the whole write set
-/// atomically ([`Response::TxnCommitted`]), [`Request::TxnAbort`] discards
-/// it ([`Response::TxnAborted`]). Conflicts round-trip as the distinct
-/// [`GdbError::TxnConflict`] error (wire tag 9). Encoding also became
-/// fallible end to end: payloads that cannot fit the u32 length prefix
-/// surface as `FrameTooLarge` protocol errors instead of truncating.
+/// The format: a frame payload is one opcode byte (requests `0x01..=0x37`,
+/// responses `0x80..=0x96` and `0xFF` for [`Response::Err`]) followed by the
+/// frame's fields in table order, nothing after them. Integers are
+/// little-endian and fixed-width, `bool` is one `0`/`1` byte, a string is a
+/// `u32` byte length plus UTF-8, `Option<T>` is a presence `bool` plus `T`,
+/// a list is a `u32` count plus its elements, a [`Value`] uses the storage
+/// layer's tag-prefixed codec, and an enum (direction, write op, trace
+/// origin, [`GdbError`]) is a tag byte plus that variant's fields. The
+/// entries of [`Request::ExecBatch`] / [`Response::BatchDone`] are whole
+/// frames, each behind its own `u32` length, one level deep.
+/// `crates/net/tests/golden_frames.txt` pins the bytes of every frame.
 pub const PROTO_VERSION: u16 = 7;
 
-/// A client→server message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+// ----- field codecs --------------------------------------------------------
+
+/// The one wire encoding of a field type. A frame-table row names a field's
+/// codec by naming its type.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()>;
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self>;
+}
+
+macro_rules! wire_scalar {
+    ($($ty:ty: $put:ident, $get:ident;)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+                wire::$put(out, *self);
+                Ok(())
+            }
+            fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+                cur.$get()
+            }
+        }
+    )*};
+}
+
+wire_scalar! {
+    u8: put_u8, u8;
+    u16: put_u16, u16;
+    u32: put_u32, u32;
+    u64: put_u64, u64;
+    bool: put_bool, bool_;
+}
+
+/// Types that ride as one `u64`.
+macro_rules! wire_as_u64 {
+    ($($ty:ty: $to:expr, $from:expr;)*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+                wire::put_u64(out, $to(self));
+                Ok(())
+            }
+            fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+                cur.u64().map($from)
+            }
+        }
+    )*};
+}
+
+wire_as_u64! {
+    // Gauges are i64; two's-complement through u64 is lossless.
+    i64: |v: &i64| *v as u64, |u| u as i64;
+    Vid: |v: &Vid| v.0, Vid;
+    Eid: |e: &Eid| e.0, Eid;
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        wire::put_str(out, self)
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        cur.str_()
+    }
+}
+
+impl Wire for Value {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        wire::put_value(out, self);
+        Ok(())
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        cur.value()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        wire::put_bool(out, self.is_some());
+        self.iter().try_for_each(|v| v.put(out))
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        cur.bool_()?.then(|| T::get(cur)).transpose()
+    }
+}
+
+/// A list is a `u32` count plus its elements.
+fn put_list<T>(
+    out: &mut Vec<u8>,
+    items: &[T],
+    put: impl Fn(&T, &mut Vec<u8>) -> GdbResult<()>,
+) -> GdbResult<()> {
+    let count =
+        u32::try_from(items.len()).map_err(|_| wire::frame_too_large("list", items.len()))?;
+    wire::put_u32(out, count);
+    items.iter().try_for_each(|item| put(item, out))
+}
+
+/// Read a list; `get` sees each element's index. The count is bounded by
+/// the bytes left before anything is reserved (`Cur::list_len`): every
+/// element of every wire list encodes to at least one byte.
+fn get_list<T>(
+    cur: &mut Cur<'_>,
+    mut get: impl FnMut(u64, &mut Cur<'_>) -> GdbResult<T>,
+) -> GdbResult<Vec<T>> {
+    let count = cur.list_len("list")?;
+    let mut out = Vec::with_capacity(count);
+    for i in 0..count as u64 {
+        out.push(get(i, cur)?);
+    }
+    Ok(out)
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        put_list(out, self, T::put)
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        get_list(cur, |_, cur| T::get(cur))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        self.0.put(out)?;
+        self.1.put(out)
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        Ok((A::get(cur)?, B::get(cur)?))
+    }
+}
+
+/// A plain struct rides as its fields, in the order listed.
+macro_rules! wire_struct {
+    ($($ty:ident { $($f:ident),+ })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+                $( self.$f.put(out)?; )+
+                Ok(())
+            }
+            fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+                Ok($ty { $( $f: Wire::get(cur)? ),+ })
+            }
+        }
+    )*};
+}
+
+wire_struct! {
+    LoadOptions { bulk, index_during_load }
+    LoadStats { vertices, edges }
+    EngineFeatures {
+        name, system_type, storage, edge_traversal, optimized_adapter, async_writes,
+        attribute_indexes
+    }
+    SpaceReport { components }
+    EdgeRef { eid, other }
+    VertexData { id, label, props }
+    EdgeData { id, src, dst, label, props }
+    QueryInstance { id, depth, k }
+    RegistrySnapshot { captured_at_us, counters, gauges, hists }
+    TraceRecord { id, worker, op_index, op_code, start_us, total_nanos, phases, origin, tail }
+}
+
+/// A field-less enum rides as one tag byte.
+macro_rules! wire_enum {
+    ($($ty:ident, $what:literal { $($tag:literal => $variant:ident),+ })*) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+                wire::put_u8(out, match self { $( $ty::$variant => $tag ),+ });
+                Ok(())
+            }
+            fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+                match cur.u8()? {
+                    $( $tag => Ok($ty::$variant), )+
+                    t => Err(GdbError::Corrupt(format!("wire: unknown {} {t}", $what))),
+                }
+            }
+        }
+    )*};
+}
+
+wire_enum! {
+    Direction, "direction" { 0 => In, 1 => Out, 2 => Both }
+    WriteOp, "write op" { 0 => AddVertex, 1 => AddEdge, 2 => SetVertexProp, 3 => RemoveOwnEdge }
+    TraceOrigin, "trace origin" { 0 => Client, 1 => Server }
+}
+
+/// A query rides as its paper number (`Q1` = 1).
+impl Wire for QueryId {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        wire::put_u8(out, self.number());
+        Ok(())
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        let number = cur.u8()?;
+        QueryId::ALL
+            .get(number.wrapping_sub(1) as usize)
+            .copied()
+            .ok_or_else(|| GdbError::Corrupt(format!("wire: unknown query number {number}")))
+    }
+}
+
+impl Wire for Op {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        match self {
+            Op::Read(inst) => {
+                wire::put_u8(out, 0);
+                inst.put(out)
+            }
+            Op::Write(wop) => {
+                wire::put_u8(out, 1);
+                wop.put(out)
+            }
+        }
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        match cur.u8()? {
+            0 => Ok(Op::Read(Wire::get(cur)?)),
+            1 => Ok(Op::Write(Wire::get(cur)?)),
+            t => Err(GdbError::Corrupt(format!("wire: unknown op tag {t}"))),
+        }
+    }
+}
+
+impl Wire for GdbError {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        wire::put_error(out, self)
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        wire::get_error(cur)
+    }
+}
+
+/// Canonical ids are positional, so a dataset ships without them and is
+/// validated on arrival.
+impl Wire for Dataset {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        self.name.put(out)?;
+        put_list(out, &self.vertices, |v, out| {
+            v.label.put(out)?;
+            v.props.put(out)
+        })?;
+        put_list(out, &self.edges, |e, out| {
+            e.src.put(out)?;
+            e.dst.put(out)?;
+            e.label.put(out)?;
+            e.props.put(out)
+        })
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        let data = Dataset {
+            name: Wire::get(cur)?,
+            vertices: get_list(cur, |id, cur| {
+                Ok(DsVertex {
+                    id,
+                    label: Wire::get(cur)?,
+                    props: Wire::get(cur)?,
+                })
+            })?,
+            edges: get_list(cur, |id, cur| {
+                Ok(DsEdge {
+                    id,
+                    src: Wire::get(cur)?,
+                    dst: Wire::get(cur)?,
+                    label: Wire::get(cur)?,
+                    props: Wire::get(cur)?,
+                })
+            })?,
+        };
+        data.validate().map_err(GdbError::Corrupt)?;
+        Ok(data)
+    }
+}
+
+/// Log2 histograms ship sparsely: the populated bucket prefix, then the
+/// scalar fields. Bucket counts above the highest populated index are zero
+/// by construction, so nothing is lost.
+impl Wire for HistSnapshot {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        let top = self
+            .counts
+            .iter()
+            .rposition(|&c| c > 0)
+            .map_or(0, |i| i + 1);
+        wire::put_u8(out, top as u8);
+        for c in self.counts.iter().take(top) {
+            wire::put_u64(out, *c);
+        }
+        for scalar in [self.count, self.sum, self.min, self.max] {
+            wire::put_u64(out, scalar);
+        }
+        Ok(())
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        let top = cur.u8()? as usize;
+        if top > BUCKETS {
+            return Err(GdbError::Corrupt(format!(
+                "wire: histogram bucket prefix {top} exceeds {BUCKETS}"
+            )));
+        }
+        let mut h = HistSnapshot::default();
+        for slot in h.counts.iter_mut().take(top) {
+            *slot = cur.u64()?;
+        }
+        for scalar in [&mut h.count, &mut h.sum, &mut h.min, &mut h.max] {
+            *scalar = cur.u64()?;
+        }
+        Ok(h)
+    }
+}
+
+/// The phase vector carries its own length, so a peer built with a
+/// different phase set is refused instead of misread.
+impl Wire for PhaseNanos {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        wire::put_u8(out, PHASES as u8);
+        for nanos in self.0 {
+            wire::put_u64(out, nanos);
+        }
+        Ok(())
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        let np = cur.u8()? as usize;
+        if np != PHASES {
+            return Err(GdbError::Corrupt(format!(
+                "wire: trace record has {np} phases, expected {PHASES}"
+            )));
+        }
+        let mut phases = PhaseNanos::zero();
+        for slot in phases.0.iter_mut() {
+            *slot = cur.u64()?;
+        }
+        Ok(phases)
+    }
+}
+
+/// A batch entry is a whole frame behind its own `u32` length.
+fn put_entry(out: &mut Vec<u8>, frame: Vec<u8>) -> GdbResult<()> {
+    let len = u32::try_from(frame.len())
+        .map_err(|_| wire::frame_too_large("batch entry", frame.len()))?;
+    wire::put_u32(out, len);
+    out.extend_from_slice(&frame);
+    Ok(())
+}
+
+/// Read a batch entry's frame, refusing the `barred` opcodes *before* the
+/// caller recurses into it: a nested batch would make decode depth
+/// attacker-controlled, and a `Hello` mid-stream would re-run the handshake.
+fn get_entry<'a>(cur: &mut Cur<'a>, barred: &[(u8, &str)]) -> GdbResult<&'a [u8]> {
+    let len = cur.u32()? as usize;
+    let frame = cur.bytes(len, "batch entry")?;
+    match barred.iter().find(|(op, _)| frame.first() == Some(op)) {
+        Some((_, name)) => Err(GdbError::Corrupt(format!(
+            "wire: {name} inside a batch entry"
+        ))),
+        None => Ok(frame),
+    }
+}
+
+impl Wire for Request {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        put_entry(out, self.encode()?)
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        let barred = [(req_op::ExecBatch, "ExecBatch"), (req_op::Hello, "Hello")];
+        Request::decode(get_entry(cur, &barred)?)
+    }
+}
+
+impl Wire for Response {
+    fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
+        put_entry(out, self.encode()?)
+    }
+    fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
+        Response::decode(get_entry(cur, &[(rsp_op::BatchDone, "BatchDone")])?)
+    }
+}
+
+// ----- the frame tables ----------------------------------------------------
+
+/// How the server dispatches a request frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameKind {
+    /// A `GraphSnapshot` primitive: answered from a read view of the hosted
+    /// engine, or from the connection's open transaction.
+    Read,
+    /// A `GraphDb` mutation primitive: applied under the engine's write
+    /// path, or buffered into the connection's open transaction.
+    Write,
+    /// Handshake, lifecycle, workload, batch, introspection and
+    /// transaction frames, each with its own handler.
+    Control,
+}
+
+/// One row of a frame table, for code that enumerates the protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    /// The variant's name.
+    pub name: &'static str,
+    /// The first payload byte.
+    pub opcode: u8,
+}
+
+/// Declare one direction's frames. A row is
+/// `opcode Name column (field: Type, …)` or `… { field: Type, … }` or bare
+/// for a frame without fields; fields are listed in wire order and encoded
+/// by their type's `Wire` impl. The `column` is handed to the `extras`
+/// macro with the row: a [`FrameKind`] for requests, the name of the typed
+/// accessor for responses.
+macro_rules! frames {
+    (
+        $(#[$em:meta])*
+        enum $Enum:ident, $what:literal, mod $ops:ident, extras $extras:ident;
+        $(
+            $(#[$vm:meta])*
+            $op:literal $name:ident $col:ident
+            $( ( $( $tf:ident : $tty:ty ),+ ) )?
+            $( { $( $(#[$fm:meta])* $f:ident : $fty:ty ),+ $(,)? } )?
+        )*
+    ) => {
+        $(#[$em])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $Enum {
+            $(
+                $(#[$vm])*
+                $name $( ( $( $tty ),+ ) )? $( { $( $(#[$fm])* $f: $fty ),+ } )?,
+            )*
+        }
+
+        /// Each frame's opcode, under its variant's name.
+        #[allow(non_upper_case_globals, dead_code)]
+        mod $ops {
+            $( pub const $name: u8 = $op; )*
+        }
+
+        impl $Enum {
+            /// Every frame of this direction, in table order.
+            pub const FRAMES: &'static [Frame] = &[
+                $( Frame { name: stringify!($name), opcode: $op } ),*
+            ];
+
+            /// Encode into a frame payload. Fails with a `FrameTooLarge`
+            /// protocol error when any field cannot fit its u32 length
+            /// prefix.
+            pub fn encode(&self) -> GdbResult<Vec<u8>> {
+                let mut out = Vec::new();
+                match self {
+                    $(
+                        Self::$name $( ( $( $tf ),+ ) )? $( { $( $f ),+ } )? => {
+                            wire::put_u8(&mut out, $op);
+                            $( $( Wire::put($tf, &mut out)?; )+ )?
+                            $( $( Wire::put($f, &mut out)?; )+ )?
+                        }
+                    )*
+                }
+                Ok(out)
+            }
+
+            /// Decode a frame payload. Rejects unknown opcodes, malformed
+            /// fields and trailing bytes with [`GdbError::Corrupt`].
+            pub fn decode(buf: &[u8]) -> GdbResult<Self> {
+                let mut cur = Cur::new(buf);
+                let frame = match cur.u8()? {
+                    $(
+                        $op => Self::$name
+                            $( ( $( <$tty as Wire>::get(&mut cur)? ),+ ) )?
+                            $( { $( $f: <$fty as Wire>::get(&mut cur)? ),+ } )?,
+                    )*
+                    op => {
+                        return Err(GdbError::Corrupt(format!(
+                            "wire: unknown {} op {op:#x}",
+                            $what
+                        )))
+                    }
+                };
+                cur.finish()?;
+                Ok(frame)
+            }
+        }
+
+        $extras! {
+            $( [$col $name $( ( $( $tf : $tty ),+ ) )? $( { $( $f : $fty ),+ } )?] )*
+        }
+    };
+}
+
+/// Request extras: the column is the frame's [`FrameKind`].
+macro_rules! request_kinds {
+    ($( [$kind:ident $name:ident $($fields:tt)*] )*) => {
+        impl Request {
+            /// The frame's name, as diagnostics print it.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( Self::$name { .. } => stringify!($name), )*
+                }
+            }
+
+            /// How the server dispatches this frame.
+            pub fn kind(&self) -> FrameKind {
+                match self {
+                    $( Self::$name { .. } => FrameKind::$kind, )*
+                }
+            }
+        }
+    };
+}
+
+/// Response extras: the column names the accessor that unwraps the frame
+/// into its fields (one field as itself, several as a tuple in wire order).
+macro_rules! response_accessors {
+    ($(
+        [$acc:ident $name:ident
+            $( ( $( $tf:ident : $tty:ty ),+ ) )?
+            $( { $( $f:ident : $fty:ty ),+ } )?]
+    )*) => {
+        impl Response {
+            /// Short kind name (the frame's name in the table), used in
+            /// protocol-mismatch diagnostics.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Self::$name { .. } => stringify!($name), )*
+                }
+            }
+
+            $(
+                #[doc = concat!(
+                    "The fields of a [`Response::", stringify!($name),
+                    "`]; any other frame is [`Response::mismatch`]."
+                )]
+                // A one-field row expands to a parenthesised type, not a tuple.
+                #[allow(unused_parens)]
+                pub fn $acc(self) -> GdbResult<( $( $( $tty ),+ )? $( $( $fty ),+ )? )> {
+                    match self {
+                        Self::$name $( ( $( $tf ),+ ) )? $( { $( $f ),+ } )? => {
+                            Ok(( $( $( $tf ),+ )? $( $( $f ),+ )? ))
+                        }
+                        other => Err(other.mismatch(stringify!($name))),
+                    }
+                }
+            )*
+        }
+    };
+}
+
+impl Response {
+    /// The error for a response of the wrong type: the engine error itself
+    /// when the server answered [`Response::Err`] (remote errors keep their
+    /// variant), a protocol mismatch naming both frames otherwise.
+    pub fn mismatch(self, expected: &str) -> GdbError {
+        match self {
+            Response::Err(e) => e,
+            other => GdbError::Corrupt(format!(
+                "protocol mismatch: expected {expected} response, got {}",
+                other.kind()
+            )),
+        }
+    }
+}
+
+frames! {
+    /// A client→server message.
+    enum Request, "request", mod req_op, extras request_kinds;
+
     /// Handshake; must be the first frame on a connection.
-    Hello {
+    0x01 Hello Control {
         /// Must equal [`MAGIC`].
         magic: u32,
         /// Must equal [`PROTO_VERSION`].
         version: u16,
-    },
+    }
     /// Replace the hosted engine with a fresh one from the server's factory
     /// and forget any loaded dataset / prepared workload.
-    Reset,
+    0x02 Reset Control
     /// Ship a dataset and bulk-load it into the hosted engine. The server
     /// retains the dataset so a later [`Request::Prepare`] can derive
     /// workload parameters from it.
-    BulkLoad {
+    0x03 BulkLoad Control {
         /// Load options.
         opts: LoadOptions,
         /// The canonical dataset, shipped in full.
         data: Dataset,
-    },
+    }
     /// Resolve workload parameters server-side: `Workload::choose(data,
     /// seed, slots)` against the retained dataset, resolved on the hosted
     /// engine. Required before [`Request::ExecOp`].
-    Prepare {
+    0x04 Prepare Control {
         /// Workload seed (must match the driver's).
         seed: u64,
         /// Victim/pair slot count (must match the driver's).
         slots: u32,
-    },
+    }
     /// Execute one driver op server-side in a single round trip.
-    ExecOp {
+    0x05 ExecOp Control {
         /// Issuing worker index (parameterizes writes).
         worker: u32,
         /// Op index within the worker's sequence.
         op_index: u64,
-        /// The client's deterministic trace id for this op (v5; 0 = not
+        /// The client's deterministic trace id for this op (0 = not
         /// traced). The server records its phase tree under this id so the
         /// client can stitch one cross-process trace per op.
         trace_id: u64,
@@ -131,30 +671,38 @@ pub enum Request {
         strict: bool,
         /// The op itself.
         op: Op,
-    },
-    /// Snapshot the server's `gm-obs` metrics registry (v4). Always
-    /// answered with [`Response::Stats`]; the snapshot is empty when the
-    /// server runs with `GM_OBS=off`.
-    GetStats,
-    /// Drain a copy of the server's trace flight recorder (v5). Always
-    /// answered with [`Response::Traces`]; the list is empty when the
-    /// server runs with `GM_TRACE=off`.
-    GetTraces,
+    }
+    /// Snapshot the server's `gm-obs` metrics registry. Always answered
+    /// with [`Response::Stats`]; the snapshot is empty when the server runs
+    /// with `GM_OBS=off`.
+    0x06 GetStats Control
+    /// Drain a copy of the server's trace flight recorder. Always answered
+    /// with [`Response::Traces`]; the list is empty when the server runs
+    /// with `GM_TRACE=off`.
+    0x07 GetTraces Control
+    /// Many requests in one frame: the server executes the entries strictly
+    /// in order and answers with a single [`Response::BatchDone`] carrying
+    /// one response per entry. Per-entry failures ride inside the batch as
+    /// [`Response::Err`] entries, so one bad op cannot desync the stream.
+    /// Entries may be any request except [`Request::Hello`] and a nested
+    /// `ExecBatch` — the decoder rejects both, which also bounds decode
+    /// recursion at one level.
+    0x08 ExecBatch Control (entries: Vec<Request>)
     /// `GraphDb::features`.
-    Features,
+    0x10 Features Read
     /// `GraphDb::resolve_vertex`.
-    ResolveVertex(u64),
+    0x11 ResolveVertex Read (canonical: u64)
     /// `GraphDb::resolve_edge`.
-    ResolveEdge(u64),
+    0x12 ResolveEdge Read (canonical: u64)
     /// `GraphDb::add_vertex`.
-    AddVertex {
+    0x13 AddVertex Write {
         /// Vertex label.
         label: String,
         /// Properties.
-        props: Vec<(String, Value)>,
-    },
+        props: Props,
+    }
     /// `GraphDb::add_edge`.
-    AddEdge {
+    0x14 AddEdge Write {
         /// Source vertex (internal id).
         src: u64,
         /// Destination vertex (internal id).
@@ -162,90 +710,90 @@ pub enum Request {
         /// Edge label.
         label: String,
         /// Properties.
-        props: Vec<(String, Value)>,
-    },
+        props: Props,
+    }
     /// `GraphDb::set_vertex_property`.
-    SetVertexProp {
+    0x15 SetVertexProp Write {
         /// Vertex.
         v: u64,
         /// Property name.
         name: String,
         /// Property value.
         value: Value,
-    },
+    }
     /// `GraphDb::set_edge_property`.
-    SetEdgeProp {
+    0x16 SetEdgeProp Write {
         /// Edge.
         e: u64,
         /// Property name.
         name: String,
         /// Property value.
         value: Value,
-    },
+    }
     /// `GraphDb::vertex_count` (`t` = read deadline in µs, 0 = unbounded).
-    VertexCount {
+    0x17 VertexCount Read {
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::edge_count`.
-    EdgeCount {
+    0x18 EdgeCount Read {
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::edge_label_set`.
-    EdgeLabelSet {
+    0x19 EdgeLabelSet Read {
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::vertices_with_property`.
-    VerticesWithProperty {
+    0x1A VerticesWithProperty Read {
         /// Property name.
         name: String,
         /// Property value.
         value: Value,
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::edges_with_property`.
-    EdgesWithProperty {
+    0x1B EdgesWithProperty Read {
         /// Property name.
         name: String,
         /// Property value.
         value: Value,
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::edges_with_label`.
-    EdgesWithLabel {
+    0x1C EdgesWithLabel Read {
         /// Edge label.
         label: String,
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::vertex` (Q14 materialization).
-    GetVertex(u64),
+    0x1D GetVertex Read (v: u64)
     /// `GraphDb::edge` (Q15 materialization).
-    GetEdge(u64),
+    0x1E GetEdge Read (e: u64)
     /// `GraphDb::remove_vertex`.
-    RemoveVertex(u64),
+    0x1F RemoveVertex Write (v: u64)
     /// `GraphDb::remove_edge`.
-    RemoveEdge(u64),
+    0x20 RemoveEdge Write (e: u64)
     /// `GraphDb::remove_vertex_property`.
-    RemoveVertexProp {
+    0x21 RemoveVertexProp Write {
         /// Vertex.
         v: u64,
         /// Property name.
         name: String,
-    },
+    }
     /// `GraphDb::remove_edge_property`.
-    RemoveEdgeProp {
+    0x22 RemoveEdgeProp Write {
         /// Edge.
         e: u64,
         /// Property name.
         name: String,
-    },
+    }
     /// `GraphDb::neighbors`.
-    Neighbors {
+    0x23 Neighbors Read {
         /// Vertex.
         v: u64,
         /// Direction.
@@ -254,9 +802,9 @@ pub enum Request {
         label: Option<String>,
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::vertex_edges`.
-    VertexEdges {
+    0x24 VertexEdges Read {
         /// Vertex.
         v: u64,
         /// Direction.
@@ -265,1348 +813,207 @@ pub enum Request {
         label: Option<String>,
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::vertex_degree`.
-    VertexDegree {
+    0x25 VertexDegree Read {
         /// Vertex.
         v: u64,
         /// Direction.
         dir: Direction,
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::vertex_edge_labels`.
-    VertexEdgeLabels {
+    0x26 VertexEdgeLabels Read {
         /// Vertex.
         v: u64,
         /// Direction.
         dir: Direction,
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::scan_vertices`, materialized server-side.
-    ScanVertices {
+    0x27 ScanVertices Read {
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::scan_edges`, materialized server-side.
-    ScanEdges {
+    0x28 ScanEdges Read {
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::vertex_property`.
-    VertexProperty {
+    0x29 VertexProperty Read {
         /// Vertex.
         v: u64,
         /// Property name.
         name: String,
-    },
+    }
     /// `GraphDb::edge_property`.
-    EdgeProperty {
+    0x2A EdgeProperty Read {
         /// Edge.
         e: u64,
         /// Property name.
         name: String,
-    },
+    }
     /// `GraphDb::edge_endpoints`.
-    EdgeEndpoints(u64),
+    0x2B EdgeEndpoints Read (e: u64)
     /// `GraphDb::edge_label`.
-    EdgeLabel(u64),
+    0x2C EdgeLabel Read (e: u64)
     /// `GraphDb::vertex_label`.
-    VertexLabel(u64),
+    0x2D VertexLabel Read (v: u64)
     /// `GraphDb::degree_scan` — executed by the *hosted engine's* strategy,
     /// so per-engine physical differences survive the wire.
-    DegreeScan {
+    0x2E DegreeScan Read {
         /// Direction.
         dir: Direction,
         /// Degree threshold.
         k: u64,
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::distinct_neighbor_scan`.
-    DistinctNeighborScan {
+    0x2F DistinctNeighborScan Read {
         /// Direction.
         dir: Direction,
         /// Deadline µs.
         t: u64,
-    },
+    }
     /// `GraphDb::create_vertex_index`.
-    CreateVertexIndex {
+    0x30 CreateVertexIndex Write {
         /// Property name.
         prop: String,
-    },
+    }
     /// `GraphDb::has_vertex_index`.
-    HasVertexIndex {
+    0x31 HasVertexIndex Read {
         /// Property name.
         prop: String,
-    },
+    }
     /// `GraphDb::space`.
-    Space,
+    0x32 Space Read
     /// `GraphDb::sync`.
-    Sync,
-    /// Many requests in one frame (v6): the server executes the entries
-    /// strictly in order and answers with a single [`Response::BatchDone`]
-    /// carrying one response per entry. Per-entry failures ride inside the
-    /// batch as [`Response::Err`] entries, so one bad op cannot desync the
-    /// stream. Entries may be any request except [`Request::Hello`] and a
-    /// nested `ExecBatch` — the decoder rejects both, which also bounds
-    /// decode recursion at one level.
-    ExecBatch(Vec<Request>),
-    /// Probe the serving epoch (v6): answered with [`Response::U64`] — the
+    0x33 Sync Write
+    /// Probe the serving epoch: answered with [`Response::U64`] — the
     /// snapshot epoch a read would pin right now, `0` under locked hosting.
     /// The fleet coordinator min-reduces this across shards, mirroring
     /// `ShardedSource`.
-    Epoch,
-    /// Open an epoch-pinned write transaction on this connection (v7).
-    /// Answered with [`Response::TxnBegun`]. Only snapshot-hosted servers
-    /// support transactions; at most one may be open per connection.
-    TxnBegin,
-    /// Validate and atomically publish the connection's open transaction
-    /// (v7). Answered with [`Response::TxnCommitted`], or
+    0x34 Epoch Control
+    /// Open an epoch-pinned write transaction on this connection. Answered
+    /// with [`Response::TxnBegun`]. Only snapshot-hosted servers support
+    /// transactions; at most one may be open per connection. Until it
+    /// commits or aborts, write primitives buffer into it and reads answer
+    /// from its read-your-writes overlay.
+    0x35 TxnBegin Control
+    /// Validate and atomically publish the connection's open transaction.
+    /// Answered with [`Response::TxnCommitted`], or
     /// [`Response::Err`]`(TxnConflict)` when another commit won the
     /// first-committer-wins race (the write set is discarded either way).
-    TxnCommit,
-    /// Discard the connection's open transaction without publishing (v7).
+    0x36 TxnCommit Control
+    /// Discard the connection's open transaction without publishing.
     /// Answered with [`Response::TxnAborted`].
-    TxnAbort,
+    0x37 TxnAbort Control
 }
 
-/// A server→client message. [`Response::Err`] may answer any request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
+frames! {
+    /// A server→client message. [`Response::Err`] may answer any request.
+    enum Response, "response", mod rsp_op, extras response_accessors;
+
     /// Handshake acknowledgement.
-    HelloAck {
+    0x80 HelloAck into_hello_ack {
         /// Server protocol version.
         version: u16,
         /// Hosted engine's display name.
         engine: String,
-        /// Fleet identity when the server runs as one shard of a fleet
-        /// (v6): `(shard_id, fleet_size)`. `None` for standalone servers.
+        /// Fleet identity when the server runs as one shard of a fleet:
+        /// `(shard_id, fleet_size)`. `None` for standalone servers.
         shard: Option<(u32, u32)>,
-    },
+    }
     /// Success with no payload.
-    Unit,
+    0x81 Unit into_unit
     /// A boolean.
-    Bool(bool),
+    0x82 Bool into_bool (b: bool)
     /// A u64 (counts, cardinalities, degrees).
-    U64(u64),
-    /// An `ExecOp` completion: result cardinality plus the epoch of the
-    /// snapshot that served a read (`None` when the server executes under
-    /// the shared lock, and for writes — they produce the next epoch, they
-    /// don't observe one). The epoch is what lets a remote client assert
-    /// that a scan's rows decode against exactly one graph version.
-    ExecDone {
+    0x83 U64 into_u64 (v: u64)
+    /// An optional u64 (id resolution).
+    0x84 OptU64 into_opt_u64 (v: Option<u64>)
+    /// A list of ids (vertex or edge scans, filters).
+    0x85 U64List into_u64_list (ids: Vec<u64>)
+    /// A list of strings (label sets).
+    0x86 StrList into_str_list (labels: Vec<String>)
+    /// An optional value (property lookups / removals).
+    0x87 OptValue into_opt_value (v: Option<Value>)
+    /// An optional string (label lookups).
+    0x88 OptStr into_opt_str (s: Option<String>)
+    /// Optional edge endpoints.
+    0x89 OptPair into_opt_pair (ends: Option<(u64, u64)>)
+    /// Incident-edge list.
+    0x8A EdgeRefs into_edge_refs (refs: Vec<EdgeRef>)
+    /// Materialized vertex.
+    0x8B OptVertex into_opt_vertex (v: Option<VertexData>)
+    /// Materialized edge.
+    0x8C OptEdge into_opt_edge (e: Option<EdgeData>)
+    /// Bulk-load outcome.
+    0x8D Load into_load (stats: LoadStats)
+    /// Engine feature description.
+    0x8E Features into_features (features: EngineFeatures)
+    /// Space report.
+    0x8F Space into_space (report: SpaceReport)
+    /// An `ExecOp` completion: result cardinality, the server-side phase
+    /// breakdown of the op, and the epoch of the snapshot that served a
+    /// read. The phases let a remote run feed the driver's lock-wait
+    /// accounting and split an op's latency into wire time vs server time.
+    0x90 ExecDone into_exec_done {
         /// Result cardinality.
         card: u64,
-        /// Serving epoch for snapshot-backed reads.
-        epoch: Option<u64>,
         /// Nanoseconds the op spent waiting on engine locks server-side
-        /// (v3; the server's whole execution path reports through
+        /// (the server's whole execution path reports through
         /// `gm_model::lockwait`).
         lock_wait: u64,
-        /// Server-side engine execution nanoseconds (v4).
+        /// Server-side engine execution nanoseconds.
         exec_nanos: u64,
-        /// Server-side snapshot-pin nanoseconds (v4).
+        /// Server-side snapshot-pin nanoseconds.
         pin_nanos: u64,
-        /// Server-side clone/publish nanoseconds (v4).
+        /// Server-side clone/publish nanoseconds.
         clone_nanos: u64,
-    },
-    /// An optional u64 (id resolution).
-    OptU64(Option<u64>),
-    /// A list of ids (vertex or edge scans, filters).
-    U64List(Vec<u64>),
-    /// A list of strings (label sets).
-    StrList(Vec<String>),
-    /// An optional value (property lookups / removals).
-    OptValue(Option<Value>),
-    /// An optional string (label lookups).
-    OptStr(Option<String>),
-    /// Optional edge endpoints.
-    OptPair(Option<(u64, u64)>),
-    /// Incident-edge list.
-    EdgeRefs(Vec<EdgeRef>),
-    /// Materialized vertex.
-    OptVertex(Option<VertexData>),
-    /// Materialized edge.
-    OptEdge(Option<EdgeData>),
-    /// Bulk-load outcome.
-    Load(LoadStats),
-    /// Engine feature description.
-    Features(EngineFeatures),
-    /// Space report.
-    Space(SpaceReport),
-    /// The server's metrics-registry snapshot (v4, answers
-    /// [`Request::GetStats`]).
-    Stats(RegistrySnapshot),
-    /// A copy of the server's trace flight recorder, oldest first (v5,
-    /// answers [`Request::GetTraces`]).
-    Traces(Vec<TraceRecord>),
-    /// Answers [`Request::ExecBatch`] (v6): one response per entry, in
-    /// order. Per-entry failures are [`Response::Err`] entries here, not a
-    /// top-level error.
-    BatchDone(Vec<Response>),
-    /// Answers [`Request::TxnBegin`] (v7) with the epoch the transaction's
-    /// reads are pinned to.
-    TxnBegun {
+        /// Serving epoch for snapshot-backed reads: `None` when the server
+        /// executes under the shared lock, and for writes — they produce
+        /// the next epoch, they don't observe one. The epoch is what lets a
+        /// remote client assert that a scan's rows decode against exactly
+        /// one graph version.
+        epoch: Option<u64>,
+    }
+    /// The server's metrics-registry snapshot (answers
+    /// [`Request::GetStats`]); its monotonic `captured_at_us` uptime stamp
+    /// lets two snapshots diff into true interval rates client-side.
+    0x91 Stats into_stats (snapshot: RegistrySnapshot)
+    /// A copy of the server's trace flight recorder, oldest first (answers
+    /// [`Request::GetTraces`]).
+    0x92 Traces into_traces (records: Vec<TraceRecord>)
+    /// Answers [`Request::ExecBatch`]: one response per entry, in order.
+    /// Per-entry failures are [`Response::Err`] entries here, not a
+    /// top-level error. A nested `BatchDone` entry is rejected.
+    0x93 BatchDone into_batch_done (entries: Vec<Response>)
+    /// Answers [`Request::TxnBegin`] with the epoch the transaction's reads
+    /// are pinned to.
+    0x94 TxnBegun into_txn_begun {
         /// The pinned read epoch.
         epoch: u64,
-    },
-    /// Answers [`Request::TxnCommit`] (v7).
-    TxnCommitted {
+    }
+    /// Answers [`Request::TxnCommit`].
+    0x95 TxnCommitted into_txn_committed {
         /// Number of buffered write ops the commit replayed.
         ops: u64,
         /// The serving epoch after publication.
         epoch: u64,
-    },
-    /// Answers [`Request::TxnAbort`] (v7).
-    TxnAborted {
+    }
+    /// Answers [`Request::TxnAbort`].
+    0x96 TxnAborted into_txn_aborted {
         /// Number of buffered write ops discarded.
         ops: u64,
-    },
-    /// The request failed with this engine error (round-tripped losslessly).
-    Err(GdbError),
-}
-
-impl Response {
-    /// Short kind name, used in protocol-mismatch diagnostics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Response::HelloAck { .. } => "HelloAck",
-            Response::Unit => "Unit",
-            Response::Bool(_) => "Bool",
-            Response::U64(_) => "U64",
-            Response::ExecDone { .. } => "ExecDone",
-            Response::OptU64(_) => "OptU64",
-            Response::U64List(_) => "U64List",
-            Response::StrList(_) => "StrList",
-            Response::OptValue(_) => "OptValue",
-            Response::OptStr(_) => "OptStr",
-            Response::OptPair(_) => "OptPair",
-            Response::EdgeRefs(_) => "EdgeRefs",
-            Response::OptVertex(_) => "OptVertex",
-            Response::OptEdge(_) => "OptEdge",
-            Response::Load(_) => "Load",
-            Response::Features(_) => "Features",
-            Response::Space(_) => "Space",
-            Response::Stats(_) => "Stats",
-            Response::Traces(_) => "Traces",
-            Response::BatchDone(_) => "BatchDone",
-            Response::TxnBegun { .. } => "TxnBegun",
-            Response::TxnCommitted { .. } => "TxnCommitted",
-            Response::TxnAborted { .. } => "TxnAborted",
-            Response::Err(_) => "Err",
-        }
     }
-}
-
-// ----- shared field codecs -------------------------------------------------
-
-fn put_direction(out: &mut Vec<u8>, dir: Direction) {
-    wire::put_u8(
-        out,
-        match dir {
-            Direction::In => 0,
-            Direction::Out => 1,
-            Direction::Both => 2,
-        },
-    );
-}
-
-fn get_direction(cur: &mut Cur<'_>) -> GdbResult<Direction> {
-    match cur.u8()? {
-        0 => Ok(Direction::In),
-        1 => Ok(Direction::Out),
-        2 => Ok(Direction::Both),
-        d => Err(GdbError::Corrupt(format!("wire: unknown direction {d}"))),
-    }
-}
-
-fn put_instance(out: &mut Vec<u8>, inst: &QueryInstance) {
-    wire::put_u8(out, inst.id.number());
-    match inst.depth {
-        None => wire::put_bool(out, false),
-        Some(d) => {
-            wire::put_bool(out, true);
-            wire::put_u8(out, d);
-        }
-    }
-    match inst.k {
-        None => wire::put_bool(out, false),
-        Some(k) => {
-            wire::put_bool(out, true);
-            wire::put_u64(out, k);
-        }
-    }
-}
-
-fn get_instance(cur: &mut Cur<'_>) -> GdbResult<QueryInstance> {
-    let number = cur.u8()?;
-    let id = *QueryId::ALL
-        .get(number.wrapping_sub(1) as usize)
-        .ok_or_else(|| GdbError::Corrupt(format!("wire: unknown query number {number}")))?;
-    let depth = if cur.bool_()? { Some(cur.u8()?) } else { None };
-    let k = if cur.bool_()? { Some(cur.u64()?) } else { None };
-    Ok(QueryInstance { id, depth, k })
-}
-
-fn put_op(out: &mut Vec<u8>, op: &Op) {
-    match op {
-        Op::Read(inst) => {
-            wire::put_u8(out, 0);
-            put_instance(out, inst);
-        }
-        Op::Write(wop) => {
-            wire::put_u8(out, 1);
-            wire::put_u8(
-                out,
-                match wop {
-                    WriteOp::AddVertex => 0,
-                    WriteOp::AddEdge => 1,
-                    WriteOp::SetVertexProp => 2,
-                    WriteOp::RemoveOwnEdge => 3,
-                },
-            );
-        }
-    }
-}
-
-fn get_op(cur: &mut Cur<'_>) -> GdbResult<Op> {
-    match cur.u8()? {
-        0 => Ok(Op::Read(get_instance(cur)?)),
-        1 => Ok(Op::Write(match cur.u8()? {
-            0 => WriteOp::AddVertex,
-            1 => WriteOp::AddEdge,
-            2 => WriteOp::SetVertexProp,
-            3 => WriteOp::RemoveOwnEdge,
-            w => return Err(GdbError::Corrupt(format!("wire: unknown write op {w}"))),
-        })),
-        t => Err(GdbError::Corrupt(format!("wire: unknown op tag {t}"))),
-    }
-}
-
-fn put_dataset(out: &mut Vec<u8>, data: &Dataset) -> GdbResult<()> {
-    wire::put_str(out, &data.name)?;
-    wire::put_u32(out, data.vertices.len() as u32);
-    for v in &data.vertices {
-        wire::put_str(out, &v.label)?;
-        wire::put_props(out, &v.props)?;
-    }
-    wire::put_u32(out, data.edges.len() as u32);
-    for e in &data.edges {
-        wire::put_u64(out, e.src);
-        wire::put_u64(out, e.dst);
-        wire::put_str(out, &e.label)?;
-        wire::put_props(out, &e.props)?;
-    }
-    Ok(())
-}
-
-fn get_dataset(cur: &mut Cur<'_>) -> GdbResult<Dataset> {
-    let name = cur.str_()?;
-    let nv = cur.list_len("dataset vertices")?;
-    let mut vertices = Vec::with_capacity(nv);
-    for id in 0..nv {
-        vertices.push(DsVertex {
-            id: id as u64,
-            label: cur.str_()?,
-            props: cur.props()?,
-        });
-    }
-    let ne = cur.list_len("dataset edges")?;
-    let mut edges = Vec::with_capacity(ne);
-    for id in 0..ne {
-        edges.push(DsEdge {
-            id: id as u64,
-            src: cur.u64()?,
-            dst: cur.u64()?,
-            label: cur.str_()?,
-            props: cur.props()?,
-        });
-    }
-    let data = Dataset {
-        name,
-        vertices,
-        edges,
-    };
-    data.validate().map_err(GdbError::Corrupt)?;
-    Ok(data)
-}
-
-fn put_u64_list(out: &mut Vec<u8>, xs: &[u64]) {
-    wire::put_u32(out, xs.len() as u32);
-    for x in xs {
-        wire::put_u64(out, *x);
-    }
-}
-
-fn get_u64_list(cur: &mut Cur<'_>) -> GdbResult<Vec<u64>> {
-    let n = cur.list_len("u64 list")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(cur.u64()?);
-    }
-    Ok(out)
-}
-
-fn put_str_list(out: &mut Vec<u8>, xs: &[String]) -> GdbResult<()> {
-    wire::put_u32(out, xs.len() as u32);
-    for x in xs {
-        wire::put_str(out, x)?;
-    }
-    Ok(())
-}
-
-fn get_str_list(cur: &mut Cur<'_>) -> GdbResult<Vec<String>> {
-    let n = cur.list_len("string list")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(cur.str_()?);
-    }
-    Ok(out)
-}
-
-/// Log2 histograms ship sparsely: the populated bucket prefix, then the
-/// scalar fields. Bucket counts above the highest populated index are zero
-/// by construction, so nothing is lost.
-fn put_hist(out: &mut Vec<u8>, h: &HistSnapshot) {
-    let top = h.counts.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-    wire::put_u8(out, top as u8);
-    // gm-check: allow-panic(encode path over trusted data; top = rposition + 1 is ≤ len by construction)
-    for &c in &h.counts[..top] {
-        wire::put_u64(out, c);
-    }
-    wire::put_u64(out, h.count);
-    wire::put_u64(out, h.sum);
-    wire::put_u64(out, h.min);
-    wire::put_u64(out, h.max);
-}
-
-fn get_hist(cur: &mut Cur<'_>) -> GdbResult<HistSnapshot> {
-    let top = cur.u8()? as usize;
-    if top > BUCKETS {
-        return Err(GdbError::Corrupt(format!(
-            "wire: histogram bucket prefix {top} exceeds {BUCKETS}"
-        )));
-    }
-    let mut h = HistSnapshot::default();
-    for slot in h.counts.iter_mut().take(top) {
-        *slot = cur.u64()?;
-    }
-    h.count = cur.u64()?;
-    h.sum = cur.u64()?;
-    h.min = cur.u64()?;
-    h.max = cur.u64()?;
-    Ok(h)
-}
-
-fn put_stats(out: &mut Vec<u8>, s: &RegistrySnapshot) -> GdbResult<()> {
-    wire::put_u64(out, s.captured_at_us);
-    wire::put_u32(out, s.counters.len() as u32);
-    for (name, v) in &s.counters {
-        wire::put_str(out, name)?;
-        wire::put_u64(out, *v);
-    }
-    wire::put_u32(out, s.gauges.len() as u32);
-    for (name, v) in &s.gauges {
-        wire::put_str(out, name)?;
-        // Gauges are i64; two's-complement through u64 is lossless.
-        wire::put_u64(out, *v as u64);
-    }
-    wire::put_u32(out, s.hists.len() as u32);
-    for (name, h) in &s.hists {
-        wire::put_str(out, name)?;
-        put_hist(out, h);
-    }
-    Ok(())
-}
-
-fn get_stats(cur: &mut Cur<'_>) -> GdbResult<RegistrySnapshot> {
-    let mut s = RegistrySnapshot {
-        captured_at_us: cur.u64()?,
-        ..RegistrySnapshot::default()
-    };
-    let nc = cur.list_len("stats counters")?;
-    for _ in 0..nc {
-        s.counters.push((cur.str_()?, cur.u64()?));
-    }
-    let ng = cur.list_len("stats gauges")?;
-    for _ in 0..ng {
-        s.gauges.push((cur.str_()?, cur.u64()? as i64));
-    }
-    let nh = cur.list_len("stats histograms")?;
-    for _ in 0..nh {
-        s.hists.push((cur.str_()?, get_hist(cur)?));
-    }
-    Ok(s)
-}
-
-fn put_trace_record(out: &mut Vec<u8>, r: &TraceRecord) {
-    wire::put_u64(out, r.id);
-    wire::put_u32(out, r.worker);
-    wire::put_u64(out, r.op_index);
-    wire::put_u16(out, r.op_code);
-    wire::put_u64(out, r.start_us);
-    wire::put_u64(out, r.total_nanos);
-    wire::put_u8(out, PHASES as u8);
-    for &nanos in &r.phases.0 {
-        wire::put_u64(out, nanos);
-    }
-    wire::put_u8(out, r.origin as u8);
-    wire::put_bool(out, r.tail);
-}
-
-fn get_trace_record(cur: &mut Cur<'_>) -> GdbResult<TraceRecord> {
-    let id = cur.u64()?;
-    let worker = cur.u32()?;
-    let op_index = cur.u64()?;
-    let op_code = cur.u16()?;
-    let start_us = cur.u64()?;
-    let total_nanos = cur.u64()?;
-    let np = cur.u8()? as usize;
-    if np != PHASES {
-        return Err(GdbError::Corrupt(format!(
-            "wire: trace record has {np} phases, expected {PHASES}"
-        )));
-    }
-    let mut phases = PhaseNanos::zero();
-    for slot in phases.0.iter_mut() {
-        *slot = cur.u64()?;
-    }
-    let origin = match cur.u8()? {
-        0 => TraceOrigin::Client,
-        1 => TraceOrigin::Server,
-        o => return Err(GdbError::Corrupt(format!("wire: unknown trace origin {o}"))),
-    };
-    Ok(TraceRecord {
-        id,
-        worker,
-        op_index,
-        op_code,
-        start_us,
-        total_nanos,
-        phases,
-        origin,
-        tail: cur.bool_()?,
-    })
-}
-
-// ----- request codec -------------------------------------------------------
-
-mod req_op {
-    pub const HELLO: u8 = 0x01;
-    pub const RESET: u8 = 0x02;
-    pub const BULK_LOAD: u8 = 0x03;
-    pub const PREPARE: u8 = 0x04;
-    pub const EXEC_OP: u8 = 0x05;
-    pub const GET_STATS: u8 = 0x06;
-    pub const GET_TRACES: u8 = 0x07;
-    pub const EXEC_BATCH: u8 = 0x08;
-    pub const FEATURES: u8 = 0x10;
-    pub const RESOLVE_VERTEX: u8 = 0x11;
-    pub const RESOLVE_EDGE: u8 = 0x12;
-    pub const ADD_VERTEX: u8 = 0x13;
-    pub const ADD_EDGE: u8 = 0x14;
-    pub const SET_VERTEX_PROP: u8 = 0x15;
-    pub const SET_EDGE_PROP: u8 = 0x16;
-    pub const VERTEX_COUNT: u8 = 0x17;
-    pub const EDGE_COUNT: u8 = 0x18;
-    pub const EDGE_LABEL_SET: u8 = 0x19;
-    pub const VERTICES_WITH_PROPERTY: u8 = 0x1A;
-    pub const EDGES_WITH_PROPERTY: u8 = 0x1B;
-    pub const EDGES_WITH_LABEL: u8 = 0x1C;
-    pub const GET_VERTEX: u8 = 0x1D;
-    pub const GET_EDGE: u8 = 0x1E;
-    pub const REMOVE_VERTEX: u8 = 0x1F;
-    pub const REMOVE_EDGE: u8 = 0x20;
-    pub const REMOVE_VERTEX_PROP: u8 = 0x21;
-    pub const REMOVE_EDGE_PROP: u8 = 0x22;
-    pub const NEIGHBORS: u8 = 0x23;
-    pub const VERTEX_EDGES: u8 = 0x24;
-    pub const VERTEX_DEGREE: u8 = 0x25;
-    pub const VERTEX_EDGE_LABELS: u8 = 0x26;
-    pub const SCAN_VERTICES: u8 = 0x27;
-    pub const SCAN_EDGES: u8 = 0x28;
-    pub const VERTEX_PROPERTY: u8 = 0x29;
-    pub const EDGE_PROPERTY: u8 = 0x2A;
-    pub const EDGE_ENDPOINTS: u8 = 0x2B;
-    pub const EDGE_LABEL: u8 = 0x2C;
-    pub const VERTEX_LABEL: u8 = 0x2D;
-    pub const DEGREE_SCAN: u8 = 0x2E;
-    pub const DISTINCT_NEIGHBOR_SCAN: u8 = 0x2F;
-    pub const CREATE_VERTEX_INDEX: u8 = 0x30;
-    pub const HAS_VERTEX_INDEX: u8 = 0x31;
-    pub const SPACE: u8 = 0x32;
-    pub const SYNC: u8 = 0x33;
-    pub const EPOCH: u8 = 0x34;
-    pub const TXN_BEGIN: u8 = 0x35;
-    pub const TXN_COMMIT: u8 = 0x36;
-    pub const TXN_ABORT: u8 = 0x37;
-}
-
-impl Request {
-    /// Encode into a frame payload. Fails with a `FrameTooLarge` protocol
-    /// error when any field cannot fit its u32 length prefix.
-    pub fn encode(&self) -> GdbResult<Vec<u8>> {
-        use req_op::*;
-        let mut out = Vec::new();
-        match self {
-            Request::Hello { magic, version } => {
-                wire::put_u8(&mut out, HELLO);
-                wire::put_u32(&mut out, *magic);
-                wire::put_u16(&mut out, *version);
-            }
-            Request::Reset => wire::put_u8(&mut out, RESET),
-            Request::BulkLoad { opts, data } => {
-                wire::put_u8(&mut out, BULK_LOAD);
-                wire::put_bool(&mut out, opts.bulk);
-                wire::put_bool(&mut out, opts.index_during_load);
-                put_dataset(&mut out, data)?;
-            }
-            Request::Prepare { seed, slots } => {
-                wire::put_u8(&mut out, PREPARE);
-                wire::put_u64(&mut out, *seed);
-                wire::put_u32(&mut out, *slots);
-            }
-            Request::ExecOp {
-                worker,
-                op_index,
-                trace_id,
-                timeout_micros,
-                strict,
-                op,
-            } => {
-                wire::put_u8(&mut out, EXEC_OP);
-                wire::put_u32(&mut out, *worker);
-                wire::put_u64(&mut out, *op_index);
-                wire::put_u64(&mut out, *trace_id);
-                wire::put_u64(&mut out, *timeout_micros);
-                wire::put_bool(&mut out, *strict);
-                put_op(&mut out, op);
-            }
-            Request::GetStats => wire::put_u8(&mut out, GET_STATS),
-            Request::GetTraces => wire::put_u8(&mut out, GET_TRACES),
-            Request::Features => wire::put_u8(&mut out, FEATURES),
-            Request::ResolveVertex(c) => {
-                wire::put_u8(&mut out, RESOLVE_VERTEX);
-                wire::put_u64(&mut out, *c);
-            }
-            Request::ResolveEdge(c) => {
-                wire::put_u8(&mut out, RESOLVE_EDGE);
-                wire::put_u64(&mut out, *c);
-            }
-            Request::AddVertex { label, props } => {
-                wire::put_u8(&mut out, ADD_VERTEX);
-                wire::put_str(&mut out, label)?;
-                wire::put_props(&mut out, props)?;
-            }
-            Request::AddEdge {
-                src,
-                dst,
-                label,
-                props,
-            } => {
-                wire::put_u8(&mut out, ADD_EDGE);
-                wire::put_u64(&mut out, *src);
-                wire::put_u64(&mut out, *dst);
-                wire::put_str(&mut out, label)?;
-                wire::put_props(&mut out, props)?;
-            }
-            Request::SetVertexProp { v, name, value } => {
-                wire::put_u8(&mut out, SET_VERTEX_PROP);
-                wire::put_u64(&mut out, *v);
-                wire::put_str(&mut out, name)?;
-                wire::put_value(&mut out, value);
-            }
-            Request::SetEdgeProp { e, name, value } => {
-                wire::put_u8(&mut out, SET_EDGE_PROP);
-                wire::put_u64(&mut out, *e);
-                wire::put_str(&mut out, name)?;
-                wire::put_value(&mut out, value);
-            }
-            Request::VertexCount { t } => {
-                wire::put_u8(&mut out, VERTEX_COUNT);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::EdgeCount { t } => {
-                wire::put_u8(&mut out, EDGE_COUNT);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::EdgeLabelSet { t } => {
-                wire::put_u8(&mut out, EDGE_LABEL_SET);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::VerticesWithProperty { name, value, t } => {
-                wire::put_u8(&mut out, VERTICES_WITH_PROPERTY);
-                wire::put_str(&mut out, name)?;
-                wire::put_value(&mut out, value);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::EdgesWithProperty { name, value, t } => {
-                wire::put_u8(&mut out, EDGES_WITH_PROPERTY);
-                wire::put_str(&mut out, name)?;
-                wire::put_value(&mut out, value);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::EdgesWithLabel { label, t } => {
-                wire::put_u8(&mut out, EDGES_WITH_LABEL);
-                wire::put_str(&mut out, label)?;
-                wire::put_u64(&mut out, *t);
-            }
-            Request::GetVertex(v) => {
-                wire::put_u8(&mut out, GET_VERTEX);
-                wire::put_u64(&mut out, *v);
-            }
-            Request::GetEdge(e) => {
-                wire::put_u8(&mut out, GET_EDGE);
-                wire::put_u64(&mut out, *e);
-            }
-            Request::RemoveVertex(v) => {
-                wire::put_u8(&mut out, REMOVE_VERTEX);
-                wire::put_u64(&mut out, *v);
-            }
-            Request::RemoveEdge(e) => {
-                wire::put_u8(&mut out, REMOVE_EDGE);
-                wire::put_u64(&mut out, *e);
-            }
-            Request::RemoveVertexProp { v, name } => {
-                wire::put_u8(&mut out, REMOVE_VERTEX_PROP);
-                wire::put_u64(&mut out, *v);
-                wire::put_str(&mut out, name)?;
-            }
-            Request::RemoveEdgeProp { e, name } => {
-                wire::put_u8(&mut out, REMOVE_EDGE_PROP);
-                wire::put_u64(&mut out, *e);
-                wire::put_str(&mut out, name)?;
-            }
-            Request::Neighbors { v, dir, label, t } => {
-                wire::put_u8(&mut out, NEIGHBORS);
-                wire::put_u64(&mut out, *v);
-                put_direction(&mut out, *dir);
-                wire::put_opt_str(&mut out, label.as_deref())?;
-                wire::put_u64(&mut out, *t);
-            }
-            Request::VertexEdges { v, dir, label, t } => {
-                wire::put_u8(&mut out, VERTEX_EDGES);
-                wire::put_u64(&mut out, *v);
-                put_direction(&mut out, *dir);
-                wire::put_opt_str(&mut out, label.as_deref())?;
-                wire::put_u64(&mut out, *t);
-            }
-            Request::VertexDegree { v, dir, t } => {
-                wire::put_u8(&mut out, VERTEX_DEGREE);
-                wire::put_u64(&mut out, *v);
-                put_direction(&mut out, *dir);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::VertexEdgeLabels { v, dir, t } => {
-                wire::put_u8(&mut out, VERTEX_EDGE_LABELS);
-                wire::put_u64(&mut out, *v);
-                put_direction(&mut out, *dir);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::ScanVertices { t } => {
-                wire::put_u8(&mut out, SCAN_VERTICES);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::ScanEdges { t } => {
-                wire::put_u8(&mut out, SCAN_EDGES);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::VertexProperty { v, name } => {
-                wire::put_u8(&mut out, VERTEX_PROPERTY);
-                wire::put_u64(&mut out, *v);
-                wire::put_str(&mut out, name)?;
-            }
-            Request::EdgeProperty { e, name } => {
-                wire::put_u8(&mut out, EDGE_PROPERTY);
-                wire::put_u64(&mut out, *e);
-                wire::put_str(&mut out, name)?;
-            }
-            Request::EdgeEndpoints(e) => {
-                wire::put_u8(&mut out, EDGE_ENDPOINTS);
-                wire::put_u64(&mut out, *e);
-            }
-            Request::EdgeLabel(e) => {
-                wire::put_u8(&mut out, EDGE_LABEL);
-                wire::put_u64(&mut out, *e);
-            }
-            Request::VertexLabel(v) => {
-                wire::put_u8(&mut out, VERTEX_LABEL);
-                wire::put_u64(&mut out, *v);
-            }
-            Request::DegreeScan { dir, k, t } => {
-                wire::put_u8(&mut out, DEGREE_SCAN);
-                put_direction(&mut out, *dir);
-                wire::put_u64(&mut out, *k);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::DistinctNeighborScan { dir, t } => {
-                wire::put_u8(&mut out, DISTINCT_NEIGHBOR_SCAN);
-                put_direction(&mut out, *dir);
-                wire::put_u64(&mut out, *t);
-            }
-            Request::CreateVertexIndex { prop } => {
-                wire::put_u8(&mut out, CREATE_VERTEX_INDEX);
-                wire::put_str(&mut out, prop)?;
-            }
-            Request::HasVertexIndex { prop } => {
-                wire::put_u8(&mut out, HAS_VERTEX_INDEX);
-                wire::put_str(&mut out, prop)?;
-            }
-            Request::Space => wire::put_u8(&mut out, SPACE),
-            Request::Sync => wire::put_u8(&mut out, SYNC),
-            Request::ExecBatch(reqs) => {
-                wire::put_u8(&mut out, EXEC_BATCH);
-                wire::put_u32(&mut out, reqs.len() as u32);
-                for r in reqs {
-                    let sub = r.encode()?;
-                    let len = u32::try_from(sub.len())
-                        .map_err(|_| wire::frame_too_large("batch entry", sub.len()))?;
-                    wire::put_u32(&mut out, len);
-                    out.extend_from_slice(&sub);
-                }
-            }
-            Request::Epoch => wire::put_u8(&mut out, EPOCH),
-            Request::TxnBegin => wire::put_u8(&mut out, TXN_BEGIN),
-            Request::TxnCommit => wire::put_u8(&mut out, TXN_COMMIT),
-            Request::TxnAbort => wire::put_u8(&mut out, TXN_ABORT),
-        }
-        Ok(out)
-    }
-
-    /// Decode a frame payload. Rejects unknown opcodes, malformed fields
-    /// and trailing bytes with [`GdbError::Corrupt`].
-    pub fn decode(buf: &[u8]) -> GdbResult<Request> {
-        use req_op::*;
-        let mut cur = Cur::new(buf);
-        let req = match cur.u8()? {
-            HELLO => Request::Hello {
-                magic: cur.u32()?,
-                version: cur.u16()?,
-            },
-            RESET => Request::Reset,
-            BULK_LOAD => {
-                let opts = LoadOptions {
-                    bulk: cur.bool_()?,
-                    index_during_load: cur.bool_()?,
-                };
-                Request::BulkLoad {
-                    opts,
-                    data: get_dataset(&mut cur)?,
-                }
-            }
-            PREPARE => Request::Prepare {
-                seed: cur.u64()?,
-                slots: cur.u32()?,
-            },
-            EXEC_OP => Request::ExecOp {
-                worker: cur.u32()?,
-                op_index: cur.u64()?,
-                trace_id: cur.u64()?,
-                timeout_micros: cur.u64()?,
-                strict: cur.bool_()?,
-                op: get_op(&mut cur)?,
-            },
-            GET_STATS => Request::GetStats,
-            GET_TRACES => Request::GetTraces,
-            FEATURES => Request::Features,
-            RESOLVE_VERTEX => Request::ResolveVertex(cur.u64()?),
-            RESOLVE_EDGE => Request::ResolveEdge(cur.u64()?),
-            ADD_VERTEX => Request::AddVertex {
-                label: cur.str_()?,
-                props: cur.props()?,
-            },
-            ADD_EDGE => Request::AddEdge {
-                src: cur.u64()?,
-                dst: cur.u64()?,
-                label: cur.str_()?,
-                props: cur.props()?,
-            },
-            SET_VERTEX_PROP => Request::SetVertexProp {
-                v: cur.u64()?,
-                name: cur.str_()?,
-                value: cur.value()?,
-            },
-            SET_EDGE_PROP => Request::SetEdgeProp {
-                e: cur.u64()?,
-                name: cur.str_()?,
-                value: cur.value()?,
-            },
-            VERTEX_COUNT => Request::VertexCount { t: cur.u64()? },
-            EDGE_COUNT => Request::EdgeCount { t: cur.u64()? },
-            EDGE_LABEL_SET => Request::EdgeLabelSet { t: cur.u64()? },
-            VERTICES_WITH_PROPERTY => Request::VerticesWithProperty {
-                name: cur.str_()?,
-                value: cur.value()?,
-                t: cur.u64()?,
-            },
-            EDGES_WITH_PROPERTY => Request::EdgesWithProperty {
-                name: cur.str_()?,
-                value: cur.value()?,
-                t: cur.u64()?,
-            },
-            EDGES_WITH_LABEL => Request::EdgesWithLabel {
-                label: cur.str_()?,
-                t: cur.u64()?,
-            },
-            GET_VERTEX => Request::GetVertex(cur.u64()?),
-            GET_EDGE => Request::GetEdge(cur.u64()?),
-            REMOVE_VERTEX => Request::RemoveVertex(cur.u64()?),
-            REMOVE_EDGE => Request::RemoveEdge(cur.u64()?),
-            REMOVE_VERTEX_PROP => Request::RemoveVertexProp {
-                v: cur.u64()?,
-                name: cur.str_()?,
-            },
-            REMOVE_EDGE_PROP => Request::RemoveEdgeProp {
-                e: cur.u64()?,
-                name: cur.str_()?,
-            },
-            NEIGHBORS => Request::Neighbors {
-                v: cur.u64()?,
-                dir: get_direction(&mut cur)?,
-                label: cur.opt_str()?,
-                t: cur.u64()?,
-            },
-            VERTEX_EDGES => Request::VertexEdges {
-                v: cur.u64()?,
-                dir: get_direction(&mut cur)?,
-                label: cur.opt_str()?,
-                t: cur.u64()?,
-            },
-            VERTEX_DEGREE => Request::VertexDegree {
-                v: cur.u64()?,
-                dir: get_direction(&mut cur)?,
-                t: cur.u64()?,
-            },
-            VERTEX_EDGE_LABELS => Request::VertexEdgeLabels {
-                v: cur.u64()?,
-                dir: get_direction(&mut cur)?,
-                t: cur.u64()?,
-            },
-            SCAN_VERTICES => Request::ScanVertices { t: cur.u64()? },
-            SCAN_EDGES => Request::ScanEdges { t: cur.u64()? },
-            VERTEX_PROPERTY => Request::VertexProperty {
-                v: cur.u64()?,
-                name: cur.str_()?,
-            },
-            EDGE_PROPERTY => Request::EdgeProperty {
-                e: cur.u64()?,
-                name: cur.str_()?,
-            },
-            EDGE_ENDPOINTS => Request::EdgeEndpoints(cur.u64()?),
-            EDGE_LABEL => Request::EdgeLabel(cur.u64()?),
-            VERTEX_LABEL => Request::VertexLabel(cur.u64()?),
-            DEGREE_SCAN => Request::DegreeScan {
-                dir: get_direction(&mut cur)?,
-                k: cur.u64()?,
-                t: cur.u64()?,
-            },
-            DISTINCT_NEIGHBOR_SCAN => Request::DistinctNeighborScan {
-                dir: get_direction(&mut cur)?,
-                t: cur.u64()?,
-            },
-            CREATE_VERTEX_INDEX => Request::CreateVertexIndex { prop: cur.str_()? },
-            HAS_VERTEX_INDEX => Request::HasVertexIndex { prop: cur.str_()? },
-            SPACE => Request::Space,
-            SYNC => Request::Sync,
-            EXEC_BATCH => {
-                let n = cur.list_len("batch entries")?;
-                let mut reqs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = cur.u32()? as usize;
-                    let sub = cur.bytes(len, "batch entry")?;
-                    // Reject nesting *before* recursing: a nested batch
-                    // would make decode depth attacker-controlled, and a
-                    // Hello mid-stream would re-run the handshake.
-                    match sub.first() {
-                        Some(&EXEC_BATCH) => {
-                            return Err(GdbError::Corrupt("wire: nested ExecBatch entry".into()))
-                        }
-                        Some(&HELLO) => {
-                            return Err(GdbError::Corrupt("wire: Hello inside ExecBatch".into()))
-                        }
-                        _ => {}
-                    }
-                    reqs.push(Request::decode(sub)?);
-                }
-                Request::ExecBatch(reqs)
-            }
-            EPOCH => Request::Epoch,
-            TXN_BEGIN => Request::TxnBegin,
-            TXN_COMMIT => Request::TxnCommit,
-            TXN_ABORT => Request::TxnAbort,
-            op => {
-                return Err(GdbError::Corrupt(format!(
-                    "wire: unknown request op {op:#x}"
-                )))
-            }
-        };
-        cur.finish()?;
-        Ok(req)
-    }
-}
-
-// ----- response codec ------------------------------------------------------
-
-mod rsp_op {
-    pub const HELLO_ACK: u8 = 0x80;
-    pub const UNIT: u8 = 0x81;
-    pub const BOOL: u8 = 0x82;
-    pub const U64: u8 = 0x83;
-    pub const OPT_U64: u8 = 0x84;
-    pub const U64_LIST: u8 = 0x85;
-    pub const STR_LIST: u8 = 0x86;
-    pub const OPT_VALUE: u8 = 0x87;
-    pub const OPT_STR: u8 = 0x88;
-    pub const OPT_PAIR: u8 = 0x89;
-    pub const EDGE_REFS: u8 = 0x8A;
-    pub const OPT_VERTEX: u8 = 0x8B;
-    pub const OPT_EDGE: u8 = 0x8C;
-    pub const LOAD: u8 = 0x8D;
-    pub const FEATURES: u8 = 0x8E;
-    pub const SPACE: u8 = 0x8F;
-    pub const EXEC_DONE: u8 = 0x90;
-    pub const STATS: u8 = 0x91;
-    pub const TRACES: u8 = 0x92;
-    pub const BATCH_DONE: u8 = 0x93;
-    pub const TXN_BEGUN: u8 = 0x94;
-    pub const TXN_COMMITTED: u8 = 0x95;
-    pub const TXN_ABORTED: u8 = 0x96;
-    pub const ERR: u8 = 0xFF;
-}
-
-impl Response {
-    /// Encode into a frame payload. Fails with a `FrameTooLarge` protocol
-    /// error when any field cannot fit its u32 length prefix.
-    pub fn encode(&self) -> GdbResult<Vec<u8>> {
-        use rsp_op::*;
-        let mut out = Vec::new();
-        match self {
-            Response::HelloAck {
-                version,
-                engine,
-                shard,
-            } => {
-                wire::put_u8(&mut out, HELLO_ACK);
-                wire::put_u16(&mut out, *version);
-                wire::put_str(&mut out, engine)?;
-                match shard {
-                    None => wire::put_bool(&mut out, false),
-                    Some((id, fleet)) => {
-                        wire::put_bool(&mut out, true);
-                        wire::put_u32(&mut out, *id);
-                        wire::put_u32(&mut out, *fleet);
-                    }
-                }
-            }
-            Response::Unit => wire::put_u8(&mut out, UNIT),
-            Response::Bool(b) => {
-                wire::put_u8(&mut out, BOOL);
-                wire::put_bool(&mut out, *b);
-            }
-            Response::U64(v) => {
-                wire::put_u8(&mut out, U64);
-                wire::put_u64(&mut out, *v);
-            }
-            Response::ExecDone {
-                card,
-                epoch,
-                lock_wait,
-                exec_nanos,
-                pin_nanos,
-                clone_nanos,
-            } => {
-                wire::put_u8(&mut out, EXEC_DONE);
-                wire::put_u64(&mut out, *card);
-                wire::put_u64(&mut out, *lock_wait);
-                wire::put_u64(&mut out, *exec_nanos);
-                wire::put_u64(&mut out, *pin_nanos);
-                wire::put_u64(&mut out, *clone_nanos);
-                match epoch {
-                    None => wire::put_bool(&mut out, false),
-                    Some(e) => {
-                        wire::put_bool(&mut out, true);
-                        wire::put_u64(&mut out, *e);
-                    }
-                }
-            }
-            Response::OptU64(v) => {
-                wire::put_u8(&mut out, OPT_U64);
-                match v {
-                    None => wire::put_bool(&mut out, false),
-                    Some(v) => {
-                        wire::put_bool(&mut out, true);
-                        wire::put_u64(&mut out, *v);
-                    }
-                }
-            }
-            Response::U64List(xs) => {
-                wire::put_u8(&mut out, U64_LIST);
-                put_u64_list(&mut out, xs);
-            }
-            Response::StrList(xs) => {
-                wire::put_u8(&mut out, STR_LIST);
-                put_str_list(&mut out, xs)?;
-            }
-            Response::OptValue(v) => {
-                wire::put_u8(&mut out, OPT_VALUE);
-                match v {
-                    None => wire::put_bool(&mut out, false),
-                    Some(v) => {
-                        wire::put_bool(&mut out, true);
-                        wire::put_value(&mut out, v);
-                    }
-                }
-            }
-            Response::OptStr(s) => {
-                wire::put_u8(&mut out, OPT_STR);
-                wire::put_opt_str(&mut out, s.as_deref())?;
-            }
-            Response::OptPair(p) => {
-                wire::put_u8(&mut out, OPT_PAIR);
-                match p {
-                    None => wire::put_bool(&mut out, false),
-                    Some((a, b)) => {
-                        wire::put_bool(&mut out, true);
-                        wire::put_u64(&mut out, *a);
-                        wire::put_u64(&mut out, *b);
-                    }
-                }
-            }
-            Response::EdgeRefs(refs) => {
-                wire::put_u8(&mut out, EDGE_REFS);
-                wire::put_u32(&mut out, refs.len() as u32);
-                for r in refs {
-                    wire::put_u64(&mut out, r.eid.0);
-                    wire::put_u64(&mut out, r.other.0);
-                }
-            }
-            Response::OptVertex(v) => {
-                wire::put_u8(&mut out, OPT_VERTEX);
-                match v {
-                    None => wire::put_bool(&mut out, false),
-                    Some(v) => {
-                        wire::put_bool(&mut out, true);
-                        wire::put_u64(&mut out, v.id.0);
-                        wire::put_str(&mut out, &v.label)?;
-                        wire::put_props(&mut out, &v.props)?;
-                    }
-                }
-            }
-            Response::OptEdge(e) => {
-                wire::put_u8(&mut out, OPT_EDGE);
-                match e {
-                    None => wire::put_bool(&mut out, false),
-                    Some(e) => {
-                        wire::put_bool(&mut out, true);
-                        wire::put_u64(&mut out, e.id.0);
-                        wire::put_u64(&mut out, e.src.0);
-                        wire::put_u64(&mut out, e.dst.0);
-                        wire::put_str(&mut out, &e.label)?;
-                        wire::put_props(&mut out, &e.props)?;
-                    }
-                }
-            }
-            Response::Load(stats) => {
-                wire::put_u8(&mut out, LOAD);
-                wire::put_u64(&mut out, stats.vertices);
-                wire::put_u64(&mut out, stats.edges);
-            }
-            Response::Features(f) => {
-                wire::put_u8(&mut out, FEATURES);
-                wire::put_str(&mut out, &f.name)?;
-                wire::put_str(&mut out, &f.system_type)?;
-                wire::put_str(&mut out, &f.storage)?;
-                wire::put_str(&mut out, &f.edge_traversal)?;
-                wire::put_bool(&mut out, f.optimized_adapter);
-                wire::put_bool(&mut out, f.async_writes);
-                wire::put_bool(&mut out, f.attribute_indexes);
-            }
-            Response::Space(report) => {
-                wire::put_u8(&mut out, SPACE);
-                wire::put_u32(&mut out, report.components.len() as u32);
-                for (name, bytes) in &report.components {
-                    wire::put_str(&mut out, name)?;
-                    wire::put_u64(&mut out, *bytes);
-                }
-            }
-            Response::Stats(s) => {
-                wire::put_u8(&mut out, STATS);
-                put_stats(&mut out, s)?;
-            }
-            Response::Traces(rs) => {
-                wire::put_u8(&mut out, TRACES);
-                wire::put_u32(&mut out, rs.len() as u32);
-                for r in rs {
-                    put_trace_record(&mut out, r);
-                }
-            }
-            Response::BatchDone(rsps) => {
-                wire::put_u8(&mut out, BATCH_DONE);
-                wire::put_u32(&mut out, rsps.len() as u32);
-                for r in rsps {
-                    let sub = r.encode()?;
-                    let len = u32::try_from(sub.len())
-                        .map_err(|_| wire::frame_too_large("batch response", sub.len()))?;
-                    wire::put_u32(&mut out, len);
-                    out.extend_from_slice(&sub);
-                }
-            }
-            Response::TxnBegun { epoch } => {
-                wire::put_u8(&mut out, TXN_BEGUN);
-                wire::put_u64(&mut out, *epoch);
-            }
-            Response::TxnCommitted { ops, epoch } => {
-                wire::put_u8(&mut out, TXN_COMMITTED);
-                wire::put_u64(&mut out, *ops);
-                wire::put_u64(&mut out, *epoch);
-            }
-            Response::TxnAborted { ops } => {
-                wire::put_u8(&mut out, TXN_ABORTED);
-                wire::put_u64(&mut out, *ops);
-            }
-            Response::Err(e) => {
-                wire::put_u8(&mut out, ERR);
-                wire::put_error(&mut out, e)?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Decode a frame payload.
-    pub fn decode(buf: &[u8]) -> GdbResult<Response> {
-        use gm_model::{Eid, Vid};
-        use rsp_op::*;
-        let mut cur = Cur::new(buf);
-        let rsp = match cur.u8()? {
-            HELLO_ACK => Response::HelloAck {
-                version: cur.u16()?,
-                engine: cur.str_()?,
-                shard: if cur.bool_()? {
-                    Some((cur.u32()?, cur.u32()?))
-                } else {
-                    None
-                },
-            },
-            UNIT => Response::Unit,
-            BOOL => Response::Bool(cur.bool_()?),
-            U64 => Response::U64(cur.u64()?),
-            EXEC_DONE => Response::ExecDone {
-                card: cur.u64()?,
-                lock_wait: cur.u64()?,
-                exec_nanos: cur.u64()?,
-                pin_nanos: cur.u64()?,
-                clone_nanos: cur.u64()?,
-                epoch: if cur.bool_()? { Some(cur.u64()?) } else { None },
-            },
-            OPT_U64 => Response::OptU64(if cur.bool_()? { Some(cur.u64()?) } else { None }),
-            U64_LIST => Response::U64List(get_u64_list(&mut cur)?),
-            STR_LIST => Response::StrList(get_str_list(&mut cur)?),
-            OPT_VALUE => Response::OptValue(if cur.bool_()? {
-                Some(cur.value()?)
-            } else {
-                None
-            }),
-            OPT_STR => Response::OptStr(cur.opt_str()?),
-            OPT_PAIR => Response::OptPair(if cur.bool_()? {
-                Some((cur.u64()?, cur.u64()?))
-            } else {
-                None
-            }),
-            EDGE_REFS => {
-                let n = cur.list_len("edge refs")?;
-                let mut refs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    refs.push(EdgeRef {
-                        eid: Eid(cur.u64()?),
-                        other: Vid(cur.u64()?),
-                    });
-                }
-                Response::EdgeRefs(refs)
-            }
-            OPT_VERTEX => Response::OptVertex(if cur.bool_()? {
-                Some(VertexData {
-                    id: Vid(cur.u64()?),
-                    label: cur.str_()?,
-                    props: cur.props()?,
-                })
-            } else {
-                None
-            }),
-            OPT_EDGE => Response::OptEdge(if cur.bool_()? {
-                Some(EdgeData {
-                    id: Eid(cur.u64()?),
-                    src: Vid(cur.u64()?),
-                    dst: Vid(cur.u64()?),
-                    label: cur.str_()?,
-                    props: cur.props()?,
-                })
-            } else {
-                None
-            }),
-            LOAD => Response::Load(LoadStats {
-                vertices: cur.u64()?,
-                edges: cur.u64()?,
-            }),
-            FEATURES => Response::Features(EngineFeatures {
-                name: cur.str_()?,
-                system_type: cur.str_()?,
-                storage: cur.str_()?,
-                edge_traversal: cur.str_()?,
-                optimized_adapter: cur.bool_()?,
-                async_writes: cur.bool_()?,
-                attribute_indexes: cur.bool_()?,
-            }),
-            SPACE => {
-                let n = cur.list_len("space components")?;
-                let mut report = SpaceReport::default();
-                for _ in 0..n {
-                    let name = cur.str_()?;
-                    let bytes = cur.u64()?;
-                    report.add(name, bytes);
-                }
-                Response::Space(report)
-            }
-            STATS => Response::Stats(get_stats(&mut cur)?),
-            TRACES => {
-                let n = cur.list_len("trace records")?;
-                let mut rs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rs.push(get_trace_record(&mut cur)?);
-                }
-                Response::Traces(rs)
-            }
-            BATCH_DONE => {
-                let n = cur.list_len("batch responses")?;
-                let mut rsps = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = cur.u32()? as usize;
-                    let sub = cur.bytes(len, "batch response")?;
-                    // Same nesting bound as the request side.
-                    if sub.first() == Some(&BATCH_DONE) {
-                        return Err(GdbError::Corrupt("wire: nested BatchDone entry".into()));
-                    }
-                    rsps.push(Response::decode(sub)?);
-                }
-                Response::BatchDone(rsps)
-            }
-            TXN_BEGUN => Response::TxnBegun { epoch: cur.u64()? },
-            TXN_COMMITTED => Response::TxnCommitted {
-                ops: cur.u64()?,
-                epoch: cur.u64()?,
-            },
-            TXN_ABORTED => Response::TxnAborted { ops: cur.u64()? },
-            ERR => Response::Err(wire::get_error(&mut cur)?),
-            op => {
-                return Err(GdbError::Corrupt(format!(
-                    "wire: unknown response op {op:#x}"
-                )))
-            }
-        };
-        cur.finish()?;
-        Ok(rsp)
-    }
+    /// The request failed with this engine error (round-tripped losslessly;
+    /// a transaction conflict is the distinct [`GdbError::TxnConflict`]).
+    0xFF Err into_err (e: GdbError)
 }
 
 #[cfg(test)]
@@ -1918,10 +1325,39 @@ mod tests {
     }
 
     #[test]
-    fn response_kind_names_cover_mismatch_diagnostics() {
+    fn names_and_kinds_come_from_the_table() {
         assert_eq!(Response::Unit.kind(), "Unit");
-        assert_eq!(Response::Err(GdbError::Timeout).kind(), "Err");
         assert_eq!(Response::BatchDone(vec![]).kind(), "BatchDone");
+        assert_eq!(Request::Sync.name(), "Sync");
+        assert_eq!(Request::Sync.kind(), FrameKind::Write);
+        assert_eq!(Request::ScanEdges { t: 0 }.kind(), FrameKind::Read);
+        assert_eq!(Request::ExecBatch(vec![]).kind(), FrameKind::Control);
+        assert_eq!(Request::FRAMES.len(), 48);
+        assert_eq!(Response::FRAMES.len(), 24);
+    }
+
+    #[test]
+    fn accessors_unwrap_or_name_the_mismatch() {
+        assert_eq!(Response::U64(7).into_u64(), Ok(7));
+        assert_eq!(Response::Unit.into_unit(), Ok(()));
+        assert_eq!(
+            Response::TxnCommitted { ops: 9, epoch: 43 }.into_txn_committed(),
+            Ok((9, 43))
+        );
+        // A remote engine error keeps its variant through any accessor.
+        assert_eq!(
+            Response::Err(GdbError::Timeout).into_u64(),
+            Err(GdbError::Timeout)
+        );
+        match Response::Unit.into_u64() {
+            Err(GdbError::Corrupt(why)) => {
+                assert!(
+                    why.contains("expected U64") && why.contains("got Unit"),
+                    "{why}"
+                )
+            }
+            other => panic!("expected a protocol mismatch, got {other:?}"),
+        }
     }
 
     #[test]

@@ -30,11 +30,11 @@ use gm_model::lockorder::{self, LockRank, Ranked};
 use gm_model::{
     lockwait, Dataset, Eid, GdbError, GdbResult, GraphDb, GraphSnapshot, QueryCtx, SharedGraph, Vid,
 };
-use gm_mvcc::{SnapshotSource, SourceFactory, WriteTxn};
+use gm_mvcc::{SnapshotSource, SourceFactory, WriteFn, WriteTxn};
 use gm_obs::{phase, trace, Counter, Histo, Phase};
 use gm_workload::{apply_write, Op};
 
-use crate::proto::{Request, Response, MAGIC, PROTO_VERSION};
+use crate::proto::{FrameKind, Request, Response, MAGIC, PROTO_VERSION};
 use crate::wire;
 
 /// Factory producing fresh, empty engines — what `Reset` swaps in.
@@ -205,14 +205,7 @@ impl Hosted {
                 let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs source write");
                 let source =
                     lockwait::timed(|| source.read()).map_err(|_| Self::poisoned("source read"))?;
-                let mut once = Some(f);
-                let mut out: Option<R> = None;
-                source.with_write(&mut |db| {
-                    let f = once.take().expect("write closure runs once");
-                    out = Some(f(db)?);
-                    Ok(0)
-                })?;
-                Ok(out.expect("write closure ran"))
+                write_once(f, |w| source.with_write(w))
             }
             // The graph synchronizes internally (per-shard locks): writes
             // take only the *shared* side of the swap lock, so two remote
@@ -222,14 +215,7 @@ impl Hosted {
                 let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs shared write");
                 let graph =
                     lockwait::timed(|| graph.read()).map_err(|_| Self::poisoned("shared read"))?;
-                let mut once = Some(f);
-                let mut out: Option<R> = None;
-                graph.with_write(&mut |db| {
-                    let f = once.take().expect("write closure runs once");
-                    out = Some(f(db)?);
-                    Ok(0)
-                })?;
-                Ok(out.expect("write closure ran"))
+                write_once(f, |w| graph.with_write(w))
             }
         }
     }
@@ -258,6 +244,26 @@ impl Hosted {
         }
         Ok(())
     }
+}
+
+/// Run a one-shot mutation through a `with_write` path, which takes an
+/// `FnMut` batch returning a cardinality, and carry the mutation's own
+/// result out.
+fn write_once<R>(
+    f: impl FnOnce(&mut dyn GraphDb) -> GdbResult<R>,
+    with_write: impl FnOnce(&mut WriteFn<'_>) -> GdbResult<u64>,
+) -> GdbResult<R> {
+    let mut once = Some(f);
+    let mut out = None;
+    with_write(&mut |db| {
+        if let Some(f) = once.take() {
+            out = Some(f(db)?);
+        }
+        Ok(0)
+    })?;
+    out.ok_or_else(|| {
+        GdbError::Invalid("server: the engine's write path never ran the mutation".into())
+    })
 }
 
 /// A bound, not-yet-running engine server.
@@ -435,6 +441,10 @@ fn ctx_for(timeout_micros: u64) -> QueryCtx {
     }
 }
 
+/// Cap on a connection's first frame. A `Hello` is 7 bytes; everything
+/// larger is not a handshake.
+const MAX_HELLO_FRAME: usize = 64;
+
 fn handle_conn(stream: TcpStream, hosted: Arc<Hosted>) {
     let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
@@ -448,8 +458,12 @@ fn handle_conn(stream: TcpStream, hosted: Arc<Hosted>) {
 
     // Handshake first: anything else (or a magic/version mismatch) gets one
     // error frame and the connection is closed — never misparse an
-    // incompatible peer.
-    match read_request(&mut reader) {
+    // incompatible peer. The frame is read under `MAX_HELLO_FRAME`: a peer
+    // that has not yet shown it speaks the protocol cannot make the server
+    // allocate for its length prefix.
+    let first = wire::read_frame_within(&mut reader, MAX_HELLO_FRAME)
+        .and_then(|payload| Request::decode(&payload));
+    match first {
         Ok(Request::Hello { magic, version }) if magic == MAGIC && version == PROTO_VERSION => {
             let rsp = match hosted.engine_name() {
                 Ok(engine) => Response::HelloAck {
@@ -480,7 +494,11 @@ fn handle_conn(stream: TcpStream, hosted: Arc<Hosted>) {
             );
             return;
         }
-        Err(_) => return, // disconnected or garbage before handshake
+        Err(GdbError::Io(_)) => return, // disconnected before handshake
+        Err(e) => {
+            let _ = write_response(&mut writer, &Response::Err(e));
+            return;
+        }
     }
 
     // Deletions in the driver's write mix target edges *this worker*
@@ -515,10 +533,6 @@ fn handle_conn(stream: TcpStream, hosted: Arc<Hosted>) {
             return;
         }
     }
-}
-
-fn read_request(reader: &mut TcpStream) -> GdbResult<Request> {
-    Request::decode(&wire::read_frame(reader)?)
 }
 
 fn write_response(writer: &mut TcpStream, rsp: &Response) -> GdbResult<()> {
@@ -639,155 +653,125 @@ fn txn_abort(txn: &mut Option<ConnTxn>) -> GdbResult<Response> {
     })
 }
 
-/// Execute one primitive frame against the connection's open transaction:
-/// writes buffer into its write set, reads answer from its epoch-pinned
-/// read-your-writes overlay. Frames that would bypass the transaction
-/// (workload execution, dataset/engine lifecycle, index builds) are
-/// rejected until it commits or aborts.
-fn execute_txn_request(txn: &mut WriteTxn, req: Request) -> GdbResult<Response> {
+/// The error for a frame whose table [`FrameKind`] sent it to a dispatcher
+/// with no arm for it.
+fn misrouted(req: &Request, dispatcher: &str) -> GdbError {
+    GdbError::Invalid(format!("{} frame has no {dispatcher} arm", req.name()))
+}
+
+fn vids(vs: Vec<Vid>) -> Response {
+    Response::U64List(vs.into_iter().map(|v| v.0).collect())
+}
+
+fn eids(es: Vec<Eid>) -> Response {
+    Response::U64List(es.into_iter().map(|e| e.0).collect())
+}
+
+/// The [`FrameKind::Read`] frames → `GraphSnapshot` calls, written once:
+/// `g` is a read view of the hosted engine, or the connection's open
+/// transaction (its epoch-pinned read-your-writes overlay).
+fn answer_read(g: &dyn GraphSnapshot, req: Request) -> GdbResult<Response> {
     Ok(match req {
-        Request::Hello { .. } => {
-            return Err(GdbError::Invalid("Hello after handshake".into()));
+        Request::Features => Response::Features(g.features()),
+        Request::ResolveVertex(c) => Response::OptU64(g.resolve_vertex(c).map(|v| v.0)),
+        Request::ResolveEdge(c) => Response::OptU64(g.resolve_edge(c).map(|e| e.0)),
+        Request::VertexCount { t } => Response::U64(g.vertex_count(&ctx_for(t))?),
+        Request::EdgeCount { t } => Response::U64(g.edge_count(&ctx_for(t))?),
+        Request::EdgeLabelSet { t } => Response::StrList(g.edge_label_set(&ctx_for(t))?),
+        Request::VerticesWithProperty { name, value, t } => {
+            vids(g.vertices_with_property(&name, &value, &ctx_for(t))?)
         }
-        Request::Reset
-        | Request::BulkLoad { .. }
-        | Request::Prepare { .. }
-        | Request::ExecOp { .. }
-        | Request::CreateVertexIndex { .. } => {
-            return Err(GdbError::Invalid(
-                "request not allowed inside an open transaction; commit or abort first".into(),
-            ));
+        Request::EdgesWithProperty { name, value, t } => {
+            eids(g.edges_with_property(&name, &value, &ctx_for(t))?)
         }
-        Request::TxnBegin | Request::TxnCommit | Request::TxnAbort | Request::ExecBatch(_) => {
-            return Err(GdbError::Invalid(
-                "transaction control frame routed into the buffered path".into(),
-            ));
+        Request::EdgesWithLabel { label, t } => eids(g.edges_with_label(&label, &ctx_for(t))?),
+        Request::GetVertex(v) => Response::OptVertex(g.vertex(Vid(v))?),
+        Request::GetEdge(e) => Response::OptEdge(g.edge(Eid(e))?),
+        Request::Neighbors { v, dir, label, t } => {
+            vids(g.neighbors(Vid(v), dir, label.as_deref(), &ctx_for(t))?)
         }
-        // Server-global introspection is transaction-agnostic.
-        Request::GetStats => Response::Stats(gm_obs::global().snapshot()),
-        Request::GetTraces => Response::Traces(if trace::enabled() {
-            trace::global_ring().snapshot()
-        } else {
-            Vec::new()
-        }),
-        // Writes buffer into the transaction (ids for entities created here
-        // are placeholders, valid inside this transaction until commit).
-        Request::AddVertex { label, props } => Response::U64(txn.add_vertex(&label, &props)?.0),
+        Request::VertexEdges { v, dir, label, t } => {
+            Response::EdgeRefs(g.vertex_edges(Vid(v), dir, label.as_deref(), &ctx_for(t))?)
+        }
+        Request::VertexDegree { v, dir, t } => {
+            Response::U64(g.vertex_degree(Vid(v), dir, &ctx_for(t))?)
+        }
+        Request::VertexEdgeLabels { v, dir, t } => {
+            Response::StrList(g.vertex_edge_labels(Vid(v), dir, &ctx_for(t))?)
+        }
+        Request::ScanVertices { t } => Response::U64List(
+            g.scan_vertices(&ctx_for(t))?
+                .map(|v| v.map(|v| v.0))
+                .collect::<GdbResult<_>>()?,
+        ),
+        Request::ScanEdges { t } => Response::U64List(
+            g.scan_edges(&ctx_for(t))?
+                .map(|e| e.map(|e| e.0))
+                .collect::<GdbResult<_>>()?,
+        ),
+        Request::VertexProperty { v, name } => {
+            Response::OptValue(g.vertex_property(Vid(v), &name)?)
+        }
+        Request::EdgeProperty { e, name } => Response::OptValue(g.edge_property(Eid(e), &name)?),
+        Request::EdgeEndpoints(e) => {
+            Response::OptPair(g.edge_endpoints(Eid(e))?.map(|(s, d)| (s.0, d.0)))
+        }
+        Request::EdgeLabel(e) => Response::OptStr(g.edge_label(Eid(e))?),
+        Request::VertexLabel(v) => Response::OptStr(g.vertex_label(Vid(v))?),
+        Request::DegreeScan { dir, k, t } => vids(g.degree_scan(dir, k, &ctx_for(t))?),
+        Request::DistinctNeighborScan { dir, t } => {
+            vids(g.distinct_neighbor_scan(dir, &ctx_for(t))?)
+        }
+        Request::HasVertexIndex { prop } => Response::Bool(g.has_vertex_index(&prop)),
+        Request::Space => Response::Space(g.space()),
+        other => return Err(misrouted(&other, "read")),
+    })
+}
+
+/// The [`FrameKind::Write`] frames → `GraphDb` calls, written once: `db` is
+/// the hosted engine under its write path, or the connection's open
+/// transaction (writes buffer; ids of entities created there are
+/// placeholders until commit).
+fn answer_write(db: &mut dyn GraphDb, req: Request) -> GdbResult<Response> {
+    Ok(match req {
+        Request::AddVertex { label, props } => Response::U64(db.add_vertex(&label, &props)?.0),
         Request::AddEdge {
             src,
             dst,
             label,
             props,
-        } => Response::U64(txn.add_edge(Vid(src), Vid(dst), &label, &props)?.0),
+        } => Response::U64(db.add_edge(Vid(src), Vid(dst), &label, &props)?.0),
         Request::SetVertexProp { v, name, value } => {
-            txn.set_vertex_property(Vid(v), &name, value)?;
+            db.set_vertex_property(Vid(v), &name, value)?;
             Response::Unit
         }
         Request::SetEdgeProp { e, name, value } => {
-            txn.set_edge_property(Eid(e), &name, value)?;
+            db.set_edge_property(Eid(e), &name, value)?;
             Response::Unit
         }
         Request::RemoveVertex(v) => {
-            txn.remove_vertex(Vid(v))?;
+            db.remove_vertex(Vid(v))?;
             Response::Unit
         }
         Request::RemoveEdge(e) => {
-            txn.remove_edge(Eid(e))?;
+            db.remove_edge(Eid(e))?;
             Response::Unit
         }
         Request::RemoveVertexProp { v, name } => {
-            Response::OptValue(txn.remove_vertex_property(Vid(v), &name)?)
+            Response::OptValue(db.remove_vertex_property(Vid(v), &name)?)
         }
         Request::RemoveEdgeProp { e, name } => {
-            Response::OptValue(txn.remove_edge_property(Eid(e), &name)?)
+            Response::OptValue(db.remove_edge_property(Eid(e), &name)?)
         }
-        Request::Sync => {
-            txn.sync()?;
+        Request::CreateVertexIndex { prop } => {
+            db.create_vertex_index(&prop)?;
             Response::Unit
         }
-        // Reads answer from the read-your-writes overlay over the pinned
-        // base epoch.
-        Request::Features => Response::Features(txn.features()),
-        Request::ResolveVertex(c) => Response::OptU64(txn.resolve_vertex(c).map(|v| v.0)),
-        Request::ResolveEdge(c) => Response::OptU64(txn.resolve_edge(c).map(|e| e.0)),
-        Request::VertexCount { t } => Response::U64(txn.vertex_count(&ctx_for(t))?),
-        Request::EdgeCount { t } => Response::U64(txn.edge_count(&ctx_for(t))?),
-        Request::EdgeLabelSet { t } => Response::StrList(txn.edge_label_set(&ctx_for(t))?),
-        Request::VerticesWithProperty { name, value, t } => Response::U64List(
-            txn.vertices_with_property(&name, &value, &ctx_for(t))?
-                .into_iter()
-                .map(|v| v.0)
-                .collect(),
-        ),
-        Request::EdgesWithProperty { name, value, t } => Response::U64List(
-            txn.edges_with_property(&name, &value, &ctx_for(t))?
-                .into_iter()
-                .map(|e| e.0)
-                .collect(),
-        ),
-        Request::EdgesWithLabel { label, t } => Response::U64List(
-            txn.edges_with_label(&label, &ctx_for(t))?
-                .into_iter()
-                .map(|e| e.0)
-                .collect(),
-        ),
-        Request::GetVertex(v) => Response::OptVertex(txn.vertex(Vid(v))?),
-        Request::GetEdge(e) => Response::OptEdge(txn.edge(Eid(e))?),
-        Request::Neighbors { v, dir, label, t } => Response::U64List(
-            txn.neighbors(Vid(v), dir, label.as_deref(), &ctx_for(t))?
-                .into_iter()
-                .map(|v| v.0)
-                .collect(),
-        ),
-        Request::VertexEdges { v, dir, label, t } => {
-            Response::EdgeRefs(txn.vertex_edges(Vid(v), dir, label.as_deref(), &ctx_for(t))?)
+        Request::Sync => {
+            db.sync()?;
+            Response::Unit
         }
-        Request::VertexDegree { v, dir, t } => {
-            Response::U64(txn.vertex_degree(Vid(v), dir, &ctx_for(t))?)
-        }
-        Request::VertexEdgeLabels { v, dir, t } => {
-            Response::StrList(txn.vertex_edge_labels(Vid(v), dir, &ctx_for(t))?)
-        }
-        Request::ScanVertices { t } => {
-            let ctx = ctx_for(t);
-            let mut out = Vec::new();
-            for v in txn.scan_vertices(&ctx)? {
-                out.push(v?.0);
-            }
-            Response::U64List(out)
-        }
-        Request::ScanEdges { t } => {
-            let ctx = ctx_for(t);
-            let mut out = Vec::new();
-            for e in txn.scan_edges(&ctx)? {
-                out.push(e?.0);
-            }
-            Response::U64List(out)
-        }
-        Request::VertexProperty { v, name } => {
-            Response::OptValue(txn.vertex_property(Vid(v), &name)?)
-        }
-        Request::EdgeProperty { e, name } => Response::OptValue(txn.edge_property(Eid(e), &name)?),
-        Request::EdgeEndpoints(e) => {
-            Response::OptPair(txn.edge_endpoints(Eid(e))?.map(|(s, d)| (s.0, d.0)))
-        }
-        Request::EdgeLabel(e) => Response::OptStr(txn.edge_label(Eid(e))?),
-        Request::VertexLabel(v) => Response::OptStr(txn.vertex_label(Vid(v))?),
-        Request::DegreeScan { dir, k, t } => Response::U64List(
-            txn.degree_scan(dir, k, &ctx_for(t))?
-                .into_iter()
-                .map(|v| v.0)
-                .collect(),
-        ),
-        Request::DistinctNeighborScan { dir, t } => Response::U64List(
-            txn.distinct_neighbor_scan(dir, &ctx_for(t))?
-                .into_iter()
-                .map(|v| v.0)
-                .collect(),
-        ),
-        Request::HasVertexIndex { prop } => Response::Bool(txn.has_vertex_index(&prop)),
-        Request::Space => Response::Space(txn.space()),
-        Request::Epoch => Response::U64(txn.base_epoch()),
+        other => return Err(misrouted(&other, "write")),
     })
 }
 
@@ -797,33 +781,39 @@ fn execute_request(
     owned_edges: &mut OwnedEdges,
     txn: &mut Option<ConnTxn>,
 ) -> GdbResult<Response> {
-    // Transaction control frames first, then the buffered path while a
-    // transaction is open — everything except `ExecBatch`, whose entries
-    // recurse through `handle_request` and land here individually.
-    match &req {
-        Request::TxnBegin => return txn_begin(hosted, txn),
-        Request::TxnCommit => return txn_commit(hosted, txn),
-        Request::TxnAbort => return txn_abort(txn),
-        _ => {}
+    // Primitives go to the connection's open transaction when there is
+    // one, else to the hosted engine: a read view per request (in snapshot
+    // mode a freshly pinned epoch, so a long scan here cannot block a
+    // writer on another connection) or the engine's write path.
+    match (req.kind(), txn.as_mut()) {
+        (FrameKind::Read, Some(open)) => return answer_read(&open.txn, req),
+        (FrameKind::Read, None) => return answer_read(hosted.read_view()?.snap(), req),
+        (FrameKind::Write, Some(open)) => return answer_write(&mut open.txn, req),
+        (FrameKind::Write, None) => return hosted.with_engine_write(|db| answer_write(db, req)),
+        (FrameKind::Control, _) => {}
     }
-    if !matches!(req, Request::ExecBatch(_)) {
-        if let Some(state) = txn.as_mut() {
-            return execute_txn_request(&mut state.txn, req);
-        }
+    // Frames that would bypass an open transaction (workload execution,
+    // dataset/engine lifecycle) are rejected until it commits or aborts.
+    if txn.is_some()
+        && matches!(
+            req,
+            Request::Reset
+                | Request::BulkLoad { .. }
+                | Request::Prepare { .. }
+                | Request::ExecOp { .. }
+        )
+    {
+        return Err(GdbError::Invalid(
+            "request not allowed inside an open transaction; commit or abort first".into(),
+        ));
     }
-    // Locked mode: `read()` is the shared-lock guard. Snapshot mode: every
-    // `read()` pins a fresh immutable epoch, so a long scan here cannot
-    // block a concurrent writer on another connection.
-    let read = || hosted.read_view();
     Ok(match req {
         Request::Hello { .. } => {
             return Err(GdbError::Invalid("Hello after handshake".into()));
         }
-        Request::TxnBegin | Request::TxnCommit | Request::TxnAbort => {
-            return Err(GdbError::Invalid(
-                "transaction control frame re-entered the primitive path".into(),
-            ));
-        }
+        Request::TxnBegin => return txn_begin(hosted, txn),
+        Request::TxnCommit => return txn_commit(hosted, txn),
+        Request::TxnAbort => return txn_abort(txn),
         Request::Reset => {
             hosted.reset_engine()?;
             *hosted
@@ -855,7 +845,7 @@ fn execute_request(
                     GdbError::Invalid("Prepare before BulkLoad: no dataset retained".into())
                 })?;
             let workload = Workload::choose(&data, seed, slots as usize);
-            let params = workload.resolve(read()?.snap())?;
+            let params = workload.resolve(hosted.read_view()?.snap())?;
             *hosted
                 .params
                 .write()
@@ -886,23 +876,24 @@ fn execute_request(
             trace::begin_op(trace_id);
             let op_code = op.trace_code();
             let t_trace = (trace_id != 0 && trace::enabled()).then(Instant::now);
-            match op {
-                Op::Read(inst) if inst.id.is_mutation() => {
+            if let Op::Read(inst) = &op {
+                if inst.id.is_mutation() {
                     return Err(GdbError::Invalid(format!(
                         "ExecOp read frame carries mutating query Q{}",
                         inst.id.number()
                     )));
                 }
+            }
+            // The connection thread owns this op end to end, so the
+            // thread-local phase accumulators attribute every engine-lock
+            // acquisition and span below to exactly this op.
+            phase::reset_op();
+            let t0 = net_metrics().map(|m| {
+                m.ops.inc();
+                Instant::now()
+            });
+            let (card, epoch) = match op {
                 Op::Read(inst) => {
-                    // The connection thread owns this op end to end, so the
-                    // thread-local phase accumulators attribute every
-                    // engine-lock acquisition and span below to exactly
-                    // this op.
-                    phase::reset_op();
-                    let t0 = net_metrics().map(|m| {
-                        m.ops.inc();
-                        Instant::now()
-                    });
                     let ctx = ctx_for(timeout_micros);
                     // Strict pins (sequential replays) must read their own
                     // earlier writes; concurrent drivers take the
@@ -915,249 +906,70 @@ fn execute_request(
                             hosted.read_view_recent()?
                         }
                     };
-                    let card = {
-                        let _exec = phase::span(Phase::EngineExec);
-                        catalog::execute_read(&inst, view.snap(), &params, &ctx)?
-                    };
-                    let phases = phase::take_all();
-                    if let (Some(m), Some(t0)) = (net_metrics(), t0) {
-                        m.op_nanos.record(t0.elapsed().as_nanos() as u64);
-                    }
-                    if let Some(t) = t_trace {
-                        trace::record_op(
-                            &SERVER_GATE,
-                            trace_id,
-                            worker,
-                            op_index,
-                            op_code,
-                            trace::TraceOrigin::Server,
-                            t.elapsed().as_nanos() as u64,
-                            phases,
-                        );
-                    }
-                    Response::ExecDone {
-                        card,
-                        lock_wait: phases.get(Phase::LockWait),
-                        exec_nanos: phases.get(Phase::EngineExec),
-                        pin_nanos: phases.get(Phase::SnapshotPin),
-                        clone_nanos: phases.get(Phase::ClonePublish),
-                        epoch: view.epoch(),
-                    }
+                    let _exec = phase::span(Phase::EngineExec);
+                    let card = catalog::execute_read(&inst, view.snap(), &params, &ctx)?;
+                    (card, view.epoch())
                 }
                 Op::Write(wop) => {
-                    phase::reset_op();
-                    let t0 = net_metrics().map(|m| {
-                        m.ops.inc();
-                        Instant::now()
-                    });
                     // The generation check of `current()` must happen while
                     // holding the engine write path: a `Reset` interleaving
                     // between the check and the write would otherwise apply
                     // a pre-reset edge pool to the fresh engine (and stale
                     // eids alias live edges once ids restart at 0).
-                    let card = {
-                        let _exec = phase::span(Phase::EngineExec);
-                        hosted.with_engine_write(|db| {
-                            apply_write(
-                                wop,
-                                db,
-                                &params,
-                                worker as usize,
-                                op_index,
-                                owned_edges.current(hosted),
-                            )
-                        })?
-                    };
-                    let phases = phase::take_all();
-                    if let (Some(m), Some(t0)) = (net_metrics(), t0) {
-                        m.op_nanos.record(t0.elapsed().as_nanos() as u64);
-                    }
-                    if let Some(t) = t_trace {
-                        trace::record_op(
-                            &SERVER_GATE,
-                            trace_id,
-                            worker,
+                    let _exec = phase::span(Phase::EngineExec);
+                    let card = hosted.with_engine_write(|db| {
+                        apply_write(
+                            wop,
+                            db,
+                            &params,
+                            worker as usize,
                             op_index,
-                            op_code,
-                            trace::TraceOrigin::Server,
-                            t.elapsed().as_nanos() as u64,
-                            phases,
-                        );
-                    }
-                    Response::ExecDone {
-                        card,
-                        lock_wait: phases.get(Phase::LockWait),
-                        exec_nanos: phases.get(Phase::EngineExec),
-                        pin_nanos: phases.get(Phase::SnapshotPin),
-                        clone_nanos: phases.get(Phase::ClonePublish),
-                        epoch: None,
-                    }
+                            owned_edges.current(hosted),
+                        )
+                    })?;
+                    // Writes produce the next epoch, they don't observe one.
+                    (card, None)
                 }
+            };
+            let phases = phase::take_all();
+            if let (Some(m), Some(t0)) = (net_metrics(), t0) {
+                m.op_nanos.record(t0.elapsed().as_nanos() as u64);
+            }
+            if let Some(t) = t_trace {
+                trace::record_op(
+                    &SERVER_GATE,
+                    trace_id,
+                    worker,
+                    op_index,
+                    op_code,
+                    trace::TraceOrigin::Server,
+                    t.elapsed().as_nanos() as u64,
+                    phases,
+                );
+            }
+            Response::ExecDone {
+                card,
+                lock_wait: phases.get(Phase::LockWait),
+                exec_nanos: phases.get(Phase::EngineExec),
+                pin_nanos: phases.get(Phase::SnapshotPin),
+                clone_nanos: phases.get(Phase::ClonePublish),
+                epoch,
             }
         }
+        // Server-global introspection is transaction-agnostic.
         Request::GetStats => Response::Stats(gm_obs::global().snapshot()),
         Request::GetTraces => Response::Traces(if trace::enabled() {
             trace::global_ring().snapshot()
         } else {
             Vec::new()
         }),
-        Request::Features => Response::Features(read()?.snap().features()),
-        Request::ResolveVertex(c) => {
-            Response::OptU64(read()?.snap().resolve_vertex(c).map(|v| v.0))
-        }
-        Request::ResolveEdge(c) => Response::OptU64(read()?.snap().resolve_edge(c).map(|e| e.0)),
-        Request::AddVertex { label, props } => Response::U64(
-            hosted
-                .with_engine_write(|db| db.add_vertex(&label, &props))?
-                .0,
-        ),
-        Request::AddEdge {
-            src,
-            dst,
-            label,
-            props,
-        } => Response::U64(
-            hosted
-                .with_engine_write(|db| db.add_edge(Vid(src), Vid(dst), &label, &props))?
-                .0,
-        ),
-        Request::SetVertexProp { v, name, value } => {
-            hosted.with_engine_write(|db| db.set_vertex_property(Vid(v), &name, value))?;
-            Response::Unit
-        }
-        Request::SetEdgeProp { e, name, value } => {
-            hosted.with_engine_write(|db| db.set_edge_property(Eid(e), &name, value))?;
-            Response::Unit
-        }
-        Request::VertexCount { t } => Response::U64(read()?.snap().vertex_count(&ctx_for(t))?),
-        Request::EdgeCount { t } => Response::U64(read()?.snap().edge_count(&ctx_for(t))?),
-        Request::EdgeLabelSet { t } => {
-            Response::StrList(read()?.snap().edge_label_set(&ctx_for(t))?)
-        }
-        Request::VerticesWithProperty { name, value, t } => Response::U64List(
-            read()?
-                .snap()
-                .vertices_with_property(&name, &value, &ctx_for(t))?
-                .into_iter()
-                .map(|v| v.0)
-                .collect(),
-        ),
-        Request::EdgesWithProperty { name, value, t } => Response::U64List(
-            read()?
-                .snap()
-                .edges_with_property(&name, &value, &ctx_for(t))?
-                .into_iter()
-                .map(|e| e.0)
-                .collect(),
-        ),
-        Request::EdgesWithLabel { label, t } => Response::U64List(
-            read()?
-                .snap()
-                .edges_with_label(&label, &ctx_for(t))?
-                .into_iter()
-                .map(|e| e.0)
-                .collect(),
-        ),
-        Request::GetVertex(v) => Response::OptVertex(read()?.snap().vertex(Vid(v))?),
-        Request::GetEdge(e) => Response::OptEdge(read()?.snap().edge(Eid(e))?),
-        Request::RemoveVertex(v) => {
-            hosted.with_engine_write(|db| db.remove_vertex(Vid(v)))?;
-            Response::Unit
-        }
-        Request::RemoveEdge(e) => {
-            hosted.with_engine_write(|db| db.remove_edge(Eid(e)))?;
-            Response::Unit
-        }
-        Request::RemoveVertexProp { v, name } => Response::OptValue(
-            hosted.with_engine_write(|db| db.remove_vertex_property(Vid(v), &name))?,
-        ),
-        Request::RemoveEdgeProp { e, name } => Response::OptValue(
-            hosted.with_engine_write(|db| db.remove_edge_property(Eid(e), &name))?,
-        ),
-        Request::Neighbors { v, dir, label, t } => Response::U64List(
-            read()?
-                .snap()
-                .neighbors(Vid(v), dir, label.as_deref(), &ctx_for(t))?
-                .into_iter()
-                .map(|v| v.0)
-                .collect(),
-        ),
-        Request::VertexEdges { v, dir, label, t } => Response::EdgeRefs(
-            read()?
-                .snap()
-                .vertex_edges(Vid(v), dir, label.as_deref(), &ctx_for(t))?,
-        ),
-        Request::VertexDegree { v, dir, t } => {
-            Response::U64(read()?.snap().vertex_degree(Vid(v), dir, &ctx_for(t))?)
-        }
-        Request::VertexEdgeLabels { v, dir, t } => Response::StrList(
-            read()?
-                .snap()
-                .vertex_edge_labels(Vid(v), dir, &ctx_for(t))?,
-        ),
-        Request::ScanVertices { t } => {
-            let ctx = ctx_for(t);
-            let view = read()?;
-            let mut out = Vec::new();
-            for v in view.snap().scan_vertices(&ctx)? {
-                out.push(v?.0);
-            }
-            Response::U64List(out)
-        }
-        Request::ScanEdges { t } => {
-            let ctx = ctx_for(t);
-            let view = read()?;
-            let mut out = Vec::new();
-            for e in view.snap().scan_edges(&ctx)? {
-                out.push(e?.0);
-            }
-            Response::U64List(out)
-        }
-        Request::VertexProperty { v, name } => {
-            Response::OptValue(read()?.snap().vertex_property(Vid(v), &name)?)
-        }
-        Request::EdgeProperty { e, name } => {
-            Response::OptValue(read()?.snap().edge_property(Eid(e), &name)?)
-        }
-        Request::EdgeEndpoints(e) => Response::OptPair(
-            read()?
-                .snap()
-                .edge_endpoints(Eid(e))?
-                .map(|(s, d)| (s.0, d.0)),
-        ),
-        Request::EdgeLabel(e) => Response::OptStr(read()?.snap().edge_label(Eid(e))?),
-        Request::VertexLabel(v) => Response::OptStr(read()?.snap().vertex_label(Vid(v))?),
-        Request::DegreeScan { dir, k, t } => Response::U64List(
-            read()?
-                .snap()
-                .degree_scan(dir, k, &ctx_for(t))?
-                .into_iter()
-                .map(|v| v.0)
-                .collect(),
-        ),
-        Request::DistinctNeighborScan { dir, t } => Response::U64List(
-            read()?
-                .snap()
-                .distinct_neighbor_scan(dir, &ctx_for(t))?
-                .into_iter()
-                .map(|v| v.0)
-                .collect(),
-        ),
-        Request::CreateVertexIndex { prop } => {
-            hosted.with_engine_write(|db| db.create_vertex_index(&prop))?;
-            Response::Unit
-        }
-        Request::HasVertexIndex { prop } => Response::Bool(read()?.snap().has_vertex_index(&prop)),
-        Request::Space => Response::Space(read()?.snap().space()),
-        Request::Sync => {
-            hosted.with_engine_write(|db| db.sync())?;
-            Response::Unit
-        }
-        // One frame, many ops (v6): executed strictly in order, one
-        // response per entry. A failing entry becomes a `Response::Err`
-        // *inside* the batch — the envelope itself always succeeds, so one
-        // bad op cannot desync a pipelined stream. The wire decoder rejects
-        // nested batches, so the recursion below is one level deep.
+        // One frame, many ops: executed strictly in order, one response per
+        // entry, each entry dispatched as if it had arrived alone (so it
+        // sees the open transaction, if any). A failing entry becomes a
+        // `Response::Err` *inside* the batch — the envelope itself always
+        // succeeds, so one bad op cannot desync a pipelined stream. The
+        // wire decoder rejects nested batches, so the recursion below is
+        // one level deep.
         Request::ExecBatch(reqs) => {
             let mut rsps = Vec::with_capacity(reqs.len());
             for sub in reqs {
@@ -1165,9 +977,14 @@ fn execute_request(
             }
             Response::BatchDone(rsps)
         }
-        // Epoch probe (v6): what a read would pin right now. Locked and
-        // shared hosting have no epochs — report 0, which min-reduces
-        // harmlessly fleet-side.
-        Request::Epoch => Response::U64(read()?.epoch().unwrap_or(0)),
+        // Epoch probe: what a read would pin right now — inside a
+        // transaction, the epoch its reads are pinned to. Locked and shared
+        // hosting have no epochs — report 0, which min-reduces harmlessly
+        // fleet-side.
+        Request::Epoch => Response::U64(match txn {
+            Some(open) => open.txn.base_epoch(),
+            None => hosted.read_view()?.epoch().unwrap_or(0),
+        }),
+        other => return Err(misrouted(&other, "control")),
     })
 }

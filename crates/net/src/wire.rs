@@ -53,13 +53,20 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> GdbResult<()> {
 /// reported as `Io("connection closed")`; a length beyond [`MAX_FRAME`] is a
 /// protocol violation ([`GdbError::Corrupt`]).
 pub fn read_frame(r: &mut impl Read) -> GdbResult<Vec<u8>> {
+    read_frame_within(r, MAX_FRAME)
+}
+
+/// [`read_frame`] under a caller-chosen cap: a length prefix beyond `cap`
+/// is refused with [`GdbError::Corrupt`] before anything is allocated for
+/// it.
+pub(crate) fn read_frame_within(r: &mut impl Read, cap: usize) -> GdbResult<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)
         .map_err(|e| GdbError::Io(format!("reading frame length: {e}")))?;
     let len = u32::from_be_bytes(len) as usize;
-    if len > MAX_FRAME {
+    if len > cap {
         return Err(GdbError::Corrupt(format!(
-            "frame length {len} exceeds MAX_FRAME ({MAX_FRAME})"
+            "frame length {len} exceeds the {cap}-byte cap on this frame"
         )));
     }
     let mut payload = vec![0u8; len];
@@ -102,18 +109,6 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) -> GdbResult<()> {
     let len = u32::try_from(s.len()).map_err(|_| frame_too_large("string", s.len()))?;
     put_u32(out, len);
     out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-/// Append an optional string (presence byte + string).
-pub fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) -> GdbResult<()> {
-    match s {
-        None => put_bool(out, false),
-        Some(s) => {
-            put_bool(out, true);
-            put_str(out, s)?;
-        }
-    }
     Ok(())
 }
 
@@ -216,15 +211,6 @@ impl<'a> Cur<'a> {
         let bytes = self.take(len, "string body")?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| GdbError::Corrupt("wire: string is not UTF-8".into()))
-    }
-
-    /// Read an optional string.
-    pub fn opt_str(&mut self) -> GdbResult<Option<String>> {
-        if self.bool_()? {
-            Ok(Some(self.str_()?))
-        } else {
-            Ok(None)
-        }
     }
 
     /// Read `n` raw bytes (length-prefixed sub-frames, e.g. `ExecBatch`
@@ -389,8 +375,6 @@ mod tests {
         put_u64(&mut out, u64::MAX - 3);
         put_bool(&mut out, true);
         put_str(&mut out, "héllo ☃").unwrap();
-        put_opt_str(&mut out, None).unwrap();
-        put_opt_str(&mut out, Some("x")).unwrap();
         let mut cur = Cur::new(&out);
         assert_eq!(cur.u8().unwrap(), 7);
         assert_eq!(cur.u16().unwrap(), 512);
@@ -398,8 +382,6 @@ mod tests {
         assert_eq!(cur.u64().unwrap(), u64::MAX - 3);
         assert!(cur.bool_().unwrap());
         assert_eq!(cur.str_().unwrap(), "héllo ☃");
-        assert_eq!(cur.opt_str().unwrap(), None);
-        assert_eq!(cur.opt_str().unwrap(), Some("x".into()));
         cur.finish().unwrap();
     }
 

@@ -336,6 +336,42 @@ fn version_and_magic_mismatches_rejected() {
     server.shutdown();
 }
 
+/// A peer that has not completed the handshake cannot make the server
+/// allocate for its length prefix: a 200 MiB first frame (legal under
+/// `wire::MAX_FRAME`) is refused by name and the connection closed, and the
+/// server keeps serving.
+#[test]
+fn oversized_first_frame_is_refused_before_allocation() {
+    use std::io::{Read, Write};
+
+    let server = spawn_server(EngineKind::LinkedV1);
+    let addr = server.addr();
+
+    let mut stream = TcpStream::connect(addr).expect("dial");
+    let claimed: u32 = 200 << 20;
+    assert!((claimed as usize) < wire::MAX_FRAME);
+    stream.write_all(&claimed.to_be_bytes()).unwrap();
+    // No payload follows, so an answer means the server did not wait for it.
+    match Response::decode(&wire::read_frame(&mut stream).unwrap()).unwrap() {
+        Response::Err(GdbError::Corrupt(why)) => {
+            assert!(why.contains("209715200") && why.contains("cap"), "{why}");
+        }
+        other => panic!("expected the length prefix to be refused, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(
+        stream
+            .read_to_end(&mut rest)
+            .expect("server closes cleanly"),
+        0,
+        "connection must be closed after the refusal"
+    );
+
+    let mut conn = Connection::connect(&addr.to_string()).expect("server still serves");
+    assert_eq!(conn.epoch().expect("epoch probe"), 0);
+    server.shutdown();
+}
+
 /// Snapshot-mode hosting (satellite of the gm-mvcc PR): a server built over
 /// a `SnapshotSource` serves every read from a pinned epoch, and the v2
 /// `ExecOp` response carries that serving epoch. With a concurrent remote
