@@ -80,6 +80,32 @@ fn bench_substrates(c: &mut Criterion) {
     });
     group.finish();
 
+    // The structurally shared record file: what the page indirection costs
+    // a random read, and what a snapshot-then-write (one copy-on-write MVCC
+    // epoch) costs — a clone plus the copy of the one page the write hits.
+    let mut group = c.benchmark_group("substrate/record-file");
+    let mut file = RecordFile::new(64);
+    for i in 0..(10 * N) {
+        file.alloc(&i.to_le_bytes());
+    }
+    group.bench_function("recordfile_get_random", |b| {
+        let mut at = 0u64;
+        b.iter(|| {
+            at = (at + 7919) % (10 * N);
+            file.get(std::hint::black_box(at)).map(|r| r[0])
+        });
+    });
+    group.bench_function("recordfile_clone_then_put", |b| {
+        let mut at = 0u64;
+        b.iter(|| {
+            at = (at + 7919) % (10 * N);
+            let snapshot = file.clone();
+            file.put(at, &at.to_le_bytes());
+            snapshot
+        });
+    });
+    group.finish();
+
     // Delta encoding: the columnar engine's space trick, decode cost vs a
     // plain fixed-width copy.
     let ids: Vec<u64> = (0..10_000u64).map(|i| 1_000_000 + i * 3).collect();

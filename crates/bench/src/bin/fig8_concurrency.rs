@@ -115,6 +115,31 @@ fn sweep_smoke() -> Sweep {
     }
 }
 
+/// What one snapshot run copied on write, per published epoch: the engine
+/// clone's duration next to the pages the storage layer then copied. Empty
+/// when counters are off or the run published nothing.
+fn copy_amplification(
+    before: &gm_obs::RegistrySnapshot,
+    after: &gm_obs::RegistrySnapshot,
+    mode: SnapshotMode,
+) -> String {
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    let publishes = delta(&format!("mvcc.{}.publishes", mode.name()));
+    if publishes == 0 {
+        return String::new();
+    }
+    let clone_nanos = |s: &gm_obs::RegistrySnapshot| {
+        s.hist(&format!("mvcc.{}.clone_nanos", mode.name()))
+            .map_or(0, |h| h.sum)
+    };
+    format!(
+        "  per epoch: clone {}, {:.1} pages / {:.1} KiB copied",
+        gm_workload::format_nanos((clone_nanos(after) - clone_nanos(before)) / publishes),
+        delta("storage.cow.pages_copied") as f64 / publishes as f64,
+        delta("storage.cow.bytes_copied") as f64 / publishes as f64 / 1024.0,
+    )
+}
+
 /// Report how many of the sweep's `p99_exemplar` ids resolve against the
 /// flight recorder, and fail a smoke run on any dangling id: the driver
 /// promises it only stamps an exemplar whose record landed in the ring.
@@ -216,16 +241,18 @@ fn main() {
                     let kind = *kind;
                     let src_factory =
                         move || -> Box<dyn SnapshotSource> { kind.make_snapshot_source(mode) };
+                    let before = gm_obs::global().snapshot();
                     match run_snapshot(&src_factory, &data, &cfg) {
                         Ok(r) => {
                             eprintln!(
-                                "[fig8]   {:<14} {:<11} t={:<2} {:<16} {:>9.0} ops/s  p99 {}",
+                                "[fig8]   {:<14} {:<11} t={:<2} {:<16} {:>9.0} ops/s  p99 {}{}",
                                 r.engine,
                                 r.mix,
                                 t,
                                 r.isolation,
                                 r.throughput(),
                                 gm_workload::format_nanos(r.hist.p99()),
+                                copy_amplification(&before, &gm_obs::global().snapshot(), mode),
                             );
                             total_skew += r.epoch_skew();
                             report.push(r.to_measurement());

@@ -54,7 +54,7 @@ pub type ColumnarCell = FreezeCell<ColumnarGraph>;
 /// and the dominant one is the LSM memtable — so snapshot hosting tunes the
 /// memtable smaller than the stock single-writer configuration (the same
 /// knob Titan deployments tune per workload). With a 1 Ki-entry memtable
-/// the freeze cost is bounded at roughly one `SegVec` segment's worth of
+/// the freeze cost is bounded at roughly one `SegVec` page's worth of
 /// entries regardless of graph size; everything below the memtable is
 /// `Arc`-shared runs that freezes never touch.
 pub fn native_cell(variant: Variant) -> ColumnarCell {
@@ -99,11 +99,11 @@ struct AdjEntry {
 /// `Clone` is **structurally cheap** — the native-snapshot property the
 /// [`ColumnarCell`] freeze path relies on: the LSM's immutable runs are
 /// `Arc`-shared, the dense id columns (`vmap`/`emap`/`edge_index`) are
-/// append-only [`SegVec`]s whose closed segments are `Arc`-shared, and the
-/// remaining overlays (memtable, tombstone sets, interners, schema) are
-/// small relative to the graph. A clone is therefore a consistent visible-
-/// length watermark over the shared segments, not a second copy of the
-/// adjacency data.
+/// append-only [`SegVec`]s whose pages are `Arc`-shared, the interners
+/// share on clone, and the remaining overlays (memtable, tombstone sets,
+/// schema) are small relative to the graph. A clone is therefore a
+/// consistent visible-length watermark over the shared pages, not a second
+/// copy of the adjacency data.
 #[derive(Clone)]
 pub struct ColumnarGraph {
     variant: Variant,
@@ -1235,8 +1235,9 @@ mod tests {
         let ctx = QueryCtx::unbounded();
         assert_eq!(frozen.edge_count(&ctx).unwrap(), 3999);
         assert_eq!(g.edge_count(&ctx).unwrap(), 4199);
-        // 4000 edges at SEGMENT=1024 close at least 3 segments, all shared.
-        assert!(frozen.edge_index.closed_segments() >= 3);
+        // 4000 edges at SEGMENT=1024 fill 3 pages, all still shared; only
+        // the tail page the original kept appending to was copied.
+        assert_eq!(frozen.edge_index.unshared_pages(&g.edge_index), 1);
         assert!(frozen.store.run_count() >= 1, "bulk load flushed a run");
     }
 

@@ -3,8 +3,9 @@
 //! Reproduces the physical architecture the paper describes for Neo4j
 //! (§3.2, *Native System Architectures*):
 //!
-//! * one fixed-size **record file** each for nodes, edges and properties;
-//!   ids are file offsets, so id lookup is O(1) arithmetic;
+//! * one fixed-size **record file** each for nodes, edges, properties and
+//!   relationship groups; ids are file offsets, so id lookup is O(1)
+//!   arithmetic;
 //! * node records point at the **first edge of a doubly-linked edge chain**;
 //!   the other edges are found by following links, so visiting a node's
 //!   neighbors costs O(degree), independent of graph size;
@@ -20,6 +21,12 @@
 //!   object per touched element — reproducing both §6.4 observations
 //!   ("Progress across Versions"): v2 wins on label-filtered traversals and
 //!   loses on CUD / search-by-id / unfiltered edge walks.
+//!
+//! `Clone` is **structurally cheap**: every field that grows with the graph
+//! is a paged, `Arc`-shared store ([`RecordFile`], [`SegVec`], the
+//! interners, one `Arc` per attribute index), so a clone bumps reference
+//! counts and a write after it copies only the pages it lands in — what
+//! makes a copy-on-write MVCC epoch cost O(pages touched), not O(graph).
 
 use gm_model::api::{
     Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
@@ -30,6 +37,8 @@ use gm_model::interner::Interner;
 use gm_model::value::{Props, Value};
 use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
 use gm_storage::records::RecordFile;
+use gm_storage::segvec::SegVec;
+use std::sync::Arc;
 
 const NIL: u64 = u64::MAX;
 /// Group key used by V1 for its single untyped relationship chain.
@@ -38,6 +47,15 @@ const UNTYPED: u32 = u32::MAX;
 const NODE_REC: usize = 16; // label u32 | first_prop u64
 const EDGE_REC: usize = 64; // src u64 | dst u64 | label u32 | src_prev | src_next | dst_prev | dst_next | first_prop
 const PROP_REC: usize = 32; // key u32 | tag u8 | payload [16] | next u64
+const GROUP_REC: usize = 28; // label u32 | first_out u64 | first_in u64 | next u64
+
+/// Bytes per page of the dynamic string store.
+const STRING_PAGE: usize = 4096;
+
+/// Offsets of the chain heads and the next-group link in a group record.
+const GROUP_FIRST_OUT: usize = 4;
+const GROUP_FIRST_IN: usize = 12;
+const GROUP_NEXT: usize = 20;
 
 /// Engine variant, mirroring the two Neo4j versions of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,13 +68,8 @@ pub enum Variant {
     V2,
 }
 
-/// Per-node relationship chain heads for one edge type.
-#[derive(Debug, Clone, Copy)]
-struct RelGroup {
-    label: u32,
-    first_out: u64,
-    first_in: u64,
-}
+/// One attribute index: value -> vertex ids.
+type AttrIndex = FxHashMap<Value, Vec<u64>>;
 
 /// The Neo4j-class engine. See the crate docs for the layout.
 #[derive(Clone)]
@@ -65,17 +78,30 @@ pub struct LinkedGraph {
     nodes: RecordFile,
     edges: RecordFile,
     props: RecordFile,
-    strings: Vec<u8>,
+    /// Relationship group records (edge chain heads for one edge type),
+    /// chained per node in creation order. V1 keeps exactly one [`UNTYPED`]
+    /// group per node; V2 one group per incident edge label.
+    groups: RecordFile,
+    /// First group record of each node slot, [`NIL`] for none.
+    group_heads: SegVec<u64>,
+    strings: SegVec<u8>,
     labels: Interner,
     keys: Interner,
-    /// Relationship group chain heads per node. V1 keeps exactly one
-    /// [`UNTYPED`] group; V2 one group per incident edge label.
-    groups: FxHashMap<u64, Vec<RelGroup>>,
     /// canonical -> internal mapping captured at bulk load.
-    vmap: Vec<u64>,
-    emap: Vec<u64>,
-    /// User-created attribute indexes: key id -> value -> vertex ids.
-    indexes: FxHashMap<u32, FxHashMap<Value, Vec<u64>>>,
+    vmap: SegVec<u64>,
+    emap: SegVec<u64>,
+    /// User-created attribute indexes by key id, each shared with clones
+    /// until a write hits it.
+    indexes: FxHashMap<u32, Arc<AttrIndex>>,
+    /// Running totals of the `space()` byte model for the relationship
+    /// groups and the attribute indexes, so `space()` never walks them.
+    group_bytes: u64,
+    index_bytes: u64,
+}
+
+/// `space()` bytes of one index entry: the key, its id list, map overhead.
+fn index_entry_bytes(value: &Value, ids: usize) -> u64 {
+    value.approx_bytes() + 8 * ids as u64 + 32
 }
 
 impl LinkedGraph {
@@ -86,13 +112,16 @@ impl LinkedGraph {
             nodes: RecordFile::new(NODE_REC),
             edges: RecordFile::new(EDGE_REC),
             props: RecordFile::new(PROP_REC),
-            strings: Vec::new(),
+            groups: RecordFile::new(GROUP_REC),
+            group_heads: SegVec::new(),
+            strings: SegVec::with_rows(1, STRING_PAGE),
             labels: Interner::new(),
             keys: Interner::new(),
-            groups: FxHashMap::default(),
-            vmap: Vec::new(),
-            emap: Vec::new(),
+            vmap: SegVec::new(),
+            emap: SegVec::new(),
             indexes: FxHashMap::default(),
+            group_bytes: 0,
+            index_bytes: 0,
         }
     }
 
@@ -175,8 +204,11 @@ impl LinkedGraph {
     }
 
     fn load_string(&self, off: u64, len: u32) -> String {
-        let lo = off as usize;
-        String::from_utf8_lossy(&self.strings[lo..lo + len as usize]).into_owned()
+        let mut bytes = Vec::with_capacity(len as usize);
+        self.strings
+            .copy_range(off as usize, len as usize, &mut bytes);
+        String::from_utf8(bytes)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
     // ---- property chains -------------------------------------------------
@@ -316,43 +348,74 @@ impl LinkedGraph {
         }
     }
 
-    fn group_mut(&mut self, node: u64, label: u32) -> &mut RelGroup {
-        let key = self.group_key(label);
-        let groups = self.groups.entry(node).or_default();
-        if let Some(pos) = groups.iter().position(|g| g.label == key) {
-            &mut groups[pos]
-        } else {
-            groups.push(RelGroup {
-                label: key,
-                first_out: NIL,
-                first_in: NIL,
-            });
-            groups.last_mut().expect("just pushed")
-        }
+    fn group_rec(&self, g: u64) -> [u8; GROUP_REC] {
+        self.groups
+            .get(g)
+            .expect("group chains link live records")
+            .try_into()
+            .expect("group record size")
     }
 
-    /// Chain heads relevant for (`node`, `dir`, optional label filter).
-    fn chain_heads(&self, node: u64, dir: Direction, label: Option<u32>) -> Vec<(u64, bool)> {
-        let mut heads = Vec::new();
-        let Some(groups) = self.groups.get(&node) else {
-            return heads;
-        };
-        for g in groups {
-            if let Some(want) = label {
-                // V1 has a single untyped group that must always be walked;
-                // V2 can skip non-matching groups — the split-by-type win.
-                if self.variant == Variant::V2 && g.label != want {
-                    continue;
-                }
+    fn first_group(&self, node: u64) -> u64 {
+        self.group_heads.get(node as usize).copied().unwrap_or(NIL)
+    }
+
+    /// The group record of `node` for `label`, appended to the node's chain
+    /// if it has none yet.
+    fn group_of(&mut self, node: u64, label: u32) -> u64 {
+        let key = self.group_key(label);
+        let mut last = NIL;
+        let mut cur = self.first_group(node);
+        while cur != NIL {
+            let rec = self.group_rec(cur);
+            if Self::read_u32(&rec, 0) == key {
+                return cur;
             }
-            if matches!(dir, Direction::Out | Direction::Both) && g.first_out != NIL {
-                heads.push((g.first_out, true));
-            }
-            if matches!(dir, Direction::In | Direction::Both) && g.first_in != NIL {
-                heads.push((g.first_in, false));
-            }
+            last = cur;
+            cur = Self::read_u64(&rec, GROUP_NEXT);
         }
-        heads
+        let mut rec = [0u8; GROUP_REC];
+        Self::write_u32(&mut rec, 0, key);
+        Self::write_u64(&mut rec, GROUP_FIRST_OUT, NIL);
+        Self::write_u64(&mut rec, GROUP_FIRST_IN, NIL);
+        Self::write_u64(&mut rec, GROUP_NEXT, NIL);
+        let g = self.groups.alloc(&rec);
+        if last == NIL {
+            *self
+                .group_heads
+                .get_mut(node as usize)
+                .expect("live node has a group-head slot") = g;
+            self.group_bytes += 16;
+        } else {
+            self.set_group_field(last, GROUP_NEXT, g);
+        }
+        self.group_bytes += 20;
+        g
+    }
+
+    fn set_group_field(&mut self, g: u64, off: usize, value: u64) {
+        let mut rec = self.group_rec(g);
+        Self::write_u64(&mut rec, off, value);
+        self.groups.put(g, &rec);
+    }
+
+    /// Free every group record of `node` (its edges are already gone).
+    fn free_groups(&mut self, node: u64) {
+        let mut cur = self.first_group(node);
+        if cur == NIL {
+            return;
+        }
+        self.group_bytes -= 16;
+        while cur != NIL {
+            let next = Self::read_u64(&self.group_rec(cur), GROUP_NEXT);
+            self.groups.free(cur);
+            self.group_bytes -= 20;
+            cur = next;
+        }
+        *self
+            .group_heads
+            .get_mut(node as usize)
+            .expect("live node has a group-head slot") = NIL;
     }
 
     /// Walk the chains for (`node`, `dir`, `label`), invoking `f` with
@@ -365,21 +428,40 @@ impl LinkedGraph {
         ctx: &QueryCtx,
         mut f: impl FnMut(u64, &[u8; EDGE_REC], bool) -> bool,
     ) -> GdbResult<()> {
-        for (head, out_chain) in self.chain_heads(node, dir, label) {
-            let mut cur = head;
-            while cur != NIL {
-                ctx.tick()?;
-                let rec = self.edge_rec(cur)?;
-                let lbl = Self::read_u32(&rec, 16);
-                let matches = label.is_none_or(|want| lbl == want);
-                if matches && !f(cur, &rec, out_chain) {
-                    return Ok(());
+        let mut group = self.first_group(node);
+        while group != NIL {
+            let g = self.group_rec(group);
+            group = Self::read_u64(&g, GROUP_NEXT);
+            // V1 has a single untyped group that must always be walked;
+            // V2 can skip non-matching groups — the split-by-type win.
+            if self.variant == Variant::V2
+                && label.is_some_and(|want| want != Self::read_u32(&g, 0))
+            {
+                continue;
+            }
+            let chains = [
+                (Direction::Out, GROUP_FIRST_OUT, true),
+                (Direction::In, GROUP_FIRST_IN, false),
+            ];
+            for (side, head_off, out_chain) in chains {
+                if dir != side && dir != Direction::Both {
+                    continue;
                 }
-                cur = if out_chain {
-                    Self::read_u64(&rec, 28) // src_next
-                } else {
-                    Self::read_u64(&rec, 44) // dst_next
-                };
+                let mut cur = Self::read_u64(&g, head_off);
+                while cur != NIL {
+                    ctx.tick()?;
+                    let rec = self.edge_rec(cur)?;
+                    let lbl = Self::read_u32(&rec, 16);
+                    let matches = label.is_none_or(|want| lbl == want);
+                    if matches && !f(cur, &rec, out_chain) {
+                        return Ok(());
+                    }
+                    cur = if out_chain {
+                        Self::read_u64(&rec, 28) // src_next
+                    } else {
+                        Self::read_u64(&rec, 44) // dst_next
+                    };
+                }
             }
         }
         Ok(())
@@ -404,12 +486,13 @@ impl LinkedGraph {
             self.edges.put(prev, &prev_rec);
         } else {
             // e was the head: repoint the group.
-            let g = self.group_mut(node, label);
-            if out_side {
-                g.first_out = next;
+            let g = self.group_of(node, label);
+            let side = if out_side {
+                GROUP_FIRST_OUT
             } else {
-                g.first_in = next;
-            }
+                GROUP_FIRST_IN
+            };
+            self.set_group_field(g, side, next);
         }
         if next != NIL {
             let mut next_rec = self.edge_rec(next)?;
@@ -446,28 +529,19 @@ impl LinkedGraph {
         Self::write_u32(&mut rec, 16, label);
         Self::write_u64(&mut rec, 52, first_prop);
 
-        // Prepend to src's out chain.
-        let old_out = {
-            let g = self.group_mut(src, label);
-            let h = g.first_out;
-            g.first_out = NIL; // placeholder, fixed after alloc
-            h
-        };
-        // Prepend to dst's in chain.
-        let old_in = {
-            let g = self.group_mut(dst, label);
-            let h = g.first_in;
-            g.first_in = NIL;
-            h
-        };
+        // Prepend to src's out chain and dst's in chain.
+        let src_group = self.group_of(src, label);
+        let dst_group = self.group_of(dst, label);
+        let old_out = Self::read_u64(&self.group_rec(src_group), GROUP_FIRST_OUT);
+        let old_in = Self::read_u64(&self.group_rec(dst_group), GROUP_FIRST_IN);
         Self::write_u64(&mut rec, 20, NIL); // src_prev
         Self::write_u64(&mut rec, 28, old_out); // src_next
         Self::write_u64(&mut rec, 36, NIL); // dst_prev
         Self::write_u64(&mut rec, 44, old_in); // dst_next
         let e = self.edges.alloc(&rec);
         // Fix group heads and old heads' prev pointers.
-        self.group_mut(src, label).first_out = e;
-        self.group_mut(dst, label).first_in = e;
+        self.set_group_field(src_group, GROUP_FIRST_OUT, e);
+        self.set_group_field(dst_group, GROUP_FIRST_IN, e);
         if old_out != NIL {
             let mut r = self.edge_rec(old_out)?;
             let s = Self::read_u64(&r, 0);
@@ -498,21 +572,40 @@ impl LinkedGraph {
     // ---- index maintenance ----------------------------------------------
 
     fn index_insert(&mut self, key: u32, value: &Value, v: u64) {
-        if let Some(idx) = self.indexes.get_mut(&key) {
-            idx.entry(value.clone()).or_default().push(v);
+        let Some(idx) = self.indexes.get_mut(&key) else {
+            return;
+        };
+        let idx = Arc::make_mut(idx);
+        match idx.get_mut(value) {
+            Some(list) => {
+                list.push(v);
+                self.index_bytes += 8;
+            }
+            None => {
+                idx.insert(value.clone(), vec![v]);
+                self.index_bytes += index_entry_bytes(value, 1);
+            }
         }
     }
 
     fn index_remove(&mut self, key: u32, value: &Value, v: u64) {
-        if let Some(idx) = self.indexes.get_mut(&key) {
-            if let Some(list) = idx.get_mut(value) {
-                if let Some(pos) = list.iter().position(|&x| x == v) {
-                    list.swap_remove(pos);
-                }
-                if list.is_empty() {
-                    idx.remove(value);
-                }
-            }
+        let Some(idx) = self.indexes.get_mut(&key) else {
+            return;
+        };
+        // Look before copying: a miss must not un-share the index.
+        let Some(pos) = idx
+            .get(value)
+            .and_then(|list| list.iter().position(|&x| x == v))
+        else {
+            return;
+        };
+        let idx = Arc::make_mut(idx);
+        let list = idx.get_mut(value).expect("entry just found");
+        list.swap_remove(pos);
+        self.index_bytes -= 8;
+        if list.is_empty() {
+            idx.remove(value);
+            self.index_bytes -= index_entry_bytes(value, 0);
         }
     }
 
@@ -560,28 +653,33 @@ impl GraphSnapshot for LinkedGraph {
         // g.V.count() iterates the node file (ticking per slot); the record
         // file itself knows its live count, but the Gremlin semantics scan.
         let mut n = 0u64;
-        for _ in self.nodes.iter_ids() {
-            ctx.tick()?;
-            n += 1;
+        for page in self.nodes.chunks() {
+            for _ in page {
+                ctx.tick()?;
+                n += 1;
+            }
         }
         Ok(n)
     }
 
     fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         let mut n = 0u64;
-        for _ in self.edges.iter_ids() {
-            ctx.tick()?;
-            n += 1;
+        for page in self.edges.chunks() {
+            for _ in page {
+                ctx.tick()?;
+                n += 1;
+            }
         }
         Ok(n)
     }
 
     fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
         let mut seen = vec![false; self.labels.len()];
-        for e in self.edges.iter_ids() {
-            ctx.tick()?;
-            let rec = self.edges.get(e).expect("live edge");
-            seen[Self::read_u32(rec, 16) as usize] = true;
+        for page in self.edges.chunks() {
+            for (_, rec) in page {
+                ctx.tick()?;
+                seen[Self::read_u32(rec, 16) as usize] = true;
+            }
         }
         Ok(seen
             .iter()
@@ -609,12 +707,14 @@ impl GraphSnapshot for LinkedGraph {
             return Ok(hits);
         }
         let mut out = Vec::new();
-        for v in self.nodes.iter_ids() {
-            ctx.tick()?;
-            let head = Self::read_u64(self.nodes.get(v).expect("live"), 4);
-            if let Some((_, found)) = self.find_prop(head, key) {
-                if &found == value {
-                    out.push(Vid(v));
+        for page in self.nodes.chunks() {
+            for (v, rec) in page {
+                ctx.tick()?;
+                let head = Self::read_u64(rec, 4);
+                if let Some((_, found)) = self.find_prop(head, key) {
+                    if &found == value {
+                        out.push(Vid(v));
+                    }
                 }
             }
         }
@@ -631,12 +731,14 @@ impl GraphSnapshot for LinkedGraph {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for e in self.edges.iter_ids() {
-            ctx.tick()?;
-            let head = Self::read_u64(self.edges.get(e).expect("live"), 52);
-            if let Some((_, found)) = self.find_prop(head, key) {
-                if &found == value {
-                    out.push(Eid(e));
+        for page in self.edges.chunks() {
+            for (e, rec) in page {
+                ctx.tick()?;
+                let head = Self::read_u64(rec, 52);
+                if let Some((_, found)) = self.find_prop(head, key) {
+                    if &found == value {
+                        out.push(Eid(e));
+                    }
                 }
             }
         }
@@ -648,11 +750,12 @@ impl GraphSnapshot for LinkedGraph {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for e in self.edges.iter_ids() {
-            ctx.tick()?;
-            let rec = self.edges.get(e).expect("live edge");
-            if Self::read_u32(rec, 16) == want {
-                out.push(Eid(e));
+        for page in self.edges.chunks() {
+            for (e, rec) in page {
+                ctx.tick()?;
+                if Self::read_u32(rec, 16) == want {
+                    out.push(Eid(e));
+                }
             }
         }
         Ok(out)
@@ -874,24 +977,11 @@ impl GraphSnapshot for LinkedGraph {
         r.add("property records", self.props.bytes());
         r.add("string store", self.strings.len() as u64);
         r.add("label/type store", self.labels.bytes() + self.keys.bytes());
-        r.add(
-            "relationship groups",
-            self.groups
-                .values()
-                .map(|g| 16 + g.len() as u64 * 20)
-                .sum::<u64>(),
-        );
-        let idx_bytes: u64 = self
-            .indexes
-            .values()
-            .map(|idx| {
-                idx.iter()
-                    .map(|(k, v)| k.approx_bytes() + 8 * v.len() as u64 + 32)
-                    .sum::<u64>()
-            })
-            .sum();
-        if idx_bytes > 0 {
-            r.add("attribute indexes", idx_bytes);
+        // Modelled as the per-node group lists they stand for: 16 bytes per
+        // node that has any, 20 per group.
+        r.add("relationship groups", self.group_bytes);
+        if self.index_bytes > 0 {
+            r.add("attribute indexes", self.index_bytes);
         }
         r
     }
@@ -904,15 +994,13 @@ impl GraphDb for LinkedGraph {
                 "bulk_load requires an empty engine".into(),
             ));
         }
-        self.vmap.reserve(data.vertices.len());
         for v in &data.vertices {
             let vid = self.add_vertex(&v.label, &v.props)?;
             self.vmap.push(vid.0);
         }
-        self.emap.reserve(data.edges.len());
         for e in &data.edges {
-            let src = self.vmap[e.src as usize];
-            let dst = self.vmap[e.dst as usize];
+            let src = *self.vmap.get(e.src as usize).expect("src in vmap");
+            let dst = *self.vmap.get(e.dst as usize).expect("dst in vmap");
             let label = self.labels.intern(&e.label);
             let eid = self.add_edge_internal(src, dst, label, &e.props)?;
             self.emap.push(eid);
@@ -934,6 +1022,9 @@ impl GraphDb for LinkedGraph {
         Self::write_u32(&mut rec, 0, label_id);
         Self::write_u64(&mut rec, 4, first_prop);
         let v = self.nodes.alloc(&rec);
+        if v as usize == self.group_heads.len() {
+            self.group_heads.push(NIL);
+        }
         for (name, value) in props {
             let key = self.keys.intern(name);
             self.index_insert(key, value, v);
@@ -1003,7 +1094,7 @@ impl GraphDb for LinkedGraph {
             }
         }
         self.free_prop_chain(head);
-        self.groups.remove(&v.0);
+        self.free_groups(v.0);
         self.nodes.free(v.0);
         Ok(())
     }
@@ -1057,21 +1148,71 @@ impl GraphDb for LinkedGraph {
         if self.indexes.contains_key(&key) {
             return Ok(());
         }
-        let mut idx: FxHashMap<Value, Vec<u64>> = FxHashMap::default();
-        for v in self.nodes.iter_ids() {
-            let head = Self::read_u64(self.nodes.get(v).expect("live"), 4);
+        let mut idx = AttrIndex::default();
+        for (v, rec) in self.nodes.chunks().flatten() {
+            let head = Self::read_u64(rec, 4);
             if let Some((_, value)) = self.find_prop(head, key) {
                 idx.entry(value).or_default().push(v);
             }
         }
-        self.indexes.insert(key, idx);
+        self.index_bytes += idx
+            .iter()
+            .map(|(value, ids)| index_entry_bytes(value, ids.len()))
+            .sum::<u64>();
+        self.indexes.insert(key, Arc::new(idx));
         Ok(())
+    }
+}
+
+/// Diagnostics for the sharing and space-accounting tests.
+#[cfg(test)]
+impl LinkedGraph {
+    fn group_count(&self, node: u64) -> usize {
+        let mut n = 0;
+        let mut cur = self.first_group(node);
+        while cur != NIL {
+            n += 1;
+            cur = Self::read_u64(&self.group_rec(cur), GROUP_NEXT);
+        }
+        n
+    }
+
+    /// Pages, over every paged store, that `self` does not share with
+    /// `other`: what a clone copied or appended since it was taken.
+    fn unshared_pages(&self, other: &LinkedGraph) -> usize {
+        self.nodes.unshared_pages(&other.nodes)
+            + self.edges.unshared_pages(&other.edges)
+            + self.props.unshared_pages(&other.props)
+            + self.groups.unshared_pages(&other.groups)
+            + self.group_heads.unshared_pages(&other.group_heads)
+            + self.strings.unshared_pages(&other.strings)
+            + self.vmap.unshared_pages(&other.vmap)
+            + self.emap.unshared_pages(&other.emap)
+    }
+
+    /// `(group_bytes, index_bytes)` recomputed from the stores themselves.
+    fn recomputed_totals(&self) -> (u64, u64) {
+        let groups = (0..self.nodes.capacity_slots())
+            .map(|node| self.group_count(node) as u64)
+            .filter(|&n| n > 0)
+            .map(|n| 16 + 20 * n)
+            .sum();
+        let indexes = self
+            .indexes
+            .values()
+            .flat_map(|idx| idx.iter())
+            .map(|(value, ids)| index_entry_bytes(value, ids.len()))
+            .sum();
+        (groups, indexes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gm_core::catalog::{execute_read, QueryInstance};
+    use gm_core::params::Workload;
+    use gm_datasets::{DatasetId, Scale};
     use gm_model::testkit;
 
     #[test]
@@ -1114,13 +1255,13 @@ mod tests {
         let b = g.add_vertex("n", &vec![]).unwrap();
         g.add_edge(a, b, "x", &vec![]).unwrap();
         g.add_edge(a, b, "y", &vec![]).unwrap();
-        assert_eq!(g.groups[&a.0].len(), 2, "one group per label");
+        assert_eq!(g.group_count(a.0), 2, "one group per label");
         let mut g1 = LinkedGraph::v1();
         let a = g1.add_vertex("n", &vec![]).unwrap();
         let b = g1.add_vertex("n", &vec![]).unwrap();
         g1.add_edge(a, b, "x", &vec![]).unwrap();
         g1.add_edge(a, b, "y", &vec![]).unwrap();
-        assert_eq!(g1.groups[&a.0].len(), 1, "v1 keeps one untyped chain");
+        assert_eq!(g1.group_count(a.0), 1, "v1 keeps one untyped chain");
     }
 
     #[test]
@@ -1220,5 +1361,140 @@ mod tests {
             ctx2.work(),
             ctx1.work()
         );
+    }
+
+    /// Every read of the catalog's suite, answered by `g`.
+    fn catalog_answers(g: &LinkedGraph, workload: &Workload) -> Vec<(String, u64)> {
+        let params = workload.resolve(g).unwrap();
+        let ctx = QueryCtx::unbounded();
+        QueryInstance::full_suite(workload.k)
+            .iter()
+            .filter(|inst| !inst.id.is_mutation())
+            .map(|inst| (inst.name(), execute_read(inst, g, &params, &ctx).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn a_write_after_clone_copies_a_few_pages_and_never_leaks() {
+        let data = gm_datasets::generate(DatasetId::Yeast, Scale::small(), 7);
+        let workload = Workload::choose(&data, 23, 12);
+        for variant in [Variant::V1, Variant::V2] {
+            let mut base = LinkedGraph::new(variant);
+            base.bulk_load(&data, &LoadOptions::default()).unwrap();
+            base.create_vertex_index(&workload.vertex_prop.0).unwrap();
+            let total_pages = base.unshared_pages(&LinkedGraph::new(variant));
+            assert!(total_pages > 80, "dataset spans many pages ({total_pages})");
+            let before = catalog_answers(&base, &workload);
+            let (a, b) = (
+                base.resolve_vertex(3).unwrap(),
+                base.resolve_vertex(900).unwrap(),
+            );
+            let victim = base.resolve_edge(1234).unwrap();
+
+            type Write<'a> = &'a dyn Fn(&mut LinkedGraph);
+            let writes: [(&str, Write); 3] = [
+                ("add_edge", &|g| {
+                    g.add_edge(a, b, "fresh-label", &vec![("w".into(), Value::Int(1))])
+                        .unwrap();
+                }),
+                ("set_vertex_property", &|g| {
+                    g.set_vertex_property(a, "note", Value::Str("x".repeat(40)))
+                        .unwrap();
+                }),
+                ("remove_edge", &|g| g.remove_edge(victim).unwrap()),
+            ];
+            for (what, write) in writes {
+                let mut copy = base.clone();
+                assert_eq!(copy.unshared_pages(&base), 0, "a clone copies no page");
+                write(&mut copy);
+                let copied = copy.unshared_pages(&base);
+                assert!(
+                    (1..=16).contains(&copied),
+                    "{what} on a {variant:?} clone copied {copied} of {total_pages} pages"
+                );
+                assert_eq!(
+                    catalog_answers(&base, &workload),
+                    before,
+                    "{what} on the clone leaked into the original"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn space_totals_match_the_per_node_group_list_model() {
+        // Totals recorded from the hash-map-of-group-lists layout this
+        // engine had before groups became records: the byte model must not
+        // move with the physical layout.
+        let cases = [
+            ("tiny", testkit::tiny_dataset(), 2075, 2135),
+            ("chain100", testkit::chain_dataset(100), 15360, 17320),
+        ];
+        for (name, data, want_v1, want_v2) in cases {
+            for (mut g, want) in [(LinkedGraph::v1(), want_v1), (LinkedGraph::v2(), want_v2)] {
+                g.bulk_load(&data, &LoadOptions::default()).unwrap();
+                g.create_vertex_index("name").unwrap();
+                assert_eq!(g.space().total(), want, "{name} on {}", g.name());
+                assert_eq!((g.group_bytes, g.index_bytes), g.recomputed_totals());
+            }
+        }
+    }
+
+    #[test]
+    fn running_space_totals_survive_random_cud() {
+        let data = testkit::chain_dataset(60);
+        for variant in [Variant::V1, Variant::V2] {
+            let mut g = LinkedGraph::new(variant);
+            g.bulk_load(&data, &LoadOptions::default()).unwrap();
+            g.create_vertex_index("tag").unwrap();
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut next = |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let mut vertices: Vec<Vid> = g.nodes.iter_ids().map(Vid).collect();
+            for step in 0..600 {
+                let v = vertices[next(vertices.len() as u64) as usize];
+                let w = vertices[next(vertices.len() as u64) as usize];
+                match next(6) {
+                    0 => vertices.push(
+                        g.add_vertex("n", &vec![("tag".into(), Value::Int(3))])
+                            .unwrap(),
+                    ),
+                    1 => {
+                        let label = ["a", "b", "c"][next(3) as usize];
+                        g.add_edge(v, w, label, &vec![]).unwrap();
+                    }
+                    2 => g
+                        .set_vertex_property(v, "tag", Value::Int(next(4) as i64))
+                        .unwrap(),
+                    3 => {
+                        g.remove_vertex_property(v, "tag").unwrap();
+                    }
+                    4 => {
+                        let ctx = QueryCtx::unbounded();
+                        if let Some(e) = g
+                            .vertex_edges(v, Direction::Both, None, &ctx)
+                            .unwrap()
+                            .first()
+                        {
+                            g.remove_edge(e.eid).unwrap();
+                        }
+                    }
+                    _ if vertices.len() > 8 => {
+                        g.remove_vertex(v).unwrap();
+                        vertices.retain(|x| *x != v);
+                    }
+                    _ => {}
+                }
+                assert_eq!(
+                    (g.group_bytes, g.index_bytes),
+                    g.recomputed_totals(),
+                    "{variant:?} step {step}"
+                );
+            }
+        }
     }
 }

@@ -16,16 +16,23 @@
 //!   engine with copy-on-write epochs. Writers clone the published graph on
 //!   their *first* write of an epoch and mutate the private copy; pinning a
 //!   snapshot publishes the pending copy by move (no clone on the read
-//!   path). Cost model: one whole-graph clone per epoch that contains at
-//!   least one write — honest but expensive for engines whose `Clone` is a
-//!   deep copy.
+//!   path). Cost model: one `E::clone` per epoch that contains at least one
+//!   write, so the cell is exactly as cheap as the engine's `Clone`:
+//!   - **structural** for engine-linked (every O(graph) field is a paged,
+//!     `Arc`-shared store — `RecordFile`s, [`SegVec`] columns, interners,
+//!     one `Arc` per attribute index): a clone bumps one reference count
+//!     per page and each write copies only the pages it lands in, so a
+//!     dirty epoch costs O(pages touched);
+//!   - a **deep copy** for triple, relational, cluster, bitmap and
+//!     document: a dirty epoch costs O(graph), honest but expensive —
+//!     milliseconds per epoch at benchmark scale.
 //! * [`FreezeCell`] — the native-path adapter for engines whose `Clone` is
-//!   *structurally cheap* (engine-columnar after its append-only segment
-//!   refactor: `Arc`-shared LSM runs and closed [`SegVec`] segments, so a
-//!   clone copies only the open tails and small overlay sets). Writers
-//!   mutate the live engine in place — no copy-on-write at all — and
-//!   pinning freezes a view whose cost is bounded by the open-segment size,
-//!   not the graph size.
+//!   structurally cheap *and* whose clone may lag the live engine safely
+//!   (engine-columnar: `Arc`-shared LSM runs and [`SegVec`] pages, so a
+//!   clone copies only the memtable and small overlay sets). Writers mutate
+//!   the live engine in place — no copy-on-write at all — and pinning
+//!   freezes a view whose cost is bounded by the memtable size, not the
+//!   graph size.
 //!
 //! Both cells serialize writers behind one mutex (the paper's systems are
 //! single-writer too); the point of snapshot isolation here is that a scan
@@ -364,8 +371,8 @@ fn poisoned(which: &str) -> GdbError {
 /// `GM_OBS=off` the pin path stays an `Arc` clone.
 ///
 /// Byte accounting is per retained epoch and deliberately ignores structural
-/// sharing between epochs (cheap-clone engines share closed segments), so
-/// the gauge is an upper bound on what live pins keep alive.
+/// sharing between epochs (cheap-clone engines share pages), so the gauge
+/// is an upper bound on what live pins keep alive.
 struct PinTable {
     origin: Instant,
     epochs: Mutex<BTreeMap<u64, EpochPins>>,
@@ -472,7 +479,9 @@ struct CellMetrics {
     /// the publish) — the epoch-lag side of `snapshot_recent`.
     stale_pins: Counter,
     publishes: Counter,
-    /// Duration of the whole-graph (cow) / open-tail (native) clone.
+    /// Duration of the engine clone that opens (cow) or freezes (native) an
+    /// epoch; the pages a cow epoch then copies are counted by the storage
+    /// layer (`storage.cow.pages_copied` / `.bytes_copied`).
     clone_nanos: Histo,
     /// Writes batched into each publish — the epoch group-commit size.
     commit_batch: Histo,
@@ -511,10 +520,12 @@ impl CellMetrics {
 
     /// Record a publish: the new epoch, how many writes it batched, and the
     /// published graph's space total (what a pin of this epoch retains).
+    /// Runs after the cell's locks are released, so two publishes may report
+    /// out of order and a write racing the drain counts toward either batch.
     fn on_publish(&self, epoch: u64, graph: &dyn GraphSnapshot) {
         self.publishes.inc();
-        self.epoch.set(epoch as i64);
-        // gm-check: relaxed(metrics counter: publish runs under the writer mutex, no racing consumer)
+        self.epoch.fetch_max(epoch as i64);
+        // gm-check: relaxed(metrics counter: drained by swap, a racing write lands in this batch or the next)
         self.commit_batch
             .record(self.pending_writes.swap(0, Ordering::Relaxed));
         // gm-check: relaxed(metrics gauge: pins read a best-effort size estimate, staleness is fine)
@@ -583,6 +594,48 @@ impl DirtyClock {
     }
 }
 
+/// What a publish leaves to do once the cell's locks are released.
+struct Swapped<E> {
+    epoch: u64,
+    fresh: Arc<E>,
+    /// The previous epoch's graph; the last reference unless a pin holds it.
+    retired: Arc<E>,
+}
+
+impl<E: GraphDb> Swapped<E> {
+    /// Record the publish (which sizes the new graph) and free the retired
+    /// epoch. Pins racing this see the previous epoch's byte estimate.
+    fn finish(self, metrics: &Option<CellMetrics>) {
+        if let Some(m) = metrics {
+            m.on_publish(self.epoch, &*self.fresh);
+        }
+        drop(self.retired);
+    }
+}
+
+/// Install `fresh` as the next epoch (caller holds the writer mutex). Only
+/// the pointer swap happens under the `published` write lock — nothing
+/// proportional to the graph.
+fn swap_published<E>(
+    published: &RwLock<SnapView<E>>,
+    fresh: Arc<E>,
+    dirty: &DirtyClock,
+    site: &'static str,
+    which: &str,
+) -> GdbResult<Swapped<E>> {
+    // gm-lock: cell-published
+    let _tp = lockorder::acquire(LockRank::CellPublished, site);
+    let mut published = lockwait::timed(|| published.write()).map_err(|_| poisoned(which))?;
+    published.epoch += 1;
+    let retired = std::mem::replace(&mut published.graph, Arc::clone(&fresh));
+    dirty.clear();
+    Ok(Swapped {
+        epoch: published.epoch,
+        fresh,
+        retired,
+    })
+}
+
 // ----- CowCell --------------------------------------------------------------
 
 /// Generic copy-on-write snapshot source over any cloneable engine.
@@ -624,22 +677,28 @@ impl<E: GraphDb + Clone + 'static> CowCell<E> {
 
     fn publish_pending(&self) -> GdbResult<()> {
         let _span = phase::span(Phase::ClonePublish);
-        // gm-lock: cell-writer
-        let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs cow publish");
-        let mut working =
-            lockwait::timed(|| self.working.lock()).map_err(|_| poisoned("cow writer"))?;
-        if let Some(pending) = working.take() {
-            // gm-lock: cell-published
-            let _tp =
-                lockorder::acquire(LockRank::CellPublished, "gm-mvcc/lib.rs cow publish swap");
-            let mut published = lockwait::timed(|| self.published.write())
-                .map_err(|_| poisoned("cow published"))?;
-            published.epoch += 1;
-            published.graph = Arc::new(pending);
-            self.dirty.clear();
-            if let Some(m) = &self.metrics {
-                m.on_publish(published.epoch, &*published.graph);
-            }
+        let swapped = {
+            // gm-lock: cell-writer
+            let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs cow publish");
+            let mut working =
+                lockwait::timed(|| self.working.lock()).map_err(|_| poisoned("cow writer"))?;
+            working
+                .take()
+                .map(|pending| {
+                    swap_published(
+                        &self.published,
+                        Arc::new(pending),
+                        &self.dirty,
+                        "gm-mvcc/lib.rs cow publish swap",
+                        "cow published",
+                    )
+                })
+                .transpose()?
+        };
+        // Both guards are released: sizing the new epoch and freeing the
+        // retired one stall neither writers nor pins.
+        if let Some(swapped) = swapped {
+            swapped.finish(&self.metrics);
         }
         Ok(())
     }
@@ -684,8 +743,8 @@ impl<E: GraphDb + Clone + 'static> SnapshotSource for CowCell<E> {
     fn snapshot_recent(&self, max_staleness: Duration) -> GdbResult<Box<dyn GraphSnapshot>> {
         // Group commit: only publish once the pending epoch has aged past
         // the staleness bound. A publish forces the next write to re-clone
-        // the whole graph, so rate-limiting publishes bounds the clone rate
-        // no matter how hot the pin-per-read path runs.
+        // the graph, so rate-limiting publishes bounds the clone rate no
+        // matter how hot the pin-per-read path runs.
         if self.dirty.dirty_past(max_staleness) {
             self.publish_pending()?;
         } else if self.dirty.is_dirty() {
@@ -752,9 +811,9 @@ impl<E: GraphDb + Clone + 'static> SnapshotSource for CowCell<E> {
 /// Unlike [`CowCell`] there is **no copy-on-write**: writers mutate the live
 /// engine directly and pay nothing; a *due* pin that follows a write
 /// freezes a new view, whose cost is the engine's (cheap) clone. Safe
-/// because a cheap-clone engine shares only *immutable* structure between
-/// the clone and the live graph — closed `SegVec` segments and flushed LSM
-/// runs are never mutated in place, so the frozen view cannot observe later
+/// because a cheap-clone engine never mutates structure a clone still
+/// shares — flushed LSM runs are immutable and a `SegVec` page is copied
+/// before a write lands in it — so the frozen view cannot observe later
 /// writes. The pin fast path is the same shared-lock `Arc` clone as
 /// [`CowCell`]'s.
 pub struct FreezeCell<E: GraphDb + Clone> {
@@ -789,30 +848,29 @@ impl<E: GraphDb + Clone + 'static> FreezeCell<E> {
 
     fn refreeze(&self) -> GdbResult<()> {
         let _span = phase::span(Phase::ClonePublish);
-        // gm-lock: cell-writer
-        let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs freeze refreeze");
-        let live = lockwait::timed(|| self.live.lock()).map_err(|_| poisoned("freeze writer"))?;
-        if !self.dirty.is_dirty() {
-            return Ok(()); // another pin refroze while we waited
-        }
-        let t0 = self.metrics.as_ref().map(|_| Instant::now());
-        let frozen = Arc::new(live.clone());
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            m.clone_nanos.record(t0.elapsed().as_nanos() as u64);
-        }
-        // gm-lock: cell-published
-        let _tp = lockorder::acquire(
-            LockRank::CellPublished,
-            "gm-mvcc/lib.rs freeze publish swap",
-        );
-        let mut published =
-            lockwait::timed(|| self.published.write()).map_err(|_| poisoned("freeze published"))?;
-        published.epoch += 1;
-        published.graph = frozen;
-        self.dirty.clear();
-        if let Some(m) = &self.metrics {
-            m.on_publish(published.epoch, &*published.graph);
-        }
+        let swapped = {
+            // gm-lock: cell-writer
+            let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs freeze refreeze");
+            let live =
+                lockwait::timed(|| self.live.lock()).map_err(|_| poisoned("freeze writer"))?;
+            if !self.dirty.is_dirty() {
+                return Ok(()); // another pin refroze while we waited
+            }
+            let t0 = self.metrics.as_ref().map(|_| Instant::now());
+            let frozen = Arc::new(live.clone());
+            if let (Some(m), Some(t0)) = (&self.metrics, t0) {
+                m.clone_nanos.record(t0.elapsed().as_nanos() as u64);
+            }
+            swap_published(
+                &self.published,
+                frozen,
+                &self.dirty,
+                "gm-mvcc/lib.rs freeze publish swap",
+                "freeze published",
+            )?
+        };
+        // Both guards are released (see `CowCell::publish_pending`).
+        swapped.finish(&self.metrics);
         Ok(())
     }
 
@@ -1021,6 +1079,56 @@ mod tests {
         });
         let end = cell.snapshot().unwrap();
         assert_eq!(end.vertex_count(&ctx).unwrap(), 300);
+    }
+
+    /// An engine whose drop reports whether the cell's two locks were free
+    /// at that moment.
+    #[derive(Clone)]
+    struct DropProbe {
+        inner: LinkedGraph,
+        cell: Arc<std::sync::OnceLock<Arc<CowCell<DropProbe>>>>,
+        dropped_under_lock: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl GraphSnapshot for DropProbe {
+        gm_model::forward_graph_snapshot!(target = |s| s.inner);
+    }
+
+    impl GraphDb for DropProbe {
+        gm_model::forward_graph_db!(target = |s| s.inner);
+    }
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            if let Some(cell) = self.cell.get() {
+                if cell.working.try_lock().is_err() || cell.published.try_write().is_err() {
+                    self.dropped_under_lock.store(true, Ordering::SeqCst);
+                }
+            }
+        }
+    }
+
+    /// Freeing a retired epoch is O(graph) for a deep-copy engine: it must
+    /// happen after the publish has released the writer mutex and the
+    /// `published` lock, or every pin stalls behind it.
+    #[test]
+    fn retired_epoch_is_freed_outside_the_cell_locks() {
+        let slot = Arc::new(std::sync::OnceLock::new());
+        let dropped_under_lock = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let cell = Arc::new(CowCell::new(DropProbe {
+            inner: LinkedGraph::v1(),
+            cell: Arc::clone(&slot),
+            dropped_under_lock: Arc::clone(&dropped_under_lock),
+        }));
+        assert!(slot.set(Arc::clone(&cell)).is_ok());
+        for round in 0..3 {
+            cell.with_write(&mut |db| db.add_vertex("n", &vec![]).map(|_| 1))
+                .unwrap();
+            // Unpinned, so this publish drops the previous epoch's graph.
+            let snap = cell.snapshot().unwrap();
+            assert_eq!(snap.epoch(), round + 1);
+        }
+        assert!(!dropped_under_lock.load(Ordering::SeqCst));
     }
 
     #[test]

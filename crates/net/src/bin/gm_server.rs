@@ -111,6 +111,13 @@ fn gc_summary(snap: &RegistrySnapshot) -> String {
             snap.gauge(&format!("mvcc.{kind}.retained_bytes")),
         ));
     }
+    let pages = snap.counter("storage.cow.pages_copied");
+    if pages > 0 {
+        out.push_str(&format!(
+            "\n[gm-server]   storage: {pages} pages / {} bytes copied on write",
+            snap.counter("storage.cow.bytes_copied"),
+        ));
+    }
     out
 }
 

@@ -14,12 +14,14 @@
 //! * [`bptree`] — in-memory B+Tree with range scans;
 //! * [`bitmap`] — compressed (roaring-style) bitmaps;
 //! * [`lsm`] — log-structured merge table with tombstones and compaction;
-//! * [`records`] — fixed-size record files where id == offset;
+//! * [`records`] — fixed-size record files where id == offset, cheap to
+//!   clone;
 //! * [`pagestore`] — append-only record store with logical→physical
 //!   indirection;
 //! * [`hashidx`] — open-addressing multimap for id→id indexes;
-//! * [`segvec`] — append-only segmented vector whose clones share closed
-//!   segments (the columnar engine's cheap-snapshot watermark column);
+//! * [`segvec`] — paged vector whose clones share pages and whose writes
+//!   copy only the page they land in (under [`records`], the columnar
+//!   engine's id columns and the linked engine's side columns);
 //! * [`codec`] — varint / zigzag / delta encoding helpers.
 
 pub mod bitmap;

@@ -25,7 +25,134 @@ fn arb_map_ops() -> impl Strategy<Value = Vec<MapOp>> {
     )
 }
 
+#[derive(Debug, Clone)]
+enum FileOp {
+    Alloc(Vec<u8>),
+    Put(prop::sample::Index, Vec<u8>),
+    Free(prop::sample::Index),
+}
+
+fn arb_file_ops() -> impl Strategy<Value = Vec<(bool, FileOp)>> {
+    let record = || prop::collection::vec(any::<u8>(), 0..12);
+    prop::collection::vec(
+        (
+            any::<bool>(),
+            prop_oneof![
+                record().prop_map(FileOp::Alloc),
+                (any::<prop::sample::Index>(), record()).prop_map(|(i, r)| FileOp::Put(i, r)),
+                any::<prop::sample::Index>().prop_map(FileOp::Free),
+            ],
+        ),
+        0..200,
+    )
+}
+
+/// Plain-`Vec` model of a [`RecordFile`]: zero-padded slot contents and the
+/// LIFO free list that decides which id the next allocation reuses.
+#[derive(Clone, Default)]
+struct FileModel {
+    slots: Vec<Option<Vec<u8>>>,
+    free: Vec<u64>,
+}
+
+impl FileModel {
+    /// Apply `op` to the model and to `file`; their answers must agree.
+    fn apply(&mut self, file: &mut RecordFile, op: &FileOp) -> Result<(), TestCaseError> {
+        let padded = |r: &[u8]| {
+            let mut rec = r.to_vec();
+            rec.resize(file.record_size(), 0);
+            rec
+        };
+        match op {
+            FileOp::Alloc(r) => {
+                let rec = padded(r);
+                let want = match self.free.pop() {
+                    Some(id) => {
+                        self.slots[id as usize] = Some(rec);
+                        id
+                    }
+                    None => {
+                        self.slots.push(Some(rec));
+                        self.slots.len() as u64 - 1
+                    }
+                };
+                prop_assert_eq!(file.alloc(r), want);
+            }
+            FileOp::Put(at, r) => {
+                // One past the end too: an out-of-range put is refused.
+                let id = at.index(self.slots.len() + 1);
+                let rec = padded(r);
+                let live = self.slots.get(id).is_some_and(|s| s.is_some());
+                prop_assert_eq!(file.put(id as u64, r), live);
+                if live {
+                    self.slots[id] = Some(rec);
+                }
+            }
+            FileOp::Free(at) => {
+                let id = at.index(self.slots.len() + 1);
+                let live = self.slots.get(id).is_some_and(|s| s.is_some());
+                prop_assert_eq!(file.free(id as u64), live);
+                if live {
+                    self.slots[id] = None;
+                    self.free.push(id as u64);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn check(&self, file: &RecordFile) -> Result<(), TestCaseError> {
+        prop_assert_eq!(file.capacity_slots(), self.slots.len() as u64);
+        for (id, want) in self.slots.iter().enumerate() {
+            prop_assert_eq!(file.get(id as u64), want.as_deref());
+            prop_assert_eq!(file.is_live(id as u64), want.is_some());
+        }
+        prop_assert_eq!(file.get(self.slots.len() as u64), None);
+        let live: Vec<u64> = (0..self.slots.len() as u64)
+            .filter(|id| self.slots[*id as usize].is_some())
+            .collect();
+        prop_assert_eq!(file.len(), live.len() as u64);
+        prop_assert_eq!(file.iter_ids().collect::<Vec<_>>(), &live[..]);
+        let scanned: Vec<(u64, &[u8])> = file.chunks().flatten().collect();
+        let want: Vec<(u64, &[u8])> = live
+            .iter()
+            .map(|id| (*id, self.slots[*id as usize].as_deref().expect("live")))
+            .collect();
+        prop_assert_eq!(scanned, want);
+        Ok(())
+    }
+}
+
 proptest! {
+    /// A RecordFile and its clone share pages, yet under any interleaving
+    /// of alloc/put/free each behaves exactly like its own plain-Vec model:
+    /// no write leaks through a shared page, and ids and free-list reuse
+    /// are what an unshared file would hand out.
+    #[test]
+    fn record_file_and_its_clone_match_their_own_models(
+        record_size in 12usize..40,
+        prefill in 0usize..1500,
+        ops in arb_file_ops(),
+    ) {
+        let mut original = RecordFile::new(record_size);
+        let mut model = FileModel::default();
+        for i in 0..prefill {
+            model.apply(&mut original, &FileOp::Alloc((i as u32).to_le_bytes().to_vec()))?;
+        }
+        let mut clone = original.clone();
+        let mut clone_model = model.clone();
+        prop_assert_eq!(clone.unshared_pages(&original), 0);
+        for (on_clone, op) in &ops {
+            if *on_clone {
+                clone_model.apply(&mut clone, op)?;
+            } else {
+                model.apply(&mut original, op)?;
+            }
+        }
+        model.check(&original)?;
+        clone_model.check(&clone)?;
+    }
+
     /// B+Tree behaves exactly like BTreeMap under arbitrary operations, and
     /// its structural invariants hold after every batch.
     #[test]
