@@ -14,7 +14,9 @@
 //!
 //! * override the method,
 //! * expand one of the `forward_graph_snapshot!` / `forward_graph_db!`
-//!   macros (which forward the full surface by construction), or
+//!   macros (which forward the full surface by construction) or
+//!   `gm-shard`'s `composite_graph_snapshot!` (which derives the full
+//!   surface from a composite host's one-method read seam), or
 //! * carry an explicit waiver comment inside the impl block:
 //!   `// gm-check: allow-default(method: reason)` — the reason is part of
 //!   the syntax; an unexplained waiver is a diagnostic of its own.
@@ -41,7 +43,9 @@ struct TraitSurface {
     name: &'static str,
     /// Defaulted methods — the ones an impl can silently *not* forward.
     defaulted: Vec<String>,
-    forward_macro: &'static str,
+    /// Macros whose expansion covers the full surface; the first is the
+    /// one diagnostics recommend.
+    full_surface_macros: &'static [&'static str],
 }
 
 /// Extract the defaulted-method lists for both traits from the trait
@@ -57,12 +61,12 @@ fn trait_surfaces(files: &[SourceFile]) -> Result<Vec<TraitSurface>, Diag> {
                 TraitSurface {
                     name: "GraphSnapshot",
                     defaulted: defaulted_methods(&f.lines, "GraphSnapshot"),
-                    forward_macro: "forward_graph_snapshot!",
+                    full_surface_macros: &["forward_graph_snapshot!", "composite_graph_snapshot!"],
                 },
                 TraitSurface {
                     name: "GraphDb",
                     defaulted: defaulted_methods(&f.lines, "GraphDb"),
-                    forward_macro: "forward_graph_db!",
+                    full_surface_macros: &["forward_graph_db!"],
                 },
             ]);
         }
@@ -151,10 +155,10 @@ struct ImplBlock {
     methods: Vec<String>,
     /// `allow-default(method: reason)` waivers inside the block.
     waived: Vec<(String, usize, bool)>, // (method, line, has_reason)
-    uses_forward_macro: bool,
+    expands_full_surface: bool,
 }
 
-fn find_impls(file: &SourceFile, trait_name: &str, forward_macro: &str) -> Vec<ImplBlock> {
+fn find_impls(file: &SourceFile, trait_name: &str, full_surface: &[&str]) -> Vec<ImplBlock> {
     let mut out = Vec::new();
     let needle = format!(" {trait_name} for ");
     let mut i = 0;
@@ -183,7 +187,7 @@ fn find_impls(file: &SourceFile, trait_name: &str, forward_macro: &str) -> Vec<I
             type_name,
             methods: Vec::new(),
             waived: Vec::new(),
-            uses_forward_macro: false,
+            expands_full_surface: false,
         };
         let mut j = i + 1;
         while j < file.lines.len() && file.lines[j].depth >= body_depth {
@@ -192,8 +196,8 @@ fn find_impls(file: &SourceFile, trait_name: &str, forward_macro: &str) -> Vec<I
                 if let Some(name) = fn_name(&bl.code) {
                     blk.methods.push(name);
                 }
-                if bl.code.contains(forward_macro) {
-                    blk.uses_forward_macro = true;
+                if full_surface.iter().any(|m| bl.code.contains(m)) {
+                    blk.expands_full_surface = true;
                 }
             }
             if let Some(c) = &bl.comment {
@@ -226,7 +230,7 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
             continue;
         }
         for surface in &surfaces {
-            for blk in find_impls(f, surface.name, surface.forward_macro) {
+            for blk in find_impls(f, surface.name, surface.full_surface_macros) {
                 for (method, line, has_reason) in &blk.waived {
                     if !has_reason {
                         diags.push(Diag {
@@ -240,8 +244,8 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
                         });
                     }
                 }
-                if blk.uses_forward_macro {
-                    continue; // the macro forwards the full surface
+                if blk.expands_full_surface {
+                    continue; // the macro covers the full surface
                 }
                 for m in &surface.defaulted {
                     let overridden = blk.methods.iter().any(|x| x == m);
@@ -255,7 +259,7 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
                                 "impl {} for {} inherits the default `{m}` instead of \
                                  forwarding it; override it, use {}, or waive with \
                                  `// gm-check: allow-default({m}: reason)`",
-                                surface.name, blk.type_name, surface.forward_macro
+                                surface.name, blk.type_name, surface.full_surface_macros[0]
                             ),
                         });
                     }

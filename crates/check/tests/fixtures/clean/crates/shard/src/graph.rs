@@ -26,3 +26,13 @@ impl GraphDb for Wrapper {
         shard.push()
     }
 }
+
+// A composite host: the macro derives the full surface — `epoch` included —
+// from the host's one-method read seam.
+pub struct Composite {
+    shards: Vec<Inner>,
+}
+
+impl GraphSnapshot for Composite {
+    composite_graph_snapshot!();
+}

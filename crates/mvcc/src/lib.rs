@@ -86,6 +86,24 @@ impl SnapshotMode {
 /// A mutation batch executed against the live engine of a source.
 pub type WriteFn<'a> = dyn FnMut(&mut dyn GraphDb) -> GdbResult<u64> + 'a;
 
+/// Run a one-shot mutation through a `with_write` path — which takes an
+/// `FnMut` batch returning a cardinality — and carry the mutation's own
+/// result out.
+pub fn write_once<R>(
+    f: impl FnOnce(&mut dyn GraphDb) -> GdbResult<R>,
+    with_write: impl FnOnce(&mut WriteFn<'_>) -> GdbResult<u64>,
+) -> GdbResult<R> {
+    let mut once = Some(f);
+    let mut out = None;
+    with_write(&mut |db| {
+        if let Some(f) = once.take() {
+            out = Some(f(db)?);
+        }
+        Ok(0)
+    })?;
+    out.ok_or_else(|| GdbError::Invalid("the write path never ran the mutation".into()))
+}
+
 /// Factory producing fresh, empty snapshot sources — the snapshot-mode
 /// analogue of the engine factory (`gm-net`'s `Reset` swaps one in).
 pub type SourceFactory = Box<dyn Fn() -> Box<dyn SnapshotSource> + Send + Sync>;

@@ -2,63 +2,61 @@
 //! server processes**.
 //!
 //! [`Fleet`] drives N `gm-server` processes (each announcing a shard
-//! identity in its `HelloAck`) exactly the way `gm-shard`'s `ShardedGraph`
-//! drives N in-process engines: vertices are hash-placed by
-//! `route::shard_of_canonical`, every edge lives on its source's shard with
-//! cut destinations ghosted, single-shard ops route to one socket, and
-//! whole-graph scans / `in()` gathers scatter-gather across sockets with
-//! the same ghost-corrected merge ([`Parts`]) the in-process composite
-//! uses. The routing [`Meta`] lives client-side under the coordinator's
-//! meta lock; the servers only ever see shard-local ids.
+//! identity in its `HelloAck`) through the same routing core as the
+//! in-process composites: `gm-shard`'s [`Router`] and composite read
+//! surface over the fleet's [`Topology`], with [`FleetPort`] — one
+//! pipelined connection per shard server — as the port. Placement, the
+//! ghost discipline, ghost-corrected scatter-gather and deferred purges are
+//! therefore not *mirrored* here, they are the same code; the routing meta
+//! lives client-side under the topology's meta lock and the servers only
+//! ever see shard-local ids.
 //!
 //! ## Batched, pipelined dispatch
 //!
 //! A per-worker [`FleetCell`] queues single-shard writes client-side and
 //! ships them as one `ExecBatch` frame — either when the queue reaches the
 //! batch cap (`GM_FLEET_BATCH`, default 16) or lazily, the moment a read
-//! touches that shard (flush-on-touch). Reads therefore always observe the
-//! session's own earlier writes, while a write-heavy mix pays **fewer wire
+//! needs that shard (flush-on-touch: the port flushes exactly the cells a
+//! read's `ShardSel` names, then reads the plain connections). Reads
+//! therefore always observe the session's own earlier writes, while
+//! untouched shards keep batching and a write-heavy mix pays **fewer wire
 //! round trips than it executes ops** — the frame counter shared by every
 //! fleet connection proves it.
 //!
-//! Two deferrals make that possible, both invisible to the workload:
+//! Two deferrals make that possible, both inside the port and invisible to
+//! the workload:
 //!
-//! * `add_vertex` returns a placeholder id (the driver's `apply_write`
-//!   discards it) so the round trip can be batched;
-//! * `add_edge` returns a **deferred edge id** — a tagged placeholder the
-//!   flush later binds to the server-assigned composite id. The only ops
-//!   that feed edge ids back in (`RemoveOwnEdge`, edge property writes)
-//!   resolve the tag first, flushing the owning cell if needed.
+//! * a posted `add_vertex` answers a placeholder id (the driver's
+//!   `apply_write` discards it) so the round trip can be batched; fed back
+//!   into a write it is refused by name, nothing queued;
+//! * a posted `add_edge` answers a **deferred edge id** — a tagged
+//!   placeholder the flush later binds to the server-assigned composite
+//!   id. The only ops that feed edge ids back in (`RemoveOwnEdge`, edge
+//!   property writes) redeem the tag on entry, flushing the owning cell if
+//!   needed.
 //!
 //! ## Replay equality
 //!
 //! A sequential fleet run replays the in-process `ShardedGraph` run
-//! op-for-op: the partition, placement counter, ghost discipline, and
-//! deferred resolution-map purges all mirror `gm-shard`, and the
-//! flush-before-any-observation rule keeps each shard's mutation order
+//! op-for-op: the routing is the same code over the same partition, and
+//! the flush-before-any-observation rule keeps each shard's mutation order
 //! identical to the sequential op order — so servers assign the same local
 //! ids and every read returns the same cardinality. The fig10 `@fleet`
 //! smoke gates on exactly this.
 
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use gm_core::catalog;
 use gm_core::params::{ResolvedParams, Workload};
-use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SpaceReport, VertexData,
-};
+use gm_model::api::{GraphSnapshot, LoadOptions};
 use gm_model::fxmap::FxHashMap;
-use gm_model::lockorder::{self, LockRank, Ranked};
-use gm_model::{lockwait, Dataset, Eid, GdbError, GdbResult, Props, QueryCtx, Value, Vid};
+use gm_model::{lockwait, Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
 use gm_obs::{Counter, Phase};
-use gm_shard::route::{
-    decode_eid, decode_vid, encode_eid, encode_vid, partition, Meta, Partitioned, GHOST_LABEL,
-};
-use gm_shard::Parts;
+use gm_shard::route::{encode_eid, encode_vid, partition, Meta, Partitioned};
+use gm_shard::{Router, ShardPort, ShardSel, ShardWrite, Topology, WriteOut};
 use gm_workload::{
     apply_write, run_backend, run_backend_sequential, Backend, Op, OpResult, RunReport, Session,
     WorkloadConfig, WORKLOAD_SLOTS,
@@ -76,11 +74,7 @@ const DEFAULT_BATCH_CAP: usize = 16;
 /// Requests per `ExecBatch` frame on the setup path (bulk meta resolution).
 const SETUP_CHUNK: usize = 8192;
 
-/// Purge-queue depth at which a deferred resolution-map purge drains
-/// eagerly (mirrors `gm-shard`'s threshold).
-const PURGE_DRAIN_THRESHOLD: usize = 1024;
-
-/// High bit marking a deferred (not yet server-assigned) edge id. Real
+/// High bit marking a deferred (not yet server-assigned) id. Real
 /// composite edge ids are `local * N + shard`; reaching bit 63 would take
 /// ~2^60 edges per shard, far beyond anything the harness can hold.
 const DEFERRED_BIT: u64 = 1 << 63;
@@ -110,50 +104,35 @@ fn poisoned(what: &str) -> GdbError {
     GdbError::Poisoned(format!("fleet {what} poisoned"))
 }
 
-/// Per-shard fleet counters, registered only under `GM_OBS=counters`+.
+/// Wire-dispatch counters, registered only under `GM_OBS=counters`+ (the
+/// per-shard op balance and ghost creations are the topology's `shard.*`).
 struct FleetMetrics {
-    /// `fleet.shard.ops.{i}`: ops routed to each shard (writes queued plus
-    /// read primitives touching the shard).
-    shard_ops: Vec<Counter>,
     /// `fleet.batched_ops`: ops shipped inside `ExecBatch` frames.
     batched_ops: Counter,
     /// `fleet.routing_errors`: identity mismatches, transport failures, and
     /// batch entries the servers rejected.
     routing_errors: Counter,
-    /// `fleet.ghost_creations`: cross-process ghost vertices materialized.
-    ghost_creations: Counter,
 }
 
 impl FleetMetrics {
-    fn new(shards: usize) -> Option<FleetMetrics> {
+    fn new() -> Option<FleetMetrics> {
         if !gm_obs::counters_on() {
             return None;
         }
         let g = gm_obs::global();
         Some(FleetMetrics {
-            shard_ops: (0..shards)
-                .map(|s| g.counter(&format!("fleet.shard.ops.{s}")))
-                .collect(),
             batched_ops: g.counter("fleet.batched_ops"),
             routing_errors: g.counter("fleet.routing_errors"),
-            ghost_creations: g.counter("fleet.ghost_creations"),
         })
-    }
-
-    fn note_op(&self, s: usize) {
-        if let Some(c) = self.shard_ops.get(s) {
-            c.inc();
-        }
     }
 }
 
 /// A fleet of shard servers behind one composite-graph facade.
 ///
-/// Shared state mirrors `ShardedGraph` field-for-field: the routing meta
-/// behind a rank-tracked `RwLock`, the round-robin placement counter, and
-/// the deferred purge queue. The per-connection state (write queues,
-/// deferred-id bindings) lives in per-worker [`FleetCell`]s instead, so
-/// sessions never contend on a socket.
+/// Shared state is the composite's [`Topology`] (routing meta, placement
+/// counter, purge queue) plus the wire counters. The per-connection state
+/// (write queues, deferred-id bindings) lives in per-worker [`FleetCell`]s
+/// instead, so sessions never contend on a socket.
 pub struct Fleet {
     name: String,
     addrs: Vec<String>,
@@ -161,16 +140,9 @@ pub struct Fleet {
     /// One control connection per shard: setup (load, meta resolution),
     /// parameter resolution, and epoch probes.
     control: Vec<RemoteEngine>,
-    meta: RwLock<Meta>,
-    /// Round-robin placement counter for dynamically added vertices
-    /// (same discipline as `ShardedGraph::spread`).
-    spread: AtomicU64,
+    topo: Topology,
     /// Deferred-edge-id tag allocator (unique across sessions).
     tag_seq: AtomicU64,
-    /// Composite edge ids removed but not yet purged from the canonical
-    /// resolution maps (drained under the meta writer lock, exactly like
-    /// `ShardedGraph::pending_purges`).
-    pending_purges: Mutex<Vec<Eid>>,
     /// Frames sent across **every** fleet connection (control and worker):
     /// the wire-round-trip evidence for the batched-dispatch gate.
     round_trips: Arc<AtomicU64>,
@@ -201,15 +173,13 @@ impl Fleet {
             addrs,
             shards,
             control: Vec::new(),
-            meta: RwLock::new(Meta::new(shards)),
-            spread: AtomicU64::new(0),
+            topo: Topology::new(shards),
             tag_seq: AtomicU64::new(0),
-            pending_purges: Mutex::new(Vec::new()),
             round_trips: Arc::new(AtomicU64::new(0)),
             routing_errors: AtomicU64::new(0),
             batched_ops: AtomicU64::new(0),
             batch_cap,
-            metrics: FleetMetrics::new(shards),
+            metrics: FleetMetrics::new(),
         };
         let control: Vec<RemoteEngine> = (0..shards)
             .map(|s| fleet.dial(s).map(RemoteEngine::from_connection))
@@ -280,22 +250,24 @@ impl Fleet {
         let parts = partition(data, self.shards)?;
         self.load_partitioned(&parts)?;
         let meta = self.build_meta_batched(&parts)?;
-        {
-            // gm-lock: meta
-            let mut guard = self.meta_write()?;
-            *guard = meta;
-        }
-        // A fresh load is a fresh composite: restart the placement counter
-        // and forget stale deferred state, so repeated setups replay
-        // identically to a newly constructed `ShardedGraph`.
-        // gm-check: relaxed(setup path, single-threaded; counters restart from zero)
-        self.spread.store(0, Ordering::Relaxed);
+        // A fresh load is a fresh composite: install the meta (entering
+        // the topology applies stale purges to the old one), restart the
+        // placement counter and the tag allocator, so repeated setups
+        // replay identically to a newly constructed `ShardedGraph`.
+        // gm-lock: meta
+        *self.topo.enter()? = meta;
+        self.topo.restart_placement();
         // gm-check: relaxed(setup path, single-threaded; counters restart from zero)
         self.tag_seq.store(0, Ordering::Relaxed);
-        self.purge_lock()?.clear();
-        let view = self.control_view();
+        // Parameter resolution reads over the control connections (no
+        // write queues involved).
+        let view = Router::over(&self.name, &self.topo, self.port(&[]));
         let workload = Workload::choose(data, cfg.seed, WORKLOAD_SLOTS);
         workload.resolve(&view)
+    }
+
+    fn port<'a>(&'a self, cells: &'a [FleetCell<'a>]) -> FleetPort<'a> {
+        FleetPort { fleet: self, cells }
     }
 
     /// Open one fresh identity-verified connection per shard — a worker
@@ -422,14 +394,7 @@ impl Fleet {
                     .vertex_resolve
                     .get(&shadowed)
                     .ok_or_else(|| corrupt(format!("ghost shadows unknown vertex {shadowed}")))?;
-                meta.ghosts
-                    .get_mut(s)
-                    .ok_or_else(|| corrupt(format!("no ghost map for shard {s}")))?
-                    .insert(composite, local);
-                meta.rev
-                    .get_mut(s)
-                    .ok_or_else(|| corrupt(format!("no reverse map for shard {s}")))?
-                    .insert(local.0, composite);
+                meta.add_ghost(s, Vid(composite), local);
             }
         }
         // Edges: (global canonical, shard-local canonical).
@@ -480,143 +445,12 @@ impl Fleet {
         Ok(out)
     }
 
-    /// The composite read view over the control connections (setup-path
-    /// parameter resolution; no write queues involved).
-    fn control_view(&self) -> FleetView<'_> {
-        FleetView {
-            fleet: self,
-            cells: self
-                .control
-                .iter()
-                .map(|c| c as &dyn GraphSnapshot)
-                .collect(),
-        }
-    }
-
-    // ----- lock plumbing (mirrors ShardedGraph) ---------------------------
-
-    fn meta_read(&self) -> GdbResult<Ranked<RwLockReadGuard<'_, Meta>>> {
-        // gm-lock: meta
-        let t = lockorder::acquire(LockRank::Meta, "gm-net/fleet.rs meta read");
-        lockwait::timed(|| self.meta.read())
-            .map(|g| Ranked::new(g, t))
-            .map_err(|_| poisoned("meta read lock"))
-    }
-
-    fn meta_write(&self) -> GdbResult<Ranked<RwLockWriteGuard<'_, Meta>>> {
-        // gm-lock: meta
-        let t = lockorder::acquire(LockRank::Meta, "gm-net/fleet.rs meta write");
-        lockwait::timed(|| self.meta.write())
-            .map(|g| Ranked::new(g, t))
-            .map_err(|_| poisoned("meta write lock"))
-    }
-
-    fn purge_lock(&self) -> GdbResult<Ranked<MutexGuard<'_, Vec<Eid>>>> {
-        // gm-lock: leaf
-        let t = lockorder::acquire(LockRank::Leaf, "gm-net/fleet.rs purge queue");
-        self.pending_purges
-            .lock()
-            .map(|g| Ranked::new(g, t))
-            .map_err(|_| poisoned("purge queue"))
-    }
-
-    /// Defer a removed edge's resolution-map purge (mirrors
-    /// `ShardedGraph::sh_remove_edge`'s queue + depth cap).
-    fn defer_purge(&self, e: Eid) -> GdbResult<()> {
-        let depth = {
-            // gm-lock: leaf
-            let mut q = self.purge_lock()?;
-            q.push(e);
-            q.len()
-        };
-        if depth >= PURGE_DRAIN_THRESHOLD {
-            self.drain_purges()?;
-        }
-        Ok(())
-    }
-
-    /// Apply deferred purges, taking the meta writer lock only when the
-    /// queue is non-empty.
-    fn drain_purges(&self) -> GdbResult<()> {
-        {
-            // gm-lock: leaf transient
-            let q = self.purge_lock()?;
-            if q.is_empty() {
-                return Ok(());
-            }
-        }
-        // gm-lock: meta
-        let mut meta = self.meta_write()?;
-        self.drain_purges_into(&mut meta)
-    }
-
-    /// Apply deferred purges into an already-held meta writer guard.
-    fn drain_purges_into(&self, meta: &mut Meta) -> GdbResult<()> {
-        // gm-lock: leaf
-        let mut q = self.purge_lock()?;
-        for e in q.drain(..) {
-            meta.purge_edge(e);
-        }
-        Ok(())
-    }
-
     fn note_routing_error(&self) {
         // gm-check: relaxed(pure event count, no ordering relied upon)
         self.routing_errors.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &self.metrics {
             m.routing_errors.inc();
         }
-    }
-
-    /// Materialize a ghost for composite vertex `dst` on shard `s` —
-    /// the cross-process mirror of `sh_add_edge`'s slow path. Validates
-    /// the remote endpoint first (owner-shard read, finished before the
-    /// meta writer lock), re-checks under the writer lock (another session
-    /// may have won the race), and flushes the source cell before the
-    /// direct `AddVertex` so the server assigns local ids in op order.
-    fn create_ghost(
-        &self,
-        cells: &[FleetCell<'_>],
-        s: usize,
-        dst: Vid,
-        local_dst_owner: Vid,
-        dst_shard: usize,
-    ) -> GdbResult<Vid> {
-        {
-            let owner = cell_of(cells, dst_shard)?;
-            if owner.vertex(local_dst_owner)?.is_none() {
-                return Err(GdbError::VertexNotFound(dst.0));
-            }
-        }
-        // gm-lock: meta
-        let mut meta = self.meta_write()?;
-        // Opportunistic purge drain, as in the in-process composite: this
-        // is the only write path taking the meta writer lock mid-run.
-        self.drain_purges_into(&mut meta)?;
-        if let Some(g) = meta.ghosts.get(s).and_then(|m| m.get(&dst.0)).copied() {
-            return Ok(g); // raced another session: reuse its ghost
-        }
-        let cell = cell_of(cells, s)?;
-        cell.flush()?;
-        let ghost = cell
-            .call(&Request::AddVertex {
-                label: GHOST_LABEL.to_string(),
-                props: Vec::new(),
-            })?
-            .into_u64()
-            .map(Vid)?;
-        meta.ghosts
-            .get_mut(s)
-            .ok_or_else(|| GdbError::Corrupt(format!("fleet: no ghost map for shard {s}")))?
-            .insert(dst.0, ghost);
-        meta.rev
-            .get_mut(s)
-            .ok_or_else(|| GdbError::Corrupt(format!("fleet: no reverse map for shard {s}")))?
-            .insert(ghost.0, dst.0);
-        if let Some(m) = &self.metrics {
-            m.ghost_creations.inc();
-        }
-        Ok(ghost)
     }
 }
 
@@ -640,14 +474,12 @@ struct CellState {
 }
 
 /// One worker session's endpoint for one shard: a private connection plus
-/// the client-side write queue. Implements [`GraphSnapshot`] so it can
-/// stand in [`Parts`]' shard slot — every read primitive **flushes the
-/// queue first** (flush-on-touch), so a session always observes its own
-/// earlier writes, while untouched shards keep batching.
+/// the client-side write queue ([`FleetPort`] flushes it before any read
+/// of this shard, while untouched shards keep batching).
 ///
-/// The state sits behind a `Mutex` only because `GraphSnapshot` requires
-/// `Sync`; a cell is never actually shared across threads, so the lock is
-/// uncontended.
+/// The state sits behind a `Mutex` only because the router over the port
+/// must be `Sync`; a cell is never actually shared across threads, so the
+/// lock is uncontended.
 pub(crate) struct FleetCell<'a> {
     fleet: &'a Fleet,
     shard: usize,
@@ -669,9 +501,6 @@ impl FleetCell<'_> {
 
     /// One direct round trip (caller has flushed if ordering matters).
     fn call(&self, req: &Request) -> GdbResult<Response> {
-        if let Some(m) = &self.fleet.metrics {
-            m.note_op(self.shard);
-        }
         match self.conn()?.call(req) {
             Ok(rsp) => Ok(rsp),
             Err(e) => {
@@ -693,9 +522,6 @@ impl FleetCell<'_> {
             st.queue.push(req);
             st.queue.len()
         };
-        if let Some(m) = &self.fleet.metrics {
-            m.note_op(self.shard);
-        }
         if depth >= self.fleet.batch_cap {
             self.flush()?;
         }
@@ -765,538 +591,145 @@ impl FleetCell<'_> {
             ))
         })
     }
-
-    /// Flush-on-touch prelude for every read primitive.
-    fn touch(&self) -> GdbResult<()> {
-        if let Some(m) = &self.fleet.metrics {
-            m.note_op(self.shard);
-        }
-        self.flush()
-    }
 }
 
-impl GraphSnapshot for FleetCell<'_> {
-    // gm-check: allow-default(epoch: fleet cells answer shard-local reads under locked hosting; the fleet-wide epoch is Fleet::epoch)
-
-    fn name(&self) -> String {
-        self.engine.name()
-    }
-
-    fn features(&self) -> EngineFeatures {
-        let _ = self.touch();
-        self.engine.features()
-    }
-
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.touch().ok()?;
-        self.engine.resolve_vertex(canonical)
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.touch().ok()?;
-        self.engine.resolve_edge(canonical)
-    }
-
-    fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.touch()?;
-        self.engine.vertex_count(ctx)
-    }
-
-    fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.touch()?;
-        self.engine.edge_count(ctx)
-    }
-
-    fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.touch()?;
-        self.engine.edge_label_set(ctx)
-    }
-
-    fn vertices_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.touch()?;
-        self.engine.vertices_with_property(name, value, ctx)
-    }
-
-    fn edges_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Eid>> {
-        self.touch()?;
-        self.engine.edges_with_property(name, value, ctx)
-    }
-
-    fn edges_with_label(&self, label: &str, ctx: &QueryCtx) -> GdbResult<Vec<Eid>> {
-        self.touch()?;
-        self.engine.edges_with_label(label, ctx)
-    }
-
-    fn vertex(&self, v: Vid) -> GdbResult<Option<VertexData>> {
-        self.touch()?;
-        self.engine.vertex(v)
-    }
-
-    fn edge(&self, e: Eid) -> GdbResult<Option<EdgeData>> {
-        self.touch()?;
-        self.engine.edge(e)
-    }
-
-    fn neighbors(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.touch()?;
-        self.engine.neighbors(v, dir, label, ctx)
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
-        self.touch()?;
-        self.engine.vertex_edges(v, dir, label, ctx)
-    }
-
-    fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.touch()?;
-        self.engine.vertex_degree(v, dir, ctx)
-    }
-
-    fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.touch()?;
-        self.engine.vertex_edge_labels(v, dir, ctx)
-    }
-
-    fn degree_scan(&self, dir: Direction, k: u64, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.touch()?;
-        self.engine.degree_scan(dir, k, ctx)
-    }
-
-    fn distinct_neighbor_scan(&self, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.touch()?;
-        self.engine.distinct_neighbor_scan(dir, ctx)
-    }
-
-    fn scan_vertices<'b>(
-        &'b self,
-        ctx: &'b QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Vid>> + 'b>> {
-        self.touch()?;
-        self.engine.scan_vertices(ctx)
-    }
-
-    fn scan_edges<'b>(
-        &'b self,
-        ctx: &'b QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'b>> {
-        self.touch()?;
-        self.engine.scan_edges(ctx)
-    }
-
-    fn vertex_property(&self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        self.touch()?;
-        self.engine.vertex_property(v, name)
-    }
-
-    fn edge_property(&self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        self.touch()?;
-        self.engine.edge_property(e, name)
-    }
-
-    fn edge_endpoints(&self, e: Eid) -> GdbResult<Option<(Vid, Vid)>> {
-        self.touch()?;
-        self.engine.edge_endpoints(e)
-    }
-
-    fn edge_label(&self, e: Eid) -> GdbResult<Option<String>> {
-        self.touch()?;
-        self.engine.edge_label(e)
-    }
-
-    fn vertex_label(&self, v: Vid) -> GdbResult<Option<String>> {
-        self.touch()?;
-        self.engine.vertex_label(v)
-    }
-
-    fn has_vertex_index(&self, prop: &str) -> bool {
-        if self.touch().is_err() {
-            return false;
-        }
-        self.engine.has_vertex_index(prop)
-    }
-
-    fn space(&self) -> SpaceReport {
-        if self.touch().is_err() {
-            return SpaceReport::default();
-        }
-        self.engine.space()
-    }
-}
-
-/// The composite read view a session's ops run against: [`Parts`] over the
-/// session's cells with the fleet meta read-locked per primitive — the same
-/// per-primitive isolation the locked in-process composite provides.
-pub(crate) struct FleetView<'a> {
-    fleet: &'a Fleet,
-    cells: Vec<&'a dyn GraphSnapshot>,
-}
-
-impl FleetView<'_> {
-    fn with_parts<R>(&self, f: impl FnOnce(&Parts<'_>) -> R) -> GdbResult<R> {
-        // gm-lock: meta
-        let meta = self.fleet.meta_read()?;
-        let refs: Vec<Option<&dyn GraphSnapshot>> = self.cells.iter().map(|c| Some(*c)).collect();
-        Ok(f(&Parts {
-            name: &self.fleet.name,
-            shards: &refs,
-            meta: &meta,
-        }))
-    }
-}
-
-impl GraphSnapshot for FleetView<'_> {
-    // gm-check: allow-default(epoch: locked fleet hosting is unversioned — reads observe whatever writes have landed; Fleet::epoch reports the fleet-wide minimum for monotonicity gates)
-
-    fn name(&self) -> String {
-        self.fleet.name.clone()
-    }
-
-    fn features(&self) -> EngineFeatures {
-        self.with_parts(|p| p.features()).unwrap_or(EngineFeatures {
-            name: self.fleet.name.clone(),
-            system_type: "Fleet composite".into(),
-            storage: "unavailable (poisoned meta lock)".into(),
-            edge_traversal: "cross-process scatter-gather".into(),
-            optimized_adapter: false,
-            async_writes: false,
-            attribute_indexes: false,
-        })
-    }
-
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        // Deferred removal purges apply first, so a deleted element stops
-        // resolving exactly as it does in-process.
-        self.fleet.drain_purges().ok()?;
-        self.with_parts(|p| p.resolve_vertex(canonical)).ok()?
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.fleet.drain_purges().ok()?;
-        self.with_parts(|p| p.resolve_edge(canonical)).ok()?
-    }
-
-    fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.with_parts(|p| p.vertex_count(ctx))?
-    }
-
-    fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.with_parts(|p| p.edge_count(ctx))?
-    }
-
-    fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.with_parts(|p| p.edge_label_set(ctx))?
-    }
-
-    fn vertices_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.with_parts(|p| p.vertices_with_property(name, value, ctx))?
-    }
-
-    fn edges_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Eid>> {
-        self.with_parts(|p| p.edges_with_property(name, value, ctx))?
-    }
-
-    fn edges_with_label(&self, label: &str, ctx: &QueryCtx) -> GdbResult<Vec<Eid>> {
-        self.with_parts(|p| p.edges_with_label(label, ctx))?
-    }
-
-    fn vertex(&self, v: Vid) -> GdbResult<Option<VertexData>> {
-        self.with_parts(|p| p.vertex(v))?
-    }
-
-    fn edge(&self, e: Eid) -> GdbResult<Option<EdgeData>> {
-        self.with_parts(|p| p.edge(e))?
-    }
-
-    fn neighbors(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.with_parts(|p| p.neighbors(v, dir, label, ctx))?
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
-        self.with_parts(|p| p.vertex_edges(v, dir, label, ctx))?
-    }
-
-    fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.with_parts(|p| p.vertex_degree(v, dir, ctx))?
-    }
-
-    fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.with_parts(|p| p.vertex_edge_labels(v, dir, ctx))?
-    }
-
-    fn degree_scan(&self, dir: Direction, k: u64, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.with_parts(|p| p.degree_scan(dir, k, ctx))?
-    }
-
-    fn distinct_neighbor_scan(&self, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.with_parts(|p| p.distinct_neighbor_scan(dir, ctx))?
-    }
-
-    fn scan_vertices<'b>(
-        &'b self,
-        ctx: &'b QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Vid>> + 'b>> {
-        let items = self.with_parts(|p| p.scan_vertices(ctx))??;
-        Ok(Box::new(items.into_iter()))
-    }
-
-    fn scan_edges<'b>(
-        &'b self,
-        ctx: &'b QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'b>> {
-        let items = self.with_parts(|p| p.scan_edges(ctx))??;
-        Ok(Box::new(items.into_iter()))
-    }
-
-    fn vertex_property(&self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        self.with_parts(|p| p.vertex_property(v, name))?
-    }
-
-    fn edge_property(&self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        self.with_parts(|p| p.edge_property(e, name))?
-    }
-
-    fn edge_endpoints(&self, e: Eid) -> GdbResult<Option<(Vid, Vid)>> {
-        self.with_parts(|p| p.edge_endpoints(e))?
-    }
-
-    fn edge_label(&self, e: Eid) -> GdbResult<Option<String>> {
-        self.with_parts(|p| p.edge_label(e))?
-    }
-
-    fn vertex_label(&self, v: Vid) -> GdbResult<Option<String>> {
-        self.with_parts(|p| p.vertex_label(v))?
-    }
-
-    fn has_vertex_index(&self, prop: &str) -> bool {
-        self.with_parts(|p| p.has_vertex_index(prop))
-            .unwrap_or(false)
-    }
-
-    fn space(&self) -> SpaceReport {
-        self.with_parts(|p| p.space()).unwrap_or_default()
-    }
-}
-
-fn fleet_view<'a>(fleet: &'a Fleet, cells: &'a [FleetCell<'a>]) -> FleetView<'a> {
-    FleetView {
-        fleet,
-        cells: cells.iter().map(|c| c as &dyn GraphSnapshot).collect(),
-    }
-}
-
-/// The mutation handle a fleet session's writes run through — the
-/// cross-process mirror of `gm-shard`'s `SharedWriter`, with queueing:
-/// single-shard writes enqueue on their cell (shipped by cap or
-/// flush-on-touch), cut edges go through the fleet's ghost discipline.
-struct FleetWriter<'a> {
+/// The [`ShardPort`] of a fleet session: shard `s` is reached through the
+/// session's [`FleetCell`] — writes queue on it, reads flush it first and
+/// then ask its plain connection. With no cells (the setup path) reads go
+/// over the fleet's control connections and there is nothing to flush.
+struct FleetPort<'a> {
     fleet: &'a Fleet,
     cells: &'a [FleetCell<'a>],
-    view: FleetView<'a>,
 }
 
-impl FleetWriter<'_> {
+/// The wire frame of a single-shard write: one `Request` row per
+/// [`ShardWrite`] variant.
+fn request(w: ShardWrite<'_>) -> GdbResult<Request> {
+    Ok(match w {
+        ShardWrite::BulkLoad(..) => {
+            return Err(GdbError::Invalid(
+                "fleet sessions load via Fleet::setup, not through a writer".into(),
+            ))
+        }
+        // In-process this runs under the topology guard, which excludes
+        // every reader; across processes other sessions' queued writes
+        // would need a fleet-wide stop-the-world. No workload mix issues
+        // it, so it stays unimplemented rather than subtly non-atomic.
+        ShardWrite::RemoveVertex(_) => {
+            return Err(GdbError::Unsupported(
+                "fleet writer: remove_vertex requires a cross-process stop-the-world".into(),
+            ))
+        }
+        ShardWrite::AddVertex(label, props) => Request::AddVertex {
+            label: label.to_string(),
+            props: props.clone(),
+        },
+        ShardWrite::AddEdge(src, dst, label, props) => Request::AddEdge {
+            src: src.0,
+            dst: dst.0,
+            label: label.to_string(),
+            props: props.clone(),
+        },
+        ShardWrite::SetVertexProperty(v, name, value) => Request::SetVertexProp {
+            v: v.0,
+            name: name.to_string(),
+            value,
+        },
+        ShardWrite::SetEdgeProperty(e, name, value) => Request::SetEdgeProp {
+            e: e.0,
+            name: name.to_string(),
+            value,
+        },
+        ShardWrite::RemoveEdge(e) => Request::RemoveEdge(e.0),
+        ShardWrite::RemoveVertexProperty(v, name) => Request::RemoveVertexProp {
+            v: v.0,
+            name: name.to_string(),
+        },
+        ShardWrite::RemoveEdgeProperty(e, name) => Request::RemoveEdgeProp {
+            e: e.0,
+            name: name.to_string(),
+        },
+        ShardWrite::CreateVertexIndex(prop) => Request::CreateVertexIndex {
+            prop: prop.to_string(),
+        },
+        ShardWrite::Sync => Request::Sync,
+    })
+}
+
+impl ShardPort for FleetPort<'_> {
+    fn with_views<R>(
+        &self,
+        need: &ShardSel,
+        meta: Option<&Meta>,
+        f: impl FnOnce(&[(usize, &dyn GraphSnapshot)]) -> R,
+    ) -> GdbResult<R> {
+        let mut views: Vec<(usize, &dyn GraphSnapshot)> = Vec::new();
+        for s in need.shards(self.fleet.shards, meta) {
+            let engine = match self.cells.get(s) {
+                Some(cell) => {
+                    cell.flush()?;
+                    &cell.engine
+                }
+                None => self.fleet.control.get(s).ok_or_else(|| {
+                    GdbError::Invalid(format!("fleet: no control connection {s}"))
+                })?,
+            };
+            views.push((s, engine));
+        }
+        Ok(f(&views))
+    }
+
+    /// The answer is needed now: FIFO behind the queue, then one direct
+    /// round trip (so the server assigns local ids in op order).
+    fn apply(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
+        let req = request(w)?;
+        let cell = cell_of(self.cells, s)?;
+        cell.flush()?;
+        match cell.call(&req)? {
+            Response::Unit => Ok(WriteOut::Done),
+            Response::U64(id) => Ok(WriteOut::Id(id)),
+            Response::OptValue(v) => Ok(WriteOut::Value(v)),
+            other => Err(other.mismatch("Unit, U64 or OptValue")),
+        }
+    }
+
+    /// Queue the write on its cell (shipped by cap or flush-on-touch). A
+    /// creation answers a placeholder: the driver's `apply_write` discards
+    /// a workload vertex's id, so that round trip never needs to answer,
+    /// and an edge's id is bound to its tag at flush.
+    fn post(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
+        let (tag, out) = match &w {
+            ShardWrite::AddVertex(..) => (None, WriteOut::Deferred(DEFERRED_BIT)),
+            ShardWrite::AddEdge(..) => {
+                // gm-check: relaxed(tag allocator: uniqueness is all that matters)
+                let tag = self.fleet.tag_seq.fetch_add(1, Ordering::Relaxed);
+                (Some(tag), WriteOut::Deferred(deferred_eid(s, tag).0))
+            }
+            _ => (None, WriteOut::Done),
+        };
+        cell_of(self.cells, s)?.queue_write(request(w)?, tag)?;
+        Ok(out)
+    }
+
+    /// A deferred vertex id names no vertex the fleet can address: refuse
+    /// it where it enters, before anything is queued.
+    fn admit_vid(&self, v: Vid) -> GdbResult<Vid> {
+        if v.0 & DEFERRED_BIT != 0 {
+            return Err(GdbError::Invalid(format!(
+                "deferred vertex id {:#x}: a fleet session's add_vertex answers a \
+                 placeholder, which cannot be fed back into a write",
+                v.0
+            )));
+        }
+        Ok(v)
+    }
+
     /// Bind a possibly-deferred edge id to its real composite id.
-    fn resolve_eid(&self, e: Eid) -> GdbResult<Eid> {
+    fn admit_eid(&self, e: Eid) -> GdbResult<Eid> {
         match split_deferred(e) {
             None => Ok(e),
             Some((s, tag)) => cell_of(self.cells, s)?.take_resolved(tag),
         }
-    }
-}
-
-impl GraphSnapshot for FleetWriter<'_> {
-    // Reads through the writer handle go through the full composite view —
-    // complete by construction, including the bulk-scan overrides.
-    gm_model::forward_graph_snapshot!(target = |s| &s.view);
-}
-
-impl GraphDb for FleetWriter<'_> {
-    fn bulk_load(&mut self, _data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
-        Err(GdbError::Invalid(
-            "fleet sessions load via Fleet::setup, not through a writer".into(),
-        ))
-    }
-
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
-        let n = self.fleet.shards;
-        // gm-check: relaxed(round-robin placement counter: any interleaving is a valid placement)
-        let s = (self.fleet.spread.fetch_add(1, Ordering::Relaxed) % n as u64) as usize;
-        cell_of(self.cells, s)?.queue_write(
-            Request::AddVertex {
-                label: label.to_string(),
-                props: props.clone(),
-            },
-            None,
-        )?;
-        // The driver's apply_write discards the id of a workload AddVertex,
-        // so the batched round trip never needs to answer. The placeholder
-        // is deliberately out of the composite id space.
-        Ok(Vid(DEFERRED_BIT))
-    }
-
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
-        let n = self.fleet.shards;
-        let (local_src, s) = decode_vid(src, n);
-        let (local_dst_owner, dst_shard) = decode_vid(dst, n);
-        let local_dst = if dst_shard == s {
-            local_dst_owner
-        } else {
-            // Cut edge: ghost fast path first, creation on miss — the same
-            // discipline (and lock order) as `sh_add_edge`.
-            // gm-lock: meta transient
-            let known = self
-                .fleet
-                .meta_read()?
-                .ghosts
-                .get(s)
-                .and_then(|m| m.get(&dst.0))
-                .copied();
-            match known {
-                Some(ghost) => ghost,
-                None => self
-                    .fleet
-                    .create_ghost(self.cells, s, dst, local_dst_owner, dst_shard)?,
-            }
-        };
-        // gm-check: relaxed(tag allocator: uniqueness is all that matters)
-        let tag = self.fleet.tag_seq.fetch_add(1, Ordering::Relaxed);
-        cell_of(self.cells, s)?.queue_write(
-            Request::AddEdge {
-                src: local_src.0,
-                dst: local_dst.0,
-                label: label.to_string(),
-                props: props.clone(),
-            },
-            Some(tag),
-        )?;
-        Ok(deferred_eid(s, tag))
-    }
-
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
-        let (local, owner) = decode_vid(v, self.fleet.shards);
-        cell_of(self.cells, owner)?.queue_write(
-            Request::SetVertexProp {
-                v: local.0,
-                name: name.to_string(),
-                value,
-            },
-            None,
-        )
-    }
-
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
-        let e = self.resolve_eid(e)?;
-        let (local, s) = decode_eid(e, self.fleet.shards);
-        cell_of(self.cells, s)?.queue_write(
-            Request::SetEdgeProp {
-                e: local.0,
-                name: name.to_string(),
-                value,
-            },
-            None,
-        )
-    }
-
-    fn remove_vertex(&mut self, _v: Vid) -> GdbResult<()> {
-        // In-process this takes every shard's write guard at once; across
-        // processes that would need a fleet-wide stop-the-world. No
-        // workload mix issues it, so it stays unimplemented rather than
-        // subtly non-atomic.
-        Err(GdbError::Unsupported(
-            "fleet writer: remove_vertex requires a cross-process stop-the-world".into(),
-        ))
-    }
-
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
-        let e = self.resolve_eid(e)?;
-        let (local, s) = decode_eid(e, self.fleet.shards);
-        cell_of(self.cells, s)?.queue_write(Request::RemoveEdge(local.0), None)?;
-        // Same deferral as in-process: the resolution-map purge rides the
-        // queue until a meta writer (ghost creation) or the depth cap
-        // drains it.
-        self.fleet.defer_purge(e)
-    }
-
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        let (local, owner) = decode_vid(v, self.fleet.shards);
-        let cell = cell_of(self.cells, owner)?;
-        cell.flush()?; // the previous value answers: FIFO before reading
-        let name = name.to_string();
-        cell.call(&Request::RemoveVertexProp { v: local.0, name })?
-            .into_opt_value()
-    }
-
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        let e = self.resolve_eid(e)?;
-        let (local, s) = decode_eid(e, self.fleet.shards);
-        let cell = cell_of(self.cells, s)?;
-        cell.flush()?;
-        let name = name.to_string();
-        cell.call(&Request::RemoveEdgeProp { e: local.0, name })?
-            .into_opt_value()
-    }
-
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
-        // Homogeneous shards, same as in-process: all or none support it.
-        for cell in self.cells {
-            cell.flush()?;
-            let prop = prop.to_string();
-            cell.call(&Request::CreateVertexIndex { prop })?
-                .into_unit()?;
-        }
-        Ok(())
-    }
-
-    fn sync(&mut self) -> GdbResult<()> {
-        for cell in self.cells {
-            cell.flush()?;
-            cell.call(&Request::Sync)?.into_unit()?;
-        }
-        Ok(())
     }
 }
 
@@ -1354,27 +787,24 @@ impl Session for FleetSession<'_> {
         lockwait::reset();
         let timing = gm_obs::phases_on();
         let t0 = timing.then(Instant::now);
+        let mut router = Router::over(
+            &self.fleet.name,
+            &self.fleet.topo,
+            self.fleet.port(&self.cells),
+        );
         let card = match op {
             Op::Read(inst) => {
                 let ctx = QueryCtx::with_timeout(self.op_timeout);
-                let view = fleet_view(self.fleet, &self.cells);
-                catalog::execute_read(&inst, &view, self.params, &ctx)?
+                catalog::execute_read(&inst, &router, self.params, &ctx)?
             }
-            Op::Write(wop) => {
-                let mut writer = FleetWriter {
-                    fleet: self.fleet,
-                    cells: &self.cells,
-                    view: fleet_view(self.fleet, &self.cells),
-                };
-                apply_write(
-                    wop,
-                    &mut writer,
-                    self.params,
-                    worker,
-                    op_index,
-                    &mut self.owned_edges,
-                )?
-            }
+            Op::Write(wop) => apply_write(
+                wop,
+                &mut router,
+                self.params,
+                worker,
+                op_index,
+                &mut self.owned_edges,
+            )?,
         };
         let mut out = OpResult::plain(card).with_lock_wait(lockwait::take());
         if let Some(t) = t0 {
@@ -1430,6 +860,67 @@ mod tests {
                 let e = deferred_eid(s, tag);
                 assert_eq!(split_deferred(e), Some((s, tag)));
             }
+        }
+    }
+
+    /// A fleet `add_vertex` answers a placeholder. Fed back into a write it
+    /// must be refused by name where it enters — not decoded to a garbage
+    /// shard-local id, queued, and failed as `VertexNotFound` on whichever
+    /// unrelated later op forces that cell's flush.
+    #[test]
+    fn deferred_vertex_ids_are_refused_on_entry() {
+        use crate::Server;
+        use gm_model::api::GraphDb;
+        use gm_model::{testkit, Value};
+        use graphmark::registry::EngineKind;
+
+        let servers: Vec<_> = (0..2u32)
+            .map(|s| {
+                Server::bind("127.0.0.1:0", Box::new(|| EngineKind::LinkedV2.make()))
+                    .expect("bind shard server")
+                    .with_shard_identity(s, 2)
+                    .spawn()
+                    .expect("spawn shard server")
+            })
+            .collect();
+        let fleet = Fleet::connect(servers.iter().map(|h| h.addr().to_string()).collect())
+            .expect("connect fleet");
+        let cfg = WorkloadConfig::default();
+        let params = fleet
+            .setup(&testkit::chain_dataset(150), &cfg)
+            .expect("setup");
+        let cells = fleet.open_cells().expect("cells");
+        let mut router = Router::over(&fleet.name, &fleet.topo, fleet.port(&cells));
+
+        let placeholder = router.add_vertex("v", &Vec::new()).expect("queued");
+        let refused = [
+            router
+                .add_edge(placeholder, params.vertex, "e", &Vec::new())
+                .map(drop),
+            router
+                .add_edge(params.vertex, placeholder, "e", &Vec::new())
+                .map(drop),
+            router.set_vertex_property(placeholder, "p", Value::Int(1)),
+        ];
+        for out in refused {
+            match out {
+                Err(GdbError::Invalid(why)) => {
+                    assert!(why.contains("deferred vertex id"), "{why}")
+                }
+                other => panic!("a deferred vertex id must be refused, got {other:?}"),
+            }
+        }
+        // Nothing was queued behind the placeholder: flushing ships the one
+        // `add_vertex` and every server accepts its batch.
+        let shipped = fleet.batched_ops();
+        for cell in &cells {
+            cell.flush().expect("flush");
+        }
+        assert_eq!(fleet.batched_ops() - shipped, 1, "only the add_vertex");
+        assert_eq!(fleet.routing_errors(), 0, "no routing error counted");
+        drop(cells);
+        for h in servers {
+            h.shutdown();
         }
     }
 

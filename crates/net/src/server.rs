@@ -30,7 +30,7 @@ use gm_model::lockorder::{self, LockRank, Ranked};
 use gm_model::{
     lockwait, Dataset, Eid, GdbError, GdbResult, GraphDb, GraphSnapshot, QueryCtx, SharedGraph, Vid,
 };
-use gm_mvcc::{SnapshotSource, SourceFactory, WriteFn, WriteTxn};
+use gm_mvcc::{write_once, SnapshotSource, SourceFactory, WriteTxn};
 use gm_obs::{phase, trace, Counter, Histo, Phase};
 use gm_workload::{apply_write, Op};
 
@@ -244,26 +244,6 @@ impl Hosted {
         }
         Ok(())
     }
-}
-
-/// Run a one-shot mutation through a `with_write` path, which takes an
-/// `FnMut` batch returning a cardinality, and carry the mutation's own
-/// result out.
-fn write_once<R>(
-    f: impl FnOnce(&mut dyn GraphDb) -> GdbResult<R>,
-    with_write: impl FnOnce(&mut WriteFn<'_>) -> GdbResult<u64>,
-) -> GdbResult<R> {
-    let mut once = Some(f);
-    let mut out = None;
-    with_write(&mut |db| {
-        if let Some(f) = once.take() {
-            out = Some(f(db)?);
-        }
-        Ok(0)
-    })?;
-    out.ok_or_else(|| {
-        GdbError::Invalid("server: the engine's write path never ran the mutation".into())
-    })
 }
 
 /// A bound, not-yet-running engine server.

@@ -7,11 +7,16 @@
 //! spending **fewer wire round trips than ops** thanks to batched,
 //! pipelined dispatch.
 
-use gm_model::testkit;
-use gm_net::{run_fleet, run_fleet_sequential, Fleet, Server, ServerHandle};
-use gm_workload::{MixKind, WorkloadConfig};
+use std::collections::BTreeSet;
+use std::time::Duration;
+
+use gm_core::catalog::{QueryId, QueryInstance};
+use gm_model::api::{Direction, GraphSnapshot};
+use gm_model::{testkit, QueryCtx};
+use gm_net::{run_fleet, run_fleet_sequential, Fleet, FleetBackend, Server, ServerHandle};
+use gm_workload::{Backend, MixKind, Op, WorkloadConfig, WriteOp};
 use graphmark::registry::EngineKind;
-use graphmark::shard::run_sharded_sequential;
+use graphmark::shard::{prepare_sharded, run_sharded_sequential};
 
 /// Spawn `n` single-engine shard servers, each announcing its fleet
 /// identity, and return (handles, address table).
@@ -177,6 +182,98 @@ fn fleet_refuses_a_miswired_address_table() {
         Ok(_) => panic!("an identity-less server must be refused"),
     }
     plain.shutdown();
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+/// Flush-on-touch is precise: a read ships the queued writes of exactly the
+/// shards it needs — one for a point read, the presence set for an `in()`
+/// gather, every cell for a whole-graph scan — while untouched shards keep
+/// batching, and what it touches always includes the session's own earlier
+/// writes.
+#[test]
+fn reads_flush_exactly_the_shards_they_need() {
+    const N: usize = 3;
+    let data = testkit::chain_dataset(150);
+    let kind = EngineKind::LinkedV2;
+    let (handles, addrs) = spawn_fleet(kind, N);
+    let fleet = Fleet::connect(addrs).expect("connect fleet");
+    let c = cfg(MixKind::WriteHeavy, 1, 1);
+    let params = fleet.setup(&data, &c).expect("setup");
+
+    // Same engine, same partition: the in-process composite assigns the
+    // same composite ids, so it predicts the anchor's presence set (its
+    // owner plus the shards of its in-neighbours — edges live with their
+    // source).
+    let factory = move || kind.make();
+    let (replica, local_params) =
+        prepare_sharded(&factory, N, &data, &c).expect("in-process replica");
+    assert_eq!(local_params.vertex, params.vertex, "replica ids match");
+    let mut presence: BTreeSet<usize> = replica
+        .neighbors(params.vertex, Direction::In, None, &QueryCtx::unbounded())
+        .expect("replica in-neighbours")
+        .iter()
+        .map(|u| u.0 as usize % N)
+        .collect();
+    presence.insert(params.vertex.0 as usize % N);
+
+    let backend = FleetBackend::new(&fleet, &params, Duration::from_secs(5));
+    let mut session = backend.open_session(0).expect("session");
+    let mut op_index = 0u64;
+    let mut run = |op: Op| {
+        op_index += 1;
+        session
+            .execute(op, 0, op_index)
+            .expect("fleet op")
+            .cardinality
+    };
+    // `AddVertex` places round-robin from shard 0 after a setup, so N of
+    // them queue exactly one write on every shard (under the batch cap).
+    let queue_one_per_shard = |run: &mut dyn FnMut(Op) -> u64| {
+        for _ in 0..N {
+            run(Op::Write(WriteOp::AddVertex));
+        }
+    };
+    let counters = || (fleet.batched_ops(), fleet.round_trips());
+    let read = |id| Op::Read(QueryInstance::plain(id));
+
+    queue_one_per_shard(&mut run);
+    let (b0, t0) = counters();
+    assert_eq!(run(read(QueryId::Q14)), 1, "point read of the anchor");
+    let (b1, t1) = counters();
+    assert_eq!(b1 - b0, 1, "a point read ships its own shard's queue only");
+    assert_eq!(t1 - t0, 2, "one batch frame plus the read itself");
+
+    // The other N-1 queues are still batching; a whole-graph count ships
+    // them all and sees every write this session made.
+    assert_eq!(run(read(QueryId::Q8)), 150 + N as u64, "own writes visible");
+    let (b2, t2) = counters();
+    assert_eq!(b2 - b1, N as u64 - 1, "a scan ships every remaining cell");
+    assert_eq!(t2 - t1, (N - 1 + N) as u64, "N-1 batches plus N reads");
+
+    queue_one_per_shard(&mut run);
+    let before_gather = counters();
+    run(read(QueryId::Q22));
+    let after_gather = counters();
+    assert_eq!(
+        after_gather.0 - before_gather.0,
+        presence.len() as u64,
+        "an in() gather ships exactly its presence set {presence:?}"
+    );
+    assert_eq!(
+        after_gather.1 - before_gather.1,
+        2 * presence.len() as u64,
+        "one batch and one read per presence shard"
+    );
+
+    session.finish().expect("final flush");
+    assert_eq!(
+        fleet.batched_ops() - after_gather.0,
+        (N - presence.len()) as u64,
+        "the untouched shards batched until the session ended"
+    );
+    assert_eq!(fleet.routing_errors(), 0);
     for h in handles {
         h.shutdown();
     }

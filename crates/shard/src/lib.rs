@@ -11,26 +11,42 @@
 //! unchanged into `catalog::execute_read`, the sequential `Runner`, the
 //! `gm-workload` backends, and `gm-net` hosting.
 //!
-//! The partitioning scheme (module [`route`]):
+//! ## One routing core, many ports
 //!
-//! * vertices are placed by a hash of their canonical id (dynamic inserts
+//! What makes N shards one graph is written once:
+//!
+//! * [`route`] — the partitioning scheme and the routing [`Meta`]: vertices
+//!   are placed by a hash of their canonical id (dynamic inserts
 //!   round-robin); composite ids carry the shard index in their low digits
 //!   (`composite = local * N + shard`), so with one shard the composite is
-//!   bit-compatible with the unsharded engine;
-//! * every edge lives on **its source's shard**, so `out()` never crosses
-//!   a shard boundary; cut destinations are materialized as invisible
-//!   **ghost vertices** on the source shard, and `in()`/`both()`/BFS
-//!   gather over the vertex's presence set (owner + ghosting shards) —
-//!   k-hop traversals cross shard boundaries without ever seeing a ghost;
-//! * whole-graph scans and aggregates scatter to every shard and merge,
-//!   filtering ghosts and translating ids back to composite space.
+//!   bit-compatible with the unsharded engine; every edge lives on **its
+//!   source's shard**, so `out()` never crosses a shard boundary; cut
+//!   destinations are materialized as invisible **ghost vertices** on the
+//!   source shard;
+//! * [`view`] — the composite **read surface**: point reads route by id
+//!   arithmetic, `in()`/`both()`/BFS gather over the vertex's presence set
+//!   (owner + ghosting shards), whole-graph scans and aggregates scatter to
+//!   every shard and merge, filtering ghosts and translating ids back to
+//!   composite space — one `GraphSnapshot` surface derived from a
+//!   one-method host seam ("run `f` against the shards this op needs");
+//! * [`router`] — the **routing writer**: [`Router`] is the one `GraphDb`
+//!   that places vertices, splits same-shard from cut edges, looks up /
+//!   validates / creates ghosts, removes a vertex across its presence set
+//!   and defers resolution-map purges, over a narrow [`ShardPort`] (read
+//!   shard *s*; apply one [`ShardWrite`] to shard *s*; publish shard *s*);
+//! * [`topology`] — [`Topology`], the one owner of the routing meta, the
+//!   placement counter, the purge queue and the `shard.*` metrics, with
+//!   the single "enter topology change" guard.
 //!
-//! Concurrency: locked mode takes per-shard `RwLock`s (reads see one
-//! consistent cross-shard state; writers to different shards run in
-//! parallel); snapshot mode pins one epoch per shard under a seqlock that
-//! makes multi-shard topology changes atomic with respect to pins, with
-//! the composite epoch defined as the minimum over shard epochs (monotone
-//! because each shard's epochs are). Every lock acquisition reports
+//! A host is then a [`Topology`] plus a port: `ShardedGraph` reaches shard
+//! *s* through its own `RwLock` (reads see one consistent cross-shard
+//! state; writers to different shards run in parallel); `ShardedSource`
+//! through an MVCC cell, pinning one epoch per shard under the topology's
+//! seqlock so multi-shard topology changes are atomic with respect to
+//! pins, with the composite epoch the minimum over shard epochs (monotone
+//! because each shard's epochs are); a staged transaction commit is the
+//! same router handed an already-held guard; `gm-net`'s fleet through a
+//! pipelined connection per shard server. Every lock acquisition reports
 //! through [`gm_model::lockwait`], so the driver's lock-wait column turns
 //! "per-partition locks beat one big lock" into a measured number
 //! (`fig10_sharding`).
@@ -43,7 +59,9 @@
 pub mod backend;
 pub mod graph;
 pub mod route;
+pub mod router;
 pub mod source;
+pub mod topology;
 pub mod view;
 
 pub use backend::{
@@ -53,8 +71,10 @@ pub use graph::{ShardedGraph, SharedWriter};
 pub use route::{
     decode_eid, decode_vid, encode_eid, encode_vid, shard_of_canonical, Meta, GHOST_LABEL,
 };
+pub use router::{Router, ShardPort, ShardWrite, WriteOut};
 pub use source::ShardedSource;
-pub use view::{Parts, ShardedView};
+pub use topology::Topology;
+pub use view::{ShardSel, ShardedView};
 
 /// A `ShardedGraph` over boxed registry engines — the form the harness
 /// binaries use (`EngineKind::make()` returns `Box<dyn GraphDb>`, which

@@ -152,6 +152,36 @@ impl Meta {
         }
     }
 
+    /// Shards where composite vertex `v` has a local id, with that id:
+    /// the owner first, then every shard ghosting it — exactly the shards
+    /// that can store edges pointing at it.
+    pub fn presence(&self, v: Vid) -> Vec<(usize, Vid)> {
+        let mut out = Vec::with_capacity(2);
+        let (local, owner) = decode_vid(v, self.shards);
+        out.push((owner, local));
+        for (s, ghosts) in self.ghosts.iter().enumerate() {
+            if s != owner {
+                if let Some(g) = ghosts.get(&v.0) {
+                    out.push((s, *g));
+                }
+            }
+        }
+        out
+    }
+
+    /// Record that `ghost` (a local id on `shard`) shadows composite `v`.
+    pub fn add_ghost(&mut self, shard: usize, v: Vid, ghost: Vid) {
+        self.ghosts[shard].insert(v.0, ghost);
+        self.rev[shard].insert(ghost.0, v.0);
+    }
+
+    /// Forget `shard`'s ghost of composite `v`, returning its local id.
+    pub fn remove_ghost(&mut self, shard: usize, v: Vid) -> Option<Vid> {
+        let ghost = self.ghosts[shard].remove(&v.0)?;
+        self.rev[shard].remove(&ghost.0);
+        Some(ghost)
+    }
+
     /// Number of ghost placeholders on `shard` (subtracted from counts,
     /// filtered from scans).
     pub fn ghost_count(&self, shard: usize) -> u64 {
@@ -263,8 +293,7 @@ pub fn build_meta(parts: &Partitioned, views: &[&dyn GraphSnapshot]) -> GdbResul
             .vertex_resolve
             .get(shadowed)
             .ok_or_else(|| corrupt(format!("ghost shadows unknown vertex {shadowed}")))?;
-        meta.ghosts[*s].insert(composite, local);
-        meta.rev[*s].insert(local.0, composite);
+        meta.add_ghost(*s, Vid(composite), local);
     }
     for (canonical, (s, local_canonical)) in parts.edge_loc.iter().enumerate() {
         let local = views[*s]

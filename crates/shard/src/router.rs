@@ -1,0 +1,526 @@
+//! The one routing writer: placement, composite-id math, cut edges and
+//! their ghosts, cross-shard vertex removal and purge deferral — over a
+//! narrow [`ShardPort`].
+//!
+//! A port is *how shard `s` is reached*: a `RwLock`ed engine
+//! (`ShardedGraph`), an MVCC cell (`ShardedSource`), or a pipelined
+//! connection to a shard server (`gm-net`'s fleet). It reads shard `s`,
+//! applies one single-shard write — plain data, a [`ShardWrite`] in
+//! shard-local ids — to shard `s`, and publishes shard `s`. Everything that
+//! makes N shards one graph lives here, once, in [`Router`]; the routing
+//! state it mutates lives in the host's [`Topology`].
+//!
+//! ## The cut-edge sequence
+//!
+//! An edge lives on its source's shard. For a remote destination the
+//! router looks the ghost up first (one meta read — an existing ghost
+//! proves the endpoint existed when the ghost was made, since vertex
+//! removal deletes its ghosts); only on a miss does it validate the remote
+//! endpoint (one read of the owner shard, nothing else held) and create
+//! the ghost under the topology guard, re-checking for a racing creator. A
+//! removal racing between check and insert is the weakening every
+//! cross-partition store without a global clock accepts.
+//!
+//! ## Topology changes
+//!
+//! Ghost creation, vertex removal and bulk load run under
+//! [`Topology::enter`]; every shard mutated under the guard is published
+//! through the port **before the guard is released**, so a new meta can
+//! never be paired with a shard view from before the change. A staged
+//! transaction commit hands the router its already-held guard
+//! ([`Router::staged`]): the router then changes the meta in place, purges
+//! in place, and leaves publishing every touched shard to
+//! [`Router::finish`].
+
+use std::collections::BTreeSet;
+
+use gm_model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions, LoadStats};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, Props, QueryCtx, Value, Vid};
+
+use crate::route::{build_meta, decode_eid, decode_vid, encode_eid, partition, Meta, GHOST_LABEL};
+use crate::topology::Topology;
+use crate::view::{Parts, PartsHost, ShardSel};
+
+/// One single-shard mutation, in the shard's local id space.
+pub enum ShardWrite<'a> {
+    BulkLoad(&'a Dataset, &'a LoadOptions),
+    AddVertex(&'a str, &'a Props),
+    AddEdge(Vid, Vid, &'a str, &'a Props),
+    SetVertexProperty(Vid, &'a str, Value),
+    SetEdgeProperty(Eid, &'a str, Value),
+    RemoveVertex(Vid),
+    RemoveEdge(Eid),
+    RemoveVertexProperty(Vid, &'a str),
+    RemoveEdgeProperty(Eid, &'a str),
+    CreateVertexIndex(&'a str),
+    Sync,
+}
+
+/// What a [`ShardWrite`] answered.
+#[derive(Debug)]
+pub enum WriteOut {
+    Done,
+    /// The shard-local id of the created vertex or edge.
+    Id(u64),
+    /// A port that queues writes answers a posted creation with a claim on
+    /// the id instead: an opaque composite-space placeholder only that
+    /// port can redeem (see [`ShardPort::admit_vid`]).
+    Deferred(u64),
+    Value(Option<Value>),
+}
+
+impl ShardWrite<'_> {
+    /// Run this write against a shard's engine — the whole port for
+    /// in-process shards.
+    pub fn apply(self, db: &mut dyn GraphDb) -> GdbResult<WriteOut> {
+        Ok(match self {
+            ShardWrite::BulkLoad(data, opts) => db.bulk_load(data, opts).map(|_| WriteOut::Done)?,
+            ShardWrite::AddVertex(label, props) => WriteOut::Id(db.add_vertex(label, props)?.0),
+            ShardWrite::AddEdge(src, dst, label, props) => {
+                WriteOut::Id(db.add_edge(src, dst, label, props)?.0)
+            }
+            ShardWrite::SetVertexProperty(v, name, value) => db
+                .set_vertex_property(v, name, value)
+                .map(|()| WriteOut::Done)?,
+            ShardWrite::SetEdgeProperty(e, name, value) => db
+                .set_edge_property(e, name, value)
+                .map(|()| WriteOut::Done)?,
+            ShardWrite::RemoveVertex(v) => db.remove_vertex(v).map(|()| WriteOut::Done)?,
+            ShardWrite::RemoveEdge(e) => db.remove_edge(e).map(|()| WriteOut::Done)?,
+            ShardWrite::RemoveVertexProperty(v, name) => {
+                WriteOut::Value(db.remove_vertex_property(v, name)?)
+            }
+            ShardWrite::RemoveEdgeProperty(e, name) => {
+                WriteOut::Value(db.remove_edge_property(e, name)?)
+            }
+            ShardWrite::CreateVertexIndex(prop) => {
+                db.create_vertex_index(prop).map(|()| WriteOut::Done)?
+            }
+            ShardWrite::Sync => db.sync().map(|()| WriteOut::Done)?,
+        })
+    }
+}
+
+impl WriteOut {
+    /// The shard-local id a creation answered.
+    fn id(self) -> GdbResult<u64> {
+        match self {
+            WriteOut::Id(local) => Ok(local),
+            other => Err(GdbError::Corrupt(format!(
+                "a shard answered a creation with {other:?}"
+            ))),
+        }
+    }
+
+    /// The composite id of a creation on shard `s` of `n`.
+    fn composite(self, s: usize, n: usize) -> GdbResult<u64> {
+        match self {
+            WriteOut::Deferred(claim) => Ok(claim),
+            other => Ok(other.id()? * n as u64 + s as u64),
+        }
+    }
+
+    fn value(self) -> GdbResult<Option<Value>> {
+        match self {
+            WriteOut::Value(v) => Ok(v),
+            other => Err(GdbError::Corrupt(format!(
+                "a shard answered a property removal with {other:?}"
+            ))),
+        }
+    }
+}
+
+/// How a composite reaches its shards. See the module docs.
+pub trait ShardPort: Send + Sync {
+    /// Run `f` against read views of the shards `need` names
+    /// (`need.shards(n, meta)`, acquired ascending and held together), as
+    /// `(shard, view)` pairs.
+    fn with_views<R>(
+        &self,
+        need: &ShardSel,
+        meta: Option<&Meta>,
+        f: impl FnOnce(&[(usize, &dyn GraphSnapshot)]) -> R,
+    ) -> GdbResult<R>;
+
+    /// Run `f` against a read view of shard `s` alone.
+    fn read<R>(
+        &self,
+        s: usize,
+        f: impl FnOnce(&dyn GraphSnapshot) -> GdbResult<R>,
+    ) -> GdbResult<R> {
+        // gm-lock: shard transient
+        self.with_views(&ShardSel::Point(s), None, |views| match views.first() {
+            Some((_, view)) => f(*view),
+            None => Err(GdbError::Corrupt(format!(
+                "the port acquired no view of shard {s}"
+            ))),
+        })?
+    }
+
+    /// Apply one write to shard `s` now and return its answer.
+    fn apply(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut>;
+
+    /// Apply a write whose answer the router only hands back to its
+    /// caller. A pipelined port may queue it and answer a creation with
+    /// [`WriteOut::Deferred`].
+    fn post(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
+        self.apply(s, w)
+    }
+
+    /// Make shard `s`'s applied writes visible to new readers (the router
+    /// calls this for every shard a topology change mutated, before the
+    /// change's guard is released).
+    fn publish(&self, _s: usize) -> GdbResult<()> {
+        Ok(())
+    }
+
+    /// The epoch reads through this port observe (0 = unversioned: reads
+    /// see whatever writes have landed).
+    fn epoch(&self) -> u64 {
+        0
+    }
+
+    /// Check a vertex id entering the router: a port that hands out
+    /// deferred ids refuses or redeems them here.
+    fn admit_vid(&self, v: Vid) -> GdbResult<Vid> {
+        Ok(v)
+    }
+
+    /// Check an edge id entering the router (see [`ShardPort::admit_vid`]).
+    fn admit_eid(&self, e: Eid) -> GdbResult<Eid> {
+        Ok(e)
+    }
+}
+
+/// Run a composite read over `port`: under the routing meta `held` by the
+/// caller, or else under the topology's read guard for `need`.
+pub(crate) fn read_parts<P: ShardPort, R>(
+    name: &str,
+    topo: &Topology,
+    held: Option<&Meta>,
+    port: &P,
+    need: ShardSel,
+    f: impl FnOnce(&Parts<'_>) -> R,
+) -> GdbResult<R> {
+    // gm-lock: meta
+    let guard = match held {
+        Some(_) => None,
+        None => topo.read_for(&need)?,
+    };
+    let meta = held.or(guard.as_deref());
+    let n = topo.shards();
+    if topo.metrics().is_some() {
+        need.shards(n, meta).for_each(|s| topo.note_op(s));
+    }
+    // gm-lock: shard
+    port.with_views(&need, meta, |shards| {
+        f(&Parts {
+            name,
+            n,
+            shards,
+            meta,
+        })
+    })
+}
+
+/// A topology change in progress: the routing meta under its guard, plus
+/// the port, recording every shard mutated so it is published before the
+/// guard goes.
+struct Change<'c, P> {
+    meta: &'c mut Meta,
+    topo: &'c Topology,
+    port: &'c P,
+    touched: &'c mut BTreeSet<usize>,
+}
+
+impl<P: ShardPort> Change<'_, P> {
+    fn apply(&mut self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
+        self.topo.note_op(s);
+        let out = self.port.apply(s, w)?;
+        self.touched.insert(s);
+        Ok(out)
+    }
+}
+
+/// The routing mutation handle of a composite: a [`GraphDb`] whose every
+/// mutation reaches only the shards it touches, and a full
+/// [`GraphSnapshot`] over the same port. One reference each to the host's
+/// name, [`Topology`] and port — cheap enough to build per op.
+pub struct Router<'a, P> {
+    name: &'a str,
+    topo: &'a Topology,
+    port: P,
+    /// The routing meta of an already-held topology guard (staged commit).
+    held: Option<&'a mut Meta>,
+    /// Shards mutated under `held`, awaiting [`Router::finish`].
+    touched: BTreeSet<usize>,
+}
+
+impl<'a, P: ShardPort> Router<'a, P> {
+    /// Route over `port`, entering the topology per change.
+    pub fn over(name: &'a str, topo: &'a Topology, port: P) -> Self {
+        Router {
+            name,
+            topo,
+            port,
+            held: None,
+            touched: BTreeSet::new(),
+        }
+    }
+
+    /// Route a staged commit: the caller holds `topo`'s guard (whose meta
+    /// is `held`) for the whole replay and calls [`Router::finish`] before
+    /// releasing it.
+    pub fn staged(name: &'a str, topo: &'a Topology, port: P, held: &'a mut Meta) -> Self {
+        Router {
+            held: Some(held),
+            ..Router::over(name, topo, port)
+        }
+    }
+
+    /// Publish every shard the staged replay mutated.
+    pub fn finish(self) -> GdbResult<()> {
+        self.touched.iter().try_for_each(|s| self.port.publish(*s))
+    }
+
+    fn n(&self) -> usize {
+        self.topo.shards()
+    }
+
+    /// A single-shard write whose answer goes straight back to the caller.
+    fn post(&mut self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
+        let out = self.port.post(s, w);
+        self.landed(s, out)
+    }
+
+    /// A single-shard write whose answer the router needs now.
+    fn apply(&mut self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
+        let out = self.port.apply(s, w);
+        self.landed(s, out)
+    }
+
+    fn landed(&mut self, s: usize, out: GdbResult<WriteOut>) -> GdbResult<WriteOut> {
+        self.topo.note_op(s);
+        if out.is_ok() && self.held.is_some() {
+            self.touched.insert(s);
+        }
+        out
+    }
+
+    /// Run a topology change: under the held guard if there is one, else
+    /// under a fresh one — publishing what it touched before release.
+    fn change<R>(&mut self, f: impl FnOnce(&mut Change<'_, P>) -> GdbResult<R>) -> GdbResult<R> {
+        let (topo, port) = (self.topo, &self.port);
+        if let Some(meta) = self.held.as_deref_mut() {
+            let touched = &mut self.touched;
+            return f(&mut Change {
+                meta,
+                topo,
+                port,
+                touched,
+            });
+        }
+        // gm-lock: meta
+        let mut guard = topo.enter()?;
+        let mut touched = BTreeSet::new();
+        let out = f(&mut Change {
+            meta: &mut guard,
+            topo,
+            port,
+            touched: &mut touched,
+        })?;
+        touched.iter().try_for_each(|s| port.publish(*s))?;
+        Ok(out)
+    }
+
+    /// Structural ops bypass a transaction's write set: refuse them inside
+    /// a staged commit.
+    fn structural(&self, what: &str) -> GdbResult<()> {
+        match self.held {
+            Some(_) => Err(GdbError::Unsupported(format!(
+                "{what} inside a transaction commit"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// The local id standing in for remote vertex `dst` on shard `s`. See
+    /// the module docs for the sequence.
+    fn ghost_for(&mut self, s: usize, dst: Vid) -> GdbResult<Vid> {
+        let known = match &self.held {
+            Some(meta) => meta.ghosts[s].get(&dst.0).copied(),
+            // gm-lock: meta transient
+            None => self.topo.read()?.ghosts[s].get(&dst.0).copied(),
+        };
+        if let Some(ghost) = known {
+            return Ok(ghost);
+        }
+        let (local, owner) = decode_vid(dst, self.n());
+        if self.port.read(owner, |view| view.vertex(local))?.is_none() {
+            return Err(GdbError::VertexNotFound(dst.0));
+        }
+        self.change(|c| {
+            if let Some(ghost) = c.meta.ghosts[s].get(&dst.0).copied() {
+                return Ok(ghost); // raced another writer: reuse
+            }
+            let ghost = c.apply(s, ShardWrite::AddVertex(GHOST_LABEL, &Vec::new()))?;
+            let ghost = Vid(ghost.id()?);
+            c.meta.add_ghost(s, dst, ghost);
+            c.topo.note_ghost_creation();
+            Ok(ghost)
+        })
+    }
+}
+
+impl<P: ShardPort> PartsHost for Router<'_, P> {
+    fn host_name(&self) -> &str {
+        self.name
+    }
+
+    fn host_shards(&self) -> usize {
+        self.n()
+    }
+
+    fn host_epoch(&self) -> u64 {
+        self.port.epoch()
+    }
+
+    fn with_parts<R>(&self, need: ShardSel, f: impl FnOnce(&Parts<'_>) -> R) -> GdbResult<R> {
+        read_parts(
+            self.name,
+            self.topo,
+            self.held.as_deref(),
+            &self.port,
+            need,
+            f,
+        )
+    }
+}
+
+impl<P: ShardPort> GraphDb for Router<'_, P> {
+    fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
+        self.structural("bulk load")?;
+        let n = self.n();
+        self.change(|c| {
+            let parts = partition(data, n)?;
+            for (s, sub) in parts.subs.iter().enumerate() {
+                c.apply(s, ShardWrite::BulkLoad(sub, opts))?;
+            }
+            // gm-lock: shard
+            let meta = c.port.with_views(&ShardSel::All, None, |views| {
+                let views: Vec<&dyn GraphSnapshot> = views.iter().map(|(_, v)| *v).collect();
+                build_meta(&parts, &views)
+            })??;
+            *c.meta = meta;
+            // Purges queued against the old graph must not hit the new one.
+            c.topo.discard_purges()
+        })?;
+        Ok(LoadStats {
+            vertices: data.vertex_count() as u64,
+            edges: data.edge_count() as u64,
+        })
+    }
+
+    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
+        let s = self.topo.place();
+        let out = self.post(s, ShardWrite::AddVertex(label, props))?;
+        out.composite(s, self.n()).map(Vid)
+    }
+
+    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
+        let (src, dst) = (self.port.admit_vid(src)?, self.port.admit_vid(dst)?);
+        let n = self.n();
+        let (local_src, s) = decode_vid(src, n);
+        let (local_dst, dst_shard) = decode_vid(dst, n);
+        // Same-shard edge: the inner engine validates both endpoints.
+        let local_dst = if dst_shard == s {
+            local_dst
+        } else {
+            self.ghost_for(s, dst)?
+        };
+        let out = self.post(s, ShardWrite::AddEdge(local_src, local_dst, label, props))?;
+        out.composite(s, n).map(Eid)
+    }
+
+    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
+        let (local, s) = decode_vid(self.port.admit_vid(v)?, self.n());
+        self.post(s, ShardWrite::SetVertexProperty(local, name, value))
+            .map(drop)
+    }
+
+    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
+        let (local, s) = decode_eid(self.port.admit_eid(e)?, self.n());
+        self.post(s, ShardWrite::SetEdgeProperty(local, name, value))
+            .map(drop)
+    }
+
+    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
+        let v = self.port.admit_vid(v)?;
+        let n = self.n();
+        self.change(|c| {
+            let presence = c.meta.presence(v);
+            // Collect the incident edges before anything is removed, so
+            // their resolution entries can be purged with them.
+            let ctx = QueryCtx::unbounded();
+            let mut dead_edges: Vec<Eid> = Vec::new();
+            for &(s, local) in &presence {
+                let refs = c.port.read(s, |view| match view.vertex(local)? {
+                    Some(_) => view.vertex_edges(local, Direction::Both, None, &ctx),
+                    None => Ok(Vec::new()),
+                })?;
+                dead_edges.extend(refs.into_iter().map(|r| encode_eid(r.eid, s, n)));
+            }
+            // The owner's removal validates existence; only then ghosts.
+            let mut shards = presence.into_iter();
+            if let Some((owner, local)) = shards.next() {
+                c.apply(owner, ShardWrite::RemoveVertex(local))?;
+            }
+            for (s, ghost) in shards {
+                c.meta.remove_ghost(s, v);
+                c.apply(s, ShardWrite::RemoveVertex(ghost))?;
+            }
+            for e in dead_edges {
+                c.meta.purge_edge(e);
+            }
+            c.meta.purge_vertex(v);
+            Ok(())
+        })
+    }
+
+    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
+        let e = self.port.admit_eid(e)?;
+        let (local, s) = decode_eid(e, self.n());
+        self.post(s, ShardWrite::RemoveEdge(local))?;
+        // An orphaned ghost (its last in-edge gone) is retained: it stays
+        // invisible to every read and the next cut edge to the same
+        // destination reuses it.
+        match self.held.as_deref_mut() {
+            Some(meta) => meta.purge_edge(e),
+            None => self.topo.defer_purge(e)?,
+        }
+        Ok(())
+    }
+
+    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
+        let (local, s) = decode_vid(self.port.admit_vid(v)?, self.n());
+        self.apply(s, ShardWrite::RemoveVertexProperty(local, name))?
+            .value()
+    }
+
+    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
+        let (local, s) = decode_eid(self.port.admit_eid(e)?, self.n());
+        self.apply(s, ShardWrite::RemoveEdgeProperty(local, name))?
+            .value()
+    }
+
+    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
+        self.structural("create_vertex_index")?;
+        // Homogeneous shards: either all support indexes or none does, so a
+        // first-shard failure leaves no partial state behind.
+        (0..self.n()).try_for_each(|s| self.apply(s, ShardWrite::CreateVertexIndex(prop)).map(drop))
+    }
+
+    fn sync(&mut self) -> GdbResult<()> {
+        (0..self.n()).try_for_each(|s| self.apply(s, ShardWrite::Sync).map(drop))
+    }
+}

@@ -3,117 +3,58 @@
 //! [`ShardedSource`] composes `N` independent snapshot cells (one `CowCell`
 //! or `FreezeCell` per shard) behind the same [`SnapshotSource`] interface
 //! the driver, the fig8/fig10 harnesses, and the gm-net server already
-//! host. The properties that matter:
+//! host. Its writes are the shared [`Router`] over [`CellPort`]; the
+//! properties that matter:
 //!
 //! * **Writers to different shards do not serialize.** `with_write` hands
-//!   the closure a routing handle whose every mutation enters only the
-//!   target cell's writer mutex — there is no composite-wide writer lock.
+//!   the closure a router whose every mutation enters only the target
+//!   cell's writer mutex — there is no composite-wide writer lock.
 //! * **Pins are consistent.** A composite pin takes one epoch view per
-//!   cell plus a copy of the routing meta, all under a seqlock
-//!   ([`ShardedSource::topo`]): multi-shard topology changes (ghost
-//!   creation, vertex removal, bulk load) hold the meta writer lock and
-//!   flip the seqlock odd, so a pin that raced one **retries** instead of
-//!   returning a torn view (an edge pointing at a ghost the meta cannot
-//!   translate) — and every topology change **publishes the cells it
-//!   mutated before releasing the seqlock**, so the new meta can never be
-//!   paired with a staleness-bounded view from before the change.
-//!   Independent single-shard writes may land between two cells' pins —
-//!   the composite then shows a state in which some of those writes
-//!   happened and others not yet, which is a legal interleaving of
-//!   single-shard atomic writes, never a torn multi-shard operation.
+//!   cell plus a copy of the routing meta, all under the topology's
+//!   seqlock: multi-shard topology changes (ghost creation, vertex
+//!   removal, bulk load) hold the meta writer lock and flip the seqlock
+//!   odd, so a pin that raced one **retries** instead of returning a torn
+//!   view (an edge pointing at a ghost the meta cannot translate) — and
+//!   every topology change **publishes the cells it mutated before
+//!   releasing the seqlock** ([`CellPort`]'s `publish`), so the new meta
+//!   can never be paired with a staleness-bounded view from before the
+//!   change (e.g. a ghost entry whose vertex the pinned view does not
+//!   contain yet, turning a read of an existing vertex into
+//!   `VertexNotFound`). Independent single-shard writes may land between
+//!   two cells' pins — the composite then shows a state in which some of
+//!   those writes happened and others not yet, which is a legal
+//!   interleaving of single-shard atomic writes, never a torn multi-shard
+//!   operation.
 //! * **Composite epochs are monotone.** The composite epoch is the minimum
 //!   over the shard epochs (the newest version every shard has published);
 //!   each cell's epochs are monotone, so the minimum is too.
 //!
-//! Canonical-id resolution maps are purged without the seqlock on plain
-//! edge removals (resolution is setup-path machinery, run before the
-//! measured region); the correctness-critical ghost maps only ever change
-//! under the seqlock.
+//! Canonical-id resolution maps are purged without the seqlock (resolution
+//! is setup-path machinery, run before the measured region): a pin may
+//! briefly keep resolving a dead canonical id and find the edge gone — the
+//! same answer an unsharded engine racing the removal gives. The
+//! correctness-critical ghost maps only ever change under the seqlock.
 
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockWriteGuard};
 use std::time::Duration;
 
-use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SpaceReport, VertexData,
-};
-use gm_model::lockorder::{self, LockRank, LockToken};
-use gm_model::{lockwait, Dataset, Eid, GdbError, GdbResult, Props, QueryCtx, Value, Vid};
-use gm_mvcc::{KeyRecorder, SnapshotSource, TxnKey, TxnLog};
-use gm_obs::{Counter, Gauge};
+use gm_model::api::GraphSnapshot;
+use gm_model::GdbResult;
+use gm_mvcc::{write_once, KeyRecorder, SnapshotSource, TxnKey, TxnLog};
 
-use crate::route::{
-    build_meta, decode_eid, decode_vid, encode_eid, encode_vid, partition, Meta, GHOST_LABEL,
-};
-use crate::view::ShardedView;
-
-/// Staleness bound used when a cross-shard write needs a quick look at
-/// another shard (endpoint validation): a recent pin is an `Arc` clone,
-/// a strict pin would force a publish per cut edge.
-const PEEK_STALENESS: Duration = gm_workload::SNAPSHOT_PIN_STALENESS;
-
-fn poisoned(what: &str) -> GdbError {
-    GdbError::Poisoned(format!(
-        "sharded source {what} lock poisoned by a panicking writer"
-    ))
-}
+use crate::route::Meta;
+use crate::router::{Router, ShardPort, ShardWrite, WriteOut};
+use crate::topology::Topology;
+use crate::view::{ShardSel, ShardedView};
 
 /// How one shard cell is pinned (strict `snapshot` or `snapshot_recent`).
 type PinFn<'a> = dyn Fn(&dyn SnapshotSource) -> GdbResult<Box<dyn GraphSnapshot>> + 'a;
 
-/// Registry handles for one composite, resolved at construction and `None`
-/// under `GM_OBS=off`. The per-shard op counters (`shard.{i}.ops`) count
-/// writes routed to each partition — the balance figure the server's
-/// periodic stats line reports; composites of the same shard count share
-/// names and aggregate.
-pub(crate) struct ShardMetrics {
-    pub(crate) shard_ops: Vec<Counter>,
-    pub(crate) pins: Counter,
-    /// Composite pins that had to retry (or wait out) a topology change.
-    pub(crate) seqlock_retries: Counter,
-    pub(crate) ghost_creations: Counter,
-    /// Depth of the deferred resolution-map purge queue (locked composite
-    /// only; snapshot composites purge eagerly under their topology guard).
-    pub(crate) pending_purges: Gauge,
-}
-
-impl ShardMetrics {
-    pub(crate) fn new(shards: usize) -> Option<ShardMetrics> {
-        if !gm_obs::counters_on() {
-            return None;
-        }
-        let g = gm_obs::global();
-        Some(ShardMetrics {
-            shard_ops: (0..shards)
-                .map(|i| g.counter(&format!("shard.{i}.ops")))
-                .collect(),
-            pins: g.counter("shard.pins"),
-            seqlock_retries: g.counter("shard.seqlock_retries"),
-            ghost_creations: g.counter("shard.ghost_creations"),
-            pending_purges: g.gauge("shard.pending_purges"),
-        })
-    }
-
-    pub(crate) fn note_op(&self, s: usize) {
-        self.shard_ops[s].inc();
-    }
-}
-
-/// `N` snapshot cells + routing meta behind one [`SnapshotSource`].
+/// `N` snapshot cells + routing topology behind one [`SnapshotSource`].
 pub struct ShardedSource {
     name: String,
     kind: &'static str,
     cells: Vec<Box<dyn SnapshotSource>>,
-    meta: RwLock<Meta>,
-    /// Seqlock word: odd while a multi-shard topology change is in flight.
-    /// Only the holder of the `meta` writer lock flips it, so odd/even
-    /// transitions are serialized.
-    topo: AtomicU64,
-    /// Round-robin placement counter for dynamically added vertices.
-    spread: AtomicU64,
-    metrics: Option<ShardMetrics>,
+    topo: Topology,
     /// Commit log for txn conflict detection, in **composite** id space
     /// (the per-cell logs record shard-local ids and are unused here).
     txn_log: TxnLog,
@@ -124,7 +65,7 @@ impl ShardedSource {
     ///
     /// Panics if `shards == 0`.
     pub fn from_factory(shards: usize, make: impl Fn() -> Box<dyn SnapshotSource>) -> Self {
-        assert!(shards >= 1, "a sharded source needs at least one shard");
+        let topo = Topology::new(shards);
         let cells: Vec<Box<dyn SnapshotSource>> = (0..shards).map(|_| make()).collect();
         let kind = match cells[0].kind() {
             "cow" => "sharded-cow",
@@ -135,10 +76,7 @@ impl ShardedSource {
             name: format!("{}/s{shards}", cells[0].engine()),
             kind,
             cells,
-            meta: RwLock::new(Meta::new(shards)),
-            topo: AtomicU64::new(0),
-            spread: AtomicU64::new(0),
-            metrics: ShardMetrics::new(shards),
+            topo,
             txn_log: TxnLog::new(),
         }
     }
@@ -151,21 +89,20 @@ impl ShardedSource {
     /// Pin a composite view, retrying while a topology change is in flight
     /// (see the module docs for the consistency argument).
     fn pin_view(&self, pin: &PinFn<'_>) -> GdbResult<ShardedView> {
+        let metrics = self.topo.metrics();
         loop {
-            let before = self.topo.load(Ordering::SeqCst);
+            self.topo.drain_purges()?;
+            let before = self.topo.seq();
             if before % 2 == 1 {
                 // A topology change is in flight; its holder owns the meta
                 // writer lock, so parking on the reader side sleeps until
                 // it finishes instead of burning a core (a bulk load can
                 // hold the seqlock odd for seconds).
-                if let Some(m) = &self.metrics {
+                if let Some(m) = metrics {
                     m.seqlock_retries.inc();
                 }
-                {
-                    // gm-lock: meta transient
-                    let _t = lockorder::acquire(LockRank::Meta, "gm-shard/source.rs seqlock park");
-                    drop(self.meta.read().map_err(|_| poisoned("meta read"))?);
-                }
+                // gm-lock: meta transient
+                drop(self.topo.read()?);
                 std::thread::yield_now();
                 continue;
             }
@@ -173,16 +110,11 @@ impl ShardedSource {
             for cell in &self.cells {
                 shards.push(pin(cell.as_ref())?);
             }
-            let meta = {
-                // gm-lock: meta
-                let _t = lockorder::acquire(LockRank::Meta, "gm-shard/source.rs pin meta clone");
-                lockwait::timed(|| self.meta.read())
-                    .map_err(|_| poisoned("meta read"))?
-                    .clone()
-            };
-            if self.topo.load(Ordering::SeqCst) == before {
+            // gm-lock: meta transient
+            let meta = self.topo.read()?.clone();
+            if self.topo.seq() == before {
                 let epoch = shards.iter().map(|s| s.epoch()).min().unwrap_or(0);
-                if let Some(m) = &self.metrics {
+                if let Some(m) = metrics {
                     m.pins.inc();
                 }
                 return Ok(ShardedView {
@@ -194,52 +126,48 @@ impl ShardedSource {
             }
             // A topology change landed mid-pin: re-pin against the new
             // state (each retry re-pins, so epochs only move forward).
-            if let Some(m) = &self.metrics {
+            if let Some(m) = metrics {
                 m.seqlock_retries.inc();
             }
         }
     }
 
-    /// Force-publish a cell's pending writes (a strict pin publishes; the
-    /// returned view is discarded). Every topology change publishes the
-    /// cells it mutated **before its guard releases the seqlock**:
-    /// otherwise a later `snapshot_recent` pin could pair the new meta
-    /// with a shard view from before the change (the cell write would sit
-    /// unpublished for up to the staleness bound) — e.g. a ghost entry
-    /// whose vertex the pinned view does not contain yet, turning a read
-    /// of an existing vertex into `VertexNotFound`. Publishing inside the
-    /// guard makes meta and shard state visible together.
-    fn publish_cell(&self, s: usize) -> GdbResult<()> {
-        self.cells[s].snapshot().map(|_| ())
-    }
-
-    /// Begin a multi-shard topology change: meta writer lock + seqlock odd.
-    /// The guard flips the seqlock back even on drop — panic included, so a
-    /// failing topology write can never wedge every future pin.
-    fn topo_write(&self) -> GdbResult<TopoGuard<'_>> {
-        // gm-lock: meta
-        let token = lockorder::acquire(LockRank::Meta, "gm-shard/source.rs topology write");
-        let meta = lockwait::timed(|| self.meta.write()).map_err(|_| poisoned("meta write"))?;
-        self.topo.fetch_add(1, Ordering::SeqCst);
-        Ok(TopoGuard {
-            meta,
-            topo: &self.topo,
-            _token: token,
-        })
+    fn port(&self) -> CellPort<'_> {
+        CellPort(&self.cells)
     }
 }
 
-/// Holder of an in-flight topology change (see [`ShardedSource::topo_write`]).
-struct TopoGuard<'a> {
-    meta: RwLockWriteGuard<'a, Meta>,
-    topo: &'a AtomicU64,
-    /// Rank-stack entry for the meta writer lock; released with the guard.
-    _token: LockToken,
-}
+/// The [`ShardPort`] of a [`ShardedSource`]: shard `s` is reached through
+/// its MVCC cell — reads pin it strictly, writes enter its writer mutex,
+/// publishing is a strict pin (discarded).
+struct CellPort<'a>(&'a [Box<dyn SnapshotSource>]);
 
-impl Drop for TopoGuard<'_> {
-    fn drop(&mut self) {
-        self.topo.fetch_add(1, Ordering::SeqCst);
+impl ShardPort for CellPort<'_> {
+    fn with_views<R>(
+        &self,
+        need: &ShardSel,
+        meta: Option<&Meta>,
+        f: impl FnOnce(&[(usize, &dyn GraphSnapshot)]) -> R,
+    ) -> GdbResult<R> {
+        let pins = need
+            .shards(self.0.len(), meta)
+            .map(|s| Ok((s, self.0[s].snapshot()?)))
+            .collect::<GdbResult<Vec<_>>>()?;
+        let views: Vec<(usize, &dyn GraphSnapshot)> =
+            pins.iter().map(|(s, pin)| (*s, pin.as_ref())).collect();
+        Ok(f(&views))
+    }
+
+    fn apply(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
+        write_once(|db| w.apply(db), |f| self.0[s].with_write(f))
+    }
+
+    fn publish(&self, s: usize) -> GdbResult<()> {
+        self.0[s].snapshot().map(drop)
+    }
+
+    fn epoch(&self) -> u64 {
+        self.0.iter().map(|c| c.current_epoch()).min().unwrap_or(0)
     }
 }
 
@@ -253,11 +181,7 @@ impl SnapshotSource for ShardedSource {
     }
 
     fn current_epoch(&self) -> u64 {
-        self.cells
-            .iter()
-            .map(|c| c.current_epoch())
-            .min()
-            .unwrap_or(0)
+        self.port().epoch()
     }
 
     fn snapshot(&self) -> GdbResult<Box<dyn GraphSnapshot>> {
@@ -271,11 +195,11 @@ impl SnapshotSource for ShardedSource {
     }
 
     fn with_write(&self, f: &mut gm_mvcc::WriteFn<'_>) -> GdbResult<u64> {
-        // No composite-wide lock here: the routing handle's mutations enter
-        // only the cells they touch. The recorder derives composite-id
+        // No composite-wide lock here: the router's mutations enter only
+        // the cells they touch. The recorder derives composite-id
         // write-set keys for txn conflict detection, appended on success.
-        let mut writer = SourceWriter { src: self };
-        let mut rec = KeyRecorder::new(&mut writer);
+        let mut router = Router::over(&self.name, &self.topo, self.port());
+        let mut rec = KeyRecorder::new(&mut router);
         let out = f(&mut rec);
         if out.is_ok() {
             self.txn_log.append(rec.take_keys());
@@ -302,827 +226,22 @@ impl SnapshotSource for ShardedSource {
         keys: &[TxnKey],
         f: &mut gm_mvcc::WriteFn<'_>,
     ) -> GdbResult<u64> {
-        let mut guard = self.topo_write()?;
+        // gm-lock: meta
+        let mut guard = self.topo.enter()?;
         self.txn_log.validate(start_seq, keys)?;
-        // The staged writer mutates routing meta through the already-held
-        // guard — `SourceWriter` would re-enter `topo_write` (ghost
-        // creation, vertex removal) and deadlock on the non-reentrant
-        // meta lock.
-        let mut writer = StagedWriter {
-            src: self,
-            meta: &mut guard.meta,
-            touched: BTreeSet::new(),
-        };
-        let out = f(&mut writer)?;
-        let touched = writer.touched;
+        // The staged router mutates routing meta through the already-held
+        // guard — re-entering the topology (ghost creation, vertex removal)
+        // would deadlock on the non-reentrant meta lock — and its reads
+        // pin cells strictly under that meta, never `pin_view`, which
+        // would park forever on this commit's own odd seqlock.
+        let mut router = Router::staged(&self.name, &self.topo, self.port(), &mut guard);
+        let out = f(&mut router)?;
         // Publish every mutated cell before the guard releases the
-        // seqlock (see `publish_cell`): parked pins must never pair the
-        // new meta with a pre-commit cell view, or see a torn subset.
-        for s in touched {
-            self.publish_cell(s)?;
-        }
+        // seqlock: parked pins must never pair the new meta with a
+        // pre-commit cell view, or see a torn subset.
+        router.finish()?;
         self.txn_log.append(keys.to_vec());
         drop(guard);
         Ok(out)
-    }
-}
-
-/// One-cell write helper: run `f` against shard `s`'s live engine and map
-/// its return value out.
-fn cell_write<R>(
-    cell: &dyn SnapshotSource,
-    f: impl FnOnce(&mut dyn GraphDb) -> GdbResult<R>,
-) -> GdbResult<R> {
-    let mut once = Some(f);
-    let mut out = None;
-    cell.with_write(&mut |db| {
-        let f = once.take().expect("cell write closure runs once");
-        out = Some(f(db)?);
-        Ok(0)
-    })?;
-    Ok(out.expect("cell write closure ran"))
-}
-
-/// The routing mutation handle handed to [`ShardedSource::with_write`]
-/// closures. Also a full [`GraphSnapshot`]: reads pin a strict composite
-/// view per call (the write path itself never reads, but `GraphDb`
-/// requires the surface — e.g. the net server resolves parameters through
-/// it).
-struct SourceWriter<'a> {
-    src: &'a ShardedSource,
-}
-
-impl SourceWriter<'_> {
-    fn view(&self) -> GdbResult<ShardedView> {
-        self.src.pin_view(&|c| c.snapshot())
-    }
-
-    fn n(&self) -> usize {
-        self.src.shard_count()
-    }
-
-    /// Count a write routed to shard `s` (no-op under `GM_OBS=off`).
-    fn note_op(&self, s: usize) {
-        if let Some(m) = &self.src.metrics {
-            m.note_op(s);
-        }
-    }
-}
-
-impl GraphSnapshot for SourceWriter<'_> {
-    fn name(&self) -> String {
-        self.src.name.clone()
-    }
-
-    fn epoch(&self) -> u64 {
-        // Reads through the writer handle pin a fresh strict view per call,
-        // so the epoch they observe is the composite's current one — not
-        // the trait's "unversioned" 0 default this impl used to fall back
-        // to silently.
-        self.src.current_epoch()
-    }
-
-    fn features(&self) -> EngineFeatures {
-        self.view()
-            .map(|v| v.features())
-            .unwrap_or_else(|_| EngineFeatures {
-                name: self.src.name.clone(),
-                system_type: "Sharded composite".into(),
-                storage: "unavailable".into(),
-                edge_traversal: "scatter-gather".into(),
-                optimized_adapter: false,
-                async_writes: false,
-                attribute_indexes: false,
-            })
-    }
-
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.view().ok()?.resolve_vertex(canonical)
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.view().ok()?.resolve_edge(canonical)
-    }
-
-    fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.view()?.vertex_count(ctx)
-    }
-
-    fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.view()?.edge_count(ctx)
-    }
-
-    fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.view()?.edge_label_set(ctx)
-    }
-
-    fn vertices_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.view()?.vertices_with_property(name, value, ctx)
-    }
-
-    fn edges_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Eid>> {
-        self.view()?.edges_with_property(name, value, ctx)
-    }
-
-    fn edges_with_label(&self, label: &str, ctx: &QueryCtx) -> GdbResult<Vec<Eid>> {
-        self.view()?.edges_with_label(label, ctx)
-    }
-
-    fn vertex(&self, v: Vid) -> GdbResult<Option<VertexData>> {
-        self.view()?.vertex(v)
-    }
-
-    fn edge(&self, e: Eid) -> GdbResult<Option<EdgeData>> {
-        self.view()?.edge(e)
-    }
-
-    fn neighbors(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.view()?.neighbors(v, dir, label, ctx)
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
-        self.view()?.vertex_edges(v, dir, label, ctx)
-    }
-
-    fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.view()?.vertex_degree(v, dir, ctx)
-    }
-
-    fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.view()?.vertex_edge_labels(v, dir, ctx)
-    }
-
-    fn degree_scan(&self, dir: Direction, k: u64, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        // One pinned view for the whole filter: the default decomposition
-        // would pin a fresh composite view per `vertex_degree` probe.
-        self.view()?.degree_scan(dir, k, ctx)
-    }
-
-    fn distinct_neighbor_scan(&self, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.view()?.distinct_neighbor_scan(dir, ctx)
-    }
-
-    fn scan_vertices<'a>(
-        &'a self,
-        ctx: &'a QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Vid>> + 'a>> {
-        let view = self.view()?;
-        let mut items = Vec::new();
-        for item in view.scan_vertices(ctx)? {
-            items.push(item);
-        }
-        Ok(Box::new(items.into_iter()))
-    }
-
-    fn scan_edges<'a>(
-        &'a self,
-        ctx: &'a QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'a>> {
-        let view = self.view()?;
-        let mut items = Vec::new();
-        for item in view.scan_edges(ctx)? {
-            items.push(item);
-        }
-        Ok(Box::new(items.into_iter()))
-    }
-
-    fn vertex_property(&self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        self.view()?.vertex_property(v, name)
-    }
-
-    fn edge_property(&self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        self.view()?.edge_property(e, name)
-    }
-
-    fn edge_endpoints(&self, e: Eid) -> GdbResult<Option<(Vid, Vid)>> {
-        self.view()?.edge_endpoints(e)
-    }
-
-    fn edge_label(&self, e: Eid) -> GdbResult<Option<String>> {
-        self.view()?.edge_label(e)
-    }
-
-    fn vertex_label(&self, v: Vid) -> GdbResult<Option<String>> {
-        self.view()?.vertex_label(v)
-    }
-
-    fn has_vertex_index(&self, prop: &str) -> bool {
-        self.view()
-            .map(|v| v.has_vertex_index(prop))
-            .unwrap_or(false)
-    }
-
-    fn space(&self) -> SpaceReport {
-        self.view().map(|v| v.space()).unwrap_or_default()
-    }
-}
-
-impl GraphDb for SourceWriter<'_> {
-    fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
-        let n = self.n();
-        let mut guard = self.src.topo_write()?;
-        let parts = partition(data, n)?;
-        for (s, sub) in parts.subs.iter().enumerate() {
-            cell_write(self.src.cells[s].as_ref(), |db| db.bulk_load(sub, opts))?;
-        }
-        // Strict pins publish the freshly loaded state so the canonical ids
-        // resolve; composite pins are excluded by the seqlock meanwhile.
-        let views: Vec<Box<dyn GraphSnapshot>> = self
-            .src
-            .cells
-            .iter()
-            .map(|c| c.snapshot())
-            .collect::<GdbResult<_>>()?;
-        let refs: Vec<&dyn GraphSnapshot> = views.iter().map(|v| v.as_ref()).collect();
-        *guard.meta = build_meta(&parts, &refs)?;
-        Ok(LoadStats {
-            vertices: data.vertex_count() as u64,
-            edges: data.edge_count() as u64,
-        })
-    }
-
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
-        let n = self.n();
-        // gm-check: relaxed(round-robin placement counter: any interleaving is a valid placement)
-        let s = (self.src.spread.fetch_add(1, Ordering::Relaxed) % n as u64) as usize;
-        self.note_op(s);
-        let local = cell_write(self.src.cells[s].as_ref(), |db| db.add_vertex(label, props))?;
-        Ok(encode_vid(local, s, n))
-    }
-
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
-        let n = self.n();
-        let (local_src, s) = decode_vid(src, n);
-        self.note_op(s);
-        let (local_dst_owner, dst_shard) = decode_vid(dst, n);
-        let local_dst = if dst_shard == s {
-            local_dst_owner
-        } else {
-            // Validate the remote endpoint: a recent pin first (an `Arc`
-            // clone), then a strict pin before declaring it missing — the
-            // vertex may be younger than the staleness bound.
-            let seen = self.src.cells[dst_shard]
-                .snapshot_recent(PEEK_STALENESS)?
-                .vertex(local_dst_owner)?
-                .is_some()
-                || self.src.cells[dst_shard]
-                    .snapshot()?
-                    .vertex(local_dst_owner)?
-                    .is_some();
-            if !seen {
-                return Err(GdbError::VertexNotFound(dst.0));
-            }
-            let existing = {
-                // gm-lock: meta
-                let _t = lockorder::acquire(LockRank::Meta, "gm-shard/source.rs ghost lookup");
-                let meta =
-                    lockwait::timed(|| self.src.meta.read()).map_err(|_| poisoned("meta read"))?;
-                meta.ghosts[s].get(&dst.0).copied()
-            };
-            match existing {
-                Some(ghost) => ghost,
-                None => {
-                    // Ghost creation is a topology change: the ghost vertex
-                    // and its meta entry must become visible atomically, or
-                    // a pin could see an edge it cannot translate.
-                    let mut guard = self.src.topo_write()?;
-                    match guard.meta.ghosts[s].get(&dst.0).copied() {
-                        Some(ghost) => ghost, // raced another writer: reuse
-                        None => {
-                            let ghost = cell_write(self.src.cells[s].as_ref(), |db| {
-                                db.add_vertex(GHOST_LABEL, &Vec::new())
-                            })?;
-                            guard.meta.ghosts[s].insert(dst.0, ghost);
-                            guard.meta.rev[s].insert(ghost.0, dst.0);
-                            if let Some(m) = &self.src.metrics {
-                                m.ghost_creations.inc();
-                            }
-                            // The new ghost must be published before the
-                            // guard releases (see `publish_cell`).
-                            self.src.publish_cell(s)?;
-                            ghost
-                        }
-                    }
-                }
-            }
-        };
-        let local = cell_write(self.src.cells[s].as_ref(), |db| {
-            db.add_edge(local_src, local_dst, label, props)
-        })?;
-        Ok(encode_eid(local, s, n))
-    }
-
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
-        let (local, owner) = decode_vid(v, self.n());
-        self.note_op(owner);
-        cell_write(self.src.cells[owner].as_ref(), |db| {
-            db.set_vertex_property(local, name, value)
-        })
-    }
-
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
-        let (local, s) = decode_eid(e, self.n());
-        self.note_op(s);
-        cell_write(self.src.cells[s].as_ref(), |db| {
-            db.set_edge_property(local, name, value)
-        })
-    }
-
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
-        let n = self.n();
-        let (local, owner) = decode_vid(v, n);
-        self.note_op(owner);
-        // Whole-vertex removal spans shards: exclude pins for its duration.
-        let mut guard = self.src.topo_write()?;
-        let ctx = QueryCtx::unbounded();
-        // Incident edges (for resolution-map purging), gathered from strict
-        // per-cell pins before anything is removed.
-        let mut dead_edges: Vec<Eid> = Vec::new();
-        for s in 0..n {
-            let present = if s == owner {
-                Some(local)
-            } else {
-                guard.meta.ghosts[s].get(&v.0).copied()
-            };
-            if let Some(lv) = present {
-                let snap = self.src.cells[s].snapshot()?;
-                if snap.vertex(lv)?.is_some() {
-                    for r in snap.vertex_edges(lv, Direction::Both, None, &ctx)? {
-                        dead_edges.push(encode_eid(r.eid, s, n));
-                    }
-                }
-            }
-        }
-        let mut touched = vec![owner];
-        cell_write(self.src.cells[owner].as_ref(), |db| db.remove_vertex(local))?;
-        for s in 0..n {
-            if s == owner {
-                continue;
-            }
-            if let Some(ghost) = guard.meta.ghosts[s].remove(&v.0) {
-                guard.meta.rev[s].remove(&ghost.0);
-                cell_write(self.src.cells[s].as_ref(), |db| db.remove_vertex(ghost))?;
-                touched.push(s);
-            }
-        }
-        for e in dead_edges {
-            guard.meta.purge_edge(e);
-        }
-        guard.meta.purge_vertex(v);
-        // Publish every mutated cell before the guard releases (see
-        // `publish_cell`): the ghost-free meta must never be paired with a
-        // pinned view in which the ghosts still exist.
-        for s in touched {
-            self.src.publish_cell(s)?;
-        }
-        Ok(())
-    }
-
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
-        let (local, s) = decode_eid(e, self.n());
-        self.note_op(s);
-        cell_write(self.src.cells[s].as_ref(), |db| db.remove_edge(local))?;
-        // Resolution-map purge without the seqlock: a pin may briefly keep
-        // resolving the dead canonical id (and find the edge gone) — the
-        // same answer an unsharded engine racing the removal gives.
-        {
-            // gm-lock: meta
-            let _t = lockorder::acquire(LockRank::Meta, "gm-shard/source.rs purge meta write");
-            lockwait::timed(|| self.src.meta.write())
-                .map_err(|_| poisoned("meta write"))?
-                .purge_edge(e);
-        }
-        Ok(())
-    }
-
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        let (local, owner) = decode_vid(v, self.n());
-        self.note_op(owner);
-        cell_write(self.src.cells[owner].as_ref(), |db| {
-            db.remove_vertex_property(local, name)
-        })
-    }
-
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        let (local, s) = decode_eid(e, self.n());
-        self.note_op(s);
-        cell_write(self.src.cells[s].as_ref(), |db| {
-            db.remove_edge_property(local, name)
-        })
-    }
-
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
-        for cell in &self.src.cells {
-            cell_write(cell.as_ref(), |db| db.create_vertex_index(prop))?;
-        }
-        Ok(())
-    }
-
-    fn sync(&mut self) -> GdbResult<()> {
-        for cell in &self.src.cells {
-            cell_write(cell.as_ref(), |db| db.sync())?;
-        }
-        Ok(())
-    }
-}
-
-/// The routing handle for a staged transaction commit
-/// ([`ShardedSource::txn_commit`]). Unlike [`SourceWriter`] it runs with
-/// the topology guard **already held**: routing meta is mutated through
-/// the guard's `&mut Meta` (never by re-entering `topo_write`, which would
-/// deadlock on the non-reentrant meta lock), and every cell it mutates is
-/// recorded so the commit can publish exactly those before the seqlock
-/// flips even.
-///
-/// Reads build a composite view from strict per-cell pins plus a clone of
-/// the held meta — **not** [`ShardedSource::pin_view`], which would park
-/// forever on this commit's own odd seqlock. Commit replay never reads
-/// (the write set was buffered against the txn's pinned base), so this
-/// path only exists to satisfy the `GraphDb: GraphSnapshot` surface.
-struct StagedWriter<'a, 'm> {
-    src: &'a ShardedSource,
-    meta: &'m mut Meta,
-    /// Shards whose cells this commit mutated.
-    touched: BTreeSet<usize>,
-}
-
-impl StagedWriter<'_, '_> {
-    fn view(&self) -> GdbResult<ShardedView> {
-        let shards: Vec<Box<dyn GraphSnapshot>> = self
-            .src
-            .cells
-            .iter()
-            .map(|c| c.snapshot())
-            .collect::<GdbResult<_>>()?;
-        let epoch = shards.iter().map(|s| s.epoch()).min().unwrap_or(0);
-        Ok(ShardedView {
-            name: self.src.name.clone(),
-            shards,
-            meta: self.meta.clone(),
-            epoch,
-        })
-    }
-
-    fn n(&self) -> usize {
-        self.src.shard_count()
-    }
-
-    fn note_op(&self, s: usize) {
-        if let Some(m) = &self.src.metrics {
-            m.note_op(s);
-        }
-    }
-}
-
-impl GraphSnapshot for StagedWriter<'_, '_> {
-    fn name(&self) -> String {
-        self.src.name.clone()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.src.current_epoch()
-    }
-
-    fn features(&self) -> EngineFeatures {
-        self.view()
-            .map(|v| v.features())
-            .unwrap_or_else(|_| EngineFeatures {
-                name: self.src.name.clone(),
-                system_type: "Sharded composite".into(),
-                storage: "unavailable".into(),
-                edge_traversal: "scatter-gather".into(),
-                optimized_adapter: false,
-                async_writes: false,
-                attribute_indexes: false,
-            })
-    }
-
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.view().ok()?.resolve_vertex(canonical)
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.view().ok()?.resolve_edge(canonical)
-    }
-
-    fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.view()?.vertex_count(ctx)
-    }
-
-    fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.view()?.edge_count(ctx)
-    }
-
-    fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.view()?.edge_label_set(ctx)
-    }
-
-    fn vertices_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.view()?.vertices_with_property(name, value, ctx)
-    }
-
-    fn edges_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Eid>> {
-        self.view()?.edges_with_property(name, value, ctx)
-    }
-
-    fn edges_with_label(&self, label: &str, ctx: &QueryCtx) -> GdbResult<Vec<Eid>> {
-        self.view()?.edges_with_label(label, ctx)
-    }
-
-    fn vertex(&self, v: Vid) -> GdbResult<Option<VertexData>> {
-        self.view()?.vertex(v)
-    }
-
-    fn edge(&self, e: Eid) -> GdbResult<Option<EdgeData>> {
-        self.view()?.edge(e)
-    }
-
-    fn neighbors(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.view()?.neighbors(v, dir, label, ctx)
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
-        self.view()?.vertex_edges(v, dir, label, ctx)
-    }
-
-    fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.view()?.vertex_degree(v, dir, ctx)
-    }
-
-    fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.view()?.vertex_edge_labels(v, dir, ctx)
-    }
-
-    fn degree_scan(&self, dir: Direction, k: u64, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.view()?.degree_scan(dir, k, ctx)
-    }
-
-    fn distinct_neighbor_scan(&self, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.view()?.distinct_neighbor_scan(dir, ctx)
-    }
-
-    fn scan_vertices<'a>(
-        &'a self,
-        ctx: &'a QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Vid>> + 'a>> {
-        let view = self.view()?;
-        let mut items = Vec::new();
-        for item in view.scan_vertices(ctx)? {
-            items.push(item);
-        }
-        Ok(Box::new(items.into_iter()))
-    }
-
-    fn scan_edges<'a>(
-        &'a self,
-        ctx: &'a QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'a>> {
-        let view = self.view()?;
-        let mut items = Vec::new();
-        for item in view.scan_edges(ctx)? {
-            items.push(item);
-        }
-        Ok(Box::new(items.into_iter()))
-    }
-
-    fn vertex_property(&self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        self.view()?.vertex_property(v, name)
-    }
-
-    fn edge_property(&self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        self.view()?.edge_property(e, name)
-    }
-
-    fn edge_endpoints(&self, e: Eid) -> GdbResult<Option<(Vid, Vid)>> {
-        self.view()?.edge_endpoints(e)
-    }
-
-    fn edge_label(&self, e: Eid) -> GdbResult<Option<String>> {
-        self.view()?.edge_label(e)
-    }
-
-    fn vertex_label(&self, v: Vid) -> GdbResult<Option<String>> {
-        self.view()?.vertex_label(v)
-    }
-
-    fn has_vertex_index(&self, prop: &str) -> bool {
-        self.view()
-            .map(|v| v.has_vertex_index(prop))
-            .unwrap_or(false)
-    }
-
-    fn space(&self) -> SpaceReport {
-        self.view().map(|v| v.space()).unwrap_or_default()
-    }
-}
-
-impl GraphDb for StagedWriter<'_, '_> {
-    fn bulk_load(&mut self, _data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
-        Err(GdbError::Unsupported(
-            "bulk load inside a transaction commit".into(),
-        ))
-    }
-
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
-        let n = self.n();
-        // gm-check: relaxed(round-robin placement counter: any interleaving is a valid placement)
-        let s = (self.src.spread.fetch_add(1, Ordering::Relaxed) % n as u64) as usize;
-        self.note_op(s);
-        let local = cell_write(self.src.cells[s].as_ref(), |db| db.add_vertex(label, props))?;
-        self.touched.insert(s);
-        Ok(encode_vid(local, s, n))
-    }
-
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
-        let n = self.n();
-        let (local_src, s) = decode_vid(src, n);
-        self.note_op(s);
-        let (local_dst_owner, dst_shard) = decode_vid(dst, n);
-        let local_dst = if dst_shard == s {
-            local_dst_owner
-        } else {
-            match self.meta.ghosts[s].get(&dst.0).copied() {
-                Some(ghost) => ghost,
-                None => {
-                    // Validate the remote endpoint with a strict cell pin
-                    // (cell-level only — never `pin_view`, which would park
-                    // on this commit's own seqlock). A vertex created
-                    // earlier in this replay is published by the pin.
-                    let seen = self.src.cells[dst_shard]
-                        .snapshot()?
-                        .vertex(local_dst_owner)?
-                        .is_some();
-                    if !seen {
-                        return Err(GdbError::VertexNotFound(dst.0));
-                    }
-                    let ghost = cell_write(self.src.cells[s].as_ref(), |db| {
-                        db.add_vertex(GHOST_LABEL, &Vec::new())
-                    })?;
-                    self.meta.ghosts[s].insert(dst.0, ghost);
-                    self.meta.rev[s].insert(ghost.0, dst.0);
-                    if let Some(m) = &self.src.metrics {
-                        m.ghost_creations.inc();
-                    }
-                    self.touched.insert(s);
-                    ghost
-                }
-            }
-        };
-        let local = cell_write(self.src.cells[s].as_ref(), |db| {
-            db.add_edge(local_src, local_dst, label, props)
-        })?;
-        self.touched.insert(s);
-        Ok(encode_eid(local, s, n))
-    }
-
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
-        let (local, owner) = decode_vid(v, self.n());
-        self.note_op(owner);
-        cell_write(self.src.cells[owner].as_ref(), |db| {
-            db.set_vertex_property(local, name, value)
-        })?;
-        self.touched.insert(owner);
-        Ok(())
-    }
-
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
-        let (local, s) = decode_eid(e, self.n());
-        self.note_op(s);
-        cell_write(self.src.cells[s].as_ref(), |db| {
-            db.set_edge_property(local, name, value)
-        })?;
-        self.touched.insert(s);
-        Ok(())
-    }
-
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
-        let n = self.n();
-        let (local, owner) = decode_vid(v, n);
-        self.note_op(owner);
-        let ctx = QueryCtx::unbounded();
-        // Incident edges for resolution-map purging, gathered from strict
-        // per-cell pins before anything is removed (same sequence as
-        // `SourceWriter::remove_vertex`, minus its topology guard — ours
-        // is already held).
-        let mut dead_edges: Vec<Eid> = Vec::new();
-        for s in 0..n {
-            let present = if s == owner {
-                Some(local)
-            } else {
-                self.meta.ghosts[s].get(&v.0).copied()
-            };
-            if let Some(lv) = present {
-                let snap = self.src.cells[s].snapshot()?;
-                if snap.vertex(lv)?.is_some() {
-                    for r in snap.vertex_edges(lv, Direction::Both, None, &ctx)? {
-                        dead_edges.push(encode_eid(r.eid, s, n));
-                    }
-                }
-            }
-        }
-        cell_write(self.src.cells[owner].as_ref(), |db| db.remove_vertex(local))?;
-        self.touched.insert(owner);
-        for s in 0..n {
-            if s == owner {
-                continue;
-            }
-            if let Some(ghost) = self.meta.ghosts[s].remove(&v.0) {
-                self.meta.rev[s].remove(&ghost.0);
-                cell_write(self.src.cells[s].as_ref(), |db| db.remove_vertex(ghost))?;
-                self.touched.insert(s);
-            }
-        }
-        for e in dead_edges {
-            self.meta.purge_edge(e);
-        }
-        self.meta.purge_vertex(v);
-        Ok(())
-    }
-
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
-        let (local, s) = decode_eid(e, self.n());
-        self.note_op(s);
-        cell_write(self.src.cells[s].as_ref(), |db| db.remove_edge(local))?;
-        self.touched.insert(s);
-        self.meta.purge_edge(e);
-        Ok(())
-    }
-
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        let (local, owner) = decode_vid(v, self.n());
-        self.note_op(owner);
-        let out = cell_write(self.src.cells[owner].as_ref(), |db| {
-            db.remove_vertex_property(local, name)
-        })?;
-        self.touched.insert(owner);
-        Ok(out)
-    }
-
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        let (local, s) = decode_eid(e, self.n());
-        self.note_op(s);
-        let out = cell_write(self.src.cells[s].as_ref(), |db| {
-            db.remove_edge_property(local, name)
-        })?;
-        self.touched.insert(s);
-        Ok(out)
-    }
-
-    fn create_vertex_index(&mut self, _prop: &str) -> GdbResult<()> {
-        Err(GdbError::Unsupported(
-            "create_vertex_index inside a transaction commit".into(),
-        ))
-    }
-
-    fn sync(&mut self) -> GdbResult<()> {
-        for (s, cell) in self.src.cells.iter().enumerate() {
-            cell_write(cell.as_ref(), |db| db.sync())?;
-            self.touched.insert(s);
-        }
-        Ok(())
     }
 }

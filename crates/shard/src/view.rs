@@ -1,19 +1,20 @@
 //! The composite read path: route single-vertex questions, scatter-gather
-//! the rest.
+//! the rest — written once.
 //!
-//! All read logic lives in [`Parts`], a borrowed bundle of one read view
-//! per shard plus the routing [`Meta`]. Two very different owners drive it
-//! through the same code:
-//!
-//! * `ShardedGraph` (locked mode) materializes a `Parts` under its
-//!   per-shard read guards — every read observes one consistent cross-shard
-//!   state, exactly like the single engine-wide `RwLock` it replaces, while
-//!   writers to different shards still run in parallel;
-//! * [`ShardedView`] (snapshot mode) owns one pinned epoch per shard plus a
-//!   cloned `Meta`, so reads run lock-free against immutable state.
+//! All read logic lives in [`Parts`], a borrowed bundle of the shard views
+//! an op needs plus the routing [`Meta`]. Every composite — the locked
+//! `ShardedGraph`, a pinned [`ShardedView`], and the
+//! [`Router`](crate::router::Router) that serves writer handles, staged
+//! commits and fleet sessions — is a **host**: it implements the one-method
+//! seam [`PartsHost::with_parts`] ("run `f` against a `Parts` holding the
+//! shards this op needs", the need being a [`ShardSel`]) and expands
+//! `composite_graph_snapshot!`, which derives the whole `GraphSnapshot`
+//! surface from that seam.
 //!
 //! Routing rules (see `route` for why they are exhaustive):
 //!
+//! * point reads (`vertex`, property and label lookups) touch one shard by
+//!   id arithmetic alone — no routing meta;
 //! * `out()`-direction work touches only the vertex's owner shard — all
 //!   out-edges are stored there;
 //! * `in()`/`both()` gather over the vertex's **presence set**: its owner
@@ -23,56 +24,247 @@
 //! * edge questions route by the shard digit of the composite edge id.
 
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphSnapshot, SpaceReport, VertexData,
+    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, SpaceReport, VertexData,
 };
 use gm_model::{Eid, GdbResult, QueryCtx, Value, Vid};
 
+use crate::graph::ShardedGraph;
 use crate::route::{decode_eid, decode_vid, encode_eid, Meta};
+use crate::router::{Router, ShardPort};
 
-/// Borrowed composite read state: read views for the shards an op touches
-/// + routing meta.
+/// Which shards (and whether the routing meta) a read needs — what a host
+/// must acquire before running it.
+#[derive(Debug, Clone, Copy)]
+pub enum ShardSel {
+    /// The routing maps alone (canonical resolution): no shard.
+    Meta,
+    /// One shard, addressed by id arithmetic alone — no routing meta.
+    Point(usize),
+    /// One shard, plus the meta to translate the ids it returns.
+    One(usize),
+    /// The presence set of a vertex: its owner plus every ghosting shard.
+    Presence(Vid),
+    /// Every shard.
+    All,
+}
+
+impl ShardSel {
+    fn point(id: u64, n: usize) -> ShardSel {
+        ShardSel::Point((id % n as u64) as usize)
+    }
+
+    fn one(id: u64, n: usize) -> ShardSel {
+        ShardSel::One((id % n as u64) as usize)
+    }
+
+    /// Adjacency of `v`: all out-edges live on the owner; in-edges live on
+    /// their sources' shards, so `In`/`Both` gather over the presence set.
+    fn around(v: Vid, dir: Direction, n: usize) -> ShardSel {
+        match dir {
+            Direction::Out => ShardSel::one(v.0, n),
+            Direction::In | Direction::Both => ShardSel::Presence(v),
+        }
+    }
+
+    /// The one shard a single-shard selection names.
+    pub fn single(&self) -> Option<usize> {
+        match self {
+            ShardSel::Point(s) | ShardSel::One(s) => Some(*s),
+            _ => None,
+        }
+    }
+
+    /// The shards this selection names out of `n`, ascending (the order
+    /// multi-shard lock acquisition must follow).
+    pub fn shards<'a>(
+        &'a self,
+        n: usize,
+        meta: Option<&'a Meta>,
+    ) -> impl Iterator<Item = usize> + 'a {
+        (0..n).filter(move |&s| match self {
+            ShardSel::Meta => false,
+            ShardSel::Point(x) | ShardSel::One(x) => *x == s,
+            ShardSel::Presence(v) => meta.is_some_and(|m| m.local_on(s, *v).is_some()),
+            ShardSel::All => true,
+        })
+    }
+}
+
+/// The host seam of the composite read surface. See the module docs.
+pub(crate) trait PartsHost {
+    /// Composite display name.
+    fn host_name(&self) -> &str;
+
+    /// Shard count (for the id arithmetic that picks an op's [`ShardSel`]).
+    fn host_shards(&self) -> usize;
+
+    /// The epoch reads through this host observe (0 = unversioned).
+    fn host_epoch(&self) -> u64;
+
+    /// Run `f` against a [`Parts`] holding what `need` names.
+    fn with_parts<R>(&self, need: ShardSel, f: impl FnOnce(&Parts<'_>) -> R) -> GdbResult<R>;
+}
+
+/// One `GdbResult`-returning primitive per row: its arguments, its answer
+/// type, and the shards it needs.
+macro_rules! routed_reads {
+    ($(fn $m:ident(&$s:ident $(, $a:ident: $t:ty)*) -> $r:ty = $need:expr;)*) => {$(
+        fn $m(&$s $(, $a: $t)*) -> GdbResult<$r> {
+            $s.with_parts($need, |p| p.$m($($a),*))?
+        }
+    )*};
+}
+
+/// The whole `GraphSnapshot` surface of a [`PartsHost`] — complete by
+/// construction, bulk-scan overrides and `epoch` included (the `gm-check`
+/// delegation lint treats an impl expanding it as fully overriding).
+/// Multi-shard primitives run under a single acquisition of their shard
+/// set, never re-acquiring per vertex as the trait defaults would.
+macro_rules! composite_graph_snapshot {
+    () => {
+        fn name(&self) -> String {
+            self.host_name().to_string()
+        }
+
+        fn epoch(&self) -> u64 {
+            self.host_epoch()
+        }
+
+        fn features(&self) -> EngineFeatures {
+            self.with_parts(ShardSel::Point(0), |p| p.features())
+                .unwrap_or_else(|e| EngineFeatures {
+                    name: self.host_name().to_string(),
+                    system_type: "Sharded composite".into(),
+                    storage: format!("unavailable ({e})"),
+                    edge_traversal: "scatter-gather".into(),
+                    optimized_adapter: false,
+                    async_writes: false,
+                    attribute_indexes: false,
+                })
+        }
+
+        fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
+            self.with_parts(ShardSel::Meta, |p| p.resolve_vertex(canonical))
+                .ok()?
+        }
+
+        fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
+            self.with_parts(ShardSel::Meta, |p| p.resolve_edge(canonical))
+                .ok()?
+        }
+
+        // Scans materialize under the host's guards and release them
+        // before iteration — the same shape as the remote client's scan.
+        fn scan_vertices<'a>(
+            &'a self,
+            ctx: &'a QueryCtx,
+        ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Vid>> + 'a>> {
+            let items = self.with_parts(ShardSel::All, |p| p.scan_vertices(ctx))??;
+            Ok(Box::new(items.into_iter()))
+        }
+
+        fn scan_edges<'a>(
+            &'a self,
+            ctx: &'a QueryCtx,
+        ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'a>> {
+            let items = self.with_parts(ShardSel::All, |p| p.scan_edges(ctx))??;
+            Ok(Box::new(items.into_iter()))
+        }
+
+        fn has_vertex_index(&self, prop: &str) -> bool {
+            self.with_parts(ShardSel::All, |p| p.has_vertex_index(prop))
+                .unwrap_or(false)
+        }
+
+        fn space(&self) -> SpaceReport {
+            self.with_parts(ShardSel::All, |p| p.space())
+                .unwrap_or_default()
+        }
+
+        routed_reads! {
+            fn vertex_count(&self, ctx: &QueryCtx) -> u64 = ShardSel::All;
+            fn edge_count(&self, ctx: &QueryCtx) -> u64 = ShardSel::All;
+            fn edge_label_set(&self, ctx: &QueryCtx) -> Vec<String> = ShardSel::All;
+            fn vertices_with_property(&self, name: &str, value: &Value, ctx: &QueryCtx) -> Vec<Vid>
+                = ShardSel::All;
+            fn edges_with_property(&self, name: &str, value: &Value, ctx: &QueryCtx) -> Vec<Eid>
+                = ShardSel::All;
+            fn edges_with_label(&self, label: &str, ctx: &QueryCtx) -> Vec<Eid> = ShardSel::All;
+            fn degree_scan(&self, dir: Direction, k: u64, ctx: &QueryCtx) -> Vec<Vid>
+                = ShardSel::All;
+            fn distinct_neighbor_scan(&self, dir: Direction, ctx: &QueryCtx) -> Vec<Vid>
+                = ShardSel::All;
+            fn vertex(&self, v: Vid) -> Option<VertexData>
+                = ShardSel::point(v.0, self.host_shards());
+            fn vertex_property(&self, v: Vid, name: &str) -> Option<Value>
+                = ShardSel::point(v.0, self.host_shards());
+            fn vertex_label(&self, v: Vid) -> Option<String>
+                = ShardSel::point(v.0, self.host_shards());
+            fn edge_property(&self, e: Eid, name: &str) -> Option<Value>
+                = ShardSel::point(e.0, self.host_shards());
+            fn edge_label(&self, e: Eid) -> Option<String>
+                = ShardSel::point(e.0, self.host_shards());
+            fn edge(&self, e: Eid) -> Option<EdgeData> = ShardSel::one(e.0, self.host_shards());
+            fn edge_endpoints(&self, e: Eid) -> Option<(Vid, Vid)>
+                = ShardSel::one(e.0, self.host_shards());
+            fn neighbors(&self, v: Vid, dir: Direction, label: Option<&str>, ctx: &QueryCtx)
+                -> Vec<Vid>
+                = ShardSel::around(v, dir, self.host_shards());
+            fn vertex_edges(&self, v: Vid, dir: Direction, label: Option<&str>, ctx: &QueryCtx)
+                -> Vec<EdgeRef>
+                = ShardSel::around(v, dir, self.host_shards());
+            fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> u64
+                = ShardSel::around(v, dir, self.host_shards());
+            fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> Vec<String>
+                = ShardSel::around(v, dir, self.host_shards());
+        }
+    };
+}
+
+impl<E: GraphDb + 'static> GraphSnapshot for ShardedGraph<E> {
+    composite_graph_snapshot!();
+}
+
+impl GraphSnapshot for ShardedView {
+    composite_graph_snapshot!();
+}
+
+impl<P: ShardPort> GraphSnapshot for Router<'_, P> {
+    composite_graph_snapshot!();
+}
+
+/// Borrowed composite read state: the read views an op acquired plus the
+/// routing meta consistent with them.
 ///
-/// The slice is indexed by shard; `None` means the owner did not acquire
-/// that shard for this op (locked mode locks only what the op needs —
-/// point reads touch one shard, presence gathers a few, whole-graph scans
-/// all). Indexing an unacquired shard is an internal routing bug and
-/// panics.
-///
-/// `Parts` is public so composite read frontends outside this crate
-/// (e.g. `gm-net`'s fleet coordinator) can reuse the ghost-corrected
-/// merge logic over their own shard views.
-pub struct Parts<'a> {
-    /// Composite display name (for `name()`/`features()`).
-    pub name: &'a str,
-    /// Read views, indexed by shard; `None` = not acquired for this op.
-    pub shards: &'a [Option<&'a dyn GraphSnapshot>],
-    /// Routing metadata consistent with the views.
-    pub meta: &'a Meta,
+/// `shards` holds `(shard, view)` pairs for exactly the shards the op's
+/// [`ShardSel`] named (hosts acquire only what an op needs — point reads
+/// touch one shard, presence gathers a few, whole-graph scans all), and
+/// `meta` is `None` for a meta-free point read. Reaching for a shard or a
+/// meta the host did not acquire is an internal routing bug and panics.
+pub(crate) struct Parts<'a> {
+    pub(crate) name: &'a str,
+    /// Shard count of the composite (not of `shards`).
+    pub(crate) n: usize,
+    pub(crate) shards: &'a [(usize, &'a dyn GraphSnapshot)],
+    pub(crate) meta: Option<&'a Meta>,
 }
 
 impl Parts<'_> {
     fn n(&self) -> usize {
-        self.shards.len()
+        self.n
     }
 
     fn shard(&self, s: usize) -> &dyn GraphSnapshot {
-        self.shards[s].expect("routing bug: shard view not acquired for this op")
+        self.shards
+            .iter()
+            .find(|(i, _)| *i == s)
+            .expect("routing bug: shard view not acquired for this op")
+            .1
     }
 
-    /// Shards where composite vertex `v` has a local id, with that id:
-    /// the owner first, then every shard ghosting it.
-    fn presence(&self, v: Vid) -> Vec<(usize, Vid)> {
-        let mut out = Vec::with_capacity(2);
-        let (local, owner) = decode_vid(v, self.n());
-        out.push((owner, local));
-        for (s, ghosts) in self.meta.ghosts.iter().enumerate() {
-            if s != owner {
-                if let Some(g) = ghosts.get(&v.0) {
-                    out.push((s, *g));
-                }
-            }
-        }
-        out
+    fn meta(&self) -> &Meta {
+        self.meta
+            .expect("routing bug: routing meta not acquired for this op")
     }
 
     pub fn features(&self) -> EngineFeatures {
@@ -87,17 +279,17 @@ impl Parts<'_> {
     }
 
     pub fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.meta.vertex_resolve.get(&canonical).map(|v| Vid(*v))
+        self.meta().vertex_resolve.get(&canonical).map(|v| Vid(*v))
     }
 
     pub fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.meta.edge_resolve.get(&canonical).map(|e| Eid(*e))
+        self.meta().edge_resolve.get(&canonical).map(|e| Eid(*e))
     }
 
     pub fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         let mut total = 0u64;
         for s in 0..self.n() {
-            total += self.shard(s).vertex_count(ctx)? - self.meta.ghost_count(s);
+            total += self.shard(s).vertex_count(ctx)? - self.meta().ghost_count(s);
         }
         Ok(total)
     }
@@ -134,7 +326,7 @@ impl Parts<'_> {
                 self.shard(s)
                     .vertices_with_property(name, value, ctx)?
                     .into_iter()
-                    .map(|v| self.meta.to_composite(s, v)),
+                    .map(|v| self.meta().to_composite(s, v)),
             );
         }
         Ok(out)
@@ -184,8 +376,8 @@ impl Parts<'_> {
         let (local, s) = decode_eid(e, self.n());
         Ok(self.shard(s).edge(local)?.map(|data| EdgeData {
             id: e,
-            src: self.meta.to_composite(s, data.src),
-            dst: self.meta.to_composite(s, data.dst),
+            src: self.meta().to_composite(s, data.src),
+            dst: self.meta().to_composite(s, data.dst),
             label: data.label,
             props: data.props,
         }))
@@ -207,7 +399,7 @@ impl Parts<'_> {
                     self.shard(owner)
                         .neighbors(local, dir, label, ctx)?
                         .into_iter()
-                        .map(|u| self.meta.to_composite(owner, u)),
+                        .map(|u| self.meta().to_composite(owner, u)),
                 );
             }
             // In-edges live on their sources' shards: gather over the
@@ -215,12 +407,12 @@ impl Parts<'_> {
             // on ghost shards a ghost has only in-edges, so the union is
             // exactly the unsharded answer, each edge contributing once.
             Direction::In | Direction::Both => {
-                for (s, local) in self.presence(v) {
+                for (s, local) in self.meta().presence(v) {
                     out.extend(
                         self.shard(s)
                             .neighbors(local, dir, label, ctx)?
                             .into_iter()
-                            .map(|u| self.meta.to_composite(s, u)),
+                            .map(|u| self.meta().to_composite(s, u)),
                     );
                 }
             }
@@ -239,7 +431,7 @@ impl Parts<'_> {
             refs.into_iter()
                 .map(|r| EdgeRef {
                     eid: encode_eid(r.eid, s, self.n()),
-                    other: self.meta.to_composite(s, r.other),
+                    other: self.meta().to_composite(s, r.other),
                 })
                 .collect()
         };
@@ -253,7 +445,7 @@ impl Parts<'_> {
                 ));
             }
             Direction::In | Direction::Both => {
-                for (s, local) in self.presence(v) {
+                for (s, local) in self.meta().presence(v) {
                     out.extend(map(s, self.shard(s).vertex_edges(local, dir, label, ctx)?));
                 }
             }
@@ -269,7 +461,7 @@ impl Parts<'_> {
             }
             Direction::In | Direction::Both => {
                 let mut total = 0u64;
-                for (s, local) in self.presence(v) {
+                for (s, local) in self.meta().presence(v) {
                     total += self.shard(s).vertex_degree(local, dir, ctx)?;
                 }
                 Ok(total)
@@ -290,7 +482,7 @@ impl Parts<'_> {
                 labels.extend(self.shard(owner).vertex_edge_labels(local, dir, ctx)?);
             }
             Direction::In | Direction::Both => {
-                for (s, local) in self.presence(v) {
+                for (s, local) in self.meta().presence(v) {
                     labels.extend(self.shard(s).vertex_edge_labels(local, dir, ctx)?);
                 }
             }
@@ -342,8 +534,8 @@ impl Parts<'_> {
             for item in self.shard(s).scan_vertices(ctx)? {
                 match item {
                     Ok(local) => {
-                        if !self.meta.rev[s].contains_key(&local.0) {
-                            out.push(Ok(self.meta.to_composite(s, local)));
+                        if !self.meta().rev[s].contains_key(&local.0) {
+                            out.push(Ok(self.meta().to_composite(s, local)));
                         }
                     }
                     Err(e) => {
@@ -387,8 +579,8 @@ impl Parts<'_> {
         let (local, s) = decode_eid(e, self.n());
         Ok(self.shard(s).edge_endpoints(local)?.map(|(src, dst)| {
             (
-                self.meta.to_composite(s, src),
-                self.meta.to_composite(s, dst),
+                self.meta().to_composite(s, src),
+                self.meta().to_composite(s, dst),
             )
         }))
     }
@@ -421,7 +613,7 @@ impl Parts<'_> {
         for (component, bytes) in by_name {
             report.add(component, bytes);
         }
-        report.add("shard routing maps", self.meta.approx_bytes());
+        report.add("shard routing maps", self.meta().approx_bytes());
         report
     }
 }
@@ -438,158 +630,32 @@ pub struct ShardedView {
     pub(crate) epoch: u64,
 }
 
-impl ShardedView {
-    fn with_parts<R>(&self, f: impl FnOnce(&Parts<'_>) -> R) -> R {
-        let refs: Vec<Option<&dyn GraphSnapshot>> =
-            self.shards.iter().map(|b| Some(b.as_ref())).collect();
-        f(&Parts {
-            name: &self.name,
-            shards: &refs,
-            meta: &self.meta,
-        })
-    }
-}
-
-impl GraphSnapshot for ShardedView {
-    fn name(&self) -> String {
-        self.name.clone()
+impl PartsHost for ShardedView {
+    fn host_name(&self) -> &str {
+        &self.name
     }
 
-    fn features(&self) -> EngineFeatures {
-        self.with_parts(|p| p.features())
+    fn host_shards(&self) -> usize {
+        self.shards.len()
     }
 
-    fn epoch(&self) -> u64 {
+    fn host_epoch(&self) -> u64 {
         self.epoch
     }
 
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.with_parts(|p| p.resolve_vertex(canonical))
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.with_parts(|p| p.resolve_edge(canonical))
-    }
-
-    fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.with_parts(|p| p.vertex_count(ctx))
-    }
-
-    fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.with_parts(|p| p.edge_count(ctx))
-    }
-
-    fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.with_parts(|p| p.edge_label_set(ctx))
-    }
-
-    fn vertices_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.with_parts(|p| p.vertices_with_property(name, value, ctx))
-    }
-
-    fn edges_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Eid>> {
-        self.with_parts(|p| p.edges_with_property(name, value, ctx))
-    }
-
-    fn edges_with_label(&self, label: &str, ctx: &QueryCtx) -> GdbResult<Vec<Eid>> {
-        self.with_parts(|p| p.edges_with_label(label, ctx))
-    }
-
-    fn vertex(&self, v: Vid) -> GdbResult<Option<VertexData>> {
-        self.with_parts(|p| p.vertex(v))
-    }
-
-    fn edge(&self, e: Eid) -> GdbResult<Option<EdgeData>> {
-        self.with_parts(|p| p.edge(e))
-    }
-
-    fn neighbors(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.with_parts(|p| p.neighbors(v, dir, label, ctx))
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
-        self.with_parts(|p| p.vertex_edges(v, dir, label, ctx))
-    }
-
-    fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.with_parts(|p| p.vertex_degree(v, dir, ctx))
-    }
-
-    fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.with_parts(|p| p.vertex_edge_labels(v, dir, ctx))
-    }
-
-    fn degree_scan(&self, dir: Direction, k: u64, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.with_parts(|p| p.degree_scan(dir, k, ctx))
-    }
-
-    fn distinct_neighbor_scan(&self, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.with_parts(|p| p.distinct_neighbor_scan(dir, ctx))
-    }
-
-    fn scan_vertices<'a>(
-        &'a self,
-        ctx: &'a QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Vid>> + 'a>> {
-        let items = self.with_parts(|p| p.scan_vertices(ctx))?;
-        Ok(Box::new(items.into_iter()))
-    }
-
-    fn scan_edges<'a>(
-        &'a self,
-        ctx: &'a QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'a>> {
-        let items = self.with_parts(|p| p.scan_edges(ctx))?;
-        Ok(Box::new(items.into_iter()))
-    }
-
-    fn vertex_property(&self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        self.with_parts(|p| p.vertex_property(v, name))
-    }
-
-    fn edge_property(&self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        self.with_parts(|p| p.edge_property(e, name))
-    }
-
-    fn edge_endpoints(&self, e: Eid) -> GdbResult<Option<(Vid, Vid)>> {
-        self.with_parts(|p| p.edge_endpoints(e))
-    }
-
-    fn edge_label(&self, e: Eid) -> GdbResult<Option<String>> {
-        self.with_parts(|p| p.edge_label(e))
-    }
-
-    fn vertex_label(&self, v: Vid) -> GdbResult<Option<String>> {
-        self.with_parts(|p| p.vertex_label(v))
-    }
-
-    fn has_vertex_index(&self, prop: &str) -> bool {
-        self.with_parts(|p| p.has_vertex_index(prop))
-    }
-
-    fn space(&self) -> SpaceReport {
-        self.with_parts(|p| p.space())
+    fn with_parts<R>(&self, _need: ShardSel, f: impl FnOnce(&Parts<'_>) -> R) -> GdbResult<R> {
+        // Everything is pinned and owned: nothing to acquire per op.
+        let views: Vec<(usize, &dyn GraphSnapshot)> = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(s, b)| (s, b.as_ref()))
+            .collect();
+        Ok(f(&Parts {
+            name: &self.name,
+            n: views.len(),
+            shards: &views,
+            meta: Some(&self.meta),
+        }))
     }
 }
