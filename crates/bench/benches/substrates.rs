@@ -80,6 +80,54 @@ fn bench_substrates(c: &mut Criterion) {
     });
     group.finish();
 
+    // The LSM read path below the columnar engine: a multi-run table in the
+    // engine's key shape (memtable + 4 runs, every fifth row's second cell
+    // tombstoned), read whole, by row prefix, and by point lookup.
+    let mut group = c.benchmark_group("substrate/lsm-read");
+    let mut lsm = LsmTable::new(LsmConfig {
+        memtable_limit: 8_192,
+        max_runs: 8,
+    });
+    let cell_key = |row: u64, column: u8| {
+        let mut key = [column; 9];
+        key[..8].copy_from_slice(&row.to_be_bytes());
+        key
+    };
+    for row in 0..N {
+        for column in 0..4u8 {
+            lsm.put(&cell_key(row * 7919 % N, column), &[column; 12]);
+        }
+    }
+    for row in (0..N).step_by(5) {
+        lsm.delete(&cell_key(row, 1));
+    }
+    assert!(lsm.run_count() >= 3, "{} runs", lsm.run_count());
+    group.bench_function("lsm_scan_full", |b| {
+        b.iter(|| {
+            lsm.scan_range(&[], None)
+                .map(|(k, v)| k.len() + v.len())
+                .sum::<usize>()
+        });
+    });
+    group.bench_function("lsm_scan_prefix", |b| {
+        let mut row = 0u64;
+        b.iter(|| {
+            row = (row + 7919) % N;
+            lsm.scan_prefix(std::hint::black_box(&row.to_be_bytes()))
+                .map(|(k, v)| k.len() + v.len())
+                .sum::<usize>()
+        });
+    });
+    group.bench_function("lsm_get", |b| {
+        let mut row = 0u64;
+        b.iter(|| {
+            row = (row + 7919) % N;
+            lsm.get(std::hint::black_box(&cell_key(row, 2)))
+                .map(|v| v[0])
+        });
+    });
+    group.finish();
+
     // The structurally shared record file: what the page indirection costs
     // a random read, and what a snapshot-then-write (one copy-on-write MVCC
     // epoch) costs — a clone plus the copy of the one page the write hits.

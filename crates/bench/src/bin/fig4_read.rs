@@ -51,7 +51,10 @@ fn main() {
     println!(
         "\nExpected shape (paper): bitmap fastest counts; document slowest\n\
          whole-graph reads (materializes every document); relational an order\n\
-         faster on Q11–Q13; the index helps linked/cluster/relational/columnar\n\
-         by orders of magnitude but changes nothing for bitmap and document."
+         faster on Q11–Q13; the index helps linked/cluster/relational by\n\
+         orders of magnitude but changes nothing for bitmap and document.\n\
+         (The paper also has Titan gain from it; our columnar engine only\n\
+         records the declaration and scans either way — a fidelity gap listed\n\
+         in ROADMAP.)"
     );
 }

@@ -58,7 +58,10 @@ impl Workload {
     /// Draw workload parameters for a dataset.
     ///
     /// `slots` bounds how many victims/pairs are pre-drawn, and therefore
-    /// how many batched mutation rounds a run may use.
+    /// how many batched mutation rounds a run may use. A dataset too small
+    /// to supply `slots` distinct victims of a kind gets as many as it has
+    /// (the [`ResolvedParams`] accessors wrap around), with one edge always
+    /// left over for the edge-property victims.
     pub fn choose(data: &Dataset, seed: u64, slots: usize) -> Workload {
         assert!(
             data.vertex_count() >= 8 && data.edge_count() >= 4,
@@ -147,15 +150,23 @@ impl Workload {
                 delete_vertices.push(v);
             }
         }
+        // The three rejection loops below terminate because each is capped
+        // at what the dataset can still supply; a dataset that can supply
+        // `slots` sees the same draws as an uncapped loop would make.
         let mut delete_edges = Vec::with_capacity(slots);
-        while delete_edges.len() < slots {
+        while delete_edges.len() < slots.min(m as usize - 1) {
             let e = rng.gen_range(0..m);
             if !delete_edges.contains(&e) {
                 delete_edges.push(e);
             }
         }
+        let prop_supply = (0..n)
+            .filter(|v| {
+                !data.vertices[*v as usize].props.is_empty() && !delete_vertices.contains(v)
+            })
+            .count();
         let mut prop_victims = Vec::with_capacity(slots);
-        while prop_victims.len() < slots {
+        while prop_victims.len() < slots.min(prop_supply) {
             let v = rng.gen_range(0..n);
             if !data.vertices[v as usize].props.is_empty()
                 && !prop_victims.contains(&v)
@@ -165,7 +176,7 @@ impl Workload {
             }
         }
         let mut edge_prop_victims = Vec::with_capacity(slots);
-        while edge_prop_victims.len() < slots {
+        while edge_prop_victims.len() < slots.min(m as usize - delete_edges.len()) {
             let e = rng.gen_range(0..m);
             if !edge_prop_victims.contains(&e) && !delete_edges.contains(&e) {
                 edge_prop_victims.push(e);
@@ -450,6 +461,50 @@ mod tests {
         dv.dedup();
         assert_eq!(dv.len(), 10);
         assert!(!dv.contains(&w.vertex), "anchor never deleted");
+    }
+
+    #[test]
+    fn small_datasets_get_the_victims_they_can_supply() {
+        // 19 edges cannot supply 16 deletion victims and 16 more for the
+        // property updates: this used to spin forever.
+        for seed in 0..32 {
+            let w = testkit::within(std::time::Duration::from_secs(20), move || {
+                Workload::choose(&testkit::chain_dataset(20), seed, 16)
+            });
+            assert_eq!(w.delete_edges.len(), 16);
+            assert_eq!(w.edge_prop_victims.len(), 3);
+            assert!(w
+                .edge_prop_victims
+                .iter()
+                .all(|e| !w.delete_edges.contains(e)));
+            assert_eq!(w.prop_victims.len(), 20 - w.delete_vertices.len());
+        }
+        // Fewer edges than slots: one is still left for the property victims.
+        let w = Workload::choose(&testkit::chain_dataset(9), 1, 16);
+        assert_eq!((w.delete_edges.len(), w.edge_prop_victims.len()), (7, 1));
+    }
+
+    #[test]
+    fn a_dataset_large_enough_sees_the_draws_it_always_did() {
+        // Recorded before the victim lists were capped.
+        let w = Workload::choose(&testkit::chain_dataset(100), 5, 16);
+        assert_eq!((w.vertex, w.vertex2, w.edge), (53, 55, 93));
+        assert_eq!(
+            w.delete_edges,
+            [9, 81, 29, 27, 70, 65, 59, 37, 83, 89, 11, 91, 1, 92, 69, 12]
+        );
+        assert_eq!(
+            w.prop_victims,
+            [65, 28, 76, 87, 29, 42, 6, 82, 18, 62, 50, 73, 91, 67, 17, 44]
+        );
+        assert_eq!(
+            w.edge_prop_victims,
+            [18, 19, 84, 34, 71, 30, 57, 8, 32, 75, 78, 73, 49, 85, 39, 16]
+        );
+        assert_eq!(
+            (w.edge_label.as_str(), w.vertex_edge_label.as_str()),
+            ("link", "next")
+        );
     }
 
     #[test]

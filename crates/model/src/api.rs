@@ -294,15 +294,7 @@ pub trait GraphSnapshot: Send + Sync {
     /// case, deliberately adapter-faithful worse) strategy; the paper's
     /// Figure 5(b) differences come precisely from these implementations.
     fn degree_scan(&self, dir: Direction, k: u64, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        let mut out = Vec::new();
-        let scan = self.scan_vertices(ctx)?;
-        for v in scan {
-            let v = v?;
-            if self.vertex_degree(v, dir, ctx)? >= k {
-                out.push(v);
-            }
-        }
-        Ok(out)
+        gremlin_degree_scan(self, dir, k, ctx)
     }
 
     /// Q31: distinct vertices reachable over one hop in `dir` from any
@@ -316,18 +308,7 @@ pub trait GraphSnapshot: Send + Sync {
     /// paper finds "Sqlg is able to complete only Q.31" among the
     /// whole-graph filters (§6.4).
     fn distinct_neighbor_scan(&self, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        let mut out = Vec::new();
-        let scan = self.scan_vertices(ctx)?;
-        let mut sources = Vec::new();
-        for v in scan {
-            sources.push(v?);
-        }
-        for v in sources {
-            out.extend(self.neighbors(v, dir, None, ctx)?);
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
+        gremlin_distinct_neighbor_scan(self, dir, ctx)
     }
 
     // ----- Attribute indexes (Figure 4c) ---------------------------------
@@ -339,6 +320,48 @@ pub trait GraphSnapshot: Send + Sync {
 
     /// Structure-by-structure space report.
     fn space(&self) -> SpaceReport;
+}
+
+/// The default [`GraphSnapshot::degree_scan`]: scan all vertices and evaluate
+/// the degree filter per vertex. Public so an engine that overrides the
+/// method can be tested against the decomposition it replaces.
+pub fn gremlin_degree_scan<G: GraphSnapshot + ?Sized>(
+    g: &G,
+    dir: Direction,
+    k: u64,
+    ctx: &QueryCtx,
+) -> GdbResult<Vec<Vid>> {
+    let mut out = Vec::new();
+    let scan = g.scan_vertices(ctx)?;
+    for v in scan {
+        let v = v?;
+        if g.vertex_degree(v, dir, ctx)? >= k {
+            out.push(v);
+        }
+    }
+    Ok(out)
+}
+
+/// The default [`GraphSnapshot::distinct_neighbor_scan`]: per-vertex
+/// neighbor expansion followed by dedup. Public for the same reason as
+/// [`gremlin_degree_scan`].
+pub fn gremlin_distinct_neighbor_scan<G: GraphSnapshot + ?Sized>(
+    g: &G,
+    dir: Direction,
+    ctx: &QueryCtx,
+) -> GdbResult<Vec<Vid>> {
+    let mut out = Vec::new();
+    let scan = g.scan_vertices(ctx)?;
+    let mut sources = Vec::new();
+    for v in scan {
+        sources.push(v?);
+    }
+    for v in sources {
+        out.extend(g.neighbors(v, dir, None, ctx)?);
+    }
+    out.sort_unstable();
+    out.dedup();
+    Ok(out)
 }
 
 /// The common engine interface: the read-only half ([`GraphSnapshot`]) plus

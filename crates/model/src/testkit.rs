@@ -77,6 +77,22 @@ pub fn chain_dataset(n: u64) -> Dataset {
     d
 }
 
+/// Run `f` on a thread of its own and panic unless it returns within
+/// `guard`: a regression that hangs fails its test instead of wedging the
+/// whole run.
+pub fn within<T: Send + 'static>(guard: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || done.send(f()));
+    let value = result
+        .recv_timeout(guard)
+        .unwrap_or_else(|_| panic!("no result within the {guard:?} wall-clock guard"));
+    worker
+        .join()
+        .expect("worker already sent its result")
+        .expect("receiver outlives the worker");
+    value
+}
+
 fn sorted(mut v: Vec<u64>) -> Vec<u64> {
     v.sort_unstable();
     v

@@ -118,6 +118,16 @@ fn gc_summary(snap: &RegistrySnapshot) -> String {
             snap.counter("storage.cow.bytes_copied"),
         ));
     }
+    let lsm = |name: &str| snap.counter(&format!("storage.lsm.{name}"));
+    if lsm("runs_probed") + lsm("flushes") > 0 {
+        out.push_str(&format!(
+            "\n[gm-server]   lsm: {} cells scanned, {} runs probed, {} flushes, {} compactions",
+            lsm("cells_scanned"),
+            lsm("runs_probed"),
+            lsm("flushes"),
+            lsm("compactions"),
+        ));
+    }
     out
 }
 
@@ -357,5 +367,27 @@ fn main() {
             snap.counter("net.ops"),
             gc_summary(&snap)
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn final_accounting_names_the_substrate_counters_that_moved() {
+        let registry = gm_obs::Registry::new();
+        assert_eq!(gc_summary(&registry.snapshot()), "");
+        registry.counter("storage.lsm.cells_scanned").add(630);
+        registry.counter("storage.lsm.runs_probed").add(9);
+        registry.counter("storage.lsm.flushes").add(2);
+        let summary = gc_summary(&registry.snapshot());
+        assert_eq!(
+            summary,
+            "\n[gm-server]   lsm: 630 cells scanned, 9 runs probed, 2 flushes, 0 compactions"
+        );
+        registry.counter("storage.cow.pages_copied").add(4);
+        let summary = gc_summary(&registry.snapshot());
+        assert!(summary.contains("storage: 4 pages") && summary.contains("lsm: 630 cells"));
     }
 }

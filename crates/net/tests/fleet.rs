@@ -129,6 +129,25 @@ fn fleet_concurrent_write_heavy_completes() {
     }
 }
 
+/// The hang on record: setup over a 20-vertex chain used to spin forever
+/// choosing 16 + 16 distinct victim edges out of 19. It returns, with
+/// every chosen parameter resolved against the fleet.
+#[test]
+fn fleet_setup_over_a_tiny_dataset_returns() {
+    let (handles, addrs) = spawn_fleet(EngineKind::LinkedV2, 2);
+    let params = testkit::within(Duration::from_secs(30), move || {
+        let fleet = Fleet::connect(addrs).expect("connect fleet");
+        let c = cfg(MixKind::WriteHeavy, 1, 1);
+        fleet.setup(&testkit::chain_dataset(20), &c)
+    })
+    .expect("setup over 20 vertices");
+    assert_eq!(params.delete_edges.len(), 16);
+    assert_eq!(params.edge_prop_victims.len(), 3);
+    for h in handles {
+        h.shutdown();
+    }
+}
+
 /// Read-only fleet runs close the loop with the unsharded replay as well:
 /// scatter-gather reads with ghost correction return exactly what one
 /// engine would.

@@ -330,9 +330,12 @@ impl TraceRing {
         // Final even seq for this generation; the odd claim value precedes it.
         let target = (ticket / cap + 1) * 2;
         let prev = slot.seq.load(Acquire);
-        if prev >= target - 1 {
-            // A later generation already claimed or published this slot:
-            // our ticket lost a full wraparound race. Drop.
+        if prev >= target - 1 || prev % 2 == 1 {
+            // A later generation already claimed or published this slot
+            // (our ticket lost a full wraparound race), or an earlier one is
+            // still mid-write: claiming over it would let its closing store
+            // move `seq` back to an even value while our words are half
+            // written, which a reader would accept. Drop.
             return false;
         }
         if slot

@@ -12,39 +12,152 @@
 //! * reads consult the memtable and then immutable runs newest-first, so
 //!   read amplification grows with the number of runs until **compaction**
 //!   folds them together.
+//!
+//! # Layout and read path
+//!
+//! An immutable run is a **flat arena**: every key back to back in one
+//! buffer, every value in another, a table of `u32` end offsets and one
+//! tombstone bit per entry. A scan of a run is a walk over sequential
+//! memory and a point lookup binary-searches contiguous keys; flushing or
+//! compacting writes a new arena and never touches an old one, so runs stay
+//! `Arc`-shared between clones.
+//!
+//! Reads are **zero-copy**: [`LsmTable::get`] and the [`Scan`] cursor hand
+//! out `&[u8]` borrowed from the memtable or a run's arena. There is one
+//! merge — newest source wins, tombstones suppress older versions — and it
+//! serves scans and compaction alike; its sources are a concrete enum and a
+//! scan allocates once for its cursor list, never per cell.
+//!
+//! The arena keeps keys whole. [`LsmTable::bytes`] reports the **modelled
+//! on-disk** size of the SSTable format — keys prefix-compressed against
+//! their predecessor — which is what the paper's space figure compares, not
+//! the resident size of the arena.
+//!
+//! Counters (`gm-obs` registry, nothing under `GM_OBS=off`):
+//! `storage.lsm.cells_scanned` and `storage.lsm.runs_probed` are added once
+//! per scan or lookup, `storage.lsm.flushes` and `storage.lsm.compactions`
+//! once per event.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::cmp::Ordering;
+use std::collections::btree_map::{self, BTreeMap};
+use std::ops::Bound;
+use std::sync::{Arc, OnceLock};
+
+use gm_obs::Counter;
 
 /// Key-value entry; `None` is a tombstone.
 type MemEntry = Option<Vec<u8>>;
 
-/// A live `(key, value)` pair yielded by scans.
-type ScanItem = (Vec<u8>, Vec<u8>);
+/// One entry as a source yields it: key, and value or `None` for a
+/// tombstone.
+type Entry<'a> = (&'a [u8], Option<&'a [u8]>);
 
-/// One source cursor of the k-way merge scan.
-type SourceIter<'a> = Box<dyn Iterator<Item = SourceHead<'a>> + 'a>;
-
-/// The head element of a merge-scan source.
-type SourceHead<'a> = (&'a [u8], &'a MemEntry);
-
-/// The upper-bound predicate of a merge scan.
-type BoundCheck<'a> = Box<dyn Fn(&[u8]) -> bool + 'a>;
-
-/// An immutable sorted run produced by a memtable flush or a compaction.
-#[derive(Debug, Clone)]
+/// An immutable sorted run produced by a memtable flush or a compaction;
+/// see the module docs for the layout.
+#[derive(Debug)]
 struct Run {
-    /// Sorted by key; values of `None` are tombstones.
-    entries: Vec<(Vec<u8>, MemEntry)>,
+    keys: Vec<u8>,
+    vals: Vec<u8>,
+    /// `(key end, value end)` per entry, after a leading `(0, 0)`: entry
+    /// `i` spans `ends[i]..ends[i + 1]` of each buffer.
+    ends: Vec<(u32, u32)>,
+    /// Bit `i` set: entry `i` is a tombstone (and has no value bytes).
+    tomb: Vec<u64>,
+    tombstones: u64,
+    /// Modelled on-disk size; see [`LsmTable::bytes`].
     bytes: u64,
 }
 
 impl Run {
-    fn get(&self, key: &[u8]) -> Option<&MemEntry> {
-        self.entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| &self.entries[i].1)
+    /// An empty run with room for `entries` entries of the given total
+    /// key and value bytes.
+    fn with_capacity(entries: usize, key_bytes: usize, val_bytes: usize) -> Run {
+        let mut ends = Vec::with_capacity(entries + 1);
+        ends.push((0, 0));
+        Run {
+            keys: Vec::with_capacity(key_bytes),
+            vals: Vec::with_capacity(val_bytes),
+            ends,
+            tomb: Vec::with_capacity(entries.div_ceil(64)),
+            tombstones: 0,
+            bytes: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len() - 1
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        &self.keys[self.ends[i].0 as usize..self.ends[i + 1].0 as usize]
+    }
+
+    fn entry(&self, i: usize) -> Option<Entry<'_>> {
+        if i >= self.len() {
+            return None;
+        }
+        let live = (self.tomb[i / 64] >> (i % 64)) & 1 == 0;
+        let value = self.ends[i].1 as usize..self.ends[i + 1].1 as usize;
+        Some((self.key(i), live.then(|| &self.vals[value])))
+    }
+
+    /// Index of the first entry whose key is not below `key`.
+    fn lower_bound(&self, key: &[u8]) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The entry stored under `key`: `Some(None)` for a tombstone.
+    fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
+        match self.entry(self.lower_bound(key))? {
+            (k, value) if k == key => Some(value),
+            _ => None,
+        }
+    }
+
+    /// Append an entry; keys must arrive in strictly ascending order.
+    ///
+    /// Adds the entry's modelled SSTable footprint to `bytes`: sorted keys
+    /// are **prefix-compressed** against their predecessor (the
+    /// Cassandra/SSTable trick that, combined with the columnar engine's
+    /// delta encoding, gives Titan its Figure 1 space win), plus a small
+    /// per-entry header.
+    fn push(&mut self, key: &[u8], value: Option<&[u8]>) {
+        let i = self.len();
+        let prev = if i == 0 { &[][..] } else { self.key(i - 1) };
+        debug_assert!(i == 0 || prev < key, "run keys must ascend");
+        let shared = prev.iter().zip(key).take_while(|(a, b)| a == b).count();
+        self.bytes += (key.len() - shared) as u64 + value.map_or(1, |v| v.len() as u64) + 4;
+        if i.is_multiple_of(64) {
+            self.tomb.push(0);
+        }
+        match value {
+            Some(v) => self.vals.extend_from_slice(v),
+            None => {
+                self.tomb[i / 64] |= 1 << (i % 64);
+                self.tombstones += 1;
+            }
+        }
+        self.keys.extend_from_slice(key);
+        let end = |buf: &Vec<u8>| u32::try_from(buf.len()).expect("an LSM run stays under 4 GiB");
+        self.ends.push((end(&self.keys), end(&self.vals)));
+    }
+
+    /// Freeze the run, giving back what `with_capacity` over-reserved.
+    fn seal(mut self) -> Arc<Run> {
+        self.keys.shrink_to_fit();
+        self.vals.shrink_to_fit();
+        self.ends.shrink_to_fit();
+        self.tomb.shrink_to_fit();
+        Arc::new(self)
     }
 }
 
@@ -122,17 +235,25 @@ impl LsmTable {
         self.maybe_flush();
     }
 
-    /// Point lookup; `None` for missing or tombstoned keys.
-    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+    /// Point lookup; `None` for missing or tombstoned keys. The value is
+    /// borrowed from the memtable or the run that holds it.
+    pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
         if let Some(entry) = self.mem.get(key) {
-            return entry.clone();
+            return entry.as_deref();
         }
+        let mut probed = 0;
+        let mut found = None;
         for run in self.runs.iter().rev() {
+            probed += 1;
             if let Some(entry) = run.get(key) {
-                return entry.clone();
+                found = entry;
+                break;
             }
         }
-        None
+        if let Some(c) = counters() {
+            c.runs_probed.add(probed);
+        }
+        found
     }
 
     /// Whether a live value exists for `key`.
@@ -142,46 +263,37 @@ impl LsmTable {
 
     /// Iterate live `(key, value)` pairs whose key starts with `prefix`,
     /// in key order, with newest-version-wins and tombstone suppression.
-    pub fn scan_prefix<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = ScanItem> + 'a {
-        self.scan_range(prefix, PrefixEnd::of(prefix))
+    pub fn scan_prefix<'a>(&'a self, prefix: &'a [u8]) -> Scan<'a> {
+        self.scan(prefix, Upper::Prefix(prefix))
     }
 
-    /// Iterate live pairs with `lo <= key < hi` (no upper bound when
-    /// `hi == PrefixEnd::Unbounded`).
-    pub fn scan_range<'a>(
-        &'a self,
-        lo: &'a [u8],
-        hi: PrefixEnd,
-    ) -> impl Iterator<Item = ScanItem> + 'a {
-        // Build per-source cursors: index 0 = memtable (newest), then runs
-        // newest-first. A k-way merge picks the smallest key; on ties the
-        // newest source wins and older duplicates are skipped.
-        let within = move |k: &[u8]| match &hi {
-            PrefixEnd::Excluded(h) => k < h.as_slice(),
-            PrefixEnd::Unbounded => true,
-        };
-        let mut sources: Vec<SourceIter<'a>> = Vec::new();
-        sources.push(Box::new(
+    /// Iterate live pairs with `lo <= key < hi`, in key order (no upper
+    /// bound when `hi` is `None`).
+    pub fn scan_range<'a>(&'a self, lo: &[u8], hi: Option<&'a [u8]>) -> Scan<'a> {
+        self.scan(lo, hi.map_or(Upper::Unbounded, Upper::Below))
+    }
+
+    fn scan<'a>(&'a self, lo: &[u8], upper: Upper<'a>) -> Scan<'a> {
+        // Newest first: the memtable, then the runs from the youngest.
+        let mem = Source::Mem(
             self.mem
-                .range(lo.to_vec()..)
-                .map(|(k, v)| (k.as_slice(), v)),
-        ));
-        for run in self.runs.iter().rev() {
-            let start = run.entries.partition_point(|(k, _)| k.as_slice() < lo);
-            sources.push(Box::new(
-                run.entries[start..].iter().map(|(k, v)| (k.as_slice(), v)),
-            ));
-        }
-        MergeScan {
-            heads: sources.iter_mut().map(|s| s.next()).collect(),
-            sources,
-            within: Box::new(within),
+                .range::<[u8], _>((Bound::Included(lo), Bound::Unbounded)),
+        );
+        let runs = self
+            .runs
+            .iter()
+            .rev()
+            .map(|run| Source::Run(run, run.lower_bound(lo)));
+        Scan {
+            merge: Merge::new(std::iter::once(mem).chain(runs)),
+            upper,
+            runs: self.runs.len() as u64,
         }
     }
 
     /// Count of live keys (scans everything; test/debug helper).
     pub fn live_len(&self) -> usize {
-        self.scan_range(&[], PrefixEnd::Unbounded).count()
+        self.scan_range(&[], None).count()
     }
 
     fn maybe_flush(&mut self) {
@@ -195,11 +307,20 @@ impl LsmTable {
         if self.mem.is_empty() {
             return;
         }
-        let entries: Vec<(Vec<u8>, MemEntry)> = std::mem::take(&mut self.mem).into_iter().collect();
-        let bytes = run_bytes(&entries);
-        self.stats.tombstones += entries.iter().filter(|(_, v)| v.is_none()).count() as u64;
-        self.runs.push(Arc::new(Run { entries, bytes }));
+        let mem = std::mem::take(&mut self.mem);
+        let (key_bytes, val_bytes) = mem.iter().fold((0, 0), |(k, v), (key, value)| {
+            (k + key.len(), v + value.as_ref().map_or(0, Vec::len))
+        });
+        let mut run = Run::with_capacity(mem.len(), key_bytes, val_bytes);
+        for (key, value) in &mem {
+            run.push(key, value.as_deref());
+        }
+        self.stats.tombstones += run.tombstones;
+        self.runs.push(run.seal());
         self.stats.flushes += 1;
+        if let Some(c) = counters() {
+            c.flushes.inc();
+        }
         if self.runs.len() > self.config.max_runs {
             self.compact_tail();
         }
@@ -224,48 +345,33 @@ impl LsmTable {
         self.merge_suffix(self.config.max_runs / 2);
     }
 
-    /// Merge the runs from index `keep` onward into one run. Tombstones are
-    /// dropped only when the merge reaches the bottom level (`keep == 0`);
-    /// higher merges must retain them because they may still shadow live
-    /// entries in the base runs below.
+    /// Merge the runs from index `keep` onward into one run: a streaming
+    /// k-way merge of the sorted arenas into a new one (the old runs are
+    /// only read — snapshot clones may still hold their `Arc`s). Tombstones
+    /// are dropped only when the merge reaches the bottom level
+    /// (`keep == 0`); higher merges must retain them because they may still
+    /// shadow live entries in the base runs below.
     fn merge_suffix(&mut self, keep: usize) {
         if self.runs.len() <= keep.max(1) {
             return;
         }
         let tail = self.runs.split_off(keep);
-        let mut merged: BTreeMap<Vec<u8>, MemEntry> = BTreeMap::new();
-        for run in tail {
-            // Later (newer) runs overwrite earlier entries. Snapshot clones
-            // may still hold the old runs' `Arc`s, so merge by reference
-            // (or by move when this table is the last owner).
-            match Arc::try_unwrap(run) {
-                Ok(run) => {
-                    for (k, v) in run.entries {
-                        merged.insert(k, v);
-                    }
-                }
-                Err(shared) => {
-                    for (k, v) in &shared.entries {
-                        merged.insert(k.clone(), v.clone());
-                    }
-                }
+        let mut merged = Run::with_capacity(
+            tail.iter().map(|r| r.len()).sum(),
+            tail.iter().map(|r| r.keys.len()).sum(),
+            tail.iter().map(|r| r.vals.len()).sum(),
+        );
+        for (key, value) in Merge::new(tail.iter().rev().map(|run| Source::Run(run, 0))) {
+            if keep > 0 || value.is_some() {
+                merged.push(key, value);
             }
         }
-        // Tombstones at the bottom level can be dropped entirely.
-        let entries: Vec<(Vec<u8>, MemEntry)> = if keep == 0 {
-            merged.into_iter().filter(|(_, v)| v.is_some()).collect()
-        } else {
-            merged.into_iter().collect()
-        };
-        let bytes = run_bytes(&entries);
-        self.runs.push(Arc::new(Run { entries, bytes }));
+        self.runs.push(merged.seal());
         self.stats.compactions += 1;
-        // Recount live tombstones (cheap: a scan, no allocation).
-        self.stats.tombstones = self
-            .runs
-            .iter()
-            .map(|r| r.entries.iter().filter(|(_, v)| v.is_none()).count() as u64)
-            .sum();
+        self.stats.tombstones = self.runs.iter().map(|r| r.tombstones).sum();
+        if let Some(c) = counters() {
+            c.compactions.inc();
+        }
     }
 
     /// Number of immutable runs currently on "disk".
@@ -280,6 +386,8 @@ impl LsmTable {
 
     /// Approximate footprint: memtable + all runs (including shadowed
     /// versions and tombstones — that is the point of an LSM's space story).
+    /// A run counts at its modelled on-disk size, keys prefix-compressed
+    /// (see [`Run::push`]), not at the size of its in-memory arena.
     pub fn bytes(&self) -> u64 {
         let mem: u64 = self
             .mem
@@ -290,95 +398,163 @@ impl LsmTable {
     }
 }
 
-/// On-disk footprint of an immutable run, modelling the SSTable format:
-/// sorted keys are **prefix-compressed** against their predecessor (the
-/// Cassandra/SSTable trick that, combined with the columnar engine's delta
-/// encoding, gives Titan its Figure 1 space win), plus a small per-entry
-/// header.
-fn run_bytes(entries: &[(Vec<u8>, MemEntry)]) -> u64 {
-    let mut total = 0u64;
-    let mut prev: &[u8] = &[];
-    for (k, v) in entries {
-        let shared = prev
-            .iter()
-            .zip(k.iter())
-            .take_while(|(a, b)| a == b)
-            .count();
-        total += (k.len() - shared) as u64 + v.as_ref().map_or(1, |v| v.len() as u64) + 4;
-        prev = k;
-    }
-    total
-}
-
-/// Exclusive upper bound for [`LsmTable::scan_range`].
-#[derive(Debug, Clone)]
-pub enum PrefixEnd {
-    /// Stop before this key.
-    Excluded(Vec<u8>),
-    /// No upper bound.
+/// Exclusive upper bound of a scan.
+#[derive(Debug)]
+enum Upper<'a> {
     Unbounded,
+    /// Stop before this key.
+    Below(&'a [u8]),
+    /// Stop at the first key that does not start with this prefix (the scan
+    /// starts at the prefix, so such a key is past every key that does).
+    Prefix(&'a [u8]),
 }
 
-impl PrefixEnd {
-    /// The smallest key greater than every key with the given prefix.
-    pub fn of(prefix: &[u8]) -> PrefixEnd {
-        let mut end = prefix.to_vec();
-        while let Some(last) = end.last_mut() {
-            if *last < 0xFF {
-                *last += 1;
-                return PrefixEnd::Excluded(end);
-            }
-            end.pop();
+impl Upper<'_> {
+    fn admits(&self, key: &[u8]) -> bool {
+        match self {
+            Upper::Unbounded => true,
+            Upper::Below(hi) => key < *hi,
+            Upper::Prefix(prefix) => key.starts_with(prefix),
         }
-        PrefixEnd::Unbounded
     }
 }
 
-struct MergeScan<'a> {
-    sources: Vec<SourceIter<'a>>,
-    heads: Vec<Option<SourceHead<'a>>>,
-    within: BoundCheck<'a>,
+/// One sorted input of a merge, positioned after its head.
+#[derive(Debug)]
+enum Source<'a> {
+    Mem(btree_map::Range<'a, Vec<u8>, MemEntry>),
+    /// A run and the index of its next entry.
+    Run(&'a Run, usize),
 }
 
-impl<'a> Iterator for MergeScan<'a> {
-    type Item = ScanItem;
+impl<'a> Source<'a> {
+    fn next(&mut self) -> Option<Entry<'a>> {
+        match self {
+            Source::Mem(range) => range.next().map(|(k, v)| (k.as_slice(), v.as_deref())),
+            Source::Run(run, at) => {
+                let entry = run.entry(*at)?;
+                *at += 1;
+                Some(entry)
+            }
+        }
+    }
+}
 
+/// K-way merge over sources ordered newest first: yields each key once, in
+/// key order, with the newest source's entry — tombstones included.
+#[derive(Debug)]
+struct Merge<'a> {
+    /// `(head, rest)` per source.
+    cursors: Vec<(Option<Entry<'a>>, Source<'a>)>,
+    /// Source entries consumed so far.
+    stepped: u64,
+}
+
+impl<'a> Merge<'a> {
+    fn new(sources: impl Iterator<Item = Source<'a>>) -> Self {
+        Merge {
+            cursors: sources
+                .map(|mut s| (s.next(), s))
+                .filter(|(head, _)| head.is_some())
+                .collect(),
+            stepped: 0,
+        }
+    }
+
+    /// Replace source `i`'s head with its next entry.
+    fn step(&mut self, i: usize) {
+        let (head, rest) = &mut self.cursors[i];
+        *head = rest.next();
+        self.stepped += 1;
+    }
+}
+
+impl<'a> Iterator for Merge<'a> {
+    type Item = Entry<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Entry<'a>> {
+        // One pass for the smallest head key; the newest source (lowest
+        // index) wins ties. A head equal to the best so far is an older
+        // version of that key: shadowed whatever wins, so it is stepped
+        // over on the spot (its successor is larger and cannot win).
+        let mut best: Option<(usize, Entry<'a>)> = None;
+        for i in 0..self.cursors.len() {
+            let Some(entry) = self.cursors[i].0 else {
+                continue;
+            };
+            match best.map(|(_, b)| entry.0.cmp(b.0)) {
+                None | Some(Ordering::Less) => best = Some((i, entry)),
+                Some(Ordering::Equal) => self.step(i),
+                Some(Ordering::Greater) => {}
+            }
+        }
+        let (winner, entry) = best?;
+        self.step(winner);
+        Some(entry)
+    }
+}
+
+/// Borrowing cursor over the live pairs of a key range; see
+/// [`LsmTable::scan_range`].
+#[derive(Debug)]
+pub struct Scan<'a> {
+    merge: Merge<'a>,
+    upper: Upper<'a>,
+    runs: u64,
+}
+
+impl<'a> Iterator for Scan<'a> {
+    type Item = (&'a [u8], &'a [u8]);
+
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            // Find the smallest key among heads; newest source (lowest index)
-            // wins ties.
-            let mut best: Option<(usize, &'a [u8])> = None;
-            for (i, head) in self.heads.iter().enumerate() {
-                if let Some((k, _)) = head {
-                    match best {
-                        None => best = Some((i, k)),
-                        Some((_, bk)) if *k < bk => best = Some((i, k)),
-                        _ => {}
-                    }
-                }
-            }
-            let (winner, key) = best?;
-            if !(self.within)(key) {
+            let (key, value) = self.merge.next()?;
+            if !self.upper.admits(key) {
+                self.merge.cursors.clear();
                 return None;
             }
-            let (_, entry) = self.heads[winner].take().expect("head exists");
-            self.heads[winner] = self.sources[winner].next();
-            // Skip the same key in all older sources.
-            for i in 0..self.heads.len() {
-                while let Some((k, _)) = self.heads[i] {
-                    if k == key {
-                        self.heads[i] = self.sources[i].next();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            match entry {
-                Some(value) => return Some((key.to_vec(), value.clone())),
-                None => continue, // tombstone suppresses older versions
+            // A tombstone suppresses the older versions the merge skipped.
+            if let Some(value) = value {
+                return Some((key, value));
             }
         }
     }
+}
+
+impl Drop for Scan<'_> {
+    fn drop(&mut self) {
+        if let Some(c) = counters() {
+            c.cells_scanned.add(self.merge.stepped);
+            c.runs_probed.add(self.runs);
+        }
+    }
+}
+
+struct LsmCounters {
+    cells_scanned: Counter,
+    runs_probed: Counter,
+    flushes: Counter,
+    compactions: Counter,
+}
+
+/// The `storage.lsm.*` handles in the global registry, resolved on first
+/// use; `None` (after one relaxed load) while counters are off.
+fn counters() -> Option<&'static LsmCounters> {
+    static COUNTERS: OnceLock<LsmCounters> = OnceLock::new();
+    if !gm_obs::counters_on() {
+        return None;
+    }
+    Some(COUNTERS.get_or_init(|| {
+        let g = gm_obs::global();
+        LsmCounters {
+            cells_scanned: g.counter("storage.lsm.cells_scanned"),
+            runs_probed: g.counter("storage.lsm.runs_probed"),
+            flushes: g.counter("storage.lsm.flushes"),
+            compactions: g.counter("storage.lsm.compactions"),
+        }
+    }))
 }
 
 #[cfg(test)]
@@ -397,10 +573,10 @@ mod tests {
         let mut t = LsmTable::default();
         t.put(b"a", b"1");
         t.put(b"b", b"2");
-        assert_eq!(t.get(b"a"), Some(b"1".to_vec()));
+        assert_eq!(t.get(b"a"), Some(&b"1"[..]));
         t.delete(b"a");
         assert_eq!(t.get(b"a"), None);
-        assert_eq!(t.get(b"b"), Some(b"2".to_vec()));
+        assert_eq!(t.get(b"b"), Some(&b"2"[..]));
         assert!(!t.contains(b"c"));
     }
 
@@ -414,7 +590,7 @@ mod tests {
             t.flush();
         }
         for k in 0..10u8 {
-            assert_eq!(t.get(&[k]), Some(vec![4]));
+            assert_eq!(t.get(&[k]), Some(&[4u8][..]));
         }
     }
 
@@ -427,6 +603,22 @@ mod tests {
         t.flush();
         assert_eq!(t.get(b"x"), None);
         assert_eq!(t.live_len(), 0);
+    }
+
+    #[test]
+    fn empty_value_is_not_a_tombstone() {
+        let mut t = small();
+        t.put(b"k", b"");
+        t.put(b"gone", b"v");
+        t.flush();
+        t.delete(b"gone");
+        t.flush();
+        assert_eq!(t.get(b"k"), Some(&b""[..]));
+        assert_eq!(t.get(b"gone"), None);
+        t.compact_tail();
+        assert_eq!(t.get(b"k"), Some(&b""[..]));
+        let live: Vec<_> = t.scan_range(&[], None).collect();
+        assert_eq!(live, vec![(&b"k"[..], &b""[..])]);
     }
 
     #[test]
@@ -449,6 +641,28 @@ mod tests {
         for k in 0..100u8 {
             assert_eq!(t.get(&[k]).is_some(), k >= 50);
         }
+    }
+
+    #[test]
+    fn tail_compaction_keeps_tombstones_that_shadow_the_base() {
+        let mut t = LsmTable::new(LsmConfig {
+            memtable_limit: 1_000,
+            max_runs: 2,
+        });
+        t.put(b"a", b"base");
+        t.put(b"b", b"base");
+        t.flush();
+        t.delete(b"a");
+        t.flush();
+        t.put(b"b", b"new");
+        t.flush(); // third run: overflow merges the two newest
+        assert_eq!(t.run_count(), 2);
+        assert_eq!(t.stats().tombstones, 1, "the tombstone still shadows run 0");
+        assert_eq!(t.get(b"a"), None);
+        assert_eq!(t.get(b"b"), Some(&b"new"[..]));
+        t.compact();
+        assert_eq!(t.stats().tombstones, 0);
+        assert_eq!(t.live_len(), 1);
     }
 
     #[test]
@@ -483,34 +697,82 @@ mod tests {
         k2.push(2);
         t.delete(&k2);
 
-        let hits: Vec<(Vec<u8>, Vec<u8>)> = t.scan_prefix(&2u32.to_be_bytes()).collect();
+        let prefix = 2u32.to_be_bytes();
+        let hits: Vec<(&[u8], &[u8])> = t.scan_prefix(&prefix).collect();
         assert_eq!(hits.len(), 3, "one column deleted");
-        assert_eq!(hits[1].1, b"new".to_vec());
+        assert_eq!(hits[1].1, b"new");
         // Keys come back sorted.
-        let keys: Vec<&[u8]> = hits.iter().map(|(k, _)| k.as_slice()).collect();
+        let keys: Vec<&[u8]> = hits.iter().map(|(k, _)| *k).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
     }
 
     #[test]
-    fn prefix_end_handles_ff() {
-        match PrefixEnd::of(&[1, 0xFF]) {
-            PrefixEnd::Excluded(e) => assert_eq!(e, vec![2]),
-            _ => panic!("expected excluded"),
+    fn prefix_scan_ends_at_the_prefix_even_at_ff() {
+        let mut t = small();
+        for key in [
+            &[1u8, 0xFE][..],
+            &[1, 0xFF],
+            &[1, 0xFF, 0],
+            &[2],
+            &[0xFF, 0xFF],
+        ] {
+            t.put(key, b"v");
         }
-        assert!(matches!(PrefixEnd::of(&[0xFF, 0xFF]), PrefixEnd::Unbounded));
-        assert!(matches!(PrefixEnd::of(&[]), PrefixEnd::Unbounded));
+        t.flush();
+        let keys = |prefix: &[u8]| -> Vec<Vec<u8>> {
+            t.scan_prefix(prefix).map(|(k, _)| k.to_vec()).collect()
+        };
+        assert_eq!(keys(&[1, 0xFF]), vec![vec![1, 0xFF], vec![1, 0xFF, 0]]);
+        assert_eq!(keys(&[0xFF, 0xFF]), vec![vec![0xFF, 0xFF]]);
+        assert_eq!(keys(&[]).len(), 5);
+        assert!(keys(&[3]).is_empty());
     }
 
     #[test]
-    fn scan_range_unbounded() {
+    fn scan_range_bounds() {
         let mut t = small();
         t.put(b"a", b"1");
-        t.put(b"z", b"2");
+        t.put(b"m", b"2");
         t.flush();
-        let all: Vec<_> = t.scan_range(b"", PrefixEnd::Unbounded).collect();
-        assert_eq!(all.len(), 2);
+        t.put(b"z", b"3");
+        assert_eq!(t.scan_range(b"", None).count(), 3);
+        let mid: Vec<_> = t.scan_range(b"b", Some(b"z")).collect();
+        assert_eq!(mid, vec![(&b"m"[..], &b"2"[..])]);
+        let mut scan = t.scan_range(b"a", Some(b"m"));
+        assert_eq!(scan.next(), Some((&b"a"[..], &b"1"[..])));
+        assert_eq!(scan.next(), None);
+        assert_eq!(scan.next(), None, "a finished scan stays finished");
+    }
+
+    #[test]
+    fn registry_counters_follow_reads_and_maintenance() {
+        // The registry is process-wide and other tests run beside this
+        // one, so each counter is checked to have moved by at least its
+        // share.
+        let read = |name: &str| gm_obs::global().counter(name).get();
+        let names = ["cells_scanned", "runs_probed", "flushes", "compactions"]
+            .map(|n| format!("storage.lsm.{n}"));
+        let before = names.each_ref().map(|n| read(n));
+        let mut t = LsmTable::new(LsmConfig {
+            memtable_limit: 1_000,
+            max_runs: 1_000,
+        });
+        for round in 0..3u8 {
+            for k in 0..50u8 {
+                t.put(&[k], &[round]);
+            }
+            t.flush();
+        }
+        assert_eq!(t.scan_range(&[], None).count(), 50);
+        assert_eq!(t.get(&[7]), Some(&[2u8][..]), "newest run answers");
+        assert_eq!(t.get(&[99]), None, "every run is probed for a miss");
+        t.compact();
+        let moved: Vec<u64> = names.iter().zip(before).map(|(n, b)| read(n) - b).collect();
+        assert!(moved[0] >= 150, "3 × 50 source entries: {moved:?}");
+        assert!(moved[1] >= 3 + 1 + 3, "scan, hit, miss: {moved:?}");
+        assert!(moved[2] >= 3 && moved[3] >= 1, "{moved:?}");
     }
 
     #[test]

@@ -59,12 +59,30 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Option<Value> {
         }
         0x04 => {
             let len = read_varint(buf, pos)? as usize;
-            let bytes = buf.get(*pos..*pos + len)?;
+            let bytes = buf.get(*pos..pos.checked_add(len)?)?;
             *pos += len;
             Some(Value::Str(String::from_utf8(bytes.to_vec()).ok()?))
         }
         _ => None,
     }
+}
+
+/// Advance `pos` past the value encoded there without materialising it.
+/// `None` on malformed input, exactly where [`decode_value`] says so except
+/// that a string's bytes are not checked to be UTF-8.
+pub fn skip_value(buf: &[u8], pos: &mut usize) -> Option<()> {
+    let tag = *buf.get(*pos)?;
+    *pos += 1;
+    let len = match tag {
+        0x00 => 0,
+        0x01 => 1,
+        0x02 => return read_varint(buf, pos).map(|_| ()),
+        0x03 => 8,
+        0x04 => read_varint(buf, pos)? as usize,
+        _ => return None,
+    };
+    *pos = pos.checked_add(len).filter(|end| *end <= buf.len())?;
+    Some(())
 }
 
 /// Append a `(name-id, value)` property list. Name ids come from the engine's
@@ -87,6 +105,30 @@ pub fn decode_props(buf: &[u8], pos: &mut usize) -> Option<Vec<(u32, Value)>> {
         out.push((name_id, v));
     }
     Some(out)
+}
+
+/// Advance `pos` past a property list without materialising it.
+pub fn skip_props(buf: &[u8], pos: &mut usize) -> Option<()> {
+    for _ in 0..read_varint(buf, pos)? {
+        read_varint(buf, pos)?;
+        skip_value(buf, pos)?;
+    }
+    Some(())
+}
+
+/// The value stored under `name_id` in the property list at `pos` (advanced
+/// past the whole list): only that value is materialised. The outer `None`
+/// is malformed input, the inner one an absent name.
+pub fn find_prop(buf: &[u8], pos: &mut usize, name_id: u32) -> Option<Option<Value>> {
+    let mut found = None;
+    for _ in 0..read_varint(buf, pos)? {
+        if read_varint(buf, pos)? == u64::from(name_id) && found.is_none() {
+            found = Some(decode_value(buf, pos)?);
+        } else {
+            skip_value(buf, pos)?;
+        }
+    }
+    Some(found)
 }
 
 #[cfg(test)]
@@ -128,6 +170,41 @@ mod tests {
         let mut pos = 0;
         assert_eq!(decode_props(&buf, &mut pos), Some(props));
         assert_eq!(pos, buf.len());
+    }
+
+    #[test]
+    fn skipping_lands_where_decoding_does() {
+        let props = vec![
+            (0u32, Value::Str("snowman ☃".into())),
+            (7, Value::Int(-42)),
+            (3, Value::Bool(false)),
+            (9, Value::Float(2.5)),
+            (4, Value::Null),
+        ];
+        let mut buf = Vec::new();
+        encode_props(&mut buf, &props);
+        buf.push(0xAA); // whatever follows the list is left alone
+        let mut pos = 0;
+        assert_eq!(skip_props(&buf, &mut pos), Some(()));
+        assert_eq!(pos, buf.len() - 1);
+        for (name, value) in &props {
+            let mut pos = 0;
+            assert_eq!(find_prop(&buf, &mut pos, *name), Some(Some(value.clone())));
+            assert_eq!(pos, buf.len() - 1);
+        }
+        assert_eq!(find_prop(&buf, &mut 0, 8), Some(None));
+        // Every truncation is malformed to the skipper as to the decoder.
+        for cut in 0..buf.len() - 1 {
+            assert_eq!(skip_props(&buf[..cut], &mut 0), None, "cut at {cut}");
+            assert_eq!(decode_props(&buf[..cut], &mut 0), None, "cut at {cut}");
+            assert_eq!(find_prop(&buf[..cut], &mut 0, 4), None, "cut at {cut}");
+        }
+        // A string length that overflows the position is refused, not added.
+        let huge = [
+            0x04, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01,
+        ];
+        assert_eq!(skip_value(&huge, &mut 0), None);
+        assert_eq!(decode_value(&huge, &mut 0), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use gm_storage::bptree::BPlusTree;
 use gm_storage::codec::{delta_decode, delta_encode, read_varint, write_varint};
-use gm_storage::lsm::{LsmConfig, LsmTable, PrefixEnd};
+use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::{Bitmap, HashIndex, PageStore, RecordFile};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -123,6 +123,132 @@ impl FileModel {
     }
 }
 
+#[derive(Debug, Clone)]
+enum LsmOp {
+    Put(Vec<u8>, Vec<u8>),
+    Delete(Vec<u8>),
+    Flush,
+    Compact,
+    CompactTail,
+}
+
+/// Short keys over a four-byte alphabet, so keys are prefixes of one
+/// another and `0xFF` sits at prefix ends.
+fn arb_lsm_key() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((0usize..4).prop_map(|i| [0u8, 1, 7, 0xFF][i]), 0..4)
+}
+
+fn arb_lsm_ops() -> impl Strategy<Value = Vec<LsmOp>> {
+    let value = || prop::collection::vec(any::<u8>(), 0..6);
+    prop::collection::vec(
+        prop_oneof![
+            8 => (arb_lsm_key(), value()).prop_map(|(k, v)| LsmOp::Put(k, v)),
+            4 => arb_lsm_key().prop_map(LsmOp::Delete),
+            2 => Just(LsmOp::Flush),
+            1 => Just(LsmOp::Compact),
+            1 => Just(LsmOp::CompactTail),
+        ],
+        0..250,
+    )
+}
+
+type LsmModel = BTreeMap<Vec<u8>, Vec<u8>>;
+
+fn lsm_apply(lsm: &mut LsmTable, model: &mut LsmModel, op: &LsmOp) {
+    match op {
+        LsmOp::Put(k, v) => {
+            lsm.put(k, v);
+            model.insert(k.clone(), v.clone());
+        }
+        LsmOp::Delete(k) => {
+            lsm.delete(k);
+            model.remove(k);
+        }
+        LsmOp::Flush => lsm.flush(),
+        LsmOp::Compact => lsm.compact(),
+        LsmOp::CompactTail => lsm.compact_tail(),
+    }
+}
+
+/// Every borrowed read of `lsm` answers as the model does: `get` on each
+/// probe key, the whole-store scan, and a range and a prefix scan per probe.
+fn lsm_check(lsm: &LsmTable, model: &LsmModel, probes: &[Vec<u8>]) -> Result<(), TestCaseError> {
+    let pairs = |it: &mut dyn Iterator<Item = (&[u8], &[u8])>| -> Vec<(Vec<u8>, Vec<u8>)> {
+        it.map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
+    };
+    let owned = |it: &mut dyn Iterator<Item = (&Vec<u8>, &Vec<u8>)>| -> Vec<(Vec<u8>, Vec<u8>)> {
+        it.map(|(k, v)| (k.clone(), v.clone())).collect()
+    };
+    prop_assert_eq!(
+        pairs(&mut lsm.scan_range(&[], None)),
+        owned(&mut model.iter())
+    );
+    prop_assert_eq!(lsm.live_len(), model.len());
+    for (i, probe) in probes.iter().enumerate() {
+        prop_assert_eq!(lsm.get(probe), model.get(probe).map(Vec::as_slice));
+        prop_assert_eq!(lsm.contains(probe), model.contains_key(probe));
+        prop_assert_eq!(
+            pairs(&mut lsm.scan_prefix(probe)),
+            owned(&mut model.iter().filter(|(k, _)| k.starts_with(probe)))
+        );
+        let other = &probes[(i + 1) % probes.len()];
+        let (lo, hi) = (probe.min(other), probe.max(other));
+        prop_assert_eq!(
+            pairs(&mut lsm.scan_range(lo, Some(hi))),
+            owned(&mut model.range(lo.clone()..hi.clone()))
+        );
+        prop_assert_eq!(
+            pairs(&mut lsm.scan_range(lo, None)),
+            owned(&mut model.range(lo.clone()..))
+        );
+    }
+    Ok(())
+}
+
+/// A fixed table in the columnar engine's key shape: overwrites, deletes,
+/// automatic flushes and tail compactions, a non-empty memtable.
+fn lsm_fixture() -> LsmTable {
+    let mut t = LsmTable::new(LsmConfig {
+        memtable_limit: 64,
+        max_runs: 4,
+    });
+    for round in 0..6u64 {
+        for vid in 0..150u64 {
+            let mut key = (vid * 7 % 150).to_be_bytes().to_vec();
+            key.push((vid % 3) as u8);
+            key.extend_from_slice(&((round * 31 + vid) as u32 % 5).to_be_bytes());
+            if (vid + round) % 11 == 0 {
+                t.delete(&key);
+            } else {
+                t.put(&key, &vec![round as u8; (vid % 9) as usize]);
+            }
+        }
+    }
+    t
+}
+
+/// `bytes()` is the modelled on-disk size (prefix-compressed keys), not the
+/// arena's: these are the numbers the `Vec`-of-pairs runs reported for the
+/// same operations, and the benchmark's `space_amp` is made of them.
+#[test]
+fn lsm_bytes_are_pinned_to_the_sstable_model() {
+    let mut t = lsm_fixture();
+    assert_eq!((t.run_count(), t.bytes()), (4, 9707));
+    assert_eq!(t.stats().tombstones, 79);
+    t.flush();
+    assert_eq!((t.run_count(), t.bytes()), (3, 9036));
+    t.compact_tail();
+    assert_eq!((t.run_count(), t.bytes()), (3, 9036));
+    t.compact();
+    assert_eq!((t.run_count(), t.bytes()), (1, 6871));
+    assert_eq!((t.live_len(), t.stats().tombstones), (684, 0));
+    assert_eq!(
+        (t.stats().flushes, t.stats().compactions),
+        (15, 8),
+        "same flush and compaction schedule"
+    );
+}
+
 proptest! {
     /// A RecordFile and its clone share pages, yet under any interleaving
     /// of alloc/put/free each behaves exactly like its own plain-Vec model:
@@ -233,35 +359,34 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// LSM equals a BTreeMap oracle under put/delete with periodic flushes.
+    /// The LSM's borrowed reads equal a BTreeMap oracle under any
+    /// interleaving of put/delete/flush/compact/compact_tail — and so do
+    /// those of a clone taken mid-stream, whose `Arc`-shared runs keep
+    /// answering for its own history while the original compacts them away.
     #[test]
-    fn lsm_matches_btreemap(
-        ops in prop::collection::vec(
-            (any::<u8>(), prop::option::of(any::<u32>())), 0..300),
+    fn lsm_and_its_clone_match_their_own_models(
+        ops in arb_lsm_ops(),
+        split in any::<prop::sample::Index>(),
+        probes in prop::collection::vec(arb_lsm_key(), 1..12),
         memtable_limit in 1usize..32,
+        max_runs in 2usize..6,
     ) {
-        let mut lsm = LsmTable::new(LsmConfig { memtable_limit, max_runs: 3 });
-        let mut oracle: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        for (k, v) in ops {
-            let key = vec![k];
-            match v {
-                Some(val) => {
-                    let value = val.to_be_bytes().to_vec();
-                    lsm.put(&key, &value);
-                    oracle.insert(key, value);
-                }
-                None => {
-                    lsm.delete(&key);
-                    oracle.remove(&key);
-                }
-            }
+        let mut lsm = LsmTable::new(LsmConfig { memtable_limit, max_runs });
+        let mut model = LsmModel::new();
+        let (before, after) = ops.split_at(split.index(ops.len() + 1));
+        for op in before {
+            lsm_apply(&mut lsm, &mut model, op);
         }
-        for k in 0..=255u8 {
-            prop_assert_eq!(lsm.get(&[k]), oracle.get(&vec![k]).cloned());
+        let (frozen, frozen_model) = (lsm.clone(), model.clone());
+        lsm_check(&frozen, &frozen_model, &probes)?;
+        for op in after {
+            lsm_apply(&mut lsm, &mut model, op);
         }
-        let scanned: Vec<(Vec<u8>, Vec<u8>)> = lsm.scan_range(&[], PrefixEnd::Unbounded).collect();
-        let expect: Vec<(Vec<u8>, Vec<u8>)> = oracle.into_iter().collect();
-        prop_assert_eq!(scanned, expect);
+        lsm_check(&lsm, &model, &probes)?;
+        lsm.compact();
+        prop_assert!(lsm.run_count() <= 1);
+        lsm_check(&lsm, &model, &probes)?;
+        lsm_check(&frozen, &frozen_model, &probes)?;
     }
 
     /// Varint and delta codecs round-trip arbitrary input.
