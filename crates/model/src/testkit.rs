@@ -1,4 +1,4 @@
-//! Engine conformance suite.
+//! Engine conformance suite, and shared test helpers.
 //!
 //! Every engine crate runs [`conformance_suite`] in its tests: it loads a
 //! small, hand-checkable dataset and asserts the *semantics* of every
@@ -6,7 +6,12 @@
 //! identical answers — only their latencies may differ — so this suite is
 //! the first line of defence, complemented by the cross-engine equivalence
 //! tests in the workspace's `tests/` directory.
+//!
+//! [`CountingAlloc`] + [`allocations`] turn "this path does not allocate"
+//! into an assertion for any test binary that installs the allocator.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::time::Duration;
 
 use crate::api::{Direction, GraphDb, LoadOptions};
@@ -91,6 +96,60 @@ pub fn within<T: Send + 'static>(guard: Duration, f: impl FnOnce() -> T + Send +
         .expect("worker already sent its result")
         .expect("receiver outlives the worker");
     value
+}
+
+/// What a closure allocated on the calling thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Allocs {
+    /// Allocation calls (a growing `realloc` is one).
+    pub calls: u64,
+    /// Bytes those calls asked for.
+    pub bytes: u64,
+}
+
+thread_local! {
+    static ALLOCS: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0 }) };
+}
+
+/// A global allocator that counts every allocation per thread and defers
+/// the work to [`System`]. A test binary installs it with
+/// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;` and
+/// measures with [`allocations`]; counting per thread keeps the harness's
+/// other threads out of the number.
+pub struct CountingAlloc;
+
+// SAFETY: defers every operation to `System` unchanged; the thread-local is
+// a `const`-initialised `Cell` with no destructor, so touching it from
+// inside the allocator neither allocates nor runs during thread teardown.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| {
+            let seen = n.get();
+            n.set(Allocs {
+                calls: seen.calls.wrapping_add(1),
+                bytes: seen.bytes.wrapping_add(layout.size() as u64),
+            })
+        });
+        // SAFETY: the caller's contract is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract is passed through as is.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// What `f` allocated on this thread. Counts only under [`CountingAlloc`];
+/// zero in a binary that did not install it.
+pub fn allocations(f: impl FnOnce()) -> Allocs {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    let after = ALLOCS.with(Cell::get);
+    Allocs {
+        calls: after.calls.wrapping_sub(before.calls),
+        bytes: after.bytes.wrapping_sub(before.bytes),
+    }
 }
 
 fn sorted(mut v: Vec<u64>) -> Vec<u64> {

@@ -33,11 +33,12 @@ use gm_workload::{
 };
 
 use crate::proto::{Request, Response, MAGIC, PROTO_VERSION};
-use crate::wire;
+use crate::wire::{FrameReader, FrameWriter};
 
 /// One framed, handshaken connection to a gm-net server.
 pub struct Connection {
-    stream: TcpStream,
+    reader: FrameReader<TcpStream>,
+    writer: FrameWriter<TcpStream>,
     engine: String,
     /// Fleet identity from the handshake (`None` for standalone servers).
     shard: Option<(u32, u32)>,
@@ -45,19 +46,43 @@ pub struct Connection {
     /// writes bumps it, which is how the fleet coordinator proves its
     /// batched dispatch issues fewer wire exchanges than ops.
     frames: Option<Arc<AtomicU64>>,
+    /// Set by the first transport failure (a fired deadline, a reset, a
+    /// torn or corrupt frame): the stream is then at an unknown offset —
+    /// a late answer would be read as the next call's — so every later
+    /// call fails fast instead of reusing it.
+    broken: bool,
 }
 
 impl Connection {
     /// Dial `addr` and perform the version handshake.
     pub fn connect(addr: &str) -> GdbResult<Connection> {
+        Self::dial(addr, None)
+    }
+
+    /// [`Connection::connect`] with a read and write `deadline` on the
+    /// socket, set once before the handshake: a server that stops answering
+    /// fails the call with [`GdbError::Timeout`] instead of blocking it
+    /// forever.
+    fn dial(addr: &str, deadline: Option<Duration>) -> GdbResult<Connection> {
         let stream =
             TcpStream::connect(addr).map_err(|e| GdbError::Io(format!("dialing {addr}: {e}")))?;
         let _ = stream.set_nodelay(true);
+        if deadline.is_some() {
+            stream
+                .set_read_timeout(deadline)
+                .and_then(|()| stream.set_write_timeout(deadline))
+                .map_err(|e| GdbError::Io(format!("setting deadlines on {addr}: {e}")))?;
+        }
+        let read_half = stream
+            .try_clone()
+            .map_err(|e| GdbError::Io(format!("cloning the socket to {addr}: {e}")))?;
         let mut conn = Connection {
-            stream,
+            reader: FrameReader::new(read_half),
+            writer: FrameWriter::new(stream),
             engine: String::new(),
             shard: None,
             frames: None,
+            broken: false,
         };
         conn.send(&Request::Hello {
             magic: MAGIC,
@@ -93,16 +118,54 @@ impl Connection {
 
     /// Send one request without waiting for its response (pipelining).
     pub fn send(&mut self, req: &Request) -> GdbResult<()> {
-        if let Some(ctr) = &self.frames {
-            // gm-check: relaxed(pure event count, no ordering relied upon)
-            ctr.fetch_add(1, Ordering::Relaxed);
-        }
-        wire::write_frame(&mut self.stream, &req.encode()?)
+        self.send_with(|out| req.encode_into(out))
     }
 
     /// Receive the next response in order.
     pub fn recv(&mut self) -> GdbResult<Response> {
-        Response::decode(&wire::read_frame(&mut self.stream)?)
+        self.recv_with(Response::decode)
+    }
+
+    /// The connection's one send path: `encode` appends the payload to the
+    /// connection's frame buffer, which leaves in one write.
+    fn send_with(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> GdbResult<()>) -> GdbResult<()> {
+        self.usable()?;
+        if let Some(ctr) = &self.frames {
+            // gm-check: relaxed(pure event count, no ordering relied upon)
+            ctr.fetch_add(1, Ordering::Relaxed);
+        }
+        let sent = self.writer.send(encode);
+        self.note(sent)
+    }
+
+    /// The connection's one receive path: `decode` reads the next payload
+    /// in place.
+    fn recv_with<T>(&mut self, decode: impl FnOnce(&[u8]) -> GdbResult<T>) -> GdbResult<T> {
+        self.usable()?;
+        let got = self.reader.recv(decode);
+        self.note(got)
+    }
+
+    fn usable(&self) -> GdbResult<()> {
+        if self.broken {
+            return Err(GdbError::Io(
+                "connection abandoned after an earlier transport failure".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Mark the connection broken on a transport failure. A failed encode
+    /// (`Invalid`) sent nothing, and an engine error arrives as a whole
+    /// `Response::Err` frame, so neither leaves the stream misaligned.
+    fn note<T>(&mut self, result: GdbResult<T>) -> GdbResult<T> {
+        if matches!(
+            result,
+            Err(GdbError::Io(_) | GdbError::Timeout | GdbError::Corrupt(_))
+        ) {
+            self.broken = true;
+        }
+        result
     }
 
     /// One round trip. A [`Response::Err`] payload is surfaced as the
@@ -590,7 +653,9 @@ impl GraphDb for RemoteEngine {
 
 /// The network transport for the workload driver: each worker dials its own
 /// connection (N independent benchmark clients), and every driver op is one
-/// `ExecOp` frame executed server-side.
+/// `ExecOp` frame executed server-side. Each session's socket carries a
+/// read/write deadline of `op_timeout` + 1 s, so a stalled server fails an
+/// op with [`GdbError::Timeout`] instead of hanging the worker.
 ///
 /// Construct via [`run_remote`] (which also resets/loads/prepares the
 /// server), or directly when the server is already set up.
@@ -635,8 +700,11 @@ impl Backend for RemoteBackend {
     }
 
     fn open_session(&self, _worker: usize) -> GdbResult<Box<dyn Session + '_>> {
+        // The server bounds a read by `op_timeout` itself, so an answer
+        // later than that plus a second means the peer is stalled or gone.
+        let deadline = self.op_timeout.checked_add(Duration::from_secs(1));
         Ok(Box::new(RemoteSession {
-            conn: Connection::connect(&self.addr)?,
+            conn: Connection::dial(&self.addr, deadline)?,
             op_timeout: self.op_timeout,
             strict_reads: self.strict_reads,
         }))
@@ -663,30 +731,44 @@ impl Session for RemoteSession {
             op,
         };
         // Under `GM_OBS=phases`, split the round trip client-side: frame
-        // encode/decode is `wire_encode`; the socket round trip minus the
-        // server's own reported time is `wire_io`. Otherwise skip every
+        // encode/decode is `wire_encode`; the rest of the round trip minus
+        // the server's own reported time is `wire_io`. Otherwise skip every
         // clock read — the fast path stays as it was.
         let timing = gm_obs::phases_on();
-        let t_enc = timing.then(Instant::now);
-        let payload = req.encode()?;
-        let enc = t_enc.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let t_io = timing.then(Instant::now);
-        wire::write_frame(&mut self.conn.stream, &payload)?;
-        let frame = wire::read_frame(&mut self.conn.stream)?;
-        let io = t_io.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let t_dec = timing.then(Instant::now);
-        let rsp = Response::decode(&frame)?;
-        let dec = t_dec.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let (mut enc, mut dec) = (0, 0);
+        let t_rt = timing.then(Instant::now);
+        self.conn
+            .send_with(|out| stopwatch(timing, &mut enc, || req.encode_into(out)))?;
+        let rsp = self
+            .conn
+            .recv_with(|frame| stopwatch(timing, &mut dec, || Response::decode(frame)))?;
+        let round_trip = t_rt.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let mut out = op_result(rsp)?;
         if timing {
             // Server-attributed time (lock wait + exec + pin + clone) rode
             // inside the socket round trip; only the remainder is the wire.
             let server = out.phases.total();
-            out.phases.set(Phase::WireEncode, enc.saturating_add(dec));
-            out.phases.set(Phase::WireIo, io.saturating_sub(server));
+            let codec = enc.saturating_add(dec);
+            out.phases.set(Phase::WireEncode, codec);
+            out.phases.set(
+                Phase::WireIo,
+                round_trip.saturating_sub(codec).saturating_sub(server),
+            );
         }
         Ok(out)
     }
+}
+
+/// Run `f`, storing its wall time in `nanos` when `on` (no clock is read
+/// otherwise).
+fn stopwatch<T>(on: bool, nanos: &mut u64, f: impl FnOnce() -> T) -> T {
+    if !on {
+        return f();
+    }
+    let t = Instant::now();
+    let out = f();
+    *nanos = t.elapsed().as_nanos() as u64;
+    out
 }
 
 /// Set up `addr`'s server for a fresh run (reset, ship + bulk-load `data`,

@@ -395,13 +395,13 @@ impl Wire for PhaseNanos {
     }
 }
 
-/// A batch entry is a whole frame behind its own `u32` length.
-fn put_entry(out: &mut Vec<u8>, frame: Vec<u8>) -> GdbResult<()> {
-    let len = u32::try_from(frame.len())
-        .map_err(|_| wire::frame_too_large("batch entry", frame.len()))?;
-    wire::put_u32(out, len);
-    out.extend_from_slice(&frame);
-    Ok(())
+/// A batch entry is a whole frame behind its own `u32` length, encoded in
+/// place.
+fn put_entry(
+    out: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>) -> GdbResult<()>,
+) -> GdbResult<()> {
+    wire::put_len_prefixed(out, "batch entry", u32::to_le_bytes, encode).map(drop)
 }
 
 /// Read a batch entry's frame, refusing the `barred` opcodes *before* the
@@ -420,7 +420,7 @@ fn get_entry<'a>(cur: &mut Cur<'a>, barred: &[(u8, &str)]) -> GdbResult<&'a [u8]
 
 impl Wire for Request {
     fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
-        put_entry(out, self.encode()?)
+        put_entry(out, |out| self.encode_into(out))
     }
     fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
         let barred = [(req_op::ExecBatch, "ExecBatch"), (req_op::Hello, "Hello")];
@@ -430,7 +430,7 @@ impl Wire for Request {
 
 impl Wire for Response {
     fn put(&self, out: &mut Vec<u8>) -> GdbResult<()> {
-        put_entry(out, self.encode()?)
+        put_entry(out, |out| self.encode_into(out))
     }
     fn get(cur: &mut Cur<'_>) -> GdbResult<Self> {
         Response::decode(get_entry(cur, &[(rsp_op::BatchDone, "BatchDone")])?)
@@ -500,21 +500,29 @@ macro_rules! frames {
                 $( Frame { name: stringify!($name), opcode: $op } ),*
             ];
 
-            /// Encode into a frame payload. Fails with a `FrameTooLarge`
-            /// protocol error when any field cannot fit its u32 length
-            /// prefix.
+            /// Encode into a fresh frame payload (see
+            /// [`Self::encode_into`]).
             pub fn encode(&self) -> GdbResult<Vec<u8>> {
                 let mut out = Vec::new();
+                self.encode_into(&mut out)?;
+                Ok(out)
+            }
+
+            /// Append the frame payload to `out` — a connection's reusable
+            /// frame buffer, or a batch being built. Fails with a
+            /// `FrameTooLarge` protocol error when any field cannot fit its
+            /// u32 length prefix.
+            pub fn encode_into(&self, out: &mut Vec<u8>) -> GdbResult<()> {
                 match self {
                     $(
                         Self::$name $( ( $( $tf ),+ ) )? $( { $( $f ),+ } )? => {
-                            wire::put_u8(&mut out, $op);
-                            $( $( Wire::put($tf, &mut out)?; )+ )?
-                            $( $( Wire::put($f, &mut out)?; )+ )?
+                            wire::put_u8(out, $op);
+                            $( $( Wire::put($tf, out)?; )+ )?
+                            $( $( Wire::put($f, out)?; )+ )?
                         }
                     )*
                 }
-                Ok(out)
+                Ok(())
             }
 
             /// Decode a frame payload. Rejects unknown opcodes, malformed

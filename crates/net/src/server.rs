@@ -4,9 +4,10 @@
 //! in-process driver uses — concurrent connections execute reads under the
 //! shared lock while writes serialize under the exclusive one — with a
 //! thread-per-connection accept loop. Each connection is a plain
-//! read→execute→respond loop, so **pipelined** clients (several requests in
-//! flight on one connection) are handled naturally: responses come back in
-//! request order.
+//! read→execute→respond loop over one [`FrameReader`] / [`FrameWriter`]
+//! pair (buffered reads, one `write` per response — see [`crate::wire`]),
+//! so **pipelined** clients (several requests in flight on one connection)
+//! are handled naturally: responses come back in request order.
 //!
 //! The server is deliberately tokio-free: the paper's systems all expose a
 //! blocking socket server per client connection, and a thread-per-connection
@@ -35,7 +36,7 @@ use gm_obs::{phase, trace, Counter, Histo, Phase};
 use gm_workload::{apply_write, Op};
 
 use crate::proto::{FrameKind, Request, Response, MAGIC, PROTO_VERSION};
-use crate::wire;
+use crate::wire::{FrameReader, FrameWriter};
 
 /// Factory producing fresh, empty engines — what `Reset` swaps in.
 pub type EngineFactory = Box<dyn Fn() -> Box<dyn GraphDb> + Send + Sync>;
@@ -428,21 +429,20 @@ const MAX_HELLO_FRAME: usize = 64;
 fn handle_conn(stream: TcpStream, hosted: Arc<Hosted>) {
     let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
-        Ok(s) => s,
+        Ok(s) => FrameReader::new(s),
         Err(e) => {
             eprintln!("[gm-server] cannot clone stream: {e}");
             return;
         }
     };
-    let mut writer = stream;
+    let mut writer = FrameWriter::new(stream);
 
     // Handshake first: anything else (or a magic/version mismatch) gets one
     // error frame and the connection is closed — never misparse an
     // incompatible peer. The frame is read under `MAX_HELLO_FRAME`: a peer
     // that has not yet shown it speaks the protocol cannot make the server
-    // allocate for its length prefix.
-    let first = wire::read_frame_within(&mut reader, MAX_HELLO_FRAME)
-        .and_then(|payload| Request::decode(&payload));
+    // read, let alone allocate, for its length prefix.
+    let first = reader.recv_within(MAX_HELLO_FRAME, Request::decode);
     match first {
         Ok(Request::Hello { magic, version }) if magic == MAGIC && version == PROTO_VERSION => {
             let rsp = match hosted.engine_name() {
@@ -495,18 +495,16 @@ fn handle_conn(stream: TcpStream, hosted: Arc<Hosted>) {
     let mut txn: Option<ConnTxn> = None;
 
     loop {
-        let req = match wire::read_frame(&mut reader) {
-            Ok(payload) => match Request::decode(&payload) {
-                Ok(req) => req,
-                Err(e) => {
-                    // A frame we cannot parse means the stream is no longer
-                    // trustworthy: answer with the decode error and drop the
-                    // connection rather than guessing at alignment.
-                    let _ = write_response(&mut writer, &Response::Err(e));
-                    return;
-                }
-            },
-            Err(_) => return, // client hung up
+        let req = match reader.recv(Request::decode) {
+            Ok(req) => req,
+            Err(GdbError::Io(_) | GdbError::Timeout) => return, // client hung up
+            Err(e) => {
+                // A frame we cannot parse means the stream is no longer
+                // trustworthy: answer with the decode error and drop the
+                // connection rather than guessing at alignment.
+                let _ = write_response(&mut writer, &Response::Err(e));
+                return;
+            }
         };
         let rsp = handle_request(&hosted, req, &mut owned_edges, &mut txn);
         if write_response(&mut writer, &rsp).is_err() {
@@ -515,14 +513,16 @@ fn handle_conn(stream: TcpStream, hosted: Arc<Hosted>) {
     }
 }
 
-fn write_response(writer: &mut TcpStream, rsp: &Response) -> GdbResult<()> {
-    let payload = match rsp.encode() {
-        Ok(payload) => payload,
-        // The response itself cannot be framed (FrameTooLarge): answer with
-        // the protocol error instead so the stream stays aligned.
-        Err(e) => Response::Err(e).encode()?,
-    };
-    wire::write_frame(writer, &payload)
+fn write_response(writer: &mut FrameWriter<TcpStream>, rsp: &Response) -> GdbResult<()> {
+    writer.send(|out| {
+        let start = out.len();
+        rsp.encode_into(out).or_else(|e| {
+            // The response itself cannot be framed (FrameTooLarge): answer
+            // with the protocol error instead so the stream stays aligned.
+            out.truncate(start);
+            Response::Err(e).encode_into(out)
+        })
+    })
 }
 
 /// A connection's pool of self-created edges, valid only for the engine

@@ -7,13 +7,37 @@
 //! (`gm_storage::valcodec`), so the wire format and the on-disk format can
 //! never drift apart.
 //!
+//! # I/O discipline
+//!
+//! Both ends of a connection (the client's `Connection`, the server's
+//! per-connection loop) frame through one [`FrameWriter`] and one
+//! [`FrameReader`], which own the connection's buffers:
+//!
+//! * **one `write` per frame** — the payload is encoded straight into the
+//!   writer's reusable buffer behind four reserved bytes, the length is
+//!   patched in, and prefix + payload leave in a single `write_all`;
+//! * **buffered reads** — the read half sits behind a fixed
+//!   [`READ_BUF`]-byte `BufReader`, so a frame that has arrived whole costs
+//!   one `read`, and several pipelined frames can share one; a payload
+//!   larger than the buffer bypasses it;
+//! * **no per-frame allocation once warm** — the payload is read into the
+//!   reader's reusable buffer and decoded from that slice. Memory follows
+//!   the bytes that actually arrive, never the length a peer claims (a
+//!   200 MiB prefix followed by EOF costs a few bytes, not 200 MiB), and a
+//!   buffer that grew past 64 KiB for one large frame (a `BulkLoad`, a
+//!   whole-graph scan answer) is released once that frame is done.
+//!
+//! A transport failure maps to [`GdbError::Timeout`] when a socket deadline
+//! fired and to [`GdbError::Io`] otherwise. [`write_frame`] / [`read_frame`]
+//! are the same path for one frame over a caller's stream.
+//!
 //! Decoding is **total**: truncated or corrupt input is rejected with
 //! [`GdbError::Corrupt`] — never a panic, never an over-allocation (element
 //! counts are validated against the bytes actually present before any
 //! buffer is reserved). The property tests in `tests/prop_wire.rs` fuzz
 //! exactly this contract.
 
-use std::io::{Read, Write};
+use std::io::{self, BufReader, Read, Write};
 
 use gm_model::{GdbError, GdbResult, Props, Value};
 use gm_storage::valcodec;
@@ -22,6 +46,19 @@ use gm_storage::valcodec;
 /// at bench scales, small enough that a corrupt length prefix cannot make
 /// the peer allocate unbounded memory.
 pub const MAX_FRAME: usize = 256 << 20;
+
+/// Capacity of a connection's read buffer — a constant, not a knob. Every
+/// request and response of the op path fits in it many times over.
+pub const READ_BUF: usize = 8 << 10;
+
+/// A connection buffer that grew beyond this for one frame is released
+/// once that frame is done, so one bulk frame does not pin its size for
+/// the connection's lifetime. Op-path frames are tens of bytes and a fleet
+/// write batch a few KiB; what is larger (a dataset, a whole-graph scan
+/// answer) is rare enough to allocate per frame. At 1 MiB the control
+/// connection kept `wire_point`'s `BulkLoad` buffer on both ends for the
+/// whole run: +1 MiB of peak RSS, measured.
+const KEEP_BUF: usize = 64 << 10;
 
 /// The protocol error for a payload, string, or list whose length cannot be
 /// represented in its u32 wire prefix. Truncating with `as u32` instead
@@ -33,45 +70,173 @@ pub fn frame_too_large(what: &str, len: usize) -> GdbError {
     ))
 }
 
-/// Write one frame (length prefix + payload).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> GdbResult<()> {
-    if payload.len() > MAX_FRAME {
+/// A transport failure as the caller sees it: a socket deadline that fired
+/// (`WouldBlock` from a timed-out blocking socket on Unix, `TimedOut`
+/// elsewhere) is [`GdbError::Timeout`]; anything else is [`GdbError::Io`]
+/// naming the step that failed.
+fn transport(what: &str, e: io::Error) -> GdbError {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => GdbError::Timeout,
+        _ => GdbError::Io(format!("{what}: {e}")),
+    }
+}
+
+/// Append a length-prefixed section to `out`: reserve four bytes, let
+/// `body` append, then patch the body's length in front of it with
+/// `prefix` (big-endian for frames, little-endian for batch entries).
+/// Returns the body's length.
+pub(crate) fn put_len_prefixed(
+    out: &mut Vec<u8>,
+    what: &str,
+    prefix: fn(u32) -> [u8; 4],
+    body: impl FnOnce(&mut Vec<u8>) -> GdbResult<()>,
+) -> GdbResult<usize> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out)?;
+    let len = out.len() - at - 4;
+    let wire_len = u32::try_from(len).map_err(|_| frame_too_large(what, len))?;
+    if let Some(slot) = out.get_mut(at..at + 4) {
+        slot.copy_from_slice(&prefix(wire_len));
+    }
+    Ok(len)
+}
+
+/// The one send path: encode a frame into `buf` (prefix + the payload
+/// `encode` appends) and hand it to `w` in a single `write_all`. A failed
+/// encode writes nothing.
+fn put_frame(
+    w: &mut impl Write,
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>) -> GdbResult<()>,
+) -> GdbResult<()> {
+    buf.clear();
+    let len = put_len_prefixed(buf, "frame payload", u32::to_be_bytes, encode)?;
+    if len > MAX_FRAME {
         return Err(GdbError::Invalid(format!(
-            "frame payload of {} bytes exceeds MAX_FRAME ({MAX_FRAME})",
-            payload.len()
+            "frame payload of {len} bytes exceeds MAX_FRAME ({MAX_FRAME})"
         )));
     }
-    let len = u32::try_from(payload.len())
-        .map_err(|_| frame_too_large("frame payload", payload.len()))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
+    w.write_all(buf)
+        .and_then(|()| w.flush())
+        .map_err(|e| transport("writing frame", e))
 }
 
-/// Read one frame's payload. A clean EOF before the first length byte is
-/// reported as `Io("connection closed")`; a length beyond [`MAX_FRAME`] is a
-/// protocol violation ([`GdbError::Corrupt`]).
-pub fn read_frame(r: &mut impl Read) -> GdbResult<Vec<u8>> {
-    read_frame_within(r, MAX_FRAME)
-}
-
-/// [`read_frame`] under a caller-chosen cap: a length prefix beyond `cap`
-/// is refused with [`GdbError::Corrupt`] before anything is allocated for
-/// it.
-pub(crate) fn read_frame_within(r: &mut impl Read, cap: usize) -> GdbResult<Vec<u8>> {
+/// The one receive path: read one frame's payload into `payload`
+/// (replacing its contents). A length beyond `cap` is refused with
+/// [`GdbError::Corrupt`] before anything is read or reserved for it; the
+/// payload is read through `take(len)`, so the buffer grows only with bytes
+/// that actually arrive.
+fn get_frame(r: &mut impl Read, cap: usize, payload: &mut Vec<u8>) -> GdbResult<()> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)
-        .map_err(|e| GdbError::Io(format!("reading frame length: {e}")))?;
+        .map_err(|e| transport("reading frame length", e))?;
     let len = u32::from_be_bytes(len) as usize;
     if len > cap {
         return Err(GdbError::Corrupt(format!(
             "frame length {len} exceeds the {cap}-byte cap on this frame"
         )));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
-        .map_err(|e| GdbError::Io(format!("reading frame payload: {e}")))?;
+    payload.clear();
+    let got = r
+        .take(len as u64)
+        .read_to_end(payload)
+        .map_err(|e| transport("reading frame payload", e))?;
+    if got < len {
+        return Err(GdbError::Io(format!(
+            "reading frame payload: stream ended after {got} of {len} bytes"
+        )));
+    }
+    Ok(())
+}
+
+/// Drop a buffer that one large frame grew past [`KEEP_BUF`].
+fn release_if_grown(buf: &mut Vec<u8>) {
+    if buf.capacity() > KEEP_BUF {
+        *buf = Vec::new();
+    }
+}
+
+/// The write half of a framed connection: one reusable buffer, one `write`
+/// per frame.
+pub struct FrameWriter<W> {
+    inner: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> FrameWriter<W> {
+    /// Frame writes to `inner`.
+    pub fn new(inner: W) -> Self {
+        FrameWriter {
+            inner,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Send one frame whose payload `encode` appends to the connection's
+    /// buffer (e.g. `|out| req.encode_into(out)`). An `encode` error is
+    /// returned as is and nothing is sent.
+    pub fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> GdbResult<()>) -> GdbResult<()> {
+        let sent = put_frame(&mut self.inner, &mut self.buf, encode);
+        release_if_grown(&mut self.buf);
+        sent
+    }
+}
+
+/// The read half of a framed connection: a [`READ_BUF`]-byte `BufReader`
+/// and one reusable payload buffer.
+pub struct FrameReader<R> {
+    inner: BufReader<R>,
+    buf: Vec<u8>,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Frame reads from `inner`.
+    pub fn new(inner: R) -> Self {
+        FrameReader {
+            inner: BufReader::with_capacity(READ_BUF, inner),
+            buf: Vec::new(),
+        }
+    }
+
+    /// Read the next frame (up to [`MAX_FRAME`]) and `decode` its payload in
+    /// place (e.g. `Response::decode`). A clean EOF before the length prefix
+    /// is a [`GdbError::Io`]; a fired socket deadline is
+    /// [`GdbError::Timeout`].
+    pub fn recv<T>(&mut self, decode: impl FnOnce(&[u8]) -> GdbResult<T>) -> GdbResult<T> {
+        self.recv_within(MAX_FRAME, decode)
+    }
+
+    /// [`FrameReader::recv`] under a caller-chosen cap on the payload
+    /// length (the server reads a connection's first frame under
+    /// `MAX_HELLO_FRAME`).
+    pub(crate) fn recv_within<T>(
+        &mut self,
+        cap: usize,
+        decode: impl FnOnce(&[u8]) -> GdbResult<T>,
+    ) -> GdbResult<T> {
+        let got = get_frame(&mut self.inner, cap, &mut self.buf).and_then(|()| decode(&self.buf));
+        release_if_grown(&mut self.buf);
+        got
+    }
+}
+
+/// Write one frame (length prefix + payload) to `w` in one `write_all`.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> GdbResult<()> {
+    let mut buf = Vec::with_capacity(4 + payload.len());
+    put_frame(w, &mut buf, |out| {
+        out.extend_from_slice(payload);
+        Ok(())
+    })
+}
+
+/// Read one frame's payload from `r`, consuming exactly that frame's bytes
+/// (so it is safe on an unbuffered stream the caller keeps using). A clean
+/// EOF before the first length byte is a [`GdbError::Io`]; a length beyond
+/// [`MAX_FRAME`] is a protocol violation ([`GdbError::Corrupt`]).
+pub fn read_frame(r: &mut impl Read) -> GdbResult<Vec<u8>> {
+    let mut payload = Vec::new();
+    get_frame(r, MAX_FRAME, &mut payload)?;
     Ok(payload)
 }
 
@@ -364,6 +529,56 @@ mod tests {
         bytes.extend_from_slice(&[1, 2, 3]);
         let mut rd = Cursor::new(bytes);
         assert!(matches!(read_frame(&mut rd), Err(GdbError::Io(_))));
+    }
+
+    #[test]
+    fn one_large_frame_does_not_pin_its_buffer() {
+        let big = vec![7u8; KEEP_BUF + 1];
+        let mut sink = Vec::new();
+        write_frame(&mut sink, &big).unwrap();
+        write_frame(&mut sink, b"small").unwrap();
+        let mut rd = FrameReader::new(Cursor::new(sink));
+        assert_eq!(rd.recv(|p| Ok(p.len())).unwrap(), big.len());
+        assert_eq!(rd.buf.capacity(), 0, "released after the large frame");
+        assert_eq!(rd.recv(|p| Ok(p.to_vec())).unwrap(), b"small");
+        assert!(rd.buf.capacity() > 0, "a small frame's buffer is kept");
+
+        let mut w = FrameWriter::new(Vec::new());
+        w.send(|out| {
+            out.extend_from_slice(&big);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(w.buf.capacity(), 0, "released after the large frame");
+        w.send(|out| {
+            out.push(1);
+            Ok(())
+        })
+        .unwrap();
+        assert!(w.buf.capacity() > 0, "a small frame's buffer is kept");
+    }
+
+    #[test]
+    fn a_failed_encode_sends_nothing() {
+        let mut w = FrameWriter::new(Vec::new());
+        let sent = w.send(|out| {
+            out.push(1);
+            Err(frame_too_large("string", 1))
+        });
+        assert!(matches!(sent, Err(GdbError::Invalid(_))));
+        assert!(w.inner.is_empty());
+    }
+
+    #[test]
+    fn fired_deadlines_are_timeouts() {
+        use io::ErrorKind::*;
+        for kind in [WouldBlock, TimedOut] {
+            assert_eq!(transport("reading", kind.into()), GdbError::Timeout);
+        }
+        assert!(matches!(
+            transport("reading", ConnectionReset.into()),
+            GdbError::Io(why) if why.starts_with("reading: ")
+        ));
     }
 
     #[test]

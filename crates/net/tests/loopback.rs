@@ -372,6 +372,66 @@ fn oversized_first_frame_is_refused_before_allocation() {
     server.shutdown();
 }
 
+/// A driver session's socket carries a deadline — the backend's
+/// `op_timeout` + 1 s, set once before the handshake — so a server that
+/// accepts and never answers fails `open_session`, and one that goes silent
+/// after the handshake fails `execute`, with `GdbError::Timeout` instead of
+/// blocking forever. The timed-out connection is not reused: a late answer
+/// can never be read as the next op's.
+#[test]
+fn silent_servers_time_sessions_out_instead_of_hanging() {
+    use gm_net::RemoteBackend;
+    use gm_workload::{Backend, Op};
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    let op_timeout = Duration::from_millis(300);
+    let guard = Duration::from_secs(20);
+
+    // Accepts the connection, then never reads or writes a byte.
+    let mute = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = mute.local_addr().unwrap().to_string();
+    let held = std::thread::spawn(move || mute.accept().map(|(stream, _)| stream));
+    let backend = RemoteBackend::new(addr, "mute", op_timeout);
+    let opened = testkit::within(guard, move || backend.open_session(0).map(drop));
+    assert_eq!(opened, Err(GdbError::Timeout));
+    drop(held.join().unwrap());
+
+    // Completes the handshake, reads the first op, never answers it.
+    let quiet = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = quiet.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = quiet.accept().unwrap();
+        let hello = Request::decode(&wire::read_frame(&mut stream).unwrap()).unwrap();
+        assert!(matches!(hello, Request::Hello { .. }), "{hello:?}");
+        let ack = Response::HelloAck {
+            version: PROTO_VERSION,
+            engine: "quiet".into(),
+            shard: None,
+        };
+        wire::write_frame(&mut stream, &ack.encode().unwrap()).unwrap();
+        let op = Request::decode(&wire::read_frame(&mut stream).unwrap()).unwrap();
+        assert!(matches!(op, Request::ExecOp { .. }), "{op:?}");
+        stream
+    });
+    let backend = RemoteBackend::new(addr, "quiet", op_timeout);
+    let (first, waited, second) = testkit::within(guard, move || {
+        let mut session = backend.open_session(0).expect("the handshake is answered");
+        let op = Op::Read(QueryInstance::plain(QueryId::Q8));
+        let t = Instant::now();
+        let first = session.execute(op, 0, 0).map(drop);
+        let waited = t.elapsed();
+        (first, waited, session.execute(op, 0, 1).map(drop))
+    });
+    assert_eq!(first, Err(GdbError::Timeout));
+    assert!(waited >= op_timeout, "timed out after {waited:?}");
+    match second {
+        Err(GdbError::Io(why)) => assert!(why.contains("abandoned"), "{why}"),
+        other => panic!("a timed-out connection must not be reused, got {other:?}"),
+    }
+    drop(server.join().unwrap());
+}
+
 /// Snapshot-mode hosting (satellite of the gm-mvcc PR): a server built over
 /// a `SnapshotSource` serves every read from a pinned epoch, and the v2
 /// `ExecOp` response carries that serving epoch. With a concurrent remote

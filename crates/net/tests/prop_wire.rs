@@ -496,6 +496,26 @@ fn flip(bytes: &mut [u8], pos: u16, bit: u8) {
     }
 }
 
+/// A stream that hands out its bytes in chunks of the given sizes (cycled)
+/// per `read` — however TCP happened to segment them.
+struct Chunking {
+    bytes: Vec<u8>,
+    at: usize,
+    chunks: Vec<usize>,
+    reads: usize,
+}
+
+impl std::io::Read for Chunking {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let chunk = self.chunks[self.reads % self.chunks.len()];
+        self.reads += 1;
+        let n = chunk.min(out.len()).min(self.bytes.len() - self.at);
+        out[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
 /// What the table promises about itself: names and opcodes are unique, and
 /// the decoder knows exactly the table's opcodes — every other first byte
 /// is rejected as an unknown op, by name.
@@ -641,6 +661,41 @@ proptest! {
             let cut = ((bytes.len() as f64) * frac) as usize;
             prop_assert!(Response::decode(&bytes[..cut]).is_err(), "{} cut at {}", rsp.kind(), cut);
         }
+    }
+
+    /// An arbitrary sequence of table frames, framed back to back by one
+    /// `FrameWriter` and read through one `FrameReader` from a stream that
+    /// chunks the bytes arbitrarily, comes back frame for frame — none
+    /// lost, merged or split — and then ends cleanly.
+    #[test]
+    fn frame_sequences_survive_any_chunking(
+        reqs in arb_every_request(),
+        rsps in arb_every_response(),
+        picks in prop::collection::vec((any::<bool>(), 0usize..1_000), 0..40),
+        chunks in prop::collection::vec(1usize..20_000, 1..8),
+    ) {
+        let seq: Vec<Result<&Request, &Response>> = picks
+            .iter()
+            .map(|&(req, i)| if req { Ok(&reqs[i % reqs.len()]) } else { Err(&rsps[i % rsps.len()]) })
+            .collect();
+        let mut bytes = Vec::new();
+        let mut writer = wire::FrameWriter::new(&mut bytes);
+        for frame in &seq {
+            match frame {
+                Ok(req) => writer.send(|out| req.encode_into(out)),
+                Err(rsp) => writer.send(|out| rsp.encode_into(out)),
+            }
+            .unwrap();
+        }
+        drop(writer);
+        let mut reader = wire::FrameReader::new(Chunking { bytes, at: 0, chunks, reads: 0 });
+        for frame in &seq {
+            match frame {
+                Ok(req) => prop_assert_eq!(&reader.recv(Request::decode).unwrap(), *req),
+                Err(rsp) => prop_assert_eq!(&reader.recv(Response::decode).unwrap(), *rsp),
+            }
+        }
+        prop_assert!(matches!(reader.recv(|_| Ok(())), Err(GdbError::Io(_))));
     }
 
     /// Decoding arbitrary bytes never panics (it may legitimately succeed

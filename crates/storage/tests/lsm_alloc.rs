@@ -1,42 +1,16 @@
 //! The LSM read path is zero-copy: what a scan or a lookup allocates does
-//! not grow with the number of cells it visits. Counted with a wrapping
-//! global allocator, per thread so the harness's other threads do not leak
-//! into the count.
+//! not grow with the number of cells it visits. Counted with
+//! `gm_model::testkit`'s wrapping global allocator, per thread so the
+//! harness's other threads do not leak into the count.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use gm_model::testkit::{self, CountingAlloc};
 use gm_storage::lsm::{LsmConfig, LsmTable};
 
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: defers every operation to `System` unchanged; the thread-local is
-// a `const`-initialised `Cell` with no destructor, so touching it from
-// inside the allocator neither allocates nor runs during thread teardown.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
-        // SAFETY: the caller's contract is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract is passed through as is.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
+    testkit::allocations(f).calls
 }
 
 /// `rows` four-cell rows over a memtable and at least three runs, every
