@@ -16,7 +16,10 @@
 //!   its ~1.8K labels;
 //! * string attribute values are **de-duplicated through a dictionary**,
 //!   reproducing OrientDB's best-in-class space on the text-heavy LDBC
-//!   dataset (Figure 1);
+//!   dataset (Figure 1); a `has()` filter without an index reads each
+//!   record in place, skipping the adjacency and comparing a wanted string
+//!   by its dictionary id (looked up once per query), so a scan allocates
+//!   per match, not per record;
 //! * attribute indexes are SB-Tree-like ordered indexes
 //!   ([`gm_storage::BPlusTree`]).
 
@@ -149,36 +152,38 @@ impl ClusterGraph {
         let n = read_varint(buf, pos).expect("prop count") as usize;
         let mut props = Vec::with_capacity(n);
         for _ in 0..n {
-            let key = read_varint(buf, pos).expect("prop key") as u32;
-            let tag = buf[*pos];
-            *pos += 1;
-            let value = match tag {
-                0 => Value::Null,
-                1 => {
-                    let b = buf[*pos] != 0;
-                    *pos += 1;
-                    Value::Bool(b)
-                }
-                2 => Value::Int(unzigzag(read_varint(buf, pos).expect("int"))),
-                3 => {
-                    let f = f64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("f64"));
-                    *pos += 8;
-                    Value::Float(f)
-                }
-                5 => {
-                    let sid = read_varint(buf, pos).expect("dict id") as u32;
-                    Value::Str(
-                        self.strings
-                            .resolve(sid)
-                            .expect("dictionary entry")
-                            .to_string(),
-                    )
-                }
-                t => unreachable!("bad prop tag {t}"),
+            let (key, stored) = read_prop(buf, pos);
+            let value = match stored {
+                Stored::Scalar(value) => value,
+                Stored::Str(sid) => Value::Str(
+                    self.strings
+                        .resolve(sid)
+                        .expect("dictionary entry")
+                        .to_string(),
+                ),
             };
             props.push((key, value));
         }
         props
+    }
+
+    /// `value` as it is stored, for comparing against records in place;
+    /// `None` for a string the dictionary lacks, which no record can hold.
+    fn stored_form(&self, value: &Value) -> Option<Stored> {
+        match value {
+            Value::Str(s) => self.strings.get(s).map(Stored::Str),
+            scalar => Some(Stored::Scalar(scalar.clone())),
+        }
+    }
+
+    /// Whether the property list encoded at `pos` holds `key = want`, read
+    /// in place without resolving a string.
+    fn props_match(rec: &[u8], mut pos: usize, key: u32, want: &Stored) -> bool {
+        let n = read_varint(rec, &mut pos).expect("prop count");
+        (0..n).any(|_| {
+            let (k, stored) = read_prop(rec, &mut pos);
+            k == key && stored == *want
+        })
     }
 
     fn encode_vertex(&mut self, out_edges: &[u64], in_edges: &[u64], props: &Props) -> Vec<u8> {
@@ -235,6 +240,27 @@ impl ClusterGraph {
         (out, inn, pos)
     }
 
+    /// Skip the adjacency lists of a vertex record: where its properties
+    /// start.
+    fn skip_adjacency(buf: &[u8]) -> usize {
+        let mut pos = 0usize;
+        for _ in 0..2 {
+            let n = read_varint(buf, &mut pos).expect("adjacency length");
+            for _ in 0..n {
+                read_varint(buf, &mut pos).expect("adjacency eid");
+            }
+        }
+        pos
+    }
+
+    /// `(src, dst, where the properties start)` of an edge record.
+    fn edge_head(rec: &[u8]) -> GdbResult<(u64, u64, usize)> {
+        let mut pos = 0usize;
+        let src = read_varint(rec, &mut pos).ok_or_else(|| corrupt("edge src"))?;
+        let dst = read_varint(rec, &mut pos).ok_or_else(|| corrupt("edge dst"))?;
+        Ok((src, dst, pos))
+    }
+
     /// Decode just the (out_degree, in_degree) header cheaply.
     fn decode_degrees(buf: &[u8]) -> (u64, u64) {
         let mut pos = 0usize;
@@ -248,16 +274,14 @@ impl ClusterGraph {
 
     fn vertex_props(&self, v: u64) -> GdbResult<Vec<(u32, Value)>> {
         let rec = self.vertex_record(v)?;
-        let (_, _, mut pos) = Self::decode_adjacency(rec);
+        let mut pos = Self::skip_adjacency(rec);
         Ok(self.decode_props(rec, &mut pos))
     }
 
     #[allow(clippy::type_complexity)]
     fn edge_parts(&self, e: u64) -> GdbResult<(u64, u64, Vec<(u32, Value)>)> {
         let rec = self.edge_record(e)?;
-        let mut pos = 0usize;
-        let src = read_varint(rec, &mut pos).ok_or_else(|| corrupt("edge src"))?;
-        let dst = read_varint(rec, &mut pos).ok_or_else(|| corrupt("edge dst"))?;
+        let (src, dst, mut pos) = Self::edge_head(rec)?;
         let props = self.decode_props(rec, &mut pos);
         Ok((src, dst, props))
     }
@@ -325,6 +349,39 @@ impl ClusterGraph {
 
 fn corrupt(what: &str) -> GdbError {
     GdbError::Corrupt(what.to_string())
+}
+
+/// One property value as a record holds it: a scalar decodes without
+/// allocating and compares through `Value`'s own equality; a string stays
+/// its dictionary id.
+#[derive(PartialEq)]
+enum Stored {
+    Scalar(Value),
+    Str(u32),
+}
+
+/// Decode the `(key, value)` property at `pos`, advancing past it.
+fn read_prop(buf: &[u8], pos: &mut usize) -> (u32, Stored) {
+    let key = read_varint(buf, pos).expect("prop key") as u32;
+    let tag = buf[*pos];
+    *pos += 1;
+    let stored = match tag {
+        0 => Stored::Scalar(Value::Null),
+        1 => {
+            let b = buf[*pos] != 0;
+            *pos += 1;
+            Stored::Scalar(Value::Bool(b))
+        }
+        2 => Stored::Scalar(Value::Int(unzigzag(read_varint(buf, pos).expect("int")))),
+        3 => {
+            let f = f64::from_le_bytes(buf[*pos..*pos + 8].try_into().expect("f64"));
+            *pos += 8;
+            Stored::Scalar(Value::Float(f))
+        }
+        5 => Stored::Str(read_varint(buf, pos).expect("dict id") as u32),
+        t => unreachable!("bad prop tag {t}"),
+    };
+    (key, stored)
 }
 
 impl GraphSnapshot for ClusterGraph {
@@ -413,13 +470,16 @@ impl GraphSnapshot for ClusterGraph {
             hits.sort_unstable();
             return Ok(hits);
         }
+        let Some(want) = self.stored_form(value) else {
+            return Ok(Vec::new());
+        };
         let mut out = Vec::new();
         for (cluster, store) in self.vertex_clusters.iter().enumerate() {
             for pos in store.iter_ids() {
                 ctx.tick()?;
                 let v = rid(cluster as u32, pos);
-                let props = self.vertex_props(v)?;
-                if props.iter().any(|(k, val)| *k == key && val == value) {
+                let rec = self.vertex_record(v)?;
+                if Self::props_match(rec, Self::skip_adjacency(rec), key, &want) {
                     out.push(Vid(v));
                 }
             }
@@ -436,13 +496,17 @@ impl GraphSnapshot for ClusterGraph {
         let Some(key) = self.keys.get(name) else {
             return Ok(Vec::new());
         };
+        let Some(want) = self.stored_form(value) else {
+            return Ok(Vec::new());
+        };
         let mut out = Vec::new();
         for (cluster, store) in self.edge_clusters.iter().enumerate() {
             for pos in store.iter_ids() {
                 ctx.tick()?;
                 let e = rid(cluster as u32, pos);
-                let (_, _, props) = self.edge_parts(e)?;
-                if props.iter().any(|(k, val)| *k == key && val == value) {
+                let rec = self.edge_record(e)?;
+                let (_, _, props) = Self::edge_head(rec)?;
+                if Self::props_match(rec, props, key, &want) {
                     out.push(Eid(e));
                 }
             }
@@ -468,7 +532,7 @@ impl GraphSnapshot for ClusterGraph {
         match self.vertex_record(v.0) {
             Err(_) => Ok(None),
             Ok(rec) => {
-                let (_, _, mut pos) = Self::decode_adjacency(rec);
+                let mut pos = Self::skip_adjacency(rec);
                 let props = self.decode_props(rec, &mut pos);
                 Ok(Some(VertexData {
                     id: v,

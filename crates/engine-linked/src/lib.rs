@@ -12,7 +12,10 @@
 //! * properties are **off-loaded** into linked property records with string
 //!   payloads in a dynamic string store — scanning the graph structure never
 //!   materializes attribute data (the separation the paper's conclusions
-//!   single out as the winning design);
+//!   single out as the winning design), and a `has()` filter reads each
+//!   property record in place: it walks the chain and compares a string's
+//!   length, then its string-store bytes, so a scan allocates per match,
+//!   not per record;
 //! * two variants mirror the two tested versions:
 //!   [`Variant::V1`] (Neo4j 1.9) keeps one untyped chain pair per node;
 //!   [`Variant::V2`] (Neo4j 3.0) splits chains **by edge type and
@@ -256,16 +259,45 @@ impl LinkedGraph {
         }
     }
 
-    /// Walk a property chain, returning `(record_id, value)` for `key`.
-    fn find_prop(&self, mut cur: u64, key: u32) -> Option<(u64, Value)> {
+    /// Whether property record `rec` holds a value equal to `value`, read in
+    /// place: a string compares its length, then the string-store bytes;
+    /// a scalar decodes without allocating and compares through `Value`'s
+    /// own equality (Int/Float cross-equality, `total_cmp` for floats).
+    fn prop_eq(&self, rec: &[u8], value: &Value) -> bool {
+        match (rec[4], value) {
+            (4, Value::Str(want)) => {
+                Self::read_u32(rec, 13) as usize == want.len()
+                    && self
+                        .strings
+                        .range_eq(Self::read_u64(rec, 5) as usize, want.as_bytes())
+            }
+            (4, _) => false,
+            _ => self.decode_prop_value(rec) == *value,
+        }
+    }
+
+    /// Walk a property chain to the record for `key`: `(record_id, record)`.
+    fn prop_rec(&self, mut cur: u64, key: u32) -> Option<(u64, &[u8])> {
         while cur != NIL {
             let rec = self.props.get(cur)?;
             if Self::read_u32(rec, 0) == key {
-                return Some((cur, self.decode_prop_value(rec)));
+                return Some((cur, rec));
             }
             cur = Self::read_u64(rec, 21);
         }
         None
+    }
+
+    /// Walk a property chain, returning `(record_id, value)` for `key`.
+    fn find_prop(&self, head: u64, key: u32) -> Option<(u64, Value)> {
+        self.prop_rec(head, key)
+            .map(|(rid, rec)| (rid, self.decode_prop_value(rec)))
+    }
+
+    /// Whether the chain at `head` holds `key = value`, compared in place.
+    fn has_prop(&self, head: u64, key: u32, value: &Value) -> bool {
+        self.prop_rec(head, key)
+            .is_some_and(|(_, rec)| self.prop_eq(rec, value))
     }
 
     /// Collect a whole property chain.
@@ -710,11 +742,8 @@ impl GraphSnapshot for LinkedGraph {
         for page in self.nodes.chunks() {
             for (v, rec) in page {
                 ctx.tick()?;
-                let head = Self::read_u64(rec, 4);
-                if let Some((_, found)) = self.find_prop(head, key) {
-                    if &found == value {
-                        out.push(Vid(v));
-                    }
+                if self.has_prop(Self::read_u64(rec, 4), key, value) {
+                    out.push(Vid(v));
                 }
             }
         }
@@ -734,11 +763,8 @@ impl GraphSnapshot for LinkedGraph {
         for page in self.edges.chunks() {
             for (e, rec) in page {
                 ctx.tick()?;
-                let head = Self::read_u64(rec, 52);
-                if let Some((_, found)) = self.find_prop(head, key) {
-                    if &found == value {
-                        out.push(Eid(e));
-                    }
+                if self.has_prop(Self::read_u64(rec, 52), key, value) {
+                    out.push(Eid(e));
                 }
             }
         }

@@ -141,8 +141,9 @@ impl EdgeTable {
         self.columns.len() - 1
     }
 
-    /// Rows whose endpoint matches, via the FK index.
-    fn rows_by_endpoint(&self, endpoint: u64, src_side: bool) -> Vec<u64> {
+    /// Rows whose endpoint matches, via the FK index, read lazily off its
+    /// range.
+    fn rows_by_endpoint(&self, endpoint: u64, src_side: bool) -> impl Iterator<Item = u64> + '_ {
         let idx = if src_side {
             &self.src_index
         } else {
@@ -150,7 +151,6 @@ impl EdgeTable {
         };
         idx.range(&(endpoint, 0), Some(&(endpoint + 1, 0)))
             .map(|((_, row), _)| *row)
-            .collect()
     }
 
     fn bytes(&self) -> u64 {
@@ -203,7 +203,7 @@ impl RelationalGraph {
         if name.len() > MAX_IDENTIFIER_LEN {
             return Err(GdbError::Invalid(format!(
                 "identifier '{}…' exceeds {MAX_IDENTIFIER_LEN} bytes (relational backend limit)",
-                &name[..24]
+                &name[..name.floor_char_boundary(24)]
             )));
         }
         Ok(())
@@ -552,10 +552,10 @@ impl GraphSnapshot for RelationalGraph {
         for t in &self.etables {
             ctx.tick()?;
             if matches!(dir, Direction::Out | Direction::Both) {
-                n += t.rows_by_endpoint(v.0, true).len() as u64;
+                n += t.rows_by_endpoint(v.0, true).count() as u64;
             }
             if matches!(dir, Direction::In | Direction::Both) {
-                n += t.rows_by_endpoint(v.0, false).len() as u64;
+                n += t.rows_by_endpoint(v.0, false).count() as u64;
             }
         }
         Ok(n)
@@ -568,10 +568,10 @@ impl GraphSnapshot for RelationalGraph {
             ctx.tick()?;
             let mut any = false;
             if matches!(dir, Direction::Out | Direction::Both) {
-                any |= !t.rows_by_endpoint(v.0, true).is_empty();
+                any |= t.rows_by_endpoint(v.0, true).next().is_some();
             }
             if !any && matches!(dir, Direction::In | Direction::Both) {
-                any |= !t.rows_by_endpoint(v.0, false).is_empty();
+                any |= t.rows_by_endpoint(v.0, false).next().is_some();
             }
             if any {
                 out.push(
@@ -965,6 +965,45 @@ mod tests {
             g.set_vertex_property(v, &long, Value::Int(1)),
             Err(GdbError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn long_non_ascii_identifiers_are_rejected_not_panicked_on() {
+        // A 2-byte and a 3-byte char each straddling byte 24, where the
+        // error message cuts its quote.
+        for (name, quoted) in [
+            (
+                format!("a{}", "é".repeat(40)),
+                format!("a{}", "é".repeat(11)),
+            ),
+            (
+                format!("ab{}", "€".repeat(30)),
+                format!("ab{}", "€".repeat(7)),
+            ),
+        ] {
+            assert!(!name.is_char_boundary(24));
+            let mut g = RelationalGraph::new();
+            let a = g.add_vertex("ok", &vec![]).unwrap();
+            let b = g.add_vertex("ok", &vec![]).unwrap();
+            let e = g.add_edge(a, b, "ok", &vec![]).unwrap();
+            let prop = vec![(name.clone(), Value::Int(1))];
+            let results = [
+                g.add_vertex(&name, &vec![]).map(|_| ()),
+                g.add_edge(a, b, &name, &vec![]).map(|_| ()),
+                g.add_vertex("ok", &prop).map(|_| ()),
+                g.add_edge(a, b, "ok", &prop).map(|_| ()),
+                g.set_vertex_property(a, &name, Value::Int(1)),
+                g.set_edge_property(e, &name, Value::Int(1)),
+            ];
+            for result in results {
+                match result {
+                    Err(GdbError::Invalid(msg)) => {
+                        assert!(msg.contains(&format!("'{quoted}…'")), "{msg}")
+                    }
+                    other => panic!("expected Invalid, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -126,6 +126,33 @@ impl<T> SegVec<T> {
         }
     }
 
+    /// Whether elements `start .. start + want.len()` (width 1) equal
+    /// `want`, compared page by page in place; `false` when the range runs
+    /// past the end.
+    pub fn range_eq(&self, start: usize, want: &[T]) -> bool
+    where
+        T: PartialEq,
+    {
+        debug_assert_eq!(self.width, 1, "range_eq is for single-element rows");
+        if start
+            .checked_add(want.len())
+            .is_none_or(|end| end > self.len)
+        {
+            return false;
+        }
+        let (mut at, mut want) = (start, want);
+        while !want.is_empty() {
+            let (page, off) = self.locate(at);
+            let take = ((1 << self.shift) - off).min(want.len());
+            if self.pages[page][off..off + take] != want[..take] {
+                return false;
+            }
+            at += take;
+            want = &want[take..];
+        }
+        true
+    }
+
     /// How many of this vector's pages are not the same allocation as
     /// `other`'s page at that position — what a clone has copied or
     /// appended since it was taken (diagnostics and tests).
@@ -342,6 +369,31 @@ mod tests {
         out.clear();
         v.copy_range(30, 0, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn range_eq_compares_across_pages_in_place() {
+        let mut v: SegVec<u8> = SegVec::with_rows(1, 8);
+        let text: Vec<u8> = (0..30).collect();
+        v.extend_from_slice(&text);
+        // Inside one page, across one boundary, across three pages.
+        assert!(v.range_eq(1, &text[1..7]));
+        assert!(v.range_eq(6, &text[6..12]));
+        assert!(v.range_eq(3, &text[3..29]));
+        assert!(v.range_eq(0, &text));
+        // A difference on the far side of a page boundary is seen.
+        let mut off = text[6..20].to_vec();
+        *off.last_mut().unwrap() ^= 1;
+        assert!(!v.range_eq(6, &off));
+        assert!(!v.range_eq(5, &text[6..20]));
+        // Empty slices: equal anywhere in range, including the end.
+        assert!(v.range_eq(0, &[]));
+        assert!(v.range_eq(30, &[]));
+        // Out of range: past the end, running over it, or overflowing.
+        assert!(!v.range_eq(31, &[]));
+        assert!(!v.range_eq(25, &text[25..30].repeat(2)));
+        assert!(!v.range_eq(usize::MAX, &text[..1]));
+        assert!(!SegVec::<u8>::new().range_eq(0, &[0]));
     }
 
     #[test]
