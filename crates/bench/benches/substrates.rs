@@ -3,12 +3,52 @@
 //! the delta-encoding space/time trade-off behind the columnar engine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use gm_model::value::Value;
 use gm_storage::bptree::BPlusTree;
 use gm_storage::codec::{delta_decode, delta_encode};
 use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::{Bitmap, HashIndex, PageStore, RecordFile};
 
 const N: u64 = 10_000;
+
+/// The property predicate `spo_index` gives most subjects.
+const PROPERTY: u64 = 4;
+
+/// The triple engine's statement index: `(subject, predicate, object)`.
+type Spo = BPlusTree<(u64, u64, u64), ()>;
+
+/// An SPO index shaped like the triple engine's on `frb-l`: 18 000 vertex
+/// subjects with a type and one to five properties, 16 000 reified edges
+/// with `src`/`dst`/`label`, about 120 k statements, built in key order as
+/// the bulk load builds it. Returns the tree and the vertex subjects.
+fn spo_index() -> (Spo, Vec<u64>) {
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let (first, vertices) = (1_000u64, 18_000u64);
+    let mut statements = Vec::new();
+    for s in first..first + vertices {
+        statements.push((s, 0, 100 + next() % 50));
+        for p in 0..=next() % 5 {
+            statements.push((s, PROPERTY + p, 500 + next() % 90_000));
+        }
+    }
+    for e in first + vertices..first + vertices + 16_000 {
+        statements.push((e, 1, first + next() % vertices));
+        statements.push((e, 2, first + next() % vertices));
+        statements.push((e, 3, 100 + next() % 50));
+    }
+    statements.sort_unstable();
+    let mut tree = BPlusTree::new();
+    for k in statements {
+        tree.insert(k, ());
+    }
+    (tree, (first..first + vertices).collect())
+}
 
 fn bench_substrates(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate/point-lookup");
@@ -124,6 +164,50 @@ fn bench_substrates(c: &mut Criterion) {
             row = (row + 7919) % N;
             lsm.get(std::hint::black_box(&cell_key(row, 2)))
                 .map(|v| v[0])
+        });
+    });
+    group.finish();
+
+    // The B+Tree node search on the key shapes the engines probe: the triple
+    // engine's SPO index (~120 k statements bulk-loaded in order, so nodes
+    // are half full, as after `bulk_load`), probed once per subject for one
+    // property as `has()` does — in subject order and scrambled — and a
+    // relational attribute index over string values.
+    let mut group = c.benchmark_group("substrate/bptree-probe");
+    let (spo, subjects) = spo_index();
+    let probe = |s: u64| {
+        spo.range(&(s, PROPERTY, 0), Some(&(s, PROPERTY + 1, 0)))
+            .next()
+            .map(|((_, _, o), _)| *o)
+    };
+    group.bench_function("spo_ascending", |b| {
+        let mut at = 0;
+        b.iter(|| {
+            at = (at + 1) % subjects.len();
+            probe(std::hint::black_box(subjects[at]))
+        });
+    });
+    group.bench_function("spo_random", |b| {
+        let mut at = 0;
+        b.iter(|| {
+            at = (at + 7919) % subjects.len();
+            probe(std::hint::black_box(subjects[at]))
+        });
+    });
+    let name = |i: u64| Value::Str(format!("http://rdf.freebase.com/ns/m.{i:05}"));
+    let mut index: BPlusTree<(Value, u64), ()> = BPlusTree::new();
+    for row in 0..4 * N {
+        index.insert((name(row * 7919 % (2 * N)), row), ());
+    }
+    let bounds: Vec<_> = (0..N)
+        .map(|i| ((name(i * 3), 0), (name(i * 3), u64::MAX)))
+        .collect();
+    group.bench_function("value_str_lookup", |b| {
+        let mut at = 0;
+        b.iter(|| {
+            at = (at + 7919) % bounds.len();
+            let (lo, hi) = &bounds[at];
+            index.range(std::hint::black_box(lo), Some(hi)).count()
         });
     });
     group.finish();

@@ -9,7 +9,8 @@
 //!   changing identity ([`gm_storage::PageStore`]);
 //! * each vertex record **embeds its adjacency** (the RIDBAG): the lists of
 //!   incident edge rids, so neighbor access is a record read plus one edge
-//!   record hop per neighbor (Table 1's "2-hop pointer");
+//!   record hop per neighbor (Table 1's "2-hop pointer"); the hop reads the
+//!   edge record's `src`/`dst` head and never decodes its properties;
 //! * one cluster per **edge label** — creating a label allocates cluster
 //!   metadata, which is why the paper finds OrientDB's load time and space
 //!   "highly sensitive to the edge label cardinality" (§6.2) on Frb-S with
@@ -610,7 +611,7 @@ impl GraphSnapshot for ClusterGraph {
                         continue;
                     }
                 }
-                let (src, dst, _) = self.edge_parts(e)?;
+                let (src, dst, _) = Self::edge_head(self.edge_record(e)?)?;
                 let other = if outgoing { dst } else { src };
                 refs.push(EdgeRef {
                     eid: Eid(e),
@@ -718,7 +719,7 @@ impl GraphSnapshot for ClusterGraph {
     }
 
     fn edge_endpoints(&self, e: Eid) -> GdbResult<Option<(Vid, Vid)>> {
-        match self.edge_parts(e.0) {
+        match self.edge_record(e.0).and_then(Self::edge_head) {
             Err(_) => Ok(None),
             Ok((src, dst, _)) => Ok(Some((Vid(src), Vid(dst)))),
         }

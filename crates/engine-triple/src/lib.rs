@@ -36,7 +36,9 @@ pub const JOURNAL_EXTENT: u64 = 1 << 20;
 /// Bytes charged per statement in the journal (3 term ids + header).
 const STATEMENT_BYTES: u64 = 32;
 
-// Built-in predicate terms, allocated at construction in this order.
+// Built-in predicate terms, allocated at construction in this order. They
+// live in `terms` only: `preds` maps user property names, so a property
+// called `rdf:type` gets a predicate of its own.
 const P_TYPE: u64 = 0;
 const P_SRC: u64 = 1;
 const P_DST: u64 = 2;
@@ -83,8 +85,10 @@ impl Default for TripleGraph {
 impl TripleGraph {
     /// A fresh, empty engine.
     pub fn new() -> Self {
-        let mut g = TripleGraph {
-            terms: Vec::new(),
+        TripleGraph {
+            terms: ["rdf:type", "g:src", "g:dst", "g:label"]
+                .map(|name| Term::Pred(name.to_string()))
+                .into(),
             literals: HashMap::new(),
             preds: FxHashMap::default(),
             spo: BPlusTree::new(),
@@ -94,14 +98,7 @@ impl TripleGraph {
             vmap: Vec::new(),
             emap: Vec::new(),
             statements: 0,
-        };
-        for name in ["rdf:type", "g:src", "g:dst", "g:label"] {
-            let id = g.terms.len() as u64;
-            g.terms.push(Term::Pred(name.to_string()));
-            g.preds.insert(name.to_string(), id);
         }
-        debug_assert_eq!(g.preds["g:label"], P_LBL);
-        g
     }
 
     fn literal(&mut self, v: &Value) -> u64 {

@@ -1,28 +1,147 @@
 //! Property tests: each substrate vs. a std-library oracle.
 
+use gm_model::value::Value;
 use gm_storage::bptree::BPlusTree;
 use gm_storage::codec::{delta_decode, delta_encode, read_varint, write_varint};
 use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::{Bitmap, HashIndex, PageStore, RecordFile};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::fmt::Debug;
 
+/// One step of a B+Tree run against a `BTreeMap` oracle.
 #[derive(Debug, Clone)]
-enum MapOp {
-    Insert(u16, u32),
-    Remove(u16),
-    Get(u16),
+enum TreeOp<K> {
+    Insert(K, u32),
+    Remove(K),
+    Get(K),
+    /// `range(lo, hi)`; `None` is an open upper end.
+    Range(Bound<K>, Option<Bound<K>>),
+    /// `check_invariants` mid-run.
+    Check,
 }
 
-fn arb_map_ops() -> impl Strategy<Value = Vec<MapOp>> {
+/// A range bound: a stored key (when there is one), any key of the shape —
+/// usually absent — or a key below / above every key the shape generates.
+#[derive(Debug, Clone)]
+enum Bound<K> {
+    Stored(prop::sample::Index),
+    Key(K),
+    Below,
+    Above,
+}
+
+fn arb_bound<K: Debug + Clone + 'static>(key: BoxedStrategy<K>) -> BoxedStrategy<Bound<K>> {
+    prop_oneof![
+        3 => any::<prop::sample::Index>().prop_map(Bound::Stored),
+        3 => key.prop_map(Bound::Key),
+        1 => Just(Bound::Below),
+        1 => Just(Bound::Above),
+    ]
+    .boxed()
+}
+
+fn arb_tree_ops<K: Debug + Clone + 'static>(
+    key: BoxedStrategy<K>,
+) -> impl Strategy<Value = Vec<TreeOp<K>>> {
+    let bound = arb_bound(key.clone());
     prop::collection::vec(
         prop_oneof![
-            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| MapOp::Insert(k, v)),
-            any::<u16>().prop_map(MapOp::Remove),
-            any::<u16>().prop_map(MapOp::Get),
+            6 => (key.clone(), any::<u32>()).prop_map(|(k, v)| TreeOp::Insert(k, v)),
+            3 => key.clone().prop_map(TreeOp::Remove),
+            2 => key.prop_map(TreeOp::Get),
+            2 => (bound.clone(), prop::option::of(bound))
+                .prop_map(|(lo, hi)| TreeOp::Range(lo, hi)),
+            1 => Just(TreeOp::Check),
         ],
         0..400,
     )
+}
+
+/// Run `ops` on a B+Tree of `order` and on a `BTreeMap`: every answer
+/// agrees, and the invariants hold whenever checked and at the end.
+/// `below` / `above` sort before / after every key the shape generates.
+fn tree_matches_oracle<K: Ord + Clone + Debug>(
+    order: usize,
+    ops: &[TreeOp<K>],
+    below: &K,
+    above: &K,
+) -> Result<(), TestCaseError> {
+    let mut tree = BPlusTree::with_order(order);
+    let mut oracle: BTreeMap<K, u32> = BTreeMap::new();
+    for op in ops {
+        match op {
+            TreeOp::Insert(k, v) => {
+                prop_assert_eq!(tree.insert(k.clone(), *v), oracle.insert(k.clone(), *v));
+            }
+            TreeOp::Remove(k) => prop_assert_eq!(tree.remove(k), oracle.remove(k)),
+            TreeOp::Get(k) => {
+                prop_assert_eq!(tree.get(k), oracle.get(k));
+                prop_assert_eq!(tree.contains_key(k), oracle.contains_key(k));
+            }
+            TreeOp::Range(lo, hi) => {
+                let resolve = |b: &Bound<K>| match b {
+                    Bound::Stored(i) if !oracle.is_empty() => oracle
+                        .keys()
+                        .nth(i.index(oracle.len()))
+                        .expect("index is in range")
+                        .clone(),
+                    Bound::Stored(_) | Bound::Below => below.clone(),
+                    Bound::Key(k) => k.clone(),
+                    Bound::Above => above.clone(),
+                };
+                let lo = resolve(lo);
+                let hi = hi.as_ref().map(resolve);
+                let got: Vec<(&K, &u32)> = tree.range(&lo, hi.as_ref()).collect();
+                let want: Vec<(&K, &u32)> = match &hi {
+                    Some(hi) if *hi <= lo => Vec::new(),
+                    Some(hi) => oracle.range(lo.clone()..hi.clone()).collect(),
+                    None => oracle.range(lo.clone()..).collect(),
+                };
+                prop_assert_eq!(got, want, "range({:?}, {:?})", lo, hi);
+            }
+            TreeOp::Check => {
+                let linked = tree.check_invariants().map_err(TestCaseError::fail)?;
+                prop_assert_eq!(linked, oracle.len());
+            }
+        }
+    }
+    prop_assert_eq!(tree.len(), oracle.len());
+    prop_assert_eq!(tree.first(), oracle.iter().next());
+    prop_assert_eq!(
+        tree.iter().collect::<Vec<_>>(),
+        oracle.iter().collect::<Vec<_>>()
+    );
+    tree.check_invariants().map_err(TestCaseError::fail)?;
+    Ok(())
+}
+
+/// Keys of the triple engine's shape: few subjects and predicates, so long
+/// runs of keys share their first one or two components.
+fn arb_spo_key() -> BoxedStrategy<(u64, u64, u64)> {
+    (1u64..4, 0u64..4, 0u64..40).boxed()
+}
+
+/// A relational index key: numbers and strings across the `Value` order,
+/// with `Int`/`Float` cross-equality, `-0.0` below `0`, infinities and NaN.
+fn arb_value_key() -> BoxedStrategy<(Value, u64)> {
+    const FLOATS: [f64; 8] = [
+        -0.0,
+        0.0,
+        0.5,
+        -1.5,
+        2.0,
+        f64::INFINITY,
+        -f64::INFINITY,
+        f64::NAN,
+    ];
+    const STRS: [&str; 6] = ["", "a", "ab", "abc", "b", "ba"];
+    let value = prop_oneof![
+        (-3i64..4).prop_map(Value::Int),
+        any::<prop::sample::Index>().prop_map(|i| Value::Float(FLOATS[i.index(FLOATS.len())])),
+        any::<prop::sample::Index>().prop_map(|i| Value::Str(STRS[i.index(STRS.len())].into())),
+    ];
+    (value, 0u64..4).boxed()
 }
 
 #[derive(Debug, Clone)]
@@ -249,6 +368,53 @@ fn lsm_bytes_are_pinned_to_the_sstable_model() {
     );
 }
 
+/// `node_count()` and `approx_bytes()` of fixed trees, pinned to the values
+/// computed before the node search changed: the triple, relational and
+/// cluster engines' `space()` are made of them, and a search must not move
+/// a split point.
+#[test]
+fn bptree_layout_is_pinned() {
+    // SPO-shaped: ascending bulk inserts, a scrambled second predicate,
+    // then removals that empty some pages.
+    let mut spo: BPlusTree<(u64, u64, u64), ()> = BPlusTree::new();
+    for s in 0..2000u64 {
+        for p in 0..=s % 5 {
+            spo.insert((s, p, s * 7 % 101), ());
+        }
+    }
+    for i in 0..3000u64 {
+        spo.insert((i * 7919 % 2500, 9, i), ());
+    }
+    for s in (0..2500u64).step_by(3) {
+        spo.remove(&(s, 0, s * 7 % 101));
+    }
+    for i in 1000..1400u64 {
+        spo.remove(&(i * 7919 % 2500, 9, i));
+    }
+    spo.check_invariants().unwrap();
+    assert_eq!(
+        (spo.len(), spo.node_count(), spo.approx_bytes(|_| 24, |_| 0)),
+        (7933, 426, 215_156)
+    );
+    // A small order, so the tree is deep.
+    let mut small: BPlusTree<u64, u64> = BPlusTree::with_order(5);
+    for i in 0..3000u64 {
+        small.insert(i * 7919 % 3001, i);
+    }
+    for i in (0..3001u64).step_by(4) {
+        small.remove(&i);
+    }
+    small.check_invariants().unwrap();
+    assert_eq!(
+        (
+            small.len(),
+            small.node_count(),
+            small.approx_bytes(|_| 8, |_| 8)
+        ),
+        (2250, 986, 75_788)
+    );
+}
+
 proptest! {
     /// A RecordFile and its clone share pages, yet under any interleaving
     /// of alloc/put/free each behaves exactly like its own plain-Vec model:
@@ -279,47 +445,50 @@ proptest! {
         clone_model.check(&clone)?;
     }
 
-    /// B+Tree behaves exactly like BTreeMap under arbitrary operations, and
-    /// its structural invariants hold after every batch.
+    /// B+Tree behaves exactly like BTreeMap under interleaved
+    /// insert/remove/get/range, and its structural invariants hold whenever
+    /// checked — at every order from the minimum to twice the default, so
+    /// nodes both narrower and wider than the search's walk window occur.
     #[test]
-    fn bptree_matches_btreemap(ops in arb_map_ops(), order in 3usize..12) {
-        let mut tree: BPlusTree<u16, u32> = BPlusTree::with_order(order);
-        let mut oracle: BTreeMap<u16, u32> = BTreeMap::new();
-        for op in ops {
-            match op {
-                MapOp::Insert(k, v) => {
-                    prop_assert_eq!(tree.insert(k, v), oracle.insert(k, v));
-                }
-                MapOp::Remove(k) => {
-                    prop_assert_eq!(tree.remove(&k), oracle.remove(&k));
-                }
-                MapOp::Get(k) => {
-                    prop_assert_eq!(tree.get(&k), oracle.get(&k));
-                }
-            }
-        }
-        prop_assert_eq!(tree.len(), oracle.len());
-        let pairs: Vec<(u16, u32)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
-        let expect: Vec<(u16, u32)> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
-        prop_assert_eq!(pairs, expect);
-        tree.check_invariants().map_err(TestCaseError::fail)?;
+    fn bptree_matches_btreemap(ops in arb_tree_ops((1u16..1000).boxed()), order in 3usize..65) {
+        tree_matches_oracle(order, &ops, &0, &u16::MAX)?;
     }
 
-    /// B+Tree range scans agree with BTreeMap range scans.
+    /// B+Tree range scans agree with BTreeMap range scans on a tree built
+    /// in ascending order (the bulk-load shape: half-full nodes), with
+    /// bounds that are stored, absent, below the minimum or above the
+    /// maximum, and open upper ends.
     #[test]
     fn bptree_range_matches(
-        keys in prop::collection::btree_set(any::<u16>(), 0..300),
-        lo in any::<u16>(),
-        hi in any::<u16>(),
+        keys in prop::collection::btree_set(1u16..2000, 0..300),
+        ranges in prop::collection::vec(
+            (arb_bound((1u16..2000).boxed()), prop::option::of(arb_bound((1u16..2000).boxed()))),
+            1..24,
+        ),
+        order in 3usize..65,
     ) {
-        let mut tree: BPlusTree<u16, ()> = BPlusTree::with_order(4);
-        for &k in &keys {
-            tree.insert(k, ());
-        }
-        let (lo, hi) = (lo.min(hi), lo.max(hi));
-        let got: Vec<u16> = tree.range(&lo, Some(&hi)).map(|(k, _)| *k).collect();
-        let expect: Vec<u16> = keys.range(lo..hi).copied().collect();
-        prop_assert_eq!(got, expect);
+        let ops: Vec<TreeOp<u16>> = keys
+            .iter()
+            .map(|&k| TreeOp::Insert(k, u32::from(k)))
+            .chain(ranges.into_iter().map(|(lo, hi)| TreeOp::Range(lo, hi)))
+            .collect();
+        tree_matches_oracle(order, &ops, &0, &u16::MAX)?;
+    }
+
+    /// The same on the triple engine's `(s, p, o)` key shape, whose
+    /// comparisons mostly fall through to the second or third component.
+    #[test]
+    fn bptree_spo_keys_match_btreemap(ops in arb_tree_ops(arb_spo_key()), order in 3usize..65) {
+        tree_matches_oracle(order, &ops, &(0, 0, 0), &(u64::MAX, 0, 0))?;
+    }
+
+    /// The same on `(Value, u64)` index keys mixing `Int`, `Float` (`-0.0`,
+    /// NaN, infinities) and `Str`: the search compares through `Ord` alone,
+    /// so it agrees with the map that does.
+    #[test]
+    fn bptree_value_keys_match_btreemap(ops in arb_tree_ops(arb_value_key()), order in 3usize..65) {
+        let above = (Value::Str("\u{10FFFF}".into()), u64::MAX);
+        tree_matches_oracle(order, &ops, &(Value::Null, 0), &above)?;
     }
 
     /// Bitmap behaves like a HashSet and its boolean algebra matches set ops.
