@@ -122,17 +122,21 @@ fn bench_substrates(c: &mut Criterion) {
 
     // The LSM read path below the columnar engine: a multi-run table in the
     // engine's key shape (memtable + 4 runs, every fifth row's second cell
-    // tombstoned), read whole, by row prefix, and by point lookup.
+    // tombstoned), read whole, by row prefix, and by point lookup. The rows
+    // arrive scrambled, so every run spans the whole key space and a scan
+    // merges them; the same cells put in key order leave key-disjoint runs,
+    // which a scan walks back to back.
     let mut group = c.benchmark_group("substrate/lsm-read");
-    let mut lsm = LsmTable::new(LsmConfig {
+    let config = LsmConfig {
         memtable_limit: 8_192,
         max_runs: 8,
-    });
+    };
     let cell_key = |row: u64, column: u8| {
         let mut key = [column; 9];
         key[..8].copy_from_slice(&row.to_be_bytes());
         key
     };
+    let mut lsm = LsmTable::new(config.clone());
     for row in 0..N {
         for column in 0..4u8 {
             lsm.put(&cell_key(row * 7919 % N, column), &[column; 12]);
@@ -141,14 +145,27 @@ fn bench_substrates(c: &mut Criterion) {
     for row in (0..N).step_by(5) {
         lsm.delete(&cell_key(row, 1));
     }
+    let mut disjoint = LsmTable::new(config);
+    for row in 0..N {
+        for column in 0..4u8 {
+            match (row % 5, column) {
+                (0, 1) => disjoint.delete(&cell_key(row, column)),
+                _ => disjoint.put(&cell_key(row, column), &[column; 12]),
+            }
+        }
+    }
     assert!(lsm.run_count() >= 3, "{} runs", lsm.run_count());
-    group.bench_function("lsm_scan_full", |b| {
-        b.iter(|| {
-            lsm.scan_range(&[], None)
-                .map(|(k, v)| k.len() + v.len())
-                .sum::<usize>()
-        });
-    });
+    assert!(disjoint.run_count() >= 3, "{} runs", disjoint.run_count());
+    assert!(lsm.scan_range(&[], None).merges());
+    assert!(!disjoint.scan_range(&[], None).merges());
+    let full = |t: &LsmTable| {
+        t.scan_range(&[], None)
+            .map(|(k, v)| k.len() + v.len())
+            .sum::<usize>()
+    };
+    assert_eq!(full(&lsm), full(&disjoint), "the same live cells");
+    group.bench_function("lsm_scan_full", |b| b.iter(|| full(&lsm)));
+    group.bench_function("lsm_scan_full_disjoint", |b| b.iter(|| full(&disjoint)));
     group.bench_function("lsm_scan_prefix", |b| {
         let mut row = 0u64;
         b.iter(|| {

@@ -36,6 +36,16 @@
 //! row's label, property and adjacency cells are contiguous in key order, so
 //! a row's degree is known by the time the next label cell comes by. A cell
 //! that does not decode is reported as [`GdbError::Corrupt`], never a panic.
+//!
+//! The bulk load writes the store **in key order**, row by row: the label,
+//! the properties by key id, then the OUT and the IN adjacency cells by
+//! label id. Every memtable flush of a load is therefore a run whose keys
+//! follow the previous run's, and a scan of a freshly loaded store walks
+//! the runs back to back instead of merging them (see [`gm_storage::lsm`]).
+//! Each cell is still put once, so the flush and compaction schedule — and
+//! with it each variant's run count, more runs for V05 than for V10 — is
+//! what any write order gives. Writes after the load land across the runs'
+//! key range, so a scan that covers the rows they touch merges again.
 
 use gm_model::api::{
     Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
@@ -107,6 +117,48 @@ struct AdjEntry {
     eid: u64,
     /// Edge properties (key id, value); populated on the OUT side only.
     props: Vec<(u32, Value)>,
+}
+
+/// A bulk load's adjacency entry: `(direction, label id, other, eid)`.
+type LoadEntry = (u8, u32, u64, u64);
+
+/// A bulk load's adjacency entries grouped by row in one flat array:
+/// row `r`'s are `entries[starts[r]..starts[r + 1]]`, sorted, so they come
+/// cell by cell in key order and in cell order within each cell.
+struct LoadRows {
+    starts: Vec<usize>,
+    entries: Vec<LoadEntry>,
+}
+
+impl LoadRows {
+    /// Group the `(row, entry)` pairs `pairs()` yields by a counting sort on
+    /// the row, then sort each row's few entries.
+    fn group<I: Iterator<Item = (usize, LoadEntry)>>(rows: usize, pairs: impl Fn() -> I) -> Self {
+        let mut starts = vec![0; rows + 1];
+        for (row, _) in pairs() {
+            starts[row + 1] += 1;
+        }
+        for row in 0..rows {
+            starts[row + 1] += starts[row];
+        }
+        let mut next = starts.clone();
+        let mut entries = vec![(0, 0, 0, 0); starts[rows]];
+        for (row, entry) in pairs() {
+            entries[next[row]] = entry;
+            next[row] += 1;
+        }
+        for row in 0..rows {
+            entries[starts[row]..starts[row + 1]].sort_unstable();
+        }
+        LoadRows { starts, entries }
+    }
+
+    /// Row `row`'s adjacency cells, in key order: the entries of one
+    /// (direction, label) each.
+    fn cells(&self, row: usize) -> impl Iterator<Item = &[LoadEntry]> {
+        self.entries[self.starts[row]..self.starts[row + 1]]
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+    }
 }
 
 /// What a store key addresses within its row.
@@ -361,18 +413,19 @@ impl ColumnarGraph {
     // Reads walk the cell in place with an [`AdjCursor`]; only the
     // read-modify-write path materialises it.
 
-    fn encode_adj(entries: &[AdjEntry]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + entries.len() * 6);
-        write_varint(&mut out, entries.len() as u64);
+    /// Encode `(other, eid, props)` entries, sorted by `other`, into `out`.
+    fn encode_adj<'p>(
+        out: &mut Vec<u8>,
+        entries: impl ExactSizeIterator<Item = (u64, u64, &'p [(u32, Value)])>,
+    ) {
+        write_varint(out, entries.len() as u64);
         let mut prev = 0u64;
-        for (i, e) in entries.iter().enumerate() {
-            let gap = if i == 0 { e.other } else { e.other - prev };
-            write_varint(&mut out, gap);
-            write_varint(&mut out, e.eid);
-            encode_props(&mut out, &e.props);
-            prev = e.other;
+        for (other, eid, props) in entries {
+            write_varint(out, other - prev);
+            write_varint(out, eid);
+            encode_props(out, props);
+            prev = other;
         }
-        out
     }
 
     fn decode_adj(buf: &[u8]) -> GdbResult<Vec<AdjEntry>> {
@@ -405,7 +458,10 @@ impl ColumnarGraph {
         if entries.is_empty() {
             self.store.delete(&key);
         } else {
-            self.store.put(&key, &Self::encode_adj(&entries));
+            let mut cell = Vec::with_capacity(8 + entries.len() * 6);
+            let refs = entries.iter().map(|e| (e.other, e.eid, &e.props[..]));
+            Self::encode_adj(&mut cell, refs);
+            self.store.put(&key, &cell);
         }
         Ok(())
     }
@@ -425,16 +481,20 @@ impl ColumnarGraph {
     /// Titan's automatic schema maintenance: look up, infer, validate.
     fn infer_schema(&mut self, props: &[(u32, Value)]) {
         for (key, value) in props {
-            let tag = Self::value_tag(value);
-            match self.schema.get(key) {
-                None => {
-                    self.schema.insert(*key, tag);
-                }
-                Some(&t) if t != tag => {
-                    self.schema.insert(*key, 0xFF);
-                }
-                _ => {}
+            self.infer_prop(*key, value);
+        }
+    }
+
+    fn infer_prop(&mut self, key: u32, value: &Value) {
+        let tag = Self::value_tag(value);
+        match self.schema.get(&key) {
+            None => {
+                self.schema.insert(key, tag);
             }
+            Some(&t) if t != tag => {
+                self.schema.insert(key, 0xFF);
+            }
+            _ => {}
         }
     }
 
@@ -495,16 +555,29 @@ impl ColumnarGraph {
     fn add_vertex_raw(&mut self, label: u32, props: &[(u32, Value)]) -> u64 {
         let vid = self.next_vid;
         self.next_vid += 1;
-        let mut label_cell = Vec::with_capacity(4);
-        write_varint(&mut label_cell, label as u64);
-        self.store.put(&Self::key_label(vid), &label_cell);
-        for (key, value) in props {
-            let mut cell = Vec::new();
-            encode_value(&mut cell, value);
-            self.store.put(&Self::key_prop(vid, *key), &cell);
-        }
+        let props = props.iter().map(|(key, value)| (*key, value));
+        self.put_vertex_cells(vid, label, props, &mut Vec::new());
         self.vertex_rows += 1;
         vid
+    }
+
+    /// Put a row's label cell, then a cell per property in the order given,
+    /// encoding each into `cell`.
+    fn put_vertex_cells<'v>(
+        &mut self,
+        vid: u64,
+        label: u32,
+        props: impl Iterator<Item = (u32, &'v Value)>,
+        cell: &mut Vec<u8>,
+    ) {
+        cell.clear();
+        write_varint(cell, label as u64);
+        self.store.put(&Self::key_label(vid), cell);
+        for (key, value) in props {
+            cell.clear();
+            encode_value(cell, value);
+            self.store.put(&Self::key_prop(vid, key), cell);
+        }
     }
 
     /// Tick once per entry of an adjacency cell and hand each live (not
@@ -1035,17 +1108,26 @@ impl GraphDb for ColumnarGraph {
         }
         if opts.bulk {
             // Schema declared up front (no per-item inference), adjacency
-            // lists built in memory and written once per cell.
+            // grouped per row in memory, and every cell written once, row by
+            // row in key order (crate docs): each memtable flush is then a
+            // run whose keys follow the previous run's. The cells are those
+            // any order writes, so the flush and compaction schedule and
+            // each variant's run count are too.
+            let (first_vid, first_eid) = (self.next_vid, self.next_eid);
+            let mut labels = Vec::with_capacity(data.vertices.len());
+            let mut prop_keys = Vec::new();
             for v in &data.vertices {
-                let props = self.intern_props(&v.props);
-                self.infer_schema(&props);
-                let label = self.vlabels.intern(&v.label);
-                let vid = self.add_vertex_raw(label, &props);
-                self.vmap.push(vid);
+                for (name, value) in &v.props {
+                    let key = self.keys.intern(name);
+                    self.infer_prop(key, value);
+                    prop_keys.push(key);
+                }
+                labels.push(self.vlabels.intern(&v.label));
+                self.vmap.push(self.next_vid);
+                self.next_vid += 1;
+                self.vertex_rows += 1;
             }
-            // Group edges by (src, label) and (dst, label).
-            let mut out_cells: FxHashMap<(u64, u32), Vec<AdjEntry>> = FxHashMap::default();
-            let mut in_cells: FxHashMap<(u64, u32), Vec<AdjEntry>> = FxHashMap::default();
+            let mut edge_props = Vec::with_capacity(data.edges.len());
             for e in &data.edges {
                 let eid = self.next_eid;
                 self.next_eid += 1;
@@ -1057,30 +1139,42 @@ impl GraphDb for ColumnarGraph {
                 self.infer_schema(&props);
                 debug_assert_eq!(self.edge_index.len() as u64, eid);
                 self.edge_index.push((src, dst, label));
-                out_cells.entry((src, label)).or_default().push(AdjEntry {
-                    other: dst,
-                    eid,
-                    props,
-                });
-                in_cells.entry((dst, label)).or_default().push(AdjEntry {
-                    other: src,
-                    eid,
-                    props: Vec::new(),
-                });
+                edge_props.push(props);
             }
-            for ((vid, label), mut entries) in out_cells {
-                entries.sort_by_key(|e| (e.other, e.eid));
-                self.store.put(
-                    &Self::key_adj(vid, DIR_OUT, label),
-                    &Self::encode_adj(&entries),
-                );
-            }
-            for ((vid, label), mut entries) in in_cells {
-                entries.sort_by_key(|e| (e.other, e.eid));
-                self.store.put(
-                    &Self::key_adj(vid, DIR_IN, label),
-                    &Self::encode_adj(&entries),
-                );
+            let edges = &self.edge_index;
+            let rows = LoadRows::group(data.vertices.len(), || {
+                (first_eid..self.next_eid)
+                    .filter_map(|eid| Some((eid, *edges.get(eid as usize)?)))
+                    .flat_map(|(eid, (src, dst, label))| {
+                        [
+                            ((src - first_vid) as usize, (DIR_OUT, label, dst, eid)),
+                            ((dst - first_vid) as usize, (DIR_IN, label, src, eid)),
+                        ]
+                    })
+            });
+            let (mut at, mut props, mut cell) = (0, Vec::new(), Vec::new());
+            for (row, v) in data.vertices.iter().enumerate() {
+                let vid = first_vid + row as u64;
+                let ids = &prop_keys[at..at + v.props.len()];
+                at += v.props.len();
+                props.clear();
+                props.extend(ids.iter().copied().zip(v.props.iter().map(|(_, v)| v)));
+                // Stable: a name given twice is put twice, the later last.
+                props.sort_by_key(|&(key, _)| key);
+                self.put_vertex_cells(vid, labels[row], props.iter().copied(), &mut cell);
+                for entries in rows.cells(row) {
+                    let (dir, label, ..) = entries[0];
+                    let entries = entries.iter().map(|&(dir, _, other, eid)| {
+                        let props = match dir {
+                            DIR_OUT => &edge_props[(eid - first_eid) as usize][..],
+                            _ => &[],
+                        };
+                        (other, eid, props)
+                    });
+                    cell.clear();
+                    Self::encode_adj(&mut cell, entries);
+                    self.store.put(&Self::key_adj(vid, dir, label), &cell);
+                }
             }
             // The bulk loader flushes its memtable to an SSTable run at the
             // end, like Titan's batch loading against Cassandra.
@@ -1321,26 +1415,118 @@ mod tests {
         assert_eq!(g.schema.get(&key), Some(&0xFFu8));
     }
 
+    /// What a loaded engine answers: every read of the query catalog over a
+    /// few parameter draws (on a dataset large enough to draw them from),
+    /// then every vertex and edge record in full.
+    fn catalog_reads(g: &ColumnarGraph, data: &Dataset) -> Vec<String> {
+        use gm_core::catalog::{execute_read, QueryInstance};
+        use gm_core::params::Workload;
+        let ctx = QueryCtx::unbounded();
+        let mut out = Vec::new();
+        let draws = if data.vertex_count() >= 8 { 0..3 } else { 0..0 };
+        for seed in draws {
+            let workload = Workload::choose(data, seed, 4);
+            let params = workload.resolve(g).unwrap();
+            for inst in QueryInstance::full_suite(workload.k) {
+                if !inst.id.is_mutation() {
+                    let answer = execute_read(&inst, g, &params, &ctx);
+                    out.push(format!("seed {seed} {}: {answer:?}", inst.name()));
+                }
+            }
+        }
+        for i in 0..data.vertices.len() as u64 {
+            let v = g.resolve_vertex(i).unwrap();
+            out.push(format!("{:?}", g.vertex(v)));
+        }
+        for i in 0..data.edges.len() as u64 {
+            let e = g.resolve_edge(i).unwrap();
+            out.push(format!("{:?}", g.edge(e)));
+        }
+        out
+    }
+
     #[test]
     fn bulk_load_writes_each_cell_once() {
-        let mut g = ColumnarGraph::v10();
-        g.bulk_load(&testkit::chain_dataset(500), &LoadOptions::default())
-            .unwrap();
+        let mut chain = testkit::chain_dataset(500);
+        // A name given twice keeps its later value; a vertex lists its
+        // names out of key-id order.
+        chain.vertices[7].props.push(("idx".into(), Value::Int(-7)));
+        let tag = ("tag".into(), Value::Str("nine".into()));
+        chain.vertices[9].props.insert(0, tag);
+        let one_by_one = LoadOptions {
+            bulk: false,
+            index_during_load: false,
+        };
         let ctx = QueryCtx::unbounded();
+        let mut g = ColumnarGraph::v10();
+        g.bulk_load(&chain, &LoadOptions::default()).unwrap();
         assert_eq!(g.vertex_count(&ctx).unwrap(), 500);
         assert_eq!(g.edge_count(&ctx).unwrap(), 499);
-        // Non-bulk path agrees.
-        let mut g2 = ColumnarGraph::v10();
-        g2.bulk_load(
-            &testkit::chain_dataset(500),
-            &LoadOptions {
-                bulk: false,
-                index_during_load: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(g2.vertex_count(&ctx).unwrap(), 500);
-        assert_eq!(g2.edge_count(&ctx).unwrap(), 499);
+        let v7 = g.resolve_vertex(7).unwrap();
+        let idx = g.vertex_property(v7, "idx").unwrap();
+        assert_eq!(idx, Some(Value::Int(-7)), "the later value wins");
+        // The one-by-one path agrees on everything.
+        for variant in [Variant::V05, Variant::V10] {
+            for data in [&chain, &testkit::tiny_dataset()] {
+                let mut bulk = ColumnarGraph::new(variant);
+                bulk.bulk_load(data, &LoadOptions::default()).unwrap();
+                let mut slow = ColumnarGraph::new(variant);
+                slow.bulk_load(data, &one_by_one).unwrap();
+                let (got, want) = (catalog_reads(&bulk, data), catalog_reads(&slow, data));
+                assert_eq!(got.len(), want.len());
+                for (got, want) in got.iter().zip(&want) {
+                    assert_eq!(got, want, "{variant:?} on {}", data.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_load_leaves_key_disjoint_runs_on_the_same_schedule() {
+        // (store tuning, runs, flushes, compactions): what the load left
+        // when it wrote adjacency cells in hash-map order. Each cell is
+        // still put once, so no flush moves. A 7-cell memtable puts flush
+        // boundaries at every position within a row.
+        let small = LsmConfig {
+            memtable_limit: 7,
+            max_runs: 4,
+        };
+        let cases = [
+            (testkit::chain_dataset(500), None, (1, 1, 0)),
+            (testkit::tiny_dataset(), None, (1, 1, 0)),
+            (testkit::chain_dataset(500), Some(&small), (4, 286, 141)),
+            (testkit::tiny_dataset(), Some(&small), (4, 4, 0)),
+            (testkit::chain_dataset(100), Some(&small), (3, 57, 27)),
+        ];
+        for variant in [Variant::V05, Variant::V10] {
+            for (data, config, pinned) in &cases {
+                let mut g = match config {
+                    None => ColumnarGraph::new(variant),
+                    Some(config) => ColumnarGraph::with_store_config(variant, (*config).clone()),
+                };
+                g.bulk_load(data, &LoadOptions::default()).unwrap();
+                let stats = g.store.stats();
+                let what = format!("{variant:?} {config:?} on {}", data.name);
+                let counts = (g.store.run_count(), stats.flushes, stats.compactions);
+                assert_eq!(counts, *pinned, "{what}");
+                assert!(!g.store.scan_range(&[], None).merges(), "{what}");
+            }
+        }
+        // Vertices that list their property names out of key-id order.
+        let mut shuffled = testkit::chain_dataset(100);
+        for v in shuffled.vertices.iter_mut().skip(1).step_by(3) {
+            v.props.insert(0, ("tag".into(), Value::Int(1)));
+        }
+        for memtable_limit in 2..10 {
+            let config = LsmConfig {
+                memtable_limit,
+                max_runs: 4,
+            };
+            let mut g = ColumnarGraph::with_store_config(Variant::V10, config);
+            g.bulk_load(&shuffled, &LoadOptions::default()).unwrap();
+            assert!(g.store.run_count() > 1);
+            assert!(!g.store.scan_range(&[], None).merges(), "{memtable_limit}");
+        }
     }
 
     #[test]

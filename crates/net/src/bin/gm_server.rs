@@ -121,9 +121,12 @@ fn gc_summary(snap: &RegistrySnapshot) -> String {
     let lsm = |name: &str| snap.counter(&format!("storage.lsm.{name}"));
     if lsm("runs_probed") + lsm("flushes") > 0 {
         out.push_str(&format!(
-            "\n[gm-server]   lsm: {} cells scanned, {} runs probed, {} flushes, {} compactions",
+            "\n[gm-server]   lsm: {} cells scanned, {} runs probed, {} scans ({} merged), \
+             {} flushes, {} compactions",
             lsm("cells_scanned"),
             lsm("runs_probed"),
+            lsm("scans"),
+            lsm("merged_scans"),
             lsm("flushes"),
             lsm("compactions"),
         ));
@@ -380,11 +383,14 @@ mod tests {
         assert_eq!(gc_summary(&registry.snapshot()), "");
         registry.counter("storage.lsm.cells_scanned").add(630);
         registry.counter("storage.lsm.runs_probed").add(9);
+        registry.counter("storage.lsm.scans").add(3);
+        registry.counter("storage.lsm.merged_scans").add(1);
         registry.counter("storage.lsm.flushes").add(2);
         let summary = gc_summary(&registry.snapshot());
         assert_eq!(
             summary,
-            "\n[gm-server]   lsm: 630 cells scanned, 9 runs probed, 2 flushes, 0 compactions"
+            "\n[gm-server]   lsm: 630 cells scanned, 9 runs probed, 3 scans (1 merged), \
+             2 flushes, 0 compactions"
         );
         registry.counter("storage.cow.pages_copied").add(4);
         let summary = gc_summary(&registry.snapshot());

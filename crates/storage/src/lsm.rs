@@ -23,10 +23,24 @@
 //! `Arc`-shared between clones.
 //!
 //! Reads are **zero-copy**: [`LsmTable::get`] and the [`Scan`] cursor hand
-//! out `&[u8]` borrowed from the memtable or a run's arena. There is one
-//! merge — newest source wins, tombstones suppress older versions — and it
-//! serves scans and compaction alike; its sources are a concrete enum and a
-//! scan allocates once for its cursor list, never per cell.
+//! out `&[u8]` borrowed from the memtable or a run's arena. A scan's sources
+//! are the memtable's range and the runs, a concrete enum, each positioned
+//! at the scan's lower bound; a source whose first key is already past the
+//! upper bound is dropped. A scan allocates once, for its cursor list, never
+//! per cell. What it does next depends only on what the sources show: each
+//! one's first remaining key and its last key.
+//!
+//! * **Walk.** When those ranges are pairwise strictly disjoint, the scan
+//!   walks the sources one after another in key order, with no per-cell key
+//!   comparison. Tombstones are simply skipped: a tombstone can shadow only
+//!   a key another source also holds, and that source's range would then
+//!   overlap its own. A bulk load that puts its cells in key order leaves
+//!   runs like this, and so does a memtable whose writes all follow the runs.
+//! * **Merge.** Otherwise the one k-way merge runs: newest source wins,
+//!   tombstones suppress older versions.
+//!
+//! Compaction reads its runs through the same cursor. Only the cost of a
+//! read depends on the choice; its answer never does.
 //!
 //! The arena keeps keys whole. [`LsmTable::bytes`] reports the **modelled
 //! on-disk** size of the SSTable format — keys prefix-compressed against
@@ -35,8 +49,9 @@
 //!
 //! Counters (`gm-obs` registry, nothing under `GM_OBS=off`):
 //! `storage.lsm.cells_scanned` and `storage.lsm.runs_probed` are added once
-//! per scan or lookup, `storage.lsm.flushes` and `storage.lsm.compactions`
-//! once per event.
+//! per scan or lookup, `storage.lsm.scans` and `storage.lsm.merged_scans`
+//! once per scan (the share of scans that walk is one minus their ratio),
+//! `storage.lsm.flushes` and `storage.lsm.compactions` once per event.
 
 use std::cmp::Ordering;
 use std::collections::btree_map::{self, BTreeMap};
@@ -84,14 +99,17 @@ impl Run {
         }
     }
 
+    #[inline]
     fn len(&self) -> usize {
         self.ends.len() - 1
     }
 
+    #[inline]
     fn key(&self, i: usize) -> &[u8] {
         &self.keys[self.ends[i].0 as usize..self.ends[i + 1].0 as usize]
     }
 
+    #[inline]
     fn entry(&self, i: usize) -> Option<Entry<'_>> {
         if i >= self.len() {
             return None;
@@ -285,7 +303,7 @@ impl LsmTable {
             .rev()
             .map(|run| Source::Run(run, run.lower_bound(lo)));
         Scan {
-            merge: Merge::new(std::iter::once(mem).chain(runs)),
+            merge: Merge::new(std::iter::once(mem).chain(runs), &upper),
             upper,
             runs: self.runs.len() as u64,
         }
@@ -361,7 +379,8 @@ impl LsmTable {
             tail.iter().map(|r| r.keys.len()).sum(),
             tail.iter().map(|r| r.vals.len()).sum(),
         );
-        for (key, value) in Merge::new(tail.iter().rev().map(|run| Source::Run(run, 0))) {
+        let sources = tail.iter().rev().map(|run| Source::Run(run, 0));
+        for (key, value) in Merge::new(sources, &Upper::Unbounded) {
             if keep > 0 || value.is_some() {
                 merged.push(key, value);
             }
@@ -428,6 +447,9 @@ enum Source<'a> {
 }
 
 impl<'a> Source<'a> {
+    /// The next entry. Inlined, like `Run::entry` below it, into the scan
+    /// loops of other crates: a call per cell would cost more than the walk.
+    #[inline]
     fn next(&mut self) -> Option<Entry<'a>> {
         match self {
             Source::Mem(range) => range.next().map(|(k, v)| (k.as_slice(), v.as_deref())),
@@ -438,25 +460,65 @@ impl<'a> Source<'a> {
             }
         }
     }
+
+    /// The source's last key, if it holds one past its next entry.
+    fn last_key(&self) -> Option<&'a [u8]> {
+        match self {
+            Source::Mem(range) => range.clone().next_back().map(|(k, _)| k.as_slice()),
+            Source::Run(run, at) => (*at < run.len()).then(|| run.key(run.len() - 1)),
+        }
+    }
 }
 
-/// K-way merge over sources ordered newest first: yields each key once, in
-/// key order, with the newest source's entry — tombstones included.
+/// A source and its head: the entry it yields next.
+type Cursor<'a> = (Option<Entry<'a>>, Source<'a>);
+
+/// The key range a cursor still covers: its head key to its last key.
+fn span<'a>((head, rest): &Cursor<'a>) -> (&'a [u8], &'a [u8]) {
+    let first = head.map_or(&[][..], |(key, _)| key);
+    (first, rest.last_key().unwrap_or(first))
+}
+
+/// Whether the cursors' key ranges are pairwise strictly disjoint.
+fn disjoint(cursors: &[Cursor<'_>]) -> bool {
+    cursors.iter().enumerate().all(|(i, a)| {
+        let (a_first, a_last) = span(a);
+        cursors[i + 1..].iter().all(|b| {
+            let (b_first, b_last) = span(b);
+            a_last < b_first || b_last < a_first
+        })
+    })
+}
+
+/// The sources of a scan or a compaction, ordered newest first, read in key
+/// order: each key once, with the newest source's entry — tombstones
+/// included. Key-disjoint sources are walked one after another, any others
+/// k-way merged; see the module docs.
 #[derive(Debug)]
 struct Merge<'a> {
-    /// `(head, rest)` per source.
-    cursors: Vec<(Option<Entry<'a>>, Source<'a>)>,
+    cursors: Vec<Cursor<'a>>,
+    /// The sources are key-disjoint and `cursors` is sorted by descending
+    /// key: the walk reads the last cursor and drops it once it is dry.
+    walk: bool,
     /// Source entries consumed so far.
     stepped: u64,
 }
 
 impl<'a> Merge<'a> {
-    fn new(sources: impl Iterator<Item = Source<'a>>) -> Self {
+    /// Position on `sources`, dropping those whose first key `upper` does
+    /// not admit: their later keys are larger still.
+    fn new(sources: impl Iterator<Item = Source<'a>>, upper: &Upper<'_>) -> Self {
+        let mut cursors: Vec<Cursor<'a>> = sources
+            .map(|mut s| (s.next(), s))
+            .filter(|(head, _)| head.is_some_and(|(key, _)| upper.admits(key)))
+            .collect();
+        let walk = disjoint(&cursors);
+        if walk {
+            cursors.sort_unstable_by(|(a, _), (b, _)| b.cmp(a));
+        }
         Merge {
-            cursors: sources
-                .map(|mut s| (s.next(), s))
-                .filter(|(head, _)| head.is_some())
-                .collect(),
+            cursors,
+            walk,
             stepped: 0,
         }
     }
@@ -474,6 +536,24 @@ impl<'a> Iterator for Merge<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Entry<'a>> {
+        if self.walk {
+            // The head, read when the sources were sized up, comes first;
+            // after it the walk reads the source directly. (Storing every
+            // entry back as the head would cost more than the walk itself.)
+            loop {
+                let (head, rest) = self.cursors.last_mut()?;
+                let entry = if head.is_some() {
+                    head.take()
+                } else {
+                    rest.next()
+                };
+                if let Some(entry) = entry {
+                    self.stepped += 1;
+                    return Some(entry);
+                }
+                self.cursors.pop();
+            }
+        }
         // One pass for the smallest head key; the newest source (lowest
         // index) wins ties. A head equal to the best so far is an older
         // version of that key: shadowed whatever wins, so it is stepped
@@ -515,11 +595,20 @@ impl<'a> Iterator for Scan<'a> {
                 self.merge.cursors.clear();
                 return None;
             }
-            // A tombstone suppresses the older versions the merge skipped.
+            // A tombstone suppresses the older versions the merge skipped;
+            // a walk has none to suppress.
             if let Some(value) = value {
                 return Some((key, value));
             }
         }
+    }
+}
+
+impl Scan<'_> {
+    /// Whether this scan merges overlapping sources rather than walking
+    /// key-disjoint ones back to back (see the module docs).
+    pub fn merges(&self) -> bool {
+        !self.merge.walk
     }
 }
 
@@ -528,6 +617,8 @@ impl Drop for Scan<'_> {
         if let Some(c) = counters() {
             c.cells_scanned.add(self.merge.stepped);
             c.runs_probed.add(self.runs);
+            c.scans.inc();
+            c.merged_scans.add(u64::from(self.merges()));
         }
     }
 }
@@ -535,6 +626,8 @@ impl Drop for Scan<'_> {
 struct LsmCounters {
     cells_scanned: Counter,
     runs_probed: Counter,
+    scans: Counter,
+    merged_scans: Counter,
     flushes: Counter,
     compactions: Counter,
 }
@@ -551,6 +644,8 @@ fn counters() -> Option<&'static LsmCounters> {
         LsmCounters {
             cells_scanned: g.counter("storage.lsm.cells_scanned"),
             runs_probed: g.counter("storage.lsm.runs_probed"),
+            scans: g.counter("storage.lsm.scans"),
+            merged_scans: g.counter("storage.lsm.merged_scans"),
             flushes: g.counter("storage.lsm.flushes"),
             compactions: g.counter("storage.lsm.compactions"),
         }
@@ -752,8 +847,15 @@ mod tests {
         // one, so each counter is checked to have moved by at least its
         // share.
         let read = |name: &str| gm_obs::global().counter(name).get();
-        let names = ["cells_scanned", "runs_probed", "flushes", "compactions"]
-            .map(|n| format!("storage.lsm.{n}"));
+        let names = [
+            "cells_scanned",
+            "runs_probed",
+            "flushes",
+            "compactions",
+            "scans",
+            "merged_scans",
+        ]
+        .map(|n| format!("storage.lsm.{n}"));
         let before = names.each_ref().map(|n| read(n));
         let mut t = LsmTable::new(LsmConfig {
             memtable_limit: 1_000,
@@ -769,10 +871,125 @@ mod tests {
         assert_eq!(t.get(&[7]), Some(&[2u8][..]), "newest run answers");
         assert_eq!(t.get(&[99]), None, "every run is probed for a miss");
         t.compact();
+        assert_eq!(t.scan_range(&[], None).count(), 50, "one run: a walk");
         let moved: Vec<u64> = names.iter().zip(before).map(|(n, b)| read(n) - b).collect();
-        assert!(moved[0] >= 150, "3 × 50 source entries: {moved:?}");
-        assert!(moved[1] >= 3 + 1 + 3, "scan, hit, miss: {moved:?}");
+        assert!(
+            moved[0] >= 150 + 50,
+            "3 × 50 source entries, then 50: {moved:?}"
+        );
+        assert!(moved[1] >= 8, "scan 3, hit 1, miss 3, scan 1: {moved:?}");
         assert!(moved[2] >= 3 && moved[3] >= 1, "{moved:?}");
+        assert!(
+            moved[4] >= 2 && moved[5] >= 1,
+            "two scans, one merged: {moved:?}"
+        );
+    }
+
+    /// Owned `(key, value)` pairs.
+    type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// Collect a scan's pairs and whether it merged.
+    fn read(scan: Scan<'_>) -> (Pairs, bool) {
+        let merges = scan.merges();
+        let pairs = scan.map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        (pairs, merges)
+    }
+
+    /// The pairs of one-byte keys, each valued by itself.
+    fn cells(keys: impl IntoIterator<Item = u8>) -> Pairs {
+        keys.into_iter().map(|k| (vec![k], vec![k])).collect()
+    }
+
+    /// A table of one run per `(first, end)` span of one-byte keys, each
+    /// key valued by itself, and an empty memtable.
+    fn runs_of(spans: &[(u8, u8)]) -> LsmTable {
+        let mut t = LsmTable::new(LsmConfig {
+            memtable_limit: 1_000,
+            max_runs: 1_000,
+        });
+        for &(first, end) in spans {
+            for k in first..end {
+                t.put(&[k], &[k]);
+            }
+            t.flush();
+        }
+        t
+    }
+
+    #[test]
+    fn disjoint_runs_are_walked_in_key_order() {
+        // Flushed out of key order, so the walk must order the runs itself.
+        let t = runs_of(&[(20, 30), (0, 10), (10, 20)]);
+        assert_eq!(t.run_count(), 3);
+        assert_eq!(read(t.scan_range(&[], None)), (cells(0..30), false));
+        let mut scan = t.scan_range(&[], None);
+        assert_eq!(scan.by_ref().count(), 30);
+        assert_eq!(scan.next(), None, "a finished walk stays finished");
+    }
+
+    #[test]
+    fn a_memtable_key_inside_a_run_forces_the_merge() {
+        let mut t = runs_of(&[(0, 10), (10, 20)]);
+        t.put(&[15], b"new");
+        let mut want = cells(0..20);
+        want[15].1 = b"new".to_vec();
+        assert_eq!(read(t.scan_range(&[], None)), (want, true));
+        // Past the second run, the memtable is disjoint again.
+        t.flush();
+        t.compact();
+        t.put(&[40], &[40]);
+        let mut want = cells(0..20);
+        want[15].1 = b"new".to_vec();
+        want.extend(cells([40]));
+        assert_eq!(read(t.scan_range(&[], None)), (want, false));
+    }
+
+    #[test]
+    fn a_newer_tombstone_over_an_older_run_forces_the_merge() {
+        let mut t = runs_of(&[(0, 10)]);
+        t.delete(&[4]);
+        t.flush();
+        assert_eq!(t.run_count(), 2);
+        let want = cells((0..10).filter(|k| *k != 4));
+        assert_eq!(read(t.scan_range(&[], None)), (want, true));
+        // A tombstone for a key no other source holds shadows nothing.
+        let mut t = runs_of(&[(0, 10)]);
+        t.delete(&[30]);
+        assert_eq!(read(t.scan_range(&[], None)), (cells(0..10), false));
+    }
+
+    #[test]
+    fn range_bounds_inside_the_second_run_of_a_walk() {
+        let t = runs_of(&[(0, 10), (10, 20), (20, 30)]);
+        let (lo, hi) = ([12u8], [17u8]);
+        assert_eq!(read(t.scan_range(&lo, Some(&hi))), (cells(12..17), false));
+        // From inside the second run to past the last.
+        assert_eq!(read(t.scan_range(&lo, None)), (cells(12..30), false));
+        // A range that falls between two keys of a run yields nothing.
+        let t = runs_of(&[(0, 10), (20, 30)]);
+        assert_eq!(read(t.scan_range(&[12], Some(&[17]))), (vec![], false));
+    }
+
+    #[test]
+    fn a_prefix_straddling_a_run_boundary_is_walked() {
+        // Rows of (row, column) keys; the second run starts mid-row 1.
+        let mut t = LsmTable::new(LsmConfig {
+            memtable_limit: 1_000,
+            max_runs: 1_000,
+        });
+        let key = |row: u8, column: u8| vec![row, column];
+        for (row, column) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+            t.put(&key(row, column), &[column]);
+        }
+        t.flush();
+        for (row, column) in [(1, 2), (1, 3), (2, 0)] {
+            t.put(&key(row, column), &[column]);
+        }
+        t.flush();
+        let want: Vec<_> = (0..4).map(|c| (key(1, c), vec![c])).collect();
+        assert_eq!(read(t.scan_prefix(&[1])), (want, false));
+        assert_eq!(read(t.scan_prefix(&[2])).0, vec![(key(2, 0), vec![0])]);
+        assert_eq!(read(t.scan_prefix(&[3])), (vec![], false));
     }
 
     #[test]

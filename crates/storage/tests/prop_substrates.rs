@@ -246,6 +246,10 @@ impl FileModel {
 enum LsmOp {
     Put(Vec<u8>, Vec<u8>),
     Delete(Vec<u8>),
+    /// Put this many keys above every key the model holds, in key order —
+    /// how a bulk load writes, and what leaves runs key-disjoint (random
+    /// keys almost never do).
+    Ascending(u8, Vec<u8>),
     Flush,
     Compact,
     CompactTail,
@@ -257,18 +261,47 @@ fn arb_lsm_key() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec((0usize..4).prop_map(|i| [0u8, 1, 7, 0xFF][i]), 0..4)
 }
 
-fn arb_lsm_ops() -> impl Strategy<Value = Vec<LsmOp>> {
-    let value = || prop::collection::vec(any::<u8>(), 0..6);
+fn arb_lsm_value() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(any::<u8>(), 0..6)
+}
+
+fn arb_ascending() -> impl Strategy<Value = LsmOp> {
+    (1u8..12, arb_lsm_value()).prop_map(|(n, v)| LsmOp::Ascending(n, v))
+}
+
+fn arb_random_lsm_ops() -> impl Strategy<Value = Vec<LsmOp>> {
     prop::collection::vec(
         prop_oneof![
-            8 => (arb_lsm_key(), value()).prop_map(|(k, v)| LsmOp::Put(k, v)),
+            8 => (arb_lsm_key(), arb_lsm_value()).prop_map(|(k, v)| LsmOp::Put(k, v)),
             4 => arb_lsm_key().prop_map(LsmOp::Delete),
+            2 => arb_ascending(),
             2 => Just(LsmOp::Flush),
             1 => Just(LsmOp::Compact),
             1 => Just(LsmOp::CompactTail),
         ],
-        0..250,
+        0..110,
     )
+}
+
+/// Random operations, then a compaction and a stretch written the way a
+/// bulk load writes — ascending batches, flushes and tail compactions,
+/// which leave key-disjoint runs (random writes almost never do) — then
+/// random operations again.
+fn arb_lsm_ops() -> impl Strategy<Value = Vec<LsmOp>> {
+    let load = prop::collection::vec(
+        prop_oneof![
+            4 => arb_ascending(),
+            1 => Just(LsmOp::Flush),
+            1 => Just(LsmOp::CompactTail),
+        ],
+        0..30,
+    );
+    (arb_random_lsm_ops(), load, arb_random_lsm_ops()).prop_map(|(mut ops, load, tail)| {
+        ops.push(LsmOp::Compact);
+        ops.extend(load);
+        ops.extend(tail);
+        ops
+    })
 }
 
 type LsmModel = BTreeMap<Vec<u8>, Vec<u8>>;
@@ -283,6 +316,15 @@ fn lsm_apply(lsm: &mut LsmTable, model: &mut LsmModel, op: &LsmOp) {
             lsm.delete(k);
             model.remove(k);
         }
+        LsmOp::Ascending(n, v) => {
+            let last = model.keys().next_back().cloned().unwrap_or_default();
+            for i in 0..*n {
+                let mut k = last.clone();
+                k.push(i);
+                lsm.put(&k, v);
+                model.insert(k, v.clone());
+            }
+        }
         LsmOp::Flush => lsm.flush(),
         LsmOp::Compact => lsm.compact(),
         LsmOp::CompactTail => lsm.compact_tail(),
@@ -292,33 +334,32 @@ fn lsm_apply(lsm: &mut LsmTable, model: &mut LsmModel, op: &LsmOp) {
 /// Every borrowed read of `lsm` answers as the model does: `get` on each
 /// probe key, the whole-store scan, and a range and a prefix scan per probe.
 fn lsm_check(lsm: &LsmTable, model: &LsmModel, probes: &[Vec<u8>]) -> Result<(), TestCaseError> {
-    let pairs = |it: &mut dyn Iterator<Item = (&[u8], &[u8])>| -> Vec<(Vec<u8>, Vec<u8>)> {
-        it.map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
-    };
-    let owned = |it: &mut dyn Iterator<Item = (&Vec<u8>, &Vec<u8>)>| -> Vec<(Vec<u8>, Vec<u8>)> {
-        it.map(|(k, v)| (k.clone(), v.clone())).collect()
-    };
-    prop_assert_eq!(
-        pairs(&mut lsm.scan_range(&[], None)),
-        owned(&mut model.iter())
-    );
+    type Pairs<'a> = Vec<(&'a [u8], &'a [u8])>;
+    fn pairs<'a>(it: impl Iterator<Item = (&'a [u8], &'a [u8])>) -> Pairs<'a> {
+        it.collect()
+    }
+    fn owned<'a>(it: impl Iterator<Item = (&'a Vec<u8>, &'a Vec<u8>)>) -> Pairs<'a> {
+        it.map(|(k, v)| (k.as_slice(), v.as_slice())).collect()
+    }
+    prop_assert_eq!(pairs(lsm.scan_range(&[], None)), owned(model.iter()));
     prop_assert_eq!(lsm.live_len(), model.len());
     for (i, probe) in probes.iter().enumerate() {
         prop_assert_eq!(lsm.get(probe), model.get(probe).map(Vec::as_slice));
         prop_assert_eq!(lsm.contains(probe), model.contains_key(probe));
+        let prefixed = model.range(probe.clone()..);
         prop_assert_eq!(
-            pairs(&mut lsm.scan_prefix(probe)),
-            owned(&mut model.iter().filter(|(k, _)| k.starts_with(probe)))
+            pairs(lsm.scan_prefix(probe)),
+            owned(prefixed.take_while(|(k, _)| k.starts_with(probe)))
         );
         let other = &probes[(i + 1) % probes.len()];
         let (lo, hi) = (probe.min(other), probe.max(other));
         prop_assert_eq!(
-            pairs(&mut lsm.scan_range(lo, Some(hi))),
-            owned(&mut model.range(lo.clone()..hi.clone()))
+            pairs(lsm.scan_range(lo, Some(hi))),
+            owned(model.range(lo.clone()..hi.clone()))
         );
         prop_assert_eq!(
-            pairs(&mut lsm.scan_range(lo, None)),
-            owned(&mut model.range(lo.clone()..))
+            pairs(lsm.scan_range(lo, None)),
+            owned(model.range(lo.clone()..))
         );
     }
     Ok(())
@@ -366,6 +407,41 @@ fn lsm_bytes_are_pinned_to_the_sstable_model() {
         (15, 8),
         "same flush and compaction schedule"
     );
+}
+
+/// The property test's ascending batches do what it needs them for: after
+/// random writes and a compaction, they leave several key-disjoint runs and
+/// a memtable above them, which a scan walks; one random write into the
+/// runs' range makes it merge again. Both read as the model does.
+#[test]
+fn ascending_batches_leave_runs_a_scan_walks() {
+    let mut lsm = LsmTable::new(LsmConfig {
+        memtable_limit: 8,
+        max_runs: 4,
+    });
+    let mut model = LsmModel::new();
+    let mut ops = vec![
+        LsmOp::Put(vec![1, 7], vec![1]),
+        LsmOp::Put(vec![0], vec![2]),
+        LsmOp::Delete(vec![1, 7]),
+        LsmOp::Put(vec![7, 0xFF], vec![3]),
+        LsmOp::Compact,
+    ];
+    ops.extend((0..5).map(|i| LsmOp::Ascending(6, vec![i])));
+    for op in &ops {
+        lsm_apply(&mut lsm, &mut model, op);
+    }
+    assert!(lsm.run_count() >= 3, "{} runs", lsm.run_count());
+    assert!(!lsm.scan_range(&[], None).merges());
+    let probes = [vec![7], vec![7, 0xFF, 5], vec![0]];
+    lsm_check(&lsm, &model, &probes).unwrap();
+    lsm_apply(
+        &mut lsm,
+        &mut model,
+        &LsmOp::Put(vec![7, 0xFF, 0, 9], vec![4]),
+    );
+    assert!(lsm.scan_range(&[], None).merges());
+    lsm_check(&lsm, &model, &probes).unwrap();
 }
 
 /// `node_count()` and `approx_bytes()` of fixed trees, pinned to the values
@@ -528,10 +604,12 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// The LSM's borrowed reads equal a BTreeMap oracle under any
-    /// interleaving of put/delete/flush/compact/compact_tail — and so do
-    /// those of a clone taken mid-stream, whose `Arc`-shared runs keep
-    /// answering for its own history while the original compacts them away.
+    /// The LSM's borrowed reads equal a BTreeMap oracle after every step of
+    /// any interleaving of put/delete/ascending batch/flush/compact/
+    /// compact_tail, whether a scan walks key-disjoint sources or merges
+    /// overlapping ones — and so do those of a clone taken mid-stream, whose
+    /// `Arc`-shared runs keep answering for its own history while the
+    /// original compacts them away.
     #[test]
     fn lsm_and_its_clone_match_their_own_models(
         ops in arb_lsm_ops(),
@@ -545,13 +623,13 @@ proptest! {
         let (before, after) = ops.split_at(split.index(ops.len() + 1));
         for op in before {
             lsm_apply(&mut lsm, &mut model, op);
+            lsm_check(&lsm, &model, &probes)?;
         }
         let (frozen, frozen_model) = (lsm.clone(), model.clone());
-        lsm_check(&frozen, &frozen_model, &probes)?;
         for op in after {
             lsm_apply(&mut lsm, &mut model, op);
+            lsm_check(&lsm, &model, &probes)?;
         }
-        lsm_check(&lsm, &model, &probes)?;
         lsm.compact();
         prop_assert!(lsm.run_count() <= 1);
         lsm_check(&lsm, &model, &probes)?;
