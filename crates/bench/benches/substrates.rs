@@ -1,13 +1,17 @@
 //! Criterion bench: the storage substrates in isolation — the ablation
-//! level below the engines (B+Tree vs bitmap vs LSM vs record files), plus
-//! the delta-encoding space/time trade-off behind the columnar engine.
+//! level below the engines (B+Tree vs bitmap vs LSM vs record files), the
+//! delta-encoding space/time trade-off behind the columnar engine, and one
+//! copy-on-write MVCC epoch of the linked engine built on them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use gm_datasets::{self as datasets, DatasetId, Scale};
 use gm_model::value::Value;
+use gm_model::{GraphDb, GraphSnapshot, LoadOptions};
 use gm_storage::bptree::BPlusTree;
 use gm_storage::codec::{delta_decode, delta_encode};
 use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::{Bitmap, HashIndex, PageStore, RecordFile};
+use graphmark::engines::linked::LinkedGraph;
 
 const N: u64 = 10_000;
 
@@ -281,12 +285,38 @@ fn bench_substrates(c: &mut Criterion) {
     group.finish();
 }
 
+/// One copy-on-write MVCC epoch on the linked engine, without the driver:
+/// clone the loaded graph (what `CowCell` does on the first write after a
+/// pin), add one edge to the clone, and drop the clone.
+fn bench_linked_clone(c: &mut Criterion) {
+    let data = datasets::generate(DatasetId::FrbL, Scale::small(), 42);
+    let mut base = LinkedGraph::v2();
+    base.bulk_load(&data, &LoadOptions::default())
+        .expect("load");
+    let (a, b) = (
+        base.resolve_vertex(1).expect("vertex 1"),
+        base.resolve_vertex(2).expect("vertex 2"),
+    );
+    // Intern the label once, as a steady-state workload has: an epoch that
+    // meets a new label also copies the label interner.
+    base.add_edge(a, b, "bench", &vec![]).expect("add_edge");
+    let mut group = c.benchmark_group("mvcc/epoch");
+    group.bench_function("linked_clone_then_add_edge", |bench| {
+        bench.iter(|| {
+            let mut epoch = base.clone();
+            epoch.add_edge(a, b, "bench", &vec![]).expect("add_edge");
+            epoch
+        });
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1200))
         .sample_size(10);
-    targets = bench_substrates
+    targets = bench_substrates, bench_linked_clone
 }
 criterion_main!(benches);

@@ -18,7 +18,7 @@ fn main() {
     let dir = std::path::Path::new(&out_dir);
     std::fs::create_dir_all(dir).expect("create output directory");
 
-    let bank = DataBank::generate(&env);
+    let bank = DataBank::generate(&env, &DataBank::ORDER);
     for (id, data) in bank.all() {
         let path = dir.join(format!("{}-{}.graphson.json", id.name(), env.scale.name));
         graphson::write_file(data, &path).expect("write graphson");

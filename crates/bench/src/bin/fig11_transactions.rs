@@ -31,32 +31,16 @@
 //! | `GM_TXN_OPS` | `8` | writes buffered per transaction (0 = autocommit) |
 //! | `GM_SNAPSHOT_MODE` | `cow` | `cow` / `native` snapshot cells |
 //!
-//! `--smoke` replaces the sweep with the PR's correctness gates, enforced
-//! in CI (any violation exits non-zero):
-//!
-//! 1. **replay equality** — a single worker running the whole write-heavy
-//!    sequence inside one transaction committed at the end must land the
-//!    exact same graph as the autocommit run;
-//! 2. **atomicity** — a concurrent pinner racing cross-shard transactional
-//!    commits must never observe a partial write set (counts stay on the
-//!    commit-granularity lattice);
-//! 3. **conflict semantics** — of two transactions racing on the same
-//!    vertex, the loser fails with the distinct `GdbError::TxnConflict`
-//!    and its whole write set is discarded;
-//! 4. **driver accounting** — a concurrent transactional driver run
-//!    completes with zero op errors, conflicts counted separately.
+//! What the sweep shows is asserted elsewhere: replay equality and
+//! conflict accounting by `gm-workload`'s driver tests, atomic cross-shard
+//! commits under a racing pinner and first-committer-wins by `gm-shard`'s
+//! and `gm-mvcc`'s transaction tests.
 
 use gm_bench::{config, Env};
 use gm_core::summary::{self, ScalingRow};
-use gm_datasets::{self as datasets, DatasetId, Scale};
-use gm_obs::trace;
-use gm_workload::{
-    prepare_snapshot, run_backend, run_snapshot, run_snapshot_txn, txn_ops_from_env, MixKind,
-    RunReport, SnapshotBackend, WorkloadConfig,
-};
-use graphmark::model::{GdbError, GraphDb, GraphSnapshot, QueryCtx, Value, Vid};
-use graphmark::mvcc::{SnapshotMode, SnapshotSource, WriteTxn};
-use graphmark::registry::EngineKind;
+use gm_datasets::{self as datasets, DatasetId};
+use gm_workload::{run_snapshot, run_snapshot_txn, MixKind, RunReport, WorkloadConfig};
+use graphmark::mvcc::{SnapshotMode, SnapshotSource};
 
 struct Sweep {
     env: Env,
@@ -75,7 +59,7 @@ fn sweep_from_env() -> Sweep {
         threads: config::var_list_u32("GM_THREADS", "2,4"),
         mixes: config::var_mixes("GM_MIXES", "write-heavy,mixed"),
         ops_per_worker: config::var_u64("GM_WL_OPS", 400),
-        txn_ops: txn_ops_from_env(),
+        txn_ops: config::var_u64("GM_TXN_OPS", 8),
         // Transactions need a snapshot source; "off" makes no sense here.
         mode: config::var_snapshot_mode(Some(SnapshotMode::Cow)).unwrap_or(SnapshotMode::Cow),
     }
@@ -107,10 +91,6 @@ fn log_row(r: &RunReport) {
 fn main() {
     config::apply_obs_mode();
     config::apply_trace_mode();
-    if std::env::args().any(|a| a == "--smoke") {
-        smoke();
-        return;
-    }
     let sweep = sweep_from_env();
     if sweep.shards.is_empty() || sweep.threads.is_empty() || sweep.mixes.is_empty() {
         eprintln!(
@@ -184,245 +164,5 @@ fn main() {
     println!("\n--- csv ---");
     print!("{}", summary::scaling_to_csv(&rows));
 
-    if trace::enabled() {
-        let ring = trace::global_ring();
-        let stamped = rows.iter().filter(|r| r.p99_exemplar != 0).count();
-        let resolved = rows
-            .iter()
-            .filter(|r| r.p99_exemplar != 0 && ring.find(r.p99_exemplar).is_some())
-            .count();
-        eprintln!(
-            "[fig11] trace: {resolved}/{stamped} p99 exemplars resolve in the flight recorder"
-        );
-    }
-    if let Some(base) = config::trace_dump_path() {
-        match trace::dump_to(&base, &trace::global_ring().snapshot()) {
-            Ok(()) => eprintln!("[fig11] traces dumped to {base}.txt and {base}.json"),
-            Err(e) => eprintln!("[fig11] GM_TRACE_DUMP to {base} failed: {e}"),
-        }
-    }
-}
-
-fn fail(why: String) -> ! {
-    eprintln!("[fig11] smoke FAILED: {why}");
-    std::process::exit(1);
-}
-
-fn counts(source: &dyn SnapshotSource) -> (u64, u64) {
-    let snap = source
-        .snapshot()
-        .unwrap_or_else(|e| fail(format!("count pin: {e}")));
-    let ctx = QueryCtx::unbounded();
-    (
-        snap.vertex_count(&ctx)
-            .unwrap_or_else(|e| fail(format!("vertex count: {e}"))),
-        snap.edge_count(&ctx)
-            .unwrap_or_else(|e| fail(format!("edge count: {e}"))),
-    )
-}
-
-/// The CI gates: replay equality, cross-shard atomicity under a racing
-/// pinner, distinct conflict semantics, and clean driver accounting — all
-/// on a tiny fixed configuration.
-fn smoke() {
-    let env = Env::from_env();
-    let kind = *env.engines.first().unwrap_or(&EngineKind::LinkedV2);
-    let data = datasets::generate(DatasetId::Yeast, Scale::tiny(), env.seed);
-    eprintln!(
-        "[fig11] smoke: engine {}, dataset {} |V|={} |E|={} [smoke]",
-        kind.name(),
-        data.name,
-        data.vertex_count(),
-        data.edge_count(),
-    );
-
-    // Gate 1: one transaction spanning a single worker's whole write-heavy
-    // sequence, committed at session finish, must land the same graph as
-    // the autocommit run of the same deterministic sequence.
-    let cfg = WorkloadConfig {
-        mix: MixKind::WriteHeavy,
-        threads: 1,
-        ops_per_worker: config::var_u64("GM_WL_OPS", 300),
-        seed: env.seed,
-        op_timeout: env.timeout,
-        ..WorkloadConfig::default()
-    };
-    let src_factory =
-        || -> Box<dyn SnapshotSource> { Box::new(kind.make_sharded_source(4, SnapshotMode::Cow)) };
-    let (txn_src, txn_params) = prepare_snapshot(&src_factory, &data, &cfg)
-        .unwrap_or_else(|e| fail(format!("txn prepare: {e}")));
-    let backend =
-        SnapshotBackend::new(txn_src.as_ref(), &txn_params, cfg.op_timeout).with_txn_ops(u64::MAX);
-    let txn_report =
-        run_backend(&backend, &data.name, &cfg).unwrap_or_else(|e| fail(format!("txn run: {e}")));
-    if txn_report.errors() > 0 || txn_report.txn_conflicts() > 0 {
-        fail(format!(
-            "single-worker txn run: {} errors, {} conflicts (both must be 0)",
-            txn_report.errors(),
-            txn_report.txn_conflicts()
-        ));
-    }
-    let (auto_src, auto_params) = prepare_snapshot(&src_factory, &data, &cfg)
-        .unwrap_or_else(|e| fail(format!("autocommit prepare: {e}")));
-    let backend = SnapshotBackend::new(auto_src.as_ref(), &auto_params, cfg.op_timeout);
-    let auto_report = run_backend(&backend, &data.name, &cfg)
-        .unwrap_or_else(|e| fail(format!("autocommit run: {e}")));
-    if auto_report.errors() > 0 {
-        fail(format!("autocommit run: {} errors", auto_report.errors()));
-    }
-    let (tv, te) = counts(txn_src.as_ref());
-    let (av, ae) = counts(auto_src.as_ref());
-    if (tv, te) != (av, ae) {
-        fail(format!(
-            "transactional replay diverged from autocommit: |V|/|E| {tv}/{te} vs {av}/{ae}"
-        ));
-    }
-    eprintln!(
-        "[fig11] smoke: replay equality holds over {} buffered writes (|V|={tv} |E|={te})",
-        cfg.ops_per_worker
-    );
-
-    // Gate 2: a pinner racing cross-shard transactional commits never sees
-    // a partial write set. Each transaction adds exactly 3 vertices across
-    // shards, so every pinned count must sit on the 3-vertex lattice.
-    let source = kind.make_sharded_source(4, SnapshotMode::Cow);
-    source
-        .with_write(&mut |db: &mut dyn GraphDb| {
-            for i in 0..16u64 {
-                let v = db.add_vertex("base", &vec![("seq".into(), Value::Int(i as i64))])?;
-                let _ = v;
-            }
-            Ok(0)
-        })
-        .unwrap_or_else(|e| fail(format!("atomicity seed: {e}")));
-    let base = counts(&source).0;
-    let commits = 30u64;
-    let done = std::sync::atomic::AtomicBool::new(false);
-    let torn = std::thread::scope(|s| {
-        let src = &source;
-        let done_ref = &done;
-        let pinner = s.spawn(move || -> u64 {
-            let ctx = QueryCtx::unbounded();
-            let mut torn = 0u64;
-            while !done_ref.load(std::sync::atomic::Ordering::Acquire) {
-                let snap = match src.snapshot() {
-                    Ok(s) => s,
-                    Err(_) => continue,
-                };
-                let n = snap.vertex_count(&ctx).unwrap_or(base);
-                if n < base || !(n - base).is_multiple_of(3) {
-                    torn += 1;
-                }
-            }
-            torn
-        });
-        for i in 0..commits {
-            let mut txn = WriteTxn::begin(src).unwrap_or_else(|e| fail(format!("begin: {e}")));
-            for j in 0..3u64 {
-                txn.add_vertex("txn", &vec![("id".into(), Value::Int((i * 3 + j) as i64))])
-                    .unwrap_or_else(|e| fail(format!("buffer: {e}")));
-            }
-            txn.commit(src)
-                .unwrap_or_else(|e| fail(format!("commit {i}: {e}")));
-        }
-        done.store(true, std::sync::atomic::Ordering::Release);
-        pinner
-            .join()
-            .unwrap_or_else(|_| fail("pinner panicked".into()))
-    });
-    if torn > 0 {
-        fail(format!(
-            "{torn} pinned reads observed a partial cross-shard write set"
-        ));
-    }
-    let after = counts(&source).0;
-    if after != base + commits * 3 {
-        fail(format!(
-            "committed vertex count drifted: expected {}, got {after}",
-            base + commits * 3
-        ));
-    }
-    eprintln!(
-        "[fig11] smoke: 0 torn reads across {commits} racing cross-shard commits \
-         ({base} → {after} vertices)"
-    );
-
-    // Gate 3: first-committer-wins with the distinct error variant. Both
-    // transactions touch the same vertex; the loser's whole set (including
-    // an unrelated vertex creation) is discarded.
-    let victim = {
-        let snap = source.snapshot().unwrap_or_else(|e| fail(e.to_string()));
-        let ctx = QueryCtx::unbounded();
-        let mut it = snap
-            .scan_vertices(&ctx)
-            .unwrap_or_else(|e| fail(e.to_string()));
-        match it.next() {
-            Some(Ok(v)) => v,
-            _ => fail("no vertex to race on".into()),
-        }
-    };
-    let set_prop = |txn: &mut WriteTxn, v: Vid, who: &str| {
-        txn.set_vertex_property(v, "fig11_who", Value::Str(who.into()))
-            .unwrap_or_else(|e| fail(format!("buffer prop: {e}")));
-    };
-    let mut t1 = WriteTxn::begin(&source).unwrap_or_else(|e| fail(e.to_string()));
-    let mut t2 = WriteTxn::begin(&source).unwrap_or_else(|e| fail(e.to_string()));
-    set_prop(&mut t1, victim, "first");
-    set_prop(&mut t2, victim, "second");
-    t2.add_vertex("loser-extra", &Vec::new())
-        .unwrap_or_else(|e| fail(e.to_string()));
-    let before_loser = counts(&source).0;
-    t1.commit(&source)
-        .unwrap_or_else(|e| fail(format!("winner commit: {e}")));
-    match t2.commit(&source) {
-        Err(GdbError::TxnConflict(_)) => {}
-        Err(e) => fail(format!("loser failed with the wrong variant: {e}")),
-        Ok(_) => fail("conflicting commit succeeded — first-committer-wins is broken".into()),
-    }
-    let snap = source.snapshot().unwrap_or_else(|e| fail(e.to_string()));
-    match snap.vertex_property(victim, "fig11_who") {
-        Ok(Some(Value::Str(s))) if s == "first" => {}
-        other => fail(format!("winner's write did not survive: {other:?}")),
-    }
-    if counts(&source).0 != before_loser {
-        fail("loser's discarded set leaked a vertex".into());
-    }
-    eprintln!("[fig11] smoke: conflicting commit failed with TxnConflict, loser's set discarded");
-
-    // Gate 4: the concurrent transactional driver completes cleanly —
-    // conflicts (if any) are accounted, never surfaced as op errors.
-    let cfg = WorkloadConfig {
-        mix: MixKind::WriteHeavy,
-        threads: 4,
-        ops_per_worker: config::var_u64("GM_WL_OPS", 300),
-        seed: env.seed,
-        op_timeout: env.timeout,
-        ..WorkloadConfig::default()
-    };
-    let report = run_snapshot_txn(&src_factory, &data, &cfg, txn_ops_from_env().max(1))
-        .unwrap_or_else(|e| fail(format!("driver txn run: {e}")));
-    log_row(&report);
-    if report.errors() > 0 {
-        fail(format!(
-            "concurrent txn run surfaced {} op errors (conflicts must be counted, not errored)",
-            report.errors()
-        ));
-    }
-    if report.ops() != cfg.threads as u64 * cfg.ops_per_worker {
-        fail(format!(
-            "concurrent txn run completed {} of {} ops",
-            report.ops(),
-            cfg.threads as u64 * cfg.ops_per_worker
-        ));
-    }
-    let row = report.scaling_row();
-    if row.txn_conflicts != report.txn_conflicts() {
-        fail("txn_conflicts accounting diverged between report and scaling row".into());
-    }
-    eprintln!(
-        "[fig11] smoke: concurrent txn run clean — {} ops, {} conflicts counted, 0 errors",
-        report.ops(),
-        report.txn_conflicts()
-    );
-    eprintln!("[fig11] smoke: all transaction gates passed");
+    gm_bench::finish_traces("fig11", &rows);
 }

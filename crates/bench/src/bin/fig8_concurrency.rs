@@ -36,27 +36,19 @@
 //! | `GM_MAX_LATENESS_MS` | `50` | backlog bound: arrivals later than this are shed |
 //! | `GM_SNAPSHOT_MODE` | `cow` | `off` / `cow` / `native` snapshot read path |
 //!
-//! `--smoke` replaces the environment-driven configuration with a tiny fixed
-//! one (tiny dataset, one engine, 2 threads) so CI can exercise the binary
-//! on every push in a few seconds. Two smoke personalities:
-//!
-//! * `GM_SNAPSHOT_MODE` unset/`off` — the overload smoke: fails if the
-//!   aggressive open-loop sweep never sheds;
-//! * `GM_SNAPSHOT_MODE=cow|native` — the isolation smoke: runs the same
-//!   read-only workload under locked and snapshot reads and **fails if the
-//!   two disagree on any per-op result count**, then checks that snapshot
-//!   reads observed zero epoch skew.
+//! What the sweep shows is asserted elsewhere: shed accounting by
+//! `tests/concurrency.rs`, locked and snapshot reads agreeing by
+//! `tests/snapshot_consistency.rs`, exemplars resolving by
+//! `tests/trace_exemplars.rs`.
 
 use std::time::Duration;
 
 use gm_bench::{config, Env};
 use gm_core::report::{Report, RunMode};
 use gm_core::summary::{self, ScalingRow};
-use gm_datasets::{self as datasets, DatasetId, Scale};
-use gm_obs::trace;
-use gm_workload::{run, run_snapshot, MixKind, Pacing, WorkloadConfig};
+use gm_datasets::{self as datasets, DatasetId};
+use gm_workload::{format_nanos, run, run_snapshot, MixKind, Pacing, WorkloadConfig};
 use graphmark::mvcc::{SnapshotMode, SnapshotSource};
-use graphmark::registry::EngineKind;
 
 struct Sweep {
     env: Env,
@@ -80,41 +72,6 @@ fn sweep_from_env() -> Sweep {
     }
 }
 
-/// The fixed tiny configuration behind `--smoke`: one engine, 2 threads.
-/// With snapshots off it keeps the aggressive overload sweep (shed
-/// accounting must engage); with snapshots on it swaps the overload sweep
-/// for the locked-vs-snapshot consistency check, so each CI step stays
-/// focused and fast.
-fn sweep_smoke() -> Sweep {
-    let mut env = Env::from_env();
-    env.scale = Scale::tiny();
-    if std::env::var("GM_ENGINES").is_err() {
-        env.engines = vec![EngineKind::LinkedV2];
-    }
-    let snapshot = config::var_snapshot_mode(None);
-    Sweep {
-        env,
-        threads: if snapshot.is_some() {
-            vec![2, 4]
-        } else {
-            vec![2]
-        },
-        mixes: if snapshot.is_some() {
-            vec![MixKind::WriteHeavy]
-        } else {
-            vec![MixKind::ReadHeavy]
-        },
-        ops_per_worker: if snapshot.is_some() { 400 } else { 1_000 },
-        overload_factors: if snapshot.is_some() {
-            Vec::new()
-        } else {
-            vec![0.5, 4.0, 32.0]
-        },
-        max_lateness: Duration::from_millis(1),
-        snapshot,
-    }
-}
-
 /// What one snapshot run copied on write, per published epoch: the engine
 /// clone's duration next to the pages the storage layer then copied. Empty
 /// when counters are off or the run published nothing.
@@ -134,52 +91,16 @@ fn copy_amplification(
     };
     format!(
         "  per epoch: clone {}, {:.1} pages / {:.1} KiB copied",
-        gm_workload::format_nanos((clone_nanos(after) - clone_nanos(before)) / publishes),
+        format_nanos((clone_nanos(after) - clone_nanos(before)) / publishes),
         delta("storage.cow.pages_copied") as f64 / publishes as f64,
         delta("storage.cow.bytes_copied") as f64 / publishes as f64 / 1024.0,
     )
 }
 
-/// Report how many of the sweep's `p99_exemplar` ids resolve against the
-/// flight recorder, and fail a smoke run on any dangling id: the driver
-/// promises it only stamps an exemplar whose record landed in the ring.
-fn check_exemplars(rows: &[ScalingRow], smoke: bool) {
-    if !trace::enabled() {
-        return;
-    }
-    let ring = trace::global_ring();
-    let stamped: Vec<u64> = rows
-        .iter()
-        .map(|r| r.p99_exemplar)
-        .filter(|&id| id != 0)
-        .collect();
-    let dangling = stamped
-        .iter()
-        .filter(|&&id| ring.find(id).is_none())
-        .count();
-    eprintln!(
-        "[fig8] trace: {}/{} p99 exemplars resolve in the flight recorder",
-        stamped.len() - dangling,
-        stamped.len()
-    );
-    if smoke && (dangling > 0 || stamped.is_empty()) {
-        eprintln!(
-            "[fig8] smoke FAILED: {dangling} dangling p99 exemplars of {} stamped",
-            stamped.len()
-        );
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     config::apply_obs_mode();
     config::apply_trace_mode();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sweep = if smoke {
-        sweep_smoke()
-    } else {
-        sweep_from_env()
-    };
+    let sweep = sweep_from_env();
     if sweep.threads.is_empty() || sweep.mixes.is_empty() {
         eprintln!("[fig8] nothing to run: GM_THREADS or GM_MIXES left no valid entries");
         std::process::exit(2);
@@ -187,7 +108,7 @@ fn main() {
 
     let data = datasets::generate(DatasetId::Yeast, sweep.env.scale, sweep.env.seed);
     eprintln!(
-        "[fig8] dataset {} |V|={} |E|={}, {} engines × {:?} threads × {:?}, snapshot mode {}{}",
+        "[fig8] dataset {} |V|={} |E|={}, {} engines × {:?} threads × {:?}, snapshot mode {}",
         data.name,
         data.vertex_count(),
         data.edge_count(),
@@ -195,13 +116,10 @@ fn main() {
         sweep.threads,
         sweep.mixes.iter().map(|m| m.name()).collect::<Vec<_>>(),
         sweep.snapshot.map(|m| m.name()).unwrap_or("off"),
-        if smoke { " [smoke]" } else { "" }
     );
 
     let mut rows: Vec<ScalingRow> = Vec::new();
     let mut report = Report::default();
-    let mut total_shed = 0u64;
-    let mut total_skew = 0u64;
     for kind in &sweep.env.engines {
         for mix in &sweep.mixes {
             // Closed-loop sweep: each thread count, measuring capacity —
@@ -227,7 +145,7 @@ fn main() {
                             t,
                             r.isolation,
                             r.throughput(),
-                            gm_workload::format_nanos(r.hist.p99()),
+                            format_nanos(r.hist.p99()),
                         );
                         capacity = capacity.max(r.throughput());
                         report.push(r.to_measurement());
@@ -251,10 +169,9 @@ fn main() {
                                 t,
                                 r.isolation,
                                 r.throughput(),
-                                gm_workload::format_nanos(r.hist.p99()),
+                                format_nanos(r.hist.p99()),
                                 copy_amplification(&before, &gm_obs::global().snapshot(), mode),
                             );
-                            total_skew += r.epoch_skew();
                             report.push(r.to_measurement());
                             rows.push(r.scaling_row());
                         }
@@ -296,9 +213,8 @@ fn main() {
                             r.throughput(),
                             r.shed(),
                             r.scaling_row().shed_fraction() * 100.0,
-                            gm_workload::format_nanos(r.hist.p99()),
+                            format_nanos(r.hist.p99()),
                         );
-                        total_shed += r.shed();
                         report.push(r.to_measurement());
                         rows.push(r.scaling_row());
                     }
@@ -322,74 +238,5 @@ fn main() {
     println!("\n--- csv ---");
     print!("{}", summary::scaling_to_csv(&rows));
 
-    check_exemplars(&rows, smoke);
-    if let Some(base) = config::trace_dump_path() {
-        match trace::dump_to(&base, &trace::global_ring().snapshot()) {
-            Ok(()) => eprintln!("[fig8] traces dumped to {base}.txt and {base}.json"),
-            Err(e) => eprintln!("[fig8] GM_TRACE_DUMP to {base} failed: {e}"),
-        }
-    }
-
-    if smoke {
-        match sweep.snapshot {
-            // The overload smoke exercises shed accounting: at up to 32×
-            // measured capacity with a 1 ms bound, a zero shed count means
-            // backpressure never engaged — fail loudly.
-            None => {
-                if total_shed == 0 {
-                    eprintln!(
-                        "[fig8] smoke: overload sweep shed 0 ops — backpressure did not engage"
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "[fig8] smoke: overload sweep shed {total_shed} ops — backpressure engaged"
-                );
-            }
-            // The isolation smoke: snapshot reads and locked reads must
-            // agree on every per-op result count of a read-only workload
-            // (the two read paths may differ in cost, never in answers),
-            // and in-process snapshot epochs must never skew.
-            Some(mode) => {
-                let kind = sweep.env.engines[0];
-                let cfg = WorkloadConfig {
-                    mix: MixKind::ReadOnly,
-                    threads: 2,
-                    ops_per_worker: 200,
-                    seed: sweep.env.seed,
-                    op_timeout: sweep.env.timeout,
-                    record_cardinalities: true,
-                    ..WorkloadConfig::default()
-                };
-                let factory = move || kind.make();
-                let locked = run(&factory, &data, &cfg).expect("locked smoke run");
-                let src_factory =
-                    move || -> Box<dyn SnapshotSource> { kind.make_snapshot_source(mode) };
-                let snap = run_snapshot(&src_factory, &data, &cfg).expect("snapshot smoke run");
-                if locked.cardinality_trace() != snap.cardinality_trace() {
-                    eprintln!(
-                        "[fig8] smoke: snapshot ({}) and locked reads DISAGREE on result \
-                         counts for {} — isolation must never change answers",
-                        mode.name(),
-                        kind.name()
-                    );
-                    std::process::exit(1);
-                }
-                if snap.epoch_skew() + total_skew > 0 {
-                    eprintln!(
-                        "[fig8] smoke: in-process snapshot runs observed epoch skew \
-                         ({} + {total_skew}) — epochs must be monotone",
-                        snap.epoch_skew()
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "[fig8] smoke: snapshot-{} and locked reads agree on {} per-op counts, \
-                     zero epoch skew",
-                    mode.name(),
-                    locked.cardinality_trace().len()
-                );
-            }
-        }
-    }
+    gm_bench::finish_traces("fig8", &rows);
 }

@@ -21,18 +21,17 @@
 //!   engine for the side-by-side comparison;
 //! * `GM_MIXES`, `GM_WL_OPS`, `GM_MAX_LATENESS_MS` as in `fig8`.
 //!
-//! `--smoke` runs a tiny fixed loopback configuration and exits nonzero on
-//! any op error or protocol failure — CI's end-to-end check that the wire
-//! path stays sound.
+//! What the sweep shows is asserted elsewhere: remote runs matching the
+//! in-process replay and server traces stitched under the client's id by
+//! `crates/net/tests/loopback.rs`.
 
 use std::time::Duration;
 
 use gm_bench::{config, Env};
 use gm_core::summary::{self, ScalingRow};
-use gm_datasets::{self as datasets, DatasetId, Scale};
+use gm_datasets::{self as datasets, DatasetId};
 use gm_net::{run_remote, Connection, Server, ServerHandle};
-use gm_obs::trace;
-use gm_workload::{run, MixKind, Pacing, RunReport, WorkloadConfig};
+use gm_workload::{format_nanos, run, MixKind, Pacing, RunReport, WorkloadConfig};
 use graphmark::registry::EngineKind;
 
 struct Sweep {
@@ -53,26 +52,6 @@ fn sweep_from_env() -> Sweep {
         ops_per_worker: config::var_u64("GM_WL_OPS", 400),
         max_lateness: config::var_millis("GM_MAX_LATENESS_MS", 50),
         server_addr,
-    }
-}
-
-/// The fixed tiny configuration behind `--smoke`: one engine, two mixes,
-/// two clients, a short closed-loop sweep plus one paced pair — enough to
-/// exercise handshake, dataset shipping, server-side execution, and the
-/// in-process/network comparison end to end in seconds.
-fn sweep_smoke() -> Sweep {
-    let mut env = Env::from_env();
-    env.scale = Scale::tiny();
-    if std::env::var("GM_ENGINES").is_err() {
-        env.engines = vec![EngineKind::LinkedV2];
-    }
-    Sweep {
-        env,
-        clients: vec![2],
-        mixes: vec![MixKind::ReadHeavy, MixKind::Mixed],
-        ops_per_worker: 150,
-        max_lateness: Duration::from_millis(5),
-        server_addr: std::env::var("GM_SERVER_ADDR").ok(),
     }
 }
 
@@ -100,12 +79,7 @@ impl ServerSlot {
 fn main() {
     config::apply_obs_mode();
     config::apply_trace_mode();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sweep = if smoke {
-        sweep_smoke()
-    } else {
-        sweep_from_env()
-    };
+    let sweep = sweep_from_env();
     if sweep.clients.is_empty() || sweep.mixes.is_empty() {
         eprintln!("[fig9] nothing to run: GM_NET_CLIENTS or GM_MIXES left no valid entries");
         std::process::exit(2);
@@ -135,7 +109,7 @@ fn main() {
 
     let data = datasets::generate(DatasetId::Yeast, sweep.env.scale, sweep.env.seed);
     eprintln!(
-        "[fig9] dataset {} |V|={} |E|={}, {} engines × {:?} clients × {:?}{}{}",
+        "[fig9] dataset {} |V|={} |E|={}, {} engines × {:?} clients × {:?}{}",
         data.name,
         data.vertex_count(),
         data.edge_count(),
@@ -146,60 +120,13 @@ fn main() {
             Some(addr) => format!(" [server {addr}]"),
             None => " [loopback]".to_string(),
         },
-        if smoke { " [smoke]" } else { "" }
     );
 
     let mut rows: Vec<ScalingRow> = Vec::new();
-    let mut total_errors = 0u64;
-    let mut failures = 0u32;
-    let mut unresolved_exemplars = 0u32;
-    let mut exemplar_rows = 0u32;
-    let mut stitched_traces = 0u32;
-
-    let mut push = |report: RunReport, net: bool, rows: &mut Vec<ScalingRow>| -> f64 {
+    let push = |report: RunReport, net: bool, rows: &mut Vec<ScalingRow>| -> f64 {
         let mut row = report.scaling_row();
         if net {
             row.engine.push_str("@net");
-        }
-        // Resolve the row's p99 exemplar against the flight recorder *now*,
-        // while the run's records are freshest in the ring: every reported
-        // exemplar must name a retrievable trace record.
-        if row.p99_exemplar != 0 {
-            exemplar_rows += 1;
-            match trace::global_ring().find(row.p99_exemplar) {
-                Some(rec) => eprintln!(
-                    "[fig9]     p99 exemplar {:#018x}: {} worker {} op {} took {}",
-                    rec.id,
-                    trace::op_code_label(rec.op_code),
-                    rec.worker,
-                    rec.op_index,
-                    summary::format_nanos(rec.total_nanos),
-                ),
-                None => {
-                    eprintln!(
-                        "[fig9]     p99 exemplar {:#018x} NOT in the flight recorder",
-                        row.p99_exemplar
-                    );
-                    unresolved_exemplars += 1;
-                }
-            }
-        }
-        // Stitched cross-process traces: network-attached closed-loop runs
-        // ship the server's phase spans back under the client's trace id, so
-        // a client record's phase self-times should account for (nearly all
-        // of) its end-to-end latency. Open-loop latency includes schedule
-        // queueing, which no phase attributes — skip those rows.
-        if net && report.offered_ops_per_sec.is_none() {
-            stitched_traces += trace::global_ring()
-                .snapshot()
-                .iter()
-                .filter(|r| {
-                    r.origin == trace::TraceOrigin::Client
-                        && r.phases.wire() > 0
-                        && r.phases.total() >= r.total_nanos.saturating_mul(4) / 5
-                        && r.phases.total() <= r.total_nanos
-                })
-                .count() as u32;
         }
         eprintln!(
             "[fig9]   {:<20} {:<11} c={:<2} {:>9.0} ops/s  p50 {:>9} p99 {:>9}{}",
@@ -207,8 +134,8 @@ fn main() {
             row.mix,
             row.threads,
             row.throughput(),
-            summary::format_nanos(row.p50_nanos),
-            summary::format_nanos(row.p99_nanos),
+            format_nanos(row.p50_nanos),
+            format_nanos(row.p99_nanos),
             if row.shed > 0 {
                 format!("  shed {}", row.shed)
             } else {
@@ -216,7 +143,6 @@ fn main() {
             },
         );
         let throughput = row.throughput();
-        total_errors += report.errors();
         rows.push(row);
         throughput
     };
@@ -232,7 +158,6 @@ fn main() {
                     Ok(handle) => ServerSlot::Spawned(handle),
                     Err(e) => {
                         eprintln!("[fig9] {}: cannot spawn loopback server: {e}", kind.name());
-                        failures += 1;
                         continue;
                     }
                 }
@@ -261,7 +186,6 @@ fn main() {
                     }
                     Err(e) => {
                         eprintln!("[fig9]   {} {} c={c}: FAILED: {e}", kind.name(), mix.name());
-                        failures += 1;
                     }
                 }
                 match run_remote(&addr, &data, &cfg) {
@@ -274,7 +198,6 @@ fn main() {
                             kind.name(),
                             mix.name()
                         );
-                        failures += 1;
                     }
                 }
             }
@@ -301,7 +224,6 @@ fn main() {
                 }
                 Err(e) => {
                     eprintln!("[fig9]   {} {} paced: FAILED: {e}", kind.name(), mix.name());
-                    failures += 1;
                 }
             }
             match run_remote(&addr, &data, &cfg) {
@@ -314,7 +236,6 @@ fn main() {
                         kind.name(),
                         mix.name()
                     );
-                    failures += 1;
                 }
             }
         }
@@ -330,38 +251,5 @@ fn main() {
     println!("\n--- csv ---");
     print!("{}", summary::scaling_to_csv(&rows));
 
-    if let Some(base) = config::trace_dump_path() {
-        match trace::dump_to(&base, &trace::global_ring().snapshot()) {
-            Ok(()) => eprintln!("[fig9] traces dumped to {base}.txt and {base}.json"),
-            Err(e) => eprintln!("[fig9] GM_TRACE_DUMP to {base} failed: {e}"),
-        }
-    }
-
-    if smoke {
-        if failures > 0 || total_errors > 0 {
-            eprintln!(
-                "[fig9] smoke FAILED: {failures} failed runs, {total_errors} op errors \
-                 (protocol or engine trouble over loopback)"
-            );
-            std::process::exit(1);
-        }
-        if unresolved_exemplars > 0 || (trace::enabled() && exemplar_rows == 0) {
-            eprintln!(
-                "[fig9] smoke FAILED: {unresolved_exemplars} of {exemplar_rows} p99 exemplars \
-                 did not resolve to a flight-recorder record"
-            );
-            std::process::exit(1);
-        }
-        if trace::enabled() && stitched_traces == 0 {
-            eprintln!(
-                "[fig9] smoke FAILED: no stitched cross-process trace (no client record's \
-                 phase self-times covered >=80% of its end-to-end latency)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[fig9] smoke: loopback sweep clean — wire path sound \
-             ({exemplar_rows} exemplars resolved, {stitched_traces} stitched traces)"
-        );
-    }
+    gm_bench::finish_traces("fig9", &rows);
 }

@@ -3,7 +3,7 @@
 //! The harness binaries used to parse environment variables ad hoc, each
 //! with its own defaults and error handling; this module centralizes the
 //! parsing (with uniform "ignored invalid entry" warnings) and registers
-//! every knob in [`KNOBS`] so `reproduce_all` can print an accurate table
+//! every knob in [`KNOBS`] so `reproduce` can print an accurate table
 //! and new knobs cannot silently drift undocumented.
 
 use std::time::Duration;
@@ -164,7 +164,7 @@ pub const KNOBS: &[Knob] = &[
     },
 ];
 
-/// Render the knob table (for `reproduce_all`'s header).
+/// Render the knob table (for `reproduce`'s header).
 pub fn render_knobs() -> String {
     let mut out = String::from("environment knobs (see gm-bench::config):\n");
     for k in KNOBS {

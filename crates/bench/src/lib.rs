@@ -1,36 +1,46 @@
 //! # gm-bench — the figure/table reproduction harness
 //!
-//! One binary per paper artifact (see DESIGN.md §4): `table1`, `table3`,
-//! `fig1_space`, `fig1_timeouts`, `fig2_complex`, `fig3_load`, `fig3_cud`,
-//! `fig4_read`, `fig5_traverse`, `fig6_bfs`, `fig7_paths`, `fig7_overall`,
-//! `table4`, and `reproduce_all` — plus the beyond-the-paper sweeps
-//! `fig8_concurrency` (multi-client scaling), `fig9_network`
-//! (network-attached), and `fig10_sharding` (per-partition locks vs one
-//! big lock). Criterion micro-benches live in `benches/`.
+//! The paper's tables and figures are one table, [`artifacts::ARTIFACTS`]:
+//! one row per artifact (name, title, datasets, what it runs, how it
+//! renders, the paper's expected shape). The `reproduce` binary runs any of
+//! them by name, or `all` of them in the paper's order, generating each
+//! dataset once per process and running the full Freebase suite once for
+//! every artifact that reads it (Figure 1(c), Figure 7(c, d), Table 4).
+//!
+//! Beside it: `export_datasets` (GraphSON export) and the beyond-the-paper
+//! sweeps `fig8_concurrency` (multi-client scaling, overload, locked vs
+//! snapshot reads), `fig9_network` (in-process vs network-attached),
+//! `fig10_sharding` (per-partition locks vs one big lock, optional
+//! `@fleet` rows) and `fig11_transactions` (transactional vs autocommit
+//! writes). Their correctness claims are asserted by tier-1 tests and their
+//! costs by `benchmark/`'s ledger, not by the sweeps. The one criterion
+//! bench, `benches/substrates.rs`, measures the storage substrates.
 //!
 //! All binaries honour the `GM_*` environment knobs; the typed parsers and
 //! the authoritative registry (names, defaults, docs) live in [`config`] —
-//! `reproduce_all` prints the full table. Core set: `GM_SCALE`
+//! `reproduce` prints the full table. Core set: `GM_SCALE`
 //! (`tiny`/`small`/`medium`/`a/b`), `GM_SEED`, `GM_TIMEOUT_SECS`,
-//! `GM_BATCH`, `GM_ENGINES`; the concurrency/network/sharding sweeps add
-//! `GM_THREADS`, `GM_MIXES`, `GM_WL_OPS`, `GM_OVERLOAD_FACTORS`,
-//! `GM_MAX_LATENESS_MS`, `GM_SERVER_ADDR`, `GM_NET_CLIENTS`, and
-//! `GM_SHARDS`. Observability is controlled by `GM_OBS` (metrics/phases)
-//! and `GM_TRACE`/`GM_TRACE_CAP`/`GM_TRACE_DUMP` (the per-op trace flight
-//! recorder behind the sweeps' `p99_exemplar` column; `trace_smoke` gates
-//! its attribution and off-mode overhead).
+//! `GM_BATCH`, `GM_ENGINES`; the sweeps add `GM_THREADS`, `GM_MIXES`,
+//! `GM_WL_OPS`, `GM_OVERLOAD_FACTORS`, `GM_MAX_LATENESS_MS`,
+//! `GM_SERVER_ADDR`, `GM_NET_CLIENTS`, `GM_SHARDS` and `GM_TXN_OPS`.
+//! Observability is controlled by `GM_OBS` (metrics/phases) and
+//! `GM_TRACE`/`GM_TRACE_CAP`/`GM_TRACE_DUMP` (the per-op trace flight
+//! recorder behind the sweeps' `p99_exemplar` column).
 
 use std::time::Duration;
 
 use gm_core::params::Workload;
 use gm_core::report::{Report, RunMode};
 use gm_core::runner::{BenchConfig, Runner};
+use gm_core::summary::ScalingRow;
 use gm_core::QueryInstance;
 use gm_datasets::{self as datasets, DatasetId, Scale};
 use gm_model::api::LoadOptions;
 use gm_model::Dataset;
+use gm_obs::trace;
 use graphmark::registry::EngineKind;
 
+pub mod artifacts;
 pub mod config;
 
 /// Parsed harness environment.
@@ -72,39 +82,49 @@ impl Env {
     }
 }
 
-/// All seven datasets, generated once (the Freebase family shares one
-/// synthetic KB).
+/// Generated datasets, each generated once (the Freebase family shares one
+/// synthetic KB, generated once for all four samples).
 pub struct DataBank {
     datasets: Vec<(DatasetId, Dataset)>,
 }
 
 impl DataBank {
-    /// Generate every dataset for the environment.
-    pub fn generate(env: &Env) -> DataBank {
+    /// The order datasets are listed in: Table 3's rows, Figure 3(a)'s
+    /// columns.
+    pub const ORDER: [DatasetId; 7] = [
+        DatasetId::Yeast,
+        DatasetId::Mico,
+        DatasetId::FrbS,
+        DatasetId::FrbO,
+        DatasetId::FrbM,
+        DatasetId::FrbL,
+        DatasetId::Ldbc,
+    ];
+
+    /// Generate the datasets `ids` names for the environment.
+    pub fn generate(env: &Env, ids: &[DatasetId]) -> DataBank {
         eprintln!(
             "[gm-bench] generating datasets at scale '{}' (seed {}) …",
             env.scale.name, env.seed
         );
-        let fam = datasets::freebase::generate_all(env.scale, env.seed);
-        let datasets = vec![
-            (
-                DatasetId::Yeast,
-                datasets::yeast::generate(env.scale, env.seed),
-            ),
-            (
-                DatasetId::Mico,
-                datasets::mico::generate(env.scale, env.seed),
-            ),
-            (DatasetId::FrbS, fam.frb_s),
-            (DatasetId::FrbO, fam.frb_o),
-            (DatasetId::FrbM, fam.frb_m),
-            (DatasetId::FrbL, fam.frb_l),
-            (
-                DatasetId::Ldbc,
-                datasets::ldbc::generate(env.scale, env.seed),
-            ),
-        ];
-        for (id, d) in &datasets {
+        let mut made = Vec::new();
+        if ids.iter().any(|id| DatasetId::FREEBASE.contains(id)) {
+            let fam = datasets::freebase::generate_all(env.scale, env.seed);
+            made.extend([
+                (DatasetId::FrbS, fam.frb_s),
+                (DatasetId::FrbO, fam.frb_o),
+                (DatasetId::FrbM, fam.frb_m),
+                (DatasetId::FrbL, fam.frb_l),
+            ]);
+        }
+        for id in [DatasetId::Yeast, DatasetId::Mico, DatasetId::Ldbc] {
+            if ids.contains(&id) {
+                made.push((id, datasets::generate(id, env.scale, env.seed)));
+            }
+        }
+        made.retain(|(id, _)| ids.contains(id));
+        made.sort_by_key(|(id, _)| Self::ORDER.iter().position(|o| o == id));
+        for (id, d) in &made {
             eprintln!(
                 "[gm-bench]   {:<6} |V|={:<8} |E|={:<8} |L|={}",
                 id.name(),
@@ -113,29 +133,20 @@ impl DataBank {
                 d.edge_label_set().len()
             );
         }
-        DataBank { datasets }
+        DataBank { datasets: made }
     }
 
-    /// Get one dataset.
+    /// Get one dataset (it must have been generated).
     pub fn get(&self, id: DatasetId) -> &Dataset {
         &self
             .datasets
             .iter()
             .find(|(i, _)| *i == id)
-            .expect("dataset generated")
+            .unwrap_or_else(|| panic!("dataset {} was not generated", id.name()))
             .1
     }
 
-    /// The four Freebase samples in size order (Frb-S, Frb-O, Frb-M, Frb-L),
-    /// as the result figures sweep them.
-    pub fn freebase(&self) -> Vec<(DatasetId, &Dataset)> {
-        DatasetId::FREEBASE
-            .iter()
-            .map(|id| (*id, self.get(*id)))
-            .collect()
-    }
-
-    /// All datasets.
+    /// Every generated dataset, in [`DataBank::ORDER`].
     pub fn all(&self) -> impl Iterator<Item = (DatasetId, &Dataset)> {
         self.datasets.iter().map(|(id, d)| (*id, d))
     }
@@ -171,12 +182,6 @@ pub fn run_queries(
     report
 }
 
-/// Print a figure-style block: one matrix per dataset.
-pub fn print_block(title: &str, dataset: DatasetId, report: &Report, mode: RunMode) {
-    println!("\n=== {title} — dataset {} ({mode}) ===", dataset.name());
-    print!("{}", report.render_matrix(mode));
-}
-
 /// Instances for a contiguous query range (inclusive numbers, e.g. 22..=27).
 pub fn instances_for(numbers: std::ops::RangeInclusive<u8>) -> Vec<QueryInstance> {
     gm_core::catalog::QueryId::ALL
@@ -184,6 +189,29 @@ pub fn instances_for(numbers: std::ops::RangeInclusive<u8>) -> Vec<QueryInstance
         .filter(|q| numbers.contains(&q.number()))
         .map(|q| QueryInstance::plain(*q))
         .collect()
+}
+
+/// Close a sweep's tracing: report how many of its rows' `p99_exemplar`
+/// ids resolve in the flight recorder, and dump the recorder to
+/// `GM_TRACE_DUMP` when that is set.
+pub fn finish_traces(tag: &str, rows: &[ScalingRow]) {
+    let ring = trace::global_ring();
+    if trace::enabled() {
+        let stamped = rows.iter().filter(|r| r.p99_exemplar != 0).count();
+        let resolved = rows
+            .iter()
+            .filter(|r| r.p99_exemplar != 0 && ring.find(r.p99_exemplar).is_some())
+            .count();
+        eprintln!(
+            "[{tag}] trace: {resolved}/{stamped} p99 exemplars resolve in the flight recorder"
+        );
+    }
+    if let Some(base) = config::trace_dump_path() {
+        match trace::dump_to(&base, &ring.snapshot()) {
+            Ok(()) => eprintln!("[{tag}] traces dumped to {base}.txt and {base}.json"),
+            Err(e) => eprintln!("[{tag}] GM_TRACE_DUMP to {base} failed: {e}"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -214,9 +242,17 @@ mod tests {
             batch: 2,
             engines: vec![EngineKind::LinkedV1],
         };
-        let bank = DataBank::generate(&env);
-        assert_eq!(bank.all().count(), 7);
+        let bank = DataBank::generate(&env, &DataBank::ORDER);
+        let ids: Vec<DatasetId> = bank.all().map(|(id, _)| id).collect();
+        assert_eq!(ids, DataBank::ORDER);
         assert!(bank.get(DatasetId::Ldbc).vertex_count() > 0);
-        assert_eq!(bank.freebase().len(), 4);
+        // Only what was asked for, still in bank order.
+        let some = DataBank::generate(&env, &[DatasetId::Ldbc, DatasetId::FrbM]);
+        let ids: Vec<DatasetId> = some.all().map(|(id, _)| id).collect();
+        assert_eq!(ids, [DatasetId::FrbM, DatasetId::Ldbc]);
+        assert_eq!(
+            some.get(DatasetId::FrbM).edge_count(),
+            bank.get(DatasetId::FrbM).edge_count()
+        );
     }
 }

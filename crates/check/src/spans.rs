@@ -6,7 +6,7 @@
 //! (the `_` binder drops immediately) or a bare `phase::span(…);`
 //! statement — records a span of ~zero nanoseconds and silently deletes
 //! the phase from every latency breakdown built on it: the sweep columns,
-//! the trace flight recorder's self-times, the fig9 stitching check.
+//! the trace flight recorder's self-times, stitched cross-process traces.
 //! That compiles clean and passes every test with a plausible-looking
 //! zero, which is exactly the kind of bug a lint has to catch.
 //!

@@ -14,6 +14,8 @@
 
 use std::collections::BTreeMap;
 
+use gm_model::format_nanos;
+
 use crate::report::{Outcome, Report, RunMode};
 
 /// Within this factor of the best = near-to-best (✓).
@@ -327,8 +329,8 @@ impl ScalingRow {
     }
 
     /// Sum of every attributed phase (lock wait, engine exec, snapshot
-    /// pin/clone, wire), in nanoseconds — what the observability smoke
-    /// compares against the end-to-end latency sum.
+    /// pin/clone, wire), in nanoseconds — at most the end-to-end latency
+    /// sum, by self-time attribution.
     pub fn phase_total_nanos(&self) -> u64 {
         self.lock_wait_nanos
             .saturating_add(self.engine_exec_nanos)
@@ -339,18 +341,111 @@ impl ScalingRow {
     }
 }
 
-/// Human-friendly nanosecond formatting, shared by every latency renderer
-/// (the scaling table here and the histogram sketches in `gm-workload`).
-pub fn format_nanos(nanos: u64) -> String {
-    if nanos < 1_000 {
-        format!("{nanos}ns")
-    } else if nanos < 1_000_000 {
-        format!("{:.1}µs", nanos as f64 / 1e3)
-    } else if nanos < 1_000_000_000 {
-        format!("{:.1}ms", nanos as f64 / 1e6)
-    } else {
-        format!("{:.2}s", nanos as f64 / 1e9)
+/// One column of the scaling table: header, width (the first column is
+/// left-aligned, the rest right-aligned), and the cell. The cell also gets
+/// its (engine, mix, isolation) group's 1-thread closed-loop throughput —
+/// the speedup baseline.
+type TextColumn = (&'static str, usize, fn(&ScalingRow, Option<f64>) -> String);
+
+/// The scaling table, left to right.
+const TEXT_COLUMNS: &[TextColumn] = &[
+    ("engine/mix@isolation", 36, |r, _| {
+        format!("{}/{}@{}", r.engine, r.mix, r.isolation)
+    }),
+    ("threads", 7, |r, _| r.threads.to_string()),
+    ("offered/s", 12, |r, _| {
+        r.offered_ops_per_sec
+            .map_or("-".into(), |x| format!("{x:.0}"))
+    }),
+    ("ops/s", 12, |r, _| format!("{:.0}", r.throughput())),
+    ("reads/s", 12, |r, _| format!("{:.0}", r.read_throughput())),
+    // Speedup is a closed-loop notion (throughput gained by adding
+    // threads); open-loop rows are rate-limited by their schedule, so they
+    // neither anchor the baseline nor get a speedup number.
+    ("speedup", 8, |r, base| match base {
+        Some(b) if b > 0.0 && r.offered_ops_per_sec.is_none() => {
+            format!("{:.2}x", r.throughput() / b)
+        }
+        _ => "-".into(),
+    }),
+    ("p50", 10, |r, _| format_nanos(r.p50_nanos)),
+    ("p95", 10, |r, _| format_nanos(r.p95_nanos)),
+    ("p99", 10, |r, _| format_nanos(r.p99_nanos)),
+    ("max", 10, |r, _| format_nanos(r.max_nanos)),
+    ("lockw/op", 9, |r, _| format_nanos(r.lock_wait_per_op())),
+    ("errors", 7, |r, _| r.errors.to_string()),
+    ("shed", 7, |r, _| r.shed.to_string()),
+    ("skew", 5, |r, _| r.epoch_skew.to_string()),
+    ("txnc", 5, |r, _| r.txn_conflicts.to_string()),
+    ("exec/op", 9, |r, _| format_nanos(r.exec_per_op())),
+    ("snap/op", 9, |r, _| format_nanos(r.snapshot_per_op())),
+    ("wire/op", 9, |r, _| format_nanos(r.wire_per_op())),
+    ("p99_exemplar", 18, |r, _| match r.p99_exemplar {
+        0 => "-".into(),
+        id => format!("{id:#018x}"),
+    }),
+];
+
+/// One CSV column: header and cell.
+type CsvColumn = (&'static str, fn(&ScalingRow) -> String);
+
+/// The CSV, left to right. New columns ride at the end (phases, then the
+/// exemplar, then txn conflicts) so older consumers keyed on column
+/// prefixes keep parsing.
+const CSV_COLUMNS: &[CsvColumn] = &[
+    ("engine", |r| r.engine.clone()),
+    ("mix", |r| r.mix.clone()),
+    ("isolation", |r| r.isolation.clone()),
+    ("threads", |r| r.threads.to_string()),
+    ("ops", |r| r.ops.to_string()),
+    ("read_ops", |r| r.read_ops.to_string()),
+    ("errors", |r| r.errors.to_string()),
+    ("shed", |r| r.shed.to_string()),
+    ("epoch_skew", |r| r.epoch_skew.to_string()),
+    ("lock_wait_ms", |r| millis(r.lock_wait_nanos)),
+    ("wall_millis", |r| millis(r.wall_nanos)),
+    ("offered_ops_s", |r| {
+        r.offered_ops_per_sec
+            .map_or(String::new(), |x| format!("{x:.1}"))
+    }),
+    ("throughput_ops_s", |r| format!("{:.1}", r.throughput())),
+    ("read_ops_s", |r| format!("{:.1}", r.read_throughput())),
+    ("p50_us", |r| micros(r.p50_nanos)),
+    ("p95_us", |r| micros(r.p95_nanos)),
+    ("p99_us", |r| micros(r.p99_nanos)),
+    ("max_us", |r| micros(r.max_nanos)),
+    ("engine_exec_ms", |r| millis(r.engine_exec_nanos)),
+    ("snapshot_pin_ms", |r| millis(r.snapshot_pin_nanos)),
+    ("clone_publish_ms", |r| millis(r.clone_publish_nanos)),
+    ("wire_encode_ms", |r| millis(r.wire_encode_nanos)),
+    ("wire_io_ms", |r| millis(r.wire_io_nanos)),
+    ("p99_exemplar", |r| match r.p99_exemplar {
+        0 => String::new(),
+        id => format!("{id:#x}"),
+    }),
+    ("txn_conflicts", |r| r.txn_conflicts.to_string()),
+];
+
+fn millis(nanos: u64) -> String {
+    format!("{:.3}", nanos as f64 / 1e6)
+}
+
+fn micros(nanos: u64) -> String {
+    format!("{:.3}", nanos as f64 / 1e3)
+}
+
+/// One aligned line of the scaling table.
+fn text_line(cells: impl Iterator<Item = String>) -> String {
+    let mut line = String::new();
+    for ((_, width, _), cell) in TEXT_COLUMNS.iter().zip(cells) {
+        if line.is_empty() {
+            line.push_str(&format!("{cell:<width$}"));
+        } else {
+            line.push_str(&format!(" {cell:>width$}"));
+        }
     }
+    line.push('\n');
+    line
 }
 
 /// Render the concurrency sweep: one section per (engine, mix, isolation),
@@ -359,87 +454,29 @@ pub fn format_nanos(nanos: u64) -> String {
 /// figure; locked vs snapshot rows of the same (engine, mix) sit next to
 /// each other so the isolation cost reads directly off the table.
 pub fn render_scaling(rows: &[ScalingRow]) -> String {
-    let mut keys: Vec<(String, String, String)> = rows
+    let mut keys: Vec<(&str, &str, &str)> = rows
         .iter()
-        .map(|r| (r.engine.clone(), r.mix.clone(), r.isolation.clone()))
+        .map(|r| (r.engine.as_str(), r.mix.as_str(), r.isolation.as_str()))
         .collect();
     keys.sort();
     keys.dedup();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<36} {:>7} {:>12} {:>12} {:>12} {:>8} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7} {:>7} {:>5} {:>5} {:>9} {:>9} {:>9} {:>18}\n",
-        "engine/mix@isolation",
-        "threads",
-        "offered/s",
-        "ops/s",
-        "reads/s",
-        "speedup",
-        "p50",
-        "p95",
-        "p99",
-        "max",
-        "lockw/op",
-        "errors",
-        "shed",
-        "skew",
-        "txnc",
-        "exec/op",
-        "snap/op",
-        "wire/op",
-        "p99_exemplar"
-    ));
-    out.push_str(&"-".repeat(223));
+    let mut out = text_line(TEXT_COLUMNS.iter().map(|(header, _, _)| header.to_string()));
+    let width: usize = TEXT_COLUMNS.iter().map(|(_, w, _)| w + 1).sum();
+    out.push_str(&"-".repeat(width - 1));
     out.push('\n');
-    for (engine, mix, isolation) in &keys {
+    for (engine, mix, isolation) in keys {
         let mut group: Vec<&ScalingRow> = rows
             .iter()
-            .filter(|r| &r.engine == engine && &r.mix == mix && &r.isolation == isolation)
+            .filter(|r| r.engine == engine && r.mix == mix && r.isolation == isolation)
             .collect();
         group.sort_by_key(|r| r.threads);
-        // Speedup is a closed-loop notion (throughput gained by adding
-        // threads); open-loop rows are rate-limited by their schedule, so
-        // they neither anchor the baseline nor get a speedup number.
         let base = group
             .iter()
             .find(|r| r.threads == 1 && r.offered_ops_per_sec.is_none())
             .map(|r| r.throughput());
         for r in group {
-            let speedup = match base {
-                Some(b) if b > 0.0 && r.offered_ops_per_sec.is_none() => {
-                    format!("{:.2}x", r.throughput() / b)
-                }
-                _ => "-".to_string(),
-            };
-            let offered = match r.offered_ops_per_sec {
-                Some(rate) => format!("{rate:.0}"),
-                None => "-".to_string(),
-            };
-            let exemplar = if r.p99_exemplar == 0 {
-                "-".to_string()
-            } else {
-                format!("{:#018x}", r.p99_exemplar)
-            };
-            out.push_str(&format!(
-                "{:<36} {:>7} {:>12} {:>12.0} {:>12.0} {:>8} {:>10} {:>10} {:>10} {:>10} {:>9} {:>7} {:>7} {:>5} {:>5} {:>9} {:>9} {:>9} {:>18}\n",
-                format!("{engine}/{mix}@{isolation}"),
-                r.threads,
-                offered,
-                r.throughput(),
-                r.read_throughput(),
-                speedup,
-                format_nanos(r.p50_nanos),
-                format_nanos(r.p95_nanos),
-                format_nanos(r.p99_nanos),
-                format_nanos(r.max_nanos),
-                format_nanos(r.lock_wait_per_op()),
-                r.errors,
-                r.shed,
-                r.epoch_skew,
-                r.txn_conflicts,
-                format_nanos(r.exec_per_op()),
-                format_nanos(r.snapshot_per_op()),
-                format_nanos(r.wire_per_op()),
-                exemplar
+            out.push_str(&text_line(
+                TEXT_COLUMNS.iter().map(|(_, _, cell)| cell(r, base)),
             ));
         }
     }
@@ -448,49 +485,10 @@ pub fn render_scaling(rows: &[ScalingRow]) -> String {
 
 /// Render the sweep as CSV (machine-readable companion).
 pub fn scaling_to_csv(rows: &[ScalingRow]) -> String {
-    // New columns ride at the end (phases, then the exemplar, then txn
-    // conflicts) so older consumers keyed on column prefixes keep parsing.
-    let mut out = String::from(
-        "engine,mix,isolation,threads,ops,read_ops,errors,shed,epoch_skew,lock_wait_ms,wall_millis,offered_ops_s,throughput_ops_s,read_ops_s,p50_us,p95_us,p99_us,max_us,engine_exec_ms,snapshot_pin_ms,clone_publish_ms,wire_encode_ms,wire_io_ms,p99_exemplar,txn_conflicts\n",
-    );
+    let line = |cells: Vec<String>| cells.join(",") + "\n";
+    let mut out = line(CSV_COLUMNS.iter().map(|(h, _)| h.to_string()).collect());
     for r in rows {
-        let offered = match r.offered_ops_per_sec {
-            Some(rate) => format!("{rate:.1}"),
-            None => String::new(),
-        };
-        let exemplar = if r.p99_exemplar == 0 {
-            String::new()
-        } else {
-            format!("{:#x}", r.p99_exemplar)
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{:.3},{:.3},{},{:.1},{:.1},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{},{}\n",
-            r.engine,
-            r.mix,
-            r.isolation,
-            r.threads,
-            r.ops,
-            r.read_ops,
-            r.errors,
-            r.shed,
-            r.epoch_skew,
-            r.lock_wait_nanos as f64 / 1e6,
-            r.wall_nanos as f64 / 1e6,
-            offered,
-            r.throughput(),
-            r.read_throughput(),
-            r.p50_nanos as f64 / 1e3,
-            r.p95_nanos as f64 / 1e3,
-            r.p99_nanos as f64 / 1e3,
-            r.max_nanos as f64 / 1e3,
-            r.engine_exec_nanos as f64 / 1e6,
-            r.snapshot_pin_nanos as f64 / 1e6,
-            r.clone_publish_nanos as f64 / 1e6,
-            r.wire_encode_nanos as f64 / 1e6,
-            r.wire_io_nanos as f64 / 1e6,
-            exemplar,
-            r.txn_conflicts,
-        ));
+        out.push_str(&line(CSV_COLUMNS.iter().map(|(_, cell)| cell(r)).collect()));
     }
     out
 }

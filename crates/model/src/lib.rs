@@ -43,6 +43,9 @@ pub use api::{
 pub use ctx::QueryCtx;
 pub use dataset::{Dataset, DsEdge, DsVertex};
 pub use error::{GdbError, GdbResult};
+/// The workspace's one latency formatter, defined beside the histograms in
+/// `gm-obs` and re-exported for the crates above the model.
+pub use gm_obs::format_nanos;
 pub use ids::{Eid, Vid};
 pub use interner::Interner;
 pub use value::{Props, Value};

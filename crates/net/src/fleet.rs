@@ -41,8 +41,8 @@
 //! op-for-op: the routing is the same code over the same partition, and
 //! the flush-before-any-observation rule keeps each shard's mutation order
 //! identical to the sequential op order — so servers assign the same local
-//! ids and every read returns the same cardinality. The fig10 `@fleet`
-//! smoke gates on exactly this.
+//! ids and every read returns the same cardinality. `tests/fleet.rs` and
+//! `tests/fleet_proc.rs` gate on exactly this.
 
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -19,9 +19,10 @@
 //!   so the per-op phase vector sums to at most the end-to-end latency.
 //!   The driver resets the stack on op entry and rolls the vector into
 //!   `OpResult`.
-//! * [`hist`] — the shared-write sibling of `gm_workload`'s
-//!   `LatencyHistogram`: identical power-of-two bucketing, but atomic, so
-//!   many threads can record into one registry histogram without locks.
+//! * [`hist`] — the one log2 histogram: [`HistSnapshot`] is the plain type
+//!   a driver worker records latencies into (with per-bucket trace
+//!   exemplars) and every snapshot or merge produces; [`AtomicHistogram`]
+//!   is its lock-free shared-write recorder behind registry histograms.
 //! * [`trace`] — per-op tracing: deterministic trace ids (seed + worker +
 //!   op index, replay-stable), a fixed-capacity lock-free flight recorder
 //!   with tail-biased retention, and renderers (aligned table + Chrome
@@ -51,7 +52,7 @@ pub mod phase;
 pub mod registry;
 pub mod trace;
 
-pub use hist::{AtomicHistogram, HistSnapshot, BUCKETS};
+pub use hist::{format_nanos, AtomicHistogram, HistSnapshot, BUCKETS};
 pub use phase::{Phase, PhaseNanos, SpanGuard, PHASES};
 pub use registry::{global, Counter, Gauge, Histo, Registry, RegistrySnapshot};
 pub use trace::{TailGate, TraceMode, TraceOrigin, TraceRecord, TraceRing};

@@ -7,7 +7,7 @@
 //! spans attribute **self time** — a child's elapsed time is subtracted
 //! from its parent — so every nanosecond lands in exactly one phase and
 //! the per-op phase vector sums to at most the end-to-end latency (the
-//! invariant the CI observability smoke checks).
+//! invariant the workspace's `tests/obs_phases.rs` checks).
 //!
 //! Resetting on *entry* rather than exit is the staleness fix: an op that
 //! panics or aborts on a poisoned lock unwinds without taking its

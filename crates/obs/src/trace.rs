@@ -34,8 +34,9 @@
 //! Mirroring `GM_OBS=off`: with [`TraceMode::Off`] every probe on the op
 //! path folds to one relaxed load and a branch — [`derive_id`] returns 0
 //! without mixing, [`record_op`] returns before reading any clock, and the
-//! global ring is never even allocated. The regression test in
-//! `tests/prop_trace.rs` and the `trace_smoke` CI gate both pin this down.
+//! global ring is never even allocated. `tests/prop_trace.rs` and the
+//! workspace's `tests/trace_exemplars.rs` pin this down; what tracing costs
+//! when on is `benchmark/`'s `obs.trace_overhead_frac`.
 
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize};

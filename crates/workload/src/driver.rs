@@ -50,8 +50,8 @@ use gm_model::{Dataset, Eid, GdbError, GdbResult, GraphDb, QueryCtx, Value};
 use gm_mvcc::{SnapshotSource, WriteTxn, TXN_ID_TAG};
 use gm_obs::phase::{self, Phase, PhaseNanos};
 use gm_obs::trace::{self, TailGate};
+use gm_obs::HistSnapshot;
 
-use crate::hist::LatencyHistogram;
 use crate::mix::{Mix, MixKind, Op, WriteOp};
 
 /// Cardinality recorded for an op that returned an error.
@@ -306,7 +306,7 @@ pub struct WorkerStats {
     /// and its phase vector — is discarded with them).
     pub phases: PhaseNanos,
     /// This worker's latency histogram.
-    pub hist: LatencyHistogram,
+    pub hist: HistSnapshot,
     /// Result cardinalities in issue order (empty unless
     /// [`WorkloadConfig::record_cardinalities`]; errors record [`ERR_CARD`]).
     pub cardinalities: Vec<u64>,
@@ -334,7 +334,7 @@ pub struct RunReport {
     /// Per-worker stats.
     pub workers: Vec<WorkerStats>,
     /// All workers' histograms merged.
-    pub hist: LatencyHistogram,
+    pub hist: HistSnapshot,
 }
 
 impl RunReport {
@@ -579,17 +579,6 @@ pub fn run_snapshot_txn(
     let backend =
         SnapshotBackend::new(source.as_ref(), &params, cfg.op_timeout).with_txn_ops(txn_ops);
     run_backend(&backend, &data.name, cfg)
-}
-
-/// Commit cadence for transactional session mode, from the `GM_TXN_OPS`
-/// environment knob: writes buffered per transaction before a commit.
-/// Default 8; `0` means autocommit (transactions disabled); unparsable
-/// values fall back to the default.
-pub fn txn_ops_from_env() -> u64 {
-    match std::env::var("GM_TXN_OPS") {
-        Ok(s) => s.trim().parse().unwrap_or(8),
-        Err(_) => 8,
-    }
 }
 
 /// Build a loaded, parameter-resolved snapshot source: bulk-load through
@@ -1141,7 +1130,7 @@ fn assemble(
     wall_nanos: u64,
     workers: Vec<WorkerStats>,
 ) -> RunReport {
-    let mut hist = LatencyHistogram::new();
+    let mut hist = HistSnapshot::new();
     for w in &workers {
         hist.merge(&w.hist);
     }
@@ -1176,7 +1165,7 @@ fn worker_loop(
         epoch_skew: 0,
         txn_conflicts: 0,
         phases: PhaseNanos::zero(),
-        hist: LatencyHistogram::new(),
+        hist: HistSnapshot::new(),
         cardinalities: Vec::new(),
     };
     // Highest serving epoch this worker has observed; a later read serving
@@ -1545,15 +1534,6 @@ mod tests {
     }
 
     #[test]
-    fn txn_ops_env_knob_defaults_to_eight() {
-        // No test in this workspace sets GM_TXN_OPS, so the unset default
-        // is observable without mutating the (process-global) environment.
-        if std::env::var("GM_TXN_OPS").is_err() {
-            assert_eq!(txn_ops_from_env(), 8);
-        }
-    }
-
-    #[test]
     fn measurement_row_shape() {
         let data = testkit::chain_dataset(100);
         let report = run(&factory, &data, &small_cfg(MixKind::ReadHeavy, 2)).unwrap();
@@ -1566,7 +1546,7 @@ mod tests {
     /// Build a report by hand with chosen counters (the driver never errors
     /// on the linked engine, so partial failure must be constructed).
     fn hand_report(ops: u64, errors: u64, shed: u64) -> RunReport {
-        let mut hist = LatencyHistogram::new();
+        let mut hist = HistSnapshot::new();
         for _ in 0..(ops + errors) {
             hist.record(1_000);
         }

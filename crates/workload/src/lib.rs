@@ -18,10 +18,10 @@
 //!   transport-agnostic ([`driver::Backend`] / [`driver::Session`]): the
 //!   in-process shared engine is one backend, `gm-net`'s per-worker socket
 //!   connections to a remote engine server are another;
-//! * [`hist`] — per-worker log2-bucketed latency histograms (p50/p95/p99/
-//!   max) and throughput counters, merged lock-free when the run ends and
-//!   reported through `gm_core::report` / `gm_core::summary` next to the
-//!   paper's figures.
+//! * per-worker log2-bucketed latency histograms (`gm_obs`'s
+//!   [`HistSnapshot`]: p50/p95/p99/max plus trace exemplars) and throughput
+//!   counters, merged lock-free when the run ends and reported through
+//!   `gm_core::report` / `gm_core::summary` next to the paper's figures.
 //!
 //! Determinism contract: a run is fully described by `(mix, seed, threads,
 //! ops_per_worker)`. Each worker replays the same op sequence regardless of
@@ -30,15 +30,13 @@
 //! enforces this against the paper's sequential `Runner`.
 
 pub mod driver;
-pub mod hist;
 pub mod mix;
 
 pub use driver::{
     apply_write, prepare_snapshot, run, run_backend, run_backend_sequential, run_sequential,
-    run_snapshot, run_snapshot_sequential, run_snapshot_txn, txn_ops_from_env, Backend,
-    LocalBackend, OpResult, Pacing, RunReport, Session, SharedEngine, SnapshotBackend, WorkerStats,
-    WorkloadConfig, ERR_CARD, SHED_CARD, SNAPSHOT_PIN_STALENESS, WORKLOAD_SLOTS,
+    run_snapshot, run_snapshot_sequential, run_snapshot_txn, Backend, LocalBackend, OpResult,
+    Pacing, RunReport, Session, SharedEngine, SnapshotBackend, WorkerStats, WorkloadConfig,
+    ERR_CARD, SHED_CARD, SNAPSHOT_PIN_STALENESS, WORKLOAD_SLOTS,
 };
-pub use gm_obs::{Phase, PhaseNanos};
-pub use hist::{format_nanos, LatencyHistogram};
+pub use gm_obs::{format_nanos, HistSnapshot, Phase, PhaseNanos};
 pub use mix::{Mix, MixKind, Op, WriteOp};
