@@ -6,7 +6,7 @@
 //! For every engine under test and every workload mix it drives the same
 //! deterministic workload through three concurrency regimes:
 //!
-//! * `locked` — the original single-`RwLock` engine (`LocalBackend`), the
+//! * `locked` — the original single-`RwLock` engine (`SharedEngine`), the
 //!   baseline every sharded row is read against;
 //! * `sharded-locked` — a `gm-shard` composite of `N` engines, each behind
 //!   its own lock: reads see one consistent cross-shard state, writes lock
@@ -45,15 +45,13 @@
 //! batching by `crates/net/tests/fleet.rs` and `fleet_proc.rs`. What the
 //! lock split buys is the `shard_mixed` workload of `benchmark/`.
 
-use gm_bench::{config, Env};
+use gm_bench::{config, drive, Env};
 use gm_core::summary::{self, ScalingRow};
 use gm_datasets::{self as datasets, DatasetId};
-use gm_net::{run_fleet, Fleet, Server, ServerHandle};
-use gm_workload::{format_nanos, run, run_snapshot, MixKind, RunReport, WorkloadConfig};
-use graphmark::model::GraphDb;
+use gm_net::{Fleet, FleetBackend, Server, ServerHandle};
+use gm_workload::{format_nanos, run_backend, MixKind, RunReport, SharedEngine, WorkloadConfig};
 use graphmark::mvcc::{SnapshotMode, SnapshotSource};
 use graphmark::registry::EngineKind;
-use graphmark::shard::run_sharded;
 
 struct Sweep {
     env: Env,
@@ -202,8 +200,7 @@ fn main() {
                 let cfg = wl_config(*mix, t, &sweep);
                 // Single-lock baseline: the unsharded engine behind one
                 // RwLock — what every sharded row is read against.
-                let factory = move || kind.make();
-                match run(&factory, &data, &cfg) {
+                match drive(&SharedEngine::new(kind.make()), &data, &cfg) {
                     Ok(r) => {
                         log_row(&r);
                         rows.push(r.scaling_row());
@@ -215,8 +212,7 @@ fn main() {
                     ),
                 }
                 for &n in &sweep.shards {
-                    let sharded_factory = move || -> Box<dyn GraphDb> { kind.make() };
-                    match run_sharded(&sharded_factory, n as usize, &data, &cfg) {
+                    match drive(&kind.make_sharded(n as usize), &data, &cfg) {
                         Ok(r) => {
                             log_row(&r);
                             rows.push(r.scaling_row());
@@ -228,11 +224,9 @@ fn main() {
                         ),
                     }
                     if let Some(mode) = sweep.snapshot {
-                        let kind = *kind;
-                        let src_factory = move || -> Box<dyn SnapshotSource> {
-                            Box::new(kind.make_sharded_source(n as usize, mode))
-                        };
-                        match run_snapshot(&src_factory, &data, &cfg) {
+                        let source: Box<dyn SnapshotSource> =
+                            Box::new(kind.make_sharded_source(n as usize, mode));
+                        match drive(&source, &data, &cfg) {
                             Ok(r) => {
                                 log_row(&r);
                                 rows.push(r.scaling_row());
@@ -264,7 +258,11 @@ fn main() {
         for mix in &sweep.mixes {
             for &t in &sweep.threads {
                 let cfg = wl_config(*mix, t, &sweep);
-                match run_fleet(&att.fleet, &data, &cfg) {
+                let run = att.fleet.setup(&data, &cfg).and_then(|params| {
+                    let backend = FleetBackend::new(&att.fleet, &params, cfg.op_timeout);
+                    run_backend(&backend, &data.name, &cfg)
+                });
+                match run {
                     Ok(r) => {
                         log_row(&r);
                         rows.push(r.scaling_row());

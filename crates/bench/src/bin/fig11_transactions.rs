@@ -39,7 +39,7 @@
 use gm_bench::{config, Env};
 use gm_core::summary::{self, ScalingRow};
 use gm_datasets::{self as datasets, DatasetId};
-use gm_workload::{run_snapshot, run_snapshot_txn, MixKind, RunReport, WorkloadConfig};
+use gm_workload::{prepare, run_backend, HostBackend, MixKind, RunReport, WorkloadConfig};
 use graphmark::mvcc::{SnapshotMode, SnapshotSource};
 
 struct Sweep {
@@ -120,34 +120,30 @@ fn main() {
             for &t in &sweep.threads {
                 let cfg = wl_config(*mix, t, &sweep);
                 for &n in &sweep.shards {
-                    let kind = *kind;
-                    let mode = sweep.mode;
-                    let src_factory = move || -> Box<dyn SnapshotSource> {
-                        Box::new(kind.make_sharded_source(n as usize, mode))
-                    };
                     // Autocommit baseline, then the same deterministic
                     // workload with transactional sessions.
-                    match run_snapshot(&src_factory, &data, &cfg) {
-                        Ok(r) => {
-                            log_row(&r);
-                            rows.push(r.scaling_row());
-                        }
-                        Err(e) => eprintln!(
-                            "[fig11]   {} {} t={t} s={n} autocommit FAILED: {e}",
-                            kind.name(),
-                            mix.name()
-                        ),
-                    }
-                    if sweep.txn_ops > 0 {
-                        match run_snapshot_txn(&src_factory, &data, &cfg, sweep.txn_ops) {
+                    let batches: &[u64] = match sweep.txn_ops {
+                        0 => &[0],
+                        _ => &[0, sweep.txn_ops],
+                    };
+                    for &txn_ops in batches {
+                        let source: Box<dyn SnapshotSource> =
+                            Box::new(kind.make_sharded_source(n as usize, sweep.mode));
+                        let run = prepare(&source, &data, cfg.seed).and_then(|params| {
+                            let backend = HostBackend::new(&source, &params, cfg.op_timeout)
+                                .with_txn_ops(txn_ops);
+                            run_backend(&backend, &data.name, &cfg)
+                        });
+                        match run {
                             Ok(r) => {
                                 log_row(&r);
                                 rows.push(r.scaling_row());
                             }
                             Err(e) => eprintln!(
-                                "[fig11]   {} {} t={t} s={n} txn FAILED: {e}",
+                                "[fig11]   {} {} t={t} s={n} {} FAILED: {e}",
                                 kind.name(),
-                                mix.name()
+                                mix.name(),
+                                if txn_ops > 0 { "txn" } else { "autocommit" },
                             ),
                         }
                     }

@@ -43,12 +43,12 @@
 
 use std::time::Duration;
 
-use gm_bench::{config, Env};
+use gm_bench::{config, drive, Env};
 use gm_core::report::{Report, RunMode};
 use gm_core::summary::{self, ScalingRow};
 use gm_datasets::{self as datasets, DatasetId};
-use gm_workload::{format_nanos, run, run_snapshot, MixKind, Pacing, WorkloadConfig};
-use graphmark::mvcc::{SnapshotMode, SnapshotSource};
+use gm_workload::{format_nanos, MixKind, Pacing, SharedEngine, WorkloadConfig};
+use graphmark::mvcc::SnapshotMode;
 
 struct Sweep {
     env: Env,
@@ -135,8 +135,7 @@ fn main() {
                     op_timeout: sweep.env.timeout,
                     ..WorkloadConfig::default()
                 };
-                let factory = move || kind.make();
-                match run(&factory, &data, &cfg) {
+                match drive(&SharedEngine::new(kind.make()), &data, &cfg) {
                     Ok(r) => {
                         eprintln!(
                             "[fig8]   {:<14} {:<11} t={:<2} {:<16} {:>9.0} ops/s  p99 {}",
@@ -156,11 +155,8 @@ fn main() {
                     }
                 }
                 if let Some(mode) = sweep.snapshot {
-                    let kind = *kind;
-                    let src_factory =
-                        move || -> Box<dyn SnapshotSource> { kind.make_snapshot_source(mode) };
                     let before = gm_obs::global().snapshot();
-                    match run_snapshot(&src_factory, &data, &cfg) {
+                    match drive(&kind.make_snapshot_source(mode), &data, &cfg) {
                         Ok(r) => {
                             eprintln!(
                                 "[fig8]   {:<14} {:<11} t={:<2} {:<16} {:>9.0} ops/s  p99 {}{}",
@@ -202,8 +198,7 @@ fn main() {
                     pacing: Pacing::open_bounded(rate, sweep.max_lateness),
                     ..WorkloadConfig::default()
                 };
-                let factory = move || kind.make();
-                match run(&factory, &data, &cfg) {
+                match drive(&SharedEngine::new(kind.make()), &data, &cfg) {
                     Ok(r) => {
                         eprintln!(
                             "[fig8]   {:<14} {:<11} t={threads:<2} open @{factor:>4}x \

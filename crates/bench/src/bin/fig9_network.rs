@@ -27,11 +27,13 @@
 
 use std::time::Duration;
 
-use gm_bench::{config, Env};
+use gm_bench::{config, drive, Env};
 use gm_core::summary::{self, ScalingRow};
 use gm_datasets::{self as datasets, DatasetId};
-use gm_net::{run_remote, Connection, Server, ServerHandle};
-use gm_workload::{format_nanos, run, MixKind, Pacing, RunReport, WorkloadConfig};
+use gm_net::{Connection, RemoteBackend, Server, ServerHandle};
+use gm_workload::{
+    format_nanos, run_backend, MixKind, Pacing, RunReport, SharedEngine, WorkloadConfig,
+};
 use graphmark::registry::EngineKind;
 
 struct Sweep {
@@ -178,8 +180,7 @@ fn main() {
                     op_timeout: sweep.env.timeout,
                     ..WorkloadConfig::default()
                 };
-                let factory = move || kind.make();
-                match run(&factory, &data, &cfg) {
+                match drive(&SharedEngine::new(kind.make()), &data, &cfg) {
                     Ok(r) => {
                         capacity = capacity.max(push(r, false, &mut rows));
                         top_clients = top_clients.max(c);
@@ -188,7 +189,9 @@ fn main() {
                         eprintln!("[fig9]   {} {} c={c}: FAILED: {e}", kind.name(), mix.name());
                     }
                 }
-                match run_remote(&addr, &data, &cfg) {
+                match RemoteBackend::setup(&addr, &data, &cfg)
+                    .and_then(|b| run_backend(&b, &data.name, &cfg))
+                {
                     Ok(r) => {
                         push(r, true, &mut rows);
                     }
@@ -217,8 +220,7 @@ fn main() {
                 pacing: Pacing::open_bounded(capacity, sweep.max_lateness),
                 ..WorkloadConfig::default()
             };
-            let factory = move || kind.make();
-            match run(&factory, &data, &cfg) {
+            match drive(&SharedEngine::new(kind.make()), &data, &cfg) {
                 Ok(r) => {
                     push(r, false, &mut rows);
                 }
@@ -226,7 +228,9 @@ fn main() {
                     eprintln!("[fig9]   {} {} paced: FAILED: {e}", kind.name(), mix.name());
                 }
             }
-            match run_remote(&addr, &data, &cfg) {
+            match RemoteBackend::setup(&addr, &data, &cfg)
+                .and_then(|b| run_backend(&b, &data.name, &cfg))
+            {
                 Ok(r) => {
                     push(r, true, &mut rows);
                 }

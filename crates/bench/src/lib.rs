@@ -36,8 +36,9 @@ use gm_core::summary::ScalingRow;
 use gm_core::QueryInstance;
 use gm_datasets::{self as datasets, DatasetId, Scale};
 use gm_model::api::LoadOptions;
-use gm_model::Dataset;
+use gm_model::{Dataset, GdbResult};
 use gm_obs::trace;
+use gm_workload::{prepare, run_backend, Host, HostBackend, RunReport, WorkloadConfig};
 use graphmark::registry::EngineKind;
 
 pub mod artifacts;
@@ -180,6 +181,17 @@ pub fn run_queries(
         }
     }
     report
+}
+
+/// The sweeps' in-process run: load `data` into a fresh `host`, resolve
+/// `cfg.seed`'s parameters, and drive `cfg` against it.
+pub fn drive(host: &dyn Host, data: &Dataset, cfg: &WorkloadConfig) -> GdbResult<RunReport> {
+    let params = prepare(host, data, cfg.seed)?;
+    run_backend(
+        &HostBackend::new(host, &params, cfg.op_timeout),
+        &data.name,
+        cfg,
+    )
 }
 
 /// Instances for a contiguous query range (inclusive numbers, e.g. 22..=27).

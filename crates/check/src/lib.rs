@@ -7,7 +7,7 @@
 //!   carries an explicit waiver); this is the lint that would have caught
 //!   `SharedWriter` silently reporting epoch 0 for every snapshot.
 //! * [`lockorder`] — `// gm-lock: <rank>` markers on lock acquisitions
-//!   must follow the workspace hierarchy `driver < meta < shard <
+//!   must follow the workspace hierarchy `swap < driver < meta < shard <
 //!   cell-writer < cell-published < leaf` (the debug-mode runtime detector
 //!   in `gm_model::lockorder` checks the same order with live stacks).
 //! * [`panics`] — no `unwrap`/`expect`/indexing in the untrusted-byte

@@ -4,7 +4,7 @@
 //! `gm_model::lockorder`) is:
 //!
 //! ```text
-//! driver < meta < shard (ascending index) < cell-writer < cell-published < leaf
+//! swap < driver < meta < shard (ascending index) < cell-writer < cell-published < leaf
 //! ```
 //!
 //! Every blocking acquisition in the concurrency crates is annotated with a
@@ -39,6 +39,7 @@ const LINT: &str = "lock-order";
 
 /// Rank names in ascending acquisition order.
 const RANKS: &[&str] = &[
+    "swap",
     "driver",
     "meta",
     "shard",

@@ -1,6 +1,6 @@
 //! Span-discipline audit.
 //!
-//! A [`gm_obs::phase`] span measures the interval its RAII guard is live:
+//! A `gm_obs::phase` span measures the interval its RAII guard is live:
 //! `let _exec = phase::span(Phase::EngineExec)` records until the guard
 //! drops at end of scope. Discarding the guard — `let _ = phase::span(…)`
 //! (the `_` binder drops immediately) or a bare `phase::span(…);`

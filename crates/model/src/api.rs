@@ -41,7 +41,7 @@ impl Direction {
     pub const ALL: [Direction; 3] = [Direction::In, Direction::Out, Direction::Both];
 }
 
-/// A (edge, neighbor) pair returned by [`GraphDb::vertex_edges`].
+/// A (edge, neighbor) pair returned by [`GraphSnapshot::vertex_edges`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeRef {
     /// Internal edge id.
@@ -422,29 +422,6 @@ pub trait GraphDb: GraphSnapshot {
     fn sync(&mut self) -> GdbResult<()> {
         Ok(())
     }
-}
-
-/// A graph whose writes synchronize **internally** — both reads and writes
-/// go through `&self`, so the harness never needs an exclusive outer lock
-/// around the whole engine.
-///
-/// This is the interface the ROADMAP's "sharded locks" item calls for:
-/// engines that expose disjoint state (per-partition locks) accept
-/// concurrent writers to different partitions, which a single engine-wide
-/// `RwLock` would serialize. `gm-shard`'s `ShardedGraph` is the first
-/// implementation; `gm-net`'s server hosts any `SharedGraph` without taking
-/// an exclusive lock on the write path.
-///
-/// The write closure receives `&mut dyn GraphDb` (the familiar mutation
-/// surface), but implementations may hand out a lightweight routing handle
-/// whose mutations lock only the partitions they touch — two concurrent
-/// `with_write` calls that land on different partitions proceed in
-/// parallel. Mutations within one closure invocation are applied in order;
-/// atomicity across partitions is implementation-defined.
-pub trait SharedGraph: GraphSnapshot {
-    /// Run one mutation batch. Returns whatever the closure returns
-    /// (conventionally a result cardinality).
-    fn with_write(&self, f: &mut dyn FnMut(&mut dyn GraphDb) -> GdbResult<u64>) -> GdbResult<u64>;
 }
 
 // ----- blanket delegation through Box ---------------------------------------

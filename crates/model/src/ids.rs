@@ -4,8 +4,8 @@
 //! [`Vid`] is a record-file offset, for the cluster engine a logical record id,
 //! for the document engine a document key, and so on. The benchmark framework
 //! never fabricates internal ids: it obtains them from
-//! [`GraphDb::resolve_vertex`](crate::GraphDb::resolve_vertex) /
-//! [`GraphDb::resolve_edge`](crate::GraphDb::resolve_edge) (outside the timed
+//! [`GraphSnapshot::resolve_vertex`](crate::GraphSnapshot::resolve_vertex) /
+//! [`GraphSnapshot::resolve_edge`](crate::GraphSnapshot::resolve_edge) (outside the timed
 //! region, as the paper prescribes) or from creation calls.
 
 use std::fmt;

@@ -38,7 +38,7 @@ pub mod value;
 
 pub use api::{
     Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SharedGraph, SpaceReport, VertexData,
+    SpaceReport, VertexData,
 };
 pub use ctx::QueryCtx;
 pub use dataset::{Dataset, DsEdge, DsVertex};

@@ -1,9 +1,10 @@
 //! Runtime lock-order enforcement (debug builds only).
 //!
-//! The workspace has a documented lock hierarchy — driver/host locks outside
-//! everything, a composite's meta lock before its shard locks (ascending),
-//! MVCC cell locks inside those, leaf bookkeeping (purge queues, pin tables)
-//! innermost — but until now nothing *enforced* it. This module is the
+//! The workspace has a documented lock hierarchy — a server's host-swap lock
+//! outside everything, then the locked host's engine lock, a composite's
+//! meta lock before its shard locks (ascending), MVCC cell locks inside
+//! those, leaf bookkeeping (purge queues, pin tables) innermost — but until
+//! now nothing *enforced* it. This module is the
 //! runtime half of that enforcement (the static half is the `gm-check`
 //! lint over `// gm-lock:` markers): every ranked acquisition site calls
 //! [`acquire`] just before blocking on the lock, and in debug builds a
@@ -24,7 +25,8 @@
 //!
 //! | rank                  | guards                                                  |
 //! |-----------------------|---------------------------------------------------------|
-//! | `Driver`              | harness/server outer `RwLock` around a hosted engine    |
+//! | `Swap`                | a server's `RwLock` around its host, taken for `Reset`  |
+//! | `Driver`              | the locked host's `RwLock` around its engine            |
 //! | `Meta`                | a composite's routing table (`ShardedGraph`/`Source`)   |
 //! | `Shard(i)`            | one shard's engine lock; multi-shard paths go ascending |
 //! | `CellWriter`          | an MVCC cell's working/live mutex                       |
@@ -39,7 +41,10 @@
 /// each rank guards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockRank {
-    /// Outer harness/server lock around a hosted engine.
+    /// A server's swap lock around its host: shared for every request,
+    /// exclusive for `Reset`'s swap.
+    Swap,
+    /// The locked host's `RwLock` around its engine.
     Driver,
     /// Composite routing/meta lock.
     Meta,
@@ -60,12 +65,13 @@ impl LockRank {
     #[cfg(debug_assertions)]
     fn key(self) -> u64 {
         match self {
-            LockRank::Driver => 0,
-            LockRank::Meta => 1 << 32,
-            LockRank::Shard(i) => (2 << 32) | u64::from(i),
-            LockRank::CellWriter => 3 << 32,
-            LockRank::CellPublished => 4 << 32,
-            LockRank::Leaf => 5 << 32,
+            LockRank::Swap => 0,
+            LockRank::Driver => 1 << 32,
+            LockRank::Meta => 2 << 32,
+            LockRank::Shard(i) => (3 << 32) | u64::from(i),
+            LockRank::CellWriter => 4 << 32,
+            LockRank::CellPublished => 5 << 32,
+            LockRank::Leaf => 6 << 32,
         }
     }
 }
@@ -196,6 +202,7 @@ mod tests {
 
     #[test]
     fn ordered_acquisition_is_clean() {
+        let _x = acquire(LockRank::Swap, "test swap");
         let _d = acquire(LockRank::Driver, "test driver");
         let _m = acquire(LockRank::Meta, "test meta");
         let _s0 = acquire(LockRank::Shard(0), "test shard 0");
@@ -204,7 +211,7 @@ mod tests {
         let _p = acquire(LockRank::CellPublished, "test published");
         let _l = acquire(LockRank::Leaf, "test leaf");
         #[cfg(debug_assertions)]
-        assert_eq!(held_count(), 7);
+        assert_eq!(held_count(), 8);
     }
 
     #[test]

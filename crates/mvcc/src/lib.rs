@@ -19,7 +19,7 @@
 //!   path). Cost model: one `E::clone` per epoch that contains at least one
 //!   write, so the cell is exactly as cheap as the engine's `Clone`:
 //!   - **structural** for engine-linked (every O(graph) field is a paged,
-//!     `Arc`-shared store — `RecordFile`s, [`SegVec`] columns, interners,
+//!     `Arc`-shared store — `RecordFile`s, `SegVec` columns, interners,
 //!     one `Arc` per attribute index): a clone bumps one reference count
 //!     per page and each write copies only the pages it lands in, so a
 //!     dirty epoch costs O(pages touched);
@@ -28,7 +28,7 @@
 //!     milliseconds per epoch at benchmark scale.
 //! * [`FreezeCell`] — the native-path adapter for engines whose `Clone` is
 //!   structurally cheap *and* whose clone may lag the live engine safely
-//!   (engine-columnar: `Arc`-shared LSM runs and [`SegVec`] pages, so a
+//!   (engine-columnar: `Arc`-shared LSM runs and `SegVec` pages, so a
 //!   clone copies only the memtable and small overlay sets). Writers mutate
 //!   the live engine in place — no copy-on-write at all — and pinning
 //!   freezes a view whose cost is bounded by the memtable size, not the

@@ -10,11 +10,13 @@
 //! Against an already-running server (`cargo run -p gm-net --bin gm-server`)
 //! set `GM_SERVER_ADDR=127.0.0.1:7687` and the example dials it instead.
 
-use gm_net::{run_remote, RemoteEngine, Server};
+use gm_net::{RemoteBackend, RemoteEngine, Server};
 use graphmark::core::summary;
 use graphmark::model::{GraphSnapshot, QueryCtx};
 use graphmark::registry::EngineKind;
-use graphmark::workload::{run, MixKind, WorkloadConfig};
+use graphmark::workload::{
+    prepare, run_backend, HostBackend, MixKind, SharedEngine, WorkloadConfig,
+};
 
 fn main() {
     let data = graphmark::datasets::generate(
@@ -36,9 +38,11 @@ fn main() {
     };
     println!("server: {addr}");
 
-    // 2. The same workload, twice: in-process, then through gm-net with one
-    //    TCP connection per client. `run_remote` resets the server, ships
-    //    the dataset, prepares parameters, and drives the workers.
+    // 2. The same workload, twice, through the one driver entry point: over
+    //    an in-process locked engine, then through gm-net with one TCP
+    //    connection per client. `RemoteBackend::setup` resets the server,
+    //    ships the dataset and prepares parameters; `prepare` does the same
+    //    for the in-process host.
     let cfg = WorkloadConfig {
         mix: MixKind::ReadHeavy,
         threads: 4,
@@ -46,9 +50,17 @@ fn main() {
         seed: 7,
         ..WorkloadConfig::default()
     };
-    let factory = move || kind.make();
-    let local = run(&factory, &data, &cfg).expect("in-process run");
-    let remote = run_remote(&addr, &data, &cfg).expect("network-attached run");
+    let host = SharedEngine::new(kind.make());
+    let params = prepare(&host, &data, cfg.seed).expect("load");
+    let local = run_backend(
+        &HostBackend::new(&host, &params, cfg.op_timeout),
+        &data.name,
+        &cfg,
+    )
+    .expect("in-process run");
+    let remote = RemoteBackend::setup(&addr, &data, &cfg)
+        .and_then(|backend| run_backend(&backend, &data.name, &cfg))
+        .expect("network-attached run");
 
     let mut rows = vec![local.scaling_row(), remote.scaling_row()];
     rows[1].engine.push_str("@net");

@@ -12,10 +12,10 @@
 //! ```
 //!
 //! The server hosts **one** engine instance. Clients drive it with the
-//! gm-net protocol: `RemoteEngine::connect` for trait-level access, or
-//! `run_remote` / the `fig9_network` bench binary for whole workloads
-//! (which reset, load and prepare the engine themselves). The process runs
-//! until killed.
+//! gm-net protocol: `RemoteEngine::connect` for trait-level access, or a
+//! `RemoteBackend` (`RemoteBackend::setup` resets, loads and prepares the
+//! engine) / the `fig9_network` bench binary for whole workloads. The
+//! process runs until killed.
 //!
 //! With `GM_SNAPSHOT_MODE=cow` (generic copy-on-write) or `native` (the
 //! columnar engine's segment-sharing freeze path, `cow` fallback
@@ -33,11 +33,11 @@
 
 use std::time::{Duration, Instant};
 
-use graphmark::mvcc::SnapshotMode;
+use graphmark::mvcc::{SnapshotMode, SnapshotSource};
 use graphmark::registry::EngineKind;
+use graphmark::workload::SharedEngine;
 
-use gm_model::SharedGraph;
-use gm_net::Server;
+use gm_net::{HostFactory, Server};
 use gm_obs::{trace, ObsMode, RegistrySnapshot};
 
 /// One line of live server stats: interval throughput and p99 from the
@@ -271,43 +271,28 @@ fn main() {
     };
 
     let addr = std::env::var("GM_SERVER_ADDR").unwrap_or_else(|_| "127.0.0.1:7687".to_string());
-    let bound = match (mode, shards) {
-        (None, 1) => Server::bind(&addr, Box::new(move || kind.make())),
-        (None, n) => Server::bind_sharded(
-            &addr,
-            Box::new(move || Box::new(kind.make_sharded(n)) as Box<dyn SharedGraph>),
-        ),
-        (Some(mode), 1) => {
-            Server::bind_snapshot(&addr, Box::new(move || kind.make_snapshot_source(mode)))
-        }
-        (Some(mode), n) => Server::bind_snapshot(
-            &addr,
-            Box::new(move || {
-                Box::new(kind.make_sharded_source(n, mode))
-                    as Box<dyn graphmark::mvcc::SnapshotSource>
-            }),
-        ),
+    let factory: HostFactory = match (mode, shards) {
+        (None, 1) => Box::new(move || Box::new(SharedEngine::new(kind.make()))),
+        (None, n) => Box::new(move || Box::new(kind.make_sharded(n))),
+        (Some(mode), 1) => Box::new(move || Box::new(kind.make_snapshot_source(mode))),
+        (Some(mode), n) => Box::new(move || {
+            Box::new(Box::new(kind.make_sharded_source(n, mode)) as Box<dyn SnapshotSource>)
+        }),
     };
-    let server = match bound {
-        Ok(server) => match fleet {
-            Some((id, size)) => server.with_shard_identity(id, size),
-            None => server,
+    // The banner reports the bound host's *actual* isolation: `native`
+    // falls back to the generic cow cell for engines without a native path,
+    // and the banner must not claim a freeze path the operator is not
+    // measuring.
+    let bound =
+        Server::bind_host(&addr, factory).and_then(|server| Ok((server.isolation()?, server)));
+    let (isolation, server) = match bound {
+        Ok((isolation, server)) => match fleet {
+            Some((id, size)) => (isolation, server.with_shard_identity(id, size)),
+            None => (isolation, server),
         },
         Err(e) => {
             eprintln!("[gm-server] {e}");
             std::process::exit(1);
-        }
-    };
-    // Report the *actual* source kind: `native` falls back to the generic
-    // cow cell for engines without a native path, and the banner must not
-    // claim a freeze path the operator is not measuring.
-    let isolation = match (mode, shards) {
-        (None, 1) => "locked".to_string(),
-        (None, _) => "sharded-locked".to_string(),
-        (Some(mode), 1) => format!("snapshot-{}", kind.make_snapshot_source(mode).kind()),
-        (Some(mode), n) => {
-            use graphmark::mvcc::SnapshotSource as _;
-            format!("snapshot-{}", kind.make_sharded_source(n, mode).kind())
         }
     };
     let mut hosted = if shards == 1 {

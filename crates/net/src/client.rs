@@ -11,8 +11,8 @@
 //! For the workload driver, [`RemoteBackend`] opens **one connection per
 //! worker** (like N benchmark clients against one server) and ships whole
 //! driver ops as single [`Request::ExecOp`] frames, executed server-side
-//! against parameters prepared by [`run_remote`] — one round trip per op,
-//! the way real drivers execute Gremlin server-side.
+//! against parameters prepared by [`RemoteBackend::setup`] — one round
+//! trip per op, the way real drivers execute Gremlin server-side.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,10 +27,7 @@ use gm_model::api::{
 use gm_model::{
     Dataset, Eid, GdbError, GdbResult, GraphDb, GraphSnapshot, Props, QueryCtx, Value, Vid,
 };
-use gm_workload::{
-    run_backend, run_backend_sequential, Backend, Op, OpResult, RunReport, Session, WorkloadConfig,
-    WORKLOAD_SLOTS,
-};
+use gm_workload::{Backend, Op, OpResult, Session, WorkloadConfig, WORKLOAD_SLOTS};
 
 use crate::proto::{Request, Response, MAGIC, PROTO_VERSION};
 use crate::wire::{FrameReader, FrameWriter};
@@ -657,8 +654,8 @@ impl GraphDb for RemoteEngine {
 /// read/write deadline of `op_timeout` + 1 s, so a stalled server fails an
 /// op with [`GdbError::Timeout`] instead of hanging the worker.
 ///
-/// Construct via [`run_remote`] (which also resets/loads/prepares the
-/// server), or directly when the server is already set up.
+/// Construct via [`RemoteBackend::setup`] (which also resets, loads and
+/// prepares the server), or directly when the server is already set up.
 pub struct RemoteBackend {
     addr: String,
     engine: String,
@@ -680,7 +677,23 @@ impl RemoteBackend {
         }
     }
 
-    /// Request strict pins for every read (see [`RemoteBackend::new`]).
+    /// Set up `addr`'s server for a fresh run — reset, ship and bulk-load
+    /// `data`, sync, prepare workload parameters from `cfg.seed` — and point
+    /// at it. Driving the result through `run_backend` puts dispatch and
+    /// serialization cost *inside* every latency sample; the report is
+    /// shaped exactly like an in-process one.
+    pub fn setup(addr: &str, data: &Dataset, cfg: &WorkloadConfig) -> GdbResult<Self> {
+        let mut ctl = RemoteEngine::connect(addr)?;
+        ctl.reset()?;
+        ctl.bulk_load(data, &LoadOptions::default())?;
+        ctl.sync()?;
+        ctl.prepare(cfg.seed, WORKLOAD_SLOTS as u32)?;
+        Ok(RemoteBackend::new(addr, ctl.name(), cfg.op_timeout))
+    }
+
+    /// Request strict (read-your-writes) pins for every read: a sequential
+    /// replay against a snapshot-hosted server needs them for a
+    /// deterministic trace.
     pub fn with_strict_reads(mut self) -> Self {
         self.strict_reads = true;
         self
@@ -769,39 +782,4 @@ fn stopwatch<T>(on: bool, nanos: &mut u64, f: impl FnOnce() -> T) -> T {
     let out = f();
     *nanos = t.elapsed().as_nanos() as u64;
     out
-}
-
-/// Set up `addr`'s server for a fresh run (reset, ship + bulk-load `data`,
-/// sync, prepare workload parameters from `cfg.seed`), then drive the
-/// configured workload over the wire with `cfg.threads` client connections.
-///
-/// The resulting [`RunReport`] is shaped exactly like an in-process one, so
-/// it flows through `ScalingRow`/`render_scaling`/CSV unchanged — with
-/// dispatch and serialization cost now *inside* every latency sample.
-pub fn run_remote(addr: &str, data: &Dataset, cfg: &WorkloadConfig) -> GdbResult<RunReport> {
-    let backend = setup_remote(addr, data, cfg)?;
-    run_backend(&backend, &data.name, cfg)
-}
-
-/// Like [`run_remote`], but replays the per-worker sequences serially over
-/// one connection at a time (closed loop) — the network-attached sequential
-/// reference.
-pub fn run_remote_sequential(
-    addr: &str,
-    data: &Dataset,
-    cfg: &WorkloadConfig,
-) -> GdbResult<RunReport> {
-    // Strict pins so a snapshot-hosted server serves each worker its own
-    // earlier writes — the sequential trace must be deterministic.
-    let backend = setup_remote(addr, data, cfg)?.with_strict_reads();
-    run_backend_sequential(&backend, &data.name, cfg)
-}
-
-fn setup_remote(addr: &str, data: &Dataset, cfg: &WorkloadConfig) -> GdbResult<RemoteBackend> {
-    let mut ctl = RemoteEngine::connect(addr)?;
-    ctl.reset()?;
-    ctl.bulk_load(data, &LoadOptions::default())?;
-    ctl.sync()?;
-    ctl.prepare(cfg.seed, WORKLOAD_SLOTS as u32)?;
-    Ok(RemoteBackend::new(addr, ctl.name(), cfg.op_timeout))
 }

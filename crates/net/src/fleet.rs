@@ -57,10 +57,7 @@ use gm_model::{lockwait, Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
 use gm_obs::{Counter, Phase};
 use gm_shard::route::{encode_eid, encode_vid, partition, Meta, Partitioned};
 use gm_shard::{Router, ShardPort, ShardSel, ShardWrite, Topology, WriteOut};
-use gm_workload::{
-    apply_write, run_backend, run_backend_sequential, Backend, Op, OpResult, RunReport, Session,
-    WorkloadConfig, WORKLOAD_SLOTS,
-};
+use gm_workload::{apply_write, Backend, Op, OpResult, Session, WorkloadConfig, WORKLOAD_SLOTS};
 
 use crate::client::{Connection, RemoteEngine};
 use crate::proto::{Request, Response};
@@ -245,7 +242,8 @@ impl Fleet {
     /// load batch per server, all in flight at once), build the routing
     /// meta via batched resolution probes, and resolve the workload
     /// parameters against the composite — the fleet analogue of
-    /// `prepare_sharded`, entirely outside the measured region.
+    /// `gm_workload::prepare` over a sharded composite, entirely outside the
+    /// measured region.
     pub fn setup(&self, data: &Dataset, cfg: &WorkloadConfig) -> GdbResult<ResolvedParams> {
         let parts = partition(data, self.shards)?;
         self.load_partitioned(&parts)?;
@@ -825,28 +823,6 @@ impl Session for FleetSession<'_> {
         }
         Ok(())
     }
-}
-
-/// Load `data` into the fleet and drive the configured workload
-/// concurrently over batched, pipelined per-worker connections — the
-/// cross-process analogue of `run_sharded`.
-pub fn run_fleet(fleet: &Fleet, data: &Dataset, cfg: &WorkloadConfig) -> GdbResult<RunReport> {
-    let params = fleet.setup(data, cfg)?;
-    let backend = FleetBackend::new(fleet, &params, cfg.op_timeout);
-    run_backend(&backend, &data.name, cfg)
-}
-
-/// Sequential (single-threaded, closed-loop) replay of [`run_fleet`]'s op
-/// sequences — the reference that must match the in-process
-/// `run_sharded_sequential` trace op-for-op.
-pub fn run_fleet_sequential(
-    fleet: &Fleet,
-    data: &Dataset,
-    cfg: &WorkloadConfig,
-) -> GdbResult<RunReport> {
-    let params = fleet.setup(data, cfg)?;
-    let backend = FleetBackend::new(fleet, &params, cfg.op_timeout);
-    run_backend_sequential(&backend, &data.name, cfg)
 }
 
 #[cfg(test)]

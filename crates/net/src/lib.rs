@@ -15,27 +15,27 @@
 //!   params) for server-side execution, and responses carrying result
 //!   payloads or losslessly round-tripped
 //!   [`GdbError`](gm_model::GdbError)s;
-//! * [`server`] — a std-only (tokio-free) TCP server hosting any engine
-//!   behind the workload driver's shared `RwLock`, thread-per-connection
-//!   with naturally pipelined request handling; the `gm-server` binary
-//!   hosts any registry engine from the command line;
+//! * [`server`] — a std-only (tokio-free) TCP server hosting any
+//!   [`gm_workload::Host`] (a locked engine, a snapshot source, a sharded
+//!   composite) thread-per-connection with naturally pipelined request
+//!   handling, executing each `ExecOp` through the same
+//!   [`gm_workload::execute_op`] the in-process driver runs; the
+//!   `gm-server` binary hosts any registry engine from the command line;
 //! * [`client`] — [`client::RemoteEngine`] implements `GraphDb` over the
 //!   wire (drops into `catalog::execute` and the sequential `Runner`
 //!   unchanged), and [`client::RemoteBackend`] plugs the same socket into
 //!   the concurrent workload driver: one connection per worker, closed-loop
 //!   / open-loop / bounded-overload pacing all unchanged
-//!   ([`client::run_remote`]).
-//!
-//! Determinism contract: a read-only workload driven through
-//! [`client::run_remote`] over loopback produces per-op results identical
-//! to the in-process sequential replay — enforced for every engine by
-//! `tests/loopback.rs`.
-
-//!
+//!   (`run_backend(&RemoteBackend::setup(addr, &data, &cfg)?, …)`);
 //! * [`fleet`] — [`fleet::Fleet`] coordinates N shard servers as one
 //!   composite graph: hash-routed single-shard ops, ghost-corrected
 //!   scatter-gather reads, and client-side write batching over pipelined
-//!   per-worker connections ([`fleet::run_fleet`]).
+//!   per-worker connections ([`fleet::FleetBackend`]).
+//!
+//! Determinism contract: a read-only workload driven through a
+//! [`client::RemoteBackend`] over loopback produces per-op results
+//! identical to the in-process sequential replay — enforced for every
+//! engine by `tests/loopback.rs`.
 
 pub mod client;
 pub mod fleet;
@@ -43,7 +43,7 @@ pub mod proto;
 pub mod server;
 pub mod wire;
 
-pub use client::{run_remote, run_remote_sequential, Connection, RemoteBackend, RemoteEngine};
-pub use fleet::{run_fleet, run_fleet_sequential, Fleet, FleetBackend, FLEET};
+pub use client::{Connection, RemoteBackend, RemoteEngine};
+pub use fleet::{Fleet, FleetBackend, FLEET};
 pub use proto::{Request, Response, MAGIC, PROTO_VERSION};
-pub use server::{EngineFactory, Server, ServerHandle, SharedFactory};
+pub use server::{EngineFactory, HostFactory, Server, ServerHandle};

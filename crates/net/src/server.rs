@@ -1,9 +1,11 @@
 //! The std-only TCP engine server.
 //!
-//! One [`Server`] hosts one engine behind the same `RwLock` contract the
-//! in-process driver uses — concurrent connections execute reads under the
-//! shared lock while writes serialize under the exclusive one — with a
-//! thread-per-connection accept loop. Each connection is a plain
+//! One [`Server`] hosts one graph through the same [`Host`] seam the
+//! in-process driver uses — a locked engine, an MVCC snapshot source or a
+//! per-shard-locked composite decides how concurrent connections share it,
+//! and every `ExecOp` runs through the driver's own [`execute_op`] — with a
+//! thread-per-connection accept loop. The server's only lock of its own is
+//! the swap lock `Reset` replaces the host under. Each connection is a plain
 //! read→execute→respond loop over one [`FrameReader`] / [`FrameWriter`]
 //! pair (buffered reads, one `write` per response — see [`crate::wire`]),
 //! so **pipelined** clients (several requests in flight on one connection)
@@ -17,7 +19,7 @@
 //! checked, [`Response::HelloAck`] returned), then any mix of primitive
 //! `GraphDb` calls and workload frames. `Reset` → `BulkLoad` → `Prepare` →
 //! `ExecOp…` is the canonical benchmarking sequence (see
-//! [`crate::client::run_remote`]).
+//! [`crate::client::RemoteBackend::setup`]).
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,15 +27,12 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use gm_core::catalog;
 use gm_core::params::{ResolvedParams, Workload};
 use gm_model::lockorder::{self, LockRank, Ranked};
-use gm_model::{
-    lockwait, Dataset, Eid, GdbError, GdbResult, GraphDb, GraphSnapshot, QueryCtx, SharedGraph, Vid,
-};
-use gm_mvcc::{write_once, SnapshotSource, SourceFactory, WriteTxn};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, GraphDb, GraphSnapshot, QueryCtx, Vid};
+use gm_mvcc::{write_once, WriteTxn};
 use gm_obs::{phase, trace, Counter, Histo, Phase};
-use gm_workload::{apply_write, Op};
+use gm_workload::{execute_op, read_once, Host, Op, SharedEngine, SNAPSHOT_PIN_STALENESS};
 
 use crate::proto::{FrameKind, Request, Response, MAGIC, PROTO_VERSION};
 use crate::wire::{FrameReader, FrameWriter};
@@ -41,82 +40,31 @@ use crate::wire::{FrameReader, FrameWriter};
 /// Factory producing fresh, empty engines — what `Reset` swaps in.
 pub type EngineFactory = Box<dyn Fn() -> Box<dyn GraphDb> + Send + Sync>;
 
-/// Factory producing fresh, empty internally-synchronized graphs
-/// ([`SharedGraph`], e.g. `gm-shard`'s per-partition-locked composite).
-pub type SharedFactory = Box<dyn Fn() -> Box<dyn SharedGraph> + Send + Sync>;
+/// Factory producing fresh, empty hosts (a locked engine, a snapshot source,
+/// a sharded composite) — what `Reset` swaps in.
+pub type HostFactory = Box<dyn Fn() -> Box<dyn Host> + Send + Sync>;
 
-/// The two hosting modes a server can run in.
-///
-/// * `Locked` — the original contract: one engine behind an `RwLock`, reads
-///   under the shared lock (a long remote scan blocks every remote writer).
-/// * `Snapshot` — a `gm-mvcc` [`SnapshotSource`]: every read request pins an
-///   immutable epoch and executes against it, so remote scans never block
-///   remote writers, and `ExecOp` responses carry the serving epoch.
-/// * `Shared` — an internally-synchronized [`SharedGraph`] (`gm-shard`'s
-///   per-partition-locked composite): reads *and* writes take only the
-///   outer lock's **shared** side (the exclusive side exists solely for
-///   `Reset`'s engine swap), so concurrent remote writers landing on
-///   different shards do not serialize in the server — the composite's own
-///   per-shard locks are the only synchronization on the op path.
-enum HostedEngine {
-    Locked {
-        factory: EngineFactory,
-        engine: RwLock<Box<dyn GraphDb>>,
-    },
-    Snapshot {
-        factory: SourceFactory,
-        source: RwLock<Box<dyn SnapshotSource>>,
-    },
-    Shared {
-        factory: SharedFactory,
-        graph: RwLock<Box<dyn SharedGraph>>,
-    },
-}
-
-/// A read execution view: the shared-lock guard, a pinned epoch, or a
-/// swap-guard over an internally-synchronized graph.
-enum ReadView<'a> {
-    Guard(Ranked<RwLockReadGuard<'a, Box<dyn GraphDb>>>),
-    Snap(Box<dyn GraphSnapshot>),
-    Shared(Ranked<RwLockReadGuard<'a, Box<dyn SharedGraph>>>),
-}
-
-impl ReadView<'_> {
-    /// The read-only engine surface to execute against.
-    fn snap(&self) -> &dyn GraphSnapshot {
-        match self {
-            ReadView::Guard(guard) => {
-                let db: &dyn GraphDb = &***guard;
-                db
-            }
-            ReadView::Snap(snap) => snap.as_ref(),
-            ReadView::Shared(guard) => {
-                let g: &dyn SharedGraph = &***guard;
-                g
-            }
-        }
-    }
-
-    /// Serving epoch: `Some` only for pinned snapshot views.
-    fn epoch(&self) -> Option<u64> {
-        match self {
-            ReadView::Guard(_) | ReadView::Shared(_) => None,
-            ReadView::Snap(snap) => Some(snap.epoch()),
-        }
-    }
-}
+/// The hosted graph's swap guard: held shared by every request that touches
+/// the host, so a `Reset` (which takes it exclusively) never swaps the host
+/// out from under one.
+type HostGuard<'a> = Ranked<RwLockReadGuard<'a, Box<dyn Host>>>;
 
 /// Everything the connection handlers share.
 struct Hosted {
-    engine: HostedEngine,
+    factory: HostFactory,
+    /// The hosted graph, behind the lock `Reset` swaps it under. How
+    /// concurrent requests share the graph is the host's own business: this
+    /// lock is taken shared on every op path.
+    host: RwLock<Box<dyn Host>>,
     /// Dataset retained from the last `BulkLoad`, for `Prepare`.
     data: Mutex<Option<Dataset>>,
     /// Workload parameters resolved by `Prepare`, snapshotted per op.
     params: RwLock<Option<Arc<ResolvedParams>>>,
-    /// Bumped by every `Reset`. Connections stamp their `owned_edges` pool
-    /// with the generation it was filled under and discard it when the
-    /// engine has since been replaced — a stale `Eid` from a discarded
-    /// engine must never delete an edge of the freshly loaded one.
+    /// Bumped by every `Reset`, under the exclusive swap lock. Connections
+    /// stamp their `owned_edges` pool with the generation it was filled
+    /// under and discard it when the host has since been replaced — a stale
+    /// `Eid` from a discarded engine must never delete an edge of the
+    /// freshly loaded one.
     generation: AtomicU64,
     /// Fleet identity `(shard_id, fleet_size)` echoed in every `HelloAck`
     /// so a fleet client can verify it dialed the shard it routed to.
@@ -124,125 +72,38 @@ struct Hosted {
 }
 
 impl Hosted {
-    fn poisoned(side: &str) -> GdbError {
+    fn poisoned(what: &str) -> GdbError {
         GdbError::Poisoned(format!(
-            "server: engine {side} lock poisoned by a panicking writer"
+            "server: {what} lock poisoned by a panicking writer"
         ))
     }
 
-    fn engine_name(&self) -> GdbResult<String> {
-        Ok(self.read_view()?.snap().name())
+    /// The hosted graph, held against `Reset` for the guard's lifetime.
+    ///
+    /// Not timed into `lock_wait`: the lock's only writer is `Reset`, which
+    /// no measured run overlaps, so the wait is zero and timing it would
+    /// cost every request two clock reads. The host's own locks are timed.
+    fn host(&self) -> GdbResult<HostGuard<'_>> {
+        // gm-lock: swap
+        let t = lockorder::acquire(LockRank::Swap, "gm-net/server.rs host");
+        self.host
+            .read()
+            .map(|g| Ranked::new(g, t))
+            .map_err(|_| Self::poisoned("host swap"))
     }
 
-    /// A read view of the hosted engine: the shared-lock guard in locked
-    /// mode, a freshly pinned (strict, read-your-writes) epoch in snapshot
-    /// mode. Used by the primitive `GraphDb` frames, where a client issuing
-    /// `add_vertex` then `vertex_count` on one connection must see its own
-    /// write.
-    fn read_view(&self) -> GdbResult<ReadView<'_>> {
-        match &self.engine {
-            HostedEngine::Locked { engine, .. } => {
-                // gm-lock: driver
-                let t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs engine read");
-                Ok(ReadView::Guard(Ranked::new(
-                    lockwait::timed(|| engine.read()).map_err(|_| Self::poisoned("read"))?,
-                    t,
-                )))
-            }
-            HostedEngine::Snapshot { source, .. } => {
-                // gm-lock: driver transient
-                let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs source read pin");
-                Ok(ReadView::Snap(
-                    lockwait::timed(|| source.read())
-                        .map_err(|_| Self::poisoned("source read"))?
-                        .snapshot()?,
-                ))
-            }
-            HostedEngine::Shared { graph, .. } => {
-                // gm-lock: driver
-                let t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs shared read");
-                Ok(ReadView::Shared(Ranked::new(
-                    lockwait::timed(|| graph.read()).map_err(|_| Self::poisoned("shared read"))?,
-                    t,
-                )))
-            }
-        }
-    }
-
-    /// Like [`Hosted::read_view`], but in snapshot mode the pin tolerates
-    /// bounded staleness (`gm-workload`'s pin cadence), so the `ExecOp` hot
-    /// path never serializes behind per-request epoch publishes.
-    fn read_view_recent(&self) -> GdbResult<ReadView<'_>> {
-        match &self.engine {
-            HostedEngine::Locked { .. } | HostedEngine::Shared { .. } => self.read_view(),
-            HostedEngine::Snapshot { source, .. } => {
-                // gm-lock: driver transient
-                let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs source recent pin");
-                Ok(ReadView::Snap(
-                    lockwait::timed(|| source.read())
-                        .map_err(|_| Self::poisoned("source read"))?
-                        .snapshot_recent(gm_workload::SNAPSHOT_PIN_STALENESS)?,
-                ))
-            }
-        }
-    }
-
-    /// Run one mutation against the hosted engine (exclusive lock in locked
-    /// mode, the source's write path in snapshot mode).
-    fn with_engine_write<R>(
-        &self,
-        f: impl FnOnce(&mut dyn GraphDb) -> GdbResult<R>,
-    ) -> GdbResult<R> {
-        match &self.engine {
-            HostedEngine::Locked { engine, .. } => {
-                // gm-lock: driver
-                let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs engine write");
-                let mut db =
-                    lockwait::timed(|| engine.write()).map_err(|_| Self::poisoned("write"))?;
-                f(db.as_mut())
-            }
-            HostedEngine::Snapshot { source, .. } => {
-                // gm-lock: driver
-                let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs source write");
-                let source =
-                    lockwait::timed(|| source.read()).map_err(|_| Self::poisoned("source read"))?;
-                write_once(f, |w| source.with_write(w))
-            }
-            // The graph synchronizes internally (per-shard locks): writes
-            // take only the *shared* side of the swap lock, so two remote
-            // writers landing on different shards run in parallel.
-            HostedEngine::Shared { graph, .. } => {
-                // gm-lock: driver
-                let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs shared write");
-                let graph =
-                    lockwait::timed(|| graph.read()).map_err(|_| Self::poisoned("shared read"))?;
-                write_once(f, |w| graph.with_write(w))
-            }
-        }
-    }
-
-    /// Replace the hosted engine with a fresh one from its factory.
-    fn reset_engine(&self) -> GdbResult<()> {
-        match &self.engine {
-            HostedEngine::Locked { factory, engine } => {
-                // gm-lock: driver
-                let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs engine reset");
-                let mut db = engine.write().map_err(|_| Self::poisoned("write"))?;
-                *db = factory();
-            }
-            HostedEngine::Snapshot { factory, source } => {
-                // gm-lock: driver
-                let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs source reset");
-                let mut src = source.write().map_err(|_| Self::poisoned("source write"))?;
-                *src = factory();
-            }
-            HostedEngine::Shared { factory, graph } => {
-                // gm-lock: driver
-                let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs shared reset");
-                let mut g = graph.write().map_err(|_| Self::poisoned("shared write"))?;
-                *g = factory();
-            }
-        }
+    /// Replace the hosted graph with a fresh one from the factory and forget
+    /// the dataset and parameters — all under the exclusive swap lock, so a
+    /// request sees either the old host with its generation or the new one
+    /// with its own.
+    fn reset(&self) -> GdbResult<()> {
+        // gm-lock: swap
+        let _t = lockorder::acquire(LockRank::Swap, "gm-net/server.rs host reset");
+        let mut host = self.host.write().map_err(|_| Self::poisoned("host swap"))?;
+        *host = (self.factory)();
+        *self.data.lock().map_err(|_| Self::poisoned("dataset"))? = None;
+        *self.params.write().map_err(|_| Self::poisoned("params"))? = None;
+        self.generation.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 }
@@ -282,56 +143,31 @@ impl ServerHandle {
 impl Server {
     /// Bind to `addr` (e.g. `"127.0.0.1:7687"` or `"127.0.0.1:0"`), hosting
     /// engines produced by `factory` behind the shared `RwLock` (reads block
-    /// writes and vice versa). One engine is created immediately so the
-    /// server is usable before any `Reset`.
+    /// writes and vice versa) — [`Server::bind_host`] over a
+    /// [`SharedEngine`].
     pub fn bind(addr: &str, factory: EngineFactory) -> GdbResult<Server> {
-        let engine = factory();
-        Self::bind_hosted(
+        Self::bind_host(
             addr,
-            HostedEngine::Locked {
-                factory,
-                engine: RwLock::new(engine),
-            },
+            Box::new(move || Box::new(SharedEngine::new(factory())) as Box<dyn Host>),
         )
     }
 
-    /// Bind to `addr` hosting a `gm-mvcc` snapshot source: read requests pin
-    /// an immutable epoch (remote scans never block remote writers) and
-    /// `ExecOp` responses carry the serving epoch.
-    pub fn bind_snapshot(addr: &str, factory: SourceFactory) -> GdbResult<Server> {
-        let source = factory();
-        Self::bind_hosted(
-            addr,
-            HostedEngine::Snapshot {
-                factory,
-                source: RwLock::new(source),
-            },
-        )
-    }
-
-    /// Bind to `addr` hosting an internally-synchronized [`SharedGraph`]
-    /// (e.g. `gm-shard`'s per-partition-locked composite): both reads and
-    /// writes take only the shared side of the outer swap lock, so the
-    /// hosted graph's own locks are the only synchronization on the op
-    /// path — one server, many shards.
-    pub fn bind_sharded(addr: &str, factory: SharedFactory) -> GdbResult<Server> {
-        let graph = factory();
-        Self::bind_hosted(
-            addr,
-            HostedEngine::Shared {
-                factory,
-                graph: RwLock::new(graph),
-            },
-        )
-    }
-
-    fn bind_hosted(addr: &str, engine: HostedEngine) -> GdbResult<Server> {
+    /// Bind to `addr` hosting graphs produced by `factory`. The [`Host`]
+    /// decides how concurrent connections share the graph: a locked engine
+    /// (reads block writes), a `gm-mvcc` snapshot source (read requests pin
+    /// an immutable epoch, `ExecOp` responses carry it, and connections may
+    /// open write transactions), or `gm-shard`'s per-partition-locked
+    /// composite (writers on different shards do not serialize — one
+    /// server, many shards). One host is created immediately so the server
+    /// is usable before any `Reset`.
+    pub fn bind_host(addr: &str, factory: HostFactory) -> GdbResult<Server> {
         let listener =
             TcpListener::bind(addr).map_err(|e| GdbError::Io(format!("binding {addr}: {e}")))?;
         Ok(Server {
             listener,
             hosted: Arc::new(Hosted {
-                engine,
+                host: RwLock::new(factory()),
+                factory,
                 data: Mutex::new(None),
                 params: RwLock::new(None),
                 generation: AtomicU64::new(0),
@@ -339,6 +175,12 @@ impl Server {
             }),
             stop: Arc::new(AtomicBool::new(false)),
         })
+    }
+
+    /// The hosted graph's read-path isolation label (`locked`,
+    /// `snapshot-cow`, `sharded-locked`, …).
+    pub fn isolation(&self) -> GdbResult<String> {
+        Ok(self.hosted.host()?.isolation())
     }
 
     /// Declare this server one shard of a fleet: `HelloAck` then carries
@@ -445,7 +287,7 @@ fn handle_conn(stream: TcpStream, hosted: Arc<Hosted>) {
     let first = reader.recv_within(MAX_HELLO_FRAME, Request::decode);
     match first {
         Ok(Request::Hello { magic, version }) if magic == MAGIC && version == PROTO_VERSION => {
-            let rsp = match hosted.engine_name() {
+            let rsp = match hosted.host().map(|host| host.name()) {
                 Ok(engine) => Response::HelloAck {
                     version: PROTO_VERSION,
                     engine,
@@ -566,32 +408,23 @@ fn handle_request(
     }
 }
 
-/// Open an epoch-pinned write transaction on this connection (v7). Only
-/// snapshot hosting has the MVCC machinery for it.
+/// Open an epoch-pinned write transaction on this connection (v7). Only a
+/// host with a snapshot source has the MVCC machinery for it.
 fn txn_begin(hosted: &Hosted, txn: &mut Option<ConnTxn>) -> GdbResult<Response> {
     if txn.is_some() {
         return Err(GdbError::Invalid(
             "TxnBegin with a transaction already open on this connection".into(),
         ));
     }
-    match &hosted.engine {
-        HostedEngine::Snapshot { source, .. } => {
-            // gm-lock: driver transient
-            let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs txn begin");
-            let source =
-                lockwait::timed(|| source.read()).map_err(|_| Hosted::poisoned("source read"))?;
-            let opened = WriteTxn::begin(&**source)?;
-            let epoch = opened.base_epoch();
-            *txn = Some(ConnTxn {
-                txn: opened,
-                generation: hosted.generation.load(Ordering::SeqCst),
-            });
-            Ok(Response::TxnBegun { epoch })
-        }
-        _ => Err(GdbError::Unsupported(
-            "write transactions require snapshot hosting".into(),
-        )),
-    }
+    // gm-lock: swap
+    let host = hosted.host()?;
+    let opened = WriteTxn::begin(snapshot_source(&**host)?)?;
+    let epoch = opened.base_epoch();
+    *txn = Some(ConnTxn {
+        txn: opened,
+        generation: hosted.generation.load(Ordering::SeqCst),
+    });
+    Ok(Response::TxnBegun { epoch })
 }
 
 /// Validate and publish the connection's open transaction (v7). The write
@@ -601,27 +434,24 @@ fn txn_commit(hosted: &Hosted, txn: &mut Option<ConnTxn>) -> GdbResult<Response>
     let state = txn.take().ok_or_else(|| {
         GdbError::Invalid("TxnCommit without an open transaction on this connection".into())
     })?;
+    // gm-lock: swap
+    let host = hosted.host()?;
     if state.generation != hosted.generation.load(Ordering::SeqCst) {
         return Err(GdbError::TxnConflict(
             "the hosted engine was reset after this transaction began".into(),
         ));
     }
-    match &hosted.engine {
-        HostedEngine::Snapshot { source, .. } => {
-            // gm-lock: driver transient
-            let _t = lockorder::acquire(LockRank::Driver, "gm-net/server.rs txn commit");
-            let source =
-                lockwait::timed(|| source.read()).map_err(|_| Hosted::poisoned("source read"))?;
-            let ops = state.txn.commit(&**source)?;
-            Ok(Response::TxnCommitted {
-                ops,
-                epoch: source.current_epoch(),
-            })
-        }
-        _ => Err(GdbError::Unsupported(
-            "write transactions require snapshot hosting".into(),
-        )),
-    }
+    let source = snapshot_source(&**host)?;
+    let ops = state.txn.commit(source)?;
+    Ok(Response::TxnCommitted {
+        ops,
+        epoch: source.current_epoch(),
+    })
+}
+
+fn snapshot_source(host: &dyn Host) -> GdbResult<&dyn gm_mvcc::SnapshotSource> {
+    host.snapshot_source()
+        .ok_or_else(|| GdbError::Unsupported("write transactions require snapshot hosting".into()))
 }
 
 fn txn_abort(txn: &mut Option<ConnTxn>) -> GdbResult<Response> {
@@ -762,14 +592,23 @@ fn execute_request(
     txn: &mut Option<ConnTxn>,
 ) -> GdbResult<Response> {
     // Primitives go to the connection's open transaction when there is
-    // one, else to the hosted engine: a read view per request (in snapshot
-    // mode a freshly pinned epoch, so a long scan here cannot block a
-    // writer on another connection) or the engine's write path.
+    // one, else to the host: a strict read view per request (for a snapshot
+    // host a freshly pinned epoch, so a long scan here cannot block a writer
+    // on another connection, and a client issuing `add_vertex` then
+    // `vertex_count` sees its own write) or one write batch.
     match (req.kind(), txn.as_mut()) {
         (FrameKind::Read, Some(open)) => return answer_read(&open.txn, req),
-        (FrameKind::Read, None) => return answer_read(hosted.read_view()?.snap(), req),
+        (FrameKind::Read, None) => {
+            // gm-lock: swap
+            let host = hosted.host()?;
+            return read_once(&**host, Duration::ZERO, |g| answer_read(g, req)).map(|(r, _)| r);
+        }
         (FrameKind::Write, Some(open)) => return answer_write(&mut open.txn, req),
-        (FrameKind::Write, None) => return hosted.with_engine_write(|db| answer_write(db, req)),
+        (FrameKind::Write, None) => {
+            // gm-lock: swap
+            let host = hosted.host()?;
+            return write_once(|db| answer_write(db, req), |w| host.write_batch(w));
+        }
         (FrameKind::Control, _) => {}
     }
     // Frames that would bypass an open transaction (workload execution,
@@ -795,20 +634,13 @@ fn execute_request(
         Request::TxnCommit => return txn_commit(hosted, txn),
         Request::TxnAbort => return txn_abort(txn),
         Request::Reset => {
-            hosted.reset_engine()?;
-            *hosted
-                .data
-                .lock()
-                .map_err(|_| Hosted::poisoned("dataset"))? = None;
-            *hosted
-                .params
-                .write()
-                .map_err(|_| Hosted::poisoned("params"))? = None;
-            hosted.generation.fetch_add(1, Ordering::SeqCst);
+            hosted.reset()?;
             Response::Unit
         }
         Request::BulkLoad { opts, data } => {
-            let stats = hosted.with_engine_write(|db| db.bulk_load(&data, &opts))?;
+            // gm-lock: swap
+            let host = hosted.host()?;
+            let stats = write_once(|db| db.bulk_load(&data, &opts), |w| host.write_batch(w))?;
             *hosted
                 .data
                 .lock()
@@ -825,7 +657,9 @@ fn execute_request(
                     GdbError::Invalid("Prepare before BulkLoad: no dataset retained".into())
                 })?;
             let workload = Workload::choose(&data, seed, slots as usize);
-            let params = workload.resolve(hosted.read_view()?.snap())?;
+            // gm-lock: swap
+            let host = hosted.host()?;
+            let (params, _) = read_once(&**host, Duration::ZERO, |g| workload.resolve(g))?;
             *hosted
                 .params
                 .write()
@@ -872,45 +706,33 @@ fn execute_request(
                 m.ops.inc();
                 Instant::now()
             });
-            let (card, epoch) = match op {
-                Op::Read(inst) => {
-                    let ctx = ctx_for(timeout_micros);
-                    // Strict pins (sequential replays) must read their own
-                    // earlier writes; concurrent drivers take the
-                    // group-committed fast path.
-                    let view = {
-                        let _pin = phase::span(Phase::SnapshotPin);
-                        if strict {
-                            hosted.read_view()?
-                        } else {
-                            hosted.read_view_recent()?
-                        }
-                    };
-                    let _exec = phase::span(Phase::EngineExec);
-                    let card = catalog::execute_read(&inst, view.snap(), &params, &ctx)?;
-                    (card, view.epoch())
-                }
-                Op::Write(wop) => {
-                    // The generation check of `current()` must happen while
-                    // holding the engine write path: a `Reset` interleaving
-                    // between the check and the write would otherwise apply
-                    // a pre-reset edge pool to the fresh engine (and stale
-                    // eids alias live edges once ids restart at 0).
-                    let _exec = phase::span(Phase::EngineExec);
-                    let card = hosted.with_engine_write(|db| {
-                        apply_write(
-                            wop,
-                            db,
-                            &params,
-                            worker as usize,
-                            op_index,
-                            owned_edges.current(hosted),
-                        )
-                    })?;
-                    // Writes produce the next epoch, they don't observe one.
-                    (card, None)
-                }
+            // gm-lock: swap
+            let host = hosted.host()?;
+            // The generation check of `current()` must happen while holding
+            // the host against `Reset`: a swap interleaving between the
+            // check and a write would otherwise apply a pre-reset edge pool
+            // to the fresh engine (and stale eids alias live edges once ids
+            // restart at 0).
+            let pool = owned_edges.current(hosted);
+            let timeout = (timeout_micros != 0).then(|| Duration::from_micros(timeout_micros));
+            // Strict pins (sequential replays) must read their own earlier
+            // writes; concurrent drivers take the group-committed fast path.
+            let staleness = if strict {
+                Duration::ZERO
+            } else {
+                SNAPSHOT_PIN_STALENESS
             };
+            let (card, epoch) = execute_op(
+                &**host,
+                op,
+                &params,
+                timeout,
+                staleness,
+                worker as usize,
+                op_index,
+                pool,
+            )?;
+            drop(host);
             let phases = phase::take_all();
             if let (Some(m), Some(t0)) = (net_metrics(), t0) {
                 m.op_nanos.record(t0.elapsed().as_nanos() as u64);
@@ -958,12 +780,18 @@ fn execute_request(
             Response::BatchDone(rsps)
         }
         // Epoch probe: what a read would pin right now — inside a
-        // transaction, the epoch its reads are pinned to. Locked and shared
-        // hosting have no epochs — report 0, which min-reduces harmlessly
-        // fleet-side.
+        // transaction, the epoch its reads are pinned to. Locked and
+        // sharded-locked hosts have no epochs — report 0, which min-reduces
+        // harmlessly fleet-side.
         Request::Epoch => Response::U64(match txn {
             Some(open) => open.txn.base_epoch(),
-            None => hosted.read_view()?.epoch().unwrap_or(0),
+            None => {
+                // gm-lock: swap
+                let host = hosted.host()?;
+                host.read_view(Duration::ZERO, &mut |_| Ok(0))?
+                    .1
+                    .unwrap_or(0)
+            }
         }),
         other => return Err(misrouted(&other, "control")),
     })

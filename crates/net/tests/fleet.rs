@@ -13,10 +13,12 @@ use std::time::Duration;
 use gm_core::catalog::{QueryId, QueryInstance};
 use gm_model::api::{Direction, GraphSnapshot};
 use gm_model::{testkit, QueryCtx};
-use gm_net::{run_fleet, run_fleet_sequential, Fleet, FleetBackend, Server, ServerHandle};
-use gm_workload::{Backend, MixKind, Op, WorkloadConfig, WriteOp};
+use gm_net::{Fleet, FleetBackend, Server, ServerHandle};
+use gm_workload::{
+    prepare, run_backend, run_backend_sequential, Backend, HostBackend, MixKind, Op, SharedEngine,
+    WorkloadConfig, WriteOp,
+};
 use graphmark::registry::EngineKind;
-use graphmark::shard::{prepare_sharded, run_sharded_sequential};
 
 /// Spawn `n` single-engine shard servers, each announcing its fleet
 /// identity, and return (handles, address table).
@@ -62,11 +64,19 @@ fn fleet_write_heavy_matches_in_process_sharded_replay() {
     let c = cfg(MixKind::WriteHeavy, 3, 40);
     let epoch_before = fleet.epoch().expect("fleet epoch");
     let trips_before = fleet.round_trips();
-    let remote = run_fleet_sequential(&fleet, &data, &c).expect("fleet run");
+    let remote = fleet
+        .setup(&data, &c)
+        .and_then(|params| {
+            let backend = FleetBackend::new(&fleet, &params, c.op_timeout);
+            run_backend_sequential(&backend, &data.name, &c)
+        })
+        .expect("fleet run");
     let measured_trips = fleet.round_trips() - trips_before;
 
-    let factory = move || kind.make();
-    let local = run_sharded_sequential(&factory, 4, &data, &c).expect("local sharded replay");
+    let graph = kind.make_sharded(4);
+    let params = prepare(&graph, &data, c.seed).unwrap();
+    let backend = HostBackend::new(&graph, &params, c.op_timeout);
+    let local = run_backend_sequential(&backend, &data.name, &c).expect("local sharded replay");
 
     assert_eq!(
         remote.cardinality_trace(),
@@ -119,7 +129,13 @@ fn fleet_concurrent_write_heavy_completes() {
     let (handles, addrs) = spawn_fleet(EngineKind::LinkedV2, 3);
     let fleet = Fleet::connect(addrs).expect("connect fleet");
     let c = cfg(MixKind::WriteHeavy, 4, 30);
-    let report = run_fleet(&fleet, &data, &c).expect("concurrent fleet run");
+    let report = fleet
+        .setup(&data, &c)
+        .and_then(|params| {
+            let backend = FleetBackend::new(&fleet, &params, c.op_timeout);
+            run_backend(&backend, &data.name, &c)
+        })
+        .expect("concurrent fleet run");
     assert_eq!(report.ops() + report.errors(), 4 * 30);
     assert_eq!(report.errors(), 0, "no op should fail over loopback");
     assert_eq!(fleet.routing_errors(), 0);
@@ -153,16 +169,22 @@ fn fleet_setup_over_a_tiny_dataset_returns() {
 /// engine would.
 #[test]
 fn fleet_read_only_matches_unsharded_replay() {
-    use gm_workload::run_sequential;
-
     let data = testkit::chain_dataset(150);
     let kind = EngineKind::ColumnarV10;
     let (handles, addrs) = spawn_fleet(kind, 4);
     let fleet = Fleet::connect(addrs).expect("connect fleet");
     let c = cfg(MixKind::ReadOnly, 3, 20);
-    let remote = run_fleet_sequential(&fleet, &data, &c).expect("fleet run");
-    let factory = move || kind.make();
-    let local = run_sequential(&factory, &data, &c).expect("local replay");
+    let remote = fleet
+        .setup(&data, &c)
+        .and_then(|params| {
+            let backend = FleetBackend::new(&fleet, &params, c.op_timeout);
+            run_backend_sequential(&backend, &data.name, &c)
+        })
+        .expect("fleet run");
+    let host = SharedEngine::new(kind.make());
+    let params = prepare(&host, &data, c.seed).unwrap();
+    let backend = HostBackend::new(&host, &params, c.op_timeout);
+    let local = run_backend_sequential(&backend, &data.name, &c).expect("local replay");
     assert_eq!(
         remote.cardinality_trace(),
         local.cardinality_trace(),
@@ -225,9 +247,8 @@ fn reads_flush_exactly_the_shards_they_need() {
     // same composite ids, so it predicts the anchor's presence set (its
     // owner plus the shards of its in-neighbours — edges live with their
     // source).
-    let factory = move || kind.make();
-    let (replica, local_params) =
-        prepare_sharded(&factory, N, &data, &c).expect("in-process replica");
+    let replica = kind.make_sharded(N);
+    let local_params = prepare(&replica, &data, c.seed).expect("in-process replica");
     assert_eq!(local_params.vertex, params.vertex, "replica ids match");
     let mut presence: BTreeSet<usize> = replica
         .neighbors(params.vertex, Direction::In, None, &QueryCtx::unbounded())

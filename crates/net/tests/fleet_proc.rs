@@ -10,10 +10,9 @@ use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
 use gm_model::testkit;
-use gm_net::{run_fleet_sequential, Fleet};
-use gm_workload::{MixKind, WorkloadConfig};
+use gm_net::{Fleet, FleetBackend};
+use gm_workload::{prepare, run_backend_sequential, HostBackend, MixKind, WorkloadConfig};
 use graphmark::registry::EngineKind;
-use graphmark::shard::run_sharded_sequential;
 
 /// A spawned `gm-server` process, killed on drop so a failing assertion
 /// never leaks servers.
@@ -96,11 +95,19 @@ fn four_process_fleet_matches_in_process_sharded_replay() {
 
     let epoch_before = fleet.epoch().expect("fleet epoch");
     let trips_before = fleet.round_trips();
-    let remote = run_fleet_sequential(&fleet, &data, &c).expect("4-process fleet run");
+    let remote = fleet
+        .setup(&data, &c)
+        .and_then(|params| {
+            let backend = FleetBackend::new(&fleet, &params, c.op_timeout);
+            run_backend_sequential(&backend, &data.name, &c)
+        })
+        .expect("4-process fleet run");
     let window = fleet.round_trips() - trips_before;
 
-    let factory = move || kind.make();
-    let local = run_sharded_sequential(&factory, N, &data, &c).expect("local sharded replay");
+    let graph = kind.make_sharded(N);
+    let params = prepare(&graph, &data, c.seed).unwrap();
+    let backend = HostBackend::new(&graph, &params, c.op_timeout);
+    let local = run_backend_sequential(&backend, &data.name, &c).expect("local sharded replay");
 
     assert_eq!(
         remote.cardinality_trace(),

@@ -16,10 +16,13 @@ use gm_model::api::LoadOptions;
 use gm_model::{testkit, GdbError, GraphDb, GraphSnapshot, QueryCtx, Vid};
 use gm_net::wire;
 use gm_net::{
-    run_remote, Connection, RemoteEngine, Request, Response, Server, ServerHandle, MAGIC,
+    Connection, RemoteBackend, RemoteEngine, Request, Response, Server, ServerHandle, MAGIC,
     PROTO_VERSION,
 };
-use gm_workload::{run_sequential, MixKind, Pacing, WorkloadConfig};
+use gm_workload::{
+    prepare, run_backend, run_backend_sequential, HostBackend, MixKind, Pacing, SharedEngine,
+    WorkloadConfig,
+};
 use graphmark::registry::EngineKind;
 
 fn spawn_server(kind: EngineKind) -> ServerHandle {
@@ -50,11 +53,17 @@ fn remote_read_only_matches_in_process_sequential_on_every_engine() {
         let server = spawn_server(kind);
         let addr = server.addr().to_string();
         let c = cfg(MixKind::ReadOnly, 3, 20);
-        let remote = run_remote(&addr, &data, &c)
+        let remote = RemoteBackend::setup(&addr, &data, &c)
+            .and_then(|b| run_backend(&b, &data.name, &c))
             .unwrap_or_else(|e| panic!("{}: remote run failed: {e}", kind.name()));
-        let factory = move || kind.make();
-        let local = run_sequential(&factory, &data, &c)
-            .unwrap_or_else(|e| panic!("{}: local replay failed: {e}", kind.name()));
+        let host = SharedEngine::new(kind.make());
+        let params = prepare(&host, &data, c.seed).unwrap();
+        let local = run_backend_sequential(
+            &HostBackend::new(&host, &params, c.op_timeout),
+            &data.name,
+            &c,
+        )
+        .unwrap_or_else(|e| panic!("{}: local replay failed: {e}", kind.name()));
         assert_eq!(
             remote.cardinality_trace(),
             local.cardinality_trace(),
@@ -75,7 +84,9 @@ fn remote_mixed_workload_completes() {
     let server = spawn_server(EngineKind::LinkedV2);
     let addr = server.addr().to_string();
     let c = cfg(MixKind::Mixed, 4, 30);
-    let report = run_remote(&addr, &data, &c).expect("remote mixed run");
+    let report = RemoteBackend::setup(&addr, &data, &c)
+        .and_then(|b| run_backend(&b, &data.name, &c))
+        .expect("remote mixed run");
     assert_eq!(report.ops() + report.errors(), 4 * 30);
     assert_eq!(report.errors(), 0, "no op should fail over loopback");
     assert!(report.throughput() > 0.0);
@@ -94,7 +105,9 @@ fn bounded_overload_sheds_over_the_wire() {
         pacing: Pacing::open_bounded(2_000_000.0, Duration::from_millis(2)),
         ..cfg(MixKind::ScanHeavy, 2, 600)
     };
-    let report = run_remote(&addr, &data, &c).expect("remote overload run");
+    let report = RemoteBackend::setup(&addr, &data, &c)
+        .and_then(|b| run_backend(&b, &data.name, &c))
+        .expect("remote overload run");
     assert!(report.shed() > 0, "overload must shed over the wire");
     assert_eq!(
         report.ops() + report.errors() + report.shed(),
@@ -449,9 +462,9 @@ fn snapshot_server_tags_reads_with_one_epoch_under_concurrent_writers() {
 
     let data = testkit::chain_dataset(120);
     let kind = EngineKind::LinkedV2;
-    let server = Server::bind_snapshot(
+    let server = Server::bind_host(
         "127.0.0.1:0",
-        Box::new(move || kind.make_snapshot_source(SnapshotMode::Cow)),
+        Box::new(move || Box::new(kind.make_snapshot_source(SnapshotMode::Cow))),
     )
     .expect("bind snapshot loopback")
     .spawn()
@@ -558,14 +571,11 @@ fn snapshot_server_tags_reads_with_one_epoch_under_concurrent_writers() {
 /// the loop remote-sharded == local-sharded == local-unsharded.
 #[test]
 fn sharded_server_matches_in_process_sharded_and_unsharded_replay() {
-    use gm_model::SharedGraph;
-    use graphmark::shard::run_sharded_sequential;
-
     let data = testkit::chain_dataset(150);
     let kind = EngineKind::LinkedV2;
-    let server = Server::bind_sharded(
+    let server = Server::bind_host(
         "127.0.0.1:0",
-        Box::new(move || Box::new(kind.make_sharded(4)) as Box<dyn SharedGraph>),
+        Box::new(move || Box::new(kind.make_sharded(4))),
     )
     .expect("bind sharded loopback")
     .spawn()
@@ -573,10 +583,17 @@ fn sharded_server_matches_in_process_sharded_and_unsharded_replay() {
     let addr = server.addr().to_string();
 
     let c = cfg(MixKind::ReadOnly, 3, 20);
-    let remote = run_remote(&addr, &data, &c).expect("remote sharded run");
-    let factory = move || kind.make();
-    let local_sharded = run_sharded_sequential(&factory, 4, &data, &c).expect("local sharded");
-    let local_plain = run_sequential(&factory, &data, &c).expect("local unsharded");
+    let remote = RemoteBackend::setup(&addr, &data, &c)
+        .and_then(|b| run_backend(&b, &data.name, &c))
+        .expect("remote sharded run");
+    let graph = kind.make_sharded(4);
+    let params = prepare(&graph, &data, c.seed).unwrap();
+    let backend = HostBackend::new(&graph, &params, c.op_timeout);
+    let local_sharded = run_backend_sequential(&backend, &data.name, &c).expect("local sharded");
+    let host = SharedEngine::new(kind.make());
+    let params = prepare(&host, &data, c.seed).unwrap();
+    let backend = HostBackend::new(&host, &params, c.op_timeout);
+    let local_plain = run_backend_sequential(&backend, &data.name, &c).expect("local unsharded");
     assert_eq!(
         remote.cardinality_trace(),
         local_sharded.cardinality_trace(),
@@ -604,21 +621,21 @@ fn sharded_server_matches_in_process_sharded_and_unsharded_replay() {
 /// run must not fail it.
 #[test]
 fn remote_writers_on_different_shards_do_not_serialize() {
-    use gm_model::SharedGraph;
-
     let data = testkit::chain_dataset(120);
     let kind = EngineKind::Triple; // heavy writes: serialization dominates
     let run_against = |shards: usize| -> u64 {
-        let server = Server::bind_sharded(
+        let server = Server::bind_host(
             "127.0.0.1:0",
-            Box::new(move || Box::new(kind.make_sharded(shards)) as Box<dyn SharedGraph>),
+            Box::new(move || Box::new(kind.make_sharded(shards))),
         )
         .expect("bind sharded loopback")
         .spawn()
         .expect("spawn sharded server");
         let addr = server.addr().to_string();
         let c = cfg(MixKind::WriteHeavy, 6, 400);
-        let report = run_remote(&addr, &data, &c).expect("remote write-heavy run");
+        let report = RemoteBackend::setup(&addr, &data, &c)
+            .and_then(|b| run_backend(&b, &data.name, &c))
+            .expect("remote write-heavy run");
         assert_eq!(report.errors(), 0, "s{shards}: clean run");
         let row = report.scaling_row();
         server.shutdown();
@@ -669,18 +686,22 @@ fn snapshot_server_read_only_matches_replay_and_locked_has_no_epoch() {
 
     let data = testkit::chain_dataset(150);
     let kind = EngineKind::ColumnarV10;
-    let server = Server::bind_snapshot(
+    let server = Server::bind_host(
         "127.0.0.1:0",
-        Box::new(move || kind.make_snapshot_source(SnapshotMode::Native)),
+        Box::new(move || Box::new(kind.make_snapshot_source(SnapshotMode::Native))),
     )
     .expect("bind native snapshot loopback")
     .spawn()
     .expect("spawn");
     let addr = server.addr().to_string();
     let c = cfg(MixKind::ReadOnly, 3, 20);
-    let remote = run_remote(&addr, &data, &c).expect("remote snapshot run");
-    let factory = move || kind.make();
-    let local = run_sequential(&factory, &data, &c).expect("local replay");
+    let remote = RemoteBackend::setup(&addr, &data, &c)
+        .and_then(|b| run_backend(&b, &data.name, &c))
+        .expect("remote snapshot run");
+    let host = SharedEngine::new(kind.make());
+    let params = prepare(&host, &data, c.seed).unwrap();
+    let backend = HostBackend::new(&host, &params, c.op_timeout);
+    let local = run_backend_sequential(&backend, &data.name, &c).expect("local replay");
     assert_eq!(
         remote.cardinality_trace(),
         local.cardinality_trace(),
@@ -732,7 +753,9 @@ fn get_stats_round_trips_from_a_live_server() {
     let before = counter(&conn.get_stats().expect("stats before run"), "net.ops");
 
     let c = cfg(MixKind::ReadOnly, 2, 15);
-    let report = run_remote(&addr, &data, &c).expect("remote run");
+    let report = RemoteBackend::setup(&addr, &data, &c)
+        .and_then(|b| run_backend(&b, &data.name, &c))
+        .expect("remote run");
     assert_eq!(report.errors(), 0);
 
     let after = counter(&conn.get_stats().expect("stats after run"), "net.ops");
@@ -847,9 +870,9 @@ fn wire_transactions_buffer_commit_atomically_and_conflict_distinctly() {
 
     let data = testkit::chain_dataset(50);
     let kind = EngineKind::LinkedV2;
-    let server = Server::bind_snapshot(
+    let server = Server::bind_host(
         "127.0.0.1:0",
-        Box::new(move || kind.make_snapshot_source(SnapshotMode::Cow)),
+        Box::new(move || Box::new(kind.make_snapshot_source(SnapshotMode::Cow))),
     )
     .expect("bind snapshot loopback")
     .spawn()

@@ -2,8 +2,11 @@
 //! lock.
 //!
 //! [`ShardedGraph<E>`] implements [`GraphSnapshot`] and [`GraphDb`], so it
-//! drops unchanged into `catalog::execute_read`, the sequential `Runner`,
-//! the workload backends, and `gm-net` hosting. It is the shared routing
+//! drops unchanged into `catalog::execute_read` and the sequential `Runner`,
+//! and it is a [`Host`] — reads run against the composite itself, write
+//! batches through a [`SharedWriter`] — so the workload driver
+//! ([`ShardedBackend`]) and `gm-net`'s server host it with no lock of their
+//! own on the op path. It is the shared routing
 //! core (`view`'s read surface, [`Router`]'s writes) over [`LockedPort`],
 //! whose whole job is the locking discipline — **ops lock only the shards
 //! they touch**:
@@ -39,10 +42,13 @@
 //! decomposes per-partition waiting against the single-lock baseline.
 
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::Duration;
 
-use gm_model::api::{GraphDb, GraphSnapshot, SharedGraph};
+use gm_model::api::{GraphDb, GraphSnapshot};
 use gm_model::lockorder::{self, LockRank, Ranked};
 use gm_model::{lockwait, GdbError, GdbResult};
+use gm_mvcc::WriteFn;
+use gm_workload::{Host, HostBackend, ReadFn};
 
 use crate::route::Meta;
 use crate::router::{read_parts, Router, ShardPort, ShardWrite, WriteOut};
@@ -172,8 +178,33 @@ impl<E: GraphDb + 'static> GraphDb for ShardedGraph<E> {
     gm_model::forward_graph_db!(target = |s| SharedWriter::new(s));
 }
 
-impl<E: GraphDb + 'static> SharedGraph for ShardedGraph<E> {
-    fn with_write(&self, f: &mut dyn FnMut(&mut dyn GraphDb) -> GdbResult<u64>) -> GdbResult<u64> {
+/// Isolation label reported by sharded-locked runs.
+pub const SHARDED_LOCKED: &str = "sharded-locked";
+
+/// The driver's per-shard-locked backend: a [`HostBackend`] over a
+/// composite. A query re-acquires shard locks per primitive, so
+/// multi-primitive reads racing writers may observe intermediate states
+/// (see the module docs); read-only determinism is unaffected.
+pub type ShardedBackend<'a, E> = HostBackend<'a, ShardedGraph<E>>;
+
+/// The composite synchronizes internally, so a host needs no lock of its
+/// own: reads run against the composite (each primitive locks the shards it
+/// touches), write batches through a [`SharedWriter`] (each mutation locks
+/// only its shard — writers to different shards run in parallel).
+impl<E: GraphDb + 'static> Host for ShardedGraph<E> {
+    fn name(&self) -> String {
+        self.name.clone()
+    }
+
+    fn isolation(&self) -> String {
+        SHARDED_LOCKED.into()
+    }
+
+    fn read_view(&self, _staleness: Duration, f: &mut ReadFn<'_>) -> GdbResult<(u64, Option<u64>)> {
+        Ok((f(self)?, None))
+    }
+
+    fn write_batch(&self, f: &mut WriteFn<'_>) -> GdbResult<u64> {
         f(&mut SharedWriter::new(self))
     }
 }

@@ -5,11 +5,12 @@
 //! across `N` inner engines of any architecture, each behind **its own
 //! lock**, and [`ShardedSource`] does the same with one MVCC snapshot cell
 //! per shard. Both implement the existing interfaces
-//! ([`GraphSnapshot`](gm_model::GraphSnapshot) + [`GraphDb`](gm_model::GraphDb),
-//! [`SharedGraph`](gm_model::SharedGraph), and
-//! [`SnapshotSource`](gm_mvcc::SnapshotSource)), so sharding drops
-//! unchanged into `catalog::execute_read`, the sequential `Runner`, the
-//! `gm-workload` backends, and `gm-net` hosting.
+//! ([`GraphSnapshot`](gm_model::GraphSnapshot) + [`GraphDb`](gm_model::GraphDb)
+//! and [`SnapshotSource`](gm_mvcc::SnapshotSource)), and each is a
+//! [`gm_workload::Host`] (`ShardedGraph` directly, `ShardedSource` as a
+//! snapshot source), so sharding drops unchanged into
+//! `catalog::execute_read`, the sequential `Runner`, the `gm-workload`
+//! driver, and `gm-net` hosting.
 //!
 //! ## One routing core, many ports
 //!
@@ -56,7 +57,6 @@
 //! `tests/sharding.rs` across all engine variants and shard counts, and by
 //! this crate's proptest oracle for write/pin interleavings.
 
-pub mod backend;
 pub mod graph;
 pub mod route;
 pub mod router;
@@ -64,10 +64,7 @@ pub mod source;
 pub mod topology;
 pub mod view;
 
-pub use backend::{
-    prepare_sharded, run_sharded, run_sharded_sequential, ShardedBackend, SHARDED_LOCKED,
-};
-pub use graph::{ShardedGraph, SharedWriter};
+pub use graph::{ShardedBackend, ShardedGraph, SharedWriter, SHARDED_LOCKED};
 pub use route::{
     decode_eid, decode_vid, encode_eid, encode_vid, shard_of_canonical, Meta, GHOST_LABEL,
 };
@@ -85,9 +82,10 @@ pub type ShardedDyn = ShardedGraph<Box<dyn gm_model::GraphDb>>;
 mod tests {
     use super::*;
     use engine_linked::LinkedGraph;
-    use gm_model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions, SharedGraph};
+    use gm_model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions};
     use gm_model::{testkit, QueryCtx, Value, Vid};
     use gm_mvcc::{CowCell, SnapshotSource};
+    use gm_workload::Host;
 
     fn loaded(shards: usize, n: u64) -> ShardedGraph<LinkedGraph> {
         let mut g = ShardedGraph::from_factory(shards, LinkedGraph::v1);
@@ -259,7 +257,7 @@ mod tests {
                 let g = &g;
                 s.spawn(move || {
                     for i in 0..50 {
-                        g.with_write(&mut |db| {
+                        g.write_batch(&mut |db| {
                             db.add_vertex(&format!("w{t}"), &vec![("i".into(), Value::Int(i))])
                                 .map(|_| 1)
                         })

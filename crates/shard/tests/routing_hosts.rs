@@ -15,7 +15,7 @@
 //! `shard.ghost_creations` counter is read without a racing test.
 
 use engine_linked::LinkedGraph;
-use gm_model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions, SharedGraph};
+use gm_model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions};
 use gm_model::{testkit, GdbResult, QueryCtx, Value, Vid};
 use gm_mvcc::{CowCell, SnapshotSource, WriteTxn};
 use gm_shard::{ShardedGraph, ShardedSource};
@@ -33,8 +33,7 @@ struct Locked(ShardedGraph<LinkedGraph>);
 
 impl Host for Locked {
     fn write(&mut self, batch: &mut dyn FnMut(&mut dyn GraphDb) -> GdbResult<()>) {
-        self.0
-            .with_write(&mut |db| batch(db).map(|()| 1))
+        gm_workload::Host::write_batch(&self.0, &mut |db| batch(db).map(|()| 1))
             .expect("locked write");
     }
     fn read<R>(&self, f: impl FnOnce(&dyn GraphSnapshot) -> R) -> R {

@@ -3,7 +3,7 @@
 //! In the paper these are Gremlin loop constructs
 //! (`v.as('i').both().except(vs).store(j).loop('i')`) that decompose into
 //! the engines' neighbor primitives; here they are implemented once, over
-//! the [`GraphDb`] trait, so each engine pays exactly its own per-hop cost.
+//! the [`GraphSnapshot`] trait, so each engine pays exactly its own per-hop cost.
 
 use gm_model::api::Direction;
 use gm_model::fxmap::FxHashMap;

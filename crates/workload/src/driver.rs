@@ -1,14 +1,11 @@
 //! The concurrent multi-client driver.
 //!
-//! One engine instance is shared by N worker threads behind an `RwLock`:
-//! read queries run concurrently under the shared lock, CUD writes serialize
-//! under the exclusive lock — exactly the concurrency contract the
-//! `GraphDb: Send + Sync` bound encodes (reads take `&self`, writes
-//! `&mut self`). Each worker owns its RNG (seeded from the run seed and the
-//! worker index) and its latency histogram, so the measured path is free of
-//! cross-thread writes entirely; histograms and throughput counters merge
-//! by plain addition after the threads join ("lock-free" structurally —
-//! there is nothing to lock).
+//! N worker threads replay deterministic op streams against one graph. Each
+//! worker owns its RNG (seeded from the run seed and the worker index) and
+//! its latency histogram, so the measured path is free of cross-thread
+//! writes entirely; histograms and throughput counters merge by plain
+//! addition after the threads join ("lock-free" structurally — there is
+//! nothing to lock).
 //!
 //! Two pacing models:
 //!
@@ -31,24 +28,22 @@
 //! still line up one-to-one with the deterministic op sequence.
 //!
 //! The measured loop is **transport-agnostic**: a [`Backend`] hands every
-//! worker a [`Session`] that executes one op at a time, and
-//! [`run_backend`] drives the same pacing/shedding/histogram machinery over
-//! whatever the sessions talk to. The in-process shared-`RwLock` engine
-//! ([`LocalBackend`]) is one backend; `gm-net`'s per-worker TCP connections
-//! to a remote engine server are another — closed-loop, open-loop, and
+//! worker a [`Session`] that executes one op at a time, and [`run_backend`]
+//! (or its sequential reference, [`run_backend_sequential`]) drives the same
+//! pacing/shedding/histogram machinery over whatever the sessions talk to.
+//! In process that is a [`HostBackend`](crate::HostBackend) over one of the
+//! [`Host`](crate::Host)s (a locked engine, a snapshot source, a sharded
+//! composite); `gm-net`'s per-worker TCP connections to an engine server and
+//! its shard fleet are the others — closed-loop, open-loop, and
 //! bounded-overload pacing all work unchanged over the wire.
 
-use std::sync::RwLock;
 use std::time::{Duration, Instant};
 
-use gm_core::catalog;
-use gm_core::params::{ResolvedParams, Workload};
+use gm_core::params::ResolvedParams;
 use gm_core::report::{Measurement, Outcome, RunMode};
 use gm_core::summary::ScalingRow;
-use gm_model::api::LoadOptions;
-use gm_model::{Dataset, Eid, GdbError, GdbResult, GraphDb, QueryCtx, Value};
-use gm_mvcc::{SnapshotSource, WriteTxn, TXN_ID_TAG};
-use gm_obs::phase::{self, Phase, PhaseNanos};
+use gm_model::{Eid, GdbError, GdbResult, GraphDb, Value};
+use gm_obs::phase::{Phase, PhaseNanos};
 use gm_obs::trace::{self, TailGate};
 use gm_obs::HistSnapshot;
 
@@ -64,7 +59,7 @@ pub const ERR_CARD: u64 = u64::MAX;
 pub const SHED_CARD: u64 = u64::MAX - 1;
 
 /// How stale a snapshot-mode read may be: the driver pins epochs with
-/// [`SnapshotSource::snapshot_recent`] at this bound, so epoch publishes
+/// [`SnapshotSource::snapshot_recent`](gm_mvcc::SnapshotSource::snapshot_recent) at this bound, so epoch publishes
 /// (whole-graph clones for `CowCell`, freeze clones for `FreezeCell`) are
 /// rate-limited to at most one per this interval no matter how hot the
 /// pin-per-read path runs. Reads still observe exactly one consistent
@@ -74,7 +69,7 @@ pub const SHED_CARD: u64 = u64::MAX - 1;
 pub const SNAPSHOT_PIN_STALENESS: Duration = Duration::from_micros(250);
 
 /// How many victim/pair slots a driver run pre-draws
-/// ([`Workload::choose`]'s `slots` argument). Remote backends must prepare
+/// ([`Workload::choose`](gm_core::params::Workload::choose)'s `slots` argument). Remote backends must prepare
 /// their server-side parameters with the same value, or the deterministic op
 /// streams would resolve against different victim pools.
 pub const WORKLOAD_SLOTS: usize = 16;
@@ -166,9 +161,9 @@ pub trait Session {
     }
 }
 
-/// A transport over which the driver reaches an engine: in-process behind
-/// the shared `RwLock` ([`LocalBackend`]), in-process against pinned MVCC
-/// snapshots ([`SnapshotBackend`]), or across a socket (`gm-net`).
+/// A transport over which the driver reaches an engine: in process through
+/// a [`HostBackend`](crate::HostBackend) over any [`Host`](crate::Host), or
+/// across a socket (`gm-net`).
 /// `open_session` is called on the worker's own thread, so a backend may do
 /// per-worker setup there (e.g. dial one connection per client).
 pub trait Backend: Sync {
@@ -297,7 +292,7 @@ pub struct WorkerStats {
     /// whole and the session carried on. Not an op error — the ops executed
     /// and are counted in [`WorkerStats::ops`]; the *commit* lost a race —
     /// so conflicts get their own counter. Always 0 outside transactional
-    /// session mode ([`SnapshotBackend::with_txn_ops`]).
+    /// session mode ([`HostBackend::with_txn_ops`](crate::HostBackend::with_txn_ops)).
     pub txn_conflicts: u64,
     /// Per-phase nanosecond totals over this worker's completed ops: lock
     /// wait (always recorded), plus engine exec, snapshot pin,
@@ -498,110 +493,6 @@ impl RunReport {
     }
 }
 
-/// Load `data` into a fresh engine from `factory`, then run the configured
-/// workload with `cfg.threads` concurrent workers against it in-process.
-pub fn run(
-    factory: &dyn Fn() -> Box<dyn GraphDb>,
-    data: &Dataset,
-    cfg: &WorkloadConfig,
-) -> GdbResult<RunReport> {
-    // Fail fast on a bad config before the expensive load; run_backend
-    // re-validates for callers that enter there directly.
-    validate(cfg)?;
-    let (lock, params, engine) = prepare(factory, data, cfg)?;
-    let backend = LocalBackend::new(engine, &lock, &params, cfg.op_timeout);
-    run_backend(&backend, &data.name, cfg)
-}
-
-/// Execute the *same* per-worker op sequences one worker after another on a
-/// single thread — the sequential reference a concurrent read-only run must
-/// reproduce exactly. Pacing is forced to closed-loop: an open-loop arrival
-/// schedule assumes concurrent workers, so replaying it serially would fold
-/// earlier workers' runtimes into later workers' latencies.
-pub fn run_sequential(
-    factory: &dyn Fn() -> Box<dyn GraphDb>,
-    data: &Dataset,
-    cfg: &WorkloadConfig,
-) -> GdbResult<RunReport> {
-    validate(cfg)?;
-    let (lock, params, engine) = prepare(factory, data, cfg)?;
-    let backend = LocalBackend::new(engine, &lock, &params, cfg.op_timeout);
-    run_backend_sequential(&backend, &data.name, cfg)
-}
-
-/// Load `data` into a fresh snapshot source from `factory`, then run the
-/// configured workload with `cfg.threads` concurrent workers whose **reads
-/// pin MVCC epochs** instead of taking the engine's read lock — the
-/// snapshot-mode counterpart of [`run`], differing only in the read path so
-/// the two reports compare isolation cost directly.
-pub fn run_snapshot(
-    factory: &dyn Fn() -> Box<dyn SnapshotSource>,
-    data: &Dataset,
-    cfg: &WorkloadConfig,
-) -> GdbResult<RunReport> {
-    validate(cfg)?;
-    let (source, params) = prepare_snapshot(factory, data, cfg)?;
-    let backend = SnapshotBackend::new(source.as_ref(), &params, cfg.op_timeout);
-    run_backend(&backend, &data.name, cfg)
-}
-
-/// Sequential (single-threaded, closed-loop) replay of [`run_snapshot`]'s
-/// op sequences — the reference a concurrent snapshot-mode read-only run
-/// must reproduce exactly.
-pub fn run_snapshot_sequential(
-    factory: &dyn Fn() -> Box<dyn SnapshotSource>,
-    data: &Dataset,
-    cfg: &WorkloadConfig,
-) -> GdbResult<RunReport> {
-    validate(cfg)?;
-    let (source, params) = prepare_snapshot(factory, data, cfg)?;
-    // Strict pins: a sequential replay must be deterministic (independent
-    // of wall-clock publish cadence) and read its own earlier writes.
-    let backend = SnapshotBackend::new(source.as_ref(), &params, cfg.op_timeout)
-        .with_pin_staleness(Duration::ZERO);
-    run_backend_sequential(&backend, &data.name, cfg)
-}
-
-/// Transactional-session counterpart of [`run_snapshot`]: every worker
-/// buffers its writes in an epoch-pinned [`WriteTxn`], commits each batch
-/// of `txn_ops` writes atomically (and the final partial batch at session
-/// finish), and counts commits lost to first-committer-wins validation in
-/// [`WorkerStats::txn_conflicts`]. `txn_ops == 0` degrades to plain
-/// autocommit — identical to [`run_snapshot`].
-pub fn run_snapshot_txn(
-    factory: &dyn Fn() -> Box<dyn SnapshotSource>,
-    data: &Dataset,
-    cfg: &WorkloadConfig,
-    txn_ops: u64,
-) -> GdbResult<RunReport> {
-    validate(cfg)?;
-    let (source, params) = prepare_snapshot(factory, data, cfg)?;
-    let backend =
-        SnapshotBackend::new(source.as_ref(), &params, cfg.op_timeout).with_txn_ops(txn_ops);
-    run_backend(&backend, &data.name, cfg)
-}
-
-/// Build a loaded, parameter-resolved snapshot source: bulk-load through
-/// the write path, then resolve workload parameters against a pinned
-/// snapshot — all outside the measured region, as §4.2 prescribes.
-pub fn prepare_snapshot(
-    factory: &dyn Fn() -> Box<dyn SnapshotSource>,
-    data: &Dataset,
-    cfg: &WorkloadConfig,
-) -> GdbResult<(Box<dyn SnapshotSource>, ResolvedParams)> {
-    let source = factory();
-    source.with_write(&mut |db| {
-        db.bulk_load(data, &LoadOptions::default())?;
-        db.sync()?;
-        Ok(0)
-    })?;
-    let workload = Workload::choose(data, cfg.seed, WORKLOAD_SLOTS);
-    let snap = source.snapshot()?;
-    let params = workload.resolve(snap.as_ref())?;
-    drop(snap);
-    Ok((source, params))
-}
-
 /// Run the configured workload over an arbitrary [`Backend`] with
 /// `cfg.threads` concurrent workers. Each worker opens its own session on
 /// its own thread, then replays its deterministic op sequence under the
@@ -727,341 +618,6 @@ pub fn run_backend_sequential(
     ))
 }
 
-/// The shared-engine lock every in-process run uses: concurrent reads under
-/// the shared lock, serialized writes under the exclusive one.
-pub type SharedEngine = RwLock<Box<dyn GraphDb>>;
-
-/// The in-process backend: all workers share one engine behind the
-/// [`SharedEngine`] `RwLock`, with parameters already resolved against it.
-pub struct LocalBackend<'a> {
-    engine: String,
-    lock: &'a SharedEngine,
-    params: &'a ResolvedParams,
-    op_timeout: Duration,
-}
-
-impl<'a> LocalBackend<'a> {
-    /// Wrap a loaded, parameter-resolved shared engine.
-    pub fn new(
-        engine: String,
-        lock: &'a SharedEngine,
-        params: &'a ResolvedParams,
-        op_timeout: Duration,
-    ) -> Self {
-        LocalBackend {
-            engine,
-            lock,
-            params,
-            op_timeout,
-        }
-    }
-}
-
-impl Backend for LocalBackend<'_> {
-    fn engine(&self) -> String {
-        self.engine.clone()
-    }
-
-    fn open_session(&self, _worker: usize) -> GdbResult<Box<dyn Session + '_>> {
-        Ok(Box::new(LocalSession {
-            lock: self.lock,
-            params: self.params,
-            op_timeout: self.op_timeout,
-            owned_edges: Vec::new(),
-        }))
-    }
-}
-
-struct LocalSession<'a> {
-    lock: &'a SharedEngine,
-    params: &'a ResolvedParams,
-    op_timeout: Duration,
-    owned_edges: Vec<Eid>,
-}
-
-impl Session for LocalSession<'_> {
-    fn execute(&mut self, op: Op, worker: usize, op_index: u64) -> GdbResult<OpResult> {
-        // A poisoned lock means a writer panicked while mutating the engine.
-        // Recovering (`into_inner`) would keep measuring against half-mutated
-        // state; surface a distinct error so the whole run aborts instead.
-        let poisoned = |side: &str| {
-            GdbError::Poisoned(format!(
-                "{side} lock poisoned before op {op_index} of worker {worker}"
-            ))
-        };
-        // Reset all per-op phase state on *entry*: an earlier op that
-        // panicked or aborted on a poisoned lock unwound without taking its
-        // accumulators, and that residue must not be attributed to this op.
-        phase::reset_op();
-        match op {
-            Op::Read(inst) => {
-                let ctx = QueryCtx::with_timeout(self.op_timeout);
-                // gm-lock: driver
-                let _t = gm_model::lockorder::acquire(
-                    gm_model::lockorder::LockRank::Driver,
-                    "gm-workload/driver.rs engine read",
-                );
-                let db =
-                    gm_model::lockwait::timed(|| self.lock.read()).map_err(|_| poisoned("read"))?;
-                let card = {
-                    let _exec = phase::span(Phase::EngineExec);
-                    catalog::execute_read(&inst, db.as_ref(), self.params, &ctx)?
-                };
-                Ok(OpResult::plain(card).with_phases(phase::take_all()))
-            }
-            // No deadline on writes: the GraphDb mutation API carries no
-            // QueryCtx (mutations are point operations in the paper's
-            // taxonomy), so `op_timeout` bounds reads only.
-            Op::Write(wop) => {
-                // gm-lock: driver
-                let _t = gm_model::lockorder::acquire(
-                    gm_model::lockorder::LockRank::Driver,
-                    "gm-workload/driver.rs engine write",
-                );
-                let mut db = gm_model::lockwait::timed(|| self.lock.write())
-                    .map_err(|_| poisoned("write"))?;
-                let card = {
-                    let _exec = phase::span(Phase::EngineExec);
-                    apply_write(
-                        wop,
-                        db.as_mut(),
-                        self.params,
-                        worker,
-                        op_index,
-                        &mut self.owned_edges,
-                    )?
-                };
-                Ok(OpResult::plain(card).with_phases(phase::take_all()))
-            }
-        }
-    }
-}
-
-/// The in-process **snapshot-isolation** backend: every read op pins a
-/// fresh epoch from a [`SnapshotSource`] and executes against it lock-free
-/// (a scan can no longer block a writer, and a writer can no longer block a
-/// running scan — only the brief pin synchronizes); writes go through
-/// [`SnapshotSource::with_write`]. Each `OpResult` carries the serving
-/// epoch, so the driver's epoch-skew accounting works end to end.
-pub struct SnapshotBackend<'a> {
-    source: &'a dyn SnapshotSource,
-    params: &'a ResolvedParams,
-    op_timeout: Duration,
-    /// Pin staleness bound: [`SNAPSHOT_PIN_STALENESS`] for concurrent runs
-    /// (group-committed publishes), [`Duration::ZERO`] for sequential
-    /// replays, where every pin must be strict so a worker reads its own
-    /// earlier writes and the trace stays wall-clock-independent.
-    pin_staleness: Duration,
-    /// Transactional session mode: 0 (default) is autocommit — every write
-    /// goes straight through [`SnapshotSource::with_write`] as before.
-    /// `n > 0` makes each session buffer its writes in an epoch-pinned
-    /// [`WriteTxn`], committing every `n` writes and once more at
-    /// [`Session::finish`]. A commit that loses first-committer-wins
-    /// validation discards the buffered set and counts a
-    /// [`WorkerStats::txn_conflicts`] instead of an op error.
-    txn_ops: u64,
-}
-
-impl<'a> SnapshotBackend<'a> {
-    /// Wrap a loaded, parameter-resolved snapshot source (group-committed
-    /// pins at [`SNAPSHOT_PIN_STALENESS`]).
-    pub fn new(
-        source: &'a dyn SnapshotSource,
-        params: &'a ResolvedParams,
-        op_timeout: Duration,
-    ) -> Self {
-        SnapshotBackend {
-            source,
-            params,
-            op_timeout,
-            pin_staleness: SNAPSHOT_PIN_STALENESS,
-            txn_ops: 0,
-        }
-    }
-
-    /// Override the pin staleness bound (`Duration::ZERO` = strict
-    /// read-your-writes pins).
-    pub fn with_pin_staleness(mut self, pin_staleness: Duration) -> Self {
-        self.pin_staleness = pin_staleness;
-        self
-    }
-
-    /// Enable transactional session mode: buffer writes in an epoch-pinned
-    /// [`WriteTxn`] and commit every `txn_ops` writes (0 = autocommit, the
-    /// default). See [`SnapshotBackend::txn_ops`].
-    pub fn with_txn_ops(mut self, txn_ops: u64) -> Self {
-        self.txn_ops = txn_ops;
-        self
-    }
-}
-
-impl Backend for SnapshotBackend<'_> {
-    fn engine(&self) -> String {
-        self.source.engine()
-    }
-
-    fn isolation(&self) -> String {
-        // Transactional runs get their own label so they never collide with
-        // autocommit snapshot runs in the report matrix.
-        if self.txn_ops > 0 {
-            format!("snapshot-{}+txn", self.source.kind())
-        } else {
-            format!("snapshot-{}", self.source.kind())
-        }
-    }
-
-    fn open_session(&self, _worker: usize) -> GdbResult<Box<dyn Session + '_>> {
-        Ok(Box::new(SnapshotSession {
-            source: self.source,
-            params: self.params,
-            op_timeout: self.op_timeout,
-            pin_staleness: self.pin_staleness,
-            owned_edges: Vec::new(),
-            txn_ops: self.txn_ops,
-            txn: None,
-            txn_writes: 0,
-            txn_conflicts: 0,
-        }))
-    }
-}
-
-struct SnapshotSession<'a> {
-    source: &'a dyn SnapshotSource,
-    params: &'a ResolvedParams,
-    op_timeout: Duration,
-    pin_staleness: Duration,
-    owned_edges: Vec<Eid>,
-    /// Commit cadence (writes per transaction); 0 = autocommit.
-    txn_ops: u64,
-    /// The open transaction, if any. Opened lazily by the first write of a
-    /// batch; reads issued while it is open are served from its
-    /// read-your-writes overlay at the pinned base epoch.
-    txn: Option<WriteTxn>,
-    /// Writes buffered in the open transaction so far.
-    txn_writes: u64,
-    /// Commits lost to first-committer-wins validation.
-    txn_conflicts: u64,
-}
-
-impl SnapshotSession<'_> {
-    /// Commit the open transaction, if any. A `TxnConflict` is the expected
-    /// outcome of losing a validation race: count it and move on (the
-    /// buffered set is already discarded); anything else is a real failure.
-    fn commit_open(&mut self) -> GdbResult<()> {
-        if let Some(txn) = self.txn.take() {
-            match txn.commit(self.source) {
-                Ok(_) => {}
-                Err(GdbError::TxnConflict(_)) => self.txn_conflicts += 1,
-                Err(e) => return Err(e),
-            }
-            self.txn_writes = 0;
-            // Edge ids minted inside the transaction were placeholders; the
-            // real ids were assigned (or discarded) at commit, so they are
-            // unusable outside it. Drop them from the deletion pool —
-            // `RemoveOwnEdge` degrades to a create when the pool runs dry,
-            // exactly as it does early in an autocommit run.
-            self.owned_edges.retain(|e| e.0 & TXN_ID_TAG == 0);
-        }
-        Ok(())
-    }
-}
-
-impl Session for SnapshotSession<'_> {
-    fn execute(&mut self, op: Op, worker: usize, op_index: u64) -> GdbResult<OpResult> {
-        // The waits on this path happen inside the snapshot source (pin
-        // locks, the writer mutex), which reports them through the
-        // thread-local `lockwait` accumulator; the source also opens
-        // `clone_publish` spans when it pays an epoch clone. Reset on entry
-        // so nothing from an aborted predecessor leaks into this op.
-        phase::reset_op();
-        match op {
-            Op::Read(inst) => {
-                let ctx = QueryCtx::with_timeout(self.op_timeout);
-                // Inside an open transaction, reads serve the transaction's
-                // read-your-writes overlay at its pinned base epoch — the
-                // worker sees its own buffered writes. No epoch is reported:
-                // the strict base pin interleaved with group-committed
-                // `snapshot_recent` pins (which may lag it) would register
-                // as skew when it is really two pin disciplines side by
-                // side; the transaction's epoch discipline is enforced at
-                // commit validation instead.
-                if let Some(txn) = &self.txn {
-                    let cardinality = {
-                        let _exec = phase::span(Phase::EngineExec);
-                        catalog::execute_read(&inst, txn, self.params, &ctx)?
-                    };
-                    return Ok(OpResult {
-                        cardinality,
-                        epoch: None,
-                        phases: phase::take_all(),
-                    });
-                }
-                let snap = {
-                    let _pin = phase::span(Phase::SnapshotPin);
-                    self.source.snapshot_recent(self.pin_staleness)?
-                };
-                let cardinality = {
-                    let _exec = phase::span(Phase::EngineExec);
-                    catalog::execute_read(&inst, snap.as_ref(), self.params, &ctx)?
-                };
-                Ok(OpResult {
-                    cardinality,
-                    epoch: Some(snap.epoch()),
-                    phases: phase::take_all(),
-                })
-            }
-            Op::Write(wop) => {
-                if self.txn_ops > 0 {
-                    // Transactional mode: buffer into the epoch-pinned write
-                    // transaction, committing every `txn_ops` writes.
-                    if self.txn.is_none() {
-                        let _pin = phase::span(Phase::SnapshotPin);
-                        self.txn = Some(WriteTxn::begin(self.source)?);
-                    }
-                    let card = {
-                        let _exec = phase::span(Phase::EngineExec);
-                        let txn = self.txn.as_mut().expect("opened above");
-                        apply_write(
-                            wop,
-                            txn,
-                            self.params,
-                            worker,
-                            op_index,
-                            &mut self.owned_edges,
-                        )?
-                    };
-                    self.txn_writes += 1;
-                    if self.txn_writes >= self.txn_ops {
-                        let _publish = phase::span(Phase::ClonePublish);
-                        self.commit_open()?;
-                    }
-                    return Ok(OpResult::plain(card).with_phases(phase::take_all()));
-                }
-                let params = self.params;
-                let owned_edges = &mut self.owned_edges;
-                let card = {
-                    let _exec = phase::span(Phase::EngineExec);
-                    self.source.with_write(&mut |db| {
-                        apply_write(wop, db, params, worker, op_index, owned_edges)
-                    })?
-                };
-                Ok(OpResult::plain(card).with_phases(phase::take_all()))
-            }
-        }
-    }
-
-    fn finish(&mut self) -> GdbResult<()> {
-        // Commit whatever the last partial batch buffered, so every write
-        // issued inside the measured run lands (or conflicts) before the
-        // worker's stats are taken.
-        self.commit_open()
-    }
-
-    fn txn_conflicts(&self) -> u64 {
-        self.txn_conflicts
-    }
-}
-
 /// Below this remaining wait the pacer spins instead of sleeping:
 /// `thread::sleep` routinely oversleeps by tens of microseconds, which at
 /// high arrival rates makes the *pacer* (not the engine) fall behind
@@ -1104,22 +660,6 @@ fn validate(cfg: &WorkloadConfig) -> GdbResult<()> {
         }
     }
     Ok(())
-}
-
-fn prepare(
-    factory: &dyn Fn() -> Box<dyn GraphDb>,
-    data: &Dataset,
-    cfg: &WorkloadConfig,
-) -> GdbResult<(SharedEngine, ResolvedParams, String)> {
-    let mut db = factory();
-    let engine = db.name();
-    db.bulk_load(data, &LoadOptions::default())?;
-    db.sync()?;
-    // Parameter resolution happens before the measured region, as §4.2
-    // prescribes for the sequential runner.
-    let workload = Workload::choose(data, cfg.seed, WORKLOAD_SLOTS);
-    let params = workload.resolve(db.as_ref())?;
-    Ok((RwLock::new(db), params, engine))
 }
 
 fn assemble(
@@ -1344,12 +884,19 @@ pub fn apply_write(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::{prepare, HostBackend, SharedEngine};
     use engine_linked::LinkedGraph;
-    use gm_model::{testkit, GraphSnapshot};
-    use gm_mvcc::SnapshotSource;
+    use gm_model::api::LoadOptions;
+    use gm_model::{testkit, Dataset, GraphSnapshot, QueryCtx};
+    use gm_mvcc::{CowCell, SnapshotSource};
+    use std::sync::RwLock;
 
     fn factory() -> Box<dyn GraphDb> {
         Box::new(LinkedGraph::v1())
+    }
+
+    fn cow() -> Box<dyn SnapshotSource> {
+        Box::new(CowCell::new(LinkedGraph::v1()))
     }
 
     fn small_cfg(mix: MixKind, threads: u32) -> WorkloadConfig {
@@ -1366,7 +913,11 @@ mod tests {
     #[test]
     fn closed_loop_mixed_run_completes() {
         let data = testkit::chain_dataset(200);
-        let report = run(&factory, &data, &small_cfg(MixKind::Mixed, 4)).unwrap();
+        let cfg = small_cfg(MixKind::Mixed, 4);
+        let host = SharedEngine::new(factory());
+        let params = prepare(&host, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, cfg.op_timeout);
+        let report = run_backend(&backend, &data.name, &cfg).unwrap();
         assert_eq!(report.threads, 4);
         assert_eq!(report.ops() + report.errors(), 4 * 60);
         assert_eq!(report.errors(), 0, "no op should fail on the linked engine");
@@ -1382,8 +933,11 @@ mod tests {
     fn read_only_concurrent_matches_sequential() {
         let data = testkit::chain_dataset(300);
         let cfg = small_cfg(MixKind::ReadOnly, 4);
-        let concurrent = run(&factory, &data, &cfg).unwrap();
-        let sequential = run_sequential(&factory, &data, &cfg).unwrap();
+        let host = SharedEngine::new(factory());
+        let params = prepare(&host, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, cfg.op_timeout);
+        let concurrent = run_backend(&backend, &data.name, &cfg).unwrap();
+        let sequential = run_backend_sequential(&backend, &data.name, &cfg).unwrap();
         assert_eq!(
             concurrent.cardinality_trace(),
             sequential.cardinality_trace(),
@@ -1402,7 +956,10 @@ mod tests {
             pacing: Pacing::open(4_000.0),
             ..WorkloadConfig::default()
         };
-        let report = run(&factory, &data, &cfg).unwrap();
+        let host = SharedEngine::new(factory());
+        let params = prepare(&host, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, cfg.op_timeout);
+        let report = run_backend(&backend, &data.name, &cfg).unwrap();
         assert_eq!(report.ops(), 80);
         assert_eq!(report.shed(), 0, "unbounded open loop never sheds");
         assert_eq!(report.offered_ops_per_sec, Some(4_000.0));
@@ -1418,21 +975,31 @@ mod tests {
     fn write_heavy_grows_the_graph() {
         let data = testkit::chain_dataset(120);
         let cfg = small_cfg(MixKind::WriteHeavy, 3);
-        let report = run(&factory, &data, &cfg).unwrap();
+        let host = SharedEngine::new(factory());
+        let params = prepare(&host, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, cfg.op_timeout);
+        let report = run_backend(&backend, &data.name, &cfg).unwrap();
         assert_eq!(report.errors(), 0);
         assert_eq!(report.mix, "write-heavy");
     }
 
     #[test]
     fn snapshot_read_only_matches_locked_and_sequential() {
-        use gm_mvcc::CowCell;
         let data = testkit::chain_dataset(300);
         let cfg = small_cfg(MixKind::ReadOnly, 4);
-        let snap_factory =
-            || -> Box<dyn SnapshotSource> { Box::new(CowCell::new(LinkedGraph::v1())) };
-        let snap = run_snapshot(&snap_factory, &data, &cfg).unwrap();
-        let locked = run(&factory, &data, &cfg).unwrap();
-        let seq = run_sequential(&factory, &data, &cfg).unwrap();
+        let source = cow();
+        let params = prepare(&source, &data, cfg.seed).unwrap();
+        let snap = run_backend(
+            &HostBackend::new(&source, &params, cfg.op_timeout),
+            &data.name,
+            &cfg,
+        )
+        .unwrap();
+        let host = SharedEngine::new(factory());
+        let params = prepare(&host, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, cfg.op_timeout);
+        let locked = run_backend(&backend, &data.name, &cfg).unwrap();
+        let seq = run_backend_sequential(&backend, &data.name, &cfg).unwrap();
         // Same results through all three read paths — the isolation
         // mechanism must never change what a read returns.
         assert_eq!(snap.cardinality_trace(), seq.cardinality_trace());
@@ -1445,12 +1012,12 @@ mod tests {
 
     #[test]
     fn snapshot_write_heavy_completes_and_labels_the_measurement() {
-        use gm_mvcc::CowCell;
         let data = testkit::chain_dataset(150);
         let cfg = small_cfg(MixKind::WriteHeavy, 3);
-        let snap_factory =
-            || -> Box<dyn SnapshotSource> { Box::new(CowCell::new(LinkedGraph::v1())) };
-        let report = run_snapshot(&snap_factory, &data, &cfg).unwrap();
+        let source = cow();
+        let params = prepare(&source, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&source, &params, cfg.op_timeout);
+        let report = run_backend(&backend, &data.name, &cfg).unwrap();
         assert_eq!(report.errors(), 0, "no op should fail under snapshots");
         assert_eq!(report.ops(), 3 * 60);
         assert_eq!(report.epoch_skew(), 0);
@@ -1464,7 +1031,11 @@ mod tests {
         // The sequential snapshot replay agrees with the concurrent run on
         // the read-only prefix semantics (write-heavy traces differ by
         // interleaving, so just check it runs clean).
-        let seq = run_snapshot_sequential(&snap_factory, &data, &cfg).unwrap();
+        let source = cow();
+        let params = prepare(&source, &data, cfg.seed).unwrap();
+        let backend =
+            HostBackend::new(&source, &params, cfg.op_timeout).with_pin_staleness(Duration::ZERO);
+        let seq = run_backend_sequential(&backend, &data.name, &cfg).unwrap();
         assert_eq!(seq.errors(), 0);
     }
 
@@ -1474,11 +1045,8 @@ mod tests {
     /// conflicts possible, so transactional replay loses nothing.
     #[test]
     fn transactional_replay_matches_autocommit_final_state() {
-        use gm_mvcc::CowCell;
         let data = testkit::chain_dataset(150);
         let cfg = small_cfg(MixKind::WriteHeavy, 1);
-        let snap_factory =
-            || -> Box<dyn SnapshotSource> { Box::new(CowCell::new(LinkedGraph::v1())) };
 
         let counts = |source: &dyn SnapshotSource| -> (u64, u64) {
             let snap = source.snapshot().unwrap();
@@ -1489,16 +1057,18 @@ mod tests {
             )
         };
 
-        let (txn_src, txn_params) = prepare_snapshot(&snap_factory, &data, &cfg).unwrap();
-        let backend = SnapshotBackend::new(txn_src.as_ref(), &txn_params, cfg.op_timeout)
-            .with_txn_ops(u64::MAX);
+        let txn_src = cow();
+        let txn_params = prepare(&txn_src, &data, cfg.seed).unwrap();
+        let backend =
+            HostBackend::new(&txn_src, &txn_params, cfg.op_timeout).with_txn_ops(u64::MAX);
         let txn_report = run_backend(&backend, &data.name, &cfg).unwrap();
         assert_eq!(txn_report.errors(), 0);
         assert_eq!(txn_report.txn_conflicts(), 0, "nothing to race against");
         assert_eq!(txn_report.scaling_row().isolation, "snapshot-cow+txn");
 
-        let (auto_src, auto_params) = prepare_snapshot(&snap_factory, &data, &cfg).unwrap();
-        let backend = SnapshotBackend::new(auto_src.as_ref(), &auto_params, cfg.op_timeout);
+        let auto_src = cow();
+        let auto_params = prepare(&auto_src, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&auto_src, &auto_params, cfg.op_timeout);
         let auto_report = run_backend(&backend, &data.name, &cfg).unwrap();
         assert_eq!(auto_report.errors(), 0);
 
@@ -1515,12 +1085,12 @@ mod tests {
     /// through the report into the scaling row.
     #[test]
     fn transactional_conflicts_are_counted_not_errored() {
-        use gm_mvcc::CowCell;
         let data = testkit::chain_dataset(200);
         let cfg = small_cfg(MixKind::WriteHeavy, 4);
-        let snap_factory =
-            || -> Box<dyn SnapshotSource> { Box::new(CowCell::new(LinkedGraph::v1())) };
-        let report = run_snapshot_txn(&snap_factory, &data, &cfg, 4).unwrap();
+        let source = cow();
+        let params = prepare(&source, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&source, &params, cfg.op_timeout).with_txn_ops(4);
+        let report = run_backend(&backend, &data.name, &cfg).unwrap();
         assert_eq!(report.errors(), 0, "a conflicted commit is not an op error");
         assert_eq!(report.ops(), 4 * 60, "every op completed");
         assert_eq!(report.epoch_skew(), 0, "txn reads report no epoch");
@@ -1536,7 +1106,11 @@ mod tests {
     #[test]
     fn measurement_row_shape() {
         let data = testkit::chain_dataset(100);
-        let report = run(&factory, &data, &small_cfg(MixKind::ReadHeavy, 2)).unwrap();
+        let cfg = small_cfg(MixKind::ReadHeavy, 2);
+        let host = SharedEngine::new(factory());
+        let params = prepare(&host, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, cfg.op_timeout);
+        let report = run_backend(&backend, &data.name, &cfg).unwrap();
         let m = report.to_measurement();
         assert_eq!(m.query, "WL:read-heavy@t2");
         assert_eq!(m.cardinality, Some(report.ops()));
@@ -1628,8 +1202,11 @@ mod tests {
             pacing: Pacing::open_bounded(2_000_000.0, Duration::from_millis(5)),
             ..WorkloadConfig::default()
         };
+        let host = SharedEngine::new(factory());
+        let params = prepare(&host, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, cfg.op_timeout);
         let t0 = Instant::now();
-        let report = run(&factory, &data, &cfg).unwrap();
+        let report = run_backend(&backend, &data.name, &cfg).unwrap();
         assert!(
             t0.elapsed() < Duration::from_secs(60),
             "overload run must terminate in bounded time"
@@ -1661,7 +1238,10 @@ mod tests {
         // Determinism under shedding: position i of the trace is the same op
         // whether or not earlier arrivals were shed, so every *executed*
         // position must match the closed-loop sequential replay exactly.
-        let seq = run_sequential(&factory, &data, &cfg).unwrap();
+        let host = SharedEngine::new(factory());
+        let params = prepare(&host, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, cfg.op_timeout);
+        let seq = run_backend_sequential(&backend, &data.name, &cfg).unwrap();
         let (ct, st) = (report.cardinality_trace(), seq.cardinality_trace());
         assert_eq!(ct.len(), st.len());
         let mut executed = 0u64;
@@ -1756,7 +1336,11 @@ mod tests {
     #[test]
     fn locked_backend_records_lock_waits() {
         let data = testkit::chain_dataset(150);
-        let report = run(&factory, &data, &small_cfg(MixKind::WriteHeavy, 4)).unwrap();
+        let cfg = small_cfg(MixKind::WriteHeavy, 4);
+        let host = SharedEngine::new(factory());
+        let params = prepare(&host, &data, cfg.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, cfg.op_timeout);
+        let report = run_backend(&backend, &data.name, &cfg).unwrap();
         assert_eq!(
             report.lock_wait_nanos(),
             report
@@ -1979,12 +1563,10 @@ mod tests {
     /// [`GdbError::Poisoned`] instead.
     #[test]
     fn panicking_writer_aborts_the_run() {
-        let factory = || -> Box<dyn GraphDb> {
-            Box::new(PanicOnWrite {
-                inner: Box::new(LinkedGraph::v1()),
-                writes_left: 8,
-            })
-        };
+        let host: SharedEngine = RwLock::new(Box::new(PanicOnWrite {
+            inner: Box::new(LinkedGraph::v1()),
+            writes_left: 8,
+        }));
         let data = testkit::chain_dataset(150);
         let cfg = WorkloadConfig {
             mix: MixKind::WriteHeavy,
@@ -1993,7 +1575,12 @@ mod tests {
             seed: 3,
             ..WorkloadConfig::default()
         };
-        match run(&factory, &data, &cfg) {
+        let params = prepare(&host, &data, cfg.seed).unwrap();
+        match run_backend(
+            &HostBackend::new(&host, &params, cfg.op_timeout),
+            &data.name,
+            &cfg,
+        ) {
             Err(GdbError::Poisoned(why)) => {
                 assert!(
                     why.contains("poisoned") || why.contains("panicked"),

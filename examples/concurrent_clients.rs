@@ -13,7 +13,9 @@
 
 use graphmark::core::summary;
 use graphmark::registry::EngineKind;
-use graphmark::workload::{run, MixKind, Pacing, WorkloadConfig};
+use graphmark::workload::{
+    prepare, run_backend, HostBackend, MixKind, Pacing, SharedEngine, WorkloadConfig,
+};
 
 fn main() {
     // 1. A synthetic social-ish dataset (the generators in `gm-datasets`
@@ -31,8 +33,6 @@ fn main() {
     );
 
     // 2. Four closed-loop clients, mixed reads+writes, deterministic seed.
-    let kind = EngineKind::LinkedV2;
-    let factory = move || kind.make();
     let cfg = WorkloadConfig {
         mix: MixKind::Mixed,
         threads: 4,
@@ -40,7 +40,14 @@ fn main() {
         seed: 7,
         ..WorkloadConfig::default()
     };
-    let report = run(&factory, &data, &cfg).expect("workload run");
+    // The host says how the clients share the graph: here one engine behind
+    // an `RwLock`; a snapshot source or a sharded composite drops in the
+    // same way. `prepare` loads it and resolves the workload parameters
+    // outside the measured region.
+    let host = SharedEngine::new(EngineKind::LinkedV2.make());
+    let params = prepare(&host, &data, cfg.seed).expect("load");
+    let backend = HostBackend::new(&host, &params, cfg.op_timeout);
+    let report = run_backend(&backend, &data.name, &cfg).expect("workload run");
 
     println!(
         "{} × {} workers × {} ops ({}): {:.0} ops/s, {} errors",
@@ -61,14 +68,14 @@ fn main() {
         threads: 1,
         ..cfg.clone()
     };
-    let base = run(&factory, &data, &base_cfg).expect("baseline run");
+    let base = run_backend(&backend, &data.name, &base_cfg).expect("baseline run");
     let rows = vec![base.scaling_row(), report.scaling_row()];
     println!("{}", summary::render_scaling(&rows));
 
     // 4. Open-loop flavor: fixed arrival rate, latency includes queueing.
-    let open = run(
-        &factory,
-        &data,
+    let open = run_backend(
+        &backend,
+        &data.name,
         &WorkloadConfig {
             mix: MixKind::ReadHeavy,
             threads: 2,
@@ -91,9 +98,9 @@ fn main() {
     //    plus the shed count — makes the overload visible instead of letting
     //    the backlog grow without bound.
     let offered = report.throughput() * 8.0;
-    let overloaded = run(
-        &factory,
-        &data,
+    let overloaded = run_backend(
+        &backend,
+        &data.name,
         &WorkloadConfig {
             mix: MixKind::Mixed,
             threads: 4,

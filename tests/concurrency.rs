@@ -18,7 +18,10 @@ use graphmark::core::report::{Outcome, RunMode};
 use graphmark::core::runner::{BenchConfig, Runner};
 use graphmark::model::testkit;
 use graphmark::registry::EngineKind;
-use graphmark::workload::{run, run_sequential, MixKind, Op, Pacing, WorkloadConfig, SHED_CARD};
+use graphmark::workload::{
+    prepare, run_backend, run_backend_sequential, HostBackend, MixKind, Op, Pacing, SharedEngine,
+    WorkloadConfig, SHED_CARD,
+};
 
 fn cfg(mix: MixKind, threads: u32, ops: u64) -> WorkloadConfig {
     WorkloadConfig {
@@ -36,8 +39,11 @@ fn cfg(mix: MixKind, threads: u32, ops: u64) -> WorkloadConfig {
 fn mixed_run_completes_on_every_engine() {
     let data = testkit::chain_dataset(150);
     for kind in EngineKind::ALL {
-        let factory = move || kind.make();
-        let report = run(&factory, &data, &cfg(MixKind::Mixed, 4, 40))
+        let c = cfg(MixKind::Mixed, 4, 40);
+        let host = SharedEngine::new(kind.make());
+        let params = prepare(&host, &data, c.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, c.op_timeout);
+        let report = run_backend(&backend, &data.name, &c)
             .unwrap_or_else(|e| panic!("{}: driver failed: {e}", kind.name()));
         assert_eq!(
             report.ops() + report.errors(),
@@ -58,8 +64,11 @@ fn histogram_counts_are_monotone_and_complete() {
         EngineKind::ColumnarV05,
         EngineKind::Triple,
     ] {
-        let factory = move || kind.make();
-        let report = run(&factory, &data, &cfg(MixKind::Mixed, 3, 50)).unwrap();
+        let c = cfg(MixKind::Mixed, 3, 50);
+        let host = SharedEngine::new(kind.make());
+        let params = prepare(&host, &data, c.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, c.op_timeout);
+        let report = run_backend(&backend, &data.name, &c).unwrap();
         let h = &report.hist;
         let bucket_sum: u64 = h.buckets().iter().sum();
         assert_eq!(
@@ -98,11 +107,13 @@ fn histogram_counts_are_monotone_and_complete() {
 fn concurrent_reads_match_sequential_on_every_engine() {
     let data = testkit::chain_dataset(200);
     for kind in EngineKind::ALL {
-        let factory = move || kind.make();
         let c = cfg(MixKind::ReadOnly, 4, 30);
-        let concurrent = run(&factory, &data, &c)
+        let host = SharedEngine::new(kind.make());
+        let params = prepare(&host, &data, c.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, c.op_timeout);
+        let concurrent = run_backend(&backend, &data.name, &c)
             .unwrap_or_else(|e| panic!("{}: concurrent run failed: {e}", kind.name()));
-        let sequential = run_sequential(&factory, &data, &c)
+        let sequential = run_backend_sequential(&backend, &data.name, &c)
             .unwrap_or_else(|e| panic!("{}: sequential run failed: {e}", kind.name()));
         assert_eq!(
             concurrent.cardinality_trace(),
@@ -123,8 +134,14 @@ fn driver_results_match_sequential_runner() {
     let c = cfg(MixKind::ReadOnly, 2, 25);
 
     // What the driver answered, op by op.
-    let factory = move || kind.make();
-    let report = run(&factory, &data, &c).unwrap();
+    let host = SharedEngine::new(kind.make());
+    let params = prepare(&host, &data, c.seed).unwrap();
+    let report = run_backend(
+        &HostBackend::new(&host, &params, c.op_timeout),
+        &data.name,
+        &c,
+    )
+    .unwrap();
 
     // The same op sequence replayed through catalog::execute on a fresh
     // engine (the Runner's execution path), with the same Workload seed.
@@ -170,15 +187,17 @@ fn driver_results_match_sequential_runner() {
 fn overloaded_open_loop_sheds_is_bounded_and_deterministic() {
     let data = testkit::chain_dataset(1_500);
     for kind in [EngineKind::LinkedV2, EngineKind::Triple] {
-        let factory = move || kind.make();
         let c = WorkloadConfig {
             // Scan-heavy is read-only and slow per op: offered at 2M ops/s
             // it overloads every engine, so the 5 ms backlog bound engages.
             pacing: Pacing::open_bounded(2_000_000.0, Duration::from_millis(5)),
             ..cfg(MixKind::ScanHeavy, 2, 1_500)
         };
+        let host = SharedEngine::new(kind.make());
+        let params = prepare(&host, &data, c.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, c.op_timeout);
         let t0 = Instant::now();
-        let report = run(&factory, &data, &c)
+        let report = run_backend(&backend, &data.name, &c)
             .unwrap_or_else(|e| panic!("{}: overload run failed: {e}", kind.name()));
         assert!(
             t0.elapsed() < Duration::from_secs(120),
@@ -211,7 +230,7 @@ fn overloaded_open_loop_sheds_is_bounded_and_deterministic() {
         assert!(csv.contains("2000000.0"), "{}: {csv}", kind.name());
 
         // Read-only determinism under shedding.
-        let sequential = run_sequential(&factory, &data, &c)
+        let sequential = run_backend_sequential(&backend, &data.name, &c)
             .unwrap_or_else(|e| panic!("{}: sequential replay failed: {e}", kind.name()));
         let (ct, st) = (report.cardinality_trace(), sequential.cardinality_trace());
         assert_eq!(ct.len(), st.len(), "{}", kind.name());
@@ -235,8 +254,11 @@ fn scaling_rows_render() {
     let mut rows = Vec::new();
     for threads in [1, 2] {
         let kind = EngineKind::Relational;
-        let factory = move || kind.make();
-        let report = run(&factory, &data, &cfg(MixKind::ReadHeavy, threads, 30)).unwrap();
+        let c = cfg(MixKind::ReadHeavy, threads, 30);
+        let host = SharedEngine::new(kind.make());
+        let params = prepare(&host, &data, c.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, c.op_timeout);
+        let report = run_backend(&backend, &data.name, &c).unwrap();
         rows.push(report.scaling_row());
     }
     let text = graphmark::core::summary::render_scaling(&rows);

@@ -25,10 +25,11 @@ use graphmark::model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions};
 use graphmark::model::{testkit, QueryCtx};
 use graphmark::mvcc::{SnapshotMode, SnapshotSource};
 use graphmark::registry::EngineKind;
-use graphmark::shard::{run_sharded, ShardedGraph};
+use graphmark::shard::ShardedGraph;
 use graphmark::traversal::parser;
 use graphmark::workload::{
-    run_sequential, run_snapshot, run_snapshot_sequential, MixKind, WorkloadConfig, WORKLOAD_SLOTS,
+    prepare, run_backend, run_backend_sequential, HostBackend, MixKind, SharedEngine,
+    WorkloadConfig, WORKLOAD_SLOTS,
 };
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -51,12 +52,17 @@ fn cfg(mix: MixKind, threads: u32, ops: u64) -> WorkloadConfig {
 fn sharded_read_only_matches_unsharded_sequential_on_every_engine() {
     let data = testkit::chain_dataset(150);
     for kind in EngineKind::ALL {
-        let factory = move || kind.make();
         let c = cfg(MixKind::ReadOnly, 3, 20);
-        let unsharded = run_sequential(&factory, &data, &c)
+        let host = SharedEngine::new(kind.make());
+        let params = prepare(&host, &data, c.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, c.op_timeout);
+        let unsharded = run_backend_sequential(&backend, &data.name, &c)
             .unwrap_or_else(|e| panic!("{}: unsharded replay failed: {e}", kind.name()));
         for shards in SHARD_COUNTS {
-            let sharded = run_sharded(&factory, shards, &data, &c)
+            let graph = kind.make_sharded(shards);
+            let params = prepare(&graph, &data, c.seed).unwrap();
+            let backend = HostBackend::new(&graph, &params, c.op_timeout);
+            let sharded = run_backend(&backend, &data.name, &c)
                 .unwrap_or_else(|e| panic!("{}/s{shards}: sharded run failed: {e}", kind.name()));
             assert_eq!(
                 sharded.cardinality_trace(),
@@ -83,13 +89,16 @@ fn sharded_snapshot_reads_match_unsharded_on_every_engine() {
     let data = testkit::chain_dataset(150);
     let c = cfg(MixKind::ReadOnly, 3, 15);
     for kind in EngineKind::ALL {
-        let factory = move || kind.make();
-        let unsharded = run_sequential(&factory, &data, &c)
+        let host = SharedEngine::new(kind.make());
+        let params = prepare(&host, &data, c.seed).unwrap();
+        let backend = HostBackend::new(&host, &params, c.op_timeout);
+        let unsharded = run_backend_sequential(&backend, &data.name, &c)
             .unwrap_or_else(|e| panic!("{}: unsharded replay failed: {e}", kind.name()));
-        let src_factory = move || -> Box<dyn SnapshotSource> {
-            Box::new(kind.make_sharded_source(2, SnapshotMode::Cow))
-        };
-        let snap = run_snapshot(&src_factory, &data, &c)
+        let source: Box<dyn SnapshotSource> =
+            Box::new(kind.make_sharded_source(2, SnapshotMode::Cow));
+        let params = prepare(&source, &data, c.seed).unwrap();
+        let backend = HostBackend::new(&source, &params, c.op_timeout);
+        let snap = run_backend(&backend, &data.name, &c)
             .unwrap_or_else(|e| panic!("{}/s2 snapshot run failed: {e}", kind.name()));
         assert_eq!(
             snap.cardinality_trace(),
@@ -108,15 +117,20 @@ fn sharded_snapshot_reads_match_unsharded_on_every_engine() {
     // All shard counts on one engine, concurrent and sequential snapshot
     // paths both.
     let kind = EngineKind::LinkedV2;
-    let factory = move || kind.make();
-    let unsharded = run_sequential(&factory, &data, &c).unwrap();
+    let host = SharedEngine::new(kind.make());
+    let params = prepare(&host, &data, c.seed).unwrap();
+    let backend = HostBackend::new(&host, &params, c.op_timeout);
+    let unsharded = run_backend_sequential(&backend, &data.name, &c).unwrap();
     for shards in SHARD_COUNTS {
-        let src_factory = move || -> Box<dyn SnapshotSource> {
-            Box::new(kind.make_sharded_source(shards, SnapshotMode::Cow))
-        };
+        let source: Box<dyn SnapshotSource> =
+            Box::new(kind.make_sharded_source(shards, SnapshotMode::Cow));
+        let params = prepare(&source, &data, c.seed).unwrap();
+        let backend = HostBackend::new(&source, &params, c.op_timeout);
+        let strict = HostBackend::new(&source, &params, c.op_timeout)
+            .with_pin_staleness(std::time::Duration::ZERO);
         for report in [
-            run_snapshot(&src_factory, &data, &c).unwrap(),
-            run_snapshot_sequential(&src_factory, &data, &c).unwrap(),
+            run_backend(&backend, &data.name, &c).unwrap(),
+            run_backend_sequential(&strict, &data.name, &c).unwrap(),
         ] {
             assert_eq!(
                 report.cardinality_trace(),
