@@ -6,15 +6,15 @@
 //! ```sh
 //! GM_SCALE=small cargo run --release -p gm-bench --bin export_datasets -- ./data
 //! ```
+//!
+//! The one argument is the output directory (default `./data`).
 
-use gm_bench::{config, DataBank, Env};
+use gm_bench::{DataBank, Env};
 use gm_model::graphson;
 
 fn main() {
     let env = Env::from_env();
-    let out_dir = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| config::var_str("GM_EXPORT_DIR", "./data"));
+    let out_dir = std::env::args().nth(1).unwrap_or_else(|| "./data".into());
     let dir = std::path::Path::new(&out_dir);
     std::fs::create_dir_all(dir).expect("create output directory");
 

@@ -11,9 +11,9 @@
 //! * `sharded-locked` — a `gm-shard` composite of `N` engines, each behind
 //!   its own lock: reads see one consistent cross-shard state, writes lock
 //!   only the shard they land on;
-//! * `snapshot-sharded-*` — one MVCC cell per shard (unless
-//!   `GM_SNAPSHOT_MODE=off`): reads pin composite epochs (min over shard
-//!   epochs), writers on different shards share no mutex at all.
+//! * `snapshot-sharded-cow` — one MVCC cell per shard: reads pin composite
+//!   epochs (min over shard epochs), writers on different shards share no
+//!   mutex at all.
 //!
 //! Every row carries the **lock-wait** column (nanoseconds ops spent
 //! queueing on engine locks, measured through `gm_model::lockwait` at every
@@ -29,7 +29,6 @@
 //! | `GM_THREADS` | `2,4` | worker-thread counts to sweep |
 //! | `GM_MIXES` | `write-heavy,mixed` | workload mixes |
 //! | `GM_WL_OPS` | `400` | ops per worker |
-//! | `GM_SNAPSHOT_MODE` | `cow` | `off` / `cow` / `native` snapshot cells |
 //! | `GM_FLEET` | `0` | spawn an N-server loopback fleet and add `@fleet` rows |
 //! | `GM_FLEET_ADDRS` | (none) | drive an already-running fleet instead (shard order) |
 //!
@@ -50,7 +49,7 @@ use gm_core::summary::{self, ScalingRow};
 use gm_datasets::{self as datasets, DatasetId};
 use gm_net::{Fleet, FleetBackend, Server, ServerHandle};
 use gm_workload::{format_nanos, run_backend, MixKind, RunReport, SharedEngine, WorkloadConfig};
-use graphmark::mvcc::{SnapshotMode, SnapshotSource};
+use graphmark::mvcc::SnapshotSource;
 use graphmark::registry::EngineKind;
 
 struct Sweep {
@@ -59,7 +58,6 @@ struct Sweep {
     threads: Vec<u32>,
     mixes: Vec<MixKind>,
     ops_per_worker: u64,
-    snapshot: Option<SnapshotMode>,
 }
 
 fn sweep_from_env() -> Sweep {
@@ -69,7 +67,6 @@ fn sweep_from_env() -> Sweep {
         threads: config::var_list_u32("GM_THREADS", "2,4"),
         mixes: config::var_mixes("GM_MIXES", "write-heavy,mixed"),
         ops_per_worker: config::var_u64("GM_WL_OPS", 400),
-        snapshot: config::var_snapshot_mode(Some(SnapshotMode::Cow)),
     }
 }
 
@@ -182,7 +179,7 @@ fn main() {
 
     let data = datasets::generate(DatasetId::Yeast, sweep.env.scale, sweep.env.seed);
     eprintln!(
-        "[fig10] dataset {} |V|={} |E|={}, {} engines × shards {:?} × threads {:?} × {:?}, snapshot mode {}",
+        "[fig10] dataset {} |V|={} |E|={}, {} engines × shards {:?} × threads {:?} × {:?}",
         data.name,
         data.vertex_count(),
         data.edge_count(),
@@ -190,7 +187,6 @@ fn main() {
         sweep.shards,
         sweep.threads,
         sweep.mixes.iter().map(|m| m.name()).collect::<Vec<_>>(),
-        sweep.snapshot.map(|m| m.name()).unwrap_or("off"),
     );
 
     let mut rows: Vec<ScalingRow> = Vec::new();
@@ -223,20 +219,18 @@ fn main() {
                             mix.name()
                         ),
                     }
-                    if let Some(mode) = sweep.snapshot {
-                        let source: Box<dyn SnapshotSource> =
-                            Box::new(kind.make_sharded_source(n as usize, mode));
-                        match drive(&source, &data, &cfg) {
-                            Ok(r) => {
-                                log_row(&r);
-                                rows.push(r.scaling_row());
-                            }
-                            Err(e) => eprintln!(
-                                "[fig10]   {} {} t={t} s={n} snapshot FAILED: {e}",
-                                kind.name(),
-                                mix.name()
-                            ),
+                    let source: Box<dyn SnapshotSource> =
+                        Box::new(kind.make_sharded_source(n as usize));
+                    match drive(&source, &data, &cfg) {
+                        Ok(r) => {
+                            log_row(&r);
+                            rows.push(r.scaling_row());
                         }
+                        Err(e) => eprintln!(
+                            "[fig10]   {} {} t={t} s={n} snapshot FAILED: {e}",
+                            kind.name(),
+                            mix.name()
+                        ),
                     }
                 }
             }

@@ -29,7 +29,6 @@
 //! | `GM_MIXES` | `write-heavy,mixed` | workload mixes |
 //! | `GM_WL_OPS` | `400` | ops per worker |
 //! | `GM_TXN_OPS` | `8` | writes buffered per transaction (0 = autocommit) |
-//! | `GM_SNAPSHOT_MODE` | `cow` | `cow` / `native` snapshot cells |
 //!
 //! What the sweep shows is asserted elsewhere: replay equality and
 //! conflict accounting by `gm-workload`'s driver tests, atomic cross-shard
@@ -40,7 +39,7 @@ use gm_bench::{config, Env};
 use gm_core::summary::{self, ScalingRow};
 use gm_datasets::{self as datasets, DatasetId};
 use gm_workload::{prepare, run_backend, HostBackend, MixKind, RunReport, WorkloadConfig};
-use graphmark::mvcc::{SnapshotMode, SnapshotSource};
+use graphmark::mvcc::SnapshotSource;
 
 struct Sweep {
     env: Env,
@@ -49,7 +48,6 @@ struct Sweep {
     mixes: Vec<MixKind>,
     ops_per_worker: u64,
     txn_ops: u64,
-    mode: SnapshotMode,
 }
 
 fn sweep_from_env() -> Sweep {
@@ -60,8 +58,6 @@ fn sweep_from_env() -> Sweep {
         mixes: config::var_mixes("GM_MIXES", "write-heavy,mixed"),
         ops_per_worker: config::var_u64("GM_WL_OPS", 400),
         txn_ops: config::var_u64("GM_TXN_OPS", 8),
-        // Transactions need a snapshot source; "off" makes no sense here.
-        mode: config::var_snapshot_mode(Some(SnapshotMode::Cow)).unwrap_or(SnapshotMode::Cow),
     }
 }
 
@@ -102,7 +98,7 @@ fn main() {
     let data = datasets::generate(DatasetId::Yeast, sweep.env.scale, sweep.env.seed);
     eprintln!(
         "[fig11] dataset {} |V|={} |E|={}, {} engines × shards {:?} × threads {:?} × {:?}, \
-         txn batch {} writes, snapshot mode {}",
+         txn batch {} writes",
         data.name,
         data.vertex_count(),
         data.edge_count(),
@@ -111,7 +107,6 @@ fn main() {
         sweep.threads,
         sweep.mixes.iter().map(|m| m.name()).collect::<Vec<_>>(),
         sweep.txn_ops,
-        sweep.mode.name(),
     );
 
     let mut rows: Vec<ScalingRow> = Vec::new();
@@ -128,7 +123,7 @@ fn main() {
                     };
                     for &txn_ops in batches {
                         let source: Box<dyn SnapshotSource> =
-                            Box::new(kind.make_sharded_source(n as usize, sweep.mode));
+                            Box::new(kind.make_sharded_source(n as usize));
                         let run = prepare(&source, &data, cfg.seed).and_then(|params| {
                             let backend = HostBackend::new(&source, &params, cfg.op_timeout)
                                 .with_txn_ops(txn_ops);

@@ -7,13 +7,12 @@
 //! p50/p95/p99/max latency tail — through the same `core::report` /
 //! `core::summary` machinery as the paper's figures.
 //!
-//! Each (engine, mix, threads) cell runs under **both read paths** unless
-//! `GM_SNAPSHOT_MODE=off`:
+//! Each (engine, mix, threads) cell runs under **both read paths**:
 //!
 //! * `locked` — the original shared-`RwLock` contract (scans block writers,
 //!   write-heavy mixes collapse to one effective writer);
-//! * `snapshot-cow` / `snapshot-native` — reads pin immutable gm-mvcc
-//!   epochs and run lock-free, so the isolation cost (and the read-
+//! * `snapshot-cow` — reads pin immutable gm-mvcc epochs and run
+//!   lock-free, so the isolation cost (and the read-
 //!   throughput scaling it buys under write-heavy mixes) is itself a
 //!   measured microbenchmark, rendered as adjacent sections of the scaling
 //!   table and distinct `isolation` values in the CSV.
@@ -34,7 +33,6 @@
 //! | `GM_WL_OPS` | `400` | ops per worker |
 //! | `GM_OVERLOAD_FACTORS` | `0.5,1,2,4` | open-loop rates as multiples of measured capacity (empty disables the overload sweep) |
 //! | `GM_MAX_LATENESS_MS` | `50` | backlog bound: arrivals later than this are shed |
-//! | `GM_SNAPSHOT_MODE` | `cow` | `off` / `cow` / `native` snapshot read path |
 //!
 //! What the sweep shows is asserted elsewhere: shed accounting by
 //! `tests/concurrency.rs`, locked and snapshot reads agreeing by
@@ -57,7 +55,6 @@ struct Sweep {
     ops_per_worker: u64,
     overload_factors: Vec<f64>,
     max_lateness: Duration,
-    snapshot: Option<SnapshotMode>,
 }
 
 fn sweep_from_env() -> Sweep {
@@ -68,7 +65,6 @@ fn sweep_from_env() -> Sweep {
         ops_per_worker: config::var_u64("GM_WL_OPS", 400),
         overload_factors: config::var_list_f64("GM_OVERLOAD_FACTORS", "0.5,1,2,4"),
         max_lateness: config::var_millis("GM_MAX_LATENESS_MS", 50),
-        snapshot: config::var_snapshot_mode(Some(SnapshotMode::Cow)),
     }
 }
 
@@ -78,17 +74,14 @@ fn sweep_from_env() -> Sweep {
 fn copy_amplification(
     before: &gm_obs::RegistrySnapshot,
     after: &gm_obs::RegistrySnapshot,
-    mode: SnapshotMode,
 ) -> String {
     let delta = |name: &str| after.counter(name) - before.counter(name);
-    let publishes = delta(&format!("mvcc.{}.publishes", mode.name()));
+    let publishes = delta("mvcc.cow.publishes");
     if publishes == 0 {
         return String::new();
     }
-    let clone_nanos = |s: &gm_obs::RegistrySnapshot| {
-        s.hist(&format!("mvcc.{}.clone_nanos", mode.name()))
-            .map_or(0, |h| h.sum)
-    };
+    let clone_nanos =
+        |s: &gm_obs::RegistrySnapshot| s.hist("mvcc.cow.clone_nanos").map_or(0, |h| h.sum);
     format!(
         "  per epoch: clone {}, {:.1} pages / {:.1} KiB copied",
         format_nanos((clone_nanos(after) - clone_nanos(before)) / publishes),
@@ -108,14 +101,13 @@ fn main() {
 
     let data = datasets::generate(DatasetId::Yeast, sweep.env.scale, sweep.env.seed);
     eprintln!(
-        "[fig8] dataset {} |V|={} |E|={}, {} engines × {:?} threads × {:?}, snapshot mode {}",
+        "[fig8] dataset {} |V|={} |E|={}, {} engines × {:?} threads × {:?}",
         data.name,
         data.vertex_count(),
         data.edge_count(),
         sweep.env.engines.len(),
         sweep.threads,
         sweep.mixes.iter().map(|m| m.name()).collect::<Vec<_>>(),
-        sweep.snapshot.map(|m| m.name()).unwrap_or("off"),
     );
 
     let mut rows: Vec<ScalingRow> = Vec::new();
@@ -123,7 +115,7 @@ fn main() {
     for kind in &sweep.env.engines {
         for mix in &sweep.mixes {
             // Closed-loop sweep: each thread count, measuring capacity —
-            // under the locked read path and (unless off) under snapshots,
+            // under the locked read path and under snapshots,
             // so the isolation cost is itself a measured row pair.
             let mut capacity = 0.0f64;
             for &t in &sweep.threads {
@@ -154,29 +146,27 @@ fn main() {
                         eprintln!("[fig8]   {} {} t={t}: FAILED: {e}", kind.name(), mix.name())
                     }
                 }
-                if let Some(mode) = sweep.snapshot {
-                    let before = gm_obs::global().snapshot();
-                    match drive(&kind.make_snapshot_source(mode), &data, &cfg) {
-                        Ok(r) => {
-                            eprintln!(
-                                "[fig8]   {:<14} {:<11} t={:<2} {:<16} {:>9.0} ops/s  p99 {}{}",
-                                r.engine,
-                                r.mix,
-                                t,
-                                r.isolation,
-                                r.throughput(),
-                                format_nanos(r.hist.p99()),
-                                copy_amplification(&before, &gm_obs::global().snapshot(), mode),
-                            );
-                            report.push(r.to_measurement());
-                            rows.push(r.scaling_row());
-                        }
-                        Err(e) => eprintln!(
-                            "[fig8]   {} {} t={t} snapshot: FAILED: {e}",
-                            kind.name(),
-                            mix.name()
-                        ),
+                let before = gm_obs::global().snapshot();
+                match drive(&kind.make_snapshot_source(SnapshotMode::Cow), &data, &cfg) {
+                    Ok(r) => {
+                        eprintln!(
+                            "[fig8]   {:<14} {:<11} t={:<2} {:<16} {:>9.0} ops/s  p99 {}{}",
+                            r.engine,
+                            r.mix,
+                            t,
+                            r.isolation,
+                            r.throughput(),
+                            format_nanos(r.hist.p99()),
+                            copy_amplification(&before, &gm_obs::global().snapshot()),
+                        );
+                        report.push(r.to_measurement());
+                        rows.push(r.scaling_row());
                     }
+                    Err(e) => eprintln!(
+                        "[fig8]   {} {} t={t} snapshot: FAILED: {e}",
+                        kind.name(),
+                        mix.name()
+                    ),
                 }
             }
 

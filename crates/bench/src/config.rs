@@ -10,7 +10,6 @@ use std::time::Duration;
 
 use gm_datasets::Scale;
 use gm_workload::MixKind;
-use graphmark::mvcc::SnapshotMode;
 use graphmark::registry::EngineKind;
 
 /// One documented environment knob.
@@ -24,143 +23,142 @@ pub struct Knob {
     pub doc: &'static str,
 }
 
-/// Every environment knob the harness binaries honour.
+/// Every environment knob the harness binaries honour. Each `doc` opens with
+/// the binaries that read the knob and the README section (or verify-skill
+/// surface) that documents it; library crates read no knob (gm-check's
+/// `knobs` lint).
 pub const KNOBS: &[Knob] = &[
     Knob {
         name: "GM_SCALE",
         default: "small",
-        doc: "dataset scale preset (tiny/small/medium/a/b)",
+        doc: "reproduce, fig8-fig11 (README: Reproducing the paper's artifacts): dataset \
+              scale preset (tiny/small/medium/a/b)",
     },
     Knob {
         name: "GM_SEED",
         default: "42",
-        doc: "generator + workload seed",
+        doc: "reproduce, fig8-fig11 (README: Reproducing the paper's artifacts): generator \
+              + workload seed",
     },
     Knob {
         name: "GM_TIMEOUT_SECS",
         default: "5",
-        doc: "per-query deadline (the paper's 2h analog)",
+        doc: "reproduce, fig8-fig11 (README: Reproducing the paper's artifacts): per-query \
+              deadline (the paper's 2h analog; fig1_timeouts and table4 count against it)",
     },
     Knob {
         name: "GM_BATCH",
         default: "10",
-        doc: "batch length (the paper uses 10)",
+        doc: "reproduce (README: Reproducing the paper's artifacts): batch length (the \
+              paper uses 10)",
     },
     Knob {
         name: "GM_ENGINES",
         default: "(all)",
-        doc: "comma-separated engine-name filter",
+        doc: "reproduce, fig8-fig11 (README: Reproducing the paper's artifacts): \
+              comma-separated engine-name filter",
     },
     Knob {
         name: "GM_THREADS",
         default: "1,2,4,8",
-        doc: "fig8: thread counts to sweep",
+        doc: "fig8, fig10, fig11 (README: The concurrency sweep): thread counts to sweep",
     },
     Knob {
         name: "GM_MIXES",
         default: "read-heavy,mixed",
-        doc: "fig8/fig9: workload mix names to sweep",
+        doc: "fig8-fig11 (README: The concurrency sweep): workload mix names to sweep",
     },
     Knob {
         name: "GM_WL_OPS",
         default: "400",
-        doc: "fig8/fig9: ops per worker",
+        doc: "fig8-fig11 (README: The concurrency sweep): ops per worker",
     },
     Knob {
         name: "GM_OVERLOAD_FACTORS",
         default: "0.5,1,2,4",
-        doc: "fig8: open-loop rates as multiples of measured capacity",
+        doc: "fig8 (README: Open-loop backpressure and shed accounting): open-loop rates \
+              as multiples of measured capacity",
     },
     Knob {
         name: "GM_MAX_LATENESS_MS",
         default: "50",
-        doc: "fig8/fig9: backlog bound; later arrivals are shed",
+        doc: "fig8, fig9 (README: Open-loop backpressure and shed accounting): backlog \
+              bound; later arrivals are shed",
     },
     Knob {
         name: "GM_SNAPSHOT_MODE",
-        default: "cow",
-        doc: "fig8/fig10/gm-server: MVCC snapshot reads (off = locked only; cow = generic \
-              copy-on-write; native = engine-native where available, cow fallback)",
+        default: "off",
+        doc: "gm-server (README: Concurrency model): off = shared-lock hosting; cow = \
+              reads pin copy-on-write MVCC epochs",
     },
     Knob {
         name: "GM_SHARDS",
         default: "1,2,4",
-        doc: "fig10: shard counts to sweep; gm-server: shard count to host (single value)",
+        doc: "fig10, fig11 (README: Sharding): shard counts to sweep; gm-server: shard \
+              count to host (single value)",
     },
     Knob {
         name: "GM_SERVER_ADDR",
         default: "(spawn loopback)",
-        doc: "fig9/gm-server: engine server address; fig9 spawns a loopback server per engine when unset",
+        doc: "fig9, gm-server (README: Server mode): engine server address; fig9 spawns a \
+              loopback server per engine when unset",
     },
     Knob {
         name: "GM_FLEET",
         default: "0",
-        doc: "fig10: spawn an N-process-equivalent loopback fleet (N shard servers, one per \
-              identity) and run the @fleet rows against it (0 = off)",
+        doc: "fig10 (README: Fleet mode): spawn an N-process-equivalent loopback fleet (N \
+              shard servers, one per identity) and run the @fleet rows against it (0 = off)",
     },
     Knob {
         name: "GM_FLEET_ADDRS",
         default: "(none)",
-        doc: "fig10: comma-separated shard-server addresses, in shard order, of an \
-              already-running fleet; overrides GM_FLEET (each server must announce the \
-              matching --shard-id/--fleet-size identity)",
-    },
-    Knob {
-        name: "GM_FLEET_BATCH",
-        default: "16",
-        doc: "fleet client: queued single-shard writes per connection before an ExecBatch \
-              frame ships (reads flush their shard's queue first)",
+        doc: "fig10 (README: Fleet mode): comma-separated shard-server addresses, in shard \
+              order, of an already-running fleet; overrides GM_FLEET (each server must \
+              announce the matching --shard-id/--fleet-size identity)",
     },
     Knob {
         name: "GM_NET_CLIENTS",
         default: "1,2,4",
-        doc: "fig9: client-connection counts to sweep",
-    },
-    Knob {
-        name: "GM_EXPORT_DIR",
-        default: "./data",
-        doc: "export_datasets: output directory (positional arg wins)",
+        doc: "fig9 (README: Server mode): client-connection counts to sweep",
     },
     Knob {
         name: "GM_OBS",
         default: "phases",
-        doc: "observability mode (off = legacy lock-wait only; counters = gm-obs registry; \
-              phases = counters + per-op phase spans in the fig8/fig9/fig10 tables and CSV)",
+        doc: "fig8-fig11, gm-server (README: Observability): off = legacy \
+              lock-wait only; counters = gm-obs registry; phases = counters + per-op phase \
+              spans in the fig8/fig9/fig10 tables and CSV",
     },
     Knob {
         name: "GM_STATS_INTERVAL_MS",
         default: "0",
-        doc: "gm-server: log a one-line registry stats snapshot every N ms (0 = off)",
+        doc: "gm-server (README: Observability): log a one-line registry stats snapshot \
+              every N ms (0 = off)",
     },
     Knob {
         name: "GM_TRACE",
         default: "tail",
-        doc: "per-op trace flight recorder (off = record nothing, zero overhead; tail = \
-              tail-biased retention via a moving latency threshold; all = record every op)",
+        doc: "fig8-fig11, gm-server (README: Tracing): per-op trace flight \
+              recorder (off = record nothing, zero overhead; tail = tail-biased retention \
+              via a moving latency threshold; all = record every op)",
     },
     Knob {
         name: "GM_TRACE_CAP",
         default: "4096",
-        doc: "flight-recorder ring capacity in records (clamped to [16, 1M]; takes effect \
-              before the first record)",
+        doc: "fig8-fig11, gm-server (README: Tracing): flight-recorder ring \
+              capacity in records (clamped to [16, 1M]; takes effect before the first \
+              record)",
     },
     Knob {
         name: "GM_TRACE_DUMP",
         default: "(none)",
-        doc: "base path to dump retained traces on exit (<base>.txt aligned table + \
-              <base>.json Chrome trace_event)",
+        doc: "fig8-fig11, gm-server (README: Tracing): base path to dump retained traces on \
+              exit (<base>.txt aligned table + <base>.json Chrome trace_event)",
     },
     Knob {
         name: "GM_TXN_OPS",
         default: "8",
-        doc: "fig11_transactions: writes buffered per transaction before commit \
+        doc: "fig11 (README: Transactions): writes buffered per transaction before commit \
               (0 = autocommit, no transactional rows)",
-    },
-    Knob {
-        name: "GM_TXN_LOG_CAP",
-        default: "1024",
-        doc: "commit-log retention window for first-committer-wins validation; \
-              transactions older than the window conflict conservatively",
     },
 ];
 
@@ -210,11 +208,6 @@ pub fn var_secs(name: &str, default_secs: u64) -> Duration {
 /// A duration knob given in whole milliseconds.
 pub fn var_millis(name: &str, default_millis: u64) -> Duration {
     Duration::from_millis(var_u64(name, default_millis))
-}
-
-/// A plain string knob.
-pub fn var_str(name: &str, default: &str) -> String {
-    std::env::var(name).unwrap_or_else(|_| default.to_string())
 }
 
 /// A comma-separated list of positive finite floats; invalid entries are
@@ -279,31 +272,8 @@ pub fn var_scale() -> Scale {
     }
 }
 
-/// The MVCC snapshot mode (`GM_SNAPSHOT_MODE`): `None` disables snapshot
-/// runs (`"off"`), `Some(mode)` selects the implementation. Unset defaults
-/// to `default` (the knob registry documents `"cow"` for fig8).
-pub fn var_snapshot_mode(default: Option<SnapshotMode>) -> Option<SnapshotMode> {
-    snapshot_mode_from(std::env::var("GM_SNAPSHOT_MODE").ok().as_deref(), default)
-}
-
-/// Pure parsing core of [`var_snapshot_mode`] (testable without mutating
-/// the process environment, which other tests in this binary share).
-fn snapshot_mode_from(value: Option<&str>, default: Option<SnapshotMode>) -> Option<SnapshotMode> {
-    match value {
-        None => default,
-        Some(s) if s.trim() == "off" => None,
-        Some(s) => match SnapshotMode::parse(s) {
-            Some(mode) => Some(mode),
-            None => {
-                warn_ignored("GM_SNAPSHOT_MODE", s, "off/cow/native");
-                default
-            }
-        },
-    }
-}
-
 /// Apply the observability mode knob (`GM_OBS`) to the process-global
-/// gm-obs state. Every harness binary calls this first thing in `main`,
+/// gm-obs state. Each sweep binary (fig8-fig11) calls this first in `main`,
 /// before any metrics handle is resolved — handles cache the mode at
 /// construction.
 pub fn apply_obs_mode() {
@@ -411,32 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_mode_knob() {
-        // The pure core only: mutating the real GM_SNAPSHOT_MODE here would
-        // race other tests in this process and break under
-        // `GM_SNAPSHOT_MODE=… cargo test`.
-        // Unset: the caller's default wins.
-        assert_eq!(
-            snapshot_mode_from(None, Some(SnapshotMode::Cow)),
-            Some(SnapshotMode::Cow)
-        );
-        assert_eq!(snapshot_mode_from(None, None), None);
-        // Set: "off" disables, names select, garbage warns + keeps default.
-        assert_eq!(
-            snapshot_mode_from(Some("off"), Some(SnapshotMode::Cow)),
-            None
-        );
-        assert_eq!(
-            snapshot_mode_from(Some("native"), Some(SnapshotMode::Cow)),
-            Some(SnapshotMode::Native)
-        );
-        assert_eq!(
-            snapshot_mode_from(Some("bogus"), Some(SnapshotMode::Cow)),
-            Some(SnapshotMode::Cow)
-        );
-    }
-
-    #[test]
     fn obs_mode_knob() {
         use gm_obs::ObsMode;
         // Pure core only — the real GM_OBS is process-global state shared
@@ -470,7 +414,6 @@ mod tests {
             "GM_NET_CLIENTS",
             "GM_FLEET",
             "GM_FLEET_ADDRS",
-            "GM_FLEET_BATCH",
             "GM_SNAPSHOT_MODE",
             "GM_OBS",
             "GM_STATS_INTERVAL_MS",
@@ -478,7 +421,6 @@ mod tests {
             "GM_TRACE_CAP",
             "GM_TRACE_DUMP",
             "GM_TXN_OPS",
-            "GM_TXN_LOG_CAP",
         ] {
             assert!(
                 KNOBS.iter().any(|k| k.name == required),

@@ -22,7 +22,10 @@
 //! (`tiny`/`small`/`medium`/`a/b`), `GM_SEED`, `GM_TIMEOUT_SECS`,
 //! `GM_BATCH`, `GM_ENGINES`; the sweeps add `GM_THREADS`, `GM_MIXES`,
 //! `GM_WL_OPS`, `GM_OVERLOAD_FACTORS`, `GM_MAX_LATENESS_MS`,
-//! `GM_SERVER_ADDR`, `GM_NET_CLIENTS`, `GM_SHARDS` and `GM_TXN_OPS`.
+//! `GM_SERVER_ADDR`, `GM_NET_CLIENTS`, `GM_SHARDS`, `GM_FLEET`,
+//! `GM_FLEET_ADDRS` and `GM_TXN_OPS`; `gm-server` adds `GM_SNAPSHOT_MODE`
+//! and `GM_STATS_INTERVAL_MS`. Library crates read no knob (gm-check's
+//! `knobs` lint).
 //! Observability is controlled by `GM_OBS` (metrics/phases) and
 //! `GM_TRACE`/`GM_TRACE_CAP`/`GM_TRACE_DUMP` (the per-op trace flight
 //! recorder behind the sweeps' `p99_exemplar` column).

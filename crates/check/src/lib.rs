@@ -17,6 +17,8 @@
 //! * [`spans`] — no discarded `phase::span` guards (`let _ = …` or a bare
 //!   statement drops the RAII guard immediately, recording a ~0ns span
 //!   that silently falsifies every phase breakdown).
+//! * [`knobs`] — `GM_*` environment knobs are read only in binaries,
+//!   `gm-bench`'s config registry and examples, never in library code.
 //!
 //! The checker parses the workspace's own sources with a lightweight
 //! line lexer ([`lexer`]) — no `syn`, no proc-macro machinery — so it
@@ -24,6 +26,7 @@
 
 pub mod atomics;
 pub mod delegation;
+pub mod knobs;
 pub mod lexer;
 pub mod lockorder;
 pub mod panics;
@@ -75,6 +78,7 @@ pub fn run(files: &[SourceFile]) -> Vec<Diag> {
     diags.extend(panics::check(files));
     diags.extend(atomics::check(files));
     diags.extend(spans::check(files));
+    diags.extend(knobs::check(files));
     diags.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     diags
 }

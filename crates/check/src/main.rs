@@ -52,7 +52,7 @@ fn main() -> ExitCode {
     if diags.is_empty() {
         eprintln!(
             "gm-check: {} files clean (delegation, lock-order, panic-freedom, atomic-ordering, \
-             span-discipline)",
+             span-discipline, knobs)",
             files.len()
         );
         ExitCode::SUCCESS

@@ -183,7 +183,7 @@ pub struct ScalingRow {
     /// Workload mix name (e.g. `"read-heavy"`).
     pub mix: String,
     /// Read-path isolation the run used: `"locked"` (shared `RwLock`),
-    /// `"snapshot-cow"` or `"snapshot-native"` (gm-mvcc pinned epochs), or
+    /// `"snapshot-cow"` or `"snapshot-sharded-cow"` (gm-mvcc pinned epochs), or
     /// `"remote"` (whatever the server hosts). The locked-vs-snapshot
     /// comparison in `fig8_concurrency` keys on this column.
     pub isolation: String,

@@ -55,7 +55,6 @@ use gm_model::fxmap::{FxHashMap, FxHashSet};
 use gm_model::interner::Interner;
 use gm_model::value::{Props, Value};
 use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
-use gm_mvcc::FreezeCell;
 use gm_storage::codec::{read_varint, write_varint};
 use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::segvec::SegVec;
@@ -63,34 +62,18 @@ use gm_storage::valcodec::{
     decode_props, decode_value, encode_props, encode_value, find_prop, skip_props,
 };
 
-/// The columnar engine's **native snapshot source**: a freeze-on-pin cell
-/// over [`ColumnarGraph`], whose `Clone` shares the LSM's immutable runs
-/// and the closed segments of the append-only id columns. Pinning an epoch
-/// copies only the memtable, the open segment tails, and the tombstone
-/// sets — never the adjacency data — so snapshot cost is bounded by the
-/// write volume since the last pin, not by graph size. This is the
-/// "append-only column segments + per-epoch visible-length watermark"
-/// design: a frozen clone is exactly a watermark over the shared segments.
-pub type ColumnarCell = FreezeCell<ColumnarGraph>;
-
-/// Native snapshot cell over a fresh engine of the given variant.
-///
-/// Freezing an epoch deep-copies exactly the engine's *mutable overlays*,
-/// and the dominant one is the LSM memtable — so snapshot hosting tunes the
-/// memtable smaller than the stock single-writer configuration (the same
-/// knob Titan deployments tune per workload). With a 1 Ki-entry memtable
-/// the freeze cost is bounded at roughly one `SegVec` page's worth of
-/// entries regardless of graph size; everything below the memtable is
-/// `Arc`-shared runs that freezes never touch.
-pub fn native_cell(variant: Variant) -> ColumnarCell {
-    FreezeCell::new(ColumnarGraph::with_store_config(
-        variant,
-        LsmConfig {
-            memtable_limit: 1024,
-            max_runs: 8,
-        },
-    ))
-}
+/// Store tuning for snapshot hosting (`CowCell<ColumnarGraph>`): a 1 Ki-entry
+/// memtable over up to 8 runs. A clone shares every immutable run and
+/// closed `SegVec` page and deep-copies only the mutable overlays, of
+/// which the memtable is the largest, so a dirty epoch's clone is bounded
+/// by the memtable, not by the graph: about one `SegVec` page's worth of
+/// entries whatever the graph size (the same knob Titan deployments tune
+/// per workload). The stock configurations ([`ColumnarGraph::new`]) keep
+/// up to 8 Ki entries in memory, which a clone per dirty epoch would copy.
+pub const SNAPSHOT_STORE: LsmConfig = LsmConfig {
+    memtable_limit: 1024,
+    max_runs: 8,
+};
 
 /// Column qualifiers within a row.
 const Q_LABEL: u8 = 0x00;
@@ -278,8 +261,8 @@ impl<'a> Iterator for AdjCursor<'a> {
 
 /// The Titan-class engine. See crate docs for the layout.
 ///
-/// `Clone` is **structurally cheap** — the native-snapshot property the
-/// [`ColumnarCell`] freeze path relies on: the LSM's immutable runs are
+/// `Clone` is **structurally cheap** — the property a copy-on-write snapshot
+/// cell relies on (see [`SNAPSHOT_STORE`]): the LSM's immutable runs are
 /// `Arc`-shared, the dense id columns (`vmap`/`emap`/`edge_index`) are
 /// append-only [`SegVec`]s whose pages are `Arc`-shared, the interners
 /// share on clone, and the remaining overlays (memtable, tombstone sets,
@@ -330,8 +313,8 @@ impl ColumnarGraph {
         Self::with_store_config(variant, config)
     }
 
-    /// A fresh engine with explicit store tuning (snapshot deployments tune
-    /// the memtable smaller — see [`native_cell`]).
+    /// A fresh engine with explicit store tuning (snapshot hosting tunes
+    /// the memtable smaller — see [`SNAPSHOT_STORE`]).
     pub fn with_store_config(variant: Variant, config: LsmConfig) -> Self {
         ColumnarGraph {
             variant,
@@ -1571,44 +1554,11 @@ mod tests {
     }
 
     #[test]
-    fn native_cell_freezes_stable_epochs_under_in_place_writes() {
-        use gm_mvcc::SnapshotSource;
-        let cell = native_cell(Variant::V10);
-        let data = testkit::chain_dataset(3000);
-        cell.with_write(&mut |db| {
-            db.bulk_load(&data, &LoadOptions::default())?;
-            Ok(0)
-        })
-        .unwrap();
-        let ctx = QueryCtx::unbounded();
-        let snap = cell.snapshot().unwrap();
-        assert_eq!(snap.vertex_count(&ctx).unwrap(), 3000);
-        assert_eq!(snap.edge_count(&ctx).unwrap(), 2999);
-        // Writes mutate the live engine in place (no copy-on-write); the
-        // pinned view keeps answering from its frozen segments.
-        cell.with_write(&mut |db| {
-            let v = db.add_vertex("n", &vec![])?;
-            let a = db.resolve_vertex(0).expect("anchor");
-            db.add_edge(v, a, "e", &vec![])?;
-            let victim = db.resolve_edge(0).expect("edge 0");
-            db.remove_edge(victim)?;
-            Ok(3)
-        })
-        .unwrap();
-        assert_eq!(snap.vertex_count(&ctx).unwrap(), 3000);
-        assert_eq!(snap.edge_count(&ctx).unwrap(), 2999);
-        // A fresh pin observes the whole batch at a strictly newer epoch.
-        let snap2 = cell.snapshot().unwrap();
-        assert_eq!(snap2.vertex_count(&ctx).unwrap(), 3001);
-        assert_eq!(snap2.edge_count(&ctx).unwrap(), 2999);
-        assert!(snap2.epoch() > snap.epoch());
-    }
-
-    #[test]
     fn clone_shares_closed_segments_and_runs() {
-        // The structural-sharing property the native snapshot path relies
-        // on: cloning a loaded engine reuses the LSM runs and the closed
-        // edge-column segments instead of copying the adjacency data.
+        // The structural-sharing property a snapshot cell's clone per dirty
+        // epoch relies on: cloning a loaded engine reuses the LSM runs and
+        // the closed edge-column segments instead of copying the adjacency
+        // data.
         let mut g = ColumnarGraph::v10();
         g.bulk_load(&testkit::chain_dataset(4000), &LoadOptions::default())
             .unwrap();

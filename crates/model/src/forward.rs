@@ -29,12 +29,25 @@
 //! `&self`; for `forward_graph_db!` with `$s` bound to `&mut self`, and the
 //! target may be a freshly constructed routing handle (its methods are
 //! invoked by auto-ref, so a temporary works).
+//!
+//! A wrapper that tags its target with its own epoch (an MVCC view over an
+//! engine, whose `epoch` is always 0) names it with a second binder; every
+//! other method still forwards to `target`:
+//!
+//! ```ignore
+//! impl<E: GraphDb> GraphSnapshot for SnapView<E> {
+//!     gm_model::forward_graph_snapshot!(target = |s| s.graph, epoch = |s| s.epoch);
+//! }
+//! ```
 
 /// Generate every [`GraphSnapshot`](crate::GraphSnapshot) method as a
 /// forward to `target`. See the [module docs](crate::forward).
 #[macro_export]
 macro_rules! forward_graph_snapshot {
     (target = |$s:ident| $t:expr) => {
+        $crate::forward_graph_snapshot!(target = |$s| $t, epoch = |$s| $t.epoch());
+    };
+    (target = |$s:ident| $t:expr, epoch = |$e:ident| $ep:expr) => {
         fn name(&self) -> ::std::string::String {
             let $s = self;
             $t.name()
@@ -44,8 +57,8 @@ macro_rules! forward_graph_snapshot {
             $t.features()
         }
         fn epoch(&self) -> u64 {
-            let $s = self;
-            $t.epoch()
+            let $e = self;
+            $ep
         }
         fn resolve_vertex(&self, canonical: u64) -> ::std::option::Option<$crate::ids::Vid> {
             let $s = self;

@@ -12,7 +12,7 @@
 //!   The epoch counter is strictly monotone per source: a snapshot's
 //!   [`GraphSnapshot::epoch`] names the graph version it observes, so every
 //!   read sample can be tagged with the version that produced it.
-//! * [`CowCell`] — the generic adapter: wraps **any** `GraphDb + Clone`
+//! * [`CowCell`] — the one snapshot cell: wraps **any** `GraphDb + Clone`
 //!   engine with copy-on-write epochs. Writers clone the published graph on
 //!   their *first* write of an epoch and mutate the private copy; pinning a
 //!   snapshot publishes the pending copy by move (no clone on the read
@@ -23,18 +23,16 @@
 //!     one `Arc` per attribute index): a clone bumps one reference count
 //!     per page and each write copies only the pages it lands in, so a
 //!     dirty epoch costs O(pages touched);
+//!   - **structural** for engine-columnar too (`Arc`-shared LSM runs and
+//!     `SegVec` pages): a clone copies the memtable and the small overlay
+//!     sets, so snapshot hosting tunes the memtable small
+//!     (`engine_columnar::SNAPSHOT_STORE`) and a dirty epoch costs
+//!     O(memtable), not O(graph);
 //!   - a **deep copy** for triple, relational, cluster, bitmap and
 //!     document: a dirty epoch costs O(graph), honest but expensive —
 //!     milliseconds per epoch at benchmark scale.
-//! * [`FreezeCell`] — the native-path adapter for engines whose `Clone` is
-//!   structurally cheap *and* whose clone may lag the live engine safely
-//!   (engine-columnar: `Arc`-shared LSM runs and `SegVec` pages, so a
-//!   clone copies only the memtable and small overlay sets). Writers mutate
-//!   the live engine in place — no copy-on-write at all — and pinning
-//!   freezes a view whose cost is bounded by the memtable size, not the
-//!   graph size.
 //!
-//! Both cells serialize writers behind one mutex (the paper's systems are
+//! The cell serializes writers behind one mutex (the paper's systems are
 //! single-writer too); the point of snapshot isolation here is that a scan
 //! never holds that mutex — it pins an `Arc` and gets out of the way.
 //! (`SegVec` lives in `gm_storage::segvec`.)
@@ -43,44 +41,21 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, SpaceReport, VertexData,
-};
+use gm_model::api::{GraphDb, GraphSnapshot};
 use gm_model::lockorder::{self, LockRank};
-use gm_model::{lockwait, Eid, GdbError, GdbResult, QueryCtx, Value, Vid};
+use gm_model::{lockwait, GdbError, GdbResult};
 use gm_obs::{phase, Counter, Gauge, Histo, Phase};
 
 mod txn;
 pub use txn::{KeyRecorder, TxnKey, TxnLog, WriteTxn, TXN_ID_TAG, TXN_LOG_CAP_DEFAULT};
 
-/// Which snapshot implementation a harness should use.
+/// Which snapshot implementation a harness should use. [`CowCell`] is the
+/// only one; the enum stays as the argument of the registry's
+/// `make_snapshot_source`, which external harnesses call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SnapshotMode {
-    /// Generic [`CowCell`] copy-on-write epochs for every engine.
+    /// Copy-on-write epochs ([`CowCell`]) for every engine.
     Cow,
-    /// Engine-native snapshots where an engine provides them (the columnar
-    /// engine's freeze path); engines without a native path fall back to
-    /// [`CowCell`].
-    Native,
-}
-
-impl SnapshotMode {
-    /// Stable knob value (`GM_SNAPSHOT_MODE`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SnapshotMode::Cow => "cow",
-            SnapshotMode::Native => "native",
-        }
-    }
-
-    /// Parse a knob value; `"off"`/unknown return `None`.
-    pub fn parse(s: &str) -> Option<SnapshotMode> {
-        match s.trim() {
-            "cow" => Some(SnapshotMode::Cow),
-            "native" => Some(SnapshotMode::Native),
-            _ => None,
-        }
-    }
 }
 
 /// A mutation batch executed against the live engine of a source.
@@ -104,10 +79,6 @@ pub fn write_once<R>(
     out.ok_or_else(|| GdbError::Invalid("the write path never ran the mutation".into()))
 }
 
-/// Factory producing fresh, empty snapshot sources — the snapshot-mode
-/// analogue of the engine factory (`gm-net`'s `Reset` swaps one in).
-pub type SourceFactory = Box<dyn Fn() -> Box<dyn SnapshotSource> + Send + Sync>;
-
 /// Anything that can pin immutable epoch views of a graph while applying
 /// mutations between them.
 ///
@@ -126,7 +97,7 @@ pub trait SnapshotSource: Send + Sync {
     /// Engine display name (matches `GraphSnapshot::name`).
     fn engine(&self) -> String;
 
-    /// Implementation kind for reports: `"cow"` or `"native"`.
+    /// Implementation kind for reports: `"cow"` for a [`CowCell`].
     fn kind(&self) -> &'static str;
 
     /// Epoch of the most recently published snapshot (0 before any pin).
@@ -141,7 +112,7 @@ pub trait SnapshotSource: Send + Sync {
     /// except that pending writes younger than `max_staleness` need not be
     /// published — the pin may return the previous epoch instead of paying
     /// a publish (for [`CowCell`] a publish forces the *next* write to
-    /// clone the whole graph; for [`FreezeCell`] it is the clone itself).
+    /// clone the whole graph).
     ///
     /// This is group commit for epochs: under a pin-per-read workload racing
     /// writers, publishes are rate-limited to one per `max_staleness`, so
@@ -232,145 +203,7 @@ impl<E> Clone for SnapView<E> {
 }
 
 impl<E: GraphDb + 'static> GraphSnapshot for SnapView<E> {
-    fn name(&self) -> String {
-        self.graph.name()
-    }
-
-    fn features(&self) -> EngineFeatures {
-        self.graph.features()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.graph.resolve_vertex(canonical)
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.graph.resolve_edge(canonical)
-    }
-
-    fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.graph.vertex_count(ctx)
-    }
-
-    fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.graph.edge_count(ctx)
-    }
-
-    fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.graph.edge_label_set(ctx)
-    }
-
-    fn vertices_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.graph.vertices_with_property(name, value, ctx)
-    }
-
-    fn edges_with_property(
-        &self,
-        name: &str,
-        value: &Value,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Eid>> {
-        self.graph.edges_with_property(name, value, ctx)
-    }
-
-    fn edges_with_label(&self, label: &str, ctx: &QueryCtx) -> GdbResult<Vec<Eid>> {
-        self.graph.edges_with_label(label, ctx)
-    }
-
-    fn vertex(&self, v: Vid) -> GdbResult<Option<VertexData>> {
-        self.graph.vertex(v)
-    }
-
-    fn edge(&self, e: Eid) -> GdbResult<Option<EdgeData>> {
-        self.graph.edge(e)
-    }
-
-    fn neighbors(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.graph.neighbors(v, dir, label, ctx)
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
-        self.graph.vertex_edges(v, dir, label, ctx)
-    }
-
-    fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.graph.vertex_degree(v, dir, ctx)
-    }
-
-    fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        self.graph.vertex_edge_labels(v, dir, ctx)
-    }
-
-    fn scan_vertices<'a>(
-        &'a self,
-        ctx: &'a QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Vid>> + 'a>> {
-        self.graph.scan_vertices(ctx)
-    }
-
-    fn scan_edges<'a>(
-        &'a self,
-        ctx: &'a QueryCtx,
-    ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'a>> {
-        self.graph.scan_edges(ctx)
-    }
-
-    fn vertex_property(&self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        self.graph.vertex_property(v, name)
-    }
-
-    fn edge_property(&self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        self.graph.edge_property(e, name)
-    }
-
-    fn edge_endpoints(&self, e: Eid) -> GdbResult<Option<(Vid, Vid)>> {
-        self.graph.edge_endpoints(e)
-    }
-
-    fn edge_label(&self, e: Eid) -> GdbResult<Option<String>> {
-        self.graph.edge_label(e)
-    }
-
-    fn vertex_label(&self, v: Vid) -> GdbResult<Option<String>> {
-        self.graph.vertex_label(v)
-    }
-
-    fn degree_scan(&self, dir: Direction, k: u64, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.graph.degree_scan(dir, k, ctx)
-    }
-
-    fn distinct_neighbor_scan(&self, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<Vid>> {
-        self.graph.distinct_neighbor_scan(dir, ctx)
-    }
-
-    fn has_vertex_index(&self, prop: &str) -> bool {
-        self.graph.has_vertex_index(prop)
-    }
-
-    fn space(&self) -> SpaceReport {
-        self.graph.space()
-    }
+    gm_model::forward_graph_snapshot!(target = |s| s.graph, epoch = |s| s.epoch);
 }
 
 fn poisoned(which: &str) -> GdbError {
@@ -407,6 +240,7 @@ struct EpochPins {
 }
 
 impl PinTable {
+    /// Gauges named `mvcc.<kind>.*` in `g` (cells use `cow`).
     fn new(g: &gm_obs::Registry, kind: &str) -> PinTable {
         PinTable {
             origin: Instant::now(),
@@ -489,17 +323,17 @@ impl Drop for PinGuard {
 
 /// Registry handles for one snapshot cell, resolved once at construction so
 /// the hot path never touches the registry's name map. Only built when
-/// `GM_OBS` is `counters` or `phases` at cell-construction time; cells of
-/// the same kind share metric names and therefore aggregate.
+/// `GM_OBS` is `counters` or `phases` at cell-construction time; every
+/// cell reports under the same `mvcc.cow.*` names, so cells aggregate.
 struct CellMetrics {
     pins: Counter,
     /// Pins that deliberately returned a stale epoch (group commit deferred
     /// the publish) — the epoch-lag side of `snapshot_recent`.
     stale_pins: Counter,
     publishes: Counter,
-    /// Duration of the engine clone that opens (cow) or freezes (native) an
-    /// epoch; the pages a cow epoch then copies are counted by the storage
-    /// layer (`storage.cow.pages_copied` / `.bytes_copied`).
+    /// Duration of the engine clone that opens an epoch; the pages the
+    /// epoch then copies are counted by the storage layer
+    /// (`storage.cow.pages_copied` / `.bytes_copied`).
     clone_nanos: Histo,
     /// Writes batched into each publish — the epoch group-commit size.
     commit_batch: Histo,
@@ -513,19 +347,19 @@ struct CellMetrics {
 }
 
 impl CellMetrics {
-    fn new(kind: &str) -> Option<CellMetrics> {
+    fn new() -> Option<CellMetrics> {
         if !gm_obs::counters_on() {
             return None;
         }
         let g = gm_obs::global();
         Some(CellMetrics {
-            pins: g.counter(&format!("mvcc.{kind}.pins")),
-            stale_pins: g.counter(&format!("mvcc.{kind}.stale_pins")),
-            publishes: g.counter(&format!("mvcc.{kind}.publishes")),
-            clone_nanos: g.histogram(&format!("mvcc.{kind}.clone_nanos")),
-            commit_batch: g.histogram(&format!("mvcc.{kind}.commit_batch")),
-            epoch: g.gauge(&format!("mvcc.{kind}.epoch")),
-            pin_table: Arc::new(PinTable::new(g, kind)),
+            pins: g.counter("mvcc.cow.pins"),
+            stale_pins: g.counter("mvcc.cow.stale_pins"),
+            publishes: g.counter("mvcc.cow.publishes"),
+            clone_nanos: g.histogram("mvcc.cow.clone_nanos"),
+            commit_batch: g.histogram("mvcc.cow.commit_batch"),
+            epoch: g.gauge("mvcc.cow.epoch"),
+            pin_table: Arc::new(PinTable::new(g, "cow")),
             pending_writes: AtomicU64::new(0),
             published_bytes: AtomicU64::new(0),
         })
@@ -559,7 +393,7 @@ impl CellMetrics {
     }
 }
 
-// ----- shared cell plumbing ------------------------------------------------
+// ----- cell plumbing -------------------------------------------------------
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -612,48 +446,6 @@ impl DirtyClock {
     }
 }
 
-/// What a publish leaves to do once the cell's locks are released.
-struct Swapped<E> {
-    epoch: u64,
-    fresh: Arc<E>,
-    /// The previous epoch's graph; the last reference unless a pin holds it.
-    retired: Arc<E>,
-}
-
-impl<E: GraphDb> Swapped<E> {
-    /// Record the publish (which sizes the new graph) and free the retired
-    /// epoch. Pins racing this see the previous epoch's byte estimate.
-    fn finish(self, metrics: &Option<CellMetrics>) {
-        if let Some(m) = metrics {
-            m.on_publish(self.epoch, &*self.fresh);
-        }
-        drop(self.retired);
-    }
-}
-
-/// Install `fresh` as the next epoch (caller holds the writer mutex). Only
-/// the pointer swap happens under the `published` write lock — nothing
-/// proportional to the graph.
-fn swap_published<E>(
-    published: &RwLock<SnapView<E>>,
-    fresh: Arc<E>,
-    dirty: &DirtyClock,
-    site: &'static str,
-    which: &str,
-) -> GdbResult<Swapped<E>> {
-    // gm-lock: cell-published
-    let _tp = lockorder::acquire(LockRank::CellPublished, site);
-    let mut published = lockwait::timed(|| published.write()).map_err(|_| poisoned(which))?;
-    published.epoch += 1;
-    let retired = std::mem::replace(&mut published.graph, Arc::clone(&fresh));
-    dirty.clear();
-    Ok(Swapped {
-        epoch: published.epoch,
-        fresh,
-        retired,
-    })
-}
-
 // ----- CowCell --------------------------------------------------------------
 
 /// Generic copy-on-write snapshot source over any cloneable engine.
@@ -688,11 +480,14 @@ impl<E: GraphDb + Clone + 'static> CowCell<E> {
                 pin: None,
             }),
             dirty: DirtyClock::new(),
-            metrics: CellMetrics::new("cow"),
+            metrics: CellMetrics::new(),
             txn_log: TxnLog::new(),
         }
     }
 
+    /// Install the writers' pending copy as the next epoch. Only the
+    /// pointer swap happens under the `published` write lock — nothing
+    /// proportional to the graph.
     fn publish_pending(&self) -> GdbResult<()> {
         let _span = phase::span(Phase::ClonePublish);
         let swapped = {
@@ -700,23 +495,33 @@ impl<E: GraphDb + Clone + 'static> CowCell<E> {
             let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs cow publish");
             let mut working =
                 lockwait::timed(|| self.working.lock()).map_err(|_| poisoned("cow writer"))?;
-            working
-                .take()
-                .map(|pending| {
-                    swap_published(
-                        &self.published,
-                        Arc::new(pending),
-                        &self.dirty,
+            match working.take() {
+                None => None,
+                Some(pending) => {
+                    let fresh = Arc::new(pending);
+                    // gm-lock: cell-published
+                    let _tp = lockorder::acquire(
+                        LockRank::CellPublished,
                         "gm-mvcc/lib.rs cow publish swap",
-                        "cow published",
-                    )
-                })
-                .transpose()?
+                    );
+                    let mut published = lockwait::timed(|| self.published.write())
+                        .map_err(|_| poisoned("cow published"))?;
+                    published.epoch += 1;
+                    let retired = std::mem::replace(&mut published.graph, Arc::clone(&fresh));
+                    self.dirty.clear();
+                    Some((published.epoch, fresh, retired))
+                }
+            }
         };
         // Both guards are released: sizing the new epoch and freeing the
-        // retired one stall neither writers nor pins.
-        if let Some(swapped) = swapped {
-            swapped.finish(&self.metrics);
+        // retired one (the last reference unless a pin holds it) stall
+        // neither writers nor pins. Pins racing this see the previous
+        // epoch's byte estimate.
+        if let Some((epoch, fresh, retired)) = swapped {
+            if let Some(m) = &self.metrics {
+                m.on_publish(epoch, &*fresh);
+            }
+            drop(retired);
         }
         Ok(())
     }
@@ -821,162 +626,12 @@ impl<E: GraphDb + Clone + 'static> SnapshotSource for CowCell<E> {
     }
 }
 
-// ----- FreezeCell -----------------------------------------------------------
-
-/// Freeze-on-pin snapshot source for engines whose `Clone` is structurally
-/// cheap (shared immutable segments, small mutable tails).
-///
-/// Unlike [`CowCell`] there is **no copy-on-write**: writers mutate the live
-/// engine directly and pay nothing; a *due* pin that follows a write
-/// freezes a new view, whose cost is the engine's (cheap) clone. Safe
-/// because a cheap-clone engine never mutates structure a clone still
-/// shares — flushed LSM runs are immutable and a `SegVec` page is copied
-/// before a write lands in it — so the frozen view cannot observe later
-/// writes. The pin fast path is the same shared-lock `Arc` clone as
-/// [`CowCell`]'s.
-pub struct FreezeCell<E: GraphDb + Clone> {
-    engine: String,
-    /// The live engine; writers mutate it **in place**.
-    live: Mutex<E>,
-    /// The most recent frozen view; may lag `live` by the writes recorded
-    /// in the dirty clock.
-    published: RwLock<SnapView<E>>,
-    dirty: DirtyClock,
-    metrics: Option<CellMetrics>,
-    txn_log: TxnLog,
-}
-
-impl<E: GraphDb + Clone + 'static> FreezeCell<E> {
-    /// Wrap an engine whose clones share structure with the original.
-    pub fn new(engine: E) -> Self {
-        let frozen = Arc::new(engine.clone());
-        FreezeCell {
-            engine: engine.name(),
-            live: Mutex::new(engine),
-            published: RwLock::new(SnapView {
-                epoch: 0,
-                graph: frozen,
-                pin: None,
-            }),
-            dirty: DirtyClock::new(),
-            metrics: CellMetrics::new("native"),
-            txn_log: TxnLog::new(),
-        }
-    }
-
-    fn refreeze(&self) -> GdbResult<()> {
-        let _span = phase::span(Phase::ClonePublish);
-        let swapped = {
-            // gm-lock: cell-writer
-            let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs freeze refreeze");
-            let live =
-                lockwait::timed(|| self.live.lock()).map_err(|_| poisoned("freeze writer"))?;
-            if !self.dirty.is_dirty() {
-                return Ok(()); // another pin refroze while we waited
-            }
-            let t0 = self.metrics.as_ref().map(|_| Instant::now());
-            let frozen = Arc::new(live.clone());
-            if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-                m.clone_nanos.record(t0.elapsed().as_nanos() as u64);
-            }
-            swap_published(
-                &self.published,
-                frozen,
-                &self.dirty,
-                "gm-mvcc/lib.rs freeze publish swap",
-                "freeze published",
-            )?
-        };
-        // Both guards are released (see `CowCell::publish_pending`).
-        swapped.finish(&self.metrics);
-        Ok(())
-    }
-
-    fn pinned(&self) -> GdbResult<Box<dyn GraphSnapshot>> {
-        let mut view = {
-            // gm-lock: cell-published
-            let _t = lockorder::acquire(LockRank::CellPublished, "gm-mvcc/lib.rs freeze pin");
-            lockwait::timed(|| self.published.read())
-                .map_err(|_| poisoned("freeze published"))?
-                .clone()
-        };
-        if let Some(m) = &self.metrics {
-            view.pin = Some(m.on_pin(view.epoch));
-        }
-        Ok(Box::new(view))
-    }
-}
-
-impl<E: GraphDb + Clone + 'static> SnapshotSource for FreezeCell<E> {
-    fn engine(&self) -> String {
-        self.engine.clone()
-    }
-
-    fn kind(&self) -> &'static str {
-        "native"
-    }
-
-    fn current_epoch(&self) -> u64 {
-        // gm-lock: cell-published transient
-        let _t = lockorder::acquire(LockRank::CellPublished, "gm-mvcc/lib.rs freeze epoch probe");
-        self.published.read().map(|p| p.epoch).unwrap_or(0)
-    }
-
-    fn snapshot(&self) -> GdbResult<Box<dyn GraphSnapshot>> {
-        if self.dirty.is_dirty() {
-            self.refreeze()?;
-        }
-        self.pinned()
-    }
-
-    fn snapshot_recent(&self, max_staleness: Duration) -> GdbResult<Box<dyn GraphSnapshot>> {
-        // Group commit: refreeze only once the live engine has been dirty
-        // for at least the staleness bound, so the (cheap but not free)
-        // freeze clone is rate-limited under pin-per-read workloads.
-        if self.dirty.dirty_past(max_staleness) {
-            self.refreeze()?;
-        } else if self.dirty.is_dirty() {
-            if let Some(m) = &self.metrics {
-                m.stale_pins.inc();
-            }
-        }
-        self.pinned()
-    }
-
-    fn with_write(&self, f: &mut WriteFn<'_>) -> GdbResult<u64> {
-        // gm-lock: cell-writer
-        let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs freeze write");
-        let mut live =
-            lockwait::timed(|| self.live.lock()).map_err(|_| poisoned("freeze writer"))?;
-        // Stamp only the *first* write after a freeze: the staleness bound
-        // measures the oldest unpublished write, so a continuous write
-        // stream cannot starve publishes by forever refreshing the stamp.
-        if !self.dirty.is_dirty() {
-            self.dirty.mark_dirty();
-        }
-        if let Some(m) = &self.metrics {
-            m.on_write();
-        }
-        // See `CowCell::with_write`: record keys, append on success.
-        let mut rec = KeyRecorder::new(&mut *live);
-        let out = f(&mut rec);
-        if out.is_ok() {
-            self.txn_log.append(rec.take_keys());
-        }
-        out
-    }
-
-    fn txn_log(&self) -> Option<&TxnLog> {
-        Some(&self.txn_log)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use engine_linked::LinkedGraph;
     use gm_model::api::LoadOptions;
-    use gm_model::testkit;
+    use gm_model::{testkit, QueryCtx};
 
     fn loaded_cell(n: u64) -> CowCell<LinkedGraph> {
         let cell = CowCell::new(LinkedGraph::v1());
@@ -1041,33 +696,6 @@ mod tests {
         let snap = cell.snapshot().unwrap();
         assert_eq!(snap.vertex_count(&ctx).unwrap(), 11);
         assert_eq!(snap.edge_count(&ctx).unwrap(), 9 + 2);
-    }
-
-    #[test]
-    fn freeze_cell_matches_cow_semantics() {
-        let cow = loaded_cell(30);
-        let frz = FreezeCell::new(LinkedGraph::v1());
-        let data = testkit::chain_dataset(30);
-        frz.with_write(&mut |db| {
-            db.bulk_load(&data, &LoadOptions::default())?;
-            Ok(0)
-        })
-        .unwrap();
-        let ctx = QueryCtx::unbounded();
-        let (sc, sf) = (cow.snapshot().unwrap(), frz.snapshot().unwrap());
-        assert_eq!(
-            sc.vertex_count(&ctx).unwrap(),
-            sf.vertex_count(&ctx).unwrap()
-        );
-        assert_eq!(sc.epoch(), sf.epoch());
-        // Writes after the pin are invisible to both pinned views.
-        for cell in [&cow as &dyn SnapshotSource, &frz] {
-            cell.with_write(&mut |db| db.add_vertex("n", &vec![]).map(|_| 1))
-                .unwrap();
-        }
-        assert_eq!(sc.vertex_count(&ctx).unwrap(), 30);
-        assert_eq!(sf.vertex_count(&ctx).unwrap(), 30);
-        assert_eq!(frz.snapshot().unwrap().vertex_count(&ctx).unwrap(), 31);
     }
 
     #[test]
@@ -1147,16 +775,6 @@ mod tests {
             assert_eq!(snap.epoch(), round + 1);
         }
         assert!(!dropped_under_lock.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn snapshot_mode_parses() {
-        assert_eq!(SnapshotMode::parse("cow"), Some(SnapshotMode::Cow));
-        assert_eq!(SnapshotMode::parse(" native "), Some(SnapshotMode::Native));
-        assert_eq!(SnapshotMode::parse("off"), None);
-        assert_eq!(SnapshotMode::parse("bogus"), None);
-        assert_eq!(SnapshotMode::Cow.name(), "cow");
-        assert_eq!(SnapshotMode::Native.name(), "native");
     }
 
     /// The snapshot-GC pin table: live pins, retained epochs, retained

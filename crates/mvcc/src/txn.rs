@@ -88,17 +88,8 @@ impl TxnKey {
     }
 }
 
-/// Default bound on how many recent commits a [`TxnLog`] retains
-/// (overridable via `GM_TXN_LOG_CAP`).
+/// Bound on how many recent commits a [`TxnLog`] retains.
 pub const TXN_LOG_CAP_DEFAULT: usize = 1024;
-
-fn env_log_cap() -> usize {
-    std::env::var("GM_TXN_LOG_CAP")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&c| c >= 1)
-        .unwrap_or(TXN_LOG_CAP_DEFAULT)
-}
 
 struct TxnLogInner {
     /// Monotone sequence number of the newest key-carrying commit.
@@ -125,9 +116,9 @@ impl Default for TxnLog {
 }
 
 impl TxnLog {
-    /// A log with the `GM_TXN_LOG_CAP` (default 1024) retention bound.
+    /// A log with the [`TXN_LOG_CAP_DEFAULT`] retention bound.
     pub fn new() -> TxnLog {
-        TxnLog::with_cap(env_log_cap())
+        TxnLog::with_cap(TXN_LOG_CAP_DEFAULT)
     }
 
     /// A log retaining at most `cap` recent commits.

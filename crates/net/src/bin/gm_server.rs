@@ -17,12 +17,10 @@
 //! engine) / the `fig9_network` bench binary for whole workloads. The
 //! process runs until killed.
 //!
-//! With `GM_SNAPSHOT_MODE=cow` (generic copy-on-write) or `native` (the
-//! columnar engine's segment-sharing freeze path, `cow` fallback
-//! elsewhere), every read request executes against a pinned epoch — remote
-//! scans never block remote writers — and `ExecOp` responses carry the
-//! serving epoch. Unset or `off` keeps the original shared-`RwLock`
-//! hosting.
+//! With `GM_SNAPSHOT_MODE=cow` the engine sits in a copy-on-write MVCC
+//! cell: every read request executes against a pinned epoch — remote scans
+//! never block remote writers — and `ExecOp` responses carry the serving
+//! epoch. Unset or `off` keeps the original shared-`RwLock` hosting.
 //!
 //! With `GM_SHARDS=N` (N > 1) the server hosts a hash-partitioned
 //! `gm-shard` composite of N engines instead of a single instance — one
@@ -68,14 +66,12 @@ fn stats_line(prev: &RegistrySnapshot, cur: &RegistrySnapshot, dt: f64) -> Strin
         ops as f64 / dt,
         p99 as f64 / 1e6
     );
-    for kind in ["cow", "native"] {
-        let retained = cur.gauge(&format!("mvcc.{kind}.retained_epochs"));
-        if retained > 0 {
-            line.push_str(&format!(
-                "  {kind}: {retained} epochs pinned, oldest {:.1}ms",
-                cur.gauge(&format!("mvcc.{kind}.oldest_pin_age_us")) as f64 / 1e3
-            ));
-        }
+    let retained = cur.gauge("mvcc.cow.retained_epochs");
+    if retained > 0 {
+        line.push_str(&format!(
+            "  cow: {retained} epochs pinned, oldest {:.1}ms",
+            cur.gauge("mvcc.cow.oldest_pin_age_us") as f64 / 1e3
+        ));
     }
     let mut per_shard: Vec<u64> = cur
         .counters
@@ -97,18 +93,15 @@ fn stats_line(prev: &RegistrySnapshot, cur: &RegistrySnapshot, dt: f64) -> Strin
 /// Summarize snapshot-GC state for the shutdown banner.
 fn gc_summary(snap: &RegistrySnapshot) -> String {
     let mut out = String::new();
-    for kind in ["cow", "native"] {
-        let pins = snap.counter(&format!("mvcc.{kind}.pins"));
-        if pins == 0 {
-            continue;
-        }
+    let pins = snap.counter("mvcc.cow.pins");
+    if pins > 0 {
         out.push_str(&format!(
-            "\n[gm-server]   {kind}: {pins} pins ({} stale), {} publishes, \
+            "\n[gm-server]   cow: {pins} pins ({} stale), {} publishes, \
              {} epochs / {} bytes still retained by live pins",
-            snap.counter(&format!("mvcc.{kind}.stale_pins")),
-            snap.counter(&format!("mvcc.{kind}.publishes")),
-            snap.gauge(&format!("mvcc.{kind}.retained_epochs")),
-            snap.gauge(&format!("mvcc.{kind}.retained_bytes")),
+            snap.counter("mvcc.cow.stale_pins"),
+            snap.counter("mvcc.cow.publishes"),
+            snap.gauge("mvcc.cow.retained_epochs"),
+            snap.gauge("mvcc.cow.retained_bytes"),
         ));
     }
     let pages = snap.counter("storage.cow.pages_copied");
@@ -146,7 +139,9 @@ fn main() {
         eprintln!("       HelloAck so a gm-net Fleet coordinator can verify its routing");
         eprintln!("       table (both flags required together; id < size)");
         eprintln!("  env: GM_SERVER_ADDR (default 127.0.0.1:7687)");
-        eprintln!("       GM_SNAPSHOT_MODE (off|cow|native; default off = shared lock)");
+        eprintln!(
+            "       GM_SNAPSHOT_MODE (off|cow; default off = shared lock, cow = MVCC epochs)"
+        );
         eprintln!("       GM_SHARDS (default 1; >1 hosts a gm-shard composite)");
         eprintln!("       GM_OBS (off|counters|phases; default phases)");
         eprintln!("       GM_STATS_INTERVAL_MS (default 0 = no periodic stats line)");
@@ -247,13 +242,13 @@ fn main() {
         },
     };
 
-    let mode = match std::env::var("GM_SNAPSHOT_MODE") {
-        Err(_) => None,
-        Ok(s) if s.trim() == "off" || s.trim().is_empty() => None,
-        Ok(s) => match SnapshotMode::parse(&s) {
-            Some(mode) => Some(mode),
-            None => {
-                eprintln!("[gm-server] unknown GM_SNAPSHOT_MODE {s:?} (want off|cow|native)");
+    let snapshots = match std::env::var("GM_SNAPSHOT_MODE") {
+        Err(_) => false,
+        Ok(s) => match s.trim() {
+            "" | "off" => false,
+            "cow" => true,
+            _ => {
+                eprintln!("[gm-server] unknown GM_SNAPSHOT_MODE {s:?} (want off|cow)");
                 std::process::exit(2);
             }
         },
@@ -271,18 +266,14 @@ fn main() {
     };
 
     let addr = std::env::var("GM_SERVER_ADDR").unwrap_or_else(|_| "127.0.0.1:7687".to_string());
-    let factory: HostFactory = match (mode, shards) {
-        (None, 1) => Box::new(move || Box::new(SharedEngine::new(kind.make()))),
-        (None, n) => Box::new(move || Box::new(kind.make_sharded(n))),
-        (Some(mode), 1) => Box::new(move || Box::new(kind.make_snapshot_source(mode))),
-        (Some(mode), n) => Box::new(move || {
-            Box::new(Box::new(kind.make_sharded_source(n, mode)) as Box<dyn SnapshotSource>)
+    let factory: HostFactory = match (snapshots, shards) {
+        (false, 1) => Box::new(move || Box::new(SharedEngine::new(kind.make()))),
+        (false, n) => Box::new(move || Box::new(kind.make_sharded(n))),
+        (true, 1) => Box::new(move || Box::new(kind.make_snapshot_source(SnapshotMode::Cow))),
+        (true, n) => Box::new(move || {
+            Box::new(Box::new(kind.make_sharded_source(n)) as Box<dyn SnapshotSource>)
         }),
     };
-    // The banner reports the bound host's *actual* isolation: `native`
-    // falls back to the generic cow cell for engines without a native path,
-    // and the banner must not claim a freeze path the operator is not
-    // measuring.
     let bound =
         Server::bind_host(&addr, factory).and_then(|server| Ok((server.isolation()?, server)));
     let (isolation, server) = match bound {

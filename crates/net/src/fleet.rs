@@ -15,7 +15,7 @@
 //!
 //! A per-worker [`FleetCell`] queues single-shard writes client-side and
 //! ships them as one `ExecBatch` frame — either when the queue reaches the
-//! batch cap (`GM_FLEET_BATCH`, default 16) or lazily, the moment a read
+//! batch cap (`DEFAULT_BATCH_CAP`, 16) or lazily, the moment a read
 //! needs that shard (flush-on-touch: the port flushes exactly the cells a
 //! read's `ShardSel` names, then reads the plain connections). Reads
 //! therefore always observe the session's own earlier writes, while
@@ -65,7 +65,8 @@ use crate::proto::{Request, Response};
 /// Isolation label reported by fleet runs.
 pub const FLEET: &str = "fleet";
 
-/// Default client-side write-batch cap (override with `GM_FLEET_BATCH`).
+/// Client-side write-batch cap: queued single-shard writes per connection
+/// before an `ExecBatch` frame ships.
 const DEFAULT_BATCH_CAP: usize = 16;
 
 /// Requests per `ExecBatch` frame on the setup path (bulk meta resolution).
@@ -146,7 +147,6 @@ pub struct Fleet {
     routing_errors: AtomicU64,
     /// Ops that crossed the wire inside `ExecBatch` frames.
     batched_ops: AtomicU64,
-    batch_cap: usize,
     metrics: Option<FleetMetrics>,
 }
 
@@ -160,11 +160,6 @@ impl Fleet {
             ));
         }
         let shards = addrs.len();
-        let batch_cap = std::env::var("GM_FLEET_BATCH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|c| *c >= 1)
-            .unwrap_or(DEFAULT_BATCH_CAP);
         let mut fleet = Fleet {
             name: String::new(),
             addrs,
@@ -175,7 +170,6 @@ impl Fleet {
             round_trips: Arc::new(AtomicU64::new(0)),
             routing_errors: AtomicU64::new(0),
             batched_ops: AtomicU64::new(0),
-            batch_cap,
             metrics: FleetMetrics::new(),
         };
         let control: Vec<RemoteEngine> = (0..shards)
@@ -520,7 +514,7 @@ impl FleetCell<'_> {
             st.queue.push(req);
             st.queue.len()
         };
-        if depth >= self.fleet.batch_cap {
+        if depth >= DEFAULT_BATCH_CAP {
             self.flush()?;
         }
         Ok(())

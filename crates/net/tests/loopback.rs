@@ -688,7 +688,7 @@ fn snapshot_server_read_only_matches_replay_and_locked_has_no_epoch() {
     let kind = EngineKind::ColumnarV10;
     let server = Server::bind_host(
         "127.0.0.1:0",
-        Box::new(move || Box::new(kind.make_snapshot_source(SnapshotMode::Native))),
+        Box::new(move || Box::new(kind.make_snapshot_source(SnapshotMode::Cow))),
     )
     .expect("bind native snapshot loopback")
     .spawn()

@@ -1,10 +1,9 @@
 //! Snapshot-mode sharding: one [`SnapshotSource`] cell per shard.
 //!
 //! [`ShardedSource`] composes `N` independent snapshot cells (one `CowCell`
-//! or `FreezeCell` per shard) behind the same [`SnapshotSource`] interface
-//! the driver, the fig8/fig10 harnesses, and the gm-net server already
-//! host. Its writes are the shared [`Router`] over [`CellPort`]; the
-//! properties that matter:
+//! per shard) behind the same [`SnapshotSource`] interface the driver, the
+//! fig8/fig10 harnesses, and the gm-net server already host. Its writes are
+//! the shared [`Router`] over [`CellPort`]; the properties that matter:
 //!
 //! * **Writers to different shards do not serialize.** `with_write` hands
 //!   the closure a router whose every mutation enters only the target
@@ -69,7 +68,6 @@ impl ShardedSource {
         let cells: Vec<Box<dyn SnapshotSource>> = (0..shards).map(|_| make()).collect();
         let kind = match cells[0].kind() {
             "cow" => "sharded-cow",
-            "native" => "sharded-native",
             _ => "sharded",
         };
         ShardedSource {

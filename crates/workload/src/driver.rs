@@ -60,9 +60,9 @@ pub const SHED_CARD: u64 = u64::MAX - 1;
 
 /// How stale a snapshot-mode read may be: the driver pins epochs with
 /// [`SnapshotSource::snapshot_recent`](gm_mvcc::SnapshotSource::snapshot_recent) at this bound, so epoch publishes
-/// (whole-graph clones for `CowCell`, freeze clones for `FreezeCell`) are
-/// rate-limited to at most one per this interval no matter how hot the
-/// pin-per-read path runs. Reads still observe exactly one consistent
+/// (after each, the next `CowCell` write clones the graph) are rate-limited
+/// to at most one per this interval no matter how hot the pin-per-read path
+/// runs. Reads still observe exactly one consistent
 /// epoch — just one that may lag concurrent writers by up to this much,
 /// which is precisely how real MVCC stores expose the latest *committed*
 /// version rather than chasing in-flight writes.
@@ -172,7 +172,7 @@ pub trait Backend: Sync {
 
     /// Read-path isolation label for the report (`"locked"` unless the
     /// backend overrides it — snapshot backends report
-    /// `"snapshot-cow"`/`"snapshot-native"`, remote ones `"remote"`).
+    /// `"snapshot-cow"`/`"snapshot-sharded-cow"`, remote ones `"remote"`).
     fn isolation(&self) -> String {
         "locked".into()
     }

@@ -6,9 +6,9 @@
 //!
 //! * [`SharedEngine`] — one engine behind an `RwLock`: reads under the
 //!   shared lock, writes under the exclusive one (`locked`);
-//! * `dyn SnapshotSource` — `gm-mvcc`'s `CowCell` / `FreezeCell` and
-//!   `gm-shard`'s `ShardedSource`: a read pins an epoch at a bounded
-//!   staleness and runs lock-free (`snapshot-cow`, `snapshot-native`, …);
+//! * `dyn SnapshotSource` — `gm-mvcc`'s `CowCell` and `gm-shard`'s
+//!   `ShardedSource`: a read pins an epoch at a bounded staleness and runs
+//!   lock-free (`snapshot-cow`, `snapshot-sharded-cow`);
 //! * `gm-shard`'s `ShardedGraph` — the composite's per-shard locks are the
 //!   only synchronization (`sharded-locked`).
 //!

@@ -139,29 +139,19 @@ pub mod registry {
             EngineKind::ALL.iter().copied().find(|k| k.name() == name)
         }
 
-        /// Instantiate a fresh, empty MVCC snapshot source for this engine.
-        ///
-        /// `SnapshotMode::Cow` wraps the engine in the generic copy-on-write
-        /// [`CowCell`]; `SnapshotMode::Native` uses the engine's own cheap
-        /// snapshot path where one exists (the columnar variants' freeze
-        /// cell over `Arc`-shared segments) and falls back to `CowCell`
-        /// elsewhere.
+        /// Instantiate a fresh, empty MVCC snapshot source for this engine:
+        /// the engine in a copy-on-write [`CowCell`]. The columnar variants
+        /// run on [`engine_columnar::SNAPSHOT_STORE`]'s small memtable, so
+        /// the clone each dirty epoch pays stays bounded by the memtable.
+        /// `SnapshotMode::Cow` is the only mode.
         pub fn make_snapshot_source(&self, mode: SnapshotMode) -> Box<dyn SnapshotSource> {
-            if mode == SnapshotMode::Native {
-                match self {
-                    EngineKind::ColumnarV05 => {
-                        return Box::new(engine_columnar::native_cell(
-                            engine_columnar::Variant::V05,
-                        ))
-                    }
-                    EngineKind::ColumnarV10 => {
-                        return Box::new(engine_columnar::native_cell(
-                            engine_columnar::Variant::V10,
-                        ))
-                    }
-                    _ => {}
-                }
-            }
+            let SnapshotMode::Cow = mode;
+            let columnar = |variant| {
+                engine_columnar::ColumnarGraph::with_store_config(
+                    variant,
+                    engine_columnar::SNAPSHOT_STORE,
+                )
+            };
             match self {
                 EngineKind::LinkedV1 => Box::new(CowCell::new(engine_linked::LinkedGraph::v1())),
                 EngineKind::LinkedV2 => Box::new(CowCell::new(engine_linked::LinkedGraph::v2())),
@@ -175,10 +165,10 @@ pub mod registry {
                     Box::new(CowCell::new(engine_relational::RelationalGraph::new()))
                 }
                 EngineKind::ColumnarV05 => {
-                    Box::new(CowCell::new(engine_columnar::ColumnarGraph::v05()))
+                    Box::new(CowCell::new(columnar(engine_columnar::Variant::V05)))
                 }
                 EngineKind::ColumnarV10 => {
-                    Box::new(CowCell::new(engine_columnar::ColumnarGraph::v10()))
+                    Box::new(CowCell::new(columnar(engine_columnar::Variant::V10)))
                 }
             }
         }
@@ -196,8 +186,8 @@ pub mod registry {
         /// cell (per [`EngineKind::make_snapshot_source`]) per shard, so
         /// writers to different shards never share a writer mutex and reads
         /// pin composite epochs (min over shard epochs).
-        pub fn make_sharded_source(&self, shards: usize, mode: SnapshotMode) -> ShardedSource {
-            ShardedSource::from_factory(shards, || self.make_snapshot_source(mode))
+        pub fn make_sharded_source(&self, shards: usize) -> ShardedSource {
+            ShardedSource::from_factory(shards, || self.make_snapshot_source(SnapshotMode::Cow))
         }
     }
 }

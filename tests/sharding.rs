@@ -23,7 +23,7 @@ use graphmark::core::report::{Outcome, RunMode};
 use graphmark::core::runner::{BenchConfig, Runner};
 use graphmark::model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions};
 use graphmark::model::{testkit, QueryCtx};
-use graphmark::mvcc::{SnapshotMode, SnapshotSource};
+use graphmark::mvcc::SnapshotSource;
 use graphmark::registry::EngineKind;
 use graphmark::shard::ShardedGraph;
 use graphmark::traversal::parser;
@@ -94,8 +94,7 @@ fn sharded_snapshot_reads_match_unsharded_on_every_engine() {
         let backend = HostBackend::new(&host, &params, c.op_timeout);
         let unsharded = run_backend_sequential(&backend, &data.name, &c)
             .unwrap_or_else(|e| panic!("{}: unsharded replay failed: {e}", kind.name()));
-        let source: Box<dyn SnapshotSource> =
-            Box::new(kind.make_sharded_source(2, SnapshotMode::Cow));
+        let source: Box<dyn SnapshotSource> = Box::new(kind.make_sharded_source(2));
         let params = prepare(&source, &data, c.seed).unwrap();
         let backend = HostBackend::new(&source, &params, c.op_timeout);
         let snap = run_backend(&backend, &data.name, &c)
@@ -122,8 +121,7 @@ fn sharded_snapshot_reads_match_unsharded_on_every_engine() {
     let backend = HostBackend::new(&host, &params, c.op_timeout);
     let unsharded = run_backend_sequential(&backend, &data.name, &c).unwrap();
     for shards in SHARD_COUNTS {
-        let source: Box<dyn SnapshotSource> =
-            Box::new(kind.make_sharded_source(shards, SnapshotMode::Cow));
+        let source: Box<dyn SnapshotSource> = Box::new(kind.make_sharded_source(shards));
         let params = prepare(&source, &data, c.seed).unwrap();
         let backend = HostBackend::new(&source, &params, c.op_timeout);
         let strict = HostBackend::new(&source, &params, c.op_timeout)

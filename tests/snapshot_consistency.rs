@@ -1,8 +1,8 @@
 //! Cross-engine snapshot-consistency integration test.
 //!
 //! The gm-mvcc contract, checked against every registry engine variant
-//! under the generic `CowCell` and additionally against the columnar
-//! engine's native freeze path:
+//! under the copy-on-write `CowCell` (both columnar variants on their
+//! snapshot store tuning):
 //!
 //! 1. pin a snapshot, then run the full read-query suite against it **while
 //!    a writer thread applies interleaved mutations** — every result must
@@ -106,10 +106,9 @@ fn check_engine(kind: EngineKind, mode: SnapshotMode) {
             assert_eq!(
                 got,
                 pinned_expected,
-                "{} [{}] pass {pass}: pinned scan diverged from the sequential \
+                "{} pass {pass}: pinned scan diverged from the sequential \
                  replay at the pinned epoch",
                 kind.name(),
-                mode.name()
             );
         }
         writer.join().expect("writer thread");
@@ -132,27 +131,24 @@ fn check_engine(kind: EngineKind, mode: SnapshotMode) {
     let snap1 = source.snapshot().expect("pin snap1");
     assert!(
         snap1.epoch() > snap0.epoch(),
-        "{} [{}]: epoch must advance across the write burst",
+        "{}: epoch must advance across the write burst",
         kind.name(),
-        mode.name()
     );
     let got = read_suite(snap1.as_ref(), &src_params);
     let expected = read_suite(reference.as_ref(), &ref_params);
     assert_eq!(
         got,
         expected,
-        "{} [{}]: post-writes snapshot diverged from the sequential replay",
+        "{}: post-writes snapshot diverged from the sequential replay",
         kind.name(),
-        mode.name()
     );
 
     // The old pin still answers from its epoch (no torn reads, ever).
     assert_eq!(
         read_suite(snap0.as_ref(), &src_params),
         pinned_expected,
-        "{} [{}]: the original pin tore after the writes",
+        "{}: the original pin tore after the writes",
         kind.name(),
-        mode.name()
     );
 }
 
@@ -162,12 +158,4 @@ fn cow_snapshots_are_consistent_on_every_engine() {
     for kind in EngineKind::ALL {
         check_engine(kind, SnapshotMode::Cow);
     }
-}
-
-/// The columnar engine's native freeze path (Arc-shared LSM runs +
-/// append-only segment columns) upholds the same contract.
-#[test]
-fn native_columnar_snapshots_are_consistent() {
-    check_engine(EngineKind::ColumnarV05, SnapshotMode::Native);
-    check_engine(EngineKind::ColumnarV10, SnapshotMode::Native);
 }
