@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gm_datasets::{self as datasets, DatasetId, Scale};
 use gm_model::value::Value;
 use gm_model::{GraphDb, GraphSnapshot, LoadOptions};
-use gm_storage::bptree::BPlusTree;
+use gm_storage::bptree::{BPlusTree, Finger};
 use gm_storage::codec::{delta_decode, delta_encode};
 use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::{Bitmap, HashIndex, PageStore, RecordFile};
@@ -192,8 +192,9 @@ fn bench_substrates(c: &mut Criterion) {
     // The B+Tree node search on the key shapes the engines probe: the triple
     // engine's SPO index (~120 k statements bulk-loaded in order, so nodes
     // are half full, as after `bulk_load`), probed once per subject for one
-    // property as `has()` does — in subject order and scrambled — and a
-    // relational attribute index over string values.
+    // property as `has()` does — in subject order, in subject order from a
+    // finger as the triple engine probes, and scrambled — and a relational
+    // attribute index over string values.
     let mut group = c.benchmark_group("substrate/bptree-probe");
     let (spo, subjects) = spo_index();
     let probe = |s: u64| {
@@ -206,6 +207,16 @@ fn bench_substrates(c: &mut Criterion) {
         b.iter(|| {
             at = (at + 1) % subjects.len();
             probe(std::hint::black_box(subjects[at]))
+        });
+    });
+    group.bench_function("spo_ascending_finger", |b| {
+        let (mut at, mut finger) = (0, Finger::default());
+        b.iter(|| {
+            at = (at + 1) % subjects.len();
+            let s = std::hint::black_box(subjects[at]);
+            spo.finger_range(&mut finger, &(s, PROPERTY, 0), Some(&(s, PROPERTY + 1, 0)))
+                .next()
+                .map(|((_, _, o), _)| *o)
         });
     });
     group.bench_function("spo_random", |b| {

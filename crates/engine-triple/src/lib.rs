@@ -18,6 +18,16 @@
 //!   on average, three times the size of any other system" (Figure 1);
 //! * there are **no user-controllable attribute indexes** (§6.4, *Effect of
 //!   Indexing*: "BlazeGraph provides no such capability").
+//!
+//! `g.V.has()` / `g.E.has()` (Q11/Q12) keep the adapter's plan the paper
+//! blames for BlazeGraph's slow attribute search (§6.5): scan every vertex
+//! or edge and probe SPO once for each, without the POS index on the
+//! property. Only where each probe starts is this engine's choice: the
+//! subjects arrive in ascending order, so a probe starts at the leaf the
+//! previous one started in (a `gm_storage::bptree::Finger`) instead of at
+//! the root, as do the label and endpoint probes of one incident-edge walk.
+//! Each query adds its probes to `storage.bptree.descents` and
+//! `storage.bptree.finger_hits` once.
 
 use std::collections::HashMap;
 
@@ -28,7 +38,7 @@ use gm_model::api::{
 use gm_model::fxmap::FxHashMap;
 use gm_model::value::{Props, Value};
 use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
-use gm_storage::bptree::BPlusTree;
+use gm_storage::bptree::{BPlusTree, Finger};
 
 /// Journal extent size; space is charged in whole extents.
 pub const JOURNAL_EXTENT: u64 = 1 << 20;
@@ -181,29 +191,69 @@ impl TripleGraph {
     }
 
     /// Range over SPO with fixed subject (and optional predicate).
-    fn spo_range(&self, s: u64, p: Option<u64>) -> Vec<Triple> {
+    fn spo_range(&self, s: u64, p: Option<u64>) -> impl Iterator<Item = Triple> + '_ {
         let (lo, hi) = match p {
             Some(p) => ((s, p, 0), (s, p + 1, 0)),
             None => ((s, 0, 0), (s + 1, 0, 0)),
         };
-        self.spo.range(&lo, Some(&hi)).map(|(k, _)| *k).collect()
+        self.spo.range(&lo, Some(&hi)).map(|(k, _)| *k)
     }
 
     /// Range over POS with fixed predicate (and optional object).
-    fn pos_range(&self, p: u64, o: Option<u64>) -> Vec<Triple> {
+    fn pos_range(&self, p: u64, o: Option<u64>) -> impl Iterator<Item = Triple> + '_ {
         let (lo, hi) = match o {
             Some(o) => ((p, o, 0), (p, o + 1, 0)),
             None => ((p, 0, 0), (p + 1, 0, 0)),
         };
-        self.pos.range(&lo, Some(&hi)).map(|(k, _)| *k).collect()
+        self.pos.range(&lo, Some(&hi)).map(|(k, _)| *k)
     }
 
     /// The single object of (s, p, *), if any.
     fn object_of(&self, s: u64, p: u64) -> Option<u64> {
+        self.object_near(&mut Finger::default(), s, p)
+    }
+
+    /// [`object_of`](Self::object_of) for one of a run of probes in
+    /// ascending subject order: the SPO probe starts at `finger`.
+    fn object_near(&self, finger: &mut Finger, s: u64, p: u64) -> Option<u64> {
         self.spo
-            .range(&(s, p, 0), Some(&(s, p + 1, 0)))
+            .finger_range(finger, &(s, p, 0), Some(&(s, p + 1, 0)))
             .next()
             .map(|((_, _, o), _)| *o)
+    }
+
+    /// The subjects of `kind` — vertices (`P_TYPE`) or edges (`P_LBL`) —
+    /// whose property `name` is `value`, sorted. The adapter's plan for
+    /// `g.V.has()` / `g.E.has()` (§6.5, BlazeGraph discussion): scan every
+    /// subject through POS and probe SPO once per subject, never POS on
+    /// `(p, o)` — the automatic triple indexes are not exploited by the
+    /// per-step graph API. The subjects come out of POS in ascending order
+    /// within each label, so each probe starts at the previous probe's
+    /// leaf; only where a probe starts differs from the adapter.
+    fn subjects_with(
+        &self,
+        kind: u64,
+        name: &str,
+        value: &Value,
+        ctx: &QueryCtx,
+    ) -> GdbResult<Vec<u64>> {
+        let Some(&p) = self.preds.get(name) else {
+            return Ok(Vec::new());
+        };
+        let mut out = Vec::new();
+        fingered(|finger| {
+            for (_, _, s) in self.pos_range(kind, None) {
+                ctx.tick()?;
+                if let Some(o) = self.object_near(finger, s, p) {
+                    if self.literal_value(o) == Some(value) {
+                        out.push(s);
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        out.sort_unstable();
+        Ok(out)
     }
 
     fn require_vertex(&self, v: u64) -> GdbResult<()> {
@@ -263,6 +313,15 @@ impl TripleGraph {
     }
 }
 
+/// Run `probes` with a fresh finger, then add its tallies to the registry
+/// once, however `probes` ends.
+fn fingered(probes: impl FnOnce(&mut Finger) -> GdbResult<()>) -> GdbResult<()> {
+    let mut finger = Finger::default();
+    let done = probes(&mut finger);
+    finger.publish();
+    done
+}
+
 impl GraphSnapshot for TripleGraph {
     fn name(&self) -> String {
         "triple".into()
@@ -290,7 +349,7 @@ impl GraphSnapshot for TripleGraph {
 
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         let mut n = 0u64;
-        for _ in self.pos.range(&(P_TYPE, 0, 0), Some(&(P_TYPE + 1, 0, 0))) {
+        for _ in self.pos_range(P_TYPE, None) {
             ctx.tick()?;
             n += 1;
         }
@@ -299,7 +358,7 @@ impl GraphSnapshot for TripleGraph {
 
     fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         let mut n = 0u64;
-        for _ in self.pos.range(&(P_LBL, 0, 0), Some(&(P_LBL + 1, 0, 0))) {
+        for _ in self.pos_range(P_LBL, None) {
             ctx.tick()?;
             n += 1;
         }
@@ -309,11 +368,11 @@ impl GraphSnapshot for TripleGraph {
     fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
         let mut out = Vec::new();
         let mut last: Option<u64> = None;
-        for ((_, o, _), _) in self.pos.range(&(P_LBL, 0, 0), Some(&(P_LBL + 1, 0, 0))) {
+        for (_, o, _) in self.pos_range(P_LBL, None) {
             ctx.tick()?;
-            if last != Some(*o) {
-                last = Some(*o);
-                if let Some(Value::Str(s)) = self.literal_value(*o) {
+            if last != Some(o) {
+                last = Some(o);
+                if let Some(Value::Str(s)) = self.literal_value(o) {
                     out.push(s.clone());
                 }
             }
@@ -327,23 +386,9 @@ impl GraphSnapshot for TripleGraph {
         value: &Value,
         ctx: &QueryCtx,
     ) -> GdbResult<Vec<Vid>> {
-        // Adapter-faithful: g.V.has(...) scans vertices, probing the SPO
-        // tree per vertex — the automatic triple indexes are not exploited
-        // by the per-step graph API (§6.5, BlazeGraph discussion).
-        let Some(&p) = self.preds.get(name) else {
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::new();
-        for ((_, _, s), _) in self.pos.range(&(P_TYPE, 0, 0), Some(&(P_TYPE + 1, 0, 0))) {
-            ctx.tick()?;
-            if let Some(o) = self.object_of(*s, p) {
-                if self.literal_value(o) == Some(value) {
-                    out.push(Vid(*s));
-                }
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+        // Adapter-faithful: one SPO probe per vertex (see `subjects_with`).
+        let found = self.subjects_with(P_TYPE, name, value, ctx)?;
+        Ok(found.into_iter().map(Vid).collect())
     }
 
     fn edges_with_property(
@@ -352,20 +397,9 @@ impl GraphSnapshot for TripleGraph {
         value: &Value,
         ctx: &QueryCtx,
     ) -> GdbResult<Vec<Eid>> {
-        let Some(&p) = self.preds.get(name) else {
-            return Ok(Vec::new());
-        };
-        let mut out = Vec::new();
-        for ((_, _, s), _) in self.pos.range(&(P_LBL, 0, 0), Some(&(P_LBL + 1, 0, 0))) {
-            ctx.tick()?;
-            if let Some(o) = self.object_of(*s, p) {
-                if self.literal_value(o) == Some(value) {
-                    out.push(Eid(*s));
-                }
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+        // Adapter-faithful: one SPO probe per edge (see `subjects_with`).
+        let found = self.subjects_with(P_LBL, name, value, ctx)?;
+        Ok(found.into_iter().map(Eid).collect())
     }
 
     fn edges_with_label(&self, label: &str, ctx: &QueryCtx) -> GdbResult<Vec<Eid>> {
@@ -449,24 +483,29 @@ impl GraphSnapshot for TripleGraph {
             None => None,
         };
         let mut out = Vec::new();
-        let visit = |edge_pred: u64, other_pred: u64, out: &mut Vec<EdgeRef>| -> GdbResult<()> {
-            for (_, _, e) in self.pos_range(edge_pred, Some(v.0)) {
-                ctx.tick()?;
-                if let Some(want) = want {
-                    // One more B+Tree access for the label of the reified edge.
-                    if self.object_of(e, P_LBL) != Some(want) {
-                        continue;
+        // Edge subjects come out of POS in ascending order, and an edge's
+        // label and endpoint probes hit neighbouring SPO keys: one finger
+        // per direction.
+        let visit = |edge_pred: u64, other_pred: u64, out: &mut Vec<EdgeRef>| {
+            fingered(|finger| {
+                for (_, _, e) in self.pos_range(edge_pred, Some(v.0)) {
+                    ctx.tick()?;
+                    if let Some(want) = want {
+                        // One more B+Tree access for the label of the reified edge.
+                        if self.object_near(finger, e, P_LBL) != Some(want) {
+                            continue;
+                        }
                     }
+                    let Some(other) = self.object_near(finger, e, other_pred) else {
+                        continue;
+                    };
+                    out.push(EdgeRef {
+                        eid: Eid(e),
+                        other: Vid(other),
+                    });
                 }
-                let Some(other) = self.object_of(e, other_pred) else {
-                    continue;
-                };
-                out.push(EdgeRef {
-                    eid: Eid(e),
-                    other: Vid(other),
-                });
-            }
-            Ok(())
+                Ok(())
+            })
         };
         if matches!(dir, Direction::Out | Direction::Both) {
             visit(P_SRC, P_DST, &mut out)?;
@@ -516,28 +555,24 @@ impl GraphSnapshot for TripleGraph {
         &'a self,
         ctx: &'a QueryCtx,
     ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Vid>> + 'a>> {
-        Ok(Box::new(
-            self.pos
-                .range(&(P_TYPE, 0, 0), Some(&(P_TYPE + 1, 0, 0)))
-                .map(move |((_, _, s), _)| {
-                    ctx.tick()?;
-                    Ok(Vid(*s))
-                }),
-        ))
+        Ok(Box::new(self.pos_range(P_TYPE, None).map(
+            move |(_, _, s)| {
+                ctx.tick()?;
+                Ok(Vid(s))
+            },
+        )))
     }
 
     fn scan_edges<'a>(
         &'a self,
         ctx: &'a QueryCtx,
     ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'a>> {
-        Ok(Box::new(
-            self.pos
-                .range(&(P_LBL, 0, 0), Some(&(P_LBL + 1, 0, 0)))
-                .map(move |((_, _, s), _)| {
-                    ctx.tick()?;
-                    Ok(Eid(*s))
-                }),
-        ))
+        Ok(Box::new(self.pos_range(P_LBL, None).map(
+            move |(_, _, s)| {
+                ctx.tick()?;
+                Ok(Eid(s))
+            },
+        )))
     }
 
     fn vertex_property(&self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
@@ -736,20 +771,16 @@ impl GraphDb for TripleGraph {
         // Incident edges via POS on src/dst.
         let mut incident: Vec<u64> = self
             .pos_range(P_SRC, Some(v.0))
-            .into_iter()
+            .chain(self.pos_range(P_DST, Some(v.0)))
             .map(|(_, _, s)| s)
             .collect();
-        incident.extend(
-            self.pos_range(P_DST, Some(v.0))
-                .into_iter()
-                .map(|(_, _, s)| s),
-        );
         incident.sort_unstable();
         incident.dedup();
         for e in incident {
             self.remove_edge(Eid(e))?;
         }
-        for (s, p, o) in self.spo_range(v.0, None) {
+        let stmts: Vec<Triple> = self.spo_range(v.0, None).collect();
+        for (s, p, o) in stmts {
             self.retract_stmt(s, p, o);
         }
         Ok(())
@@ -757,7 +788,8 @@ impl GraphDb for TripleGraph {
 
     fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
         self.require_edge(e.0)?;
-        for (s, p, o) in self.spo_range(e.0, None) {
+        let stmts: Vec<Triple> = self.spo_range(e.0, None).collect();
+        for (s, p, o) in stmts {
             self.retract_stmt(s, p, o);
         }
         Ok(())

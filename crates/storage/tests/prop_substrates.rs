@@ -1,7 +1,7 @@
 //! Property tests: each substrate vs. a std-library oracle.
 
 use gm_model::value::Value;
-use gm_storage::bptree::BPlusTree;
+use gm_storage::bptree::{BPlusIter, BPlusTree, Finger};
 use gm_storage::codec::{delta_decode, delta_encode, read_varint, write_varint};
 use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::{Bitmap, HashIndex, PageStore, RecordFile};
@@ -113,6 +113,81 @@ fn tree_matches_oracle<K: Ord + Clone + Debug>(
         oracle.iter().collect::<Vec<_>>()
     );
     tree.check_invariants().map_err(TestCaseError::fail)?;
+    Ok(())
+}
+
+/// Run `ops` on a B+Tree of `order` and on a `BTreeMap`; at every `Range`
+/// a finger scan answers what `range` and the map answer, from each of four
+/// fingers: empty, fresh (taken on the tree as it is), kept across the whole
+/// run (so taken before the removes that freed its leaf and the inserts that
+/// reused the slot), and taken from a tree of `other_order` holding the same
+/// keys. At the end one finger sweeps every bound in ascending order.
+fn finger_ranges_match(
+    order: usize,
+    other_order: usize,
+    ops: &[TreeOp<u16>],
+) -> Result<(), TestCaseError> {
+    let mut tree = BPlusTree::with_order(order);
+    let mut other = BPlusTree::with_order(other_order);
+    let mut oracle: BTreeMap<u16, u32> = BTreeMap::new();
+    let mut kept = Finger::default();
+    let want = |oracle: &BTreeMap<u16, u32>, lo: u16, hi: Option<u16>| -> Vec<(u16, u32)> {
+        match hi {
+            Some(hi) if hi <= lo => Vec::new(),
+            Some(hi) => oracle.range(lo..hi).map(|(k, v)| (*k, *v)).collect(),
+            None => oracle.range(lo..).map(|(k, v)| (*k, *v)).collect(),
+        }
+    };
+    let scan =
+        |it: BPlusIter<'_, u16, u32>| -> Vec<(u16, u32)> { it.map(|(k, v)| (*k, *v)).collect() };
+    for op in ops {
+        match op {
+            TreeOp::Insert(k, v) => {
+                tree.insert(*k, *v);
+                other.insert(*k, *v);
+                oracle.insert(*k, *v);
+            }
+            TreeOp::Remove(k) => {
+                tree.remove(k);
+                other.remove(k);
+                oracle.remove(k);
+            }
+            TreeOp::Get(_) | TreeOp::Check => {}
+            TreeOp::Range(lo, hi) => {
+                let resolve = |b: &Bound<u16>| match b {
+                    Bound::Stored(i) if !oracle.is_empty() => {
+                        *oracle.keys().nth(i.index(oracle.len())).expect("in range")
+                    }
+                    Bound::Stored(_) | Bound::Below => 0,
+                    Bound::Key(k) => *k,
+                    Bound::Above => u16::MAX,
+                };
+                let (lo, hi) = (resolve(lo), hi.as_ref().map(resolve));
+                let want = want(&oracle, lo, hi);
+                prop_assert_eq!(&scan(tree.range(&lo, hi.as_ref())), &want);
+                let mut fresh = Finger::default();
+                tree.finger_range(&mut fresh, &lo.saturating_sub(1), None);
+                let mut foreign = Finger::default();
+                other.finger_range(&mut foreign, &lo, None);
+                for (name, finger) in [
+                    ("empty", &mut Finger::default()),
+                    ("fresh", &mut fresh),
+                    ("kept", &mut kept),
+                    ("foreign", &mut foreign),
+                ] {
+                    let got = scan(tree.finger_range(finger, &lo, hi.as_ref()));
+                    prop_assert_eq!(&got, &want, "{} finger, range({}, {:?})", name, lo, hi);
+                }
+            }
+        }
+    }
+    tree.check_invariants().map_err(TestCaseError::fail)?;
+    let mut sweep = Finger::default();
+    for lo in 0..=1000u16 {
+        let got = scan(tree.finger_range(&mut sweep, &lo, Some(&(lo + 2))));
+        prop_assert_eq!(got, want(&oracle, lo, Some(lo + 2)), "sweep at {}", lo);
+    }
+    prop_assert_eq!(sweep.hits() + sweep.descents(), 1001);
     Ok(())
 }
 
@@ -491,6 +566,61 @@ fn bptree_layout_is_pinned() {
     );
 }
 
+/// A finger kept across removes that free its leaf, and across the inserts
+/// that reuse the freed arena slots, still answers what `range` does; so
+/// does a finger taken from another tree.
+#[test]
+fn stale_and_foreign_fingers_answer_what_range_does() {
+    let mut tree = BPlusTree::with_order(4);
+    for k in 0..500u32 {
+        tree.insert(k, k);
+    }
+    let mut finger = Finger::default();
+    assert_eq!(
+        tree.finger_range(&mut finger, &400, None).next(),
+        Some((&400, &400))
+    );
+    let nodes = tree.node_count();
+    for k in 300..500 {
+        tree.remove(&k);
+    }
+    assert!(tree.node_count() < nodes, "the removes freed leaves");
+    let stale = finger;
+    for k in (1000..1200).rev() {
+        tree.insert(k, k);
+    }
+    tree.check_invariants().unwrap();
+    for lo in [0, 299, 300, 405, 999, 1000, 1100, 1199, 1200] {
+        let want: Vec<_> = tree.range(&lo, None).collect();
+        let mut f = stale;
+        assert_eq!(
+            tree.finger_range(&mut f, &lo, None).collect::<Vec<_>>(),
+            want
+        );
+        let mut f = finger;
+        assert_eq!(
+            tree.finger_range(&mut f, &lo, None).collect::<Vec<_>>(),
+            want
+        );
+        finger = f;
+    }
+    let mut foreign = Finger::default();
+    let other: BPlusTree<u32, u32> = (0..5000).fold(BPlusTree::with_order(7), |mut t, k| {
+        t.insert(k * 3, k);
+        t
+    });
+    for lo in (0..15_000).step_by(97) {
+        other.finger_range(&mut foreign, &lo, None);
+        let mut f = foreign;
+        assert_eq!(
+            tree.finger_range(&mut f, &lo, Some(&(lo + 50)))
+                .collect::<Vec<_>>(),
+            tree.range(&lo, Some(&(lo + 50))).collect::<Vec<_>>(),
+            "foreign finger at {lo}"
+        );
+    }
+}
+
 proptest! {
     /// A RecordFile and its clone share pages, yet under any interleaving
     /// of alloc/put/free each behaves exactly like its own plain-Vec model:
@@ -549,6 +679,17 @@ proptest! {
             .chain(ranges.into_iter().map(|(lo, hi)| TreeOp::Range(lo, hi)))
             .collect();
         tree_matches_oracle(order, &ops, &0, &u16::MAX)?;
+    }
+
+    /// A finger scan answers what `range` and the map answer under any
+    /// op sequence, at every order, whatever finger it is given.
+    #[test]
+    fn bptree_finger_range_matches_range(
+        ops in arb_tree_ops((1u16..1000).boxed()),
+        order in 3usize..65,
+        other_order in 3usize..65,
+    ) {
+        finger_ranges_match(order, other_order, &ops)?;
     }
 
     /// The same on the triple engine's `(s, p, o)` key shape, whose

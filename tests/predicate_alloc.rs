@@ -1,10 +1,13 @@
 //! A `has()` scan on the record engines allocates per match, not per
 //! scanned record: linked and cluster compare each stored property in
-//! place. Counted with `gm_model::testkit`'s wrapping global allocator, per
-//! thread so the harness's other threads do not leak into the count.
+//! place, and the triple engine's per-subject SPO probe walks the tree
+//! without collecting. Nor does the triple engine's degree count collect a
+//! hub's edges. Counted with `gm_model::testkit`'s wrapping global
+//! allocator, per thread so the harness's other threads do not leak into
+//! the count.
 
-use graphmark::engines::{cluster::ClusterGraph, linked::LinkedGraph};
-use graphmark::model::api::{GraphDb, LoadOptions};
+use graphmark::engines::{cluster::ClusterGraph, linked::LinkedGraph, triple::TripleGraph};
+use graphmark::model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions};
 use graphmark::model::testkit::{self, CountingAlloc};
 use graphmark::model::value::Value;
 use graphmark::model::{Dataset, QueryCtx};
@@ -41,8 +44,11 @@ fn dataset() -> Dataset {
 }
 
 fn engines(data: &Dataset) -> Vec<Box<dyn GraphDb>> {
-    let mut out: Vec<Box<dyn GraphDb>> =
-        vec![Box::new(LinkedGraph::v2()), Box::new(ClusterGraph::new())];
+    let mut out: Vec<Box<dyn GraphDb>> = vec![
+        Box::new(LinkedGraph::v2()),
+        Box::new(ClusterGraph::new()),
+        Box::new(TripleGraph::new()),
+    ];
     for db in &mut out {
         db.bulk_load(data, &LoadOptions::default()).unwrap();
     }
@@ -103,4 +109,22 @@ fn a_scan_allocates_per_match_not_per_record() {
             }
         }
     }
+}
+
+#[test]
+fn triple_degree_of_a_hub_allocates_nothing() {
+    let mut db = TripleGraph::new();
+    let hub = db.add_vertex("n", &vec![]).unwrap();
+    for _ in 0..1_000 {
+        let v = db.add_vertex("n", &vec![]).unwrap();
+        db.add_edge(hub, v, "e", &vec![]).unwrap();
+        db.add_edge(v, hub, "e", &vec![]).unwrap();
+    }
+    let ctx = QueryCtx::unbounded();
+    let mut degree = 0;
+    let counted = testkit::allocations(|| {
+        degree = db.vertex_degree(hub, Direction::Both, &ctx).unwrap();
+    });
+    assert_eq!(degree, 2_000);
+    assert_eq!(counted.calls, 0, "vertex_degree over {degree} edges");
 }
