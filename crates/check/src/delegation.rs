@@ -21,9 +21,18 @@
 //!   `// gm-check: allow-default(method: reason)` — the reason is part of
 //!   the syntax; an unexplained waiver is a diagnostic of its own.
 //!
+//! A defaulted method whose declaration is preceded by a plain
+//! `// gm-check: derived` line is instead **final**: it is derived from the
+//! trait's required methods (`neighbors` and `vertex_edges` collect
+//! `for_each_incident`'s visit), so layers need not forward it, and *no*
+//! impl anywhere in the workspace — engines included — may override it: an
+//! override would be a second copy of the walk that could drift from the
+//! first.
+//!
 //! The trait definitions are parsed from the file that declares
 //! `pub trait GraphSnapshot` (in the real workspace, `gm-model`'s
-//! `api.rs`), so a new defaulted method extends the lint automatically.
+//! `api.rs`), so a new defaulted or derived method extends the lint
+//! automatically.
 
 use crate::lexer::CleanLine;
 use crate::{Diag, SourceFile};
@@ -43,6 +52,8 @@ struct TraitSurface {
     name: &'static str,
     /// Defaulted methods — the ones an impl can silently *not* forward.
     defaulted: Vec<String>,
+    /// Derived methods — final, never overridden.
+    derived: Vec<String>,
     /// Macros whose expansion covers the full surface; the first is the
     /// one diagnostics recommend.
     full_surface_macros: &'static [&'static str],
@@ -57,17 +68,21 @@ fn trait_surfaces(files: &[SourceFile]) -> Result<Vec<TraitSurface>, Diag> {
             .iter()
             .any(|l| l.code.contains("trait GraphSnapshot"))
         {
+            let surface = |name, full_surface_macros| {
+                let (defaulted, derived) = provided_methods(&f.lines, name);
+                TraitSurface {
+                    name,
+                    defaulted,
+                    derived,
+                    full_surface_macros,
+                }
+            };
             return Ok(vec![
-                TraitSurface {
-                    name: "GraphSnapshot",
-                    defaulted: defaulted_methods(&f.lines, "GraphSnapshot"),
-                    full_surface_macros: &["forward_graph_snapshot!", "composite_graph_snapshot!"],
-                },
-                TraitSurface {
-                    name: "GraphDb",
-                    defaulted: defaulted_methods(&f.lines, "GraphDb"),
-                    full_surface_macros: &["forward_graph_db!"],
-                },
+                surface(
+                    "GraphSnapshot",
+                    &["forward_graph_snapshot!", "composite_graph_snapshot!"],
+                ),
+                surface("GraphDb", &["forward_graph_db!"]),
             ]);
         }
     }
@@ -79,23 +94,30 @@ fn trait_surfaces(files: &[SourceFile]) -> Result<Vec<TraitSurface>, Diag> {
     })
 }
 
-/// Methods of `trait_name` that carry a default body. A method is
-/// defaulted when its signature ends in `{` rather than `;` (scanning at
-/// paren-depth 0 from the `fn` line).
-fn defaulted_methods(lines: &[CleanLine], trait_name: &str) -> Vec<String> {
-    let mut out = Vec::new();
+/// Methods of `trait_name` that carry a default body, as (defaulted,
+/// derived): a method is derived when a `// gm-check: derived` line comes
+/// between it and the previous method, and otherwise defaulted when its
+/// signature ends in `{` rather than `;` (scanning at paren-depth 0 from
+/// the `fn` line).
+fn provided_methods(lines: &[CleanLine], trait_name: &str) -> (Vec<String>, Vec<String>) {
+    let (mut out, mut derived) = (Vec::new(), Vec::new());
     let Some(open) = lines
         .iter()
         .position(|l| l.code.contains("trait ") && l.code.contains(trait_name) && !l.in_test)
     else {
-        return out;
+        return (out, derived);
     };
     let body_depth = lines[open].depth_after; // depth inside the trait block
+    let mut marked = false;
     let mut i = open + 1;
     while i < lines.len() && lines[i].depth >= body_depth {
         let l = &lines[i];
         if l.depth == body_depth {
-            if let Some(name) = fn_name(&l.code) {
+            marked |= l.comment.as_deref() == Some("gm-check: derived");
+            if let Some(name) = fn_name(&l.code).filter(|_| marked) {
+                derived.push(name);
+                marked = false;
+            } else if let Some(name) = fn_name(&l.code) {
                 // Scan forward from the `fn` keyword for the first `{` or
                 // `;` outside parens/brackets — `{` means a default body.
                 let mut paren = 0i32;
@@ -122,7 +144,7 @@ fn defaulted_methods(lines: &[CleanLine], trait_name: &str) -> Vec<String> {
         }
         i += 1;
     }
-    out
+    (out, derived)
 }
 
 /// The method name of a `fn name(` declaration on this line, if any.
@@ -226,11 +248,25 @@ pub fn check(files: &[SourceFile]) -> Vec<Diag> {
     };
     let mut diags = Vec::new();
     for f in files {
-        if !LAYER_CRATES.iter().any(|c| f.path.contains(c)) {
-            continue;
-        }
+        let layer = LAYER_CRATES.iter().any(|c| f.path.contains(c));
         for surface in &surfaces {
             for blk in find_impls(f, surface.name, surface.full_surface_macros) {
+                for m in blk.methods.iter().filter(|m| surface.derived.contains(m)) {
+                    diags.push(Diag {
+                        file: f.path.clone(),
+                        line: blk.line,
+                        lint: LINT,
+                        msg: format!(
+                            "impl {} for {} overrides `{m}`, which the trait derives \
+                             (`// gm-check: derived`) and which is final; implement \
+                             the method it derives from instead",
+                            surface.name, blk.type_name
+                        ),
+                    });
+                }
+                if !layer {
+                    continue; // terminal engines' defaults are intended
+                }
                 for (method, line, has_reason) in &blk.waived {
                     if !has_reason {
                         diags.push(Diag {
@@ -276,8 +312,9 @@ mod tests {
 
     /// Ground truth against the real trait file: the defaulted surface the
     /// lint polices is exactly the set of methods with default bodies in
-    /// `gm-model`'s api.rs. If this fails after editing the trait, the
-    /// signature scanner needs to learn the new shape.
+    /// `gm-model`'s api.rs, less the derived ones. If this fails after
+    /// editing the trait, the signature scanner needs to learn the new
+    /// shape.
     #[test]
     fn real_api_defaulted_surface() {
         let api =
@@ -285,14 +322,22 @@ mod tests {
                 .expect("read gm-model api.rs");
         let lines = crate::lexer::clean(&api);
         assert_eq!(
-            defaulted_methods(&lines, "GraphSnapshot"),
-            vec!["epoch", "degree_scan", "distinct_neighbor_scan"],
-            "GraphSnapshot's defaulted methods"
+            provided_methods(&lines, "GraphSnapshot"),
+            (
+                vec![
+                    "epoch".to_string(),
+                    "vertex_degree".into(),
+                    "degree_scan".into(),
+                    "distinct_neighbor_scan".into()
+                ],
+                vec!["neighbors".to_string(), "vertex_edges".into()]
+            ),
+            "GraphSnapshot's (defaulted, derived) methods"
         );
         assert_eq!(
-            defaulted_methods(&lines, "GraphDb"),
-            vec!["sync"],
-            "GraphDb's defaulted methods"
+            provided_methods(&lines, "GraphDb"),
+            (vec!["sync".to_string()], vec![]),
+            "GraphDb's (defaulted, derived) methods"
         );
     }
 

@@ -5,7 +5,8 @@
 //! * [`delegation`] — every forwarding impl of `GraphSnapshot`/`GraphDb`
 //!   in the layering crates overrides each **defaulted** trait method (or
 //!   carries an explicit waiver); this is the lint that would have caught
-//!   `SharedWriter` silently reporting epoch 0 for every snapshot.
+//!   `SharedWriter` silently reporting epoch 0 for every snapshot. No impl
+//!   anywhere may override a method the trait marks `// gm-check: derived`.
 //! * [`lockorder`] — `// gm-lock: <rank>` markers on lock acquisitions
 //!   must follow the workspace hierarchy `swap < driver < meta < shard <
 //!   cell-writer < cell-published < leaf` (the debug-mode runtime detector

@@ -44,6 +44,22 @@ fn missing_override_is_flagged() {
 }
 
 #[test]
+fn derived_override_is_flagged_in_an_engine() {
+    let diags = diags_for("derived_override");
+    assert_eq!(diags.len(), 1, "exactly the seeded override: {diags:#?}");
+    let d = &diags[0];
+    assert_eq!(
+        (d.lint, d.file.as_str(), d.line),
+        ("delegation", "crates/engine-toy/src/lib.rs", 8)
+    );
+    assert!(
+        d.msg.contains("`neighbors`") && d.msg.contains("derived"),
+        "{d:#?}"
+    );
+    assert_eq!(binary_exit(&fixture("derived_override")), 1);
+}
+
+#[test]
 fn lock_inversion_is_flagged_and_correct_order_is_not() {
     let diags = diags_for("lock_inversion");
     let lock: Vec<_> = diags.iter().filter(|d| d.lint == "lock-order").collect();

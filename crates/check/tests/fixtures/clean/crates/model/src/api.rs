@@ -5,6 +5,14 @@ pub trait GraphSnapshot {
     fn epoch(&self) -> u64 {
         0
     }
+    fn for_each_incident(&self, v: u64, f: &mut dyn FnMut(u64));
+    // Final: a forwarding layer need not (and may not) forward it.
+    // gm-check: derived
+    fn neighbors(&self, v: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.for_each_incident(v, &mut |n| out.push(n));
+        out
+    }
 }
 
 pub trait GraphDb: GraphSnapshot {

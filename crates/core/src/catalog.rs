@@ -4,7 +4,7 @@
 //! paper lists, and an executor that decomposes it into `GraphDb` primitive
 //! calls — the same decomposition a Gremlin adapter performs.
 
-use gm_model::api::Direction;
+use gm_model::api::{count_incident, Direction};
 use gm_model::{GdbResult, GraphDb, GraphSnapshot, QueryCtx, Value};
 use gm_traversal::algo;
 
@@ -411,11 +411,17 @@ pub fn execute_read(
         Q13 => Ok(db.edges_with_label(&p.edge_label, ctx)?.len() as u64),
         Q14 => Ok(db.vertex(p.vertex)?.map(|_| 1).unwrap_or(0)),
         Q15 => Ok(db.edge(p.edge)?.map(|_| 1).unwrap_or(0)),
-        Q22 => Ok(db.neighbors(p.vertex, Direction::In, None, ctx)?.len() as u64),
-        Q23 => Ok(db.neighbors(p.vertex, Direction::Out, None, ctx)?.len() as u64),
-        Q24 => Ok(db
-            .neighbors(p.vertex, Direction::Both, Some(&p.vertex_edge_label), ctx)?
-            .len() as u64),
+        // Q22–Q24 count the walk itself, never `vertex_degree`: some
+        // engines answer that from a stored count without traversing.
+        Q22 => count_incident(db, p.vertex, Direction::In, None, ctx),
+        Q23 => count_incident(db, p.vertex, Direction::Out, None, ctx),
+        Q24 => count_incident(
+            db,
+            p.vertex,
+            Direction::Both,
+            Some(&p.vertex_edge_label),
+            ctx,
+        ),
         Q25 => Ok(db.vertex_edge_labels(p.vertex, Direction::In, ctx)?.len() as u64),
         Q26 => Ok(db.vertex_edge_labels(p.vertex, Direction::Out, ctx)?.len() as u64),
         Q27 => Ok(db.vertex_edge_labels(p.vertex, Direction::Both, ctx)?.len() as u64),

@@ -420,47 +420,33 @@ impl GraphSnapshot for BitmapGraph {
         }))
     }
 
-    fn neighbors(
+    fn for_each_incident(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        Ok(self
-            .vertex_edges(v, dir, label, ctx)?
-            .into_iter()
-            .map(|r| r.other)
-            .collect())
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         self.require_vertex(v.0)?;
         let label_id = match label {
             Some(l) => match self.elabels.get(l) {
                 Some(id) => Some(id),
-                None => return Ok(Vec::new()),
+                None => return Ok(()),
             },
             None => None,
         };
-        let mut out = Vec::new();
         for e in self.incident(v.0, dir, label_id) {
             ctx.tick()?;
             let src = self.edge_src[&e];
             let dst = self.edge_dst[&e];
             let other = if src == v.0 { dst } else { src };
-            out.push(EdgeRef {
+            f(EdgeRef {
                 eid: Eid(e),
                 other: Vid(other),
-            });
+            })?;
         }
-        Ok(out)
+        Ok(())
     }
 
     fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {

@@ -571,37 +571,23 @@ impl GraphSnapshot for ClusterGraph {
         }
     }
 
-    fn neighbors(
+    fn for_each_incident(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        Ok(self
-            .vertex_edges(v, dir, label, ctx)?
-            .into_iter()
-            .map(|r| r.other)
-            .collect())
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         let rec = self.vertex_record(v.0)?;
         let (out, inn, _) = Self::decode_adjacency(rec);
         let want_cluster = match label {
             Some(l) => match self.elabels.get(l) {
                 Some(c) => Some(c),
-                None => return Ok(Vec::new()),
+                None => return Ok(()),
             },
             None => None,
         };
-        let mut refs = Vec::new();
         let mut visit = |eids: &[u64], outgoing: bool| -> GdbResult<()> {
             for &e in eids {
                 ctx.tick()?;
@@ -613,10 +599,10 @@ impl GraphSnapshot for ClusterGraph {
                 }
                 let (src, dst, _) = Self::edge_head(self.edge_record(e)?)?;
                 let other = if outgoing { dst } else { src };
-                refs.push(EdgeRef {
+                f(EdgeRef {
                     eid: Eid(e),
                     other: Vid(other),
-                });
+                })?;
             }
             Ok(())
         };
@@ -626,9 +612,10 @@ impl GraphSnapshot for ClusterGraph {
         if matches!(dir, Direction::In | Direction::Both) {
             visit(&inn, false)?;
         }
-        Ok(refs)
+        Ok(())
     }
 
+    // Not the walk: the degree is stored in the vertex record.
     fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
         ctx.tick()?;
         let rec = self.vertex_record(v.0)?;

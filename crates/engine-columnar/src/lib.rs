@@ -564,32 +564,32 @@ impl ColumnarGraph {
     }
 
     /// Tick once per entry of an adjacency cell and hand each live (not
-    /// tombstoned) one to `f`.
+    /// tombstoned) one to `f`, until it fails.
     fn each_live(
         &self,
         cell: &[u8],
         ctx: &QueryCtx,
-        mut f: impl FnMut(AdjRef<'_>),
+        mut f: impl FnMut(AdjRef<'_>) -> GdbResult<()>,
     ) -> GdbResult<()> {
         for entry in AdjCursor::new(cell)? {
             ctx.tick()?;
             let entry = entry?;
             if !self.deleted_edges.contains(&entry.eid) {
-                f(entry);
+                f(entry)?;
             }
         }
         Ok(())
     }
 
     /// Visit the live adjacency entries of (vid, dir) with their edge label
-    /// id, optionally restricted to one label cell.
+    /// id, optionally restricted to one label cell, until `f` fails.
     fn each_incident(
         &self,
         vid: u64,
         dir: u8,
         label: Option<u32>,
         ctx: &QueryCtx,
-        mut f: impl FnMut(u32, AdjRef<'_>),
+        mut f: impl FnMut(u32, AdjRef<'_>) -> GdbResult<()>,
     ) -> GdbResult<()> {
         match label {
             Some(l) => {
@@ -618,7 +618,7 @@ impl ColumnarGraph {
         dir: Direction,
         label: Option<u32>,
         ctx: &QueryCtx,
-        mut f: impl FnMut(u32, AdjRef<'_>),
+        mut f: impl FnMut(u32, AdjRef<'_>) -> GdbResult<()>,
     ) -> GdbResult<()> {
         for d in [DIR_OUT, DIR_IN] {
             if selects(dir, d) {
@@ -702,7 +702,10 @@ impl GraphSnapshot for ColumnarGraph {
     fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         let mut n = 0u64;
         self.each_cell(ctx, |_, column, cell| match column {
-            Column::Adj { dir: DIR_OUT, .. } => self.each_live(cell, ctx, |_| n += 1),
+            Column::Adj { dir: DIR_OUT, .. } => self.each_live(cell, ctx, |_| {
+                n += 1;
+                Ok(())
+            }),
             _ => Ok(()),
         })?;
         Ok(n)
@@ -768,20 +771,14 @@ impl GraphSnapshot for ColumnarGraph {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        self.each_cell(ctx, |_, column, cell| {
-            if let Column::Adj { dir: DIR_OUT, .. } = column {
-                // Not `each_live`: reading the property can fail.
-                for entry in AdjCursor::new(cell)? {
-                    ctx.tick()?;
-                    let entry = entry?;
-                    if !self.deleted_edges.contains(&entry.eid)
-                        && entry.prop(key_id)?.as_ref() == Some(value)
-                    {
-                        out.push(Eid(entry.eid));
-                    }
+        self.each_cell(ctx, |_, column, cell| match column {
+            Column::Adj { dir: DIR_OUT, .. } => self.each_live(cell, ctx, |entry| {
+                if entry.prop(key_id)?.as_ref() == Some(value) {
+                    out.push(Eid(entry.eid));
                 }
-            }
-            Ok(())
+                Ok(())
+            }),
+            _ => Ok(()),
         })?;
         out.sort_unstable();
         Ok(out)
@@ -798,7 +795,10 @@ impl GraphSnapshot for ColumnarGraph {
         let mut out = Vec::new();
         self.each_cell(ctx, |_, column, cell| {
             if column == wanted {
-                self.each_live(cell, ctx, |e| out.push(Eid(e.eid)))?;
+                self.each_live(cell, ctx, |e| {
+                    out.push(Eid(e.eid));
+                    Ok(())
+                })?;
             }
             Ok(())
         })?;
@@ -859,46 +859,24 @@ impl GraphSnapshot for ColumnarGraph {
         }))
     }
 
-    fn neighbors(
+    fn for_each_incident(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         self.require_vertex(v.0)?;
-        let mut out = Vec::new();
-        if let Some(want) = self.edge_label_filter(label) {
-            self.each_incident_dir(v.0, dir, want, ctx, |_, e| out.push(Vid(e.other)))?;
-        }
-        Ok(out)
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
-        self.require_vertex(v.0)?;
-        let mut out = Vec::new();
-        if let Some(want) = self.edge_label_filter(label) {
-            self.each_incident_dir(v.0, dir, want, ctx, |_, e| {
-                out.push(EdgeRef {
-                    eid: Eid(e.eid),
-                    other: Vid(e.other),
-                })
-            })?;
-        }
-        Ok(out)
-    }
-
-    fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        self.require_vertex(v.0)?;
-        let mut n = 0u64;
-        self.each_incident_dir(v.0, dir, None, ctx, |_, _| n += 1)?;
-        Ok(n)
+        let Some(want) = self.edge_label_filter(label) else {
+            return Ok(());
+        };
+        self.each_incident_dir(v.0, dir, want, ctx, |_, e| {
+            f(EdgeRef {
+                eid: Eid(e.eid),
+                other: Vid(e.other),
+            })
+        })
     }
 
     fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
@@ -908,6 +886,7 @@ impl GraphSnapshot for ColumnarGraph {
             if !seen.contains(&label) {
                 seen.push(label);
             }
+            Ok(())
         })?;
         Ok(seen
             .into_iter()
@@ -1025,7 +1004,10 @@ impl GraphSnapshot for ColumnarGraph {
                 Column::Label => close(row.replace((vid, 0))),
                 Column::Adj { dir: d, .. } if selects(dir, d) => {
                     if let Some((_, degree)) = row.as_mut().filter(|(at, _)| *at == vid) {
-                        self.each_live(cell, ctx, |_| *degree += 1)?;
+                        self.each_live(cell, ctx, |_| {
+                            *degree += 1;
+                            Ok(())
+                        })?;
                     }
                 }
                 _ => {}
@@ -1045,7 +1027,10 @@ impl GraphSnapshot for ColumnarGraph {
             match column {
                 Column::Label => row = Some(vid),
                 Column::Adj { dir: d, .. } if row == Some(vid) && selects(dir, d) => {
-                    self.each_live(cell, ctx, |e| out.push(Vid(e.other)))?;
+                    self.each_live(cell, ctx, |e| {
+                        out.push(Vid(e.other));
+                        Ok(())
+                    })?;
                 }
                 _ => {}
             }
@@ -1255,7 +1240,10 @@ impl GraphDb for ColumnarGraph {
         // Tombstone every incident edge.
         let ctx = QueryCtx::unbounded();
         let mut eids: Vec<u64> = Vec::new();
-        self.each_incident_dir(v.0, Direction::Both, None, &ctx, |_, e| eids.push(e.eid))?;
+        self.each_incident_dir(v.0, Direction::Both, None, &ctx, |_, e| {
+            eids.push(e.eid);
+            Ok(())
+        })?;
         self.deleted_edges.extend(eids);
         // Tombstone all of the row's cells.
         let keys: Vec<Vec<u8>> = self

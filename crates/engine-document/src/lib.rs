@@ -417,39 +417,25 @@ impl GraphSnapshot for DocumentGraph {
         }
     }
 
-    fn neighbors(
+    fn for_each_incident(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        Ok(self
-            .vertex_edges(v, dir, label, ctx)?
-            .into_iter()
-            .map(|r| r.other)
-            .collect())
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         if self.get_vdoc(v.0).is_none() {
             return Err(GdbError::VertexNotFound(v.0));
         }
         let want = match label {
             Some(l) => match self.elabels.get(l) {
                 Some(id) => Some(id),
-                None => return Ok(Vec::new()),
+                None => return Ok(()),
             },
             None => None,
         };
-        let mut out = Vec::new();
-        let visit = |eid: u64, outgoing: bool, out: &mut Vec<EdgeRef>| -> GdbResult<()> {
+        let mut visit = |eid: u64, outgoing: bool| -> GdbResult<()> {
             ctx.tick()?;
             let Some(doc) = self.get_edoc(eid) else {
                 return Ok(());
@@ -460,25 +446,25 @@ impl GraphSnapshot for DocumentGraph {
                 }
             }
             let (from, to) = Self::edge_endpoints_raw(doc);
-            out.push(EdgeRef {
+            f(EdgeRef {
                 eid: Eid(eid),
                 other: Vid(if outgoing { to } else { from }),
-            });
-            Ok(())
+            })
         };
         if matches!(dir, Direction::Out | Direction::Both) {
             for eid in self.out_index.get(v.0) {
-                visit(eid, true, &mut out)?;
+                visit(eid, true)?;
             }
         }
         if matches!(dir, Direction::In | Direction::Both) {
             for eid in self.in_index.get(v.0) {
-                visit(eid, false, &mut out)?;
+                visit(eid, false)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
+    // Not the walk: the endpoint hash index counts its entries.
     fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
         if self.get_vdoc(v.0).is_none() {
             return Err(GdbError::VertexNotFound(v.0));
@@ -493,15 +479,15 @@ impl GraphSnapshot for DocumentGraph {
     }
 
     fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        let refs = self.vertex_edges(v, dir, None, ctx)?;
         let mut seen: Vec<u32> = Vec::new();
-        for r in refs {
+        self.for_each_incident(v, dir, None, ctx, &mut |r| {
             let doc = self.get_edoc(r.eid.0).expect("edge exists");
             let l = Self::edge_label_raw(doc);
             if !seen.contains(&l) {
                 seen.push(l);
             }
-        }
+            Ok(())
+        })?;
         Ok(seen
             .into_iter()
             .filter_map(|l| self.elabels.resolve(l).map(String::from))

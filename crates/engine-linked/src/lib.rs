@@ -451,14 +451,14 @@ impl LinkedGraph {
     }
 
     /// Walk the chains for (`node`, `dir`, `label`), invoking `f` with
-    /// (edge id, edge record, walking_out) until it returns false.
+    /// (edge id, edge record, walking_out) until it fails.
     fn walk_edges(
         &self,
         node: u64,
         dir: Direction,
         label: Option<u32>,
         ctx: &QueryCtx,
-        mut f: impl FnMut(u64, &[u8; EDGE_REC], bool) -> bool,
+        mut f: impl FnMut(u64, &[u8; EDGE_REC], bool) -> GdbResult<()>,
     ) -> GdbResult<()> {
         let mut group = self.first_group(node);
         while group != NIL {
@@ -484,9 +484,8 @@ impl LinkedGraph {
                     ctx.tick()?;
                     let rec = self.edge_rec(cur)?;
                     let lbl = Self::read_u32(&rec, 16);
-                    let matches = label.is_none_or(|want| lbl == want);
-                    if matches && !f(cur, &rec, out_chain) {
-                        return Ok(());
+                    if label.is_none_or(|want| lbl == want) {
+                        f(cur, &rec, out_chain)?;
                     }
                     cur = if out_chain {
                         Self::read_u64(&rec, 28) // src_next
@@ -828,79 +827,35 @@ impl GraphSnapshot for LinkedGraph {
         }
     }
 
-    fn neighbors(
+    fn for_each_incident(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         if !self.nodes.is_live(v.0) {
             return Err(GdbError::VertexNotFound(v.0));
         }
         let label_id = match label {
             Some(l) => match self.labels.get(l) {
                 Some(id) => Some(id),
-                None => return Ok(Vec::new()),
+                None => return Ok(()),
             },
             None => None,
         };
-        let mut out = Vec::new();
-        self.walk_edges(v.0, dir, label_id, ctx, |_, rec, out_chain| {
-            let other = if out_chain {
-                Self::read_u64(rec, 8)
-            } else {
-                Self::read_u64(rec, 0)
-            };
-            out.push(Vid(other));
-            true
-        })?;
-        Ok(out)
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
-        if !self.nodes.is_live(v.0) {
-            return Err(GdbError::VertexNotFound(v.0));
-        }
-        let label_id = match label {
-            Some(l) => match self.labels.get(l) {
-                Some(id) => Some(id),
-                None => return Ok(Vec::new()),
-            },
-            None => None,
-        };
-        let mut out = Vec::new();
         self.walk_edges(v.0, dir, label_id, ctx, |e, rec, out_chain| {
             let other = if out_chain {
                 Self::read_u64(rec, 8)
             } else {
                 Self::read_u64(rec, 0)
             };
-            out.push(EdgeRef {
+            f(EdgeRef {
                 eid: Eid(e),
                 other: Vid(other),
-            });
-            true
-        })?;
-        Ok(out)
-    }
-
-    fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        if !self.nodes.is_live(v.0) {
-            return Err(GdbError::VertexNotFound(v.0));
-        }
-        let mut n = 0u64;
-        self.walk_edges(v.0, dir, None, ctx, |_, _, _| {
-            n += 1;
-            true
-        })?;
-        Ok(n)
+            })
+        })
     }
 
     fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
@@ -913,7 +868,7 @@ impl GraphSnapshot for LinkedGraph {
             if !seen.contains(&l) {
                 seen.push(l);
             }
-            true
+            Ok(())
         })?;
         Ok(seen
             .into_iter()
@@ -1104,7 +1059,7 @@ impl GraphDb for LinkedGraph {
         let mut incident = Vec::new();
         self.walk_edges(v.0, Direction::Both, None, &ctx, |e, _, _| {
             incident.push(e);
-            true
+            Ok(())
         })?;
         incident.sort_unstable();
         incident.dedup(); // self-loops appear on both chains

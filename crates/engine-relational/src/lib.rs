@@ -487,38 +487,24 @@ impl GraphSnapshot for RelationalGraph {
         }
     }
 
-    fn neighbors(
+    fn for_each_incident(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        Ok(self
-            .vertex_edges(v, dir, label, ctx)?
-            .into_iter()
-            .map(|r| r.other)
-            .collect())
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         self.vrow(v.0)?;
         // Label given: single join table, indexed probe. No label: union
         // over every edge table (the expensive plan).
-        let tables: Vec<u32> = match label {
+        let tables = match label {
             Some(l) => match self.elabels.get(l) {
-                Some(t) => vec![t],
-                None => return Ok(Vec::new()),
+                Some(t) => t..t + 1,
+                None => return Ok(()),
             },
-            None => (0..self.etables.len() as u32).collect(),
+            None => 0..self.etables.len() as u32,
         };
-        let mut out = Vec::new();
         for table in tables {
             let t = &self.etables[table as usize];
             ctx.tick()?; // per-table probe cost (join setup)
@@ -526,26 +512,27 @@ impl GraphSnapshot for RelationalGraph {
                 for row in t.rows_by_endpoint(v.0, true) {
                     ctx.tick()?;
                     let (_, dst, _) = t.rows[row as usize].as_ref().expect("indexed row");
-                    out.push(EdgeRef {
+                    f(EdgeRef {
                         eid: Eid(gid(table, row)),
                         other: Vid(*dst),
-                    });
+                    })?;
                 }
             }
             if matches!(dir, Direction::In | Direction::Both) {
                 for row in t.rows_by_endpoint(v.0, false) {
                     ctx.tick()?;
                     let (src, _, _) = t.rows[row as usize].as_ref().expect("indexed row");
-                    out.push(EdgeRef {
+                    f(EdgeRef {
                         eid: Eid(gid(table, row)),
                         other: Vid(*src),
-                    });
+                    })?;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
+    // Not the walk: one tick per edge table, counting its endpoint index.
     fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
         self.vrow(v.0)?;
         let mut n = 0u64;

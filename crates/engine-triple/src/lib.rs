@@ -453,40 +453,26 @@ impl GraphSnapshot for TripleGraph {
         }))
     }
 
-    fn neighbors(
+    fn for_each_incident(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        Ok(self
-            .vertex_edges(v, dir, label, ctx)?
-            .into_iter()
-            .map(|r| r.other)
-            .collect())
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()> {
         self.require_vertex(v.0)?;
         let want = match label {
             Some(l) => match self.literals.get(&Value::Str(l.to_string())) {
                 Some(&t) => Some(t),
-                None => return Ok(Vec::new()),
+                None => return Ok(()),
             },
             None => None,
         };
-        let mut out = Vec::new();
         // Edge subjects come out of POS in ascending order, and an edge's
         // label and endpoint probes hit neighbouring SPO keys: one finger
         // per direction.
-        let visit = |edge_pred: u64, other_pred: u64, out: &mut Vec<EdgeRef>| {
+        let mut visit = |edge_pred: u64, other_pred: u64| {
             fingered(|finger| {
                 for (_, _, e) in self.pos_range(edge_pred, Some(v.0)) {
                     ctx.tick()?;
@@ -499,23 +485,24 @@ impl GraphSnapshot for TripleGraph {
                     let Some(other) = self.object_near(finger, e, other_pred) else {
                         continue;
                     };
-                    out.push(EdgeRef {
+                    f(EdgeRef {
                         eid: Eid(e),
                         other: Vid(other),
-                    });
+                    })?;
                 }
                 Ok(())
             })
         };
         if matches!(dir, Direction::Out | Direction::Both) {
-            visit(P_SRC, P_DST, &mut out)?;
+            visit(P_SRC, P_DST)?;
         }
         if matches!(dir, Direction::In | Direction::Both) {
-            visit(P_DST, P_SRC, &mut out)?;
+            visit(P_DST, P_SRC)?;
         }
-        Ok(out)
+        Ok(())
     }
 
+    // Not the walk: counts POS entries without probing SPO for the far end.
     fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
         self.require_vertex(v.0)?;
         let mut n = 0u64;
@@ -535,15 +522,15 @@ impl GraphSnapshot for TripleGraph {
     }
 
     fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-        let refs = self.vertex_edges(v, dir, None, ctx)?;
         let mut seen: Vec<u64> = Vec::new();
-        for r in refs {
+        self.for_each_incident(v, dir, None, ctx, &mut |r| {
             if let Some(o) = self.object_of(r.eid.0, P_LBL) {
                 if !seen.contains(&o) {
                     seen.push(o);
                 }
             }
-        }
+            Ok(())
+        })?;
         Ok(seen
             .into_iter()
             .filter_map(|o| self.literal_value(o))

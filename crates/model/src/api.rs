@@ -41,7 +41,8 @@ impl Direction {
     pub const ALL: [Direction; 3] = [Direction::In, Direction::Out, Direction::Both];
 }
 
-/// A (edge, neighbor) pair returned by [`GraphSnapshot::vertex_edges`].
+/// One incident edge as [`GraphSnapshot::for_each_incident`] visits it: the
+/// edge and its far endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeRef {
     /// Internal edge id.
@@ -169,6 +170,26 @@ pub struct EngineFeatures {
 /// driver's read path are all written against this trait, which is what lets
 /// a scan run against a stable epoch instead of holding the engine's read
 /// lock for its whole duration.
+///
+/// # Adjacency
+///
+/// An engine reads a neighbourhood with one walk,
+/// [`for_each_incident`](GraphSnapshot::for_each_incident). The collectors
+/// [`neighbors`](GraphSnapshot::neighbors) and
+/// [`vertex_edges`](GraphSnapshot::vertex_edges) are derived from it and
+/// final — the `gm-check` delegation lint reports any impl that overrides
+/// one — so a traversal costs exactly the engine's walk however it is
+/// consumed, and layers forward the walk alone.
+/// [`vertex_degree`](GraphSnapshot::vertex_degree) defaults to counting the
+/// walk, and [`vertex_edge_labels`](GraphSnapshot::vertex_edge_labels) is
+/// per engine. An engine overrides the degree only where it answers from
+/// something other than the walk, because that difference is the paper's
+/// physical data organization: the cluster engine reads the degree stored
+/// in its vertex record, the document engine counts its endpoint hash
+/// index, the bitmap engine materializes the incident list (the adapter
+/// flaw behind its Q28–Q31 behaviour), the relational engine ticks once per
+/// edge table, and the triple engine counts POS entries without a label
+/// probe. `testkit::conformance_suite` holds every such answer to the walk.
 pub trait GraphSnapshot: Send + Sync {
     /// Variant-qualified engine name (e.g. `"linked(v2)"`).
     fn name(&self) -> String;
@@ -227,29 +248,76 @@ pub trait GraphSnapshot: Send + Sync {
     fn edge(&self, e: Eid) -> GdbResult<Option<EdgeData>>;
 
     // ----- Traversal primitives (Q22–Q35 build on these) ----------------
+    //
+    // One walk, two collectors derived from it, and the two per-vertex
+    // answers an engine may take from elsewhere (see "Adjacency" above).
 
-    /// Q22/Q23/Q24: neighbors of `v` via `dir` edges, optionally restricted
-    /// to a label. Duplicates allowed (parallel edges yield repeats), order
-    /// unspecified.
+    /// Visit the edges incident to `v` in `dir`, optionally restricted to
+    /// a label, handing each to `f` with its far endpoint, in the engine's
+    /// physical order. Parallel edges are visited once each and a
+    /// self-loop twice under `Both` (once per end). An unknown label visits
+    /// nothing; a missing vertex is [`GdbError::VertexNotFound`].
+    ///
+    /// The engine ticks `ctx` per element it touches, as every scan does.
+    /// `f` may fail — to tick a context of its own or to give up — and its
+    /// first error ends the walk and is returned; there is no other way to
+    /// stop early.
+    ///
+    /// [`GdbError::VertexNotFound`]: crate::GdbError::VertexNotFound
+    fn for_each_incident(
+        &self,
+        v: Vid,
+        dir: Direction,
+        label: Option<&str>,
+        ctx: &QueryCtx,
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()>;
+
+    /// The far endpoints of [`for_each_incident`]'s visit, in its order
+    /// (parallel edges yield repeats) — Gremlin's `out()`/`in()`/`both()`.
+    ///
+    /// [`for_each_incident`]: GraphSnapshot::for_each_incident
+    // gm-check: derived
     fn neighbors(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>>;
+    ) -> GdbResult<Vec<Vid>> {
+        let mut out = Vec::new();
+        self.for_each_incident(v, dir, label, ctx, &mut |r| {
+            out.push(r.other);
+            Ok(())
+        })?;
+        Ok(out)
+    }
 
-    /// Incident edges of `v` with the far endpoint.
+    /// [`for_each_incident`]'s visit, collected — Gremlin's
+    /// `outE()`/`inE()`/`bothE()`.
+    ///
+    /// [`for_each_incident`]: GraphSnapshot::for_each_incident
+    // gm-check: derived
     fn vertex_edges(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>>;
+    ) -> GdbResult<Vec<EdgeRef>> {
+        let mut out = Vec::new();
+        self.for_each_incident(v, dir, label, ctx, &mut |r| {
+            out.push(r);
+            Ok(())
+        })?;
+        Ok(out)
+    }
 
-    /// Number of incident edges (Q28–Q30 predicate).
-    fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64>;
+    /// Number of incident edges (Q28–Q30 predicate). The default counts
+    /// the walk ([`count_incident`]).
+    fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
+        count_incident(self, v, dir, None, ctx)
+    }
 
     /// Q25/Q26/Q27: distinct labels of incident edges.
     fn vertex_edge_labels(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<Vec<String>>;
@@ -342,6 +410,24 @@ pub fn gremlin_degree_scan<G: GraphSnapshot + ?Sized>(
     Ok(out)
 }
 
+/// How many edges [`GraphSnapshot::for_each_incident`] visits: the default
+/// [`GraphSnapshot::vertex_degree`], and Q22–Q24's answer, which must walk
+/// even on an engine that stores its degrees.
+pub fn count_incident<G: GraphSnapshot + ?Sized>(
+    g: &G,
+    v: Vid,
+    dir: Direction,
+    label: Option<&str>,
+    ctx: &QueryCtx,
+) -> GdbResult<u64> {
+    let mut n = 0u64;
+    g.for_each_incident(v, dir, label, ctx, &mut |_| {
+        n += 1;
+        Ok(())
+    })?;
+    Ok(n)
+}
+
 /// The default [`GraphSnapshot::distinct_neighbor_scan`]: per-vertex
 /// neighbor expansion followed by dedup. Public for the same reason as
 /// [`gremlin_degree_scan`].
@@ -357,7 +443,10 @@ pub fn gremlin_distinct_neighbor_scan<G: GraphSnapshot + ?Sized>(
         sources.push(v?);
     }
     for v in sources {
-        out.extend(g.neighbors(v, dir, None, ctx)?);
+        g.for_each_incident(v, dir, None, ctx, &mut |r| {
+            out.push(r.other);
+            Ok(())
+        })?;
     }
     out.sort_unstable();
     out.dedup();

@@ -11,6 +11,9 @@
 //! surface from one line, so a forwarding impl is complete by construction;
 //! the `gm-check` delegation lint treats an impl containing an invocation
 //! as fully overriding and flags hand-written impls that miss a method.
+//! The entire surface is every method an impl may define: the derived
+//! collectors `neighbors` and `vertex_edges` are final, so the target's
+//! `for_each_incident` is forwarded and they derive from it.
 //!
 //! Usage — the one argument is a closure-shaped binder naming `self` and
 //! producing the forwarding target (a place or value whose type implements
@@ -123,25 +126,16 @@ macro_rules! forward_graph_snapshot {
             let $s = self;
             $t.edge(e)
         }
-        fn neighbors(
+        fn for_each_incident(
             &self,
             v: $crate::ids::Vid,
             dir: $crate::api::Direction,
             label: ::std::option::Option<&str>,
             ctx: &$crate::ctx::QueryCtx,
-        ) -> $crate::error::GdbResult<::std::vec::Vec<$crate::ids::Vid>> {
+            f: &mut dyn ::std::ops::FnMut($crate::api::EdgeRef) -> $crate::error::GdbResult<()>,
+        ) -> $crate::error::GdbResult<()> {
             let $s = self;
-            $t.neighbors(v, dir, label, ctx)
-        }
-        fn vertex_edges(
-            &self,
-            v: $crate::ids::Vid,
-            dir: $crate::api::Direction,
-            label: ::std::option::Option<&str>,
-            ctx: &$crate::ctx::QueryCtx,
-        ) -> $crate::error::GdbResult<::std::vec::Vec<$crate::api::EdgeRef>> {
-            let $s = self;
-            $t.vertex_edges(v, dir, label, ctx)
+            $t.for_each_incident(v, dir, label, ctx, f)
         }
         fn vertex_degree(
             &self,

@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
 
-use crate::api::{Direction, GraphDb, LoadOptions};
+use crate::api::{Direction, EdgeRef, GraphDb, GraphSnapshot, LoadOptions};
 use crate::ctx::QueryCtx;
 use crate::dataset::Dataset;
 use crate::error::GdbError;
@@ -169,6 +169,7 @@ pub fn conformance_suite(make: &mut dyn FnMut() -> Box<dyn GraphDb>) {
     check_timeouts(&mut *make);
     check_degree_scan(&mut *make);
     check_space_and_features(&mut *make);
+    check_adjacency(&mut *make);
 }
 
 fn load_tiny(make: &mut dyn FnMut() -> Box<dyn GraphDb>) -> Box<dyn GraphDb> {
@@ -537,4 +538,110 @@ fn check_space_and_features(make: &mut dyn FnMut() -> Box<dyn GraphDb>) {
     assert!(!f.name.is_empty());
     assert!(!f.storage.is_empty());
     assert_eq!(f.name, db.name());
+}
+
+/// The walk is the oracle: on [`tiny_dataset`] and a 200-vertex chain,
+/// freshly loaded, after removing edges and vertices and adding edges and
+/// self-loops, and after `sync`, every override of a derivable adjacency
+/// answer agrees with [`GraphSnapshot::for_each_incident`] (see
+/// [`assert_walk_is_the_oracle`]).
+fn check_adjacency(make: &mut dyn FnMut() -> Box<dyn GraphDb>) {
+    for data in [tiny_dataset(), chain_dataset(200)] {
+        let mut db = make();
+        db.bulk_load(&data, &LoadOptions::default())
+            .expect("bulk_load failed");
+        assert_walk_is_the_oracle(db.as_ref(), "freshly loaded");
+
+        let v = |c: u64| db.resolve_vertex(c).expect("canonical vertex");
+        let (a, b, gone) = (v(0), v(2), [v(3), v(4)]);
+        let label = data.edges[1].label.clone();
+        for c in [0, 2] {
+            db.remove_edge(db.resolve_edge(c).expect("canonical edge"))
+                .expect("remove edge");
+        }
+        for x in gone {
+            db.remove_vertex(x).expect("remove vertex");
+        }
+        for (src, dst, l) in [
+            (a, b, &*label),
+            (b, a, "added"),
+            (a, a, "added"),
+            (b, b, &*label),
+        ] {
+            db.add_edge(src, dst, l, &vec![]).expect("add edge");
+        }
+        for x in gone {
+            assert!(
+                matches!(
+                    db.for_each_incident(
+                        x,
+                        Direction::Both,
+                        None,
+                        &QueryCtx::unbounded(),
+                        &mut |_| Ok(())
+                    ),
+                    Err(GdbError::VertexNotFound(_))
+                ),
+                "{}: walking a removed vertex",
+                db.name()
+            );
+        }
+        assert_walk_is_the_oracle(db.as_ref(), "mutated");
+        db.sync().expect("sync");
+        assert_walk_is_the_oracle(db.as_ref(), "synced");
+    }
+}
+
+/// For every vertex, direction and label (none, each label, an unknown
+/// one): `vertex_degree` counts the unfiltered visit, `vertex_edge_labels`
+/// is the set of its edges' labels, and a label-filtered visit is the
+/// unfiltered visit filtered by label, in order.
+fn assert_walk_is_the_oracle(db: &dyn GraphSnapshot, phase: &str) {
+    let ctx = QueryCtx::unbounded();
+    let visit = |v, dir, label| {
+        let mut refs: Vec<EdgeRef> = Vec::new();
+        db.for_each_incident(v, dir, label, &ctx, &mut |r| {
+            refs.push(r);
+            Ok(())
+        })
+        .expect("walk");
+        refs
+    };
+    let label_of = |r: &EdgeRef| {
+        db.edge_label(r.eid)
+            .expect("edge label")
+            .expect("visited edge is live")
+    };
+    let labels = db.edge_label_set(&ctx).expect("label set");
+    let vertices: Vec<_> = db
+        .scan_vertices(&ctx)
+        .expect("scan")
+        .collect::<Result<_, _>>()
+        .expect("scan");
+    for v in vertices {
+        for dir in Direction::ALL {
+            let at = format!("{} {phase}: {v:?} {dir:?}", db.name());
+            let all = visit(v, dir, None);
+            assert_eq!(
+                db.vertex_degree(v, dir, &ctx).expect("degree"),
+                all.len() as u64,
+                "{at}: vertex_degree vs the walk"
+            );
+            let mut want: Vec<String> = all.iter().map(label_of).collect();
+            want.sort();
+            want.dedup();
+            let mut got = db.vertex_edge_labels(v, dir, &ctx).expect("labels");
+            got.sort();
+            assert_eq!(got, want, "{at}: vertex_edge_labels vs the walk");
+            for l in &labels {
+                let filtered: Vec<EdgeRef> =
+                    all.iter().filter(|r| label_of(r) == *l).copied().collect();
+                assert_eq!(visit(v, dir, Some(l)), filtered, "{at}: label {l}");
+            }
+            assert!(
+                visit(v, dir, Some("no-such-label")).is_empty(),
+                "{at}: unknown label"
+            );
+        }
+    }
 }

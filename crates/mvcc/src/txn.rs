@@ -34,11 +34,12 @@
 //!
 //! Inside the transaction, **point reads** (vertex/edge lookup, property
 //! reads, endpoints, labels, counts) observe the buffered writes overlaid
-//! on the pinned base epoch. Scans and traversals (`neighbors`,
-//! `scan_vertices`, `degree_scan`, property-index lookups, …) answer from
-//! the pinned base alone — the benchmark write mixes never traverse their
-//! own uncommitted writes, and an honest overlay for traversals would
-//! re-implement every engine's adjacency structure.
+//! on the pinned base epoch. Scans and traversals (`for_each_incident` —
+//! and so `neighbors`, `vertex_edges` and every traversal built on it —
+//! `vertex_degree`, `scan_vertices`, `degree_scan`, property-index lookups,
+//! …) answer from the pinned base alone: the benchmark write mixes never
+//! traverse their own uncommitted writes, and an honest overlay for
+//! traversals would re-implement every engine's adjacency structure.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
@@ -653,24 +654,15 @@ impl GraphSnapshot for WriteTxn {
         Ok(Some(data))
     }
 
-    fn neighbors(
+    fn for_each_incident(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        self.base.neighbors(v, dir, label, ctx)
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
-        self.base.vertex_edges(v, dir, label, ctx)
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()> {
+        self.base.for_each_incident(v, dir, label, ctx, f)
     }
 
     fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {

@@ -454,36 +454,26 @@ impl GraphSnapshot for RemoteEngine {
         self.call(&Request::GetEdge(e.0))?.into_opt_edge()
     }
 
-    fn neighbors(
+    fn for_each_incident(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        let req = Request::Neighbors {
-            v: v.0,
-            dir,
-            label: label.map(str::to_string),
-            t: t_of(ctx),
-        };
-        ids(self.call(&req)?, Vid)
-    }
-
-    fn vertex_edges(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()> {
+        // The server walks and ships the visit in one response; the client
+        // then replays it into `f`.
         let req = Request::VertexEdges {
             v: v.0,
             dir,
             label: label.map(str::to_string),
             t: t_of(ctx),
         };
-        self.call(&req)?.into_edge_refs()
+        self.call(&req)?
+            .into_edge_refs()?
+            .into_iter()
+            .try_for_each(f)
     }
 
     fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {

@@ -61,7 +61,14 @@ pub const MAGIC: u32 = 0x474D_4E54;
 /// entries of [`Request::ExecBatch`] / [`Response::BatchDone`] are whole
 /// frames, each behind its own `u32` length, one level deep.
 /// `crates/net/tests/golden_frames.txt` pins the bytes of every frame.
-pub const PROTO_VERSION: u16 = 7;
+///
+/// The tables hold 47 request and 24 response frames. History: 1 the
+/// primitive calls and `ExecOp`; 2 `ExecDone` carries the serving epoch;
+/// 3 and its lock wait; 4 `GetStats`; 5 trace ids and `GetTraces`; 6
+/// `ExecBatch` and `Epoch` for fleets; 7 write transactions; 8 retires
+/// `Neighbors` (`0x23`) — a remote adjacency walk is one `VertexEdges`
+/// frame, whatever collects it.
+pub const PROTO_VERSION: u16 = 8;
 
 // ----- field codecs --------------------------------------------------------
 
@@ -800,18 +807,8 @@ frames! {
         /// Property name.
         name: String,
     }
-    /// `GraphDb::neighbors`.
-    0x23 Neighbors Read {
-        /// Vertex.
-        v: u64,
-        /// Direction.
-        dir: Direction,
-        /// Optional label filter.
-        label: Option<String>,
-        /// Deadline µs.
-        t: u64,
-    }
-    /// `GraphDb::vertex_edges`.
+    /// `GraphSnapshot::for_each_incident`, answered with the collected
+    /// visit. (Opcode `0x23`, once a `neighbors` frame, is retired.)
     0x24 VertexEdges Read {
         /// Vertex.
         v: u64,
@@ -1061,7 +1058,7 @@ mod tests {
                 strict: true,
                 op: Op::Write(WriteOp::RemoveOwnEdge),
             },
-            Request::Neighbors {
+            Request::VertexEdges {
                 v: 7,
                 dir: Direction::Both,
                 label: Some("knows".into()),
@@ -1340,7 +1337,7 @@ mod tests {
         assert_eq!(Request::Sync.kind(), FrameKind::Write);
         assert_eq!(Request::ScanEdges { t: 0 }.kind(), FrameKind::Read);
         assert_eq!(Request::ExecBatch(vec![]).kind(), FrameKind::Control);
-        assert_eq!(Request::FRAMES.len(), 48);
+        assert_eq!(Request::FRAMES.len(), 47);
         assert_eq!(Response::FRAMES.len(), 24);
     }
 

@@ -497,9 +497,6 @@ fn answer_read(g: &dyn GraphSnapshot, req: Request) -> GdbResult<Response> {
         Request::EdgesWithLabel { label, t } => eids(g.edges_with_label(&label, &ctx_for(t))?),
         Request::GetVertex(v) => Response::OptVertex(g.vertex(Vid(v))?),
         Request::GetEdge(e) => Response::OptEdge(g.edge(Eid(e))?),
-        Request::Neighbors { v, dir, label, t } => {
-            vids(g.neighbors(Vid(v), dir, label.as_deref(), &ctx_for(t))?)
-        }
         Request::VertexEdges { v, dir, label, t } => {
             Response::EdgeRefs(g.vertex_edges(Vid(v), dir, label.as_deref(), &ctx_for(t))?)
         }

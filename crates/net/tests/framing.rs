@@ -60,7 +60,7 @@ fn frames() -> Vec<Request> {
     vec![
         Request::Epoch,
         Request::VertexCount { t: 7 },
-        Request::Neighbors {
+        Request::VertexEdges {
             v: 3,
             dir: gm_model::Direction::Both,
             label: Some("knows".into()),

@@ -218,15 +218,6 @@ fn request_samples() -> Vec<(&'static str, Request)> {
             },
         ),
         (
-            "Neighbors",
-            Request::Neighbors {
-                v: 12,
-                dir: Direction::Both,
-                label: Some(knows()),
-                t: 123,
-            },
-        ),
-        (
             "VertexEdges",
             Request::VertexEdges {
                 v: 13,
@@ -623,5 +614,5 @@ fn responses_match_the_recorded_bytes() {
 
 #[test]
 fn proto_version_did_not_move() {
-    assert_eq!(PROTO_VERSION, 7);
+    assert_eq!(PROTO_VERSION, 8);
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the gm-net wire protocol, enumerated from the
 //! frame tables (`Request::FRAMES` / `Response::FRAMES`): every case draws
-//! one value of **every** frame, so each property holds for 48/48 request
+//! one value of **every** frame, so each property holds for 47/47 request
 //! and 24/24 response frames — values encode → decode identically, and
 //! truncated/corrupt frames are rejected without panicking.
 
@@ -156,9 +156,6 @@ fn request_frame(name: &str) -> BoxedStrategy<Request> {
             .boxed(),
         "RemoveEdgeProp" => (id(), s())
             .prop_map(|(e, name)| Request::RemoveEdgeProp { e, name })
-            .boxed(),
-        "Neighbors" => (id(), arb_direction(), opt_label(), t())
-            .prop_map(|(v, dir, label, t)| Request::Neighbors { v, dir, label, t })
             .boxed(),
         "VertexEdges" => (id(), arb_direction(), opt_label(), t())
             .prop_map(|(v, dir, label, t)| Request::VertexEdges { v, dir, label, t })
@@ -539,7 +536,7 @@ fn tables_and_decoders_agree_on_the_opcodes() {
             );
         }
     }
-    assert_eq!(Request::FRAMES.len(), 48);
+    assert_eq!(Request::FRAMES.len(), 47);
     assert_eq!(Response::FRAMES.len(), 24);
     check(Request::FRAMES, "request", |b| Request::decode(b).map(drop));
     check(Response::FRAMES, "response", |b| {

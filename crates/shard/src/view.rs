@@ -207,11 +207,8 @@ macro_rules! composite_graph_snapshot {
             fn edge(&self, e: Eid) -> Option<EdgeData> = ShardSel::one(e.0, self.host_shards());
             fn edge_endpoints(&self, e: Eid) -> Option<(Vid, Vid)>
                 = ShardSel::one(e.0, self.host_shards());
-            fn neighbors(&self, v: Vid, dir: Direction, label: Option<&str>, ctx: &QueryCtx)
-                -> Vec<Vid>
-                = ShardSel::around(v, dir, self.host_shards());
-            fn vertex_edges(&self, v: Vid, dir: Direction, label: Option<&str>, ctx: &QueryCtx)
-                -> Vec<EdgeRef>
+            fn for_each_incident(&self, v: Vid, dir: Direction, label: Option<&str>, ctx: &QueryCtx,
+                f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>) -> ()
                 = ShardSel::around(v, dir, self.host_shards());
             fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> u64
                 = ShardSel::around(v, dir, self.host_shards());
@@ -383,90 +380,47 @@ impl Parts<'_> {
         }))
     }
 
-    pub fn neighbors(
-        &self,
-        v: Vid,
-        dir: Direction,
-        label: Option<&str>,
-        ctx: &QueryCtx,
-    ) -> GdbResult<Vec<Vid>> {
-        let mut out = Vec::new();
-        match dir {
-            // All out-edges live on the owner; their far ends may be ghosts.
+    /// The shards holding `v`'s `dir` edges, with `v`'s local id on each:
+    /// all out-edges live on the owner (their far ends may be ghosts);
+    /// in-edges live on their sources' shards, so `In`/`Both` gather over
+    /// the presence set. `Both` on the owner yields out + same-shard in; on
+    /// ghost shards a ghost has only in-edges, so the union is exactly the
+    /// unsharded answer, each edge contributing once.
+    fn holders(&self, v: Vid, dir: Direction) -> impl Iterator<Item = (usize, Vid)> {
+        let (owner, gathered) = match dir {
             Direction::Out => {
                 let (local, owner) = decode_vid(v, self.n());
-                out.extend(
-                    self.shard(owner)
-                        .neighbors(local, dir, label, ctx)?
-                        .into_iter()
-                        .map(|u| self.meta().to_composite(owner, u)),
-                );
+                (Some((owner, local)), None)
             }
-            // In-edges live on their sources' shards: gather over the
-            // presence set. `Both` on the owner yields out + same-shard in;
-            // on ghost shards a ghost has only in-edges, so the union is
-            // exactly the unsharded answer, each edge contributing once.
-            Direction::In | Direction::Both => {
-                for (s, local) in self.meta().presence(v) {
-                    out.extend(
-                        self.shard(s)
-                            .neighbors(local, dir, label, ctx)?
-                            .into_iter()
-                            .map(|u| self.meta().to_composite(s, u)),
-                    );
-                }
-            }
-        }
-        Ok(out)
+            Direction::In | Direction::Both => (None, Some(self.meta().presence(v))),
+        };
+        owner.into_iter().chain(gathered.into_iter().flatten())
     }
 
-    pub fn vertex_edges(
+    pub fn for_each_incident(
         &self,
         v: Vid,
         dir: Direction,
         label: Option<&str>,
         ctx: &QueryCtx,
-    ) -> GdbResult<Vec<EdgeRef>> {
-        let map = |s: usize, refs: Vec<EdgeRef>| -> Vec<EdgeRef> {
-            refs.into_iter()
-                .map(|r| EdgeRef {
-                    eid: encode_eid(r.eid, s, self.n()),
-                    other: self.meta().to_composite(s, r.other),
-                })
-                .collect()
-        };
-        let mut out = Vec::new();
-        match dir {
-            Direction::Out => {
-                let (local, owner) = decode_vid(v, self.n());
-                out.extend(map(
-                    owner,
-                    self.shard(owner).vertex_edges(local, dir, label, ctx)?,
-                ));
-            }
-            Direction::In | Direction::Both => {
-                for (s, local) in self.meta().presence(v) {
-                    out.extend(map(s, self.shard(s).vertex_edges(local, dir, label, ctx)?));
-                }
-            }
+        f: &mut dyn FnMut(EdgeRef) -> GdbResult<()>,
+    ) -> GdbResult<()> {
+        for (s, local) in self.holders(v, dir) {
+            self.shard(s)
+                .for_each_incident(local, dir, label, ctx, &mut |r| {
+                    f(EdgeRef {
+                        eid: encode_eid(r.eid, s, self.n()),
+                        other: self.meta().to_composite(s, r.other),
+                    })
+                })?;
         }
-        Ok(out)
+        Ok(())
     }
 
     pub fn vertex_degree(&self, v: Vid, dir: Direction, ctx: &QueryCtx) -> GdbResult<u64> {
-        match dir {
-            Direction::Out => {
-                let (local, owner) = decode_vid(v, self.n());
-                self.shard(owner).vertex_degree(local, dir, ctx)
-            }
-            Direction::In | Direction::Both => {
-                let mut total = 0u64;
-                for (s, local) in self.meta().presence(v) {
-                    total += self.shard(s).vertex_degree(local, dir, ctx)?;
-                }
-                Ok(total)
-            }
-        }
+        self.holders(v, dir)
+            .map(|(s, local)| self.shard(s).vertex_degree(local, dir, ctx))
+            .sum()
     }
 
     pub fn vertex_edge_labels(
@@ -476,16 +430,8 @@ impl Parts<'_> {
         ctx: &QueryCtx,
     ) -> GdbResult<Vec<String>> {
         let mut labels = Vec::new();
-        match dir {
-            Direction::Out => {
-                let (local, owner) = decode_vid(v, self.n());
-                labels.extend(self.shard(owner).vertex_edge_labels(local, dir, ctx)?);
-            }
-            Direction::In | Direction::Both => {
-                for (s, local) in self.meta().presence(v) {
-                    labels.extend(self.shard(s).vertex_edge_labels(local, dir, ctx)?);
-                }
-            }
+        for (s, local) in self.holders(v, dir) {
+            labels.extend(self.shard(s).vertex_edge_labels(local, dir, ctx)?);
         }
         // Each shard dedupes locally; the cross-shard union must too.
         labels.sort_unstable();
@@ -519,7 +465,10 @@ impl Parts<'_> {
         }
         let mut out = Vec::new();
         for v in sources {
-            out.extend(self.neighbors(v, dir, None, ctx)?);
+            self.for_each_incident(v, dir, None, ctx, &mut |r| {
+                out.push(r.other);
+                Ok(())
+            })?;
         }
         out.sort_unstable();
         out.dedup();

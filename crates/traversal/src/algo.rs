@@ -43,13 +43,14 @@ pub fn bfs(
         }
         let mut next = Vec::new();
         for v in frontier {
-            for n in db.neighbors(v, Direction::Both, label, ctx)? {
+            db.for_each_incident(v, Direction::Both, label, ctx, &mut |r| {
                 ctx.tick()?;
-                if visited.insert(n.0, ()).is_none() {
-                    reached.push(n);
-                    next.push(n);
+                if visited.insert(r.other.0, ()).is_none() {
+                    reached.push(r.other);
+                    next.push(r.other);
                 }
-            }
+                Ok(())
+            })?;
         }
         frontier = next;
     }
@@ -73,21 +74,30 @@ pub fn shortest_path(
     let mut parent: FxHashMap<u64, u64> = FxHashMap::default();
     parent.insert(from.0, from.0);
     let mut frontier = vec![from];
+    let mut found = false;
     'outer: loop {
         if frontier.is_empty() {
             return Ok(None);
         }
         let mut next = Vec::new();
         for v in std::mem::take(&mut frontier) {
-            for n in db.neighbors(v, Direction::Both, label, ctx)? {
+            // The walk cannot stop early: once the target is reached, the
+            // rest of this vertex's edges pass unticked and unrecorded.
+            db.for_each_incident(v, Direction::Both, label, ctx, &mut |r| {
+                if found {
+                    return Ok(());
+                }
                 ctx.tick()?;
+                let n = r.other;
                 if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(n.0) {
                     e.insert(v.0);
-                    if n == to {
-                        break 'outer;
-                    }
+                    found = n == to;
                     next.push(n);
                 }
+                Ok(())
+            })?;
+            if found {
+                break 'outer;
             }
         }
         frontier = next;
@@ -113,12 +123,13 @@ pub fn bfs_depth(db: &dyn GraphSnapshot, start: Vid, ctx: &QueryCtx) -> GdbResul
     loop {
         let mut next = Vec::new();
         for v in frontier {
-            for n in db.neighbors(v, Direction::Both, None, ctx)? {
+            db.for_each_incident(v, Direction::Both, None, ctx, &mut |r| {
                 ctx.tick()?;
-                if visited.insert(n.0, ()).is_none() {
-                    next.push(n);
+                if visited.insert(r.other.0, ()).is_none() {
+                    next.push(r.other);
                 }
-            }
+                Ok(())
+            })?;
         }
         if next.is_empty() {
             return Ok(depth);

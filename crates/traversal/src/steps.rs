@@ -330,9 +330,10 @@ impl Traversal {
                     let mut next = Vec::new();
                     for elem in &stream {
                         if let Elem::V(v) = elem {
-                            for n in db.neighbors(*v, dir, l.as_deref(), ctx)? {
-                                next.push(Elem::V(n));
-                            }
+                            db.for_each_incident(*v, dir, l.as_deref(), ctx, &mut |r| {
+                                next.push(Elem::V(r.other));
+                                Ok(())
+                            })?;
                         }
                     }
                     stream = next;
@@ -346,9 +347,10 @@ impl Traversal {
                     let mut next = Vec::new();
                     for elem in &stream {
                         if let Elem::V(v) = elem {
-                            for r in db.vertex_edges(*v, dir, l.as_deref(), ctx)? {
+                            db.for_each_incident(*v, dir, l.as_deref(), ctx, &mut |r| {
                                 next.push(Elem::E(r.eid));
-                            }
+                                Ok(())
+                            })?;
                         }
                     }
                     stream = next;

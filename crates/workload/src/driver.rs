@@ -1379,119 +1379,7 @@ mod tests {
     }
 
     impl GraphSnapshot for PanicOnWrite {
-        fn name(&self) -> String {
-            self.inner.name()
-        }
-        fn features(&self) -> gm_model::EngineFeatures {
-            self.inner.features()
-        }
-        fn resolve_vertex(&self, canonical: u64) -> Option<gm_model::Vid> {
-            self.inner.resolve_vertex(canonical)
-        }
-        fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-            self.inner.resolve_edge(canonical)
-        }
-        fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-            self.inner.vertex_count(ctx)
-        }
-        fn edge_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
-            self.inner.edge_count(ctx)
-        }
-        fn edge_label_set(&self, ctx: &QueryCtx) -> GdbResult<Vec<String>> {
-            self.inner.edge_label_set(ctx)
-        }
-        fn vertices_with_property(
-            &self,
-            name: &str,
-            value: &Value,
-            ctx: &QueryCtx,
-        ) -> GdbResult<Vec<gm_model::Vid>> {
-            self.inner.vertices_with_property(name, value, ctx)
-        }
-        fn edges_with_property(
-            &self,
-            name: &str,
-            value: &Value,
-            ctx: &QueryCtx,
-        ) -> GdbResult<Vec<Eid>> {
-            self.inner.edges_with_property(name, value, ctx)
-        }
-        fn edges_with_label(&self, label: &str, ctx: &QueryCtx) -> GdbResult<Vec<Eid>> {
-            self.inner.edges_with_label(label, ctx)
-        }
-        fn vertex(&self, v: gm_model::Vid) -> GdbResult<Option<gm_model::VertexData>> {
-            self.inner.vertex(v)
-        }
-        fn edge(&self, e: Eid) -> GdbResult<Option<gm_model::EdgeData>> {
-            self.inner.edge(e)
-        }
-        fn neighbors(
-            &self,
-            v: gm_model::Vid,
-            dir: gm_model::Direction,
-            label: Option<&str>,
-            ctx: &QueryCtx,
-        ) -> GdbResult<Vec<gm_model::Vid>> {
-            self.inner.neighbors(v, dir, label, ctx)
-        }
-        fn vertex_edges(
-            &self,
-            v: gm_model::Vid,
-            dir: gm_model::Direction,
-            label: Option<&str>,
-            ctx: &QueryCtx,
-        ) -> GdbResult<Vec<gm_model::EdgeRef>> {
-            self.inner.vertex_edges(v, dir, label, ctx)
-        }
-        fn vertex_degree(
-            &self,
-            v: gm_model::Vid,
-            dir: gm_model::Direction,
-            ctx: &QueryCtx,
-        ) -> GdbResult<u64> {
-            self.inner.vertex_degree(v, dir, ctx)
-        }
-        fn vertex_edge_labels(
-            &self,
-            v: gm_model::Vid,
-            dir: gm_model::Direction,
-            ctx: &QueryCtx,
-        ) -> GdbResult<Vec<String>> {
-            self.inner.vertex_edge_labels(v, dir, ctx)
-        }
-        fn scan_vertices<'a>(
-            &'a self,
-            ctx: &'a QueryCtx,
-        ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<gm_model::Vid>> + 'a>> {
-            self.inner.scan_vertices(ctx)
-        }
-        fn scan_edges<'a>(
-            &'a self,
-            ctx: &'a QueryCtx,
-        ) -> GdbResult<Box<dyn Iterator<Item = GdbResult<Eid>> + 'a>> {
-            self.inner.scan_edges(ctx)
-        }
-        fn vertex_property(&self, v: gm_model::Vid, name: &str) -> GdbResult<Option<Value>> {
-            self.inner.vertex_property(v, name)
-        }
-        fn edge_property(&self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-            self.inner.edge_property(e, name)
-        }
-        fn edge_endpoints(&self, e: Eid) -> GdbResult<Option<(gm_model::Vid, gm_model::Vid)>> {
-            self.inner.edge_endpoints(e)
-        }
-        fn edge_label(&self, e: Eid) -> GdbResult<Option<String>> {
-            self.inner.edge_label(e)
-        }
-        fn vertex_label(&self, v: gm_model::Vid) -> GdbResult<Option<String>> {
-            self.inner.vertex_label(v)
-        }
-        fn has_vertex_index(&self, prop: &str) -> bool {
-            self.inner.has_vertex_index(prop)
-        }
-        fn space(&self) -> gm_model::SpaceReport {
-            self.inner.space()
-        }
+        gm_model::forward_graph_snapshot!(target = |s| s.inner);
     }
 
     impl GraphDb for PanicOnWrite {

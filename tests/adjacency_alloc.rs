@@ -1,14 +1,17 @@
 //! A hop on the cluster engine reads an edge record's `src`/`dst` head and
 //! never decodes its property list, so `v.out()` (Q23) over a hub allocates
 //! a constant number of times however many string-property edges it
-//! crosses. Counted with `gm_model::testkit`'s wrapping global allocator,
-//! per thread so the harness's other threads do not leak into the count.
+//! crosses — and on every engine the adjacency walk itself allocates per
+//! call, never per edge. Counted with `gm_model::testkit`'s wrapping global
+//! allocator, per thread so the harness's other threads do not leak into
+//! the count.
 
 use graphmark::engines::cluster::ClusterGraph;
 use graphmark::model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions};
 use graphmark::model::testkit::{self, CountingAlloc};
 use graphmark::model::value::Value;
 use graphmark::model::{Dataset, QueryCtx, Vid};
+use graphmark::registry::EngineKind;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -83,4 +86,32 @@ fn edge_endpoints_allocate_nothing() {
     assert_eq!(allocs.calls, 0, "{} edges", eids.len());
     let hub = db.resolve_vertex(0).unwrap();
     assert!(ends.iter().all(|&(src, dst)| src == hub || dst == hub));
+}
+
+#[test]
+fn walks_allocate_per_call_not_per_edge_on_every_engine() {
+    let data = hub();
+    let ctx = QueryCtx::unbounded();
+    for kind in EngineKind::ALL {
+        let mut db = kind.make();
+        db.bulk_load(&data, &LoadOptions::default()).unwrap();
+        let v = db.resolve_vertex(0).unwrap();
+        for (label, want) in [(None, 2 * EDGES), (Some("in"), EDGES)] {
+            let mut visited = 0;
+            let allocs = testkit::allocations(|| {
+                db.for_each_incident(v, Direction::Both, label, &ctx, &mut |_| {
+                    visited += 1;
+                    Ok(())
+                })
+                .unwrap();
+            });
+            assert_eq!(visited, want, "{} {label:?}", kind.name());
+            assert!(
+                allocs.calls < FEW,
+                "{} {label:?}: {} allocations over {visited} edges",
+                kind.name(),
+                allocs.calls
+            );
+        }
+    }
 }
