@@ -24,7 +24,7 @@ use gm_model::api::LoadOptions;
 use gm_model::{graphson, Dataset, GdbError, QueryCtx};
 use graphmark::registry::EngineKind;
 
-use crate::{instances_for, run_queries, DataBank, Env};
+use crate::{banner, instances_for, run_queries, DataBank, Env};
 
 /// One table or figure of the paper.
 pub struct Artifact {
@@ -332,6 +332,11 @@ impl Harness {
         self.bank.get(id)
     }
 
+    /// The datasets this harness generated.
+    pub fn bank(&self) -> &DataBank {
+        &self.bank
+    }
+
     /// The full suite on the Freebase samples, run on first use.
     fn suite(&self) -> &Report {
         self.suite.get_or_init(|| {
@@ -354,8 +359,7 @@ impl Harness {
     /// Run one of the artifacts this harness was built for; returns what it
     /// prints.
     pub fn render(&self, a: &Artifact) -> String {
-        let bar = "#".repeat(56);
-        let mut out = format!("\n{bar}\n###  {}\n{bar}\n\n=== {} ===\n", a.name, a.title);
+        let mut out = banner(a.name, a.title);
         match a.render {
             Render::Panels(panels) => self.panels(a, panels, &mut out),
             Render::Suite(_, render) => render(self, self.suite(), &mut out),

@@ -31,20 +31,20 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "GM_SCALE",
         default: "small",
-        doc: "reproduce, fig8-fig11 (README: Reproducing the paper's artifacts): dataset \
-              scale preset (tiny/small/medium/a/b)",
+        doc: "reproduce (README: Reproducing the paper's artifacts): dataset scale preset \
+              (tiny/small/medium/a/b)",
     },
     Knob {
         name: "GM_SEED",
         default: "42",
-        doc: "reproduce, fig8-fig11 (README: Reproducing the paper's artifacts): generator \
-              + workload seed",
+        doc: "reproduce (README: Reproducing the paper's artifacts): generator + workload \
+              seed",
     },
     Knob {
         name: "GM_TIMEOUT_SECS",
         default: "5",
-        doc: "reproduce, fig8-fig11 (README: Reproducing the paper's artifacts): per-query \
-              deadline (the paper's 2h analog; fig1_timeouts and table4 count against it)",
+        doc: "reproduce (README: Reproducing the paper's artifacts): per-query deadline \
+              (the paper's 2h analog; fig1_timeouts and table4 count against it)",
     },
     Knob {
         name: "GM_BATCH",
@@ -55,35 +55,38 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "GM_ENGINES",
         default: "(all)",
-        doc: "reproduce, fig8-fig11 (README: Reproducing the paper's artifacts): \
-              comma-separated engine-name filter",
+        doc: "reproduce (README: Reproducing the paper's artifacts): comma-separated \
+              engine-name filter",
     },
     Knob {
         name: "GM_THREADS",
-        default: "1,2,4,8",
-        doc: "fig8, fig10, fig11 (README: The concurrency sweep): thread counts to sweep",
+        default: "(per sweep)",
+        doc: "reproduce fig8-fig11 (README: The concurrency sweep): worker-thread (fig9: \
+              client-connection) counts to sweep; fig8 1,2,4,8, fig9 1,2,4, fig10/fig11 2,4",
     },
     Knob {
         name: "GM_MIXES",
-        default: "read-heavy,mixed",
-        doc: "fig8-fig11 (README: The concurrency sweep): workload mix names to sweep",
+        default: "(per sweep)",
+        doc: "reproduce fig8-fig11 (README: The concurrency sweep): workload mix names to \
+              sweep; fig8/fig9 read-heavy,mixed, fig10/fig11 write-heavy,mixed",
     },
     Knob {
         name: "GM_WL_OPS",
         default: "400",
-        doc: "fig8-fig11 (README: The concurrency sweep): ops per worker",
+        doc: "reproduce fig8-fig11 (README: The concurrency sweep): ops per worker",
     },
     Knob {
         name: "GM_OVERLOAD_FACTORS",
-        default: "0.5,1,2,4",
-        doc: "fig8 (README: Open-loop backpressure and shed accounting): open-loop rates \
-              as multiples of measured capacity",
+        default: "(per sweep)",
+        doc: "reproduce fig8, fig9 (README: Open-loop backpressure and shed accounting): \
+              open-loop rates as multiples of measured capacity; fig8 0.5,1,2,4, fig9 1 \
+              (empty = no open-loop rows)",
     },
     Knob {
         name: "GM_MAX_LATENESS_MS",
         default: "50",
-        doc: "fig8, fig9 (README: Open-loop backpressure and shed accounting): backlog \
-              bound; later arrivals are shed",
+        doc: "reproduce fig8, fig9 (README: Open-loop backpressure and shed accounting): \
+              backlog bound; later arrivals are shed",
     },
     Knob {
         name: "GM_SNAPSHOT_MODE",
@@ -93,40 +96,32 @@ pub const KNOBS: &[Knob] = &[
     },
     Knob {
         name: "GM_SHARDS",
-        default: "1,2,4",
-        doc: "fig10, fig11 (README: Sharding): shard counts to sweep; gm-server: shard \
-              count to host (single value)",
+        default: "(per sweep)",
+        doc: "reproduce fig10, fig11 (README: Sharding): shard counts to sweep; fig10 \
+              1,2,4, fig11 1,4; gm-server: shard count to host (single value)",
     },
     Knob {
         name: "GM_SERVER_ADDR",
         default: "(spawn loopback)",
-        doc: "fig9, gm-server (README: Server mode): engine server address; fig9 spawns a \
-              loopback server per engine when unset",
-    },
-    Knob {
-        name: "GM_FLEET",
-        default: "0",
-        doc: "fig10 (README: Fleet mode): spawn an N-process-equivalent loopback fleet (N \
-              shard servers, one per identity) and run the @fleet rows against it (0 = off)",
+        doc: "reproduce fig9, gm-server (README: Server mode): engine server address; \
+              fig9's @net rows attach to it instead of spawning a loopback server per run, \
+              and sweep only the engine it hosts",
     },
     Knob {
         name: "GM_FLEET_ADDRS",
-        default: "(none)",
-        doc: "fig10 (README: Fleet mode): comma-separated shard-server addresses, in shard \
-              order, of an already-running fleet; overrides GM_FLEET (each server must \
-              announce the matching --shard-id/--fleet-size identity)",
-    },
-    Knob {
-        name: "GM_NET_CLIENTS",
-        default: "1,2,4",
-        doc: "fig9 (README: Server mode): client-connection counts to sweep",
+        default: "(spawn loopback)",
+        doc: "reproduce fig10 (README: Fleet mode): comma-separated shard-server \
+              addresses, in shard order, of an already-running fleet; fig10's @fleet rows \
+              attach to it instead of spawning loopback fleets, and sweep only the engine \
+              it hosts (each server must announce the matching --shard-id/--fleet-size \
+              identity)",
     },
     Knob {
         name: "GM_OBS",
         default: "phases",
-        doc: "fig8-fig11, gm-server (README: Observability): off = legacy \
-              lock-wait only; counters = gm-obs registry; phases = counters + per-op phase \
-              spans in the fig8/fig9/fig10 tables and CSV",
+        doc: "reproduce, gm-server (README: Observability): off = legacy lock-wait only; \
+              counters = gm-obs registry; phases = counters + per-op phase spans in the \
+              sweeps' tables and CSV",
     },
     Knob {
         name: "GM_STATS_INTERVAL_MS",
@@ -137,28 +132,27 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: "GM_TRACE",
         default: "tail",
-        doc: "fig8-fig11, gm-server (README: Tracing): per-op trace flight \
-              recorder (off = record nothing, zero overhead; tail = tail-biased retention \
-              via a moving latency threshold; all = record every op)",
+        doc: "reproduce, gm-server (README: Tracing): per-op trace flight recorder (off = \
+              record nothing, zero overhead; tail = tail-biased retention via a moving \
+              latency threshold; all = record every op)",
     },
     Knob {
         name: "GM_TRACE_CAP",
         default: "4096",
-        doc: "fig8-fig11, gm-server (README: Tracing): flight-recorder ring \
-              capacity in records (clamped to [16, 1M]; takes effect before the first \
-              record)",
+        doc: "reproduce, gm-server (README: Tracing): flight-recorder ring capacity in \
+              records (clamped to [16, 1M]; takes effect before the first record)",
     },
     Knob {
         name: "GM_TRACE_DUMP",
         default: "(none)",
-        doc: "fig8-fig11, gm-server (README: Tracing): base path to dump retained traces on \
+        doc: "reproduce, gm-server (README: Tracing): base path to dump retained traces on \
               exit (<base>.txt aligned table + <base>.json Chrome trace_event)",
     },
     Knob {
         name: "GM_TXN_OPS",
         default: "8",
-        doc: "fig11 (README: Transactions): writes buffered per transaction before commit \
-              (0 = autocommit, no transactional rows)",
+        doc: "reproduce fig11 (README: Transactions): writes buffered per transaction \
+              before commit (0 = autocommit, no transactional rows)",
     },
 ];
 
@@ -273,9 +267,8 @@ pub fn var_scale() -> Scale {
 }
 
 /// Apply the observability mode knob (`GM_OBS`) to the process-global
-/// gm-obs state. Each sweep binary (fig8-fig11) calls this first in `main`,
-/// before any metrics handle is resolved — handles cache the mode at
-/// construction.
+/// gm-obs state. `reproduce` calls this first in `main`, before any metrics
+/// handle is resolved — handles cache the mode at construction.
 pub fn apply_obs_mode() {
     gm_obs::set_mode(obs_mode_from(std::env::var("GM_OBS").ok().as_deref()));
 }
@@ -293,7 +286,7 @@ fn obs_mode_from(value: Option<&str>) -> gm_obs::ObsMode {
 }
 
 /// Apply the trace knobs (`GM_TRACE`, `GM_TRACE_CAP`) to the process-global
-/// gm-obs trace state. Harness binaries call this right after
+/// gm-obs trace state. `reproduce` calls this right after
 /// [`apply_obs_mode`]: the capacity must land before the first record
 /// allocates the ring, and the mode gates every `derive_id` call after it.
 pub fn apply_trace_mode() {
@@ -321,6 +314,77 @@ pub fn trace_dump_path() -> Option<String> {
         .ok()
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
+}
+
+/// The sweep knobs, parsed once per process. An axis left `None` keeps the
+/// running sweep's own default (a row of [`crate::sweeps::SWEEPS`]); a set
+/// but empty list runs none of that axis.
+#[derive(Debug, Clone)]
+pub struct SweepKnobs {
+    /// `GM_THREADS`: worker-thread (client-connection) counts.
+    pub threads: Option<Vec<u32>>,
+    /// `GM_MIXES`: workload mixes.
+    pub mixes: Option<Vec<MixKind>>,
+    /// `GM_SHARDS`: shard counts of the sharded stacks.
+    pub shards: Option<Vec<u32>>,
+    /// `GM_OVERLOAD_FACTORS`: open-loop rates as multiples of capacity.
+    pub overload_factors: Option<Vec<f64>>,
+    /// `GM_WL_OPS`: ops per worker.
+    pub ops_per_worker: u64,
+    /// `GM_MAX_LATENESS_MS`: open-loop backlog bound; later arrivals are shed.
+    pub max_lateness: Duration,
+    /// `GM_TXN_OPS`: writes per transaction on the transactional stack
+    /// (0 = no transactional rows).
+    pub txn_ops: u64,
+    /// `GM_SERVER_ADDR`: a running server the `@net` rows attach to
+    /// (`None` = spawn a loopback server per run).
+    pub server_addr: Option<String>,
+    /// `GM_FLEET_ADDRS`: a running fleet's shard servers, in shard order,
+    /// the `@fleet` rows attach to (empty = spawn a loopback fleet per run).
+    pub fleet_addrs: Vec<String>,
+}
+
+impl Default for SweepKnobs {
+    fn default() -> Self {
+        SweepKnobs {
+            threads: None,
+            mixes: None,
+            shards: None,
+            overload_factors: None,
+            ops_per_worker: 400,
+            max_lateness: Duration::from_millis(50),
+            txn_ops: 8,
+            server_addr: None,
+            fleet_addrs: Vec::new(),
+        }
+    }
+}
+
+impl SweepKnobs {
+    /// Read the sweep knobs from the environment.
+    pub fn from_env() -> SweepKnobs {
+        let d = SweepKnobs::default();
+        let set = |name: &str| std::env::var_os(name).is_some();
+        SweepKnobs {
+            threads: set("GM_THREADS").then(|| var_list_u32("GM_THREADS", "")),
+            mixes: set("GM_MIXES").then(|| var_mixes("GM_MIXES", "")),
+            shards: set("GM_SHARDS").then(|| var_list_u32("GM_SHARDS", "")),
+            overload_factors: set("GM_OVERLOAD_FACTORS")
+                .then(|| var_list_f64("GM_OVERLOAD_FACTORS", "")),
+            ops_per_worker: var_u64("GM_WL_OPS", d.ops_per_worker),
+            max_lateness: var_millis("GM_MAX_LATENESS_MS", d.max_lateness.as_millis() as u64),
+            txn_ops: var_u64("GM_TXN_OPS", d.txn_ops),
+            server_addr: std::env::var("GM_SERVER_ADDR")
+                .ok()
+                .filter(|s| !s.trim().is_empty()),
+            fleet_addrs: std::env::var("GM_FLEET_ADDRS")
+                .unwrap_or_default()
+                .split(',')
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .collect(),
+        }
+    }
 }
 
 /// The engine filter (`GM_ENGINES`; unset = all variants).
@@ -411,8 +475,6 @@ mod tests {
             "GM_SEED",
             "GM_ENGINES",
             "GM_SERVER_ADDR",
-            "GM_NET_CLIENTS",
-            "GM_FLEET",
             "GM_FLEET_ADDRS",
             "GM_SNAPSHOT_MODE",
             "GM_OBS",
@@ -429,6 +491,77 @@ mod tests {
         }
         let table = render_knobs();
         assert!(table.contains("GM_SERVER_ADDR"));
-        assert!(table.contains("GM_NET_CLIENTS"));
+    }
+
+    /// Every `.rs` file under `dir` (none when it does not exist).
+    fn rs_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                rs_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    /// The `"GM_…"` literals of `src` outside its `#[cfg(test)]` items and
+    /// comments, skipping the registry's own `name:` fields.
+    fn knob_literals(src: &str, out: &mut std::collections::BTreeSet<String>) {
+        let mut test_depth: Option<i64> = None;
+        for line in src.lines() {
+            if let Some(depth) = &mut test_depth {
+                *depth += line.matches('{').count() as i64 - line.matches('}').count() as i64;
+                if *depth <= 0 && line.contains('}') {
+                    test_depth = None;
+                }
+                continue;
+            }
+            if line.trim() == "#[cfg(test)]" {
+                test_depth = Some(0);
+                continue;
+            }
+            let code = line.split("//").next().unwrap_or_default();
+            if code.trim_start().starts_with("name: ") {
+                continue;
+            }
+            for (at, _) in code.match_indices("\"GM_") {
+                let name: String = code[at + 1..]
+                    .chars()
+                    .take_while(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || *c == '_')
+                    .collect();
+                if code[at + 1 + name.len()..].starts_with('"') {
+                    out.insert(name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn knob_registry_is_exact() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = Vec::new();
+        rs_files(&root.join("crates/bench/src"), &mut files);
+        rs_files(&root.join("examples"), &mut files);
+        for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+            let dir = krate.unwrap().path();
+            rs_files(&dir.join("src/bin"), &mut files);
+            rs_files(&dir.join("examples"), &mut files);
+        }
+        files.sort();
+        files.dedup();
+        let mut read = std::collections::BTreeSet::new();
+        for f in &files {
+            knob_literals(&std::fs::read_to_string(f).unwrap(), &mut read);
+        }
+        let registered: std::collections::BTreeSet<String> =
+            KNOBS.iter().map(|k| k.name.to_string()).collect();
+        assert_eq!(
+            read, registered,
+            "the GM_* knobs read (left) and KNOBS (right) differ"
+        );
     }
 }

@@ -2,30 +2,33 @@
 //!
 //! The paper's tables and figures are one table, [`artifacts::ARTIFACTS`]:
 //! one row per artifact (name, title, datasets, what it runs, how it
-//! renders, the paper's expected shape). The `reproduce` binary runs any of
-//! them by name, or `all` of them in the paper's order, generating each
+//! renders, the paper's expected shape). The beyond-the-paper sweeps are a
+//! second, [`sweeps::SWEEPS`]: `fig8` (multi-client scaling, overload,
+//! locked vs snapshot reads), `fig9` (in-process vs network-attached),
+//! `fig10` (per-partition locks vs one big lock vs a fleet) and `fig11`
+//! (transactional vs autocommit writes), each a row of default axes over
+//! one [`sweeps::Stack`] enum. Artifacts run the paper's isolation/batch
+//! `Runner`, sweeps the concurrent workload driver — hence two tables. The
+//! `reproduce` binary runs any row of either by name, or `all` of them
+//! (artifacts in the paper's order, then the sweeps), generating each
 //! dataset once per process and running the full Freebase suite once for
 //! every artifact that reads it (Figure 1(c), Figure 7(c, d), Table 4).
+//! The sweeps' correctness claims are asserted by tier-1 tests and their
+//! costs by `benchmark/`'s ledger, not by the sweeps. Beside `reproduce`:
+//! `export_datasets` (GraphSON export). The one criterion bench,
+//! `benches/substrates.rs`, measures the storage substrates.
 //!
-//! Beside it: `export_datasets` (GraphSON export) and the beyond-the-paper
-//! sweeps `fig8_concurrency` (multi-client scaling, overload, locked vs
-//! snapshot reads), `fig9_network` (in-process vs network-attached),
-//! `fig10_sharding` (per-partition locks vs one big lock, optional
-//! `@fleet` rows) and `fig11_transactions` (transactional vs autocommit
-//! writes). Their correctness claims are asserted by tier-1 tests and their
-//! costs by `benchmark/`'s ledger, not by the sweeps. The one criterion
-//! bench, `benches/substrates.rs`, measures the storage substrates.
-//!
-//! All binaries honour the `GM_*` environment knobs; the typed parsers and
+//! Both binaries honour the `GM_*` environment knobs; the typed parsers and
 //! the authoritative registry (names, defaults, docs) live in [`config`] —
 //! `reproduce` prints the full table. Core set: `GM_SCALE`
 //! (`tiny`/`small`/`medium`/`a/b`), `GM_SEED`, `GM_TIMEOUT_SECS`,
-//! `GM_BATCH`, `GM_ENGINES`; the sweeps add `GM_THREADS`, `GM_MIXES`,
-//! `GM_WL_OPS`, `GM_OVERLOAD_FACTORS`, `GM_MAX_LATENESS_MS`,
-//! `GM_SERVER_ADDR`, `GM_NET_CLIENTS`, `GM_SHARDS`, `GM_FLEET`,
-//! `GM_FLEET_ADDRS` and `GM_TXN_OPS`; `gm-server` adds `GM_SNAPSHOT_MODE`
-//! and `GM_STATS_INTERVAL_MS`. Library crates read no knob (gm-check's
-//! `knobs` lint).
+//! `GM_BATCH`, `GM_ENGINES`; the sweep axes `GM_THREADS`, `GM_MIXES`,
+//! `GM_SHARDS`, `GM_WL_OPS`, `GM_OVERLOAD_FACTORS`, `GM_MAX_LATENESS_MS`
+//! and `GM_TXN_OPS` override that axis on whichever sweep runs
+//! ([`config::SweepKnobs`]); `GM_SERVER_ADDR` and `GM_FLEET_ADDRS` attach
+//! the remote stacks to running servers; `gm-server` adds
+//! `GM_SNAPSHOT_MODE` and `GM_STATS_INTERVAL_MS`. Library crates read no
+//! knob (gm-check's `knobs` lint).
 //! Observability is controlled by `GM_OBS` (metrics/phases) and
 //! `GM_TRACE`/`GM_TRACE_CAP`/`GM_TRACE_DUMP` (the per-op trace flight
 //! recorder behind the sweeps' `p99_exemplar` column).
@@ -35,17 +38,15 @@ use std::time::Duration;
 use gm_core::params::Workload;
 use gm_core::report::{Report, RunMode};
 use gm_core::runner::{BenchConfig, Runner};
-use gm_core::summary::ScalingRow;
 use gm_core::QueryInstance;
 use gm_datasets::{self as datasets, DatasetId, Scale};
 use gm_model::api::LoadOptions;
-use gm_model::{Dataset, GdbResult};
-use gm_obs::trace;
-use gm_workload::{prepare, run_backend, Host, HostBackend, RunReport, WorkloadConfig};
+use gm_model::Dataset;
 use graphmark::registry::EngineKind;
 
 pub mod artifacts;
 pub mod config;
+pub mod sweeps;
 
 /// Parsed harness environment.
 #[derive(Debug, Clone)]
@@ -107,10 +108,12 @@ impl DataBank {
 
     /// Generate the datasets `ids` names for the environment.
     pub fn generate(env: &Env, ids: &[DatasetId]) -> DataBank {
-        eprintln!(
-            "[gm-bench] generating datasets at scale '{}' (seed {}) …",
-            env.scale.name, env.seed
-        );
+        if !ids.is_empty() {
+            eprintln!(
+                "[gm-bench] generating datasets at scale '{}' (seed {}) …",
+                env.scale.name, env.seed
+            );
+        }
         let mut made = Vec::new();
         if ids.iter().any(|id| DatasetId::FREEBASE.contains(id)) {
             let fam = datasets::freebase::generate_all(env.scale, env.seed);
@@ -140,14 +143,15 @@ impl DataBank {
         DataBank { datasets: made }
     }
 
+    /// One dataset, if it was generated.
+    pub fn find(&self, id: DatasetId) -> Option<&Dataset> {
+        self.datasets.iter().find(|(i, _)| *i == id).map(|(_, d)| d)
+    }
+
     /// Get one dataset (it must have been generated).
     pub fn get(&self, id: DatasetId) -> &Dataset {
-        &self
-            .datasets
-            .iter()
-            .find(|(i, _)| *i == id)
+        self.find(id)
             .unwrap_or_else(|| panic!("dataset {} was not generated", id.name()))
-            .1
     }
 
     /// Every generated dataset, in [`DataBank::ORDER`].
@@ -186,17 +190,6 @@ pub fn run_queries(
     report
 }
 
-/// The sweeps' in-process run: load `data` into a fresh `host`, resolve
-/// `cfg.seed`'s parameters, and drive `cfg` against it.
-pub fn drive(host: &dyn Host, data: &Dataset, cfg: &WorkloadConfig) -> GdbResult<RunReport> {
-    let params = prepare(host, data, cfg.seed)?;
-    run_backend(
-        &HostBackend::new(host, &params, cfg.op_timeout),
-        &data.name,
-        cfg,
-    )
-}
-
 /// Instances for a contiguous query range (inclusive numbers, e.g. 22..=27).
 pub fn instances_for(numbers: std::ops::RangeInclusive<u8>) -> Vec<QueryInstance> {
     gm_core::catalog::QueryId::ALL
@@ -206,27 +199,10 @@ pub fn instances_for(numbers: std::ops::RangeInclusive<u8>) -> Vec<QueryInstance
         .collect()
 }
 
-/// Close a sweep's tracing: report how many of its rows' `p99_exemplar`
-/// ids resolve in the flight recorder, and dump the recorder to
-/// `GM_TRACE_DUMP` when that is set.
-pub fn finish_traces(tag: &str, rows: &[ScalingRow]) {
-    let ring = trace::global_ring();
-    if trace::enabled() {
-        let stamped = rows.iter().filter(|r| r.p99_exemplar != 0).count();
-        let resolved = rows
-            .iter()
-            .filter(|r| r.p99_exemplar != 0 && ring.find(r.p99_exemplar).is_some())
-            .count();
-        eprintln!(
-            "[{tag}] trace: {resolved}/{stamped} p99 exemplars resolve in the flight recorder"
-        );
-    }
-    if let Some(base) = config::trace_dump_path() {
-        match trace::dump_to(&base, &ring.snapshot()) {
-            Ok(()) => eprintln!("[{tag}] traces dumped to {base}.txt and {base}.json"),
-            Err(e) => eprintln!("[{tag}] GM_TRACE_DUMP to {base} failed: {e}"),
-        }
-    }
+/// The heading every artifact and sweep prints above its output.
+pub(crate) fn banner(name: &str, title: &str) -> String {
+    let bar = "#".repeat(56);
+    format!("\n{bar}\n###  {name}\n{bar}\n\n=== {title} ===\n")
 }
 
 #[cfg(test)]

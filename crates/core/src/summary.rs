@@ -185,7 +185,7 @@ pub struct ScalingRow {
     /// Read-path isolation the run used: `"locked"` (shared `RwLock`),
     /// `"snapshot-cow"` or `"snapshot-sharded-cow"` (gm-mvcc pinned epochs), or
     /// `"remote"` (whatever the server hosts). The locked-vs-snapshot
-    /// comparison in `fig8_concurrency` keys on this column.
+    /// comparison in the `fig8` sweep keys on this column.
     pub isolation: String,
     /// Worker thread count.
     pub threads: u32,
@@ -215,15 +215,15 @@ pub struct ScalingRow {
     pub epoch_skew: u64,
     /// Write transactions whose commit lost first-committer-wins validation
     /// (`GdbError::TxnConflict`): the whole buffered write set was discarded
-    /// and the session moved on. Only transactional sessions
-    /// (`GM_TXN_OPS > 0`) produce these; a conflicted commit is *not* an op
-    /// error — the ops executed, the commit lost a race — so it is counted
-    /// here instead of in [`ScalingRow::errors`].
+    /// and the session moved on. Only transactional sessions (the `fig11`
+    /// sweep's `GM_TXN_OPS > 0`) produce these; a conflicted commit is
+    /// *not* an op error — the ops executed, the commit lost a race — so it
+    /// is counted here instead of in [`ScalingRow::errors`].
     pub txn_conflicts: u64,
     /// Total nanoseconds completed ops spent **waiting to acquire engine
     /// locks** (queueing, not hold time): the shared `RwLock`, MVCC cell
     /// mutexes, or `gm-shard`'s per-partition locks. The per-partition vs
-    /// single-lock comparison (`fig10_sharding`) keys on this column — it
+    /// single-lock comparison (the `fig10` sweep) keys on this column — it
     /// is how "writers to different shards don't serialize" becomes a
     /// measured number instead of a claim.
     pub lock_wait_nanos: u64,

@@ -14,8 +14,8 @@
 //! The server hosts **one** engine instance. Clients drive it with the
 //! gm-net protocol: `RemoteEngine::connect` for trait-level access, or a
 //! `RemoteBackend` (`RemoteBackend::setup` resets, loads and prepares the
-//! engine) / the `fig9_network` bench binary for whole workloads. The
-//! process runs until killed.
+//! engine) / `reproduce fig9` (gm-bench) for whole workloads. The process
+//! runs until killed.
 //!
 //! With `GM_SNAPSHOT_MODE=cow` the engine sits in a copy-on-write MVCC
 //! cell: every read request executes against a pinned epoch — remote scans

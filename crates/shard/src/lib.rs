@@ -50,7 +50,7 @@
 //! pipelined connection per shard server. Every lock acquisition reports
 //! through [`gm_model::lockwait`], so the driver's lock-wait column turns
 //! "per-partition locks beat one big lock" into a measured number
-//! (`fig10_sharding`).
+//! (the `fig10` sweep of gm-bench's `reproduce`).
 //!
 //! The equivalence contract — a `ShardedGraph<E>` answers every query
 //! exactly like an unsharded `E` — is enforced by the workspace's

@@ -3,8 +3,10 @@
 //!
 //! ```sh
 //! cargo run --release --example compare_engines
-//! GM_SCALE=small GM_DATASET=frb-m cargo run --release --example compare_engines
+//! GM_SCALE=small cargo run --release --example compare_engines -- frb-m
 //! ```
+//!
+//! The optional argument names the dataset (default `yeast`).
 
 use graphmark::core::params::Workload;
 use graphmark::core::report::{Report, RunMode};
@@ -18,8 +20,8 @@ fn main() {
         .ok()
         .and_then(|s| Scale::parse(&s))
         .unwrap_or(Scale::tiny());
-    let dataset_id = std::env::var("GM_DATASET")
-        .ok()
+    let dataset_id = std::env::args()
+        .nth(1)
         .and_then(|name| DatasetId::ALL.into_iter().find(|d| d.name() == name))
         .unwrap_or(DatasetId::Yeast);
 
