@@ -24,10 +24,11 @@
 //! A defaulted method whose declaration is preceded by a plain
 //! `// gm-check: derived` line is instead **final**: it is derived from the
 //! trait's required methods (`neighbors` and `vertex_edges` collect
-//! `for_each_incident`'s visit), so layers need not forward it, and *no*
-//! impl anywhere in the workspace — engines included — may override it: an
-//! override would be a second copy of the walk that could drift from the
-//! first.
+//! `for_each_incident`'s visit; `add_vertex` … `sync` wrap a `Mutation`
+//! for `GraphDb::apply`), so layers need not forward it, and *no* impl
+//! anywhere in the workspace — engines included — may override it: an
+//! override would be a second copy of the walk or the write that could
+//! drift from the first.
 //!
 //! The trait definitions are parsed from the file that declares
 //! `pub trait GraphSnapshot` (in the real workspace, `gm-model`'s
@@ -336,7 +337,24 @@ mod tests {
         );
         assert_eq!(
             provided_methods(&lines, "GraphDb"),
-            (vec!["sync".to_string()], vec![]),
+            (
+                vec![],
+                [
+                    "bulk_load",
+                    "add_vertex",
+                    "add_edge",
+                    "set_vertex_property",
+                    "set_edge_property",
+                    "remove_vertex",
+                    "remove_edge",
+                    "remove_vertex_property",
+                    "remove_edge_property",
+                    "create_vertex_index",
+                    "sync",
+                ]
+                .map(String::from)
+                .to_vec()
+            ),
             "GraphDb's (defaulted, derived) methods"
         );
     }

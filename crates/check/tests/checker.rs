@@ -46,16 +46,24 @@ fn missing_override_is_flagged() {
 #[test]
 fn derived_override_is_flagged_in_an_engine() {
     let diags = diags_for("derived_override");
-    assert_eq!(diags.len(), 1, "exactly the seeded override: {diags:#?}");
-    let d = &diags[0];
+    let at: Vec<(&str, &str, usize)> = diags
+        .iter()
+        .map(|d| (d.lint, d.file.as_str(), d.line))
+        .collect();
     assert_eq!(
-        (d.lint, d.file.as_str(), d.line),
-        ("delegation", "crates/engine-toy/src/lib.rs", 8)
+        at,
+        [
+            ("delegation", "crates/engine-toy/src/lib.rs", 10),
+            ("delegation", "crates/engine-toy/src/lib.rs", 24)
+        ],
+        "exactly the seeded overrides: {diags:#?}"
     );
-    assert!(
-        d.msg.contains("`neighbors`") && d.msg.contains("derived"),
-        "{d:#?}"
-    );
+    for (d, method) in diags.iter().zip(["`neighbors`", "`add_vertex`"]) {
+        assert!(
+            d.msg.contains(method) && d.msg.contains("derived"),
+            "{d:#?}"
+        );
+    }
     assert_eq!(binary_exit(&fixture("derived_override")), 1);
 }
 

@@ -612,15 +612,16 @@ impl GraphSnapshot for BitmapGraph {
     }
 }
 
-impl GraphDb for BitmapGraph {
-    fn bulk_load(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
+/// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
+impl BitmapGraph {
+    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
         if !self.vmap.is_empty() {
             return Err(GdbError::Invalid(
                 "bulk_load requires an empty engine".into(),
             ));
         }
         for v in &data.vertices {
-            let vid = self.add_vertex(&v.label, &v.props)?;
+            let vid = self.insert_vertex(&v.label, &v.props)?;
             self.vmap.push(vid.0);
         }
         for e in &data.edges {
@@ -639,7 +640,7 @@ impl GraphDb for BitmapGraph {
         })
     }
 
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
+    fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
         let label_id = self.vlabels.intern(label);
         let v = self.alloc_oid();
         self.vertices.insert(v);
@@ -652,33 +653,33 @@ impl GraphDb for BitmapGraph {
         Ok(Vid(v))
     }
 
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
+    fn insert_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
         let label_id = self.elabels.intern(label);
         Ok(Eid(self.add_edge_raw(src.0, dst.0, label_id, props)?))
     }
 
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
         self.require_vertex(v.0)?;
         let key = self.keys.intern(name);
         self.vattrs.entry(key).or_default().set(v.0, value);
         Ok(())
     }
 
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
         self.require_edge(e.0)?;
         let key = self.keys.intern(name);
         self.eattrs.entry(key).or_default().set(e.0, value);
         Ok(())
     }
 
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
         self.require_vertex(v.0)?;
         let incident = self.incident(v.0, Direction::Both, None);
         let mut seen = Vec::new();
         for e in incident {
             if !seen.contains(&e) {
                 seen.push(e);
-                self.remove_edge(Eid(e))?;
+                self.delete_edge(Eid(e))?;
             }
         }
         for attr in self.vattrs.values_mut() {
@@ -693,7 +694,7 @@ impl GraphDb for BitmapGraph {
         Ok(())
     }
 
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
+    fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {
         self.require_edge(e.0)?;
         let src = self.edge_src.remove(&e.0).expect("edge src");
         let dst = self.edge_dst.remove(&e.0).expect("edge dst");
@@ -712,7 +713,7 @@ impl GraphDb for BitmapGraph {
         Ok(())
     }
 
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
         self.require_vertex(v.0)?;
         let Some(key) = self.keys.get(name) else {
             return Ok(None);
@@ -720,7 +721,7 @@ impl GraphDb for BitmapGraph {
         Ok(self.vattrs.get_mut(&key).and_then(|a| a.remove(v.0)))
     }
 
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
         self.require_edge(e.0)?;
         let Some(key) = self.keys.get(name) else {
             return Ok(None);
@@ -728,7 +729,7 @@ impl GraphDb for BitmapGraph {
         Ok(self.eattrs.get_mut(&key).and_then(|a| a.remove(e.0)))
     }
 
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
+    fn build_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
         // The value bitmaps already exist; the index declaration is recorded
         // but the Gremlin adapter's scan path cannot exploit it — exactly
         // the "Sparksee … not able to take advantage of such indexes"
@@ -739,6 +740,10 @@ impl GraphDb for BitmapGraph {
         }
         Ok(())
     }
+}
+
+impl GraphDb for BitmapGraph {
+    gm_model::engine_apply!();
 }
 
 #[cfg(test)]

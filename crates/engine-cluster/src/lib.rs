@@ -764,8 +764,9 @@ impl GraphSnapshot for ClusterGraph {
     }
 }
 
-impl GraphDb for ClusterGraph {
-    fn bulk_load(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
+/// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
+impl ClusterGraph {
+    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
         if !self.vmap.is_empty() {
             return Err(GdbError::Invalid(
                 "bulk_load requires an empty engine".into(),
@@ -812,7 +813,7 @@ impl GraphDb for ClusterGraph {
         })
     }
 
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
+    fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
         let cluster = self.vertex_cluster_for(label);
         let buf = self.encode_vertex(&[], &[], props);
         let pos = self.vertex_clusters[cluster as usize].alloc(&buf);
@@ -824,7 +825,7 @@ impl GraphDb for ClusterGraph {
         Ok(Vid(v))
     }
 
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
+    fn insert_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
         self.vertex_record(src.0)?;
         self.vertex_record(dst.0)?;
         let cluster = self.edge_cluster_for(label);
@@ -841,7 +842,7 @@ impl GraphDb for ClusterGraph {
         Ok(Eid(e))
     }
 
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
         let key = self.keys.intern(name);
         let mut old: Option<Value> = None;
         let val = value.clone();
@@ -859,7 +860,7 @@ impl GraphDb for ClusterGraph {
         Ok(())
     }
 
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
         let (src, dst, mut props) = self.edge_parts(e.0)?;
         let key = self.keys.intern(name);
         if let Some(slot) = props.iter_mut().find(|(k, _)| *k == key) {
@@ -884,7 +885,7 @@ impl GraphDb for ClusterGraph {
         Ok(())
     }
 
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
         let rec = self.vertex_record(v.0)?;
         let (out, inn, mut pos) = Self::decode_adjacency(rec);
         let props = self.decode_props(rec, &mut pos);
@@ -893,7 +894,7 @@ impl GraphDb for ClusterGraph {
         incident.sort_unstable();
         incident.dedup();
         for e in incident {
-            self.remove_edge(Eid(e))?;
+            self.delete_edge(Eid(e))?;
         }
         for (key, value) in &props {
             self.index_remove(*key, value, v.0);
@@ -903,7 +904,7 @@ impl GraphDb for ClusterGraph {
         Ok(())
     }
 
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
+    fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {
         let (src, dst, _) = self.edge_parts(e.0)?;
         let eid = e.0;
         self.rewrite_vertex(src, |out, _, _| out.retain(|&x| x != eid))?;
@@ -913,7 +914,7 @@ impl GraphDb for ClusterGraph {
         Ok(())
     }
 
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
         let Some(key) = self.keys.get(name) else {
             self.vertex_record(v.0)?;
             return Ok(None);
@@ -930,7 +931,7 @@ impl GraphDb for ClusterGraph {
         Ok(old)
     }
 
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
         let (src, dst, mut props) = self.edge_parts(e.0)?;
         let Some(key) = self.keys.get(name) else {
             return Ok(None);
@@ -954,7 +955,7 @@ impl GraphDb for ClusterGraph {
         Ok(old)
     }
 
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
+    fn build_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
         let key = self.keys.intern(prop);
         if self.indexes.contains_key(&key) {
             return Ok(());
@@ -981,6 +982,10 @@ impl GraphDb for ClusterGraph {
         self.indexes.insert(key, idx);
         Ok(())
     }
+}
+
+impl GraphDb for ClusterGraph {
+    gm_model::engine_apply!();
 }
 
 #[cfg(test)]

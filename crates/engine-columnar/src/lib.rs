@@ -1067,8 +1067,9 @@ impl GraphSnapshot for ColumnarGraph {
     }
 }
 
-impl GraphDb for ColumnarGraph {
-    fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
+/// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
+impl ColumnarGraph {
+    fn load_dataset(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
         if !self.vmap.is_empty() {
             return Err(GdbError::Invalid(
                 "bulk_load requires an empty engine".into(),
@@ -1149,13 +1150,13 @@ impl GraphDb for ColumnarGraph {
             self.store.flush();
         } else {
             for v in &data.vertices {
-                let vid = self.add_vertex(&v.label, &v.props)?;
+                let vid = self.insert_vertex(&v.label, &v.props)?;
                 self.vmap.push(vid.0);
             }
             for e in &data.edges {
                 let src = Vid(*self.vmap.get(e.src as usize).expect("src in vmap"));
                 let dst = Vid(*self.vmap.get(e.dst as usize).expect("dst in vmap"));
-                let eid = self.add_edge(src, dst, &e.label, &e.props)?;
+                let eid = self.insert_edge(src, dst, &e.label, &e.props)?;
                 self.emap.push(eid.0);
             }
         }
@@ -1165,7 +1166,7 @@ impl GraphDb for ColumnarGraph {
         })
     }
 
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
+    fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
         let interned = self.intern_props(props);
         // Schema inference per write (the Titan overhead).
         self.infer_schema(&interned);
@@ -1173,7 +1174,7 @@ impl GraphDb for ColumnarGraph {
         Ok(Vid(self.add_vertex_raw(label, &interned)))
     }
 
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
+    fn insert_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
         // Consistency checks on both endpoints.
         self.require_vertex(src.0)?;
         self.require_vertex(dst.0)?;
@@ -1210,7 +1211,7 @@ impl GraphDb for ColumnarGraph {
         Ok(Eid(eid))
     }
 
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
         self.require_vertex(v.0)?;
         let key = self.keys.intern(name);
         self.infer_schema(&[(key, value.clone())]);
@@ -1220,7 +1221,7 @@ impl GraphDb for ColumnarGraph {
         Ok(())
     }
 
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
         let &(src, _, label) = self.live_edge(e.0).ok_or(GdbError::EdgeNotFound(e.0))?;
         let key = self.keys.intern(name);
         self.infer_schema(&[(key, value.clone())]);
@@ -1235,7 +1236,7 @@ impl GraphDb for ColumnarGraph {
         })
     }
 
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
         self.require_vertex(v.0)?;
         // Tombstone every incident edge.
         let ctx = QueryCtx::unbounded();
@@ -1259,7 +1260,7 @@ impl GraphDb for ColumnarGraph {
         Ok(())
     }
 
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
+    fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {
         if self.live_edge(e.0).is_none() {
             return Err(GdbError::EdgeNotFound(e.0));
         }
@@ -1268,7 +1269,7 @@ impl GraphDb for ColumnarGraph {
         Ok(())
     }
 
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
         self.require_vertex(v.0)?;
         let Some(key) = self.keys.get(name) else {
             return Ok(None);
@@ -1284,7 +1285,7 @@ impl GraphDb for ColumnarGraph {
         Ok(old)
     }
 
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
         let &(src, _, label) = self.live_edge(e.0).ok_or(GdbError::EdgeNotFound(e.0))?;
         let Some(key) = self.keys.get(name) else {
             return Ok(None);
@@ -1300,7 +1301,7 @@ impl GraphDb for ColumnarGraph {
         Ok(old)
     }
 
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
+    fn build_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
         // Titan supports graph-centric indexes and gains 2–5 orders from
         // them in the paper's Figure 4c. Here the declaration is only
         // recorded (`has_vertex_index` answers it): no value index is
@@ -1312,6 +1313,10 @@ impl GraphDb for ColumnarGraph {
         }
         Ok(())
     }
+}
+
+impl GraphDb for ColumnarGraph {
+    gm_model::engine_apply!();
 }
 
 #[cfg(test)]

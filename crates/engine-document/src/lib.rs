@@ -600,8 +600,9 @@ impl GraphSnapshot for DocumentGraph {
     }
 }
 
-impl GraphDb for DocumentGraph {
-    fn bulk_load(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
+/// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
+impl DocumentGraph {
+    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
         if !self.vmap.is_empty() {
             return Err(GdbError::Invalid(
                 "bulk_load requires an empty engine".into(),
@@ -633,7 +634,7 @@ impl GraphDb for DocumentGraph {
         })
     }
 
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
+    fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
         let key = self.alloc_key();
         let label = self.vlabels.intern(label);
         let doc = self.encode_vertex_doc(label, props);
@@ -641,7 +642,7 @@ impl GraphDb for DocumentGraph {
         Ok(Vid(key))
     }
 
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
+    fn insert_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
         if self.get_vdoc(src.0).is_none() {
             return Err(GdbError::VertexNotFound(src.0));
         }
@@ -659,7 +660,7 @@ impl GraphDb for DocumentGraph {
         Ok(Eid(key))
     }
 
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
         let doc = self
             .get_vdoc(v.0)
             .ok_or(GdbError::VertexNotFound(v.0))?
@@ -677,7 +678,7 @@ impl GraphDb for DocumentGraph {
         Ok(())
     }
 
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
         let doc = self
             .get_edoc(e.0)
             .ok_or(GdbError::EdgeNotFound(e.0))?
@@ -695,7 +696,7 @@ impl GraphDb for DocumentGraph {
         Ok(())
     }
 
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
         if self.get_vdoc(v.0).is_none() {
             return Err(GdbError::VertexNotFound(v.0));
         }
@@ -706,14 +707,14 @@ impl GraphDb for DocumentGraph {
         for e in incident {
             // Edge may already be gone if it was a self-loop handled earlier.
             if self.get_edoc(e).is_some() {
-                self.remove_edge(Eid(e))?;
+                self.delete_edge(Eid(e))?;
             }
         }
         self.del_vdoc(v.0);
         Ok(())
     }
 
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
+    fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {
         let doc = self.get_edoc(e.0).ok_or(GdbError::EdgeNotFound(e.0))?;
         let (from, to) = Self::edge_endpoints_raw(doc);
         self.out_index.remove(from, e.0);
@@ -722,7 +723,7 @@ impl GraphDb for DocumentGraph {
         Ok(())
     }
 
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
         let doc = self
             .get_vdoc(v.0)
             .ok_or(GdbError::VertexNotFound(v.0))?
@@ -741,7 +742,7 @@ impl GraphDb for DocumentGraph {
         Ok(Some(old))
     }
 
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
         let doc = self
             .get_edoc(e.0)
             .ok_or(GdbError::EdgeNotFound(e.0))?
@@ -760,7 +761,7 @@ impl GraphDb for DocumentGraph {
         Ok(Some(old))
     }
 
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
+    fn build_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
         // Accepted, recorded, never consulted by the Gremlin scan path
         // (§6.4: "no difference in running times").
         let key = self.keys.intern(prop);
@@ -769,11 +770,16 @@ impl GraphDb for DocumentGraph {
         }
         Ok(())
     }
+}
 
-    fn sync(&mut self) -> GdbResult<()> {
-        self.apply_overlay();
-        Ok(())
-    }
+impl GraphDb for DocumentGraph {
+    gm_model::engine_apply!(
+        sync = |engine| {
+            // The asynchronous journal lands in the primary store.
+            engine.apply_overlay();
+            Ok(())
+        }
+    );
 }
 
 #[cfg(test)]

@@ -968,15 +968,16 @@ impl GraphSnapshot for LinkedGraph {
     }
 }
 
-impl GraphDb for LinkedGraph {
-    fn bulk_load(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
+/// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
+impl LinkedGraph {
+    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
         if !self.nodes.is_empty() {
             return Err(GdbError::Invalid(
                 "bulk_load requires an empty engine".into(),
             ));
         }
         for v in &data.vertices {
-            let vid = self.add_vertex(&v.label, &v.props)?;
+            let vid = self.insert_vertex(&v.label, &v.props)?;
             self.vmap.push(vid.0);
         }
         for e in &data.edges {
@@ -992,7 +993,7 @@ impl GraphDb for LinkedGraph {
         })
     }
 
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
+    fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
         let label_id = self.labels.intern(label);
         let mut first_prop = NIL;
         for (name, value) in props {
@@ -1014,14 +1015,14 @@ impl GraphDb for LinkedGraph {
         Ok(Vid(v))
     }
 
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
+    fn insert_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
         let label_id = self.labels.intern(label);
         let e = self.add_edge_internal(src.0, dst.0, label_id, props)?;
         self.wrap_edge(e);
         Ok(Eid(e))
     }
 
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
         let head = self.first_prop_of_node(v.0)?;
         let key = self.keys.intern(name);
         let (new_head, old) = self.set_prop_in_chain(head, key, &value);
@@ -1036,7 +1037,7 @@ impl GraphDb for LinkedGraph {
         Ok(())
     }
 
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
         let mut rec = self.edge_rec(e.0)?;
         let head = Self::read_u64(&rec, 52);
         let key = self.keys.intern(name);
@@ -1049,7 +1050,7 @@ impl GraphDb for LinkedGraph {
         Ok(())
     }
 
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
         if !self.nodes.is_live(v.0) {
             return Err(GdbError::VertexNotFound(v.0));
         }
@@ -1064,7 +1065,7 @@ impl GraphDb for LinkedGraph {
         incident.sort_unstable();
         incident.dedup(); // self-loops appear on both chains
         for e in incident {
-            self.remove_edge(Eid(e))?;
+            self.delete_edge(Eid(e))?;
         }
         // Remove properties (and index entries).
         let head = self.first_prop_of_node(v.0)?;
@@ -1080,7 +1081,7 @@ impl GraphDb for LinkedGraph {
         Ok(())
     }
 
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
+    fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {
         let rec = self.edge_rec(e.0)?;
         self.wrap_edge(e.0);
         let src = Self::read_u64(&rec, 0);
@@ -1093,7 +1094,7 @@ impl GraphDb for LinkedGraph {
         Ok(())
     }
 
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
         let head = self.first_prop_of_node(v.0)?;
         let Some(key) = self.keys.get(name) else {
             return Ok(None);
@@ -1109,7 +1110,7 @@ impl GraphDb for LinkedGraph {
         Ok(old)
     }
 
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
         let mut rec = self.edge_rec(e.0)?;
         let head = Self::read_u64(&rec, 52);
         let Some(key) = self.keys.get(name) else {
@@ -1124,7 +1125,7 @@ impl GraphDb for LinkedGraph {
         Ok(old)
     }
 
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
+    fn build_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
         let key = self.keys.intern(prop);
         if self.indexes.contains_key(&key) {
             return Ok(());
@@ -1143,6 +1144,10 @@ impl GraphDb for LinkedGraph {
         self.indexes.insert(key, Arc::new(idx));
         Ok(())
     }
+}
+
+impl GraphDb for LinkedGraph {
+    gm_model::engine_apply!();
 }
 
 /// Diagnostics for the sharing and space-accounting tests.

@@ -694,8 +694,9 @@ impl GraphSnapshot for RelationalGraph {
     }
 }
 
-impl GraphDb for RelationalGraph {
-    fn bulk_load(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
+/// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
+impl RelationalGraph {
+    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
         if !self.vmap.is_empty() {
             return Err(GdbError::Invalid(
                 "bulk_load requires an empty engine".into(),
@@ -732,19 +733,19 @@ impl GraphDb for RelationalGraph {
         })
     }
 
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
+    fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
         let table = self.vtable_for(label)?;
         Ok(Vid(self.insert_vertex_row(table, props)?))
     }
 
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
+    fn insert_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
         self.vrow(src.0)?;
         self.vrow(dst.0)?;
         let table = self.etable_for(label)?;
         Ok(Eid(self.insert_edge_row(table, src.0, dst.0, props)?))
     }
 
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
         self.vrow(v.0)?;
         Self::check_identifier(name)?;
         let key = self.keys.intern(name);
@@ -760,7 +761,7 @@ impl GraphDb for RelationalGraph {
         Ok(())
     }
 
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
         self.erow(e.0)?;
         Self::check_identifier(name)?;
         let key = self.keys.intern(name);
@@ -772,7 +773,7 @@ impl GraphDb for RelationalGraph {
         Ok(())
     }
 
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
         self.vrow(v.0)?;
         // Delete incident edges: probe the FK indexes of every edge table.
         let mut incident: Vec<u64> = Vec::new();
@@ -787,7 +788,7 @@ impl GraphDb for RelationalGraph {
         incident.sort_unstable();
         incident.dedup();
         for e in incident {
-            self.remove_edge(Eid(e))?;
+            self.delete_edge(Eid(e))?;
         }
         let table = gid_table(v.0);
         let row = gid_row(v.0);
@@ -804,7 +805,7 @@ impl GraphDb for RelationalGraph {
         Ok(())
     }
 
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
+    fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {
         self.erow(e.0)?;
         let table = gid_table(e.0);
         let row = gid_row(e.0);
@@ -816,7 +817,7 @@ impl GraphDb for RelationalGraph {
         Ok(())
     }
 
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
         self.vrow(v.0)?;
         let Some(key) = self.resolve_key(name) else {
             return Ok(None);
@@ -834,7 +835,7 @@ impl GraphDb for RelationalGraph {
         Ok(old)
     }
 
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
         self.erow(e.0)?;
         let Some(key) = self.resolve_key(name) else {
             return Ok(None);
@@ -850,7 +851,7 @@ impl GraphDb for RelationalGraph {
         Ok(cells[pos].take())
     }
 
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
+    fn build_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
         let key = self.keys.intern(prop);
         for t in self.vtables.iter_mut() {
             if t.indexes.contains_key(&key) {
@@ -871,6 +872,10 @@ impl GraphDb for RelationalGraph {
         }
         Ok(())
     }
+}
+
+impl GraphDb for RelationalGraph {
+    gm_model::engine_apply!();
 }
 
 #[cfg(test)]

@@ -643,8 +643,9 @@ impl GraphSnapshot for TripleGraph {
     }
 }
 
-impl GraphDb for TripleGraph {
-    fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
+/// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
+impl TripleGraph {
+    fn load_dataset(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
         if !self.vmap.is_empty() {
             return Err(GdbError::Invalid(
                 "bulk_load requires an empty engine".into(),
@@ -720,17 +721,17 @@ impl GraphDb for TripleGraph {
         })
     }
 
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
+    fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
         Ok(Vid(self.add_vertex_stmts(label, props)))
     }
 
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
+    fn insert_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
         self.require_vertex(src.0)?;
         self.require_vertex(dst.0)?;
         Ok(Eid(self.add_edge_stmts(src.0, dst.0, label, props)))
     }
 
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
         self.require_vertex(v.0)?;
         let p = self.pred(name);
         // Retract the old statement (if any), assert the new one.
@@ -742,7 +743,7 @@ impl GraphDb for TripleGraph {
         Ok(())
     }
 
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
+    fn put_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
         self.require_edge(e.0)?;
         let p = self.pred(name);
         if let Some(o) = self.object_of(e.0, p) {
@@ -753,7 +754,7 @@ impl GraphDb for TripleGraph {
         Ok(())
     }
 
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
         self.require_vertex(v.0)?;
         // Incident edges via POS on src/dst.
         let mut incident: Vec<u64> = self
@@ -764,7 +765,7 @@ impl GraphDb for TripleGraph {
         incident.sort_unstable();
         incident.dedup();
         for e in incident {
-            self.remove_edge(Eid(e))?;
+            self.delete_edge(Eid(e))?;
         }
         let stmts: Vec<Triple> = self.spo_range(v.0, None).collect();
         for (s, p, o) in stmts {
@@ -773,7 +774,7 @@ impl GraphDb for TripleGraph {
         Ok(())
     }
 
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
+    fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {
         self.require_edge(e.0)?;
         let stmts: Vec<Triple> = self.spo_range(e.0, None).collect();
         for (s, p, o) in stmts {
@@ -782,7 +783,7 @@ impl GraphDb for TripleGraph {
         Ok(())
     }
 
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
         self.require_vertex(v.0)?;
         let Some(&p) = self.preds.get(name) else {
             return Ok(None);
@@ -796,7 +797,7 @@ impl GraphDb for TripleGraph {
         }
     }
 
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
+    fn delete_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
         self.require_edge(e.0)?;
         let Some(&p) = self.preds.get(name) else {
             return Ok(None);
@@ -810,11 +811,15 @@ impl GraphDb for TripleGraph {
         }
     }
 
-    fn create_vertex_index(&mut self, _prop: &str) -> GdbResult<()> {
+    fn build_vertex_index(&mut self, _prop: &str) -> GdbResult<()> {
         Err(GdbError::Unsupported(
             "BlazeGraph-class engine has no user-controllable attribute indexes".into(),
         ))
     }
+}
+
+impl GraphDb for TripleGraph {
+    gm_model::engine_apply!();
 }
 
 #[cfg(test)]

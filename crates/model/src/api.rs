@@ -8,11 +8,12 @@
 //! primitives so that **per-engine differences come only from the physical
 //! data organization underneath**.
 
+use std::borrow::Cow;
 use std::time::Duration;
 
 use crate::ctx::QueryCtx;
 use crate::dataset::Dataset;
-use crate::error::GdbResult;
+use crate::error::{GdbError, GdbResult};
 use crate::ids::{Eid, Vid};
 use crate::value::{Props, Value};
 
@@ -453,6 +454,183 @@ pub fn gremlin_distinct_neighbor_scan<G: GraphSnapshot + ?Sized>(
     Ok(out)
 }
 
+/// One of the paper's write primitives as a value: Q1's bulk load, the
+/// creates Q2–Q7, the updates and deletes Q16–Q21, plus the index build of
+/// Figure 4c and the journal flush. [`GraphDb::apply`] takes one, and
+/// every layer between a caller and an engine — a lock, a key recorder, a
+/// transaction's write set, a shard router, a socket — moves this value
+/// instead of re-spelling the primitive set.
+///
+/// Names, properties and the dataset are borrowed on the typed path
+/// ([`GraphDb::add_vertex`] and friends build a `Mutation` without
+/// allocating) and owned only where a mutation outlives its caller: a
+/// transaction's buffered write set, or a frame decoded off the wire
+/// ([`Mutation::into_owned`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Mutation<'a> {
+    /// Q1: ingest a canonical dataset into an empty engine.
+    BulkLoad(Cow<'a, Dataset>, LoadOptions),
+    /// Q2: add a vertex with a label and properties.
+    AddVertex(Cow<'a, str>, Cow<'a, Props>),
+    /// Q3/Q4: add an edge `src → dst` with a label and properties.
+    AddEdge(Vid, Vid, Cow<'a, str>, Cow<'a, Props>),
+    /// Q5/Q16: insert or update a vertex property.
+    SetVertexProperty(Vid, Cow<'a, str>, Value),
+    /// Q6/Q17: insert or update an edge property.
+    SetEdgeProperty(Eid, Cow<'a, str>, Value),
+    /// Q18: delete a vertex with its incident edges and properties.
+    RemoveVertex(Vid),
+    /// Q19: delete an edge and its properties.
+    RemoveEdge(Eid),
+    /// Q20: remove a vertex property.
+    RemoveVertexProperty(Vid, Cow<'a, str>),
+    /// Q21: remove an edge property.
+    RemoveEdgeProperty(Eid, Cow<'a, str>),
+    /// Build a user-controlled index on a vertex property (Figure 4c).
+    CreateVertexIndex(Cow<'a, str>),
+    /// Flush asynchronous write buffers (the document engine's journal).
+    Sync,
+}
+
+impl Mutation<'_> {
+    /// The same mutation owning everything it borrowed.
+    pub fn into_owned(self) -> Mutation<'static> {
+        fn own<T: ToOwned + ?Sized>(c: Cow<'_, T>) -> Cow<'static, T> {
+            Cow::Owned(c.into_owned())
+        }
+        use Mutation::*;
+        match self {
+            BulkLoad(data, opts) => BulkLoad(own(data), opts),
+            AddVertex(label, props) => AddVertex(own(label), own(props)),
+            AddEdge(src, dst, label, props) => AddEdge(src, dst, own(label), own(props)),
+            SetVertexProperty(v, name, value) => SetVertexProperty(v, own(name), value),
+            SetEdgeProperty(e, name, value) => SetEdgeProperty(e, own(name), value),
+            RemoveVertex(v) => RemoveVertex(v),
+            RemoveEdge(e) => RemoveEdge(e),
+            RemoveVertexProperty(v, name) => RemoveVertexProperty(v, own(name)),
+            RemoveEdgeProperty(e, name) => RemoveEdgeProperty(e, own(name)),
+            CreateVertexIndex(prop) => CreateVertexIndex(own(prop)),
+            Sync => Sync,
+        }
+    }
+}
+
+/// Generate an engine's [`GraphDb::apply`]: one `match` handing each
+/// [`Mutation`] to the engine's inherent write body for that primitive —
+/// `load_dataset`, `insert_vertex`, `insert_edge`, `put_vertex_property`,
+/// `put_edge_property`, `delete_vertex`, `delete_edge`,
+/// `delete_vertex_property`, `delete_edge_property`, `build_vertex_index` —
+/// so every engine names its bodies alike and none shadows a derived
+/// mutator. `Sync` answers `Ok(())` unless `sync = |engine| expr` says how
+/// the engine flushes (the document engine's journal).
+#[macro_export]
+macro_rules! engine_apply {
+    () => {
+        $crate::engine_apply!(sync = |_engine| Ok(()));
+    };
+    (sync = |$e:ident| $sync:expr) => {
+        fn apply(
+            &mut self,
+            m: $crate::api::Mutation<'_>,
+        ) -> $crate::error::GdbResult<$crate::api::Applied> {
+            use $crate::api::Mutation::*;
+            match m {
+                BulkLoad(data, opts) => self.load_dataset(&data, &opts).map(Into::into),
+                AddVertex(label, props) => self.insert_vertex(&label, &props).map(Into::into),
+                AddEdge(s, d, label, props) => {
+                    self.insert_edge(s, d, &label, &props).map(Into::into)
+                }
+                SetVertexProperty(v, name, x) => {
+                    self.put_vertex_property(v, &name, x).map(Into::into)
+                }
+                SetEdgeProperty(e, name, x) => self.put_edge_property(e, &name, x).map(Into::into),
+                RemoveVertex(v) => self.delete_vertex(v).map(Into::into),
+                RemoveEdge(e) => self.delete_edge(e).map(Into::into),
+                RemoveVertexProperty(v, name) => {
+                    self.delete_vertex_property(v, &name).map(Into::into)
+                }
+                RemoveEdgeProperty(e, name) => self.delete_edge_property(e, &name).map(Into::into),
+                CreateVertexIndex(prop) => self.build_vertex_index(&prop).map(Into::into),
+                Sync => {
+                    let $e = self;
+                    $sync.map(Into::into)
+                }
+            }
+        }
+    };
+}
+
+/// What [`GraphDb::apply`] answered. The typed mutators unwrap it; an
+/// answer of the wrong shape for its mutation is [`GdbError::Corrupt`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Applied {
+    /// Applied; nothing to report.
+    Done,
+    /// The id of the vertex or edge a creation made.
+    Id(u64),
+    /// The value a property removal took out, if there was one.
+    Value(Option<Value>),
+    /// What a bulk load ingested.
+    Loaded(LoadStats),
+}
+
+impl Applied {
+    fn mismatch(self, want: &str) -> GdbError {
+        GdbError::Corrupt(format!("a write answered {self:?} where {want} was due"))
+    }
+
+    /// The answer of a mutation that reports nothing.
+    pub fn done(self) -> GdbResult<()> {
+        match self {
+            Applied::Done => Ok(()),
+            other => Err(other.mismatch("no answer")),
+        }
+    }
+
+    /// The id a creation answered.
+    pub fn id(self) -> GdbResult<u64> {
+        match self {
+            Applied::Id(id) => Ok(id),
+            other => Err(other.mismatch("an id")),
+        }
+    }
+
+    /// The value a property removal answered.
+    pub fn value(self) -> GdbResult<Option<Value>> {
+        match self {
+            Applied::Value(v) => Ok(v),
+            other => Err(other.mismatch("a property value")),
+        }
+    }
+
+    /// The counts a bulk load answered.
+    pub fn loaded(self) -> GdbResult<LoadStats> {
+        match self {
+            Applied::Loaded(stats) => Ok(stats),
+            other => Err(other.mismatch("load counts")),
+        }
+    }
+}
+
+/// What an engine's write body returns, as its [`Applied`] answer.
+macro_rules! applied_from {
+    ($($ty:ty => |$x:pat_param| $answer:expr;)*) => {$(
+        impl From<$ty> for Applied {
+            fn from($x: $ty) -> Applied {
+                $answer
+            }
+        }
+    )*};
+}
+
+applied_from! {
+    () => |()| Applied::Done;
+    Vid => |v| Applied::Id(v.0);
+    Eid => |e| Applied::Id(e.0);
+    Option<Value> => |v| Applied::Value(v);
+    LoadStats => |stats| Applied::Loaded(stats);
+}
+
 /// The common engine interface: the read-only half ([`GraphSnapshot`]) plus
 /// every mutating operation.
 ///
@@ -464,52 +642,105 @@ pub fn gremlin_distinct_neighbor_scan<G: GraphSnapshot + ?Sized>(
 /// serialized writes through `&mut self`. The type system enforces the
 /// read/write split twice over: every mutating method takes `&mut self`,
 /// and a pinned `&dyn GraphSnapshot` cannot name a mutation at all.
+///
+/// # Writes
+///
+/// An engine writes through one method, [`apply`](GraphDb::apply), which
+/// takes the primitive as a [`Mutation`] value. The typed mutators
+/// ([`bulk_load`](GraphDb::bulk_load), [`add_vertex`](GraphDb::add_vertex),
+/// … [`sync`](GraphDb::sync)) are derived from it and final — the
+/// `gm-check` delegation lint reports any impl that overrides one — so a
+/// layer forwards, records, buffers, routes or ships `apply` alone, and
+/// the write set is spelled once, by [`Mutation`].
 pub trait GraphDb: GraphSnapshot {
+    /// Apply one write primitive and report its answer: [`Applied::Id`]
+    /// for a creation, [`Applied::Value`] for a property removal,
+    /// [`Applied::Loaded`] for a bulk load, [`Applied::Done`] otherwise.
+    fn apply(&mut self, m: Mutation<'_>) -> GdbResult<Applied>;
+
     // ----- Load (Q1) --------------------------------------------------
 
     /// Ingest a canonical dataset into an **empty** engine.
-    fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats>;
+    // gm-check: derived
+    fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
+        self.apply(Mutation::BulkLoad(Cow::Borrowed(data), opts.clone()))?
+            .loaded()
+    }
 
     // ----- Create (Q2–Q7) ---------------------------------------------
 
     /// Q2: add a vertex with properties; returns the internal id.
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid>;
+    // gm-check: derived
+    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
+        let m = Mutation::AddVertex(label.into(), Cow::Borrowed(props));
+        self.apply(m)?.id().map(Vid)
+    }
 
     /// Q3/Q4: add an edge (with properties for Q4).
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid>;
+    // gm-check: derived
+    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
+        let m = Mutation::AddEdge(src, dst, label.into(), Cow::Borrowed(props));
+        self.apply(m)?.id().map(Eid)
+    }
 
     /// Q5/Q16: insert or update a vertex property.
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()>;
+    // gm-check: derived
+    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
+        self.apply(Mutation::SetVertexProperty(v, name.into(), value))?
+            .done()
+    }
 
     /// Q6/Q17: insert or update an edge property.
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()>;
+    // gm-check: derived
+    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
+        self.apply(Mutation::SetEdgeProperty(e, name.into(), value))?
+            .done()
+    }
 
     // ----- Update / Delete (Q16–Q21) ------------------------------------
 
     /// Q18: delete a vertex together with its incident edges and properties.
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()>;
+    // gm-check: derived
+    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
+        self.apply(Mutation::RemoveVertex(v))?.done()
+    }
 
     /// Q19: delete an edge and its properties.
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()>;
+    // gm-check: derived
+    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
+        self.apply(Mutation::RemoveEdge(e))?.done()
+    }
 
     /// Q20: remove a vertex property; returns the previous value if present.
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>>;
+    // gm-check: derived
+    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
+        self.apply(Mutation::RemoveVertexProperty(v, name.into()))?
+            .value()
+    }
 
     /// Q21: remove an edge property; returns the previous value if present.
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>>;
+    // gm-check: derived
+    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
+        self.apply(Mutation::RemoveEdgeProperty(e, name.into()))?
+            .value()
+    }
 
     // ----- Attribute indexes (Figure 4c) ---------------------------------
 
     /// Build a user-controlled index on a vertex property. Engines without
     /// this capability return [`GdbError::Unsupported`](crate::GdbError).
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()>;
+    // gm-check: derived
+    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
+        self.apply(Mutation::CreateVertexIndex(prop.into()))?.done()
+    }
 
     /// Flush any asynchronous write buffers (document engine journal).
-    /// Engines with synchronous writes implement this as a no-op. The
+    /// Engines with synchronous writes answer it as a no-op. The
     /// benchmark runner calls it after CUD batches *outside* the timed
     /// region, matching the client-side measurement caveat of §6.4.
+    // gm-check: derived
     fn sync(&mut self) -> GdbResult<()> {
-        Ok(())
+        self.apply(Mutation::Sync)?.done()
     }
 }
 

@@ -1,19 +1,18 @@
 //! Declarative forwarding for [`GraphSnapshot`](crate::GraphSnapshot) /
 //! [`GraphDb`](crate::GraphDb) delegation impls.
 //!
-//! The workspace grew ~20 hand-written forwarding impls (`Box<T>`, remote
-//! proxies, sharded composites, MVCC views). Each one is a trap: when a new
-//! method with a default body lands on `GraphSnapshot`, every hand-written
-//! impl that forgets to forward it silently falls back to the default —
-//! the compiler can't object, and the benchmark quietly measures the wrong
-//! code path (a composite answering `degree_scan` per-vertex instead of via
-//! its engines' overrides, say). These macros generate the *entire* method
-//! surface from one line, so a forwarding impl is complete by construction;
-//! the `gm-check` delegation lint treats an impl containing an invocation
-//! as fully overriding and flags hand-written impls that miss a method.
-//! The entire surface is every method an impl may define: the derived
-//! collectors `neighbors` and `vertex_edges` are final, so the target's
-//! `for_each_incident` is forwarded and they derive from it.
+//! A hand-written forwarding impl (`Box<T>`, remote proxies, sharded
+//! composites, MVCC views) that forgets a method with a default body
+//! silently falls back to the default — the compiler can't object, and the
+//! benchmark quietly measures the wrong code path (a composite answering
+//! `degree_scan` per-vertex instead of via its engines' overrides, say).
+//! These macros generate every method an impl may define from one line, so
+//! a forwarding impl is complete by construction; the `gm-check` delegation
+//! lint treats an impl containing an invocation as fully overriding.
+//! Derived methods are final and never forwarded: `neighbors` and
+//! `vertex_edges` derive from the forwarded `for_each_incident`, and every
+//! typed mutator (`add_vertex` … `sync`) from `apply`, the one method
+//! `forward_graph_db!` forwards.
 //!
 //! Usage — the one argument is a closure-shaped binder naming `self` and
 //! producing the forwarding target (a place or value whose type implements
@@ -242,86 +241,17 @@ macro_rules! forward_graph_snapshot {
     };
 }
 
-/// Generate every [`GraphDb`](crate::GraphDb) mutation as a forward to
-/// `target`. See the [module docs](crate::forward).
+/// Generate [`GraphDb`](crate::GraphDb)'s one write method, `apply`, as a
+/// forward to `target`. See the [module docs](crate::forward).
 #[macro_export]
 macro_rules! forward_graph_db {
     (target = |$s:ident| $t:expr) => {
-        fn bulk_load(
+        fn apply(
             &mut self,
-            data: &$crate::dataset::Dataset,
-            opts: &$crate::api::LoadOptions,
-        ) -> $crate::error::GdbResult<$crate::api::LoadStats> {
+            m: $crate::api::Mutation<'_>,
+        ) -> $crate::error::GdbResult<$crate::api::Applied> {
             let $s = self;
-            $t.bulk_load(data, opts)
-        }
-        fn add_vertex(
-            &mut self,
-            label: &str,
-            props: &$crate::value::Props,
-        ) -> $crate::error::GdbResult<$crate::ids::Vid> {
-            let $s = self;
-            $t.add_vertex(label, props)
-        }
-        fn add_edge(
-            &mut self,
-            src: $crate::ids::Vid,
-            dst: $crate::ids::Vid,
-            label: &str,
-            props: &$crate::value::Props,
-        ) -> $crate::error::GdbResult<$crate::ids::Eid> {
-            let $s = self;
-            $t.add_edge(src, dst, label, props)
-        }
-        fn set_vertex_property(
-            &mut self,
-            v: $crate::ids::Vid,
-            name: &str,
-            value: $crate::value::Value,
-        ) -> $crate::error::GdbResult<()> {
-            let $s = self;
-            $t.set_vertex_property(v, name, value)
-        }
-        fn set_edge_property(
-            &mut self,
-            e: $crate::ids::Eid,
-            name: &str,
-            value: $crate::value::Value,
-        ) -> $crate::error::GdbResult<()> {
-            let $s = self;
-            $t.set_edge_property(e, name, value)
-        }
-        fn remove_vertex(&mut self, v: $crate::ids::Vid) -> $crate::error::GdbResult<()> {
-            let $s = self;
-            $t.remove_vertex(v)
-        }
-        fn remove_edge(&mut self, e: $crate::ids::Eid) -> $crate::error::GdbResult<()> {
-            let $s = self;
-            $t.remove_edge(e)
-        }
-        fn remove_vertex_property(
-            &mut self,
-            v: $crate::ids::Vid,
-            name: &str,
-        ) -> $crate::error::GdbResult<::std::option::Option<$crate::value::Value>> {
-            let $s = self;
-            $t.remove_vertex_property(v, name)
-        }
-        fn remove_edge_property(
-            &mut self,
-            e: $crate::ids::Eid,
-            name: &str,
-        ) -> $crate::error::GdbResult<::std::option::Option<$crate::value::Value>> {
-            let $s = self;
-            $t.remove_edge_property(e, name)
-        }
-        fn create_vertex_index(&mut self, prop: &str) -> $crate::error::GdbResult<()> {
-            let $s = self;
-            $t.create_vertex_index(prop)
-        }
-        fn sync(&mut self) -> $crate::error::GdbResult<()> {
-            let $s = self;
-            $t.sync()
+            $t.apply(m)
         }
     };
 }

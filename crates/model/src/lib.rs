@@ -37,8 +37,8 @@ pub mod testkit;
 pub mod value;
 
 pub use api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SpaceReport, VertexData,
+    Applied, Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions,
+    LoadStats, Mutation, SpaceReport, VertexData,
 };
 pub use ctx::QueryCtx;
 pub use dataset::{Dataset, DsEdge, DsVertex};

@@ -47,7 +47,7 @@ use gm_model::{lockwait, GdbError, GdbResult};
 use gm_obs::{phase, Counter, Gauge, Histo, Phase};
 
 mod txn;
-pub use txn::{KeyRecorder, TxnKey, TxnLog, WriteTxn, TXN_ID_TAG, TXN_LOG_CAP_DEFAULT};
+pub use txn::{keys, KeyRecorder, TxnKey, TxnLog, WriteTxn, TXN_ID_TAG, TXN_LOG_CAP_DEFAULT};
 
 /// Which snapshot implementation a harness should use. [`CowCell`] is the
 /// only one; the enum stays as the argument of the registry's
@@ -156,7 +156,15 @@ pub trait SnapshotSource: Send + Sync {
     /// commits recorded after `start_seq`) and, only if clean, apply `f` —
     /// both under the writer lock, so no other commit can land in between.
     /// The applied keys reach the log through the source's `with_write`
-    /// recording; a [`GdbError::TxnConflict`] guarantees `f` never ran.
+    /// recording; a [`GdbError::TxnConflict`] from validation guarantees
+    /// `f` never ran.
+    ///
+    /// [`WriteTxn::commit`]'s `f` checks, before its first mutation, that
+    /// every id its write set names still exists, so a cascade validation
+    /// missed fails as a conflict with nothing applied. Only an engine
+    /// refusing a buffered write outright (an invalid label, say) leaves
+    /// the writes replayed before it applied, as a failed
+    /// [`SnapshotSource::with_write`] batch does.
     ///
     /// The default runs everything inside one [`SnapshotSource::with_write`]
     /// batch, which is atomic under pins for single-cell sources; sources

@@ -22,19 +22,26 @@
 //! validated against — the race can only produce a spurious conflict,
 //! never a missed one.
 //!
-//! Key derivation is deliberately coarse — the *directly addressed*
-//! entities of each mutation (`add_edge` claims both endpoint vertices; a
-//! property write claims its vertex/edge; `add_vertex` claims nothing,
-//! fresh identities cannot conflict). Cascading effects (removing a vertex
-//! implicitly removes its edges) are not expanded into keys; a transaction
-//! racing such a cascade surfaces the loss as a not-found error at replay
-//! rather than a [`GdbError::TxnConflict`].
+//! Key derivation ([`keys`]) is written once, for autocommit recording
+//! and transactions alike, and is deliberately coarse — the *directly
+//! addressed* entities of each mutation (`add_edge` claims both endpoint
+//! vertices; a property write claims its vertex/edge; `add_vertex` claims
+//! nothing, fresh identities cannot conflict). Cascading effects (removing
+//! a vertex implicitly removes its edges) are not expanded into keys, so
+//! validation alone misses a transaction racing such a cascade. The commit
+//! catches it instead: under the writer lock and before its first
+//! mutation, it checks that every committed id its write set names (the
+//! same ids [`keys`] derives) still exists, and fails with
+//! [`GdbError::TxnConflict`] — nothing applied, nothing logged — when one
+//! vanished.
 //!
 //! ## Reads-your-own-writes scope
 //!
 //! Inside the transaction, **point reads** (vertex/edge lookup, property
 //! reads, endpoints, labels, counts) observe the buffered writes overlaid
-//! on the pinned base epoch. Scans and traversals (`for_each_incident` —
+//! on the pinned base epoch; removing a base vertex removes its base
+//! incident edges from that view too, as the engine's cascade will at
+//! commit, so no later buffered write can name one. Scans and traversals (`for_each_incident` —
 //! and so `neighbors`, `vertex_edges` and every traversal built on it —
 //! `vertex_degree`, `scan_vertices`, `degree_scan`, property-index lookups,
 //! …) answer from the pinned base alone: the benchmark write mixes never
@@ -45,11 +52,11 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
+    Applied, Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, Mutation,
     SpaceReport, VertexData,
 };
 use gm_model::lockorder::{self, LockRank};
-use gm_model::{Dataset, Eid, GdbError, GdbResult, Props, QueryCtx, Value, Vid};
+use gm_model::{Eid, GdbError, GdbResult, Props, QueryCtx, Value, Vid};
 
 use crate::SnapshotSource;
 
@@ -87,6 +94,58 @@ impl TxnKey {
             TxnKey::All => "the whole graph".into(),
         }
     }
+
+    /// Names an entity that exists outside this transaction (not a
+    /// placeholder for one it created).
+    fn is_committed(&self) -> bool {
+        match self {
+            TxnKey::Vertex(id) | TxnKey::Edge(id) => !is_tagged(*id),
+            TxnKey::All => true,
+        }
+    }
+
+    /// Fail with [`GdbError::TxnConflict`] when the entity this key names
+    /// is gone from `db`.
+    fn require_present(&self, db: &dyn GraphSnapshot) -> GdbResult<()> {
+        let found = match self {
+            TxnKey::Vertex(id) => db.vertex_label(Vid(*id)).map(|l| l.is_some()),
+            TxnKey::Edge(id) => db.edge_endpoints(Eid(*id)).map(|ends| ends.is_some()),
+            TxnKey::All => Ok(true),
+        };
+        match found {
+            Ok(true) => Ok(()),
+            Ok(false) | Err(GdbError::VertexNotFound(_) | GdbError::EdgeNotFound(_)) => {
+                Err(GdbError::TxnConflict(format!(
+                    "{} was removed by a concurrent write after this txn began",
+                    self.describe()
+                )))
+            }
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// The [`TxnKey`]s a mutation directly addresses — the write-set keys of
+/// the [module docs](self), derived once for [`KeyRecorder`] and
+/// [`WriteTxn`] alike.
+pub fn keys(m: &Mutation<'_>) -> impl Iterator<Item = TxnKey> {
+    let (first, second) = match *m {
+        Mutation::BulkLoad(..) => (Some(TxnKey::All), None),
+        Mutation::AddEdge(src, dst, ..) => {
+            (Some(TxnKey::Vertex(src.0)), Some(TxnKey::Vertex(dst.0)))
+        }
+        Mutation::SetVertexProperty(v, ..)
+        | Mutation::RemoveVertex(v)
+        | Mutation::RemoveVertexProperty(v, _) => (Some(TxnKey::Vertex(v.0)), None),
+        Mutation::SetEdgeProperty(e, ..)
+        | Mutation::RemoveEdge(e)
+        | Mutation::RemoveEdgeProperty(e, _) => (Some(TxnKey::Edge(e.0)), None),
+        // A fresh identity cannot conflict with any concurrent write set;
+        // index builds are idempotent setup-path metadata and a journal
+        // flush writes no data.
+        Mutation::AddVertex(..) | Mutation::CreateVertexIndex(_) | Mutation::Sync => (None, None),
+    };
+    first.into_iter().chain(second)
 }
 
 /// Bound on how many recent commits a [`TxnLog`] retains.
@@ -232,113 +291,15 @@ impl GraphSnapshot for KeyRecorder<'_> {
 }
 
 impl GraphDb for KeyRecorder<'_> {
-    fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
-        let out = self.inner.bulk_load(data, opts)?;
-        self.keys.push(TxnKey::All);
+    fn apply(&mut self, m: Mutation<'_>) -> GdbResult<Applied> {
+        let touched = keys(&m);
+        let out = self.inner.apply(m)?;
+        self.keys.extend(touched);
         Ok(out)
-    }
-
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
-        // A fresh identity cannot conflict with any concurrent write set.
-        self.inner.add_vertex(label, props)
-    }
-
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
-        let out = self.inner.add_edge(src, dst, label, props)?;
-        self.keys.push(TxnKey::Vertex(src.0));
-        self.keys.push(TxnKey::Vertex(dst.0));
-        Ok(out)
-    }
-
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
-        self.inner.set_vertex_property(v, name, value)?;
-        self.keys.push(TxnKey::Vertex(v.0));
-        Ok(())
-    }
-
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
-        self.inner.set_edge_property(e, name, value)?;
-        self.keys.push(TxnKey::Edge(e.0));
-        Ok(())
-    }
-
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
-        self.inner.remove_vertex(v)?;
-        self.keys.push(TxnKey::Vertex(v.0));
-        Ok(())
-    }
-
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
-        self.inner.remove_edge(e)?;
-        self.keys.push(TxnKey::Edge(e.0));
-        Ok(())
-    }
-
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        let out = self.inner.remove_vertex_property(v, name)?;
-        self.keys.push(TxnKey::Vertex(v.0));
-        Ok(out)
-    }
-
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        let out = self.inner.remove_edge_property(e, name)?;
-        self.keys.push(TxnKey::Edge(e.0));
-        Ok(out)
-    }
-
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
-        // Index builds are idempotent setup-path metadata, not data writes.
-        self.inner.create_vertex_index(prop)
-    }
-
-    fn sync(&mut self) -> GdbResult<()> {
-        self.inner.sync()
     }
 }
 
 // ----- WriteTxn -------------------------------------------------------------
-
-/// One buffered mutation, replayed in order at commit. Ids may be
-/// [`TXN_ID_TAG`]-tagged placeholders for entities this transaction created.
-#[derive(Debug, Clone)]
-enum TxnOp {
-    AddVertex {
-        tag: u64,
-        label: String,
-        props: Props,
-    },
-    AddEdge {
-        tag: u64,
-        src: Vid,
-        dst: Vid,
-        label: String,
-        props: Props,
-    },
-    SetVertexProp {
-        v: Vid,
-        name: String,
-        value: Value,
-    },
-    SetEdgeProp {
-        e: Eid,
-        name: String,
-        value: Value,
-    },
-    RemoveVertex {
-        v: Vid,
-    },
-    RemoveEdge {
-        e: Eid,
-    },
-    RemoveVertexProp {
-        v: Vid,
-        name: String,
-    },
-    RemoveEdgeProp {
-        e: Eid,
-        name: String,
-    },
-}
 
 /// An epoch-pinned write transaction (see the [module docs](self)).
 ///
@@ -353,7 +314,11 @@ pub struct WriteTxn {
     start_seq: u64,
     base_epoch: u64,
     base: Box<dyn GraphSnapshot>,
-    ops: Vec<TxnOp>,
+    /// The write set, replayed in order at commit. Ids may be
+    /// [`TXN_ID_TAG`]-tagged placeholders for entities this transaction
+    /// created; placeholders are handed out in creation order.
+    ops: Vec<Mutation<'static>>,
+    /// [`keys`] of the write set, placeholders skipped.
     keys: BTreeSet<TxnKey>,
     next_tag: u64,
     /// Entities created in-txn, keyed by placeholder id. Only live ones:
@@ -414,22 +379,18 @@ impl WriteTxn {
             return Ok(0);
         }
         let keys: Vec<TxnKey> = self.keys.iter().copied().collect();
-        let ops = self.ops;
-        let n_ops = ops.len() as u64;
-        let mut vmap: BTreeMap<u64, Vid> = BTreeMap::new();
-        let mut emap: BTreeMap<u64, Eid> = BTreeMap::new();
-        let mut replayed = false;
+        let mut ops = Some(self.ops);
         source.txn_commit(self.start_seq, &keys, &mut |db| {
-            if replayed {
-                return Err(GdbError::Invalid(
-                    "transaction replay closure re-entered".into(),
-                ));
+            let ops = ops
+                .take()
+                .ok_or_else(|| GdbError::Invalid("transaction replay closure re-entered".into()))?;
+            // Validation compares keys, which miss a concurrent cascade (a
+            // vertex removal keys the vertex, not its edges): check that
+            // every committed id still exists before the first mutation.
+            for k in &keys {
+                k.require_present(&*db)?;
             }
-            replayed = true;
-            for op in &ops {
-                replay(db, op, &mut vmap, &mut emap)?;
-            }
-            Ok(n_ops)
+            replay(db, ops)
         })
     }
 
@@ -444,26 +405,59 @@ impl WriteTxn {
         tag
     }
 
-    /// Does the RYOW view contain this vertex?
-    fn sees_vertex(&self, v: Vid) -> GdbResult<bool> {
-        if is_tagged(v.0) {
-            return Ok(self.created_v.contains_key(&v.0));
+    /// The RYOW view's answer to "does this vertex exist?", as an error.
+    fn require_vertex(&self, v: Vid) -> GdbResult<()> {
+        let seen = if is_tagged(v.0) {
+            self.created_v.contains_key(&v.0)
+        } else {
+            !self.removed_v.contains(&v.0) && self.base.vertex(v)?.is_some()
+        };
+        if seen {
+            Ok(())
+        } else {
+            Err(GdbError::VertexNotFound(v.0))
         }
-        if self.removed_v.contains(&v.0) {
-            return Ok(false);
-        }
-        Ok(self.base.vertex(v)?.is_some())
     }
 
-    /// Does the RYOW view contain this edge?
-    fn sees_edge(&self, e: Eid) -> GdbResult<bool> {
-        if is_tagged(e.0) {
-            return Ok(self.created_e.contains_key(&e.0));
+    /// The RYOW view's answer to "does this edge exist?", as an error.
+    fn require_edge(&self, e: Eid) -> GdbResult<()> {
+        let seen = if is_tagged(e.0) {
+            self.created_e.contains_key(&e.0)
+        } else {
+            !self.removed_e.contains(&e.0) && self.base.edge(e)?.is_some()
+        };
+        if seen {
+            Ok(())
+        } else {
+            Err(GdbError::EdgeNotFound(e.0))
         }
-        if self.removed_e.contains(&e.0) {
-            return Ok(false);
+    }
+
+    /// Take vertex `v` out of the RYOW view with everything the engine's
+    /// cascade will take at commit: its edges, base and created, and all
+    /// their properties.
+    fn drop_vertex(&mut self, v: Vid) -> GdbResult<()> {
+        let mut dead_edges = Vec::new();
+        if is_tagged(v.0) {
+            self.created_v.remove(&v.0);
+        } else {
+            self.removed_v.insert(v.0);
+            let ctx = QueryCtx::unbounded();
+            for r in self.base.vertex_edges(v, Direction::Both, None, &ctx)? {
+                self.removed_e.insert(r.eid.0);
+                dead_edges.push(r.eid.0);
+            }
         }
-        Ok(self.base.edge(e)?.is_some())
+        self.created_e.retain(|id, (src, dst, _, _)| {
+            let live = src.0 != v.0 && dst.0 != v.0;
+            if !live {
+                dead_edges.push(*id);
+            }
+            live
+        });
+        self.eprops.retain(|(id, _), _| !dead_edges.contains(id));
+        self.vprops.retain(|(id, _), _| *id != v.0);
+        Ok(())
     }
 
     /// Apply this txn's property overrides for entity `id` to `props`.
@@ -484,69 +478,47 @@ impl WriteTxn {
     }
 }
 
-/// Resolve a possibly-placeholder vertex id against the replay map.
-fn rv(v: Vid, vmap: &BTreeMap<u64, Vid>) -> GdbResult<Vid> {
-    if is_tagged(v.0) {
-        vmap.get(&v.0)
+/// Replay a write set: placeholder ids are bound, in creation order, to
+/// the ids the engine answers.
+fn replay(db: &mut dyn GraphDb, ops: Vec<Mutation<'static>>) -> GdbResult<u64> {
+    let n_ops = ops.len() as u64;
+    let mut bound: BTreeMap<u64, u64> = BTreeMap::new();
+    let real = |bound: &BTreeMap<u64, u64>, id: u64| -> GdbResult<u64> {
+        if !is_tagged(id) {
+            return Ok(id);
+        }
+        bound
+            .get(&id)
             .copied()
-            .ok_or_else(|| GdbError::Invalid(format!("unresolved txn vertex placeholder {v}")))
-    } else {
-        Ok(v)
-    }
-}
-
-/// Resolve a possibly-placeholder edge id against the replay map.
-fn re(e: Eid, emap: &BTreeMap<u64, Eid>) -> GdbResult<Eid> {
-    if is_tagged(e.0) {
-        emap.get(&e.0)
-            .copied()
-            .ok_or_else(|| GdbError::Invalid(format!("unresolved txn edge placeholder {e}")))
-    } else {
-        Ok(e)
-    }
-}
-
-fn replay(
-    db: &mut dyn GraphDb,
-    op: &TxnOp,
-    vmap: &mut BTreeMap<u64, Vid>,
-    emap: &mut BTreeMap<u64, Eid>,
-) -> GdbResult<()> {
-    match op {
-        TxnOp::AddVertex { tag, label, props } => {
-            let real = db.add_vertex(label, props)?;
-            vmap.insert(*tag, real);
-        }
-        TxnOp::AddEdge {
-            tag,
-            src,
-            dst,
-            label,
-            props,
-        } => {
-            let real = db.add_edge(rv(*src, vmap)?, rv(*dst, vmap)?, label, props)?;
-            emap.insert(*tag, real);
-        }
-        TxnOp::SetVertexProp { v, name, value } => {
-            db.set_vertex_property(rv(*v, vmap)?, name, value.clone())?;
-        }
-        TxnOp::SetEdgeProp { e, name, value } => {
-            db.set_edge_property(re(*e, emap)?, name, value.clone())?;
-        }
-        TxnOp::RemoveVertex { v } => {
-            db.remove_vertex(rv(*v, vmap)?)?;
-        }
-        TxnOp::RemoveEdge { e } => {
-            db.remove_edge(re(*e, emap)?)?;
-        }
-        TxnOp::RemoveVertexProp { v, name } => {
-            db.remove_vertex_property(rv(*v, vmap)?, name)?;
-        }
-        TxnOp::RemoveEdgeProp { e, name } => {
-            db.remove_edge_property(re(*e, emap)?, name)?;
+            .ok_or_else(|| GdbError::Invalid(format!("unresolved txn placeholder {id:#x}")))
+    };
+    for m in ops {
+        let creates = matches!(m, Mutation::AddVertex(..) | Mutation::AddEdge(..));
+        let v = |v: Vid| real(&bound, v.0).map(Vid);
+        let e = |e: Eid| real(&bound, e.0).map(Eid);
+        let m = match m {
+            Mutation::AddEdge(src, dst, label, props) => {
+                Mutation::AddEdge(v(src)?, v(dst)?, label, props)
+            }
+            Mutation::SetVertexProperty(x, name, value) => {
+                Mutation::SetVertexProperty(v(x)?, name, value)
+            }
+            Mutation::SetEdgeProperty(x, name, value) => {
+                Mutation::SetEdgeProperty(e(x)?, name, value)
+            }
+            Mutation::RemoveVertex(x) => Mutation::RemoveVertex(v(x)?),
+            Mutation::RemoveEdge(x) => Mutation::RemoveEdge(e(x)?),
+            Mutation::RemoveVertexProperty(x, name) => Mutation::RemoveVertexProperty(v(x)?, name),
+            Mutation::RemoveEdgeProperty(x, name) => Mutation::RemoveEdgeProperty(e(x)?, name),
+            other => other,
+        };
+        let out = db.apply(m)?;
+        if creates {
+            let tag = TXN_ID_TAG | bound.len() as u64;
+            bound.insert(tag, out.id()?);
         }
     }
-    Ok(())
+    Ok(n_ops)
 }
 
 impl GraphSnapshot for WriteTxn {
@@ -777,159 +749,73 @@ impl GraphSnapshot for WriteTxn {
 }
 
 impl GraphDb for WriteTxn {
-    fn bulk_load(&mut self, _data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
-        Err(GdbError::Unsupported(
-            "bulk load inside a write transaction".into(),
-        ))
-    }
-
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
-        let tag = self.fresh_tag();
-        self.created_v
-            .insert(tag, (label.to_string(), props.clone()));
-        self.ops.push(TxnOp::AddVertex {
-            tag,
-            label: label.to_string(),
-            props: props.clone(),
-        });
-        Ok(Vid(tag))
-    }
-
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
-        if !self.sees_vertex(src)? {
-            return Err(GdbError::VertexNotFound(src.0));
-        }
-        if !self.sees_vertex(dst)? {
-            return Err(GdbError::VertexNotFound(dst.0));
-        }
-        let tag = self.fresh_tag();
-        self.created_e
-            .insert(tag, (src, dst, label.to_string(), props.clone()));
-        if !is_tagged(src.0) {
-            self.keys.insert(TxnKey::Vertex(src.0));
-        }
-        if !is_tagged(dst.0) {
-            self.keys.insert(TxnKey::Vertex(dst.0));
-        }
-        self.ops.push(TxnOp::AddEdge {
-            tag,
-            src,
-            dst,
-            label: label.to_string(),
-            props: props.clone(),
-        });
-        Ok(Eid(tag))
-    }
-
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
-        if !self.sees_vertex(v)? {
-            return Err(GdbError::VertexNotFound(v.0));
-        }
-        self.vprops
-            .insert((v.0, name.to_string()), Some(value.clone()));
-        if !is_tagged(v.0) {
-            self.keys.insert(TxnKey::Vertex(v.0));
-        }
-        self.ops.push(TxnOp::SetVertexProp {
-            v,
-            name: name.to_string(),
-            value,
-        });
-        Ok(())
-    }
-
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
-        if !self.sees_edge(e)? {
-            return Err(GdbError::EdgeNotFound(e.0));
-        }
-        self.eprops
-            .insert((e.0, name.to_string()), Some(value.clone()));
-        if !is_tagged(e.0) {
-            self.keys.insert(TxnKey::Edge(e.0));
-        }
-        self.ops.push(TxnOp::SetEdgeProp {
-            e,
-            name: name.to_string(),
-            value,
-        });
-        Ok(())
-    }
-
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
-        if !self.sees_vertex(v)? {
-            return Err(GdbError::VertexNotFound(v.0));
-        }
-        if is_tagged(v.0) {
-            self.created_v.remove(&v.0);
-            // Drop in-txn edges that referenced the dead placeholder (the
-            // engine cascade does the same for committed state).
-            self.created_e
-                .retain(|_, (src, dst, _, _)| src.0 != v.0 && dst.0 != v.0);
-        } else {
-            self.removed_v.insert(v.0);
-            self.keys.insert(TxnKey::Vertex(v.0));
-        }
-        self.vprops.retain(|(id, _), _| *id != v.0);
-        self.ops.push(TxnOp::RemoveVertex { v });
-        Ok(())
-    }
-
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
-        if !self.sees_edge(e)? {
-            return Err(GdbError::EdgeNotFound(e.0));
-        }
-        if is_tagged(e.0) {
-            self.created_e.remove(&e.0);
-        } else {
-            self.removed_e.insert(e.0);
-            self.keys.insert(TxnKey::Edge(e.0));
-        }
-        self.eprops.retain(|(id, _), _| *id != e.0);
-        self.ops.push(TxnOp::RemoveEdge { e });
-        Ok(())
-    }
-
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        if !self.sees_vertex(v)? {
-            return Err(GdbError::VertexNotFound(v.0));
-        }
-        let prior = self.vertex_property(v, name)?;
-        self.vprops.insert((v.0, name.to_string()), None);
-        if !is_tagged(v.0) {
-            self.keys.insert(TxnKey::Vertex(v.0));
-        }
-        self.ops.push(TxnOp::RemoveVertexProp {
-            v,
-            name: name.to_string(),
-        });
-        Ok(prior)
-    }
-
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        if !self.sees_edge(e)? {
-            return Err(GdbError::EdgeNotFound(e.0));
-        }
-        let prior = self.edge_property(e, name)?;
-        self.eprops.insert((e.0, name.to_string()), None);
-        if !is_tagged(e.0) {
-            self.keys.insert(TxnKey::Edge(e.0));
-        }
-        self.ops.push(TxnOp::RemoveEdgeProp {
-            e,
-            name: name.to_string(),
-        });
-        Ok(prior)
-    }
-
-    fn create_vertex_index(&mut self, _prop: &str) -> GdbResult<()> {
-        Err(GdbError::Unsupported(
-            "create_vertex_index inside a write transaction".into(),
-        ))
-    }
-
-    fn sync(&mut self) -> GdbResult<()> {
-        // Nothing durable exists until commit.
-        Ok(())
+    /// Buffer `m` into the write set and overlay it on the RYOW view.
+    fn apply(&mut self, m: Mutation<'_>) -> GdbResult<Applied> {
+        let out = match &m {
+            Mutation::BulkLoad(..) | Mutation::CreateVertexIndex(_) => {
+                return Err(GdbError::Unsupported(
+                    "bulk load and index builds inside a write transaction".into(),
+                ))
+            }
+            // Nothing durable exists until commit.
+            Mutation::Sync => return Ok(Applied::Done),
+            Mutation::AddVertex(label, props) => {
+                let tag = self.fresh_tag();
+                self.created_v
+                    .insert(tag, (label.to_string(), props.to_vec()));
+                Applied::Id(tag)
+            }
+            Mutation::AddEdge(src, dst, label, props) => {
+                self.require_vertex(*src)?;
+                self.require_vertex(*dst)?;
+                let tag = self.fresh_tag();
+                self.created_e
+                    .insert(tag, (*src, *dst, label.to_string(), props.to_vec()));
+                Applied::Id(tag)
+            }
+            Mutation::SetVertexProperty(v, name, value) => {
+                self.require_vertex(*v)?;
+                self.vprops
+                    .insert((v.0, name.to_string()), Some(value.clone()));
+                Applied::Done
+            }
+            Mutation::SetEdgeProperty(e, name, value) => {
+                self.require_edge(*e)?;
+                self.eprops
+                    .insert((e.0, name.to_string()), Some(value.clone()));
+                Applied::Done
+            }
+            Mutation::RemoveVertex(v) => {
+                self.require_vertex(*v)?;
+                self.drop_vertex(*v)?;
+                Applied::Done
+            }
+            Mutation::RemoveEdge(e) => {
+                self.require_edge(*e)?;
+                if is_tagged(e.0) {
+                    self.created_e.remove(&e.0);
+                } else {
+                    self.removed_e.insert(e.0);
+                }
+                self.eprops.retain(|(id, _), _| *id != e.0);
+                Applied::Done
+            }
+            Mutation::RemoveVertexProperty(v, name) => {
+                self.require_vertex(*v)?;
+                let prior = self.vertex_property(*v, name)?;
+                self.vprops.insert((v.0, name.to_string()), None);
+                Applied::Value(prior)
+            }
+            Mutation::RemoveEdgeProperty(e, name) => {
+                self.require_edge(*e)?;
+                let prior = self.edge_property(*e, name)?;
+                self.eprops.insert((e.0, name.to_string()), None);
+                Applied::Value(prior)
+            }
+        };
+        self.keys.extend(keys(&m).filter(TxnKey::is_committed));
+        self.ops.push(m.into_owned());
+        Ok(out)
     }
 }
 
@@ -938,6 +824,7 @@ mod tests {
     use super::*;
     use crate::CowCell;
     use engine_linked::LinkedGraph;
+    use gm_model::api::LoadOptions;
     use gm_model::testkit;
 
     fn loaded_cell(n: u64) -> CowCell<LinkedGraph> {
@@ -1067,7 +954,7 @@ mod tests {
         let v7 = snap.resolve_vertex(7).unwrap();
         txn.remove_vertex(v7).unwrap();
         assert!(txn.vertex(v7).unwrap().is_none());
-        assert!(!txn.sees_vertex(v7).unwrap());
+        assert!(txn.require_vertex(v7).is_err());
         assert!(cell.snapshot().unwrap().vertex(v7).unwrap().is_some());
         // In-txn create-then-remove leaves no trace.
         let tmp = txn.add_vertex("tmp", &vec![]).unwrap();

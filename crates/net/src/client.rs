@@ -22,11 +22,10 @@ use std::time::{Duration, Instant};
 use gm_obs::{trace, Phase, PhaseNanos, RegistrySnapshot, TraceRecord};
 
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, LoadOptions, LoadStats, SpaceReport, VertexData,
+    Applied, Direction, EdgeData, EdgeRef, EngineFeatures, LoadOptions, Mutation, SpaceReport,
+    VertexData,
 };
-use gm_model::{
-    Dataset, Eid, GdbError, GdbResult, GraphDb, GraphSnapshot, Props, QueryCtx, Value, Vid,
-};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, GraphDb, GraphSnapshot, QueryCtx, Value, Vid};
 use gm_workload::{Backend, Op, OpResult, Session, WorkloadConfig, WORKLOAD_SLOTS};
 
 use crate::proto::{Request, Response, MAGIC, PROTO_VERSION};
@@ -560,79 +559,8 @@ impl GraphSnapshot for RemoteEngine {
 }
 
 impl GraphDb for RemoteEngine {
-    fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
-        let req = Request::BulkLoad {
-            opts: opts.clone(),
-            data: data.clone(),
-        };
-        self.call(&req)?.into_load()
-    }
-
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
-        let req = Request::AddVertex {
-            label: label.to_string(),
-            props: props.clone(),
-        };
-        self.call(&req)?.into_u64().map(Vid)
-    }
-
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
-        let req = Request::AddEdge {
-            src: src.0,
-            dst: dst.0,
-            label: label.to_string(),
-            props: props.clone(),
-        };
-        self.call(&req)?.into_u64().map(Eid)
-    }
-
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
-        let name = name.to_string();
-        self.call(&Request::SetVertexProp {
-            v: v.0,
-            name,
-            value,
-        })?
-        .into_unit()
-    }
-
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
-        let name = name.to_string();
-        self.call(&Request::SetEdgeProp {
-            e: e.0,
-            name,
-            value,
-        })?
-        .into_unit()
-    }
-
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
-        self.call(&Request::RemoveVertex(v.0))?.into_unit()
-    }
-
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
-        self.call(&Request::RemoveEdge(e.0))?.into_unit()
-    }
-
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        let name = name.to_string();
-        self.call(&Request::RemoveVertexProp { v: v.0, name })?
-            .into_opt_value()
-    }
-
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        let name = name.to_string();
-        self.call(&Request::RemoveEdgeProp { e: e.0, name })?
-            .into_opt_value()
-    }
-
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
-        let prop = prop.to_string();
-        self.call(&Request::CreateVertexIndex { prop })?.into_unit()
-    }
-
-    fn sync(&mut self) -> GdbResult<()> {
-        self.call(&Request::Sync)?.into_unit()
+    fn apply(&mut self, m: Mutation<'_>) -> GdbResult<Applied> {
+        self.call(&Request::from(m))?.into_applied()
     }
 }
 

@@ -51,12 +51,12 @@ use std::time::{Duration, Instant};
 
 use gm_core::catalog;
 use gm_core::params::{ResolvedParams, Workload};
-use gm_model::api::{GraphSnapshot, LoadOptions};
+use gm_model::api::{Applied, GraphSnapshot, LoadOptions, Mutation};
 use gm_model::fxmap::FxHashMap;
 use gm_model::{lockwait, Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
 use gm_obs::{Counter, Phase};
 use gm_shard::route::{encode_eid, encode_vid, partition, Meta, Partitioned};
-use gm_shard::{Router, ShardPort, ShardSel, ShardWrite, Topology, WriteOut};
+use gm_shard::{Posted, Router, ShardPort, ShardSel, Topology};
 use gm_workload::{apply_write, Backend, Op, OpResult, Session, WorkloadConfig, WORKLOAD_SLOTS};
 
 use crate::client::{Connection, RemoteEngine};
@@ -594,58 +594,22 @@ struct FleetPort<'a> {
     cells: &'a [FleetCell<'a>],
 }
 
-/// The wire frame of a single-shard write: one `Request` row per
-/// [`ShardWrite`] variant.
-fn request(w: ShardWrite<'_>) -> GdbResult<Request> {
-    Ok(match w {
-        ShardWrite::BulkLoad(..) => {
-            return Err(GdbError::Invalid(
-                "fleet sessions load via Fleet::setup, not through a writer".into(),
-            ))
-        }
+/// The wire frame of a single-shard write. Two mutations never reach a
+/// shard server through a session.
+fn frame(m: Mutation<'_>) -> GdbResult<Request> {
+    match m {
+        Mutation::BulkLoad(..) => Err(GdbError::Invalid(
+            "fleet sessions load via Fleet::setup, not through a writer".into(),
+        )),
         // In-process this runs under the topology guard, which excludes
         // every reader; across processes other sessions' queued writes
         // would need a fleet-wide stop-the-world. No workload mix issues
         // it, so it stays unimplemented rather than subtly non-atomic.
-        ShardWrite::RemoveVertex(_) => {
-            return Err(GdbError::Unsupported(
-                "fleet writer: remove_vertex requires a cross-process stop-the-world".into(),
-            ))
-        }
-        ShardWrite::AddVertex(label, props) => Request::AddVertex {
-            label: label.to_string(),
-            props: props.clone(),
-        },
-        ShardWrite::AddEdge(src, dst, label, props) => Request::AddEdge {
-            src: src.0,
-            dst: dst.0,
-            label: label.to_string(),
-            props: props.clone(),
-        },
-        ShardWrite::SetVertexProperty(v, name, value) => Request::SetVertexProp {
-            v: v.0,
-            name: name.to_string(),
-            value,
-        },
-        ShardWrite::SetEdgeProperty(e, name, value) => Request::SetEdgeProp {
-            e: e.0,
-            name: name.to_string(),
-            value,
-        },
-        ShardWrite::RemoveEdge(e) => Request::RemoveEdge(e.0),
-        ShardWrite::RemoveVertexProperty(v, name) => Request::RemoveVertexProp {
-            v: v.0,
-            name: name.to_string(),
-        },
-        ShardWrite::RemoveEdgeProperty(e, name) => Request::RemoveEdgeProp {
-            e: e.0,
-            name: name.to_string(),
-        },
-        ShardWrite::CreateVertexIndex(prop) => Request::CreateVertexIndex {
-            prop: prop.to_string(),
-        },
-        ShardWrite::Sync => Request::Sync,
-    })
+        Mutation::RemoveVertex(_) => Err(GdbError::Unsupported(
+            "fleet writer: remove_vertex requires a cross-process stop-the-world".into(),
+        )),
+        m => Ok(Request::from(m)),
+    }
 }
 
 impl ShardPort for FleetPort<'_> {
@@ -673,33 +637,28 @@ impl ShardPort for FleetPort<'_> {
 
     /// The answer is needed now: FIFO behind the queue, then one direct
     /// round trip (so the server assigns local ids in op order).
-    fn apply(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
-        let req = request(w)?;
+    fn apply(&self, s: usize, m: Mutation<'_>) -> GdbResult<Applied> {
+        let req = frame(m)?;
         let cell = cell_of(self.cells, s)?;
         cell.flush()?;
-        match cell.call(&req)? {
-            Response::Unit => Ok(WriteOut::Done),
-            Response::U64(id) => Ok(WriteOut::Id(id)),
-            Response::OptValue(v) => Ok(WriteOut::Value(v)),
-            other => Err(other.mismatch("Unit, U64 or OptValue")),
-        }
+        cell.call(&req)?.into_applied()
     }
 
     /// Queue the write on its cell (shipped by cap or flush-on-touch). A
     /// creation answers a placeholder: the driver's `apply_write` discards
     /// a workload vertex's id, so that round trip never needs to answer,
     /// and an edge's id is bound to its tag at flush.
-    fn post(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
-        let (tag, out) = match &w {
-            ShardWrite::AddVertex(..) => (None, WriteOut::Deferred(DEFERRED_BIT)),
-            ShardWrite::AddEdge(..) => {
+    fn post(&self, s: usize, m: Mutation<'_>) -> GdbResult<Posted> {
+        let (tag, out) = match &m {
+            Mutation::AddVertex(..) => (None, Posted::Deferred(DEFERRED_BIT)),
+            Mutation::AddEdge(..) => {
                 // gm-check: relaxed(tag allocator: uniqueness is all that matters)
                 let tag = self.fleet.tag_seq.fetch_add(1, Ordering::Relaxed);
-                (Some(tag), WriteOut::Deferred(deferred_eid(s, tag).0))
+                (Some(tag), Posted::Deferred(deferred_eid(s, tag).0))
             }
-            _ => (None, WriteOut::Done),
+            _ => (None, Posted::Applied(Applied::Done)),
         };
-        cell_of(self.cells, s)?.queue_write(request(w)?, tag)?;
+        cell_of(self.cells, s)?.queue_write(frame(m)?, tag)?;
         Ok(out)
     }
 

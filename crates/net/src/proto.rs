@@ -29,11 +29,20 @@
 //! constant, the `encode` and `decode` arms, [`Request::kind`], the typed
 //! `Response::into_*` accessors and the [`Request::FRAMES`] /
 //! [`Response::FRAMES`] lists the tests enumerate are all generated from
-//! that row. Adding a primitive is one row here, one arm in the server's
-//! `answer_read`/`answer_write`, and one `RemoteEngine` method.
+//! that row. Adding a read primitive is one row here, one arm in the
+//! server's `answer_read` and one `RemoteEngine` method. A write primitive
+//! is a [`Mutation`] variant: one row here plus its arm in
+//! `From<Mutation>` and [`Request::into_mutation`], which are the only
+//! code that names the write frames — `RemoteEngine`, the server and the
+//! fleet move the mutation value, and a write's answer is one of the four
+//! frames [`Response::into_applied`] maps onto [`Applied`].
+
+use std::borrow::Cow;
 
 use gm_core::catalog::{QueryId, QueryInstance};
-use gm_model::api::{Direction, EdgeRef, EngineFeatures, LoadOptions, LoadStats, SpaceReport};
+use gm_model::api::{
+    Applied, Direction, EdgeRef, EngineFeatures, LoadOptions, LoadStats, Mutation, SpaceReport,
+};
 use gm_model::{
     Dataset, DsEdge, DsVertex, EdgeData, Eid, GdbError, GdbResult, Props, Value, VertexData, Vid,
 };
@@ -1019,6 +1028,118 @@ frames! {
     /// The request failed with this engine error (round-tripped losslessly;
     /// a transaction conflict is the distinct [`GdbError::TxnConflict`]).
     0xFF Err into_err (e: GdbError)
+}
+
+// ----- mutations --------------------------------------------------------
+
+/// A mutation's frame: a [`FrameKind::Write`] row, or [`Request::BulkLoad`]
+/// for Q1.
+impl From<Mutation<'_>> for Request {
+    fn from(m: Mutation<'_>) -> Request {
+        match m {
+            Mutation::BulkLoad(data, opts) => Request::BulkLoad {
+                opts,
+                data: data.into_owned(),
+            },
+            Mutation::AddVertex(label, props) => Request::AddVertex {
+                label: label.into_owned(),
+                props: props.into_owned(),
+            },
+            Mutation::AddEdge(src, dst, label, props) => Request::AddEdge {
+                src: src.0,
+                dst: dst.0,
+                label: label.into_owned(),
+                props: props.into_owned(),
+            },
+            Mutation::SetVertexProperty(v, name, value) => Request::SetVertexProp {
+                v: v.0,
+                name: name.into_owned(),
+                value,
+            },
+            Mutation::SetEdgeProperty(e, name, value) => Request::SetEdgeProp {
+                e: e.0,
+                name: name.into_owned(),
+                value,
+            },
+            Mutation::RemoveVertex(v) => Request::RemoveVertex(v.0),
+            Mutation::RemoveEdge(e) => Request::RemoveEdge(e.0),
+            Mutation::RemoveVertexProperty(v, name) => Request::RemoveVertexProp {
+                v: v.0,
+                name: name.into_owned(),
+            },
+            Mutation::RemoveEdgeProperty(e, name) => Request::RemoveEdgeProp {
+                e: e.0,
+                name: name.into_owned(),
+            },
+            Mutation::CreateVertexIndex(prop) => Request::CreateVertexIndex {
+                prop: prop.into_owned(),
+            },
+            Mutation::Sync => Request::Sync,
+        }
+    }
+}
+
+impl Request {
+    /// The mutation this frame carries — the inverse of
+    /// `Request::from(Mutation)`; `None` for every frame that is not a
+    /// mutation.
+    pub fn into_mutation(self) -> Option<Mutation<'static>> {
+        Some(match self {
+            Request::BulkLoad { opts, data } => Mutation::BulkLoad(Cow::Owned(data), opts),
+            Request::AddVertex { label, props } => {
+                Mutation::AddVertex(Cow::Owned(label), Cow::Owned(props))
+            }
+            Request::AddEdge {
+                src,
+                dst,
+                label,
+                props,
+            } => Mutation::AddEdge(Vid(src), Vid(dst), Cow::Owned(label), Cow::Owned(props)),
+            Request::SetVertexProp { v, name, value } => {
+                Mutation::SetVertexProperty(Vid(v), Cow::Owned(name), value)
+            }
+            Request::SetEdgeProp { e, name, value } => {
+                Mutation::SetEdgeProperty(Eid(e), Cow::Owned(name), value)
+            }
+            Request::RemoveVertex(v) => Mutation::RemoveVertex(Vid(v)),
+            Request::RemoveEdge(e) => Mutation::RemoveEdge(Eid(e)),
+            Request::RemoveVertexProp { v, name } => {
+                Mutation::RemoveVertexProperty(Vid(v), Cow::Owned(name))
+            }
+            Request::RemoveEdgeProp { e, name } => {
+                Mutation::RemoveEdgeProperty(Eid(e), Cow::Owned(name))
+            }
+            Request::CreateVertexIndex { prop } => Mutation::CreateVertexIndex(Cow::Owned(prop)),
+            Request::Sync => Mutation::Sync,
+            _ => return None,
+        })
+    }
+}
+
+/// A mutation's answer frame.
+impl From<Applied> for Response {
+    fn from(out: Applied) -> Response {
+        match out {
+            Applied::Done => Response::Unit,
+            Applied::Id(id) => Response::U64(id),
+            Applied::Value(v) => Response::OptValue(v),
+            Applied::Loaded(stats) => Response::Load(stats),
+        }
+    }
+}
+
+impl Response {
+    /// The answer to a mutation's frame — the inverse of
+    /// `Response::from(Applied)`; any other frame is [`Response::mismatch`].
+    pub fn into_applied(self) -> GdbResult<Applied> {
+        Ok(match self {
+            Response::Unit => Applied::Done,
+            Response::U64(id) => Applied::Id(id),
+            Response::OptValue(v) => Applied::Value(v),
+            Response::Load(stats) => Applied::Loaded(stats),
+            other => return Err(other.mismatch("Unit, U64, OptValue or Load")),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -465,8 +465,8 @@ fn txn_abort(txn: &mut Option<ConnTxn>) -> GdbResult<Response> {
 
 /// The error for a frame whose table [`FrameKind`] sent it to a dispatcher
 /// with no arm for it.
-fn misrouted(req: &Request, dispatcher: &str) -> GdbError {
-    GdbError::Invalid(format!("{} frame has no {dispatcher} arm", req.name()))
+fn misrouted(frame: &str, dispatcher: &str) -> GdbError {
+    GdbError::Invalid(format!("{frame} frame has no {dispatcher} arm"))
 }
 
 fn vids(vs: Vec<Vid>) -> Response {
@@ -531,54 +531,7 @@ fn answer_read(g: &dyn GraphSnapshot, req: Request) -> GdbResult<Response> {
         }
         Request::HasVertexIndex { prop } => Response::Bool(g.has_vertex_index(&prop)),
         Request::Space => Response::Space(g.space()),
-        other => return Err(misrouted(&other, "read")),
-    })
-}
-
-/// The [`FrameKind::Write`] frames → `GraphDb` calls, written once: `db` is
-/// the hosted engine under its write path, or the connection's open
-/// transaction (writes buffer; ids of entities created there are
-/// placeholders until commit).
-fn answer_write(db: &mut dyn GraphDb, req: Request) -> GdbResult<Response> {
-    Ok(match req {
-        Request::AddVertex { label, props } => Response::U64(db.add_vertex(&label, &props)?.0),
-        Request::AddEdge {
-            src,
-            dst,
-            label,
-            props,
-        } => Response::U64(db.add_edge(Vid(src), Vid(dst), &label, &props)?.0),
-        Request::SetVertexProp { v, name, value } => {
-            db.set_vertex_property(Vid(v), &name, value)?;
-            Response::Unit
-        }
-        Request::SetEdgeProp { e, name, value } => {
-            db.set_edge_property(Eid(e), &name, value)?;
-            Response::Unit
-        }
-        Request::RemoveVertex(v) => {
-            db.remove_vertex(Vid(v))?;
-            Response::Unit
-        }
-        Request::RemoveEdge(e) => {
-            db.remove_edge(Eid(e))?;
-            Response::Unit
-        }
-        Request::RemoveVertexProp { v, name } => {
-            Response::OptValue(db.remove_vertex_property(Vid(v), &name)?)
-        }
-        Request::RemoveEdgeProp { e, name } => {
-            Response::OptValue(db.remove_edge_property(Eid(e), &name)?)
-        }
-        Request::CreateVertexIndex { prop } => {
-            db.create_vertex_index(&prop)?;
-            Response::Unit
-        }
-        Request::Sync => {
-            db.sync()?;
-            Response::Unit
-        }
-        other => return Err(misrouted(&other, "write")),
+        other => return Err(misrouted(other.name(), "read")),
     })
 }
 
@@ -600,11 +553,23 @@ fn execute_request(
             let host = hosted.host()?;
             return read_once(&**host, Duration::ZERO, |g| answer_read(g, req)).map(|(r, _)| r);
         }
-        (FrameKind::Write, Some(open)) => return answer_write(&mut open.txn, req),
-        (FrameKind::Write, None) => {
-            // gm-lock: swap
-            let host = hosted.host()?;
-            return write_once(|db| answer_write(db, req), |w| host.write_batch(w));
+        // A write frame is a mutation, applied to the open transaction
+        // (where it buffers; ids of entities created there are placeholders
+        // until commit) or under the host's write path.
+        (FrameKind::Write, open) => {
+            let name = req.name();
+            let m = req
+                .into_mutation()
+                .ok_or_else(|| misrouted(name, "write"))?;
+            let applied = match open {
+                Some(open) => open.txn.apply(m),
+                None => {
+                    // gm-lock: swap
+                    let host = hosted.host()?;
+                    write_once(|db| db.apply(m), |w| host.write_batch(w))
+                }
+            };
+            return applied.map(Response::from);
         }
         (FrameKind::Control, _) => {}
     }
@@ -790,6 +755,6 @@ fn execute_request(
                     .unwrap_or(0)
             }
         }),
-        other => return Err(misrouted(&other, "control")),
+        other => return Err(misrouted(other.name(), "control")),
     })
 }

@@ -2,16 +2,19 @@
 //! frame tables (`Request::FRAMES` / `Response::FRAMES`): every case draws
 //! one value of **every** frame, so each property holds for 47/47 request
 //! and 24/24 response frames — values encode → decode identically, and
-//! truncated/corrupt frames are rejected without panicking.
+//! truncated/corrupt frames are rejected without panicking — and one
+//! `Mutation` of any variant, which its frame carries unchanged.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use gm_core::catalog::{QueryId, QueryInstance};
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, LoadOptions, LoadStats, SpaceReport, VertexData,
+    Direction, EdgeData, EdgeRef, EngineFeatures, LoadOptions, LoadStats, Mutation, SpaceReport,
+    VertexData,
 };
 use gm_model::{Dataset, DsEdge, DsVertex, Eid, GdbError, Props, Value, Vid};
-use gm_net::proto::Frame;
+use gm_net::proto::{Frame, FrameKind};
 use gm_net::wire::{self, Cur};
 use gm_net::{Request, Response};
 use gm_obs::{
@@ -230,6 +233,31 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
                 edges,
             }
         })
+}
+
+/// Any mutation, every variant, owning its fields as a decoded one does.
+fn arb_mutation() -> impl Strategy<Value = Mutation<'static>> {
+    let name = || "[a-z]{1,8}".prop_map(|s| Cow::Owned(s.to_string()));
+    let props = || arb_props().prop_map(Cow::Owned);
+    let vid = || any::<u64>().prop_map(Vid);
+    let eid = || any::<u64>().prop_map(Eid);
+    let opts = (any::<bool>(), any::<bool>()).prop_map(|(bulk, index_during_load)| LoadOptions {
+        bulk,
+        index_during_load,
+    });
+    prop_oneof![
+        (arb_dataset(), opts).prop_map(|(d, o)| Mutation::BulkLoad(Cow::Owned(d), o)),
+        (name(), props()).prop_map(|(l, p)| Mutation::AddVertex(l, p)),
+        (vid(), vid(), name(), props()).prop_map(|(s, d, l, p)| Mutation::AddEdge(s, d, l, p)),
+        (vid(), name(), arb_value()).prop_map(|(v, n, x)| Mutation::SetVertexProperty(v, n, x)),
+        (eid(), name(), arb_value()).prop_map(|(e, n, x)| Mutation::SetEdgeProperty(e, n, x)),
+        vid().prop_map(Mutation::RemoveVertex),
+        eid().prop_map(Mutation::RemoveEdge),
+        (vid(), name()).prop_map(|(v, n)| Mutation::RemoveVertexProperty(v, n)),
+        (eid(), name()).prop_map(|(e, n)| Mutation::RemoveEdgeProperty(e, n)),
+        name().prop_map(Mutation::CreateVertexIndex),
+        Just(Mutation::Sync),
+    ]
 }
 
 /// One request of every frame in the table, in table order.
@@ -565,6 +593,24 @@ proptest! {
             {
                 prop_assert!(same_value(a, b));
             }
+        }
+    }
+
+    /// The wire moves the `Mutation` value itself: its frame gives it back
+    /// unchanged, before and after an encode → decode; and exactly the
+    /// write rows (plus Q1's `BulkLoad`) of the table carry one.
+    #[test]
+    fn mutations_round_trip_through_their_frames(
+        m in arb_mutation(),
+        reqs in arb_every_request(),
+    ) {
+        let req = Request::from(m.clone());
+        let back = Request::decode(&req.encode().unwrap()).unwrap();
+        prop_assert_eq!(back.into_mutation(), Some(m.clone()));
+        prop_assert_eq!(req.into_mutation(), Some(m));
+        for req in reqs {
+            let carries = req.kind() == FrameKind::Write || req.name() == "BulkLoad";
+            prop_assert_eq!(req.clone().into_mutation().is_some(), carries, "{}", req.name());
         }
     }
 

@@ -44,14 +44,14 @@
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
-use gm_model::api::{GraphDb, GraphSnapshot};
+use gm_model::api::{Applied, GraphDb, GraphSnapshot, Mutation};
 use gm_model::lockorder::{self, LockRank, Ranked};
 use gm_model::{lockwait, GdbError, GdbResult};
 use gm_mvcc::WriteFn;
 use gm_workload::{Host, HostBackend, ReadFn};
 
 use crate::route::Meta;
-use crate::router::{read_parts, Router, ShardPort, ShardWrite, WriteOut};
+use crate::router::{read_parts, Router, ShardPort};
 use crate::topology::Topology;
 use crate::view::{Parts, PartsHost, ShardSel};
 
@@ -143,9 +143,9 @@ impl<E: GraphDb + 'static> ShardPort for LockedPort<'_, E> {
         Ok(f(&views))
     }
 
-    fn apply(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
+    fn apply(&self, s: usize, m: Mutation<'_>) -> GdbResult<Applied> {
         // gm-lock: shard
-        w.apply(&mut *self.wlock(s)?)
+        self.wlock(s)?.apply(m)
     }
 }
 

@@ -34,7 +34,8 @@
 //!   that places vertices, splits same-shard from cut edges, looks up /
 //!   validates / creates ghosts, removes a vertex across its presence set
 //!   and defers resolution-map purges, over a narrow [`ShardPort`] (read
-//!   shard *s*; apply one [`ShardWrite`] to shard *s*; publish shard *s*);
+//!   shard *s*; apply one [`Mutation`](gm_model::Mutation), in shard-local
+//!   ids, to shard *s*; publish shard *s*);
 //! * [`topology`] — [`Topology`], the one owner of the routing meta, the
 //!   placement counter, the purge queue and the `shard.*` metrics, with
 //!   the single "enter topology change" guard.
@@ -68,7 +69,7 @@ pub use graph::{ShardedBackend, ShardedGraph, SharedWriter, SHARDED_LOCKED};
 pub use route::{
     decode_eid, decode_vid, encode_eid, encode_vid, shard_of_canonical, Meta, GHOST_LABEL,
 };
-pub use router::{Router, ShardPort, ShardWrite, WriteOut};
+pub use router::{Posted, Router, ShardPort};
 pub use source::ShardedSource;
 pub use topology::Topology;
 pub use view::{ShardSel, ShardedView};

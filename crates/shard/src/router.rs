@@ -5,8 +5,8 @@
 //! A port is *how shard `s` is reached*: a `RwLock`ed engine
 //! (`ShardedGraph`), an MVCC cell (`ShardedSource`), or a pipelined
 //! connection to a shard server (`gm-net`'s fleet). It reads shard `s`,
-//! applies one single-shard write — plain data, a [`ShardWrite`] in
-//! shard-local ids — to shard `s`, and publishes shard `s`. Everything that
+//! applies one single-shard write — a [`Mutation`] in shard-local ids — to
+//! shard `s`, and publishes shard `s`. Everything that
 //! makes N shards one graph lives here, once, in [`Router`]; the routing
 //! state it mutates lives in the host's [`Topology`].
 //!
@@ -32,100 +32,33 @@
 //! in place, and leaves publishing every touched shard to
 //! [`Router::finish`].
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
-use gm_model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions, LoadStats};
-use gm_model::{Dataset, Eid, GdbError, GdbResult, Props, QueryCtx, Value, Vid};
+use gm_model::api::{Applied, Direction, GraphDb, GraphSnapshot, LoadStats, Mutation};
+use gm_model::{Eid, GdbError, GdbResult, QueryCtx, Vid};
 
 use crate::route::{build_meta, decode_eid, decode_vid, encode_eid, partition, Meta, GHOST_LABEL};
 use crate::topology::Topology;
 use crate::view::{Parts, PartsHost, ShardSel};
 
-/// One single-shard mutation, in the shard's local id space.
-pub enum ShardWrite<'a> {
-    BulkLoad(&'a Dataset, &'a LoadOptions),
-    AddVertex(&'a str, &'a Props),
-    AddEdge(Vid, Vid, &'a str, &'a Props),
-    SetVertexProperty(Vid, &'a str, Value),
-    SetEdgeProperty(Eid, &'a str, Value),
-    RemoveVertex(Vid),
-    RemoveEdge(Eid),
-    RemoveVertexProperty(Vid, &'a str),
-    RemoveEdgeProperty(Eid, &'a str),
-    CreateVertexIndex(&'a str),
-    Sync,
-}
-
-/// What a [`ShardWrite`] answered.
+/// What a posted write answered (see [`ShardPort::post`]).
 #[derive(Debug)]
-pub enum WriteOut {
-    Done,
-    /// The shard-local id of the created vertex or edge.
-    Id(u64),
+pub enum Posted {
+    /// The shard applied the write; this is its answer.
+    Applied(Applied),
     /// A port that queues writes answers a posted creation with a claim on
     /// the id instead: an opaque composite-space placeholder only that
     /// port can redeem (see [`ShardPort::admit_vid`]).
     Deferred(u64),
-    Value(Option<Value>),
 }
 
-impl ShardWrite<'_> {
-    /// Run this write against a shard's engine — the whole port for
-    /// in-process shards.
-    pub fn apply(self, db: &mut dyn GraphDb) -> GdbResult<WriteOut> {
-        Ok(match self {
-            ShardWrite::BulkLoad(data, opts) => db.bulk_load(data, opts).map(|_| WriteOut::Done)?,
-            ShardWrite::AddVertex(label, props) => WriteOut::Id(db.add_vertex(label, props)?.0),
-            ShardWrite::AddEdge(src, dst, label, props) => {
-                WriteOut::Id(db.add_edge(src, dst, label, props)?.0)
-            }
-            ShardWrite::SetVertexProperty(v, name, value) => db
-                .set_vertex_property(v, name, value)
-                .map(|()| WriteOut::Done)?,
-            ShardWrite::SetEdgeProperty(e, name, value) => db
-                .set_edge_property(e, name, value)
-                .map(|()| WriteOut::Done)?,
-            ShardWrite::RemoveVertex(v) => db.remove_vertex(v).map(|()| WriteOut::Done)?,
-            ShardWrite::RemoveEdge(e) => db.remove_edge(e).map(|()| WriteOut::Done)?,
-            ShardWrite::RemoveVertexProperty(v, name) => {
-                WriteOut::Value(db.remove_vertex_property(v, name)?)
-            }
-            ShardWrite::RemoveEdgeProperty(e, name) => {
-                WriteOut::Value(db.remove_edge_property(e, name)?)
-            }
-            ShardWrite::CreateVertexIndex(prop) => {
-                db.create_vertex_index(prop).map(|()| WriteOut::Done)?
-            }
-            ShardWrite::Sync => db.sync().map(|()| WriteOut::Done)?,
-        })
-    }
-}
-
-impl WriteOut {
-    /// The shard-local id a creation answered.
-    fn id(self) -> GdbResult<u64> {
-        match self {
-            WriteOut::Id(local) => Ok(local),
-            other => Err(GdbError::Corrupt(format!(
-                "a shard answered a creation with {other:?}"
-            ))),
-        }
-    }
-
-    /// The composite id of a creation on shard `s` of `n`.
+impl Posted {
+    /// The composite id of a creation posted to shard `s` of `n`.
     fn composite(self, s: usize, n: usize) -> GdbResult<u64> {
         match self {
-            WriteOut::Deferred(claim) => Ok(claim),
-            other => Ok(other.id()? * n as u64 + s as u64),
-        }
-    }
-
-    fn value(self) -> GdbResult<Option<Value>> {
-        match self {
-            WriteOut::Value(v) => Ok(v),
-            other => Err(GdbError::Corrupt(format!(
-                "a shard answered a property removal with {other:?}"
-            ))),
+            Posted::Deferred(claim) => Ok(claim),
+            Posted::Applied(out) => Ok(out.id()? * n as u64 + s as u64),
         }
     }
 }
@@ -158,13 +91,13 @@ pub trait ShardPort: Send + Sync {
     }
 
     /// Apply one write to shard `s` now and return its answer.
-    fn apply(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut>;
+    fn apply(&self, s: usize, m: Mutation<'_>) -> GdbResult<Applied>;
 
     /// Apply a write whose answer the router only hands back to its
     /// caller. A pipelined port may queue it and answer a creation with
-    /// [`WriteOut::Deferred`].
-    fn post(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
-        self.apply(s, w)
+    /// [`Posted::Deferred`].
+    fn post(&self, s: usize, m: Mutation<'_>) -> GdbResult<Posted> {
+        self.apply(s, m).map(Posted::Applied)
     }
 
     /// Make shard `s`'s applied writes visible to new readers (the router
@@ -234,9 +167,9 @@ struct Change<'c, P> {
 }
 
 impl<P: ShardPort> Change<'_, P> {
-    fn apply(&mut self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
+    fn apply_to(&mut self, s: usize, m: Mutation<'_>) -> GdbResult<Applied> {
         self.topo.note_op(s);
-        let out = self.port.apply(s, w)?;
+        let out = self.port.apply(s, m)?;
         self.touched.insert(s);
         Ok(out)
     }
@@ -288,18 +221,18 @@ impl<'a, P: ShardPort> Router<'a, P> {
     }
 
     /// A single-shard write whose answer goes straight back to the caller.
-    fn post(&mut self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
-        let out = self.port.post(s, w);
+    fn post_to(&mut self, s: usize, m: Mutation<'_>) -> GdbResult<Posted> {
+        let out = self.port.post(s, m);
         self.landed(s, out)
     }
 
     /// A single-shard write whose answer the router needs now.
-    fn apply(&mut self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
-        let out = self.port.apply(s, w);
+    fn apply_to(&mut self, s: usize, m: Mutation<'_>) -> GdbResult<Applied> {
+        let out = self.port.apply(s, m);
         self.landed(s, out)
     }
 
-    fn landed(&mut self, s: usize, out: GdbResult<WriteOut>) -> GdbResult<WriteOut> {
+    fn landed<T>(&mut self, s: usize, out: GdbResult<T>) -> GdbResult<T> {
         self.topo.note_op(s);
         if out.is_ok() && self.held.is_some() {
             self.touched.insert(s);
@@ -363,8 +296,8 @@ impl<'a, P: ShardPort> Router<'a, P> {
             if let Some(ghost) = c.meta.ghosts[s].get(&dst.0).copied() {
                 return Ok(ghost); // raced another writer: reuse
             }
-            let ghost = c.apply(s, ShardWrite::AddVertex(GHOST_LABEL, &Vec::new()))?;
-            let ghost = Vid(ghost.id()?);
+            let ghost = Mutation::AddVertex(GHOST_LABEL.into(), Cow::Owned(Vec::new()));
+            let ghost = Vid(c.apply_to(s, ghost)?.id()?);
             c.meta.add_ghost(s, dst, ghost);
             c.topo.note_ghost_creation();
             Ok(ghost)
@@ -398,129 +331,127 @@ impl<P: ShardPort> PartsHost for Router<'_, P> {
 }
 
 impl<P: ShardPort> GraphDb for Router<'_, P> {
-    fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
-        self.structural("bulk load")?;
+    fn apply(&mut self, m: Mutation<'_>) -> GdbResult<Applied> {
         let n = self.n();
-        self.change(|c| {
-            let parts = partition(data, n)?;
-            for (s, sub) in parts.subs.iter().enumerate() {
-                c.apply(s, ShardWrite::BulkLoad(sub, opts))?;
-            }
-            // gm-lock: shard
-            let meta = c.port.with_views(&ShardSel::All, None, |views| {
-                let views: Vec<&dyn GraphSnapshot> = views.iter().map(|(_, v)| *v).collect();
-                build_meta(&parts, &views)
-            })??;
-            *c.meta = meta;
-            // Purges queued against the old graph must not hit the new one.
-            c.topo.discard_purges()
-        })?;
-        Ok(LoadStats {
-            vertices: data.vertex_count() as u64,
-            edges: data.edge_count() as u64,
-        })
-    }
-
-    fn add_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
-        let s = self.topo.place();
-        let out = self.post(s, ShardWrite::AddVertex(label, props))?;
-        out.composite(s, self.n()).map(Vid)
-    }
-
-    fn add_edge(&mut self, src: Vid, dst: Vid, label: &str, props: &Props) -> GdbResult<Eid> {
-        let (src, dst) = (self.port.admit_vid(src)?, self.port.admit_vid(dst)?);
-        let n = self.n();
-        let (local_src, s) = decode_vid(src, n);
-        let (local_dst, dst_shard) = decode_vid(dst, n);
-        // Same-shard edge: the inner engine validates both endpoints.
-        let local_dst = if dst_shard == s {
-            local_dst
-        } else {
-            self.ghost_for(s, dst)?
-        };
-        let out = self.post(s, ShardWrite::AddEdge(local_src, local_dst, label, props))?;
-        out.composite(s, n).map(Eid)
-    }
-
-    fn set_vertex_property(&mut self, v: Vid, name: &str, value: Value) -> GdbResult<()> {
-        let (local, s) = decode_vid(self.port.admit_vid(v)?, self.n());
-        self.post(s, ShardWrite::SetVertexProperty(local, name, value))
-            .map(drop)
-    }
-
-    fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
-        let (local, s) = decode_eid(self.port.admit_eid(e)?, self.n());
-        self.post(s, ShardWrite::SetEdgeProperty(local, name, value))
-            .map(drop)
-    }
-
-    fn remove_vertex(&mut self, v: Vid) -> GdbResult<()> {
-        let v = self.port.admit_vid(v)?;
-        let n = self.n();
-        self.change(|c| {
-            let presence = c.meta.presence(v);
-            // Collect the incident edges before anything is removed, so
-            // their resolution entries can be purged with them.
-            let ctx = QueryCtx::unbounded();
-            let mut dead_edges: Vec<Eid> = Vec::new();
-            for &(s, local) in &presence {
-                let refs = c.port.read(s, |view| match view.vertex(local)? {
-                    Some(_) => view.vertex_edges(local, Direction::Both, None, &ctx),
-                    None => Ok(Vec::new()),
+        match m {
+            Mutation::BulkLoad(data, opts) => {
+                self.structural("bulk load")?;
+                self.change(|c| {
+                    let parts = partition(&data, n)?;
+                    for (s, sub) in parts.subs.iter().enumerate() {
+                        c.apply_to(s, Mutation::BulkLoad(Cow::Borrowed(sub), opts.clone()))?;
+                    }
+                    // gm-lock: shard
+                    let meta = c.port.with_views(&ShardSel::All, None, |views| {
+                        let views: Vec<&dyn GraphSnapshot> =
+                            views.iter().map(|(_, v)| *v).collect();
+                        build_meta(&parts, &views)
+                    })??;
+                    *c.meta = meta;
+                    // Purges queued against the old graph must not hit the
+                    // new one.
+                    c.topo.discard_purges()
                 })?;
-                dead_edges.extend(refs.into_iter().map(|r| encode_eid(r.eid, s, n)));
+                Ok(Applied::Loaded(LoadStats {
+                    vertices: data.vertex_count() as u64,
+                    edges: data.edge_count() as u64,
+                }))
             }
-            // The owner's removal validates existence; only then ghosts.
-            let mut shards = presence.into_iter();
-            if let Some((owner, local)) = shards.next() {
-                c.apply(owner, ShardWrite::RemoveVertex(local))?;
+            Mutation::AddVertex(label, props) => {
+                let s = self.topo.place();
+                let out = self.post_to(s, Mutation::AddVertex(label, props))?;
+                out.composite(s, n).map(Applied::Id)
             }
-            for (s, ghost) in shards {
-                c.meta.remove_ghost(s, v);
-                c.apply(s, ShardWrite::RemoveVertex(ghost))?;
+            Mutation::AddEdge(src, dst, label, props) => {
+                let (src, dst) = (self.port.admit_vid(src)?, self.port.admit_vid(dst)?);
+                let (local_src, s) = decode_vid(src, n);
+                let (local_dst, dst_shard) = decode_vid(dst, n);
+                // Same-shard edge: the inner engine validates both endpoints.
+                let local_dst = if dst_shard == s {
+                    local_dst
+                } else {
+                    self.ghost_for(s, dst)?
+                };
+                let out = self.post_to(s, Mutation::AddEdge(local_src, local_dst, label, props))?;
+                out.composite(s, n).map(Applied::Id)
             }
-            for e in dead_edges {
-                c.meta.purge_edge(e);
+            Mutation::SetVertexProperty(v, name, value) => {
+                let (local, s) = decode_vid(self.port.admit_vid(v)?, n);
+                self.post_to(s, Mutation::SetVertexProperty(local, name, value))?;
+                Ok(Applied::Done)
             }
-            c.meta.purge_vertex(v);
-            Ok(())
-        })
-    }
-
-    fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
-        let e = self.port.admit_eid(e)?;
-        let (local, s) = decode_eid(e, self.n());
-        self.post(s, ShardWrite::RemoveEdge(local))?;
-        // An orphaned ghost (its last in-edge gone) is retained: it stays
-        // invisible to every read and the next cut edge to the same
-        // destination reuses it.
-        match self.held.as_deref_mut() {
-            Some(meta) => meta.purge_edge(e),
-            None => self.topo.defer_purge(e)?,
+            Mutation::SetEdgeProperty(e, name, value) => {
+                let (local, s) = decode_eid(self.port.admit_eid(e)?, n);
+                self.post_to(s, Mutation::SetEdgeProperty(local, name, value))?;
+                Ok(Applied::Done)
+            }
+            Mutation::RemoveVertex(v) => {
+                let v = self.port.admit_vid(v)?;
+                self.change(|c| {
+                    let presence = c.meta.presence(v);
+                    // Collect the incident edges before anything is removed,
+                    // so their resolution entries can be purged with them.
+                    let ctx = QueryCtx::unbounded();
+                    let mut dead_edges: Vec<Eid> = Vec::new();
+                    for &(s, local) in &presence {
+                        let refs = c.port.read(s, |view| match view.vertex(local)? {
+                            Some(_) => view.vertex_edges(local, Direction::Both, None, &ctx),
+                            None => Ok(Vec::new()),
+                        })?;
+                        dead_edges.extend(refs.into_iter().map(|r| encode_eid(r.eid, s, n)));
+                    }
+                    // The owner's removal validates existence; only then ghosts.
+                    let mut shards = presence.into_iter();
+                    if let Some((owner, local)) = shards.next() {
+                        c.apply_to(owner, Mutation::RemoveVertex(local))?;
+                    }
+                    for (s, ghost) in shards {
+                        c.meta.remove_ghost(s, v);
+                        c.apply_to(s, Mutation::RemoveVertex(ghost))?;
+                    }
+                    for e in dead_edges {
+                        c.meta.purge_edge(e);
+                    }
+                    c.meta.purge_vertex(v);
+                    Ok(Applied::Done)
+                })
+            }
+            Mutation::RemoveEdge(e) => {
+                let e = self.port.admit_eid(e)?;
+                let (local, s) = decode_eid(e, n);
+                self.post_to(s, Mutation::RemoveEdge(local))?;
+                // An orphaned ghost (its last in-edge gone) is retained: it
+                // stays invisible to every read and the next cut edge to the
+                // same destination reuses it.
+                match self.held.as_deref_mut() {
+                    Some(meta) => meta.purge_edge(e),
+                    None => self.topo.defer_purge(e)?,
+                }
+                Ok(Applied::Done)
+            }
+            Mutation::RemoveVertexProperty(v, name) => {
+                let (local, s) = decode_vid(self.port.admit_vid(v)?, n);
+                self.apply_to(s, Mutation::RemoveVertexProperty(local, name))
+            }
+            Mutation::RemoveEdgeProperty(e, name) => {
+                let (local, s) = decode_eid(self.port.admit_eid(e)?, n);
+                self.apply_to(s, Mutation::RemoveEdgeProperty(local, name))
+            }
+            Mutation::CreateVertexIndex(prop) => {
+                self.structural("create_vertex_index")?;
+                // Homogeneous shards: either all support indexes or none
+                // does, so a first-shard failure leaves no partial state.
+                for s in 0..n {
+                    self.apply_to(s, Mutation::CreateVertexIndex(Cow::Borrowed(&prop)))?;
+                }
+                Ok(Applied::Done)
+            }
+            Mutation::Sync => {
+                for s in 0..n {
+                    self.apply_to(s, Mutation::Sync)?;
+                }
+                Ok(Applied::Done)
+            }
         }
-        Ok(())
-    }
-
-    fn remove_vertex_property(&mut self, v: Vid, name: &str) -> GdbResult<Option<Value>> {
-        let (local, s) = decode_vid(self.port.admit_vid(v)?, self.n());
-        self.apply(s, ShardWrite::RemoveVertexProperty(local, name))?
-            .value()
-    }
-
-    fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-        let (local, s) = decode_eid(self.port.admit_eid(e)?, self.n());
-        self.apply(s, ShardWrite::RemoveEdgeProperty(local, name))?
-            .value()
-    }
-
-    fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
-        self.structural("create_vertex_index")?;
-        // Homogeneous shards: either all support indexes or none does, so a
-        // first-shard failure leaves no partial state behind.
-        (0..self.n()).try_for_each(|s| self.apply(s, ShardWrite::CreateVertexIndex(prop)).map(drop))
-    }
-
-    fn sync(&mut self) -> GdbResult<()> {
-        (0..self.n()).try_for_each(|s| self.apply(s, ShardWrite::Sync).map(drop))
     }
 }

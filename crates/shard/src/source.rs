@@ -36,12 +36,12 @@
 
 use std::time::Duration;
 
-use gm_model::api::GraphSnapshot;
+use gm_model::api::{Applied, GraphSnapshot, Mutation};
 use gm_model::GdbResult;
 use gm_mvcc::{write_once, KeyRecorder, SnapshotSource, TxnKey, TxnLog};
 
 use crate::route::Meta;
-use crate::router::{Router, ShardPort, ShardWrite, WriteOut};
+use crate::router::{Router, ShardPort};
 use crate::topology::Topology;
 use crate::view::{ShardSel, ShardedView};
 
@@ -156,8 +156,8 @@ impl ShardPort for CellPort<'_> {
         Ok(f(&views))
     }
 
-    fn apply(&self, s: usize, w: ShardWrite<'_>) -> GdbResult<WriteOut> {
-        write_once(|db| w.apply(db), |f| self.0[s].with_write(f))
+    fn apply(&self, s: usize, m: Mutation<'_>) -> GdbResult<Applied> {
+        write_once(|db| db.apply(m), |f| self.0[s].with_write(f))
     }
 
     fn publish(&self, s: usize) -> GdbResult<()> {

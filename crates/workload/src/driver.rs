@@ -886,8 +886,8 @@ mod tests {
     use super::*;
     use crate::host::{prepare, HostBackend, SharedEngine};
     use engine_linked::LinkedGraph;
-    use gm_model::api::LoadOptions;
-    use gm_model::{testkit, Dataset, GraphSnapshot, QueryCtx};
+    use gm_model::api::{Applied, Mutation};
+    use gm_model::{testkit, GraphSnapshot, QueryCtx};
     use gm_mvcc::{CowCell, SnapshotSource};
     use std::sync::RwLock;
 
@@ -1383,65 +1383,15 @@ mod tests {
     }
 
     impl GraphDb for PanicOnWrite {
-        fn bulk_load(
-            &mut self,
-            data: &Dataset,
-            opts: &LoadOptions,
-        ) -> GdbResult<gm_model::LoadStats> {
-            self.inner.bulk_load(data, opts)
-        }
-        fn add_vertex(&mut self, label: &str, props: &gm_model::Props) -> GdbResult<gm_model::Vid> {
-            self.tick();
-            self.inner.add_vertex(label, props)
-        }
-        fn add_edge(
-            &mut self,
-            src: gm_model::Vid,
-            dst: gm_model::Vid,
-            label: &str,
-            props: &gm_model::Props,
-        ) -> GdbResult<Eid> {
-            self.tick();
-            self.inner.add_edge(src, dst, label, props)
-        }
-        fn set_vertex_property(
-            &mut self,
-            v: gm_model::Vid,
-            name: &str,
-            value: Value,
-        ) -> GdbResult<()> {
-            self.tick();
-            self.inner.set_vertex_property(v, name, value)
-        }
-        fn set_edge_property(&mut self, e: Eid, name: &str, value: Value) -> GdbResult<()> {
-            self.tick();
-            self.inner.set_edge_property(e, name, value)
-        }
-        fn remove_vertex(&mut self, v: gm_model::Vid) -> GdbResult<()> {
-            self.tick();
-            self.inner.remove_vertex(v)
-        }
-        fn remove_edge(&mut self, e: Eid) -> GdbResult<()> {
-            self.tick();
-            self.inner.remove_edge(e)
-        }
-        fn remove_vertex_property(
-            &mut self,
-            v: gm_model::Vid,
-            name: &str,
-        ) -> GdbResult<Option<Value>> {
-            self.tick();
-            self.inner.remove_vertex_property(v, name)
-        }
-        fn remove_edge_property(&mut self, e: Eid, name: &str) -> GdbResult<Option<Value>> {
-            self.tick();
-            self.inner.remove_edge_property(e, name)
-        }
-        fn create_vertex_index(&mut self, prop: &str) -> GdbResult<()> {
-            self.inner.create_vertex_index(prop)
-        }
-        fn sync(&mut self) -> GdbResult<()> {
-            self.inner.sync()
+        fn apply(&mut self, m: Mutation<'_>) -> GdbResult<Applied> {
+            // Data writes count down; load, index builds and flushes do not.
+            if !matches!(
+                m,
+                Mutation::BulkLoad(..) | Mutation::CreateVertexIndex(_) | Mutation::Sync
+            ) {
+                self.tick();
+            }
+            self.inner.apply(m)
         }
     }
 
