@@ -549,6 +549,56 @@ impl<E: GraphDb + Clone + 'static> CowCell<E> {
     }
 }
 
+/// A cell's engine as one write batch sees it. Clone-on-first-write per
+/// epoch happens at the batch's first `apply`: reads before it answer from
+/// the epoch's pending copy if it has one and from the published base
+/// otherwise, so a batch that fails before mutating (a commit refused by
+/// validation, say) costs no clone and publishes no epoch. Later writes of
+/// the same epoch reuse the copy.
+struct BatchWriter<'a, E: GraphDb + Clone> {
+    cell: &'a CowCell<E>,
+    /// The published graph, held while the epoch has no pending copy.
+    base: Option<Arc<E>>,
+    working: &'a mut Option<E>,
+}
+
+const BASE_HELD: &str = "a batch begun without a pending copy holds the base";
+
+impl<E: GraphDb + Clone> BatchWriter<'_, E> {
+    fn view(&self) -> &E {
+        match &*self.working {
+            Some(copy) => copy,
+            None => self.base.as_deref().expect(BASE_HELD),
+        }
+    }
+
+    /// The epoch's pending copy, cloned from the base on first use. The
+    /// dirty mark lands before the mutation, so a strict pin racing this
+    /// write either misses it entirely (the write has not completed) or
+    /// publishes it.
+    fn copy(&mut self) -> &mut E {
+        let (cell, base) = (self.cell, &self.base);
+        self.working.get_or_insert_with(|| {
+            cell.dirty.mark_dirty();
+            let _span = phase::span(Phase::ClonePublish);
+            let t0 = cell.metrics.as_ref().map(|_| Instant::now());
+            let copy = E::clone(base.as_deref().expect(BASE_HELD));
+            if let (Some(m), Some(t0)) = (&cell.metrics, t0) {
+                m.clone_nanos.record(t0.elapsed().as_nanos() as u64);
+            }
+            copy
+        })
+    }
+}
+
+impl<E: GraphDb + Clone> GraphSnapshot for BatchWriter<'_, E> {
+    gm_model::forward_graph_snapshot!(target = |s| s.view());
+}
+
+impl<E: GraphDb + Clone> GraphDb for BatchWriter<'_, E> {
+    gm_model::forward_graph_db!(target = |s| s.copy());
+}
+
 impl<E: GraphDb + Clone + 'static> SnapshotSource for CowCell<E> {
     fn engine(&self) -> String {
         self.engine.clone()
@@ -591,37 +641,32 @@ impl<E: GraphDb + Clone + 'static> SnapshotSource for CowCell<E> {
         let _tw = lockorder::acquire(LockRank::CellWriter, "gm-mvcc/lib.rs cow write");
         let mut working =
             lockwait::timed(|| self.working.lock()).map_err(|_| poisoned("cow writer"))?;
-        // Clone-on-first-write per epoch: later writes of the same epoch
-        // reuse the private copy. The dirty mark lands before the mutation
-        // so a strict pin racing this write either misses it entirely (the
-        // write has not completed) or publishes it.
-        if working.is_none() {
-            let base = {
+        // Later writes of an epoch find its pending copy and need no base.
+        let base = match *working {
+            Some(_) => None,
+            None => {
                 // gm-lock: cell-published transient
                 let _tp =
                     lockorder::acquire(LockRank::CellPublished, "gm-mvcc/lib.rs cow write base");
-                Arc::clone(
+                Some(Arc::clone(
                     &lockwait::timed(|| self.published.read())
                         .map_err(|_| poisoned("cow published"))?
                         .graph,
-                )
-            };
-            self.dirty.mark_dirty();
-            let _span = phase::span(Phase::ClonePublish);
-            let t0 = self.metrics.as_ref().map(|_| Instant::now());
-            *working = Some((*base).clone());
-            if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-                m.clone_nanos.record(t0.elapsed().as_nanos() as u64);
+                ))
             }
-        }
+        };
         if let Some(m) = &self.metrics {
             m.on_write();
         }
         // Record the touched write-set keys for txn conflict detection;
         // append only when the whole batch succeeded (failed batches are
         // the existing weaker contract and never validate as commits).
-        let engine: &mut dyn GraphDb = working.as_mut().expect("just inserted");
-        let mut rec = KeyRecorder::new(engine);
+        let mut writer = BatchWriter {
+            cell: self,
+            base,
+            working: &mut working,
+        };
+        let mut rec = KeyRecorder::new(&mut writer);
         let out = f(&mut rec);
         if out.is_ok() {
             self.txn_log.append(rec.take_keys());
@@ -733,6 +778,80 @@ mod tests {
         });
         let end = cell.snapshot().unwrap();
         assert_eq!(end.vertex_count(&ctx).unwrap(), 300);
+    }
+
+    /// An engine that counts its clones.
+    struct CloneCount {
+        inner: LinkedGraph,
+        clones: Arc<AtomicU64>,
+    }
+
+    impl Clone for CloneCount {
+        fn clone(&self) -> Self {
+            self.clones.fetch_add(1, Ordering::SeqCst);
+            CloneCount {
+                inner: self.inner.clone(),
+                clones: Arc::clone(&self.clones),
+            }
+        }
+    }
+
+    impl GraphSnapshot for CloneCount {
+        gm_model::forward_graph_snapshot!(target = |s| s.inner);
+    }
+
+    impl GraphDb for CloneCount {
+        gm_model::forward_graph_db!(target = |s| s.inner);
+    }
+
+    /// Clone-on-first-write happens at a batch's first mutation: a batch
+    /// that fails before it — a plain `Err` after a read, or a commit that
+    /// validation refuses — clones nothing and publishes no epoch, while a
+    /// batch that writes clones once and reads its own write.
+    #[test]
+    fn a_batch_that_fails_before_writing_clones_nothing() {
+        let clones = Arc::new(AtomicU64::new(0));
+        let cell = CowCell::new(CloneCount {
+            inner: LinkedGraph::v1(),
+            clones: Arc::clone(&clones),
+        });
+        let data = testkit::chain_dataset(10);
+        cell.with_write(&mut |db| {
+            db.bulk_load(&data, &LoadOptions::default())?;
+            Ok(0)
+        })
+        .unwrap();
+        let target = cell.snapshot().unwrap().resolve_vertex(3).unwrap();
+        let mut t1 = WriteTxn::begin(&cell).unwrap();
+        let mut t2 = WriteTxn::begin(&cell).unwrap();
+        t1.set_vertex_property(target, "w", gm_model::Value::Int(1))
+            .unwrap();
+        t2.set_vertex_property(target, "w", gm_model::Value::Int(2))
+            .unwrap();
+        t1.commit(&cell).unwrap();
+        let epoch = cell.snapshot().unwrap().epoch();
+        let cloned = clones.load(Ordering::SeqCst);
+
+        let ctx = QueryCtx::unbounded();
+        let failed = cell.with_write(&mut |db| {
+            assert_eq!(db.vertex_count(&ctx)?, 10, "reads answer from the base");
+            Err(GdbError::Invalid("refused before any write".into()))
+        });
+        assert!(failed.is_err());
+        assert!(matches!(t2.commit(&cell), Err(GdbError::TxnConflict(_))));
+        assert_eq!(clones.load(Ordering::SeqCst), cloned, "no clone");
+        assert_eq!(cell.snapshot().unwrap().epoch(), epoch, "no new epoch");
+        assert_eq!(cell.current_epoch(), epoch);
+
+        cell.with_write(&mut |db| {
+            db.add_vertex("n", &vec![])?;
+            db.add_vertex("n", &vec![])?;
+            db.vertex_count(&ctx)
+        })
+        .map(|n| assert_eq!(n, 12, "a batch reads its own writes"))
+        .unwrap();
+        assert_eq!(clones.load(Ordering::SeqCst), cloned + 1, "one clone");
+        assert_eq!(cell.snapshot().unwrap().epoch(), epoch + 1);
     }
 
     /// An engine whose drop reports whether the cell's two locks were free

@@ -14,6 +14,7 @@
 //! against parameters prepared by [`RemoteBackend::setup`] — one round
 //! trip per op, the way real drivers execute Gremlin server-side.
 
+use std::mem;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -25,6 +26,7 @@ use gm_model::api::{
     Applied, Direction, EdgeData, EdgeRef, EngineFeatures, LoadOptions, Mutation, SpaceReport,
     VertexData,
 };
+use gm_model::fxmap::FxHashMap;
 use gm_model::{Dataset, Eid, GdbError, GdbResult, GraphDb, GraphSnapshot, QueryCtx, Value, Vid};
 use gm_workload::{Backend, Op, OpResult, Session, WorkloadConfig, WORKLOAD_SLOTS};
 
@@ -47,6 +49,26 @@ pub struct Connection {
     /// a late answer would be read as the next call's — so every later
     /// call fails fast instead of reusing it.
     broken: bool,
+    /// Writes riding ahead of the next call. Only a fleet session queues;
+    /// on every other connection this stays empty.
+    queued: Queued,
+}
+
+/// Writes queued on a connection to ride ahead of its next call, and what
+/// became of those already shipped.
+#[derive(Default)]
+struct Queued {
+    /// The writes, in op order.
+    writes: Vec<Request>,
+    /// Positions in `writes` whose answer binds a deferred tag, ascending.
+    tags: Vec<(usize, u64)>,
+    /// Deferred tag → the id the server answered, until taken.
+    bound: FxHashMap<u64, u64>,
+    /// Writes shipped since the last [`Connection::settle`].
+    shipped: u64,
+    /// The first write refused since the last settle, or the transport
+    /// failure that lost the writes.
+    fault: Option<GdbError>,
 }
 
 impl Connection {
@@ -79,6 +101,7 @@ impl Connection {
             shard: None,
             frames: None,
             broken: false,
+            queued: Queued::default(),
         };
         conn.send(&Request::Hello {
             magic: MAGIC,
@@ -166,20 +189,125 @@ impl Connection {
 
     /// One round trip. A [`Response::Err`] payload is surfaced as the
     /// original [`GdbError`] — remote errors keep their variant.
+    ///
+    /// Writes queued on the connection (a fleet session's) ride in the same
+    /// frame: `req` goes out as the last entry of one `ExecBatch` behind
+    /// them, the server runs the entries in order, and the last answer is
+    /// `req`'s. The writes' own answers are kept for the fleet to settle,
+    /// so a refused write is reported there, not as `req`'s answer.
     pub fn call(&mut self, req: &Request) -> GdbResult<Response> {
-        self.send(req)?;
-        match self.recv()? {
+        let rsp = if self.queued.writes.is_empty() {
+            self.send(req)?;
+            self.recv()?
+        } else {
+            self.ship(Some(req))?.ok_or_else(|| {
+                GdbError::Corrupt("a batch answered without its last entry".into())
+            })?
+        };
+        match rsp {
             Response::Err(e) => Err(e),
             rsp => Ok(rsp),
         }
     }
 
+    /// Queue a write to ride ahead of this connection's next call. Its
+    /// answer binds `tag`, when given (see [`Connection::take_bound`]).
+    /// Returns the queue depth.
+    pub(crate) fn queue(&mut self, req: Request, tag: Option<u64>) -> usize {
+        let q = &mut self.queued;
+        if let Some(t) = tag {
+            q.tags.push((q.writes.len(), t));
+        }
+        q.writes.push(req);
+        q.writes.len()
+    }
+
+    /// Ship the queued writes alone, as one `ExecBatch` frame. What became
+    /// of them is for [`Connection::settle`].
+    pub(crate) fn flush(&mut self) {
+        if !self.queued.writes.is_empty() {
+            // A failure is kept as the queue's fault, which settle reports.
+            let _ = self.ship(None);
+        }
+    }
+
+    /// How many queued writes shipped since the last settle, and the first
+    /// of them the server refused (or the transport failure that lost
+    /// them).
+    pub(crate) fn settle(&mut self) -> (u64, Option<GdbError>) {
+        (
+            mem::take(&mut self.queued.shipped),
+            self.queued.fault.take(),
+        )
+    }
+
+    /// The id the server answered for deferred `tag`, once its write has
+    /// shipped. Taking it keeps the bindings from growing over a session.
+    pub(crate) fn take_bound(&mut self, tag: u64) -> Option<u64> {
+        self.queued.bound.remove(&tag)
+    }
+
+    /// Ship the queued writes, with `read` behind them when given, as one
+    /// `ExecBatch` frame. The writes' answers are settled here — deferred
+    /// tags bound, the first refusal kept as the fault — and `read`'s
+    /// answer is returned.
+    fn ship(&mut self, read: Option<&Request>) -> GdbResult<Option<Response>> {
+        let writes = self.queued.writes.len();
+        let mut batch = Request::ExecBatch(mem::take(&mut self.queued.writes));
+        if let (Request::ExecBatch(entries), Some(read)) = (&mut batch, read) {
+            entries.push(read.clone());
+        }
+        let answered = self.batch_round_trip(&batch, writes + usize::from(read.is_some()));
+        // The queue keeps its buffer: the next writes queue without growing it.
+        if let Request::ExecBatch(mut entries) = batch {
+            entries.clear();
+            self.queued.writes = entries;
+        }
+        let Queued {
+            tags,
+            bound,
+            shipped,
+            fault,
+            ..
+        } = &mut self.queued;
+        let mut tags = tags.drain(..).peekable();
+        let mut rsps = match answered {
+            Ok(rsps) => rsps.into_iter(),
+            Err(e) => {
+                fault.get_or_insert(e.clone());
+                return Err(e);
+            }
+        };
+        *shipped += writes as u64;
+        for (at, rsp) in rsps.by_ref().take(writes).enumerate() {
+            match (tags.next_if(|&(pos, _)| pos == at), rsp) {
+                (_, Response::Err(e)) => {
+                    fault.get_or_insert(e);
+                }
+                (Some((_, tag)), Response::U64(id)) => {
+                    bound.insert(tag, id);
+                }
+                (Some(_), other) => {
+                    fault.get_or_insert(other.mismatch("U64"));
+                }
+                (None, _) => {}
+            }
+        }
+        Ok(rsps.next())
+    }
+
     /// Execute many requests in one frame and one round trip (v6). The
     /// envelope always succeeds at the wire level; per-entry failures come
-    /// back as [`Response::Err`] entries, in request order.
+    /// back as [`Response::Err`] entries, in request order. Queued writes
+    /// do not ride along.
     pub fn call_batch(&mut self, reqs: Vec<Request>) -> GdbResult<Vec<Response>> {
         let n = reqs.len();
-        self.send(&Request::ExecBatch(reqs))?;
+        self.batch_round_trip(&Request::ExecBatch(reqs), n)
+    }
+
+    /// Send an `ExecBatch` frame of `n` entries and read its `n` answers.
+    fn batch_round_trip(&mut self, batch: &Request, n: usize) -> GdbResult<Vec<Response>> {
+        self.send(batch)?;
         let rsps = self.recv()?.into_batch_done()?;
         if rsps.len() != n {
             return Err(GdbError::Corrupt(format!(

@@ -13,15 +13,23 @@
 //!
 //! ## Batched, pipelined dispatch
 //!
-//! A per-worker [`FleetCell`] queues single-shard writes client-side and
-//! ships them as one `ExecBatch` frame — either when the queue reaches the
-//! batch cap (`DEFAULT_BATCH_CAP`, 16) or lazily, the moment a read
-//! needs that shard (flush-on-touch: the port flushes exactly the cells a
-//! read's `ShardSel` names, then reads the plain connections). Reads
-//! therefore always observe the session's own earlier writes, while
-//! untouched shards keep batching and a write-heavy mix pays **fewer wire
-//! round trips than it executes ops** — the frame counter shared by every
-//! fleet connection proves it.
+//! A per-worker [`FleetCell`] queues single-shard writes client-side, on
+//! its connection, and ships them in one `ExecBatch` frame — either alone,
+//! when the queue reaches the batch cap (`DEFAULT_BATCH_CAP`, 16) or a write
+//! needs its answer now, or lazily, in the frame of the next read of that
+//! shard (flush-on-touch: the read rides as the batch's last entry, the
+//! server runs the entries in order, and the last answer is the read's).
+//! Touching a shard therefore costs one round trip, queue included; reads
+//! always observe the session's own earlier writes, untouched shards keep
+//! batching, and a write-heavy mix pays **fewer wire round trips than it
+//! executes ops** — the frame counter shared by every fleet connection
+//! proves it.
+//!
+//! A queued write the server refuses fails the op whose frame carried it,
+//! counted once in `fleet.routing_errors`: a flush reports it at once, a
+//! read's frame when the op ends (an infallible read has no error channel).
+//! A write whose answer is needed now (a ghost's `add_vertex`) never rides
+//! along: the queue ships first, so it never runs behind a refused write.
 //!
 //! Two deferrals make that possible, both inside the port and invisible to
 //! the workload:
@@ -30,29 +38,28 @@
 //!   `apply_write` discards it) so the round trip can be batched; fed back
 //!   into a write it is refused by name, nothing queued;
 //! * a posted `add_edge` answers a **deferred edge id** — a tagged
-//!   placeholder the flush later binds to the server-assigned composite
-//!   id. The only ops that feed edge ids back in (`RemoveOwnEdge`, edge
-//!   property writes) redeem the tag on entry, flushing the owning cell if
-//!   needed.
+//!   placeholder the frame that ships it later binds to the
+//!   server-assigned composite id. The only ops that feed edge ids back
+//!   in (`RemoveOwnEdge`, edge property writes) redeem the tag on entry,
+//!   flushing the owning cell if needed.
 //!
 //! ## Replay equality
 //!
 //! A sequential fleet run replays the in-process `ShardedGraph` run
 //! op-for-op: the routing is the same code over the same partition, and
-//! the flush-before-any-observation rule keeps each shard's mutation order
-//! identical to the sequential op order — so servers assign the same local
-//! ids and every read returns the same cardinality. `tests/fleet.rs` and
+//! shipping the queue ahead of (or with) any observation keeps each
+//! shard's mutation order identical to the sequential op order — so
+//! servers assign the same local ids and every read returns the same
+//! cardinality. `tests/fleet.rs` and
 //! `tests/fleet_proc.rs` gate on exactly this.
 
-use std::mem;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, MutexGuard};
 use std::time::{Duration, Instant};
 
 use gm_core::catalog;
 use gm_core::params::{ResolvedParams, Workload};
 use gm_model::api::{Applied, GraphSnapshot, LoadOptions, Mutation};
-use gm_model::fxmap::FxHashMap;
 use gm_model::{lockwait, Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
 use gm_obs::{Counter, Phase};
 use gm_shard::route::{encode_eid, encode_vid, partition, Meta, Partitioned};
@@ -272,7 +279,7 @@ impl Fleet {
                     fleet: self,
                     shard: s,
                     engine: RemoteEngine::from_connection(self.dial(s)?),
-                    state: Mutex::new(CellState::default()),
+                    read: AtomicBool::new(false),
                 })
             })
             .collect()
@@ -452,38 +459,19 @@ fn cell_of<'c, 'a>(cells: &'c [FleetCell<'a>], s: usize) -> GdbResult<&'c FleetC
         .ok_or_else(|| GdbError::Corrupt(format!("fleet: op routed to unknown shard {s}")))
 }
 
-/// Per-session client-side state of one shard connection.
-#[derive(Default)]
-struct CellState {
-    /// Queued single-shard writes, in op order.
-    queue: Vec<Request>,
-    /// Positions in `queue` holding a deferred-id `AddEdge`, with the tag
-    /// each position answers.
-    tags: Vec<(usize, u64)>,
-    /// Deferred tag → server-assigned composite edge id (bound at flush,
-    /// consumed by the first op that feeds the id back in).
-    resolved: FxHashMap<u64, Eid>,
-}
-
-/// One worker session's endpoint for one shard: a private connection plus
-/// the client-side write queue ([`FleetPort`] flushes it before any read
-/// of this shard, while untouched shards keep batching).
-///
-/// The state sits behind a `Mutex` only because the router over the port
-/// must be `Sync`; a cell is never actually shared across threads, so the
-/// lock is uncontended.
+/// One worker session's endpoint for one shard: a private connection whose
+/// client-side write queue ships with the next read of this shard, in the
+/// read's own frame, while untouched shards keep batching.
 pub(crate) struct FleetCell<'a> {
     fleet: &'a Fleet,
     shard: usize,
     engine: RemoteEngine,
-    state: Mutex<CellState>,
+    /// Handed out as a read view since the op began: its queue may have
+    /// ridden in a read's frame, so the op's end settles it.
+    read: AtomicBool,
 }
 
 impl FleetCell<'_> {
-    fn state(&self) -> GdbResult<MutexGuard<'_, CellState>> {
-        self.state.lock().map_err(|_| poisoned("cell state mutex"))
-    }
-
     fn conn(&self) -> GdbResult<MutexGuard<'_, Connection>> {
         self.engine
             .connection()
@@ -505,90 +493,88 @@ impl FleetCell<'_> {
     /// Queue a single-shard write; ships the queue when it reaches the
     /// batch cap.
     fn queue_write(&self, req: Request, tag: Option<u64>) -> GdbResult<()> {
-        let depth = {
-            let mut st = self.state()?;
-            if let Some(t) = tag {
-                let at = st.queue.len();
-                st.tags.push((at, t));
-            }
-            st.queue.push(req);
-            st.queue.len()
-        };
-        if depth >= DEFAULT_BATCH_CAP {
-            self.flush()?;
+        let mut conn = self.conn()?;
+        if conn.queue(req, tag) < DEFAULT_BATCH_CAP {
+            return Ok(());
         }
-        Ok(())
+        conn.flush();
+        self.settle(&mut conn)
     }
 
-    /// Ship the queued writes as one `ExecBatch` frame and bind deferred
-    /// edge ids from the responses. A server-rejected entry surfaces as
-    /// this call's error — a queued write's op already reported success,
-    /// so the failure lands on the op that forced the flush (and in the
-    /// `fleet.routing_errors` counter, which healthy runs keep at zero).
+    /// Ship the queued writes on their own, as one `ExecBatch` frame.
     pub(crate) fn flush(&self) -> GdbResult<()> {
-        let (reqs, tags) = {
-            let mut st = self.state()?;
-            if st.queue.is_empty() {
-                return Ok(());
+        let mut conn = self.conn()?;
+        conn.flush();
+        self.settle(&mut conn)
+    }
+
+    /// Account for the queued writes the connection shipped since the last
+    /// settle, in a flush or in a read's frame. A refused one surfaces as
+    /// this call's error — a queued write's op already reported success, so
+    /// the failure lands on the op whose frame carried it (and once in the
+    /// `fleet.routing_errors` counter, which healthy runs keep at zero).
+    /// A flush settles at once; a read's frame settles when its op ends
+    /// ([`settle_reads`]), since an infallible read has no error to return.
+    fn settle(&self, conn: &mut Connection) -> GdbResult<()> {
+        let (shipped, fault) = conn.settle();
+        if shipped > 0 {
+            // gm-check: relaxed(pure event count, no ordering relied upon)
+            self.fleet.batched_ops.fetch_add(shipped, Ordering::Relaxed);
+            if let Some(m) = &self.fleet.metrics {
+                m.batched_ops.add(shipped);
             }
-            (mem::take(&mut st.queue), mem::take(&mut st.tags))
-        };
-        let count = reqs.len() as u64;
-        let rsps = match self.conn()?.call_batch(reqs) {
-            Ok(r) => r,
-            Err(e) => {
+        }
+        match fault {
+            None => Ok(()),
+            Some(e) => {
                 self.fleet.note_routing_error();
-                return Err(e);
-            }
-        };
-        // gm-check: relaxed(pure event count, no ordering relied upon)
-        self.fleet.batched_ops.fetch_add(count, Ordering::Relaxed);
-        if let Some(m) = &self.fleet.metrics {
-            m.batched_ops.add(count);
-        }
-        let tag_at: FxHashMap<usize, u64> = tags.into_iter().collect();
-        let mut st = self.state()?;
-        for (at, rsp) in rsps.into_iter().enumerate() {
-            match (tag_at.get(&at), rsp) {
-                (_, Response::Err(e)) => {
-                    self.fleet.note_routing_error();
-                    return Err(e);
-                }
-                (Some(&tag), Response::U64(local)) => {
-                    st.resolved
-                        .insert(tag, encode_eid(Eid(local), self.shard, self.fleet.shards));
-                }
-                (Some(_), other) => {
-                    self.fleet.note_routing_error();
-                    return Err(other.mismatch("U64"));
-                }
-                (None, _) => {}
+                Err(e)
             }
         }
-        Ok(())
     }
 
     /// Bind a deferred edge id to its server-assigned composite id,
-    /// flushing this cell if the tag is still in flight. Consuming the
-    /// binding keeps the map from growing over a long session.
+    /// flushing this cell if the tag is still queued.
     fn take_resolved(&self, tag: u64) -> GdbResult<Eid> {
-        if let Some(e) = self.state()?.resolved.remove(&tag) {
-            return Ok(e);
-        }
-        self.flush()?;
-        self.state()?.resolved.remove(&tag).ok_or_else(|| {
-            GdbError::Corrupt(format!(
-                "fleet: deferred edge tag {tag} on shard {} never materialized",
-                self.shard
-            ))
-        })
+        let mut conn = self.conn()?;
+        let local = match conn.take_bound(tag) {
+            Some(local) => local,
+            None => {
+                conn.flush();
+                self.settle(&mut conn)?;
+                conn.take_bound(tag).ok_or_else(|| {
+                    GdbError::Corrupt(format!(
+                        "fleet: deferred edge tag {tag} on shard {} never materialized",
+                        self.shard
+                    ))
+                })?
+            }
+        };
+        Ok(encode_eid(Eid(local), self.shard, self.fleet.shards))
     }
 }
 
+/// Settle the cells an op read at its end: the op fails with the first
+/// queued write a server refused in one of its frames. Every such cell
+/// settles, so each refusal is reported by exactly one op.
+fn settle_reads(cells: &[FleetCell<'_>]) -> GdbResult<()> {
+    let mut first = Ok(());
+    // gm-check: relaxed(the flag names cells to settle; the settle itself locks the connection)
+    for cell in cells.iter().filter(|c| c.read.load(Ordering::Relaxed)) {
+        // gm-check: relaxed(only this session's thread sets or clears the flag)
+        cell.read.store(false, Ordering::Relaxed);
+        let settled = cell.conn().and_then(|mut conn| cell.settle(&mut conn));
+        if first.is_ok() {
+            first = settled;
+        }
+    }
+    first
+}
+
 /// The [`ShardPort`] of a fleet session: shard `s` is reached through the
-/// session's [`FleetCell`] — writes queue on it, reads flush it first and
-/// then ask its plain connection. With no cells (the setup path) reads go
-/// over the fleet's control connections and there is nothing to flush.
+/// session's [`FleetCell`] — writes queue on it, and a read of it carries
+/// the queue in its own frame. With no cells (the setup path) reads go over
+/// the fleet's control connections and nothing is queued.
 struct FleetPort<'a> {
     fleet: &'a Fleet,
     cells: &'a [FleetCell<'a>],
@@ -623,7 +609,8 @@ impl ShardPort for FleetPort<'_> {
         for s in need.shards(self.fleet.shards, meta) {
             let engine = match self.cells.get(s) {
                 Some(cell) => {
-                    cell.flush()?;
+                    // gm-check: relaxed(read back by this session's own thread at the op's end)
+                    cell.read.store(true, Ordering::Relaxed);
                     &cell.engine
                 }
                 None => self.fleet.control.get(s).ok_or_else(|| {
@@ -635,8 +622,10 @@ impl ShardPort for FleetPort<'_> {
         Ok(f(&views))
     }
 
-    /// The answer is needed now: FIFO behind the queue, then one direct
-    /// round trip (so the server assigns local ids in op order).
+    /// The answer is needed now: the queue ships first, in its own frame,
+    /// then one direct round trip (so the server assigns local ids in op
+    /// order, and a write never runs behind a queued write the server
+    /// refused).
     fn apply(&self, s: usize, m: Mutation<'_>) -> GdbResult<Applied> {
         let req = frame(m)?;
         let cell = cell_of(self.cells, s)?;
@@ -644,10 +633,11 @@ impl ShardPort for FleetPort<'_> {
         cell.call(&req)?.into_applied()
     }
 
-    /// Queue the write on its cell (shipped by cap or flush-on-touch). A
-    /// creation answers a placeholder: the driver's `apply_write` discards
-    /// a workload vertex's id, so that round trip never needs to answer,
-    /// and an edge's id is bound to its tag at flush.
+    /// Queue the write on its cell (shipped by cap or with the next read of
+    /// the shard). A creation answers a placeholder: the driver's
+    /// `apply_write` discards a workload vertex's id, so that round trip
+    /// never needs to answer, and an edge's id is bound to its tag when its
+    /// frame ships.
     fn post(&self, s: usize, m: Mutation<'_>) -> GdbResult<Posted> {
         let (tag, out) = match &m {
             Mutation::AddVertex(..) => (None, Posted::Deferred(DEFERRED_BIT)),
@@ -746,7 +736,7 @@ impl Session for FleetSession<'_> {
         let card = match op {
             Op::Read(inst) => {
                 let ctx = QueryCtx::with_timeout(self.op_timeout);
-                catalog::execute_read(&inst, &router, self.params, &ctx)?
+                catalog::execute_read(&inst, &router, self.params, &ctx)
             }
             Op::Write(wop) => apply_write(
                 wop,
@@ -755,8 +745,12 @@ impl Session for FleetSession<'_> {
                 worker,
                 op_index,
                 &mut self.owned_edges,
-            )?,
+            ),
         };
+        // A queued write refused in this op's frames fails it, whatever
+        // answered the read that carried the write.
+        settle_reads(&self.cells)?;
+        let card = card?;
         let mut out = OpResult::plain(card).with_lock_wait(lockwait::take());
         if let Some(t) = t0 {
             // Everything outside client-side lock waiting is wire work
@@ -792,15 +786,11 @@ mod tests {
         }
     }
 
-    /// A fleet `add_vertex` answers a placeholder. Fed back into a write it
-    /// must be refused by name where it enters — not decoded to a garbage
-    /// shard-local id, queued, and failed as `VertexNotFound` on whichever
-    /// unrelated later op forces that cell's flush.
-    #[test]
-    fn deferred_vertex_ids_are_refused_on_entry() {
+    /// Two linked(v2) shard servers behind a fleet set up over a 150-vertex
+    /// chain.
+    fn two_shard_fleet() -> (Vec<crate::ServerHandle>, Fleet, ResolvedParams) {
         use crate::Server;
-        use gm_model::api::GraphDb;
-        use gm_model::{testkit, Value};
+        use gm_model::testkit;
         use graphmark::registry::EngineKind;
 
         let servers: Vec<_> = (0..2u32)
@@ -814,10 +804,22 @@ mod tests {
             .collect();
         let fleet = Fleet::connect(servers.iter().map(|h| h.addr().to_string()).collect())
             .expect("connect fleet");
-        let cfg = WorkloadConfig::default();
         let params = fleet
-            .setup(&testkit::chain_dataset(150), &cfg)
+            .setup(&testkit::chain_dataset(150), &WorkloadConfig::default())
             .expect("setup");
+        (servers, fleet, params)
+    }
+
+    /// A fleet `add_vertex` answers a placeholder. Fed back into a write it
+    /// must be refused by name where it enters — not decoded to a garbage
+    /// shard-local id, queued, and failed as `VertexNotFound` on whichever
+    /// unrelated later op forces that cell's flush.
+    #[test]
+    fn deferred_vertex_ids_are_refused_on_entry() {
+        use gm_model::api::GraphDb;
+        use gm_model::Value;
+
+        let (servers, fleet, params) = two_shard_fleet();
         let cells = fleet.open_cells().expect("cells");
         let mut router = Router::over(&fleet.name, &fleet.topo, fleet.port(&cells));
 
@@ -848,6 +850,81 @@ mod tests {
         assert_eq!(fleet.batched_ops() - shipped, 1, "only the add_vertex");
         assert_eq!(fleet.routing_errors(), 0, "no routing error counted");
         drop(cells);
+        for h in servers {
+            h.shutdown();
+        }
+    }
+
+    /// A queued write the server refuses rides in the next read's frame and
+    /// fails exactly that read's op — also when an infallible read carried
+    /// it — counted once as a routing error; the connection stays clean,
+    /// and an `apply` queued behind such a write never reaches the server.
+    #[test]
+    fn a_refused_queued_write_fails_the_op_that_carried_it() {
+        use gm_core::catalog::{QueryId, QueryInstance};
+        use gm_model::api::GraphDb;
+        use gm_model::Value;
+        use std::borrow::Cow;
+
+        let (servers, fleet, params) = two_shard_fleet();
+        let mut session = FleetSession {
+            fleet: &fleet,
+            params: &params,
+            op_timeout: Duration::from_secs(5),
+            cells: fleet.open_cells().expect("cells"),
+            owned_edges: Vec::new(),
+        };
+        // A vertex id on the anchor's shard that names no vertex there.
+        let s = params.vertex.0 as usize % 2;
+        let missing = encode_vid(Vid(1 << 30), s, 2);
+        let queue_refused = |cells: &[FleetCell<'_>]| {
+            Router::over(&fleet.name, &fleet.topo, fleet.port(cells))
+                .set_vertex_property(missing, "p", Value::Int(1))
+                .expect("queued: the server has not answered yet")
+        };
+        let refused = |out: GdbResult<_>| matches!(out, Err(GdbError::VertexNotFound(_)));
+        let point_read = Op::Read(QueryInstance::plain(QueryId::Q14));
+        let errors = fleet.routing_errors();
+
+        queue_refused(&session.cells);
+        let trips = fleet.round_trips();
+        assert!(refused(session.execute(point_read, 0, 1).map(drop)));
+        assert_eq!(
+            fleet.round_trips() - trips,
+            1,
+            "the write rode in the read's frame"
+        );
+        assert_eq!(fleet.routing_errors() - errors, 1, "counted once");
+
+        let (trips, batched) = (fleet.round_trips(), fleet.batched_ops());
+        let again = session
+            .execute(point_read, 0, 2)
+            .expect("the connection is usable");
+        assert_eq!(again.cardinality, 1);
+        assert_eq!(fleet.round_trips() - trips, 1, "a plain read frame");
+        assert_eq!(fleet.batched_ops(), batched, "no stale entry shipped");
+        assert_eq!(fleet.routing_errors() - errors, 1);
+
+        // An infallible read has no error to return: the op's end reports it.
+        queue_refused(&session.cells);
+        let router = Router::over(&fleet.name, &fleet.topo, fleet.port(&session.cells));
+        let _ = router.has_vertex_index("p");
+        assert!(refused(settle_reads(&session.cells)));
+        assert_eq!(fleet.routing_errors() - errors, 2);
+
+        queue_refused(&session.cells);
+        let ctx = QueryCtx::unbounded();
+        let server_count = || fleet.control[s].vertex_count(&ctx).expect("vertex count");
+        let before = server_count();
+        let ghost = Mutation::AddVertex(Cow::Borrowed("ghost"), Cow::Owned(Vec::new()));
+        assert!(refused(
+            fleet.port(&session.cells).apply(s, ghost).map(drop)
+        ));
+        assert_eq!(server_count(), before, "the apply never ran");
+        assert_eq!(fleet.routing_errors() - errors, 3);
+        session.finish().expect("nothing left queued");
+
+        drop(session);
         for h in servers {
             h.shutdown();
         }

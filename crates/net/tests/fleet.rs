@@ -103,6 +103,9 @@ fn fleet_write_heavy_matches_in_process_sharded_replay() {
         run_trips < total_ops,
         "batched dispatch must spend fewer wire round trips ({run_trips}) than ops ({total_ops})"
     );
+    // The replay is sequential and seeded, so its frame count is exact: a
+    // read carries its shard's queued writes in its own frame.
+    assert_eq!(run_trips, 87, "wire round trips of the seeded replay");
     // Locked hosting is unversioned: the fleet epoch holds at 0, which is
     // still (trivially) monotone.
     let epoch_after = fleet.epoch().expect("fleet epoch");
@@ -230,9 +233,9 @@ fn fleet_refuses_a_miswired_address_table() {
 
 /// Flush-on-touch is precise: a read ships the queued writes of exactly the
 /// shards it needs — one for a point read, the presence set for an `in()`
-/// gather, every cell for a whole-graph scan — while untouched shards keep
-/// batching, and what it touches always includes the session's own earlier
-/// writes.
+/// gather, every cell for a whole-graph scan — in its own frames, one per
+/// shard, while untouched shards keep batching, and what it touches always
+/// includes the session's own earlier writes.
 #[test]
 fn reads_flush_exactly_the_shards_they_need() {
     const N: usize = 3;
@@ -283,14 +286,14 @@ fn reads_flush_exactly_the_shards_they_need() {
     assert_eq!(run(read(QueryId::Q14)), 1, "point read of the anchor");
     let (b1, t1) = counters();
     assert_eq!(b1 - b0, 1, "a point read ships its own shard's queue only");
-    assert_eq!(t1 - t0, 2, "one batch frame plus the read itself");
+    assert_eq!(t1 - t0, 1, "the queued write rides in the read's frame");
 
     // The other N-1 queues are still batching; a whole-graph count ships
     // them all and sees every write this session made.
     assert_eq!(run(read(QueryId::Q8)), 150 + N as u64, "own writes visible");
     let (b2, t2) = counters();
     assert_eq!(b2 - b1, N as u64 - 1, "a scan ships every remaining cell");
-    assert_eq!(t2 - t1, (N - 1 + N) as u64, "N-1 batches plus N reads");
+    assert_eq!(t2 - t1, N as u64, "one frame per shard, queues included");
 
     queue_one_per_shard(&mut run);
     let before_gather = counters();
@@ -303,8 +306,8 @@ fn reads_flush_exactly_the_shards_they_need() {
     );
     assert_eq!(
         after_gather.1 - before_gather.1,
-        2 * presence.len() as u64,
-        "one batch and one read per presence shard"
+        presence.len() as u64,
+        "one frame per presence shard, its queue included"
     );
 
     session.finish().expect("final flush");
