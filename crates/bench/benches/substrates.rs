@@ -1,7 +1,8 @@
 //! Criterion bench: the storage substrates in isolation — the ablation
 //! level below the engines (B+Tree vs bitmap vs LSM vs record files), the
-//! delta-encoding space/time trade-off behind the columnar engine, and one
-//! copy-on-write MVCC epoch of the linked engine built on them.
+//! delta-encoding space/time trade-off behind the columnar engine, one
+//! copy-on-write MVCC epoch of the linked engine built on them, and one
+//! snapshot pin of a cell against a sharded composite of cells.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gm_datasets::{self as datasets, DatasetId, Scale};
@@ -12,6 +13,8 @@ use gm_storage::codec::{delta_decode, delta_encode};
 use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::{Bitmap, HashIndex, PageStore, RecordFile};
 use graphmark::engines::linked::LinkedGraph;
+use graphmark::mvcc::{SnapshotMode, SnapshotSource};
+use graphmark::registry::EngineKind;
 
 const N: u64 = 10_000;
 
@@ -322,12 +325,34 @@ fn bench_linked_clone(c: &mut Criterion) {
     group.finish();
 }
 
+/// One strict snapshot pin of linked(v2) on `frb-l` at 1/2000 (18.6 k
+/// vertices): a plain `CowCell` against `ShardedSource` /s1 and /s2. A
+/// composite pin is one cell pin per shard plus a routing-meta clone that
+/// shares its maps by refcount, so it should stay within 4 × shards of the
+/// cell pin whatever the graph's size.
+fn bench_shard_pin(c: &mut Criterion) {
+    let data = datasets::generate(DatasetId::FrbL, Scale::small(), 42);
+    let kind = EngineKind::LinkedV2;
+    let sources: [(&str, Box<dyn SnapshotSource>); 3] = [
+        ("cow_cell", kind.make_snapshot_source(SnapshotMode::Cow)),
+        ("sharded_s1", Box::new(kind.make_sharded_source(1))),
+        ("sharded_s2", Box::new(kind.make_sharded_source(2))),
+    ];
+    let mut group = c.benchmark_group("substrate/shard-pin");
+    for (name, src) in &sources {
+        src.with_write(&mut |db| db.bulk_load(&data, &LoadOptions::default()).map(|_| 0))
+            .expect("load");
+        group.bench_function(*name, |bench| bench.iter(|| src.snapshot().expect("pin")));
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(1200))
         .sample_size(10);
-    targets = bench_substrates, bench_linked_clone
+    targets = bench_substrates, bench_linked_clone, bench_shard_pin
 }
 criterion_main!(benches);

@@ -261,6 +261,7 @@ impl GraphSnapshot for BitmapGraph {
             optimized_adapter: false,
             async_writes: false,
             attribute_indexes: true,
+            max_identifier_len: None,
         }
     }
 

@@ -399,6 +399,7 @@ impl GraphSnapshot for ClusterGraph {
             optimized_adapter: false,
             async_writes: false,
             attribute_indexes: true,
+            max_identifier_len: None,
         }
     }
 

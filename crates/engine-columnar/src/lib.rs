@@ -678,6 +678,7 @@ impl GraphSnapshot for ColumnarGraph {
             optimized_adapter: true,
             async_writes: false,
             attribute_indexes: true,
+            max_identifier_len: None,
         }
     }
 

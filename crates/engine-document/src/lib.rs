@@ -272,6 +272,7 @@ impl GraphSnapshot for DocumentGraph {
             optimized_adapter: false,
             async_writes: true,
             attribute_indexes: true,
+            max_identifier_len: None,
         }
     }
 

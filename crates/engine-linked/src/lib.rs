@@ -669,6 +669,7 @@ impl GraphSnapshot for LinkedGraph {
             optimized_adapter: false,
             async_writes: false,
             attribute_indexes: true,
+            max_identifier_len: None,
         }
     }
 

@@ -200,13 +200,7 @@ impl RelationalGraph {
     }
 
     fn check_identifier(name: &str) -> GdbResult<()> {
-        if name.len() > MAX_IDENTIFIER_LEN {
-            return Err(GdbError::Invalid(format!(
-                "identifier '{}…' exceeds {MAX_IDENTIFIER_LEN} bytes (relational backend limit)",
-                &name[..name.floor_char_boundary(24)]
-            )));
-        }
-        Ok(())
+        gm_model::api::check_identifier(name, MAX_IDENTIFIER_LEN)
     }
 
     fn vtable_for(&mut self, label: &str) -> GdbResult<u32> {
@@ -316,6 +310,7 @@ impl GraphSnapshot for RelationalGraph {
             optimized_adapter: true,
             async_writes: false,
             attribute_indexes: true,
+            max_identifier_len: Some(MAX_IDENTIFIER_LEN as u32),
         }
     }
 

@@ -336,6 +336,7 @@ impl GraphSnapshot for TripleGraph {
             optimized_adapter: false,
             async_writes: false,
             attribute_indexes: false,
+            max_identifier_len: None,
         }
     }
 

@@ -148,6 +148,24 @@ pub struct EngineFeatures {
     /// Whether user-controlled attribute indexes are supported (Figure 4c;
     /// the triple engine has none, as BlazeGraph in §6.4 *Effect of Indexing*).
     pub attribute_indexes: bool,
+    /// The longest label or property name the engine stores, in bytes
+    /// (`None`: no limit). A write naming a longer one is refused, with
+    /// [`check_identifier`]'s error — by the engine, and by a write
+    /// transaction when the write is buffered ([`Mutation::check_identifiers`]).
+    pub max_identifier_len: Option<u32>,
+}
+
+/// Refuse an identifier (a label or property name) longer than `limit`
+/// bytes: the one refusal an engine declaring
+/// [`EngineFeatures::max_identifier_len`] makes.
+pub fn check_identifier(name: &str, limit: usize) -> GdbResult<()> {
+    if name.len() > limit {
+        return Err(GdbError::Invalid(format!(
+            "identifier '{}…' exceeds {limit} bytes (the engine's identifier limit)",
+            &name[..name.floor_char_boundary(24)]
+        )));
+    }
+    Ok(())
 }
 
 /// The **read-only half** of the engine interface — everything a consistent
@@ -211,9 +229,18 @@ pub trait GraphSnapshot: Send + Sync {
     ///
     /// Used by the benchmark runner *outside* the timed region ("the lookup
     /// for the object is performed before the time is measured", §4.2).
+    ///
+    /// The contract, as the sharded composite keeps it: the id of the
+    /// element the bulk load placed there **while that element is live**,
+    /// else `None` — a removed element stops resolving, and its canonical
+    /// id never comes to name an element a later insert puts in its slot.
+    /// Bare engines do not keep it yet: they answer from their load map
+    /// after a removal (and linked's slot reuse can then alias a new
+    /// vertex); ROADMAP item 14(b) settles them.
     fn resolve_vertex(&self, canonical: u64) -> Option<Vid>;
 
-    /// Map a canonical edge id to this engine's internal id.
+    /// Map a canonical edge id to this engine's internal id (the contract
+    /// of [`GraphSnapshot::resolve_vertex`]).
     fn resolve_edge(&self, canonical: u64) -> Option<Eid>;
 
     // ----- Read (Q8–Q15) ----------------------------------------------
@@ -493,6 +520,26 @@ pub enum Mutation<'a> {
 }
 
 impl Mutation<'_> {
+    /// Refuse this mutation if a label or property name it stores is longer
+    /// than `limit` bytes ([`EngineFeatures::max_identifier_len`]).
+    pub fn check_identifiers(&self, limit: Option<u32>) -> GdbResult<()> {
+        let Some(limit) = limit else {
+            return Ok(());
+        };
+        let (name, props): (Option<&str>, &[(String, Value)]) = match self {
+            Mutation::AddVertex(label, props) | Mutation::AddEdge(_, _, label, props) => {
+                (Some(label), props)
+            }
+            Mutation::SetVertexProperty(_, name, _) | Mutation::SetEdgeProperty(_, name, _) => {
+                (Some(name), &[])
+            }
+            _ => (None, &[]),
+        };
+        name.into_iter()
+            .chain(props.iter().map(|(n, _)| n.as_str()))
+            .try_for_each(|n| check_identifier(n, limit as usize))
+    }
+
     /// The same mutation owning everything it borrowed.
     pub fn into_owned(self) -> Mutation<'static> {
         fn own<T: ToOwned + ?Sized>(c: Cow<'_, T>) -> Cow<'static, T> {

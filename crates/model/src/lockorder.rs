@@ -3,7 +3,7 @@
 //! The workspace has a documented lock hierarchy — a server's host-swap lock
 //! outside everything, then the locked host's engine lock, a composite's
 //! meta lock before its shard locks (ascending), MVCC cell locks inside
-//! those, leaf bookkeeping (purge queues, pin tables) innermost — but until
+//! those, leaf bookkeeping (txn logs, pin tables) innermost — but until
 //! now nothing *enforced* it. This module is the
 //! runtime half of that enforcement (the static half is the `gm-check`
 //! lint over `// gm-lock:` markers): every ranked acquisition site calls
@@ -31,7 +31,7 @@
 //! | `Shard(i)`            | one shard's engine lock; multi-shard paths go ascending |
 //! | `CellWriter`          | an MVCC cell's working/live mutex                       |
 //! | `CellPublished`       | an MVCC cell's published-view `RwLock`                  |
-//! | `Leaf`                | innermost bookkeeping: purge queues, pin tables         |
+//! | `Leaf`                | innermost bookkeeping: txn logs, pin tables             |
 //!
 //! `Shard(i)` then `Shard(j)` is legal only for `j > i` — the ascending
 //! order `wlock_all` uses — so two writers each holding one shard and
@@ -54,7 +54,7 @@ pub enum LockRank {
     CellWriter,
     /// MVCC cell published-view lock.
     CellPublished,
-    /// Innermost bookkeeping (purge queue, pin table).
+    /// Innermost bookkeeping (txn log, pin table).
     Leaf,
 }
 

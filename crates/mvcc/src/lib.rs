@@ -467,7 +467,8 @@ pub struct CowCell<E: GraphDb + Clone> {
     engine: String,
     /// The writers' private copy for the pending epoch: cloned from the
     /// published graph on the first write of the epoch, published (by move)
-    /// at the next due pin. `None` = no writes since the last publish.
+    /// at the next due pin, dropped if the batch that made it fails. `None`
+    /// = no writes since the last publish.
     working: Mutex<Option<E>>,
     published: RwLock<SnapView<E>>,
     dirty: DirtyClock,
@@ -658,6 +659,9 @@ impl<E: GraphDb + Clone + 'static> SnapshotSource for CowCell<E> {
         if let Some(m) = &self.metrics {
             m.on_write();
         }
+        // A batch that makes the epoch's pending copy and then fails drops
+        // it: its partial writes reach no pin.
+        let fresh_epoch = base.is_some();
         // Record the touched write-set keys for txn conflict detection;
         // append only when the whole batch succeeded (failed batches are
         // the existing weaker contract and never validate as commits).
@@ -668,8 +672,10 @@ impl<E: GraphDb + Clone + 'static> SnapshotSource for CowCell<E> {
         };
         let mut rec = KeyRecorder::new(&mut writer);
         let out = f(&mut rec);
-        if out.is_ok() {
-            self.txn_log.append(rec.take_keys());
+        match &out {
+            Ok(_) => self.txn_log.append(rec.take_keys()),
+            Err(_) if fresh_epoch && working.take().is_some() => self.dirty.clear(),
+            Err(_) => {}
         }
         out
     }

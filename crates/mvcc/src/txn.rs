@@ -314,6 +314,9 @@ pub struct WriteTxn {
     start_seq: u64,
     base_epoch: u64,
     base: Box<dyn GraphSnapshot>,
+    /// The base engine's [`EngineFeatures::max_identifier_len`], checked as
+    /// each write is buffered.
+    max_identifier_len: Option<u32>,
     /// The write set, replayed in order at commit. Ids may be
     /// [`TXN_ID_TAG`]-tagged placeholders for entities this transaction
     /// created; placeholders are handed out in creation order.
@@ -347,6 +350,7 @@ impl WriteTxn {
         Ok(WriteTxn {
             start_seq,
             base_epoch,
+            max_identifier_len: base.features().max_identifier_len,
             base,
             ops: Vec::new(),
             keys: BTreeSet::new(),
@@ -749,8 +753,11 @@ impl GraphSnapshot for WriteTxn {
 }
 
 impl GraphDb for WriteTxn {
-    /// Buffer `m` into the write set and overlay it on the RYOW view.
+    /// Buffer `m` into the write set and overlay it on the RYOW view. A
+    /// name longer than the engine's identifier limit is refused here, as
+    /// autocommit refuses it, so a commit never fails half-replayed on it.
     fn apply(&mut self, m: Mutation<'_>) -> GdbResult<Applied> {
+        m.check_identifiers(self.max_identifier_len)?;
         let out = match &m {
             Mutation::BulkLoad(..) | Mutation::CreateVertexIndex(_) => {
                 return Err(GdbError::Unsupported(

@@ -510,6 +510,7 @@ impl GraphSnapshot for RemoteEngine {
                 optimized_adapter: false,
                 async_writes: false,
                 attribute_indexes: false,
+                max_identifier_len: None,
             })
     }
 

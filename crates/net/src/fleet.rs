@@ -6,10 +6,11 @@
 //! in-process composites: `gm-shard`'s [`Router`] and composite read
 //! surface over the fleet's [`Topology`], with [`FleetPort`] — one
 //! pipelined connection per shard server — as the port. Placement, the
-//! ghost discipline, ghost-corrected scatter-gather and deferred purges are
-//! therefore not *mirrored* here, they are the same code; the routing meta
-//! lives client-side under the topology's meta lock and the servers only
-//! ever see shard-local ids.
+//! ghost discipline, ghost-corrected scatter-gather and canonical
+//! resolution are therefore not *mirrored* here, they are the same code —
+//! the load's routing meta included, built by `route::build_meta` from
+//! chunked `ExecBatch` probes; the routing meta lives client-side under the
+//! topology's meta lock and the servers only ever see shard-local ids.
 //!
 //! ## Batched, pipelined dispatch
 //!
@@ -62,7 +63,7 @@ use gm_core::params::{ResolvedParams, Workload};
 use gm_model::api::{Applied, GraphSnapshot, LoadOptions, Mutation};
 use gm_model::{lockwait, Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
 use gm_obs::{Counter, Phase};
-use gm_shard::route::{encode_eid, encode_vid, partition, Meta, Partitioned};
+use gm_shard::route::{build_meta, encode_eid, partition, Meta, Partitioned, Probe};
 use gm_shard::{Posted, Router, ShardPort, ShardSel, Topology};
 use gm_workload::{apply_write, Backend, Op, OpResult, Session, WorkloadConfig, WORKLOAD_SLOTS};
 
@@ -135,7 +136,7 @@ impl FleetMetrics {
 /// A fleet of shard servers behind one composite-graph facade.
 ///
 /// Shared state is the composite's [`Topology`] (routing meta, placement
-/// counter, purge queue) plus the wire counters. The per-connection state
+/// counter, load bounds) plus the wire counters. The per-connection state
 /// (write queues, deferred-id bindings) lives in per-worker [`FleetCell`]s
 /// instead, so sessions never contend on a socket.
 pub struct Fleet {
@@ -248,13 +249,14 @@ impl Fleet {
     pub fn setup(&self, data: &Dataset, cfg: &WorkloadConfig) -> GdbResult<ResolvedParams> {
         let parts = partition(data, self.shards)?;
         self.load_partitioned(&parts)?;
-        let meta = self.build_meta_batched(&parts)?;
-        // A fresh load is a fresh composite: install the meta (entering
-        // the topology applies stale purges to the old one), restart the
+        let meta = build_meta(&parts, self.shards, |s, probe, locals| {
+            self.resolve_on(s, probe, locals)
+        })?;
+        // A fresh load is a fresh composite: install the meta, restart the
         // placement counter and the tag allocator, so repeated setups
         // replay identically to a newly constructed `ShardedGraph`.
         // gm-lock: meta
-        *self.topo.enter()? = meta;
+        self.topo.install(&mut *self.topo.enter()?, meta);
         self.topo.restart_placement();
         // gm-check: relaxed(setup path, single-threaded; counters restart from zero)
         self.tag_seq.store(0, Ordering::Relaxed);
@@ -339,89 +341,9 @@ impl Fleet {
         Ok(())
     }
 
-    /// `route::build_meta` over the wire: the same bookkeeping resolution,
-    /// but each shard's probes ship as chunked `ExecBatch` frames instead
-    /// of one round trip per id.
-    fn build_meta_batched(&self, parts: &Partitioned) -> GdbResult<Meta> {
-        let shards = self.shards;
-        let corrupt = |what: String| GdbError::Corrupt(format!("fleet load: {what}"));
-        let mut meta = Meta::new(shards);
-        fn shard_bucket(
-            probes: &mut [Vec<(u64, u64)>],
-            s: usize,
-        ) -> GdbResult<&mut Vec<(u64, u64)>> {
-            probes.get_mut(s).ok_or_else(|| {
-                GdbError::Corrupt(format!("fleet load: partition names unknown shard {s}"))
-            })
-        }
-        // Vertices: (global canonical, shard-local canonical), per shard.
-        let mut v_probes: Vec<Vec<(u64, u64)>> = vec![Vec::new(); shards];
-        for (canonical, (s, local_canonical)) in parts.vertex_loc.iter().enumerate() {
-            shard_bucket(&mut v_probes, *s)?.push((canonical as u64, *local_canonical));
-        }
-        for (s, probes) in v_probes.into_iter().enumerate() {
-            let reqs = probes
-                .iter()
-                .map(|(_, lc)| Request::ResolveVertex(*lc))
-                .collect();
-            let locals = self.resolve_on(s, reqs)?;
-            for ((global, local_canonical), local) in probes.into_iter().zip(locals) {
-                let local = local.ok_or_else(|| {
-                    corrupt(format!("shard {s} lost loaded vertex {local_canonical}"))
-                })?;
-                let composite = encode_vid(Vid(local), s, shards).0;
-                meta.vertex_resolve.insert(global, composite);
-                meta.vertex_canon.insert(composite, global);
-            }
-        }
-        // Ghosts: (shadowed global canonical, shard-local canonical).
-        let mut g_probes: Vec<Vec<(u64, u64)>> = vec![Vec::new(); shards];
-        for (s, shadowed, local_canonical) in &parts.ghosts {
-            shard_bucket(&mut g_probes, *s)?.push((*shadowed, *local_canonical));
-        }
-        for (s, probes) in g_probes.into_iter().enumerate() {
-            let reqs = probes
-                .iter()
-                .map(|(_, lc)| Request::ResolveVertex(*lc))
-                .collect();
-            let locals = self.resolve_on(s, reqs)?;
-            for ((shadowed, local_canonical), local) in probes.into_iter().zip(locals) {
-                let local = Vid(local.ok_or_else(|| {
-                    corrupt(format!("shard {s} lost ghost vertex {local_canonical}"))
-                })?);
-                let composite = *meta
-                    .vertex_resolve
-                    .get(&shadowed)
-                    .ok_or_else(|| corrupt(format!("ghost shadows unknown vertex {shadowed}")))?;
-                meta.add_ghost(s, Vid(composite), local);
-            }
-        }
-        // Edges: (global canonical, shard-local canonical).
-        let mut e_probes: Vec<Vec<(u64, u64)>> = vec![Vec::new(); shards];
-        for (canonical, (s, local_canonical)) in parts.edge_loc.iter().enumerate() {
-            shard_bucket(&mut e_probes, *s)?.push((canonical as u64, *local_canonical));
-        }
-        for (s, probes) in e_probes.into_iter().enumerate() {
-            let reqs = probes
-                .iter()
-                .map(|(_, lc)| Request::ResolveEdge(*lc))
-                .collect();
-            let locals = self.resolve_on(s, reqs)?;
-            for ((global, local_canonical), local) in probes.into_iter().zip(locals) {
-                let local = local.ok_or_else(|| {
-                    corrupt(format!("shard {s} lost loaded edge {local_canonical}"))
-                })?;
-                let composite = encode_eid(Eid(local), s, shards).0;
-                meta.edge_resolve.insert(global, composite);
-                meta.edge_canon.insert(composite, global);
-            }
-        }
-        Ok(meta)
-    }
-
     /// Ship resolution probes to shard `s` in `SETUP_CHUNK`-sized batches;
     /// answers come back in request order.
-    fn resolve_on(&self, s: usize, reqs: Vec<Request>) -> GdbResult<Vec<Option<u64>>> {
+    fn resolve_on(&self, s: usize, probe: Probe, locals: &[u64]) -> GdbResult<Vec<Option<u64>>> {
         let eng = self
             .control
             .get(s)
@@ -430,14 +352,13 @@ impl Fleet {
             .connection()
             .lock()
             .map_err(|_| poisoned("control connection mutex"))?;
-        let mut out = Vec::with_capacity(reqs.len());
-        let mut iter = reqs.into_iter();
-        loop {
-            let chunk: Vec<Request> = iter.by_ref().take(SETUP_CHUNK).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            for rsp in conn.call_batch(chunk)? {
+        let mut out = Vec::with_capacity(locals.len());
+        for chunk in locals.chunks(SETUP_CHUNK) {
+            let reqs = chunk.iter().map(|&l| match probe {
+                Probe::Vertex => Request::ResolveVertex(l),
+                Probe::Edge => Request::ResolveEdge(l),
+            });
+            for rsp in conn.call_batch(reqs.collect())? {
                 out.push(rsp.into_opt_u64()?);
             }
         }
@@ -775,6 +696,7 @@ impl Session for FleetSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gm_shard::route::encode_vid;
 
     #[test]
     fn deferred_ids_round_trip() {

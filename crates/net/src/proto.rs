@@ -76,8 +76,10 @@ pub const MAGIC: u32 = 0x474D_4E54;
 /// 3 and its lock wait; 4 `GetStats`; 5 trace ids and `GetTraces`; 6
 /// `ExecBatch` and `Epoch` for fleets; 7 write transactions; 8 retires
 /// `Neighbors` (`0x23`) — a remote adjacency walk is one `VertexEdges`
-/// frame, whatever collects it.
-pub const PROTO_VERSION: u16 = 8;
+/// frame, whatever collects it; 9 the `Features` reply carries
+/// `max_identifier_len`, so a remote transaction refuses what the engine
+/// would.
+pub const PROTO_VERSION: u16 = 9;
 
 // ----- field codecs --------------------------------------------------------
 
@@ -227,7 +229,7 @@ wire_struct! {
     LoadStats { vertices, edges }
     EngineFeatures {
         name, system_type, storage, edge_traversal, optimized_adapter, async_writes,
-        attribute_indexes
+        attribute_indexes, max_identifier_len
     }
     SpaceReport { components }
     EdgeRef { eid, other }

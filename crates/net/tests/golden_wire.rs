@@ -424,6 +424,7 @@ fn response_samples() -> Vec<(&'static str, Response)> {
                 optimized_adapter: false,
                 async_writes: true,
                 attribute_indexes: true,
+                max_identifier_len: Some(63),
             }),
         ),
         (
@@ -614,5 +615,5 @@ fn responses_match_the_recorded_bytes() {
 
 #[test]
 fn proto_version_did_not_move() {
-    assert_eq!(PROTO_VERSION, 8);
+    assert_eq!(PROTO_VERSION, 9);
 }

@@ -443,18 +443,22 @@ fn response_frame(name: &str) -> BoxedStrategy<Response> {
         "Features" => (
             (s(), s(), s(), s()),
             (any::<bool>(), any::<bool>(), any::<bool>()),
+            prop::option::of(any::<u32>()),
         )
-            .prop_map(|((name, system_type, storage, edge_traversal), flags)| {
-                Response::Features(EngineFeatures {
-                    name,
-                    system_type,
-                    storage,
-                    edge_traversal,
-                    optimized_adapter: flags.0,
-                    async_writes: flags.1,
-                    attribute_indexes: flags.2,
-                })
-            })
+            .prop_map(
+                |((name, system_type, storage, edge_traversal), flags, limit)| {
+                    Response::Features(EngineFeatures {
+                        name,
+                        system_type,
+                        storage,
+                        edge_traversal,
+                        optimized_adapter: flags.0,
+                        async_writes: flags.1,
+                        attribute_indexes: flags.2,
+                        max_identifier_len: limit,
+                    })
+                },
+            )
             .boxed(),
         "Space" => prop::collection::vec((s(), id()), 0..6)
             .prop_map(|components| Response::Space(SpaceReport { components }))

@@ -89,12 +89,6 @@ impl<E: GraphDb + 'static> ShardedGraph<E> {
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
-
-    /// Current depth of the deferred purge queue (diagnostics and tests;
-    /// the `shard.pending_purges` gauge mirrors this under `GM_OBS`).
-    pub fn pending_purge_depth(&self) -> usize {
-        self.topo.pending_purge_depth()
-    }
 }
 
 /// The [`ShardPort`] of a [`ShardedGraph`]: shard `s` is reached through

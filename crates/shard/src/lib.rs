@@ -33,12 +33,13 @@
 //! * [`router`] — the **routing writer**: [`Router`] is the one `GraphDb`
 //!   that places vertices, splits same-shard from cut edges, looks up /
 //!   validates / creates ghosts, removes a vertex across its presence set
-//!   and defers resolution-map purges, over a narrow [`ShardPort`] (read
+//!   and retires the canonical ids of removed loaded elements, over a
+//!   narrow [`ShardPort`] (read
 //!   shard *s*; apply one [`Mutation`](gm_model::Mutation), in shard-local
 //!   ids, to shard *s*; publish shard *s*);
 //! * [`topology`] — [`Topology`], the one owner of the routing meta, the
-//!   placement counter, the purge queue and the `shard.*` metrics, with
-//!   the single "enter topology change" guard.
+//!   placement counter, the load's id bounds and the `shard.*` metrics,
+//!   with the single "enter topology change" guard.
 //!
 //! A host is then a [`Topology`] plus a port: `ShardedGraph` reaches shard
 //! *s* through its own `RwLock` (reads see one consistent cross-shard
@@ -84,7 +85,7 @@ mod tests {
     use super::*;
     use engine_linked::LinkedGraph;
     use gm_model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions};
-    use gm_model::{testkit, QueryCtx, Value, Vid};
+    use gm_model::{testkit, Eid, GdbResult, QueryCtx, Value, Vid};
     use gm_mvcc::{CowCell, SnapshotSource};
     use gm_workload::Host;
 
@@ -203,41 +204,66 @@ mod tests {
         assert_eq!(g.vertex(hub).unwrap(), None);
     }
 
-    /// Regression: deferred resolution-map purges must not sit in the
-    /// queue forever on read-dominated mixes. Ghost creation is the only
-    /// write that takes the meta writer lock there, so it drains the
-    /// queue opportunistically; removal-heavy mixes are bounded by the
-    /// depth cap.
-    #[test]
-    fn deferred_purges_drain_on_ghost_creation() {
-        let mut g = loaded(2, 20);
-        let e = g.resolve_edge(5).unwrap();
-        g.remove_edge(e).unwrap();
-        assert_eq!(g.pending_purge_depth(), 1, "removal defers the purge");
-        // Two fresh vertices land on different shards (round-robin), so
-        // the edge between them creates a ghost under the meta writer
-        // lock — which must piggyback the queued purge.
-        let a = g.add_vertex("a", &vec![]).unwrap();
-        let b = g.add_vertex("b", &vec![]).unwrap();
-        g.add_edge(a, b, "cut", &vec![]).unwrap();
-        assert_eq!(g.pending_purge_depth(), 0, "ghost creation drains");
-        assert_eq!(g.resolve_edge(5), None, "purge actually landed");
+    /// Remove loaded vertex 3 and loaded edge 2, then add two vertices
+    /// (round-robin: one per shard) and two self-loops on edge 2's shard.
+    /// Answers the removed ids and the new ones.
+    fn reuse_slots(db: &mut dyn GraphDb) -> GdbResult<(Vid, Eid, Vec<Vid>, Vec<Eid>)> {
+        let v = db.resolve_vertex(3).expect("vertex 3 resolves");
+        let e = db.resolve_edge(2).expect("edge 2 resolves");
+        db.remove_edge(e)?;
+        db.remove_vertex(v)?;
+        let fresh_v = (0..2)
+            .map(|_| db.add_vertex("fresh", &vec![]))
+            .collect::<GdbResult<Vec<_>>>()?;
+        let src = (0..10)
+            .filter_map(|c| db.resolve_vertex(c))
+            .find(|x| x.0 % 2 == e.0 % 2)
+            .expect("a live loaded vertex on edge 2's shard");
+        let fresh_e = (0..2)
+            .map(|_| db.add_edge(src, src, "fresh", &vec![]))
+            .collect::<GdbResult<Vec<_>>>()?;
+        Ok((v, e, fresh_v, fresh_e))
     }
 
+    /// A removed loaded element stops resolving for good: linked's
+    /// `RecordFile` hands its slot to the next insert on that shard, and
+    /// the canonical id must not come to name the newcomer — on the locked
+    /// composite, and through pins, which answer as of their epoch.
     #[test]
-    fn deferred_purges_drain_at_depth_cap() {
-        let mut g = loaded(2, 1200);
-        let eids: Vec<_> = (0..1024)
-            .map(|c| g.resolve_edge(c).expect("resolve edge"))
-            .collect();
-        for (i, e) in eids.iter().enumerate() {
-            g.remove_edge(*e).unwrap();
-            let depth = g.pending_purge_depth();
-            if i < 1023 {
-                assert_eq!(depth, i + 1, "queue grows until the cap");
-            } else {
-                assert_eq!(depth, 0, "cap triggers a full drain");
-            }
+    fn removed_loaded_ids_never_alias_a_reused_slot() {
+        let data = testkit::chain_dataset(10);
+        for make in [LinkedGraph::v1 as fn() -> LinkedGraph, LinkedGraph::v2] {
+            let mut locked = ShardedGraph::from_factory(2, make);
+            locked.bulk_load(&data, &LoadOptions::default()).unwrap();
+            let (v, e, fresh_v, fresh_e) = reuse_slots(&mut locked).unwrap();
+            let name = GraphSnapshot::name(&locked);
+            assert!(fresh_v.contains(&v), "{name}: the vertex slot is reused");
+            assert!(fresh_e.contains(&e), "{name}: the edge slot is reused");
+            assert_eq!(locked.resolve_vertex(3), None, "{name}: locked vertex");
+            assert_eq!(locked.resolve_edge(2), None, "{name}: locked edge");
+
+            let src = ShardedSource::from_factory(2, || {
+                Box::new(CowCell::new(make())) as Box<dyn SnapshotSource>
+            });
+            src.with_write(&mut |db| db.bulk_load(&data, &LoadOptions::default()).map(|_| 0))
+                .unwrap();
+            let before = src.snapshot().unwrap();
+            let mut reused = None;
+            src.with_write(&mut |db| {
+                reused = Some(reuse_slots(db)?);
+                Ok(1)
+            })
+            .unwrap();
+            let (v, e, fresh_v, fresh_e) = reused.expect("the batch ran");
+            assert!(
+                fresh_v.contains(&v) && fresh_e.contains(&e),
+                "{name}: reused"
+            );
+            let after = src.snapshot().unwrap();
+            assert_eq!(after.resolve_vertex(3), None, "{name}: pinned vertex");
+            assert_eq!(after.resolve_edge(2), None, "{name}: pinned edge");
+            assert_eq!(before.resolve_vertex(3), Some(v), "{name}: as of the pin");
+            assert_eq!(before.resolve_edge(2), Some(e), "{name}: as of the pin");
         }
     }
 

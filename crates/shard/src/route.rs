@@ -35,9 +35,19 @@
 //! and every id leaving the composite is translated back to the true
 //! composite id. Removing a vertex removes its ghosts (and their in-edges)
 //! everywhere.
+//!
+//! ## Canonical resolution
+//!
+//! A bulk load freezes where each canonical id landed (`Resolution`). A
+//! loaded element resolves while it is live: removing it retires its
+//! composite id, so when a later insert reuses the slot (linked's
+//! `RecordFile` does) the canonical id does not come to name the newcomer.
+//! Only ids a load handed out are retired — removing a dynamically added
+//! element touches no routing state.
 
-use gm_model::api::GraphSnapshot;
-use gm_model::fxmap::FxHashMap;
+use std::sync::Arc;
+
+use gm_model::fxmap::{FxHashMap, FxHashSet};
 use gm_model::{Dataset, Eid, GdbError, GdbResult, Vid};
 
 /// Reserved label of ghost vertices. No generator or workload uses it; a
@@ -81,32 +91,54 @@ pub fn decode_eid(e: Eid, shards: usize) -> (Eid, usize) {
 
 /// Routing metadata shared by the locked composite and pinned views.
 ///
-/// Cloned wholesale into every pinned snapshot view, so it holds only what
-/// reads need: the ghost translations plus the canonical-id resolution
-/// tables (which inner engines cannot answer — sub-dataset canonical ids
-/// are shard-local).
-#[derive(Debug, Clone, Default)]
+/// Split by how it changes, so a clone (one per `ShardedSource` pin) costs
+/// `shards + 2` refcounts whatever the graph's size (one more for the
+/// translation counter's handle when counters are on):
+///
+/// * the canonical-id `Resolution` is written only by a bulk load and
+///   frozen there;
+/// * each shard's ghost translations sit behind their own `Arc`, and a
+///   topology change `make_mut`s only the shard it touches — a copy only
+///   while a pin still shares it, so the locked composite and the fleet,
+///   which never pin, never copy;
+/// * the loaded elements removed since the load sit in a small set a pin
+///   shares too, so a pin resolves as of its epoch.
+#[derive(Debug, Clone)]
 pub struct Meta {
     /// Shard count (denormalized for the id math).
     pub shards: usize,
-    /// Per shard: composite vid of a remote vertex → its local ghost id.
-    pub ghosts: Vec<FxHashMap<u64, Vid>>,
-    /// Per shard: local ghost id → composite vid of the vertex it shadows.
-    pub rev: Vec<FxHashMap<u64, u64>>,
-    /// Global canonical vertex id → composite vid (bulk-loaded vertices).
-    pub vertex_resolve: FxHashMap<u64, u64>,
-    /// Composite vid → global canonical id (to purge `vertex_resolve` on
-    /// vertex removal, so a deleted vertex stops resolving — as it does on
-    /// an unsharded engine).
-    pub vertex_canon: FxHashMap<u64, u64>,
-    /// Global canonical edge id → composite eid.
-    pub edge_resolve: FxHashMap<u64, u64>,
-    /// Composite eid → global canonical id (purged on edge removal).
-    pub edge_canon: FxHashMap<u64, u64>,
+    ghosts: Vec<Arc<Ghosts>>,
+    resolution: Arc<Resolution>,
+    removed: Arc<Removed>,
     /// `shard.ghost_translations` registry counter, resolved once per meta
     /// (clones share the underlying atomic). `None` under `GM_OBS=off`, so
     /// the translation hot path pays nothing when observability is off.
     ghost_translations: Option<gm_obs::Counter>,
+}
+
+/// One shard's ghost translations, both ways.
+#[derive(Debug, Clone, Default)]
+struct Ghosts {
+    /// Composite vid of a remote vertex → its local ghost id.
+    local: FxHashMap<u64, Vid>,
+    /// Local ghost id → composite vid of the vertex it shadows.
+    shadowed: FxHashMap<u64, u64>,
+}
+
+/// Canonical-id resolution of one bulk load: dense `canonical → composite`
+/// tables (a dataset's canonical ids are `0..n`), which inner engines cannot
+/// answer — sub-dataset canonical ids are shard-local.
+#[derive(Debug, Default)]
+struct Resolution {
+    vertices: Vec<u64>,
+    edges: Vec<u64>,
+}
+
+/// Composite ids of loaded elements removed since the load.
+#[derive(Debug, Clone, Default)]
+struct Removed {
+    vertices: FxHashSet<u64>,
+    edges: FxHashSet<u64>,
 }
 
 impl Meta {
@@ -114,12 +146,9 @@ impl Meta {
     pub fn new(shards: usize) -> Meta {
         Meta {
             shards,
-            ghosts: vec![FxHashMap::default(); shards],
-            rev: vec![FxHashMap::default(); shards],
-            vertex_resolve: FxHashMap::default(),
-            vertex_canon: FxHashMap::default(),
-            edge_resolve: FxHashMap::default(),
-            edge_canon: FxHashMap::default(),
+            ghosts: vec![Arc::default(); shards],
+            resolution: Arc::default(),
+            removed: Arc::default(),
             ghost_translations: gm_obs::counters_on()
                 .then(|| gm_obs::global().counter("shard.ghost_translations")),
         }
@@ -129,7 +158,7 @@ impl Meta {
     /// its composite id: ghosts translate through the reverse map, real
     /// vertices through the id arithmetic.
     pub fn to_composite(&self, shard: usize, local: Vid) -> Vid {
-        match self.rev[shard].get(&local.0) {
+        match self.ghosts[shard].shadowed.get(&local.0) {
             Some(composite) => {
                 if let Some(c) = &self.ghost_translations {
                     c.inc();
@@ -140,6 +169,11 @@ impl Meta {
         }
     }
 
+    /// Whether local vertex `local` on `shard` is a ghost placeholder.
+    pub fn is_ghost(&self, shard: usize, local: Vid) -> bool {
+        self.ghosts[shard].shadowed.contains_key(&local.0)
+    }
+
     /// The local id of composite vertex `v` on `shard`, when it has one:
     /// its decoded local id on the owner shard, its ghost id on any shard
     /// holding a ghost, `None` elsewhere.
@@ -148,7 +182,7 @@ impl Meta {
         if owner == shard {
             Some(local)
         } else {
-            self.ghosts[shard].get(&v.0).copied()
+            self.ghosts[shard].local.get(&v.0).copied()
         }
     }
 
@@ -161,7 +195,7 @@ impl Meta {
         out.push((owner, local));
         for (s, ghosts) in self.ghosts.iter().enumerate() {
             if s != owner {
-                if let Some(g) = ghosts.get(&v.0) {
+                if let Some(g) = ghosts.local.get(&v.0) {
                     out.push((s, *g));
                 }
             }
@@ -171,43 +205,78 @@ impl Meta {
 
     /// Record that `ghost` (a local id on `shard`) shadows composite `v`.
     pub fn add_ghost(&mut self, shard: usize, v: Vid, ghost: Vid) {
-        self.ghosts[shard].insert(v.0, ghost);
-        self.rev[shard].insert(ghost.0, v.0);
+        let ghosts = Arc::make_mut(&mut self.ghosts[shard]);
+        ghosts.local.insert(v.0, ghost);
+        ghosts.shadowed.insert(ghost.0, v.0);
     }
 
     /// Forget `shard`'s ghost of composite `v`, returning its local id.
     pub fn remove_ghost(&mut self, shard: usize, v: Vid) -> Option<Vid> {
-        let ghost = self.ghosts[shard].remove(&v.0)?;
-        self.rev[shard].remove(&ghost.0);
+        let ghosts = Arc::make_mut(&mut self.ghosts[shard]);
+        let ghost = ghosts.local.remove(&v.0)?;
+        ghosts.shadowed.remove(&ghost.0);
         Some(ghost)
     }
 
     /// Number of ghost placeholders on `shard` (subtracted from counts,
     /// filtered from scans).
     pub fn ghost_count(&self, shard: usize) -> u64 {
-        self.ghosts[shard].len() as u64
+        self.ghosts[shard].local.len() as u64
     }
 
-    /// Forget the resolution entries of a removed vertex.
-    pub fn purge_vertex(&mut self, v: Vid) {
-        if let Some(canonical) = self.vertex_canon.remove(&v.0) {
-            self.vertex_resolve.remove(&canonical);
+    /// The composite vertex a bulk load placed canonical vertex `canonical`
+    /// at, while it is live.
+    pub fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
+        let v = *self.resolution.vertices.get(canonical as usize)?;
+        (!self.removed.vertices.contains(&v)).then_some(Vid(v))
+    }
+
+    /// The composite edge a bulk load placed canonical edge `canonical` at,
+    /// while it is live.
+    pub fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
+        let e = *self.resolution.edges.get(canonical as usize)?;
+        (!self.removed.edges.contains(&e)).then_some(Eid(e))
+    }
+
+    /// Stop resolving loaded vertex `v`, for good: an element a later
+    /// insert places in its slot must not inherit its canonical id.
+    pub fn retire_vertex(&mut self, v: Vid) {
+        Arc::make_mut(&mut self.removed).vertices.insert(v.0);
+    }
+
+    /// Stop resolving loaded edge `e` (see [`Meta::retire_vertex`]).
+    pub fn retire_edge(&mut self, e: Eid) {
+        Arc::make_mut(&mut self.removed).edges.insert(e.0);
+    }
+
+    /// Per shard, one past the largest local `[vertex, edge]` id the load
+    /// handed out: the ids whose removal [`Topology`](crate::Topology)
+    /// retires.
+    pub(crate) fn loaded_bounds(&self) -> Vec<[u64; 2]> {
+        let n = self.shards as u64;
+        let mut out = vec![[0; 2]; self.shards];
+        let tables = [&self.resolution.vertices, &self.resolution.edges];
+        for (kind, table) in tables.into_iter().enumerate() {
+            for &c in table {
+                let bound = &mut out[(c % n) as usize][kind];
+                *bound = (*bound).max(c / n + 1);
+            }
         }
+        out
     }
 
-    /// Forget the resolution entries of a removed edge.
-    pub fn purge_edge(&mut self, e: Eid) {
-        if let Some(canonical) = self.edge_canon.remove(&e.0) {
-            self.edge_resolve.remove(&canonical);
-        }
-    }
-
-    /// Approximate bytes held by the routing maps (for `space()`).
+    /// Approximate bytes held by the routing maps (for `space()`): 16 a
+    /// map entry, two per ghost and per resolvable element, one per removed
+    /// element.
     pub fn approx_bytes(&self) -> u64 {
-        let entries = self.ghosts.iter().map(|m| m.len() as u64).sum::<u64>() * 2
-            + self.vertex_resolve.len() as u64 * 2
-            + self.edge_resolve.len() as u64 * 2;
-        entries * 16
+        let ghosts = self
+            .ghosts
+            .iter()
+            .map(|g| g.local.len() as u64)
+            .sum::<u64>();
+        let resolvable = (self.resolution.vertices.len() + self.resolution.edges.len()) as u64;
+        let removed = (self.removed.vertices.len() + self.removed.edges.len()) as u64;
+        ((ghosts + resolvable) * 2 + removed) * 16
     }
 }
 
@@ -271,39 +340,84 @@ pub fn partition(data: &Dataset, shards: usize) -> GdbResult<Partitioned> {
     })
 }
 
-/// Build the routing metadata by resolving the partition's bookkeeping
-/// against the freshly loaded shard engines.
-pub fn build_meta(parts: &Partitioned, views: &[&dyn GraphSnapshot]) -> GdbResult<Meta> {
-    let shards = views.len();
+/// What a resolution probe asks a shard for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// `resolve_vertex` of shard-local canonical ids.
+    Vertex,
+    /// `resolve_edge` of shard-local canonical ids.
+    Edge,
+}
+
+/// Build the routing metadata of a fresh load. `resolve(s, probe, locals)`
+/// answers, in order, the ids shard `s` assigned to the shard-local
+/// canonical ids `locals` — one call per shard and kind, so the in-process
+/// hosts ask their views and the fleet ships the probes in batches.
+pub fn build_meta(
+    parts: &Partitioned,
+    shards: usize,
+    mut resolve: impl FnMut(usize, Probe, &[u64]) -> GdbResult<Vec<Option<u64>>>,
+) -> GdbResult<Meta> {
     let mut meta = Meta::new(shards);
-    let corrupt = |what: String| GdbError::Corrupt(format!("sharded load: {what}"));
-    for (canonical, (s, local_canonical)) in parts.vertex_loc.iter().enumerate() {
-        let local = views[*s]
-            .resolve_vertex(*local_canonical)
-            .ok_or_else(|| corrupt(format!("shard {s} lost loaded vertex {local_canonical}")))?;
-        let composite = encode_vid(local, *s, shards).0;
-        meta.vertex_resolve.insert(canonical as u64, composite);
-        meta.vertex_canon.insert(composite, canonical as u64);
+    let mut vertices = vec![0; parts.vertex_loc.len()];
+    let loaded = placed(&parts.vertex_loc);
+    for (canonical, v) in probe(shards, Probe::Vertex, "loaded vertex", loaded, &mut resolve)? {
+        vertices[canonical as usize] = v;
     }
-    for (s, shadowed, local_canonical) in &parts.ghosts {
-        let local = views[*s]
-            .resolve_vertex(*local_canonical)
-            .ok_or_else(|| corrupt(format!("shard {s} lost ghost vertex {local_canonical}")))?;
-        let composite = *meta
-            .vertex_resolve
-            .get(shadowed)
+    let ghosts = parts.ghosts.iter().copied();
+    for (shadowed, g) in probe(shards, Probe::Vertex, "ghost vertex", ghosts, &mut resolve)? {
+        let v = vertices
+            .get(shadowed as usize)
             .ok_or_else(|| corrupt(format!("ghost shadows unknown vertex {shadowed}")))?;
-        meta.add_ghost(*s, Vid(composite), local);
+        let (ghost, s) = decode_vid(Vid(g), shards);
+        meta.add_ghost(s, Vid(*v), ghost);
     }
-    for (canonical, (s, local_canonical)) in parts.edge_loc.iter().enumerate() {
-        let local = views[*s]
-            .resolve_edge(*local_canonical)
-            .ok_or_else(|| corrupt(format!("shard {s} lost loaded edge {local_canonical}")))?;
-        let composite = encode_eid(local, *s, shards).0;
-        meta.edge_resolve.insert(canonical as u64, composite);
-        meta.edge_canon.insert(composite, canonical as u64);
+    let mut edges = vec![0; parts.edge_loc.len()];
+    let loaded = placed(&parts.edge_loc);
+    for (canonical, e) in probe(shards, Probe::Edge, "loaded edge", loaded, &mut resolve)? {
+        edges[canonical as usize] = e;
     }
+    meta.resolution = Arc::new(Resolution { vertices, edges });
     Ok(meta)
+}
+
+fn corrupt(what: String) -> GdbError {
+    GdbError::Corrupt(format!("sharded load: {what}"))
+}
+
+/// `(shard, global canonical, shard-local canonical)` of each element a
+/// partition placed.
+fn placed(loc: &[(usize, u64)]) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+    loc.iter().enumerate().map(|(c, (s, l))| (*s, c as u64, *l))
+}
+
+/// Resolve `(shard, key, shard-local canonical)` triples with one `resolve`
+/// call per shard, answering `(key, composite id)` pairs.
+fn probe(
+    shards: usize,
+    kind: Probe,
+    what: &str,
+    wanted: impl Iterator<Item = (usize, u64, u64)>,
+    resolve: &mut impl FnMut(usize, Probe, &[u64]) -> GdbResult<Vec<Option<u64>>>,
+) -> GdbResult<Vec<(u64, u64)>> {
+    let mut asks: Vec<(Vec<u64>, Vec<u64>)> = vec![(Vec::new(), Vec::new()); shards];
+    for (s, key, local) in wanted {
+        let (keys, locals) = asks
+            .get_mut(s)
+            .ok_or_else(|| corrupt(format!("partition names unknown shard {s}")))?;
+        keys.push(key);
+        locals.push(local);
+    }
+    let mut out = Vec::new();
+    for (s, (keys, locals)) in asks.into_iter().enumerate() {
+        let ids = resolve(s, kind, &locals)?;
+        for (i, (key, local)) in keys.into_iter().zip(&locals).enumerate() {
+            let id = ids.get(i).copied().flatten();
+            let id = id.ok_or_else(|| corrupt(format!("shard {s} lost {what} {local}")))?;
+            out.push((key, id * shards as u64 + s as u64));
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The one routing writer: placement, composite-id math, cut edges and
-//! their ghosts, cross-shard vertex removal and purge deferral — over a
-//! narrow [`ShardPort`].
+//! their ghosts, cross-shard vertex removal and the retirement of removed
+//! loaded ids — over a narrow [`ShardPort`].
 //!
 //! A port is *how shard `s` is reached*: a `RwLock`ed engine
 //! (`ShardedGraph`), an MVCC cell (`ShardedSource`), or a pipelined
@@ -26,11 +26,12 @@
 //! Ghost creation, vertex removal and bulk load run under
 //! [`Topology::enter`]; every shard mutated under the guard is published
 //! through the port **before the guard is released**, so a new meta can
-//! never be paired with a shard view from before the change. A staged
-//! transaction commit hands the router its already-held guard
-//! ([`Router::staged`]): the router then changes the meta in place, purges
-//! in place, and leaves publishing every touched shard to
-//! [`Router::finish`].
+//! never be paired with a shard view from before the change. Removing a
+//! loaded edge enters the topology after its single-shard write, only to
+//! retire the edge's canonical id; removing any other edge is the write
+//! alone. A staged transaction commit hands the router its already-held
+//! guard ([`Router::staged`]): the router then changes the meta in place
+//! and leaves publishing every touched shard to [`Router::finish`].
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -38,7 +39,9 @@ use std::collections::BTreeSet;
 use gm_model::api::{Applied, Direction, GraphDb, GraphSnapshot, LoadStats, Mutation};
 use gm_model::{Eid, GdbError, GdbResult, QueryCtx, Vid};
 
-use crate::route::{build_meta, decode_eid, decode_vid, encode_eid, partition, Meta, GHOST_LABEL};
+use crate::route::{
+    build_meta, decode_eid, decode_vid, encode_eid, partition, Meta, Probe, GHOST_LABEL,
+};
 use crate::topology::Topology;
 use crate::view::{Parts, PartsHost, ShardSel};
 
@@ -281,9 +284,9 @@ impl<'a, P: ShardPort> Router<'a, P> {
     /// the module docs for the sequence.
     fn ghost_for(&mut self, s: usize, dst: Vid) -> GdbResult<Vid> {
         let known = match &self.held {
-            Some(meta) => meta.ghosts[s].get(&dst.0).copied(),
+            Some(meta) => meta.local_on(s, dst),
             // gm-lock: meta transient
-            None => self.topo.read()?.ghosts[s].get(&dst.0).copied(),
+            None => self.topo.read()?.local_on(s, dst),
         };
         if let Some(ghost) = known {
             return Ok(ghost);
@@ -293,7 +296,7 @@ impl<'a, P: ShardPort> Router<'a, P> {
             return Err(GdbError::VertexNotFound(dst.0));
         }
         self.change(|c| {
-            if let Some(ghost) = c.meta.ghosts[s].get(&dst.0).copied() {
+            if let Some(ghost) = c.meta.local_on(s, dst) {
                 return Ok(ghost); // raced another writer: reuse
             }
             let ghost = Mutation::AddVertex(GHOST_LABEL.into(), Cow::Owned(Vec::new()));
@@ -343,14 +346,19 @@ impl<P: ShardPort> GraphDb for Router<'_, P> {
                     }
                     // gm-lock: shard
                     let meta = c.port.with_views(&ShardSel::All, None, |views| {
-                        let views: Vec<&dyn GraphSnapshot> =
-                            views.iter().map(|(_, v)| *v).collect();
-                        build_meta(&parts, &views)
+                        build_meta(&parts, n, |s, probe, locals| {
+                            let view = views[s].1;
+                            Ok(locals
+                                .iter()
+                                .map(|&l| match probe {
+                                    Probe::Vertex => view.resolve_vertex(l).map(|v| v.0),
+                                    Probe::Edge => view.resolve_edge(l).map(|e| e.0),
+                                })
+                                .collect())
+                        })
                     })??;
-                    *c.meta = meta;
-                    // Purges queued against the old graph must not hit the
-                    // new one.
-                    c.topo.discard_purges()
+                    c.topo.install(c.meta, meta);
+                    Ok(())
                 })?;
                 Ok(Applied::Loaded(LoadStats {
                     vertices: data.vertex_count() as u64,
@@ -390,7 +398,7 @@ impl<P: ShardPort> GraphDb for Router<'_, P> {
                 self.change(|c| {
                     let presence = c.meta.presence(v);
                     // Collect the incident edges before anything is removed,
-                    // so their resolution entries can be purged with them.
+                    // so the loaded ones are retired with the vertex.
                     let ctx = QueryCtx::unbounded();
                     let mut dead_edges: Vec<Eid> = Vec::new();
                     for &(s, local) in &presence {
@@ -398,7 +406,8 @@ impl<P: ShardPort> GraphDb for Router<'_, P> {
                             Some(_) => view.vertex_edges(local, Direction::Both, None, &ctx),
                             None => Ok(Vec::new()),
                         })?;
-                        dead_edges.extend(refs.into_iter().map(|r| encode_eid(r.eid, s, n)));
+                        let dead = refs.into_iter().map(|r| encode_eid(r.eid, s, n));
+                        dead_edges.extend(dead.filter(|e| c.topo.loaded_edge(*e)));
                     }
                     // The owner's removal validates existence; only then ghosts.
                     let mut shards = presence.into_iter();
@@ -410,9 +419,11 @@ impl<P: ShardPort> GraphDb for Router<'_, P> {
                         c.apply_to(s, Mutation::RemoveVertex(ghost))?;
                     }
                     for e in dead_edges {
-                        c.meta.purge_edge(e);
+                        c.meta.retire_edge(e);
                     }
-                    c.meta.purge_vertex(v);
+                    if c.topo.loaded_vertex(v) {
+                        c.meta.retire_vertex(v);
+                    }
                     Ok(Applied::Done)
                 })
             }
@@ -422,10 +433,14 @@ impl<P: ShardPort> GraphDb for Router<'_, P> {
                 self.post_to(s, Mutation::RemoveEdge(local))?;
                 // An orphaned ghost (its last in-edge gone) is retained: it
                 // stays invisible to every read and the next cut edge to the
-                // same destination reuses it.
-                match self.held.as_deref_mut() {
-                    Some(meta) => meta.purge_edge(e),
-                    None => self.topo.defer_purge(e)?,
+                // same destination reuses it. Only a load's ids resolve, so
+                // removing any other edge touches no routing state.
+                if self.topo.loaded_edge(e) {
+                    match self.held.as_deref_mut() {
+                        Some(meta) => meta.retire_edge(e),
+                        // gm-lock: meta
+                        None => self.topo.enter()?.retire_edge(e),
+                    }
                 }
                 Ok(Applied::Done)
             }

@@ -9,7 +9,7 @@
 //!   the closure a router whose every mutation enters only the target
 //!   cell's writer mutex — there is no composite-wide writer lock.
 //! * **Pins are consistent.** A composite pin takes one epoch view per
-//!   cell plus a copy of the routing meta, all under the topology's
+//!   cell plus a clone of the routing meta, all under the topology's
 //!   seqlock: multi-shard topology changes (ghost creation, vertex
 //!   removal, bulk load) hold the meta writer lock and flip the seqlock
 //!   odd, so a pin that raced one **retries** instead of returning a torn
@@ -28,11 +28,12 @@
 //!   over the shard epochs (the newest version every shard has published);
 //!   each cell's epochs are monotone, so the minimum is too.
 //!
-//! Canonical-id resolution maps are purged without the seqlock (resolution
-//! is setup-path machinery, run before the measured region): a pin may
-//! briefly keep resolving a dead canonical id and find the edge gone — the
-//! same answer an unsharded engine racing the removal gives. The
-//! correctness-critical ghost maps only ever change under the seqlock.
+//! * **Pins cost O(shards).** The meta clone shares the frozen load-time
+//!   resolution tables, each shard's ghost maps and the removed-set by
+//!   refcount (see `route`), so a pin is a few refcounts plus one cell pin
+//!   per shard, whatever the graph's size; a topology change after
+//!   a pin copies only the one shard's ghost maps it touches (or the small
+//!   removed-set). A pin resolves canonical ids as of its epoch.
 
 use std::time::Duration;
 
@@ -89,7 +90,6 @@ impl ShardedSource {
     fn pin_view(&self, pin: &PinFn<'_>) -> GdbResult<ShardedView> {
         let metrics = self.topo.metrics();
         loop {
-            self.topo.drain_purges()?;
             let before = self.topo.seq();
             if before % 2 == 1 {
                 // A topology change is in flight; its holder owns the meta

@@ -1,48 +1,34 @@
 //! The one owner of a composite's routing state.
 //!
 //! [`Topology`] holds what every sharded host shares — the routing
-//! [`Meta`], the round-robin placement counter, the deferred purge queue
-//! and the `shard.*` metrics — behind one set of rank-tracked locks, so the
-//! locked composite, the snapshot source and the fleet coordinator all
-//! route through the same plumbing and differ only in their
-//! [`ShardPort`](crate::router::ShardPort).
+//! [`Meta`], the round-robin placement counter, which local ids the last
+//! bulk load handed out, and the `shard.*` metrics — behind one
+//! rank-tracked lock, so the locked composite, the snapshot source and the
+//! fleet coordinator all route through the same plumbing and differ only in
+//! their [`ShardPort`](crate::router::ShardPort).
 //!
 //! ## Topology changes
 //!
-//! A mutation that changes the ghost maps (ghost creation, vertex removal,
-//! bulk load) runs under [`Topology::enter`]: the meta writer lock plus a
-//! seqlock word flipped odd for the guard's lifetime. Locked readers are
-//! excluded by the lock itself; lock-free composite pins
-//! (`ShardedSource`) read the seqlock and retry instead of pairing a new
-//! meta with an old shard view.
+//! A mutation that changes the meta (ghost creation, vertex removal, the
+//! removal of a loaded edge, bulk load) runs under [`Topology::enter`]: the
+//! meta writer lock plus a seqlock word flipped odd for the guard's
+//! lifetime. Locked readers are excluded by the lock itself; lock-free
+//! composite pins (`ShardedSource`) read the seqlock and retry instead of
+//! pairing a new meta with an old shard view. Removing a dynamically added
+//! element takes no meta lock at all: [`Topology::loaded_edge`] tells it
+//! apart from the atomics a load sets.
 //!
-//! ## Deferred purges
-//!
-//! Purging a removed edge from the canonical resolution maps needs the meta
-//! **writer** lock — a global serializer on a hot write path — so plain
-//! removals append to a queue (a nanosecond push under an uncontended
-//! mutex). The queue drains whenever the writer lock is taken anyway
-//! ([`Topology::enter`]), before any canonical resolution or `Meta` clone
-//! ([`Topology::drain_purges`]), and at a depth cap that bounds it on
-//! removal-heavy mixes that never hit either path.
-//!
-//! Lock order: meta, then shard guards ascending (the port's), then the
-//! purge queue (leaf).
+//! Lock order: meta, then shard guards ascending (the port's).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use gm_model::lockorder::{self, LockRank, Ranked};
-use gm_model::{lockwait, Eid, GdbError, GdbResult};
-use gm_obs::{Counter, Gauge};
+use gm_model::{lockwait, Eid, GdbError, GdbResult, Vid};
+use gm_obs::Counter;
 
-use crate::route::Meta;
+use crate::route::{decode_eid, decode_vid, Meta};
 use crate::view::ShardSel;
-
-/// Purge-queue depth at which an edge removal drains instead of deferring
-/// further: one meta write per `PURGE_DRAIN_THRESHOLD` removals amortizes
-/// to noise.
-const PURGE_DRAIN_THRESHOLD: usize = 1024;
 
 fn poisoned(what: &str) -> GdbError {
     GdbError::Poisoned(format!(
@@ -61,7 +47,6 @@ pub struct ShardMetrics {
     /// Composite pins that had to retry (or wait out) a topology change.
     pub seqlock_retries: Counter,
     ghost_creations: Counter,
-    pending_purges: Gauge,
 }
 
 impl ShardMetrics {
@@ -77,12 +62,11 @@ impl ShardMetrics {
             pins: g.counter("shard.pins"),
             seqlock_retries: g.counter("shard.seqlock_retries"),
             ghost_creations: g.counter("shard.ghost_creations"),
-            pending_purges: g.gauge("shard.pending_purges"),
         })
     }
 }
 
-/// Routing meta + placement counter + purge queue + metrics of one
+/// Routing meta + placement counter + load bounds + metrics of one
 /// composite. See the module docs.
 pub struct Topology {
     shards: usize,
@@ -92,9 +76,10 @@ pub struct Topology {
     seq: AtomicU64,
     /// Round-robin placement counter for dynamically added vertices.
     spread: AtomicU64,
-    /// Composite edge ids removed but not yet purged from the resolution
-    /// maps.
-    pending_purges: Mutex<Vec<Eid>>,
+    /// Per shard: one past the largest local `[vertex, edge]` id the last
+    /// bulk load handed out (see [`Meta::loaded_bounds`]). Written only
+    /// under the topology guard.
+    loaded: Vec<[AtomicU64; 2]>,
     metrics: Option<ShardMetrics>,
 }
 
@@ -109,7 +94,7 @@ impl Topology {
             meta: RwLock::new(Meta::new(shards)),
             seq: AtomicU64::new(0),
             spread: AtomicU64::new(0),
-            pending_purges: Mutex::new(Vec::new()),
+            loaded: (0..shards).map(|_| Default::default()).collect(),
             metrics: ShardMetrics::new(shards),
         }
     }
@@ -166,19 +151,16 @@ impl Topology {
     }
 
     /// The meta guard a read with need `need` runs under: none for a
-    /// meta-free point read, and deferred purges land first for canonical
-    /// resolution — so a removed element has stopped resolving.
+    /// meta-free point read.
     pub fn read_for(
         &self,
         need: &ShardSel,
     ) -> GdbResult<Option<Ranked<RwLockReadGuard<'_, Meta>>>> {
         match need {
-            ShardSel::Point(_) => return Ok(None),
-            ShardSel::Meta => self.drain_purges()?,
-            _ => {}
+            ShardSel::Point(_) => Ok(None),
+            // gm-lock: meta
+            _ => self.read().map(Some),
         }
-        // gm-lock: meta
-        self.read().map(Some)
     }
 
     fn write(&self) -> GdbResult<Ranked<RwLockWriteGuard<'_, Meta>>> {
@@ -189,86 +171,40 @@ impl Topology {
             .map_err(|_| poisoned("meta write"))
     }
 
-    /// Begin a topology change: meta writer lock, seqlock odd, deferred
-    /// purges applied. The guard flips the seqlock back on drop — panic
-    /// included, so a failing change can never wedge every future pin.
+    /// Begin a topology change: meta writer lock, seqlock odd. The guard
+    /// flips the seqlock back on drop — panic included, so a failing change
+    /// can never wedge every future pin.
     pub fn enter(&self) -> GdbResult<TopoGuard<'_>> {
         // gm-lock: meta
         let meta = self.write()?;
         self.seq.fetch_add(1, Ordering::SeqCst);
-        let mut guard = TopoGuard { meta, topo: self };
-        // gm-lock: leaf
-        for e in self.purge_queue()?.drain(..) {
-            guard.meta.purge_edge(e);
+        Ok(TopoGuard { meta, topo: self })
+    }
+
+    /// Install the meta of a fresh bulk load as `held` — this topology's
+    /// meta, under its guard — keeping which local ids the load handed out.
+    pub fn install(&self, held: &mut Meta, meta: Meta) {
+        for (bounds, loaded) in meta.loaded_bounds().iter().zip(&self.loaded) {
+            for (bound, slot) in bounds.iter().zip(loaded) {
+                slot.store(*bound, Ordering::SeqCst);
+            }
         }
-        self.note_pending(0);
-        Ok(guard)
+        *held = meta;
     }
 
-    /// The purge queue's mutex. Leaf rank: taken with nothing else held or
-    /// inside the meta writer guard.
-    fn purge_queue(&self) -> GdbResult<Ranked<MutexGuard<'_, Vec<Eid>>>> {
-        // gm-lock: leaf
-        let t = lockorder::acquire(LockRank::Leaf, "gm-shard/topology.rs purge queue");
-        self.pending_purges
-            .lock()
-            .map(|g| Ranked::new(g, t))
-            .map_err(|_| poisoned("purge queue"))
+    /// Whether composite vertex `v` has an id the last bulk load handed
+    /// out — the only vertices whose removal changes the meta's
+    /// resolution.
+    pub fn loaded_vertex(&self, v: Vid) -> bool {
+        let (local, s) = decode_vid(v, self.shards);
+        local.0 < self.loaded[s][0].load(Ordering::SeqCst)
     }
 
-    /// Defer a removed edge's resolution-map purge, draining at the cap.
-    pub fn defer_purge(&self, e: Eid) -> GdbResult<()> {
-        let depth = {
-            // gm-lock: leaf
-            let mut pending = self.purge_queue()?;
-            pending.push(e);
-            pending.len()
-        };
-        self.note_pending(depth);
-        if depth >= PURGE_DRAIN_THRESHOLD {
-            self.drain_purges()?;
-        }
-        Ok(())
-    }
-
-    /// Apply deferred purges. Cheap when the queue is empty (one
-    /// uncontended mutex probe); the meta writer lock is taken only when
-    /// there is work, and without the seqlock — resolution maps are
-    /// setup-path state no pinned view's correctness depends on.
-    pub fn drain_purges(&self) -> GdbResult<()> {
-        // gm-lock: leaf transient
-        if self.purge_queue()?.is_empty() {
-            return Ok(());
-        }
-        // gm-lock: meta
-        let mut meta = self.write()?;
-        // gm-lock: leaf
-        for e in self.purge_queue()?.drain(..) {
-            meta.purge_edge(e);
-        }
-        self.note_pending(0);
-        Ok(())
-    }
-
-    /// Forget every queued purge: after a bulk load (under its topology
-    /// guard) they name edges of the graph it replaced.
-    pub fn discard_purges(&self) -> GdbResult<()> {
-        // gm-lock: leaf
-        self.purge_queue()?.clear();
-        self.note_pending(0);
-        Ok(())
-    }
-
-    /// Current depth of the deferred purge queue (diagnostics and tests;
-    /// the `shard.pending_purges` gauge mirrors it under `GM_OBS`).
-    pub fn pending_purge_depth(&self) -> usize {
-        self.purge_queue().map(|q| q.len()).unwrap_or(0)
-    }
-
-    fn note_pending(&self, len: usize) {
-        if let Some(m) = &self.metrics {
-            m.pending_purges.set(len as i64);
-        }
+    /// Whether composite edge `e` has an id the last bulk load handed out
+    /// (see [`Topology::loaded_vertex`]).
+    pub fn loaded_edge(&self, e: Eid) -> bool {
+        let (local, s) = decode_eid(e, self.shards);
+        local.0 < self.loaded[s][1].load(Ordering::SeqCst)
     }
 }
 

@@ -140,6 +140,7 @@ macro_rules! composite_graph_snapshot {
                     optimized_adapter: false,
                     async_writes: false,
                     attribute_indexes: false,
+                    max_identifier_len: None,
                 })
         }
 
@@ -276,11 +277,11 @@ impl Parts<'_> {
     }
 
     pub fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.meta().vertex_resolve.get(&canonical).map(|v| Vid(*v))
+        self.meta().resolve_vertex(canonical)
     }
 
     pub fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.meta().edge_resolve.get(&canonical).map(|e| Eid(*e))
+        self.meta().resolve_edge(canonical)
     }
 
     pub fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
@@ -483,7 +484,7 @@ impl Parts<'_> {
             for item in self.shard(s).scan_vertices(ctx)? {
                 match item {
                     Ok(local) => {
-                        if !self.meta().rev[s].contains_key(&local.0) {
+                        if !self.meta().is_ghost(s, local) {
                             out.push(Ok(self.meta().to_composite(s, local)));
                         }
                     }
@@ -568,7 +569,8 @@ impl Parts<'_> {
 }
 
 /// An immutable composite epoch view: one pinned snapshot per shard plus a
-/// cloned [`Meta`], produced by `ShardedSource`. The composite epoch is the
+/// [`Meta`] clone (shared refcounts, see `route`), produced by
+/// `ShardedSource`. The composite epoch is the
 /// **minimum** over the shard epochs — the newest graph version every shard
 /// is guaranteed to have published — which is monotone because each shard's
 /// epochs are.

@@ -6,14 +6,14 @@
 use gm_model::lockorder::{acquire, LockRank};
 
 /// The documented order is panic-free end to end, including the innermost
-/// leaf rank used by the purge queue and the mvcc pin table.
+/// leaf rank used by the mvcc txn log and pin table.
 #[test]
 fn documented_order_is_accepted() {
     let _driver = acquire(LockRank::Driver, "test driver");
     let _meta = acquire(LockRank::Meta, "test meta");
     let _s0 = acquire(LockRank::Shard(0), "test shard 0");
     let _s1 = acquire(LockRank::Shard(1), "test shard 1");
-    let _leaf = acquire(LockRank::Leaf, "test purge queue");
+    let _leaf = acquire(LockRank::Leaf, "test txn log");
 }
 
 /// Shards-before-meta must panic in debug builds, naming both sites so the
