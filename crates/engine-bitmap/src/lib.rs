@@ -24,13 +24,13 @@
 use std::collections::HashMap;
 
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SpaceReport, VertexData,
+    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, SpaceReport,
+    VertexData,
 };
 use gm_model::fxmap::FxHashMap;
 use gm_model::interner::Interner;
 use gm_model::value::{Props, Value};
-use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, LoadedIds, QueryCtx, Resolution, Vid};
 use gm_storage::bitmap::Bitmap;
 
 /// Default cap on entries retained by the degree-filter adapter before the
@@ -112,8 +112,8 @@ pub struct BitmapGraph {
     eattrs: FxHashMap<u32, AttrStore>,
     vertex_label_of: FxHashMap<u64, u32>,
     next_oid: u64,
-    vmap: Vec<u64>,
-    emap: Vec<u64>,
+    /// Where the bulk load placed each canonical element.
+    resolution: Resolution,
     declared_indexes: Vec<u32>,
     materialization_cap: u64,
 }
@@ -149,8 +149,7 @@ impl BitmapGraph {
             eattrs: FxHashMap::default(),
             vertex_label_of: FxHashMap::default(),
             next_oid: 0,
-            vmap: Vec::new(),
-            emap: Vec::new(),
+            resolution: Resolution::default(),
             declared_indexes: Vec::new(),
             materialization_cap: cap,
         }
@@ -265,13 +264,7 @@ impl GraphSnapshot for BitmapGraph {
         }
     }
 
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.vmap.get(canonical as usize).map(|&v| Vid(v))
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.emap.get(canonical as usize).map(|&e| Eid(e))
-    }
+    gm_model::engine_resolve!();
 
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         // Cardinality is maintained by the bitmaps — Sparksee's adapter
@@ -615,30 +608,20 @@ impl GraphSnapshot for BitmapGraph {
 
 /// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
 impl BitmapGraph {
-    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
-        if !self.vmap.is_empty() {
-            return Err(GdbError::Invalid(
-                "bulk_load requires an empty engine".into(),
-            ));
-        }
+    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadedIds> {
+        let mut vmap = Vec::with_capacity(data.vertices.len());
+        let mut emap = Vec::with_capacity(data.edges.len());
         for v in &data.vertices {
             let vid = self.insert_vertex(&v.label, &v.props)?;
-            self.vmap.push(vid.0);
+            vmap.push(vid.0);
         }
         for e in &data.edges {
             let label = self.elabels.intern(&e.label);
-            let eid = self.add_edge_raw(
-                self.vmap[e.src as usize],
-                self.vmap[e.dst as usize],
-                label,
-                &e.props,
-            )?;
-            self.emap.push(eid);
+            let eid =
+                self.add_edge_raw(vmap[e.src as usize], vmap[e.dst as usize], label, &e.props)?;
+            emap.push(eid);
         }
-        Ok(LoadStats {
-            vertices: data.vertices.len() as u64,
-            edges: data.edges.len() as u64,
-        })
+        Ok((vmap, emap))
     }
 
     fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
@@ -673,7 +656,7 @@ impl BitmapGraph {
         Ok(())
     }
 
-    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<Vec<u64>> {
         self.require_vertex(v.0)?;
         let incident = self.incident(v.0, Direction::Both, None);
         let mut seen = Vec::new();
@@ -692,7 +675,7 @@ impl BitmapGraph {
         self.out_edges.remove(&v.0);
         self.in_edges.remove(&v.0);
         self.vertices.remove(v.0);
-        Ok(())
+        Ok(seen)
     }
 
     fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {

@@ -25,13 +25,13 @@
 //!   ([`gm_storage::BPlusTree`]).
 
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SpaceReport, VertexData,
+    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, SpaceReport,
+    VertexData,
 };
 use gm_model::fxmap::FxHashMap;
 use gm_model::interner::Interner;
 use gm_model::value::{Props, Value};
-use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, LoadedIds, QueryCtx, Resolution, Vid};
 use gm_storage::bptree::BPlusTree;
 use gm_storage::codec::{read_varint, unzigzag, write_varint, zigzag};
 use gm_storage::pagestore::PageStore;
@@ -67,8 +67,8 @@ pub struct ClusterGraph {
     keys: Interner,
     /// String-value dictionary (de-duplication).
     strings: Interner,
-    vmap: Vec<u64>,
-    emap: Vec<u64>,
+    /// Where the bulk load placed each canonical element.
+    resolution: Resolution,
     /// SB-tree-like attribute indexes: key id -> value -> rids.
     indexes: FxHashMap<u32, BPlusTree<Value, Vec<u64>>>,
 }
@@ -89,8 +89,7 @@ impl ClusterGraph {
             elabels: Interner::new(),
             keys: Interner::new(),
             strings: Interner::new(),
-            vmap: Vec::new(),
-            emap: Vec::new(),
+            resolution: Resolution::default(),
             indexes: FxHashMap::default(),
         }
     }
@@ -403,13 +402,7 @@ impl GraphSnapshot for ClusterGraph {
         }
     }
 
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.vmap.get(canonical as usize).map(|&v| Vid(v))
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.emap.get(canonical as usize).map(|&e| Eid(e))
-    }
+    gm_model::engine_resolve!();
 
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         let mut n = 0u64;
@@ -767,37 +760,32 @@ impl GraphSnapshot for ClusterGraph {
 
 /// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
 impl ClusterGraph {
-    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
-        if !self.vmap.is_empty() {
-            return Err(GdbError::Invalid(
-                "bulk_load requires an empty engine".into(),
-            ));
-        }
+    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadedIds> {
         // Pass 1: edges first, collecting adjacency per canonical vertex, so
         // each vertex record is written exactly once (no rewrite storm).
         let mut out_adj: Vec<Vec<u64>> = vec![Vec::new(); data.vertices.len()];
         let mut in_adj: Vec<Vec<u64>> = vec![Vec::new(); data.vertices.len()];
         // Vertices need rids before edges can reference them: allocate
         // positions deterministically (insertion order per label cluster).
-        self.vmap.reserve(data.vertices.len());
+        let mut vmap = Vec::with_capacity(data.vertices.len());
         let mut pending_vertex_pos: Vec<(u32, u64)> = Vec::with_capacity(data.vertices.len());
         let mut next_pos_per_cluster: FxHashMap<u32, u64> = FxHashMap::default();
         for v in &data.vertices {
             let cluster = self.vertex_cluster_for(&v.label);
             let pos = next_pos_per_cluster.entry(cluster).or_insert(0);
             pending_vertex_pos.push((cluster, *pos));
-            self.vmap.push(rid(cluster, *pos));
+            vmap.push(rid(cluster, *pos));
             *pos += 1;
         }
-        self.emap.reserve(data.edges.len());
+        let mut emap = Vec::with_capacity(data.edges.len());
         for e in &data.edges {
             let cluster = self.edge_cluster_for(&e.label);
-            let src = self.vmap[e.src as usize];
-            let dst = self.vmap[e.dst as usize];
+            let src = vmap[e.src as usize];
+            let dst = vmap[e.dst as usize];
             let buf = self.encode_edge(src, dst, &e.props);
             let pos = self.edge_clusters[cluster as usize].alloc(&buf);
             let eid = rid(cluster, pos);
-            self.emap.push(eid);
+            emap.push(eid);
             out_adj[e.src as usize].push(eid);
             in_adj[e.dst as usize].push(eid);
         }
@@ -808,10 +796,7 @@ impl ClusterGraph {
             let pos = self.vertex_clusters[cluster as usize].alloc(&buf);
             debug_assert_eq!(pos, expected_pos, "cluster position drift");
         }
-        Ok(LoadStats {
-            vertices: data.vertices.len() as u64,
-            edges: data.edges.len() as u64,
-        })
+        Ok((vmap, emap))
     }
 
     fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
@@ -886,7 +871,7 @@ impl ClusterGraph {
         Ok(())
     }
 
-    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<Vec<u64>> {
         let rec = self.vertex_record(v.0)?;
         let (out, inn, mut pos) = Self::decode_adjacency(rec);
         let props = self.decode_props(rec, &mut pos);
@@ -894,7 +879,7 @@ impl ClusterGraph {
         incident.extend(inn);
         incident.sort_unstable();
         incident.dedup();
-        for e in incident {
+        for &e in &incident {
             self.delete_edge(Eid(e))?;
         }
         for (key, value) in &props {
@@ -902,7 +887,7 @@ impl ClusterGraph {
         }
         let cluster = rid_cluster(v.0) as usize;
         self.vertex_clusters[cluster].free(rid_pos(v.0));
-        Ok(())
+        Ok(incident)
     }
 
     fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {
@@ -1027,15 +1012,15 @@ mod tests {
         }
         for i in 0..19u64 {
             few.add_edge(
-                Vid(few.vmap_id(i)),
-                Vid(few.vmap_id(i + 1)),
+                Vid(few.vertex_rid(i)),
+                Vid(few.vertex_rid(i + 1)),
                 "same",
                 &vec![],
             )
             .unwrap();
             many.add_edge(
-                Vid(many.vmap_id(i)),
-                Vid(many.vmap_id(i + 1)),
+                Vid(many.vertex_rid(i)),
+                Vid(many.vertex_rid(i + 1)),
                 &format!("label{i}"),
                 &vec![],
             )
@@ -1106,9 +1091,9 @@ mod tests {
     }
 
     impl ClusterGraph {
-        fn vmap_id(&self, canonical: u64) -> u64 {
-            // Test-only helper: vertices created by add_vertex are not in
-            // vmap; reconstruct the rid from cluster 0 position.
+        fn vertex_rid(&self, canonical: u64) -> u64 {
+            // Test-only helper: vertices created by add_vertex do not
+            // resolve; reconstruct the rid from cluster 0 position.
             rid(0, canonical)
         }
     }

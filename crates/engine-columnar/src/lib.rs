@@ -48,13 +48,13 @@
 //! key range, so a scan that covers the rows they touch merges again.
 
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SpaceReport, VertexData,
+    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, SpaceReport,
+    VertexData,
 };
 use gm_model::fxmap::{FxHashMap, FxHashSet};
 use gm_model::interner::Interner;
 use gm_model::value::{Props, Value};
-use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, LoadedIds, QueryCtx, Resolution, Vid};
 use gm_storage::codec::{read_varint, write_varint};
 use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::segvec::SegVec;
@@ -263,10 +263,10 @@ impl<'a> Iterator for AdjCursor<'a> {
 ///
 /// `Clone` is **structurally cheap** — the property a copy-on-write snapshot
 /// cell relies on (see [`SNAPSHOT_STORE`]): the LSM's immutable runs are
-/// `Arc`-shared, the dense id columns (`vmap`/`emap`/`edge_index`) are
-/// append-only [`SegVec`]s whose pages are `Arc`-shared, the interners
-/// share on clone, and the remaining overlays (memtable, tombstone sets,
-/// schema) are small relative to the graph. A clone is therefore a
+/// `Arc`-shared, the dense `edge_index` column is an append-only
+/// [`SegVec`] whose pages are `Arc`-shared, the interners and the load's
+/// [`Resolution`] share on clone, and the remaining overlays (memtable,
+/// tombstone sets, schema) are small relative to the graph. A clone is therefore a
 /// consistent visible-length watermark over the shared pages, not a second
 /// copy of the adjacency data.
 #[derive(Clone)]
@@ -290,8 +290,8 @@ pub struct ColumnarGraph {
     keys: Interner,
     next_vid: u64,
     next_eid: u64,
-    vmap: SegVec<u64>,
-    emap: SegVec<u64>,
+    /// Where the bulk load placed each canonical element.
+    resolution: Resolution,
     declared_indexes: Vec<u32>,
     vertex_rows: u64,
 }
@@ -328,8 +328,7 @@ impl ColumnarGraph {
             keys: Interner::new(),
             next_vid: 0,
             next_eid: 0,
-            vmap: SegVec::new(),
-            emap: SegVec::new(),
+            resolution: Resolution::default(),
             declared_indexes: Vec::new(),
             vertex_rows: 0,
         }
@@ -682,13 +681,7 @@ impl GraphSnapshot for ColumnarGraph {
         }
     }
 
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.vmap.get(canonical as usize).map(|&v| Vid(v))
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.emap.get(canonical as usize).map(|&e| Eid(e))
-    }
+    gm_model::engine_resolve!();
 
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         // g.V iterates rows: a full store scan filtered to label cells.
@@ -1070,12 +1063,9 @@ impl GraphSnapshot for ColumnarGraph {
 
 /// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
 impl ColumnarGraph {
-    fn load_dataset(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
-        if !self.vmap.is_empty() {
-            return Err(GdbError::Invalid(
-                "bulk_load requires an empty engine".into(),
-            ));
-        }
+    fn load_dataset(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadedIds> {
+        let mut vmap = Vec::with_capacity(data.vertices.len());
+        let mut emap = Vec::with_capacity(data.edges.len());
         if opts.bulk {
             // Schema declared up front (no per-item inference), adjacency
             // grouped per row in memory, and every cell written once, row by
@@ -1093,7 +1083,7 @@ impl ColumnarGraph {
                     prop_keys.push(key);
                 }
                 labels.push(self.vlabels.intern(&v.label));
-                self.vmap.push(self.next_vid);
+                vmap.push(self.next_vid);
                 self.next_vid += 1;
                 self.vertex_rows += 1;
             }
@@ -1101,10 +1091,9 @@ impl ColumnarGraph {
             for e in &data.edges {
                 let eid = self.next_eid;
                 self.next_eid += 1;
-                self.emap.push(eid);
+                emap.push(eid);
                 let label = self.elabels.intern(&e.label);
-                let src = *self.vmap.get(e.src as usize).expect("src in vmap");
-                let dst = *self.vmap.get(e.dst as usize).expect("dst in vmap");
+                let (src, dst) = (vmap[e.src as usize], vmap[e.dst as usize]);
                 let props = self.intern_props(&e.props);
                 self.infer_schema(&props);
                 debug_assert_eq!(self.edge_index.len() as u64, eid);
@@ -1152,19 +1141,15 @@ impl ColumnarGraph {
         } else {
             for v in &data.vertices {
                 let vid = self.insert_vertex(&v.label, &v.props)?;
-                self.vmap.push(vid.0);
+                vmap.push(vid.0);
             }
             for e in &data.edges {
-                let src = Vid(*self.vmap.get(e.src as usize).expect("src in vmap"));
-                let dst = Vid(*self.vmap.get(e.dst as usize).expect("dst in vmap"));
+                let (src, dst) = (Vid(vmap[e.src as usize]), Vid(vmap[e.dst as usize]));
                 let eid = self.insert_edge(src, dst, &e.label, &e.props)?;
-                self.emap.push(eid.0);
+                emap.push(eid.0);
             }
         }
-        Ok(LoadStats {
-            vertices: data.vertices.len() as u64,
-            edges: data.edges.len() as u64,
-        })
+        Ok((vmap, emap))
     }
 
     fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
@@ -1237,7 +1222,7 @@ impl ColumnarGraph {
         })
     }
 
-    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<Vec<u64>> {
         self.require_vertex(v.0)?;
         // Tombstone every incident edge.
         let ctx = QueryCtx::unbounded();
@@ -1246,7 +1231,7 @@ impl ColumnarGraph {
             eids.push(e.eid);
             Ok(())
         })?;
-        self.deleted_edges.extend(eids);
+        self.deleted_edges.extend(eids.iter().copied());
         // Tombstone all of the row's cells.
         let keys: Vec<Vec<u8>> = self
             .store
@@ -1258,7 +1243,7 @@ impl ColumnarGraph {
         }
         self.deleted_vertices.insert(v.0);
         self.vertex_rows -= 1;
-        Ok(())
+        Ok(eids)
     }
 
     fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {

@@ -22,13 +22,13 @@
 use bytes::Bytes;
 
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SpaceReport, VertexData,
+    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, SpaceReport,
+    VertexData,
 };
 use gm_model::fxmap::FxHashMap;
 use gm_model::interner::Interner;
 use gm_model::value::{Props, Value};
-use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, LoadedIds, QueryCtx, Resolution, Vid};
 use gm_storage::codec::{read_varint, write_varint};
 use gm_storage::hashidx::HashIndex;
 use gm_storage::valcodec::{decode_props, encode_props};
@@ -56,8 +56,8 @@ pub struct DocumentGraph {
     elabels: Interner,
     keys: Interner,
     next_key: u64,
-    vmap: Vec<u64>,
-    emap: Vec<u64>,
+    /// Where the bulk load placed each canonical element.
+    resolution: Resolution,
     declared_indexes: Vec<u32>,
 }
 
@@ -82,8 +82,7 @@ impl DocumentGraph {
             elabels: Interner::new(),
             keys: Interner::new(),
             next_key: 0,
-            vmap: Vec::new(),
-            emap: Vec::new(),
+            resolution: Resolution::default(),
             declared_indexes: Vec::new(),
         }
     }
@@ -276,13 +275,7 @@ impl GraphSnapshot for DocumentGraph {
         }
     }
 
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.vmap.get(canonical as usize).map(|&v| Vid(v))
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.emap.get(canonical as usize).map(|&e| Eid(e))
-    }
+    gm_model::engine_resolve!();
 
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         // The Gremlin adapter materializes every object while counting.
@@ -603,36 +596,30 @@ impl GraphSnapshot for DocumentGraph {
 
 /// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
 impl DocumentGraph {
-    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
-        if !self.vmap.is_empty() {
-            return Err(GdbError::Invalid(
-                "bulk_load requires an empty engine".into(),
-            ));
-        }
+    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadedIds> {
         // Native-script load path (the paper had to bypass Gremlin): write
         // documents straight into the primary store.
+        let mut vmap = Vec::with_capacity(data.vertices.len());
+        let mut emap = Vec::with_capacity(data.edges.len());
         for v in &data.vertices {
             let key = self.alloc_key();
             let label = self.vlabels.intern(&v.label);
             let doc = self.encode_vertex_doc(label, &v.props);
             self.vdocs.insert(key, doc);
-            self.vmap.push(key);
+            vmap.push(key);
         }
         for e in &data.edges {
             let key = self.alloc_key();
             let label = self.elabels.intern(&e.label);
-            let from = self.vmap[e.src as usize];
-            let to = self.vmap[e.dst as usize];
+            let from = vmap[e.src as usize];
+            let to = vmap[e.dst as usize];
             let doc = self.encode_edge_doc(from, to, label, &e.props);
             self.edocs.insert(key, doc);
             self.out_index.insert(from, key);
             self.in_index.insert(to, key);
-            self.emap.push(key);
+            emap.push(key);
         }
-        Ok(LoadStats {
-            vertices: data.vertices.len() as u64,
-            edges: data.edges.len() as u64,
-        })
+        Ok((vmap, emap))
     }
 
     fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
@@ -697,7 +684,7 @@ impl DocumentGraph {
         Ok(())
     }
 
-    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<Vec<u64>> {
         if self.get_vdoc(v.0).is_none() {
             return Err(GdbError::VertexNotFound(v.0));
         }
@@ -705,14 +692,14 @@ impl DocumentGraph {
         incident.extend(self.in_index.get(v.0));
         incident.sort_unstable();
         incident.dedup();
-        for e in incident {
+        for &e in &incident {
             // Edge may already be gone if it was a self-loop handled earlier.
             if self.get_edoc(e).is_some() {
                 self.delete_edge(Eid(e))?;
             }
         }
         self.del_vdoc(v.0);
-        Ok(())
+        Ok(incident)
     }
 
     fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {

@@ -32,13 +32,13 @@
 //! makes a copy-on-write MVCC epoch cost O(pages touched), not O(graph).
 
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SpaceReport, VertexData,
+    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, SpaceReport,
+    VertexData,
 };
 use gm_model::fxmap::FxHashMap;
 use gm_model::interner::Interner;
 use gm_model::value::{Props, Value};
-use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, LoadedIds, QueryCtx, Resolution, Vid};
 use gm_storage::records::RecordFile;
 use gm_storage::segvec::SegVec;
 use std::sync::Arc;
@@ -90,9 +90,8 @@ pub struct LinkedGraph {
     strings: SegVec<u8>,
     labels: Interner,
     keys: Interner,
-    /// canonical -> internal mapping captured at bulk load.
-    vmap: SegVec<u64>,
-    emap: SegVec<u64>,
+    /// Where the bulk load placed each canonical element.
+    resolution: Resolution,
     /// User-created attribute indexes by key id, each shared with clones
     /// until a write hits it.
     indexes: FxHashMap<u32, Arc<AttrIndex>>,
@@ -120,8 +119,7 @@ impl LinkedGraph {
             strings: SegVec::with_rows(1, STRING_PAGE),
             labels: Interner::new(),
             keys: Interner::new(),
-            vmap: SegVec::new(),
-            emap: SegVec::new(),
+            resolution: Resolution::default(),
             indexes: FxHashMap::default(),
             group_bytes: 0,
             index_bytes: 0,
@@ -673,13 +671,7 @@ impl GraphSnapshot for LinkedGraph {
         }
     }
 
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.vmap.get(canonical as usize).map(|&v| Vid(v))
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.emap.get(canonical as usize).map(|&e| Eid(e))
-    }
+    gm_model::engine_resolve!();
 
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         // g.V.count() iterates the node file (ticking per slot); the record
@@ -971,27 +963,18 @@ impl GraphSnapshot for LinkedGraph {
 
 /// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
 impl LinkedGraph {
-    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
-        if !self.nodes.is_empty() {
-            return Err(GdbError::Invalid(
-                "bulk_load requires an empty engine".into(),
-            ));
-        }
+    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadedIds> {
+        let mut vmap = Vec::with_capacity(data.vertices.len());
         for v in &data.vertices {
-            let vid = self.insert_vertex(&v.label, &v.props)?;
-            self.vmap.push(vid.0);
+            vmap.push(self.insert_vertex(&v.label, &v.props)?.0);
         }
+        let mut emap = Vec::with_capacity(data.edges.len());
         for e in &data.edges {
-            let src = *self.vmap.get(e.src as usize).expect("src in vmap");
-            let dst = *self.vmap.get(e.dst as usize).expect("dst in vmap");
             let label = self.labels.intern(&e.label);
-            let eid = self.add_edge_internal(src, dst, label, &e.props)?;
-            self.emap.push(eid);
+            let (src, dst) = (vmap[e.src as usize], vmap[e.dst as usize]);
+            emap.push(self.add_edge_internal(src, dst, label, &e.props)?);
         }
-        Ok(LoadStats {
-            vertices: data.vertices.len() as u64,
-            edges: data.edges.len() as u64,
-        })
+        Ok((vmap, emap))
     }
 
     fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
@@ -1051,7 +1034,7 @@ impl LinkedGraph {
         Ok(())
     }
 
-    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<Vec<u64>> {
         if !self.nodes.is_live(v.0) {
             return Err(GdbError::VertexNotFound(v.0));
         }
@@ -1065,7 +1048,7 @@ impl LinkedGraph {
         })?;
         incident.sort_unstable();
         incident.dedup(); // self-loops appear on both chains
-        for e in incident {
+        for &e in &incident {
             self.delete_edge(Eid(e))?;
         }
         // Remove properties (and index entries).
@@ -1079,7 +1062,7 @@ impl LinkedGraph {
         self.free_prop_chain(head);
         self.free_groups(v.0);
         self.nodes.free(v.0);
-        Ok(())
+        Ok(incident)
     }
 
     fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {
@@ -1173,8 +1156,6 @@ impl LinkedGraph {
             + self.groups.unshared_pages(&other.groups)
             + self.group_heads.unshared_pages(&other.group_heads)
             + self.strings.unshared_pages(&other.strings)
-            + self.vmap.unshared_pages(&other.vmap)
-            + self.emap.unshared_pages(&other.emap)
     }
 
     /// `(group_bytes, index_bytes)` recomputed from the stores themselves.

@@ -21,13 +21,13 @@
 //!   notes Sqlg "has a limit on the maximum length of labels").
 
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SpaceReport, VertexData,
+    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, SpaceReport,
+    VertexData,
 };
 use gm_model::fxmap::FxHashMap;
 use gm_model::interner::Interner;
 use gm_model::value::{Props, Value};
-use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, LoadedIds, QueryCtx, Resolution, Vid};
 use gm_storage::bptree::BPlusTree;
 
 /// Postgres-style identifier length cap.
@@ -175,8 +175,8 @@ pub struct RelationalGraph {
     vlabels: Interner,
     elabels: Interner,
     keys: Interner,
-    vmap: Vec<u64>,
-    emap: Vec<u64>,
+    /// Where the bulk load placed each canonical element.
+    resolution: Resolution,
 }
 
 impl Default for RelationalGraph {
@@ -194,8 +194,7 @@ impl RelationalGraph {
             vlabels: Interner::new(),
             elabels: Interner::new(),
             keys: Interner::new(),
-            vmap: Vec::new(),
-            emap: Vec::new(),
+            resolution: Resolution::default(),
         }
     }
 
@@ -314,13 +313,7 @@ impl GraphSnapshot for RelationalGraph {
         }
     }
 
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.vmap.get(canonical as usize).map(|&v| Vid(v))
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.emap.get(canonical as usize).map(|&e| Eid(e))
-    }
+    gm_model::engine_resolve!();
 
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         let mut n = 0u64;
@@ -691,12 +684,7 @@ impl GraphSnapshot for RelationalGraph {
 
 /// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
 impl RelationalGraph {
-    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadStats> {
-        if !self.vmap.is_empty() {
-            return Err(GdbError::Invalid(
-                "bulk_load requires an empty engine".into(),
-            ));
-        }
+    fn load_dataset(&mut self, data: &Dataset, _opts: &LoadOptions) -> GdbResult<LoadedIds> {
         // Declare the full schema first (one ALTER storm avoided), as Sqlg's
         // COPY-based loader effectively does.
         for v in &data.vertices {
@@ -707,25 +695,20 @@ impl RelationalGraph {
                 t.ensure_column(k);
             }
         }
+        let mut vmap = Vec::with_capacity(data.vertices.len());
+        let mut emap = Vec::with_capacity(data.edges.len());
         for v in &data.vertices {
             let table = self.vtable_for(&v.label)?;
             let g = self.insert_vertex_row(table, &v.props)?;
-            self.vmap.push(g);
+            vmap.push(g);
         }
         for e in &data.edges {
             let table = self.etable_for(&e.label)?;
-            let g = self.insert_edge_row(
-                table,
-                self.vmap[e.src as usize],
-                self.vmap[e.dst as usize],
-                &e.props,
-            )?;
-            self.emap.push(g);
+            let g =
+                self.insert_edge_row(table, vmap[e.src as usize], vmap[e.dst as usize], &e.props)?;
+            emap.push(g);
         }
-        Ok(LoadStats {
-            vertices: data.vertices.len() as u64,
-            edges: data.edges.len() as u64,
-        })
+        Ok((vmap, emap))
     }
 
     fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
@@ -768,7 +751,7 @@ impl RelationalGraph {
         Ok(())
     }
 
-    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<Vec<u64>> {
         self.vrow(v.0)?;
         // Delete incident edges: probe the FK indexes of every edge table.
         let mut incident: Vec<u64> = Vec::new();
@@ -782,7 +765,7 @@ impl RelationalGraph {
         }
         incident.sort_unstable();
         incident.dedup();
-        for e in incident {
+        for &e in &incident {
             self.delete_edge(Eid(e))?;
         }
         let table = gid_table(v.0);
@@ -797,7 +780,7 @@ impl RelationalGraph {
                 t.index_remove(*k, &value, row);
             }
         }
-        Ok(())
+        Ok(incident)
     }
 
     fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {

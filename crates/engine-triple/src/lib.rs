@@ -32,12 +32,12 @@
 use std::collections::HashMap;
 
 use gm_model::api::{
-    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, LoadStats,
-    SpaceReport, VertexData,
+    Direction, EdgeData, EdgeRef, EngineFeatures, GraphDb, GraphSnapshot, LoadOptions, SpaceReport,
+    VertexData,
 };
 use gm_model::fxmap::FxHashMap;
 use gm_model::value::{Props, Value};
-use gm_model::{Dataset, Eid, GdbError, GdbResult, QueryCtx, Vid};
+use gm_model::{Dataset, Eid, GdbError, GdbResult, LoadedIds, QueryCtx, Resolution, Vid};
 use gm_storage::bptree::{BPlusTree, Finger};
 
 /// Journal extent size; space is charged in whole extents.
@@ -81,8 +81,8 @@ pub struct TripleGraph {
     /// Per-predicate statement counts — the metadata BlazeGraph maintains
     /// after each non-bulk insertion.
     pred_stats: FxHashMap<u64, u64>,
-    vmap: Vec<u64>,
-    emap: Vec<u64>,
+    /// Where the bulk load placed each canonical element.
+    resolution: Resolution,
     statements: u64,
 }
 
@@ -105,8 +105,7 @@ impl TripleGraph {
             pos: BPlusTree::new(),
             osp: BPlusTree::new(),
             pred_stats: FxHashMap::default(),
-            vmap: Vec::new(),
-            emap: Vec::new(),
+            resolution: Resolution::default(),
             statements: 0,
         }
     }
@@ -340,13 +339,7 @@ impl GraphSnapshot for TripleGraph {
         }
     }
 
-    fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.vmap.get(canonical as usize).map(|&v| Vid(v))
-    }
-
-    fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.emap.get(canonical as usize).map(|&e| Eid(e))
-    }
+    gm_model::engine_resolve!();
 
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {
         let mut n = 0u64;
@@ -646,19 +639,16 @@ impl GraphSnapshot for TripleGraph {
 
 /// The write bodies behind [`GraphDb::apply`] (`gm_model::engine_apply!`).
 impl TripleGraph {
-    fn load_dataset(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
-        if !self.vmap.is_empty() {
-            return Err(GdbError::Invalid(
-                "bulk_load requires an empty engine".into(),
-            ));
-        }
+    fn load_dataset(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadedIds> {
+        let mut vmap = Vec::with_capacity(data.vertices.len());
+        let mut emap = Vec::with_capacity(data.edges.len());
         if opts.bulk {
             // Bulk path: dictionary-encode everything first, then build each
             // index from pre-sorted statements (append-mostly inserts).
             let mut stmts: Vec<Triple> = Vec::new();
             for v in &data.vertices {
                 let term = self.new_vertex_term();
-                self.vmap.push(term);
+                vmap.push(term);
                 let label_term = self.literal(&Value::Str(v.label.clone()));
                 stmts.push((term, P_TYPE, label_term));
                 for (name, value) in &v.props {
@@ -669,10 +659,10 @@ impl TripleGraph {
             }
             for e in &data.edges {
                 let term = self.new_edge_term();
-                self.emap.push(term);
+                emap.push(term);
                 let label_term = self.literal(&Value::Str(e.label.clone()));
-                stmts.push((term, P_SRC, self.vmap[e.src as usize]));
-                stmts.push((term, P_DST, self.vmap[e.dst as usize]));
+                stmts.push((term, P_SRC, vmap[e.src as usize]));
+                stmts.push((term, P_DST, vmap[e.dst as usize]));
                 stmts.push((term, P_LBL, label_term));
                 for (name, value) in &e.props {
                     let p = self.pred(name);
@@ -704,22 +694,19 @@ impl TripleGraph {
             // Default path: statement-at-a-time, metadata after each item.
             for v in &data.vertices {
                 let term = self.add_vertex_stmts(&v.label, &v.props);
-                self.vmap.push(term);
+                vmap.push(term);
             }
             for e in &data.edges {
                 let term = self.add_edge_stmts(
-                    self.vmap[e.src as usize],
-                    self.vmap[e.dst as usize],
+                    vmap[e.src as usize],
+                    vmap[e.dst as usize],
                     &e.label,
                     &e.props,
                 );
-                self.emap.push(term);
+                emap.push(term);
             }
         }
-        Ok(LoadStats {
-            vertices: data.vertices.len() as u64,
-            edges: data.edges.len() as u64,
-        })
+        Ok((vmap, emap))
     }
 
     fn insert_vertex(&mut self, label: &str, props: &Props) -> GdbResult<Vid> {
@@ -755,7 +742,7 @@ impl TripleGraph {
         Ok(())
     }
 
-    fn delete_vertex(&mut self, v: Vid) -> GdbResult<()> {
+    fn delete_vertex(&mut self, v: Vid) -> GdbResult<Vec<u64>> {
         self.require_vertex(v.0)?;
         // Incident edges via POS on src/dst.
         let mut incident: Vec<u64> = self
@@ -765,14 +752,14 @@ impl TripleGraph {
             .collect();
         incident.sort_unstable();
         incident.dedup();
-        for e in incident {
+        for &e in &incident {
             self.delete_edge(Eid(e))?;
         }
         let stmts: Vec<Triple> = self.spo_range(v.0, None).collect();
         for (s, p, o) in stmts {
             self.retract_stmt(s, p, o);
         }
-        Ok(())
+        Ok(incident)
     }
 
     fn delete_edge(&mut self, e: Eid) -> GdbResult<()> {

@@ -155,6 +155,18 @@ pub struct EngineFeatures {
     pub max_identifier_len: Option<u32>,
 }
 
+/// The one refusal a bulk load meets, from every engine and the sharded
+/// composite alike: an engine that holds a vertex, loaded or added.
+pub fn require_empty(db: &dyn GraphSnapshot) -> GdbResult<()> {
+    let ctx = QueryCtx::unbounded();
+    if db.scan_vertices(&ctx)?.next().is_some() {
+        return Err(GdbError::Invalid(
+            "bulk_load requires an empty engine".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Refuse an identifier (a label or property name) longer than `limit`
 /// bytes: the one refusal an engine declaring
 /// [`EngineFeatures::max_identifier_len`] makes.
@@ -230,13 +242,11 @@ pub trait GraphSnapshot: Send + Sync {
     /// Used by the benchmark runner *outside* the timed region ("the lookup
     /// for the object is performed before the time is measured", §4.2).
     ///
-    /// The contract, as the sharded composite keeps it: the id of the
-    /// element the bulk load placed there **while that element is live**,
-    /// else `None` — a removed element stops resolving, and its canonical
-    /// id never comes to name an element a later insert puts in its slot.
-    /// Bare engines do not keep it yet: they answer from their load map
-    /// after a removal (and linked's slot reuse can then alias a new
-    /// vertex); ROADMAP item 14(b) settles them.
+    /// The contract, kept by one [`Resolution`](crate::Resolution) on every
+    /// stack: the id of the element the bulk load placed there **while
+    /// that element is live**, else `None` — a removed element stops
+    /// resolving, and its canonical id never comes to name an element a
+    /// later insert puts in its slot.
     fn resolve_vertex(&self, canonical: u64) -> Option<Vid>;
 
     /// Map a canonical edge id to this engine's internal id (the contract
@@ -495,7 +505,8 @@ pub fn gremlin_distinct_neighbor_scan<G: GraphSnapshot + ?Sized>(
 /// ([`Mutation::into_owned`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Mutation<'a> {
-    /// Q1: ingest a canonical dataset into an empty engine.
+    /// Q1: ingest a canonical dataset into an empty engine
+    /// ([`GraphDb::bulk_load`]).
     BulkLoad(Cow<'a, Dataset>, LoadOptions),
     /// Q2: add a vertex with a label and properties.
     AddVertex(Cow<'a, str>, Cow<'a, Props>),
@@ -570,6 +581,13 @@ impl Mutation<'_> {
 /// so every engine names its bodies alike and none shadows a derived
 /// mutator. `Sync` answers `Ok(())` unless `sync = |engine| expr` says how
 /// the engine flushes (the document engine's journal).
+///
+/// The canonical-id bookkeeping is written here, once, over the engine's
+/// [`Resolution`](crate::Resolution) field `resolution`: a load is refused
+/// by [`require_empty`], then the [`LoadedIds`](crate::LoadedIds)
+/// `load_dataset` returns are frozen and answer its [`LoadStats`]; a
+/// removal retires the removed ids, and `delete_vertex` returns the ids of
+/// the edges its cascade removed.
 #[macro_export]
 macro_rules! engine_apply {
     () => {
@@ -582,7 +600,11 @@ macro_rules! engine_apply {
         ) -> $crate::error::GdbResult<$crate::api::Applied> {
             use $crate::api::Mutation::*;
             match m {
-                BulkLoad(data, opts) => self.load_dataset(&data, &opts).map(Into::into),
+                BulkLoad(data, opts) => {
+                    $crate::api::require_empty(&*self)?;
+                    self.resolution = $crate::Resolution::frozen(self.load_dataset(&data, &opts)?);
+                    Ok(self.resolution.stats().into())
+                }
                 AddVertex(label, props) => self.insert_vertex(&label, &props).map(Into::into),
                 AddEdge(s, d, label, props) => {
                     self.insert_edge(s, d, &label, &props).map(Into::into)
@@ -591,8 +613,18 @@ macro_rules! engine_apply {
                     self.put_vertex_property(v, &name, x).map(Into::into)
                 }
                 SetEdgeProperty(e, name, x) => self.put_edge_property(e, &name, x).map(Into::into),
-                RemoveVertex(v) => self.delete_vertex(v).map(Into::into),
-                RemoveEdge(e) => self.delete_edge(e).map(Into::into),
+                RemoveVertex(v) => {
+                    for e in self.delete_vertex(v)? {
+                        self.resolution.retire_edge($crate::Eid(e));
+                    }
+                    self.resolution.retire_vertex(v);
+                    Ok($crate::api::Applied::Done)
+                }
+                RemoveEdge(e) => {
+                    self.delete_edge(e)?;
+                    self.resolution.retire_edge(e);
+                    Ok($crate::api::Applied::Done)
+                }
                 RemoveVertexProperty(v, name) => {
                     self.delete_vertex_property(v, &name).map(Into::into)
                 }
@@ -603,6 +635,22 @@ macro_rules! engine_apply {
                     $sync.map(Into::into)
                 }
             }
+        }
+    };
+}
+
+/// Generate an engine's [`GraphSnapshot::resolve_vertex`] and
+/// [`GraphSnapshot::resolve_edge`] from its `resolution` field (see
+/// [`engine_apply!`](crate::engine_apply)).
+#[macro_export]
+macro_rules! engine_resolve {
+    () => {
+        fn resolve_vertex(&self, canonical: u64) -> Option<$crate::Vid> {
+            self.resolution.vertex(canonical)
+        }
+
+        fn resolve_edge(&self, canonical: u64) -> Option<$crate::Eid> {
+            self.resolution.edge(canonical)
         }
     };
 }
@@ -707,7 +755,9 @@ pub trait GraphDb: GraphSnapshot {
 
     // ----- Load (Q1) --------------------------------------------------
 
-    /// Ingest a canonical dataset into an **empty** engine.
+    /// Ingest a canonical dataset into an **empty** engine, one that holds
+    /// no vertex: any other refuses with [`GdbError::Invalid`]
+    /// ([`require_empty`]).
     // gm-check: derived
     fn bulk_load(&mut self, data: &Dataset, opts: &LoadOptions) -> GdbResult<LoadStats> {
         self.apply(Mutation::BulkLoad(Cow::Borrowed(data), opts.clone()))?

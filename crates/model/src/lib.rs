@@ -33,6 +33,7 @@ pub mod interner;
 pub mod json;
 pub mod lockorder;
 pub mod lockwait;
+pub mod resolution;
 pub mod testkit;
 pub mod value;
 
@@ -48,4 +49,5 @@ pub use error::{GdbError, GdbResult};
 pub use gm_obs::format_nanos;
 pub use ids::{Eid, Vid};
 pub use interner::Interner;
+pub use resolution::{LoadedIds, Resolution};
 pub use value::{Props, Value};

@@ -38,10 +38,11 @@
 //! ## Reads-your-own-writes scope
 //!
 //! Inside the transaction, **point reads** (vertex/edge lookup, property
-//! reads, endpoints, labels, counts) observe the buffered writes overlaid
-//! on the pinned base epoch; removing a base vertex removes its base
-//! incident edges from that view too, as the engine's cascade will at
-//! commit, so no later buffered write can name one. Scans and traversals (`for_each_incident` —
+//! reads, endpoints, labels, counts, canonical resolution) observe the
+//! buffered writes overlaid on the pinned base epoch; removing a base
+//! vertex removes its base incident edges from that view too, as the
+//! engine's cascade will at commit, so no later buffered write can name
+//! one. Scans and traversals (`for_each_incident` —
 //! and so `neighbors`, `vertex_edges` and every traversal built on it —
 //! `vertex_degree`, `scan_vertices`, `degree_scan`, property-index lookups,
 //! …) answer from the pinned base alone: the benchmark write mixes never
@@ -538,12 +539,16 @@ impl GraphSnapshot for WriteTxn {
         self.base_epoch
     }
 
+    /// The base view's answer, less what this transaction removed — its
+    /// vertex removals' cascaded base edges included.
     fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.base.resolve_vertex(canonical)
+        let v = self.base.resolve_vertex(canonical)?;
+        (!self.removed_v.contains(&v.0)).then_some(v)
     }
 
     fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.base.resolve_edge(canonical)
+        let e = self.base.resolve_edge(canonical)?;
+        (!self.removed_e.contains(&e.0)).then_some(e)
     }
 
     fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {

@@ -33,6 +33,11 @@ use gm_workload::{Backend, Op, OpResult, Session, WorkloadConfig, WORKLOAD_SLOTS
 use crate::proto::{Request, Response, MAGIC, PROTO_VERSION};
 use crate::wire::{FrameReader, FrameWriter};
 
+/// How long a dial waits on the version handshake whatever deadline the
+/// caller asked for: a peer that accepts the connection but never answers
+/// `Hello` fails the dial with [`GdbError::Timeout`] instead of hanging it.
+pub const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
+
 /// One framed, handshaken connection to a gm-net server.
 pub struct Connection {
     reader: FrameReader<TcpStream>,
@@ -71,6 +76,14 @@ struct Queued {
     fault: Option<GdbError>,
 }
 
+/// Set the read and write deadline of `stream`'s socket (both halves).
+fn set_deadline(stream: &TcpStream, addr: &str, deadline: Option<Duration>) -> GdbResult<()> {
+    stream
+        .set_read_timeout(deadline)
+        .and_then(|()| stream.set_write_timeout(deadline))
+        .map_err(|e| GdbError::Io(format!("setting deadlines on {addr}: {e}")))
+}
+
 impl Connection {
     /// Dial `addr` and perform the version handshake.
     pub fn connect(addr: &str) -> GdbResult<Connection> {
@@ -78,19 +91,14 @@ impl Connection {
     }
 
     /// [`Connection::connect`] with a read and write `deadline` on the
-    /// socket, set once before the handshake: a server that stops answering
+    /// socket once the handshake is done: a server that stops answering
     /// fails the call with [`GdbError::Timeout`] instead of blocking it
-    /// forever.
+    /// forever. The handshake itself runs under [`HANDSHAKE_DEADLINE`].
     fn dial(addr: &str, deadline: Option<Duration>) -> GdbResult<Connection> {
         let stream =
             TcpStream::connect(addr).map_err(|e| GdbError::Io(format!("dialing {addr}: {e}")))?;
         let _ = stream.set_nodelay(true);
-        if deadline.is_some() {
-            stream
-                .set_read_timeout(deadline)
-                .and_then(|()| stream.set_write_timeout(deadline))
-                .map_err(|e| GdbError::Io(format!("setting deadlines on {addr}: {e}")))?;
-        }
+        set_deadline(&stream, addr, Some(HANDSHAKE_DEADLINE))?;
         let read_half = stream
             .try_clone()
             .map_err(|e| GdbError::Io(format!("cloning the socket to {addr}: {e}")))?;
@@ -113,6 +121,7 @@ impl Connection {
                 "server speaks protocol version {version}, client speaks {PROTO_VERSION}"
             )));
         }
+        set_deadline(conn.writer.get_ref(), addr, deadline)?;
         conn.engine = engine;
         conn.shard = shard;
         Ok(conn)

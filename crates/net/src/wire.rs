@@ -181,6 +181,11 @@ impl<W: Write> FrameWriter<W> {
         release_if_grown(&mut self.buf);
         sent
     }
+
+    /// The stream frames are written to.
+    pub fn get_ref(&self) -> &W {
+        &self.inner
+    }
 }
 
 /// The read half of a framed connection: a [`READ_BUF`]-byte `BufReader`

@@ -38,17 +38,18 @@
 //!
 //! ## Canonical resolution
 //!
-//! A bulk load freezes where each canonical id landed (`Resolution`). A
-//! loaded element resolves while it is live: removing it retires its
-//! composite id, so when a later insert reuses the slot (linked's
-//! `RecordFile` does) the canonical id does not come to name the newcomer.
-//! Only ids a load handed out are retired — removing a dynamically added
-//! element touches no routing state.
+//! The composite resolves canonical ids as every engine does, through a
+//! [`Resolution`] — here filled with composite ids, since sub-dataset
+//! canonical ids are shard-local. A loaded element resolves while it is
+//! live: removing it retires its composite id, so when a later insert
+//! reuses the slot (linked's `RecordFile` does) the canonical id does not
+//! come to name the newcomer. Only ids a load handed out are retired —
+//! removing a dynamically added element touches no routing state.
 
 use std::sync::Arc;
 
-use gm_model::fxmap::{FxHashMap, FxHashSet};
-use gm_model::{Dataset, Eid, GdbError, GdbResult, Vid};
+use gm_model::fxmap::FxHashMap;
+use gm_model::{Dataset, Eid, GdbError, GdbResult, Resolution, Vid};
 
 /// Reserved label of ghost vertices. No generator or workload uses it; a
 /// user dataset that does would make ghosts indistinguishable from data,
@@ -95,21 +96,19 @@ pub fn decode_eid(e: Eid, shards: usize) -> (Eid, usize) {
 /// `shards + 2` refcounts whatever the graph's size (one more for the
 /// translation counter's handle when counters are on):
 ///
-/// * the canonical-id `Resolution` is written only by a bulk load and
-///   frozen there;
 /// * each shard's ghost translations sit behind their own `Arc`, and a
 ///   topology change `make_mut`s only the shard it touches — a copy only
 ///   while a pin still shares it, so the locked composite and the fleet,
 ///   which never pin, never copy;
-/// * the loaded elements removed since the load sit in a small set a pin
-///   shares too, so a pin resolves as of its epoch.
+/// * the canonical-id [`Resolution`] shares its frozen tables and its
+///   removed-set the same way, so a pin resolves as of its epoch.
 #[derive(Debug, Clone)]
 pub struct Meta {
     /// Shard count (denormalized for the id math).
     pub shards: usize,
     ghosts: Vec<Arc<Ghosts>>,
-    resolution: Arc<Resolution>,
-    removed: Arc<Removed>,
+    /// Where the bulk load placed each canonical element, in composite ids.
+    pub(crate) resolution: Resolution,
     /// `shard.ghost_translations` registry counter, resolved once per meta
     /// (clones share the underlying atomic). `None` under `GM_OBS=off`, so
     /// the translation hot path pays nothing when observability is off.
@@ -125,30 +124,13 @@ struct Ghosts {
     shadowed: FxHashMap<u64, u64>,
 }
 
-/// Canonical-id resolution of one bulk load: dense `canonical → composite`
-/// tables (a dataset's canonical ids are `0..n`), which inner engines cannot
-/// answer — sub-dataset canonical ids are shard-local.
-#[derive(Debug, Default)]
-struct Resolution {
-    vertices: Vec<u64>,
-    edges: Vec<u64>,
-}
-
-/// Composite ids of loaded elements removed since the load.
-#[derive(Debug, Clone, Default)]
-struct Removed {
-    vertices: FxHashSet<u64>,
-    edges: FxHashSet<u64>,
-}
-
 impl Meta {
     /// Empty metadata for `shards` partitions.
     pub fn new(shards: usize) -> Meta {
         Meta {
             shards,
             ghosts: vec![Arc::default(); shards],
-            resolution: Arc::default(),
-            removed: Arc::default(),
+            resolution: Resolution::default(),
             ghost_translations: gm_obs::counters_on()
                 .then(|| gm_obs::global().counter("shard.ghost_translations")),
         }
@@ -224,39 +206,13 @@ impl Meta {
         self.ghosts[shard].local.len() as u64
     }
 
-    /// The composite vertex a bulk load placed canonical vertex `canonical`
-    /// at, while it is live.
-    pub fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        let v = *self.resolution.vertices.get(canonical as usize)?;
-        (!self.removed.vertices.contains(&v)).then_some(Vid(v))
-    }
-
-    /// The composite edge a bulk load placed canonical edge `canonical` at,
-    /// while it is live.
-    pub fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        let e = *self.resolution.edges.get(canonical as usize)?;
-        (!self.removed.edges.contains(&e)).then_some(Eid(e))
-    }
-
-    /// Stop resolving loaded vertex `v`, for good: an element a later
-    /// insert places in its slot must not inherit its canonical id.
-    pub fn retire_vertex(&mut self, v: Vid) {
-        Arc::make_mut(&mut self.removed).vertices.insert(v.0);
-    }
-
-    /// Stop resolving loaded edge `e` (see [`Meta::retire_vertex`]).
-    pub fn retire_edge(&mut self, e: Eid) {
-        Arc::make_mut(&mut self.removed).edges.insert(e.0);
-    }
-
     /// Per shard, one past the largest local `[vertex, edge]` id the load
     /// handed out: the ids whose removal [`Topology`](crate::Topology)
     /// retires.
     pub(crate) fn loaded_bounds(&self) -> Vec<[u64; 2]> {
         let n = self.shards as u64;
         let mut out = vec![[0; 2]; self.shards];
-        let tables = [&self.resolution.vertices, &self.resolution.edges];
-        for (kind, table) in tables.into_iter().enumerate() {
+        for (kind, table) in self.resolution.tables().into_iter().enumerate() {
             for &c in table {
                 let bound = &mut out[(c % n) as usize][kind];
                 *bound = (*bound).max(c / n + 1);
@@ -274,8 +230,7 @@ impl Meta {
             .iter()
             .map(|g| g.local.len() as u64)
             .sum::<u64>();
-        let resolvable = (self.resolution.vertices.len() + self.resolution.edges.len()) as u64;
-        let removed = (self.removed.vertices.len() + self.removed.edges.len()) as u64;
+        let [resolvable, removed] = self.resolution.entries().map(|n| n as u64);
         ((ghosts + resolvable) * 2 + removed) * 16
     }
 }
@@ -377,7 +332,7 @@ pub fn build_meta(
     for (canonical, e) in probe(shards, Probe::Edge, "loaded edge", loaded, &mut resolve)? {
         edges[canonical as usize] = e;
     }
-    meta.resolution = Arc::new(Resolution { vertices, edges });
+    meta.resolution = Resolution::frozen((vertices, edges));
     Ok(meta)
 }
 

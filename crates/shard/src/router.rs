@@ -36,7 +36,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 
-use gm_model::api::{Applied, Direction, GraphDb, GraphSnapshot, LoadStats, Mutation};
+use gm_model::api::{Applied, Direction, GraphDb, GraphSnapshot, Mutation};
 use gm_model::{Eid, GdbError, GdbResult, QueryCtx, Vid};
 
 use crate::route::{
@@ -339,7 +339,8 @@ impl<P: ShardPort> GraphDb for Router<'_, P> {
         match m {
             Mutation::BulkLoad(data, opts) => {
                 self.structural("bulk load")?;
-                self.change(|c| {
+                gm_model::api::require_empty(&*self)?;
+                let stats = self.change(|c| {
                     let parts = partition(&data, n)?;
                     for (s, sub) in parts.subs.iter().enumerate() {
                         c.apply_to(s, Mutation::BulkLoad(Cow::Borrowed(sub), opts.clone()))?;
@@ -358,12 +359,9 @@ impl<P: ShardPort> GraphDb for Router<'_, P> {
                         })
                     })??;
                     c.topo.install(c.meta, meta);
-                    Ok(())
+                    Ok(c.meta.resolution.stats())
                 })?;
-                Ok(Applied::Loaded(LoadStats {
-                    vertices: data.vertex_count() as u64,
-                    edges: data.edge_count() as u64,
-                }))
+                Ok(Applied::Loaded(stats))
             }
             Mutation::AddVertex(label, props) => {
                 let s = self.topo.place();
@@ -419,10 +417,10 @@ impl<P: ShardPort> GraphDb for Router<'_, P> {
                         c.apply_to(s, Mutation::RemoveVertex(ghost))?;
                     }
                     for e in dead_edges {
-                        c.meta.retire_edge(e);
+                        c.meta.resolution.retire_edge(e);
                     }
                     if c.topo.loaded_vertex(v) {
-                        c.meta.retire_vertex(v);
+                        c.meta.resolution.retire_vertex(v);
                     }
                     Ok(Applied::Done)
                 })
@@ -437,9 +435,9 @@ impl<P: ShardPort> GraphDb for Router<'_, P> {
                 // removing any other edge touches no routing state.
                 if self.topo.loaded_edge(e) {
                     match self.held.as_deref_mut() {
-                        Some(meta) => meta.retire_edge(e),
+                        Some(meta) => meta.resolution.retire_edge(e),
                         // gm-lock: meta
-                        None => self.topo.enter()?.retire_edge(e),
+                        None => self.topo.enter()?.resolution.retire_edge(e),
                     }
                 }
                 Ok(Applied::Done)

@@ -277,11 +277,11 @@ impl Parts<'_> {
     }
 
     pub fn resolve_vertex(&self, canonical: u64) -> Option<Vid> {
-        self.meta().resolve_vertex(canonical)
+        self.meta().resolution.vertex(canonical)
     }
 
     pub fn resolve_edge(&self, canonical: u64) -> Option<Eid> {
-        self.meta().resolve_edge(canonical)
+        self.meta().resolution.edge(canonical)
     }
 
     pub fn vertex_count(&self, ctx: &QueryCtx) -> GdbResult<u64> {

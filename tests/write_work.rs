@@ -42,33 +42,33 @@ const WRITE_OPS: [WriteOp; 4] = [
 /// `space().total()`).
 #[rustfmt::skip]
 const PINS: &[(&str, [u64; 16], [u64; 3])] = &[
-    ("document", [23, 9, 18, 58, 28, 69, 41, 31, 20, 0, 27, 0, 14, 5, 19, 0], [404, 4257, 473630]),
-    ("document/s2", [31, 12, 23, 57, 34, 88, 40, 31, 112, 0, 28, 0, 14, 5, 19, 0], [404, 4257, 653774]),
-    ("document/cow", [23, 12, 22, 62, 31, 78, 45, 34, 23, 3, 30, 4, 14, 6, 20, 1], [404, 4257, 473630]),
-    ("triple", [25, 7, 10, 10, 3, 55, 1, 0, 104, 3, 3, 0, 10, 4, 4, 1], [404, 4257, 2284777]),
-    ("triple/s2", [23, 8, 13, 10, 11, 65, 0, 0, 173, 3, 3, 0, 10, 4, 3, 1], [404, 4257, 3536289]),
-    ("triple/cow", [25, 10, 14, 14, 6, 64, 5, 3, 107, 6, 6, 4, 10, 5, 5, 2], [404, 4257, 2284777]),
-    ("linked(v1)", [19, 5, 11, 13, 6, 40, 4, 3, 36, 0, 7, 0, 13, 4, 4, 0], [404, 4257, 341436]),
-    ("linked(v1)/s2", [26, 7, 16, 13, 13, 54, 4, 3, 103, 0, 7, 0, 13, 4, 5, 0], [404, 4257, 531237]),
-    ("linked(v1)/cow", [19, 8, 15, 17, 9, 49, 8, 6, 39, 3, 10, 4, 13, 5, 5, 1], [404, 4257, 341436]),
-    ("linked(v2)", [25, 11, 17, 19, 12, 94, 10, 9, 225, 6, 13, 6, 15, 6, 6, 2], [404, 4257, 395516]),
-    ("linked(v2)/s2", [32, 13, 22, 19, 19, 112, 10, 9, 312, 6, 13, 6, 15, 6, 7, 2], [404, 4257, 592417]),
-    ("linked(v2)/cow", [25, 14, 21, 23, 15, 103, 14, 12, 228, 9, 16, 10, 15, 7, 7, 3], [404, 4257, 395516]),
-    ("cluster", [22, 95, 104, 61, 23, 700, 43, 25, 2561, 84, 33, 0, 15, 35, 19, 28], [404, 4257, 664566]),
-    ("cluster/s2", [32, 75, 85, 61, 30, 616, 43, 28, 2141, 84, 33, 0, 16, 23, 20, 16], [404, 4257, 1193442]),
-    ("cluster/cow", [22, 98, 108, 65, 26, 709, 47, 28, 2564, 87, 36, 4, 15, 36, 20, 29], [404, 4257, 664566]),
-    ("bitmap", [26, 6, 13, 22, 16, 33, 7, 8, 33, 0, 0, 0, 22, 6, 7, 0], [404, 4257, 366160]),
-    ("bitmap/s2", [46, 10, 24, 22, 23, 49, 7, 8, 139, 0, 0, 0, 22, 6, 9, 0], [404, 4257, 567024]),
-    ("bitmap/cow", [26, 9, 17, 26, 19, 42, 11, 11, 36, 3, 3, 4, 22, 7, 8, 1], [404, 4257, 366160]),
-    ("relational", [21, 7, 20, 811, 122, 32, 0, 0, 14, 0, 0, 0, 16, 8, 3, 0], [404, 4257, 373686]),
-    ("relational/s2", [30, 14, 31, 417, 67, 52, 0, 0, 76, 0, 0, 0, 17, 8, 4, 0], [404, 4257, 561928]),
-    ("relational/cow", [21, 10, 24, 815, 125, 41, 4, 3, 17, 3, 3, 4, 16, 9, 4, 1], [404, 4257, 373686]),
-    ("columnar(v05)", [47, 26, 37, 21, 20, 248, 9, 19, 133, 0, 6, 16, 19, 11, 6, 0], [404, 4257, 199958]),
-    ("columnar(v05)/s2", [54, 28, 43, 20, 28, 266, 9, 19, 234, 0, 6, 15, 20, 11, 7, 0], [404, 4257, 377039]),
-    ("columnar(v05)/cow", [47, 29, 41, 25, 23, 257, 13, 22, 136, 3, 9, 20, 19, 12, 7, 1], [404, 4257, 199997]),
-    ("columnar(v10)", [47, 26, 37, 21, 20, 248, 9, 19, 133, 0, 6, 16, 19, 11, 6, 0], [404, 4257, 199932]),
-    ("columnar(v10)/s2", [54, 28, 43, 20, 28, 266, 9, 19, 234, 0, 6, 15, 20, 11, 7, 0], [404, 4257, 377013]),
-    ("columnar(v10)/cow", [47, 29, 41, 25, 23, 257, 13, 22, 136, 3, 9, 20, 19, 12, 7, 1], [404, 4257, 199997]),
+    ("document", [23, 9, 18, 58, 28, 69, 41, 31, 27, 0, 27, 0, 14, 5, 19, 0], [404, 4257, 473630]),
+    ("document/s2", [31, 12, 23, 57, 34, 88, 40, 31, 124, 1, 28, 0, 14, 5, 19, 0], [404, 4257, 653774]),
+    ("document/cow", [23, 12, 22, 62, 31, 78, 45, 34, 30, 3, 30, 4, 14, 6, 20, 1], [404, 4257, 473630]),
+    ("triple", [25, 7, 10, 10, 3, 55, 1, 0, 111, 3, 3, 0, 10, 4, 4, 1], [404, 4257, 2284777]),
+    ("triple/s2", [23, 8, 13, 10, 11, 65, 0, 0, 185, 4, 3, 0, 10, 4, 3, 1], [404, 4257, 3536289]),
+    ("triple/cow", [25, 10, 14, 14, 6, 64, 5, 3, 114, 6, 6, 4, 10, 5, 5, 2], [404, 4257, 2284777]),
+    ("linked(v1)", [19, 5, 11, 13, 6, 40, 4, 3, 43, 0, 7, 0, 13, 4, 4, 0], [404, 4257, 341436]),
+    ("linked(v1)/s2", [26, 7, 16, 13, 13, 54, 4, 3, 115, 1, 7, 0, 13, 4, 5, 0], [404, 4257, 531237]),
+    ("linked(v1)/cow", [19, 8, 15, 17, 9, 49, 8, 6, 46, 3, 10, 4, 13, 5, 5, 1], [404, 4257, 341436]),
+    ("linked(v2)", [25, 11, 17, 19, 12, 94, 10, 9, 232, 6, 13, 6, 15, 6, 6, 2], [404, 4257, 395516]),
+    ("linked(v2)/s2", [32, 13, 22, 19, 19, 112, 10, 9, 324, 7, 13, 6, 15, 6, 7, 2], [404, 4257, 592417]),
+    ("linked(v2)/cow", [25, 14, 21, 23, 15, 103, 14, 12, 235, 9, 16, 10, 15, 7, 7, 3], [404, 4257, 395516]),
+    ("cluster", [22, 95, 104, 61, 23, 700, 43, 25, 2568, 84, 33, 0, 15, 35, 19, 28], [404, 4257, 664566]),
+    ("cluster/s2", [32, 75, 85, 61, 30, 616, 43, 28, 2153, 85, 33, 0, 16, 23, 20, 16], [404, 4257, 1193442]),
+    ("cluster/cow", [22, 98, 108, 65, 26, 709, 47, 28, 2571, 87, 36, 4, 15, 36, 20, 29], [404, 4257, 664566]),
+    ("bitmap", [26, 6, 13, 22, 16, 33, 7, 8, 40, 0, 0, 0, 22, 6, 7, 0], [404, 4257, 366160]),
+    ("bitmap/s2", [46, 10, 24, 22, 23, 49, 7, 8, 151, 1, 0, 0, 22, 6, 9, 0], [404, 4257, 567024]),
+    ("bitmap/cow", [26, 9, 17, 26, 19, 42, 11, 11, 43, 3, 3, 4, 22, 7, 8, 1], [404, 4257, 366160]),
+    ("relational", [21, 7, 20, 811, 122, 32, 0, 0, 21, 0, 0, 0, 16, 8, 3, 0], [404, 4257, 373686]),
+    ("relational/s2", [30, 14, 31, 417, 67, 52, 0, 0, 88, 1, 0, 0, 17, 8, 4, 0], [404, 4257, 561928]),
+    ("relational/cow", [21, 10, 24, 815, 125, 41, 4, 3, 24, 3, 3, 4, 16, 9, 4, 1], [404, 4257, 373686]),
+    ("columnar(v05)", [47, 26, 37, 21, 20, 248, 9, 19, 140, 0, 6, 16, 19, 11, 6, 0], [404, 4257, 199958]),
+    ("columnar(v05)/s2", [54, 28, 43, 20, 28, 266, 9, 19, 246, 1, 6, 15, 20, 11, 7, 0], [404, 4257, 377039]),
+    ("columnar(v05)/cow", [47, 29, 41, 25, 23, 257, 13, 22, 143, 3, 9, 20, 19, 12, 7, 1], [404, 4257, 199997]),
+    ("columnar(v10)", [47, 26, 37, 21, 20, 248, 9, 19, 140, 0, 6, 16, 19, 11, 6, 0], [404, 4257, 199932]),
+    ("columnar(v10)/s2", [54, 28, 43, 20, 28, 266, 9, 19, 246, 1, 6, 15, 20, 11, 7, 0], [404, 4257, 377013]),
+    ("columnar(v10)/cow", [47, 29, 41, 25, 23, 257, 13, 22, 143, 3, 9, 20, 19, 12, 7, 1], [404, 4257, 199997]),
 ];
 
 fn write_instances() -> Vec<QueryInstance> {
