@@ -765,17 +765,19 @@ impl ClusterGraph {
         // each vertex record is written exactly once (no rewrite storm).
         let mut out_adj: Vec<Vec<u64>> = vec![Vec::new(); data.vertices.len()];
         let mut in_adj: Vec<Vec<u64>> = vec![Vec::new(); data.vertices.len()];
-        // Vertices need rids before edges can reference them: allocate
-        // positions deterministically (insertion order per label cluster).
+        // Vertices need rids before edges can reference them: predict the
+        // positions each label cluster's allocator hands out in insertion
+        // order (an engine emptied by removals reuses its freed positions).
         let mut vmap = Vec::with_capacity(data.vertices.len());
         let mut pending_vertex_pos: Vec<(u32, u64)> = Vec::with_capacity(data.vertices.len());
-        let mut next_pos_per_cluster: FxHashMap<u32, u64> = FxHashMap::default();
+        let mut allocs_per_cluster: FxHashMap<u32, u64> = FxHashMap::default();
         for v in &data.vertices {
             let cluster = self.vertex_cluster_for(&v.label);
-            let pos = next_pos_per_cluster.entry(cluster).or_insert(0);
-            pending_vertex_pos.push((cluster, *pos));
-            vmap.push(rid(cluster, *pos));
-            *pos += 1;
+            let n = allocs_per_cluster.entry(cluster).or_insert(0);
+            let pos = self.vertex_clusters[cluster as usize].nth_alloc(*n);
+            pending_vertex_pos.push((cluster, pos));
+            vmap.push(rid(cluster, pos));
+            *n += 1;
         }
         let mut emap = Vec::with_capacity(data.edges.len());
         for e in &data.edges {
@@ -795,6 +797,13 @@ impl ClusterGraph {
             let buf = self.encode_vertex(&out_adj[i], &in_adj[i], &v.props);
             let pos = self.vertex_clusters[cluster as usize].alloc(&buf);
             debug_assert_eq!(pos, expected_pos, "cluster position drift");
+            // An engine emptied by removals keeps the indexes built on it.
+            if !self.indexes.is_empty() {
+                for (name, value) in &v.props {
+                    let key = self.keys.intern(name);
+                    self.index_insert(key, value, vmap[i]);
+                }
+            }
         }
         Ok((vmap, emap))
     }

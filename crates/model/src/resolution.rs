@@ -22,22 +22,48 @@ const EDGE: usize = 1;
 /// composite pin) costs two refcounts and resolves as of its taking.
 #[derive(Debug, Clone, Default)]
 pub struct Resolution {
-    tables: Arc<[Vec<u64>; 2]>,
+    tables: Arc<Tables>,
     /// Per kind, one past the largest id the load handed out.
     bound: [u64; 2],
     removed: Arc<[FxHashSet<u64>; 2]>,
+}
+
+/// A load's id tables, and what tells a loaded id from a later one.
+#[derive(Debug, Default)]
+struct Tables {
+    /// Per kind, the id of each canonical element.
+    ids: [Vec<u64>; 2],
+    /// Per kind, `ids` in ascending order, sorted when the load ends (so a
+    /// removal allocates nothing to look an id up); `None` where `ids`
+    /// already is ascending. Linked numbers its records in load order;
+    /// relational and cluster put a label's table in an id's high bits, so
+    /// theirs interleave.
+    sorted: [Option<Vec<u64>>; 2],
+}
+
+impl Tables {
+    /// Whether the load handed out `id`.
+    fn holds(&self, kind: usize, id: u64) -> bool {
+        let ids = self.sorted[kind].as_ref().unwrap_or(&self.ids[kind]);
+        ids.binary_search(&id).is_ok()
+    }
 }
 
 impl Resolution {
     /// The resolution of a load that placed canonical vertex `c` at
     /// `vertices[c]` and canonical edge `c` at `edges[c]`.
     pub fn frozen((vertices, edges): LoadedIds) -> Resolution {
-        let tables = [vertices, edges];
-        let bound = tables
+        let ids = [vertices, edges];
+        let bound = ids
             .each_ref()
             .map(|t| t.iter().max().map_or(0, |&id| id + 1));
+        let sorted = ids.each_ref().map(|ids| {
+            let mut sorted = (!ids.is_sorted()).then(|| ids.clone())?;
+            sorted.sort_unstable();
+            Some(sorted)
+        });
         Resolution {
-            tables: Arc::new(tables),
+            tables: Arc::new(Tables { ids, sorted }),
             bound,
             removed: Arc::default(),
         }
@@ -45,7 +71,7 @@ impl Resolution {
 
     /// What the load ingested, by the tables' lengths.
     pub fn stats(&self) -> LoadStats {
-        let [vertices, edges] = self.tables.each_ref().map(|t| t.len() as u64);
+        let [vertices, edges] = self.tables.ids.each_ref().map(|t| t.len() as u64);
         LoadStats { vertices, edges }
     }
 
@@ -71,26 +97,28 @@ impl Resolution {
 
     /// The load's `[vertex, edge]` id tables, in canonical order.
     pub fn tables(&self) -> [&[u64]; 2] {
-        self.tables.each_ref().map(Vec::as_slice)
+        self.tables.ids.each_ref().map(Vec::as_slice)
     }
 
     /// How many ids the tables hold, and how many ids are retired.
     pub fn entries(&self) -> [usize; 2] {
-        let tables = self.tables.iter().map(Vec::len).sum();
+        let tables = self.tables.ids.iter().map(Vec::len).sum();
         [tables, self.removed.iter().map(FxHashSet::len).sum()]
     }
 
     fn resolve(&self, kind: usize, canonical: u64) -> Option<u64> {
-        let id = *self.tables[kind].get(canonical as usize)?;
+        let id = *self.tables.ids[kind].get(canonical as usize)?;
         (!self.removed[kind].contains(&id)).then_some(id)
     }
 
-    /// An id past the bound is not the load's: retiring it costs this one
-    /// compare. One below it may not be either (relational and cluster
-    /// number ids per table); recording it is harmless, as no loaded element
-    /// still holds it. The removed-set is copied only while a clone shares it.
+    /// Only an id the load handed out is recorded. One past the bound is
+    /// not the load's, at the cost of one compare; one below it may not be
+    /// either (relational and cluster number ids per table), so it is
+    /// looked up in the frozen table. The removed-set is copied only while
+    /// a clone shares it.
     fn retire(&mut self, kind: usize, id: u64) {
-        if id < self.bound[kind] && !self.removed[kind].contains(&id) {
+        if id < self.bound[kind] && self.tables.holds(kind, id) && !self.removed[kind].contains(&id)
+        {
             Arc::make_mut(&mut self.removed)[kind].insert(id);
         }
     }
@@ -131,5 +159,22 @@ mod tests {
         r.retire_vertex(Vid(1));
         r.retire_vertex(Vid(1));
         assert_eq!(r.entries(), [3, 1]);
+    }
+
+    #[test]
+    fn ids_below_the_bound_the_load_never_handed_out_are_never_recorded() {
+        // Ids as relational numbers them: a label's table in the high bits.
+        let (a, b) = (1 << 40, 2 << 40);
+        let mut r = Resolution::frozen((vec![a, b, a + 1], vec![b + 1, a + 2]));
+        r.retire_vertex(Vid(a + 2));
+        r.retire_vertex(Vid(b - 1));
+        r.retire_edge(Eid(a + 3));
+        r.retire_edge(Eid(b));
+        assert_eq!(r.entries()[1], 0, "below the bound, not in a table");
+        r.retire_vertex(Vid(a + 1));
+        r.retire_edge(Eid(a + 2));
+        assert_eq!(r.entries()[1], 2);
+        assert_eq!((r.vertex(2), r.edge(1)), (None, None));
+        assert_eq!((r.vertex(0), r.edge(0)), (Some(Vid(a)), Some(Eid(b + 1))));
     }
 }

@@ -126,8 +126,8 @@ impl TxnKey {
     }
 }
 
-/// The [`TxnKey`]s a mutation directly addresses — the write-set keys of
-/// the [module docs](self), derived once for [`KeyRecorder`] and
+/// The [`TxnKey`]s a mutation directly addresses — the write-set keys the
+/// `txn` module docs describe, derived once for [`KeyRecorder`] and
 /// [`WriteTxn`] alike.
 pub fn keys(m: &Mutation<'_>) -> impl Iterator<Item = TxnKey> {
     let (first, second) = match *m {
@@ -164,7 +164,7 @@ struct TxnLogInner {
 }
 
 /// Bounded commit log powering first-committer-wins validation (see the
-/// [module docs](self)).
+/// `txn` module docs).
 pub struct TxnLog {
     inner: Mutex<TxnLogInner>,
     cap: usize,
@@ -302,7 +302,7 @@ impl GraphDb for KeyRecorder<'_> {
 
 // ----- WriteTxn -------------------------------------------------------------
 
-/// An epoch-pinned write transaction (see the [module docs](self)).
+/// An epoch-pinned write transaction (see the `txn` module docs).
 ///
 /// Owns its pinned base snapshot, so it carries no borrow of the source:
 /// [`WriteTxn::begin`] takes the source, and [`WriteTxn::commit`] must be

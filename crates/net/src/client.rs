@@ -2,7 +2,7 @@
 //!
 //! [`Connection`] is one framed socket with the handshake done.
 //! [`RemoteEngine`] wraps a connection and implements
-//! [`GraphDb`](gm_model::GraphDb), so it drops transparently into
+//! [`GraphDb`], so it drops transparently into
 //! `catalog::execute`, the sequential `Runner`, and anything else written
 //! against the trait — every primitive call is one request/response round
 //! trip, which is precisely the dispatch + serialization cost the paper's

@@ -4,7 +4,7 @@
 //! [`Fleet`] drives N `gm-server` processes (each announcing a shard
 //! identity in its `HelloAck`) through the same routing core as the
 //! in-process composites: `gm-shard`'s [`Router`] and composite read
-//! surface over the fleet's [`Topology`], with [`FleetPort`] — one
+//! surface over the fleet's [`Topology`], with `FleetPort` — one
 //! pipelined connection per shard server — as the port. Placement, the
 //! ghost discipline, ghost-corrected scatter-gather and canonical
 //! resolution are therefore not *mirrored* here, they are the same code —
@@ -14,7 +14,7 @@
 //!
 //! ## Batched, pipelined dispatch
 //!
-//! A per-worker [`FleetCell`] queues single-shard writes client-side, on
+//! A per-worker `FleetCell` queues single-shard writes client-side, on
 //! its connection, and ships them in one `ExecBatch` frame — either alone,
 //! when the queue reaches the batch cap (`DEFAULT_BATCH_CAP`, 16) or a write
 //! needs its answer now, or lazily, in the frame of the next read of that
@@ -137,7 +137,7 @@ impl FleetMetrics {
 ///
 /// Shared state is the composite's [`Topology`] (routing meta, placement
 /// counter, load bounds) plus the wire counters. The per-connection state
-/// (write queues, deferred-id bindings) lives in per-worker [`FleetCell`]s
+/// (write queues, deferred-id bindings) lives in per-worker `FleetCell`s
 /// instead, so sessions never contend on a socket.
 pub struct Fleet {
     name: String,

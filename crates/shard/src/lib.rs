@@ -57,7 +57,8 @@
 //! The equivalence contract — a `ShardedGraph<E>` answers every query
 //! exactly like an unsharded `E` — is enforced by the workspace's
 //! `tests/sharding.rs` across all engine variants and shard counts, and by
-//! this crate's proptest oracle for write/pin interleavings.
+//! gm-net's differential oracle (`crates/net/tests/oracle.rs`) for
+//! write/pin interleavings.
 
 pub mod graph;
 pub mod route;

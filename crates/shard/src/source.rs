@@ -3,7 +3,7 @@
 //! [`ShardedSource`] composes `N` independent snapshot cells (one `CowCell`
 //! per shard) behind the same [`SnapshotSource`] interface the driver, the
 //! fig8/fig10 harnesses, and the gm-net server already host. Its writes are
-//! the shared [`Router`] over [`CellPort`]; the properties that matter:
+//! the shared [`Router`] over `CellPort`; the properties that matter:
 //!
 //! * **Writers to different shards do not serialize.** `with_write` hands
 //!   the closure a router whose every mutation enters only the target
@@ -15,7 +15,7 @@
 //!   odd, so a pin that raced one **retries** instead of returning a torn
 //!   view (an edge pointing at a ghost the meta cannot translate) — and
 //!   every topology change **publishes the cells it mutated before
-//!   releasing the seqlock** ([`CellPort`]'s `publish`), so the new meta
+//!   releasing the seqlock** (`CellPort`'s `publish`), so the new meta
 //!   can never be paired with a staleness-bounded view from before the
 //!   change (e.g. a ghost entry whose vertex the pinned view does not
 //!   contain yet, turning a read of an existing vertex into

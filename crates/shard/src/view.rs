@@ -1,12 +1,12 @@
 //! The composite read path: route single-vertex questions, scatter-gather
 //! the rest — written once.
 //!
-//! All read logic lives in [`Parts`], a borrowed bundle of the shard views
+//! All read logic lives in `Parts`, a borrowed bundle of the shard views
 //! an op needs plus the routing [`Meta`]. Every composite — the locked
 //! `ShardedGraph`, a pinned [`ShardedView`], and the
-//! [`Router`](crate::router::Router) that serves writer handles, staged
+//! [`Router`] that serves writer handles, staged
 //! commits and fleet sessions — is a **host**: it implements the one-method
-//! seam [`PartsHost::with_parts`] ("run `f` against a `Parts` holding the
+//! seam `PartsHost::with_parts` ("run `f` against a `Parts` holding the
 //! shards this op needs", the need being a [`ShardSel`]) and expands
 //! `composite_graph_snapshot!`, which derives the whole `GraphSnapshot`
 //! surface from that seam.

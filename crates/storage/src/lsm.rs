@@ -406,7 +406,7 @@ impl LsmTable {
     /// Approximate footprint: memtable + all runs (including shadowed
     /// versions and tombstones — that is the point of an LSM's space story).
     /// A run counts at its modelled on-disk size, keys prefix-compressed
-    /// (see [`Run::push`]), not at the size of its in-memory arena.
+    /// (see `Run::push`), not at the size of its in-memory arena.
     pub fn bytes(&self) -> u64 {
         let mem: u64 = self
             .mem

@@ -67,6 +67,16 @@ impl PageStore {
         }
     }
 
+    /// The logical id the `n`-th next [`PageStore::alloc`] hands out (`0`:
+    /// the next one): freed ids first, the last freed first, then fresh ids.
+    pub fn nth_alloc(&self, n: u64) -> u64 {
+        let freed = self.free.len() as u64;
+        match freed.checked_sub(n + 1) {
+            Some(i) => self.free[i as usize],
+            None => self.table.len() as u64 + (n - freed),
+        }
+    }
+
     /// Read a record through the indirection table.
     pub fn get(&self, rid: u64) -> Option<&[u8]> {
         match self.table.get(rid as usize)? {
@@ -186,6 +196,19 @@ mod tests {
         let c = s.alloc(b"c");
         assert_eq!(c, a, "logical id reused");
         assert_eq!(s.get(c), Some(b"c".as_slice()));
+    }
+
+    #[test]
+    fn nth_alloc_names_the_ids_alloc_hands_out() {
+        let mut s = PageStore::new();
+        let ids: Vec<u64> = (0..6).map(|i| s.alloc(&[i])).collect();
+        for &rid in &[ids[1], ids[4], ids[2]] {
+            s.free(rid);
+        }
+        let want: Vec<u64> = (0..5).map(|n| s.nth_alloc(n)).collect();
+        let got: Vec<u64> = (0..5).map(|i| s.alloc(&[i])).collect();
+        assert_eq!(got, want);
+        assert_eq!(got, vec![2, 4, 1, 6, 7]);
     }
 
     #[test]
