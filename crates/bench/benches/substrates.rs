@@ -129,10 +129,11 @@ fn bench_substrates(c: &mut Criterion) {
 
     // The LSM read path below the columnar engine: a multi-run table in the
     // engine's key shape (memtable + 4 runs, every fifth row's second cell
-    // tombstoned), read whole, by row prefix, and by point lookup. The rows
-    // arrive scrambled, so every run spans the whole key space and a scan
-    // merges them; the same cells put in key order leave key-disjoint runs,
-    // which a scan walks back to back.
+    // tombstoned), read whole (through the iterator and through `visit`), by
+    // row prefix, and by point lookup. The rows arrive scrambled, so every
+    // run spans the whole key space and a scan merges them; the same cells
+    // put in key order leave key-disjoint runs, which a scan walks back to
+    // back.
     let mut group = c.benchmark_group("substrate/lsm-read");
     let config = LsmConfig {
         memtable_limit: 8_192,
@@ -171,8 +172,23 @@ fn bench_substrates(c: &mut Criterion) {
             .sum::<usize>()
     };
     assert_eq!(full(&lsm), full(&disjoint), "the same live cells");
+    // The same whole-store read drained through `Scan::visit`.
+    let visit_full = |t: &LsmTable| {
+        let mut bytes = 0;
+        let drained = t.scan_range(&[], None).visit(|k, v| {
+            bytes += k.len() + v.len();
+            Ok::<_, ()>(())
+        });
+        drained.map(|()| bytes)
+    };
+    assert_eq!(visit_full(&lsm), Ok(full(&lsm)));
+    assert_eq!(visit_full(&disjoint), Ok(full(&disjoint)));
     group.bench_function("lsm_scan_full", |b| b.iter(|| full(&lsm)));
     group.bench_function("lsm_scan_full_disjoint", |b| b.iter(|| full(&disjoint)));
+    group.bench_function("lsm_visit_full", |b| b.iter(|| visit_full(&lsm)));
+    group.bench_function("lsm_visit_full_disjoint", |b| {
+        b.iter(|| visit_full(&disjoint))
+    });
     group.bench_function("lsm_scan_prefix", |b| {
         let mut row = 0u64;
         b.iter(|| {

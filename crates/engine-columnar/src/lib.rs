@@ -31,11 +31,21 @@
 //! keys are fixed-size stack arrays parsed back by `Column::parse`, an
 //! adjacency cell is walked by a non-allocating cursor that undoes the gap
 //! encoding and steps over each entry's property list, and property lists
-//! are materialised only where a query returns them. Whole-graph filters
-//! (`degree_scan`, `distinct_neighbor_scan`) are **one ordered pass**: a
-//! row's label, property and adjacency cells are contiguous in key order, so
-//! a row's degree is known by the time the next label cell comes by. A cell
-//! that does not decode is reported as [`GdbError::Corrupt`], never a panic.
+//! are materialised only where a query returns them. A property filter
+//! (Q11, Q12) compares each stored value with the wanted one in place
+//! ([`gm_storage::valcodec::value_eq`]): no `String` per scanned cell.
+//! Whole-graph filters (`degree_scan`, `distinct_neighbor_scan`) are **one
+//! ordered pass**: a row's label, property and adjacency cells are
+//! contiguous in key order, so a row's degree is known by the time the next
+//! label cell comes by. A cell that does not decode is reported as
+//! [`GdbError::Corrupt`], never a panic.
+//!
+//! Every whole-store read goes through one helper, `each_cell`, which
+//! **drains** the store with [`gm_storage::lsm::Scan::visit`]: each walked
+//! run is one loop over its window, and each cell ticks once before the
+//! query's closure sees it. The row prefix scans drain the same way; only
+//! `scan_vertices` and `scan_edges`, which hand an iterator back, step the
+//! scan as an iterator.
 //!
 //! The bulk load writes the store **in key order**, row by row: the label,
 //! the properties by key id, then the OUT and the IN adjacency cells by
@@ -59,7 +69,8 @@ use gm_storage::codec::{read_varint, write_varint};
 use gm_storage::lsm::{LsmConfig, LsmTable};
 use gm_storage::segvec::SegVec;
 use gm_storage::valcodec::{
-    decode_props, decode_value, encode_props, encode_value, find_prop, skip_props,
+    decode_props, decode_value, encode_props, encode_value, find_prop, find_prop_by, skip_props,
+    value_eq,
 };
 
 /// Store tuning for snapshot hosting (`CowCell<ColumnarGraph>`): a 1 Ki-entry
@@ -206,6 +217,13 @@ impl AdjRef<'_> {
 
     fn prop(&self, key: u32) -> GdbResult<Option<Value>> {
         find_prop(self.props, &mut 0, key).ok_or_else(corrupt_adj)
+    }
+
+    /// Whether the entry's property `key` equals `want`, compared in place.
+    fn prop_eq(&self, key: u32, want: &Value) -> GdbResult<bool> {
+        find_prop_by(self.props, &mut 0, key, |buf, pos| value_eq(buf, pos, want))
+            .map(|eq| eq == Some(true))
+            .ok_or_else(corrupt_adj)
     }
 }
 
@@ -598,12 +616,16 @@ impl ColumnarGraph {
                 }
             }
             None => {
-                for (key, cell) in self.store.scan_prefix(&Self::key_adj_prefix(vid, dir)) {
+                let prefix = Self::key_adj_prefix(vid, dir);
+                self.store.scan_prefix(&prefix).visit(|key, cell| {
                     ctx.tick()?;
-                    if let (_, Column::Adj { label, .. }) = Column::parse(key)? {
-                        self.each_live(cell, ctx, |e| f(label, e))?;
+                    match Column::parse(key)? {
+                        (_, Column::Adj { label, .. }) => {
+                            self.each_live(cell, ctx, |e| f(label, e))
+                        }
+                        _ => Ok(()),
                     }
-                }
+                })?;
             }
         }
         Ok(())
@@ -636,18 +658,18 @@ impl ColumnarGraph {
         }
     }
 
-    /// Walk every cell of the store in key order, one tick per cell.
+    /// Drain every cell of the store in key order into `f`, one tick per
+    /// cell before `f` sees it, until either fails.
     fn each_cell(
         &self,
         ctx: &QueryCtx,
         mut f: impl FnMut(u64, Column, &[u8]) -> GdbResult<()>,
     ) -> GdbResult<()> {
-        for (key, cell) in self.store.scan_range(&[], None) {
+        self.store.scan_range(&[], None).visit(|key, cell| {
             ctx.tick()?;
             let (vid, column) = Column::parse(key)?;
-            f(vid, column, cell)?;
-        }
-        Ok(())
+            f(vid, column, cell)
+        })
     }
 }
 
@@ -746,8 +768,7 @@ impl GraphSnapshot for ColumnarGraph {
         };
         let mut out = Vec::new();
         self.each_cell(ctx, |vid, column, cell| {
-            if column == Column::Prop(key_id) && decode_value(cell, &mut 0).as_ref() == Some(value)
-            {
+            if column == Column::Prop(key_id) && value_eq(cell, &mut 0, value) == Some(true) {
                 out.push(Vid(vid));
             }
             Ok(())
@@ -767,7 +788,7 @@ impl GraphSnapshot for ColumnarGraph {
         let mut out = Vec::new();
         self.each_cell(ctx, |_, column, cell| match column {
             Column::Adj { dir: DIR_OUT, .. } => self.each_live(cell, ctx, |entry| {
-                if entry.prop(key_id)?.as_ref() == Some(value) {
+                if entry.prop_eq(key_id, value)? {
                     out.push(Eid(entry.eid));
                 }
                 Ok(())
@@ -810,13 +831,15 @@ impl GraphSnapshot for ColumnarGraph {
             .ok_or_else(|| GdbError::Corrupt("row without label cell".into()))?;
         let label = decode_label(label_cell)?;
         let mut props = Props::new();
-        for (key, cell) in self.store.scan_prefix(&Self::key_prop_prefix(v.0)) {
+        let prefix = Self::key_prop_prefix(v.0);
+        self.store.scan_prefix(&prefix).visit(|key, cell| {
             if let (_, Column::Prop(k)) = Column::parse(key)? {
                 if let Some(value) = decode_value(cell, &mut 0) {
                     props.push((self.key_name(k)?, value));
                 }
             }
-        }
+            GdbResult::Ok(())
+        })?;
         Ok(Some(VertexData {
             id: v,
             label: self
@@ -1233,11 +1256,11 @@ impl ColumnarGraph {
         })?;
         self.deleted_edges.extend(eids.iter().copied());
         // Tombstone all of the row's cells.
-        let keys: Vec<Vec<u8>> = self
-            .store
-            .scan_prefix(&v.0.to_be_bytes())
-            .map(|(k, _)| k.to_vec())
-            .collect();
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        self.store.scan_prefix(&v.0.to_be_bytes()).visit(|key, _| {
+            keys.push(key.to_vec());
+            GdbResult::Ok(())
+        })?;
         for k in keys {
             self.store.delete(&k);
         }

@@ -9,7 +9,10 @@
 //! read→execute→respond loop over one [`FrameReader`] / [`FrameWriter`]
 //! pair (buffered reads, one `write` per response — see [`crate::wire`]),
 //! so **pipelined** clients (several requests in flight on one connection)
-//! are handled naturally: responses come back in request order.
+//! are handled naturally: responses come back in request order. A request
+//! whose engine panics is answered [`GdbError::Corrupt`] with the panic's
+//! message, and its connection is closed; the server and its other
+//! connections go on.
 //!
 //! The server is deliberately tokio-free: the paper's systems all expose a
 //! blocking socket server per client connection, and a thread-per-connection
@@ -22,6 +25,7 @@
 //! [`crate::client::RemoteBackend::setup`]).
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
 use std::thread;
@@ -348,8 +352,8 @@ fn handle_conn(stream: TcpStream, hosted: Arc<Hosted>) {
                 return;
             }
         };
-        let rsp = handle_request(&hosted, req, &mut owned_edges, &mut txn);
-        if write_response(&mut writer, &rsp).is_err() {
+        let (rsp, go_on) = handle_request(&hosted, req, &mut owned_edges, &mut txn);
+        if write_response(&mut writer, &rsp).is_err() || !go_on {
             return;
         }
     }
@@ -396,15 +400,31 @@ struct ConnTxn {
     generation: u64,
 }
 
+/// The response to one request, and whether the connection may go on. A
+/// panic while serving the request — an engine bug — is answered as
+/// `Corrupt`, naming the request and the panic's message, and ends the
+/// connection: its open transaction and owned-edge pool may be half
+/// updated. A host lock the panic poisoned answers `Poisoned` to whoever
+/// takes it next.
 fn handle_request(
     hosted: &Hosted,
     req: Request,
     owned_edges: &mut OwnedEdges,
     txn: &mut Option<ConnTxn>,
-) -> Response {
-    match execute_request(hosted, req, owned_edges, txn) {
-        Ok(rsp) => rsp,
-        Err(e) => Response::Err(e),
+) -> (Response, bool) {
+    let name = req.name();
+    match catch_unwind(AssertUnwindSafe(|| {
+        execute_request(hosted, req, owned_edges, txn)
+    })) {
+        Ok(Ok(rsp)) => (rsp, true),
+        Ok(Err(e)) => (Response::Err(e), true),
+        Err(panic) => {
+            let why = panic.downcast_ref::<String>().map(String::as_str);
+            let why = why.or(panic.downcast_ref::<&str>().copied());
+            let why = why.unwrap_or("a panic without a message");
+            let e = GdbError::Corrupt(format!("server panicked serving {name}: {why}"));
+            (Response::Err(e), false)
+        }
     }
 }
 
@@ -733,11 +753,13 @@ fn execute_request(
         // `Response::Err` *inside* the batch — the envelope itself always
         // succeeds, so one bad op cannot desync a pipelined stream. The
         // wire decoder rejects nested batches, so the recursion below is
-        // one level deep.
+        // one level deep. A panic in an entry answers the whole frame (see
+        // `handle_request`).
         Request::ExecBatch(reqs) => {
             let mut rsps = Vec::with_capacity(reqs.len());
             for sub in reqs {
-                rsps.push(handle_request(hosted, sub, owned_edges, txn));
+                let rsp = execute_request(hosted, sub, owned_edges, txn);
+                rsps.push(rsp.unwrap_or_else(Response::Err));
             }
             Response::BatchDone(rsps)
         }

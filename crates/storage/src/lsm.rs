@@ -39,8 +39,18 @@
 //! * **Merge.** Otherwise the one k-way merge runs: newest source wins,
 //!   tombstones suppress older versions.
 //!
+//! A walk reads each run as one **window**, a contiguous span of entries
+//! `[at, stop)`: `stop`, where the upper bound falls in the run, is found by
+//! one binary search when the run's turn comes, so a walked key is never
+//! compared with the bound. [`Scan::next`](Iterator::next) steps the window
+//! one entry at a time; [`Scan::visit`] drains it in one loop and hands each
+//! live pair to a closure. The memtable, even in a walk, and every merged
+//! scan are read entry by entry, each key checked against the bound, and
+//! `visit` reads those through `next()`.
+//!
 //! Compaction reads its runs through the same cursor. Only the cost of a
-//! read depends on the choice; its answer never does.
+//! read depends on the choice; its answer never does, nor does what the
+//! counters below record.
 //!
 //! The arena keeps keys whole. [`LsmTable::bytes`] reports the **modelled
 //! on-disk** size of the SSTable format — keys prefix-compressed against
@@ -51,7 +61,10 @@
 //! `storage.lsm.cells_scanned` and `storage.lsm.runs_probed` are added once
 //! per scan or lookup, `storage.lsm.scans` and `storage.lsm.merged_scans`
 //! once per scan (the share of scans that walk is one minus their ratio),
-//! `storage.lsm.flushes` and `storage.lsm.compactions` once per event.
+//! `storage.lsm.flushes` and `storage.lsm.compactions` once per event. A
+//! scan's cells are the source entries it has handed on or stepped over,
+//! tombstones included, and the one entry past the upper bound that a
+//! bounded scan reads before it stops.
 
 use std::cmp::Ordering;
 use std::collections::btree_map::{self, BTreeMap};
@@ -111,20 +124,31 @@ impl Run {
 
     #[inline]
     fn entry(&self, i: usize) -> Option<Entry<'_>> {
-        if i >= self.len() {
-            return None;
+        (i < self.len()).then(|| self.arena().entry(i))
+    }
+
+    #[inline]
+    fn arena(&self) -> Arena<'_> {
+        Arena {
+            keys: &self.keys,
+            vals: &self.vals,
+            ends: &self.ends,
+            tomb: &self.tomb,
         }
-        let live = (self.tomb[i / 64] >> (i % 64)) & 1 == 0;
-        let value = self.ends[i].1 as usize..self.ends[i + 1].1 as usize;
-        Some((self.key(i), live.then(|| &self.vals[value])))
     }
 
     /// Index of the first entry whose key is not below `key`.
     fn lower_bound(&self, key: &[u8]) -> usize {
-        let (mut lo, mut hi) = (0, self.len());
+        self.partition(0, |k| k < key)
+    }
+
+    /// Index of the first entry from `from` on whose key `admits` refuses,
+    /// given that it admits the keys before that entry and refuses the rest.
+    fn partition(&self, from: usize, admits: impl Fn(&[u8]) -> bool) -> usize {
+        let (mut lo, mut hi) = (from, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.key(mid) < key {
+            if admits(self.key(mid)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -176,6 +200,34 @@ impl Run {
         self.ends.shrink_to_fit();
         self.tomb.shrink_to_fit();
         Arc::new(self)
+    }
+}
+
+/// A run's buffers as plain slices. A loop that holds this `Copy` view in
+/// locals keeps the buffers' addresses in registers, where one that reads
+/// them through a `&Run` loads them again for every entry.
+#[derive(Debug, Clone, Copy)]
+struct Arena<'a> {
+    keys: &'a [u8],
+    vals: &'a [u8],
+    ends: &'a [(u32, u32)],
+    tomb: &'a [u64],
+}
+
+impl<'a> Arena<'a> {
+    fn len(self) -> usize {
+        self.ends.len() - 1
+    }
+
+    /// Entry `i`, which must be below `len()`.
+    #[inline]
+    fn entry(self, i: usize) -> Entry<'a> {
+        let ((key, value), (key_end, value_end)) = (self.ends[i], self.ends[i + 1]);
+        let live = (self.tomb[i / 64] >> (i % 64)) & 1 == 0;
+        (
+            &self.keys[key as usize..key_end as usize],
+            live.then(|| &self.vals[value as usize..value_end as usize]),
+        )
     }
 }
 
@@ -303,8 +355,7 @@ impl LsmTable {
             .rev()
             .map(|run| Source::Run(run, run.lower_bound(lo)));
         Scan {
-            merge: Merge::new(std::iter::once(mem).chain(runs), &upper),
-            upper,
+            merge: Merge::new(std::iter::once(mem).chain(runs), upper),
             runs: self.runs.len() as u64,
         }
     }
@@ -380,7 +431,7 @@ impl LsmTable {
             tail.iter().map(|r| r.vals.len()).sum(),
         );
         let sources = tail.iter().rev().map(|run| Source::Run(run, 0));
-        for (key, value) in Merge::new(sources, &Upper::Unbounded) {
+        for (key, value) in Merge::new(sources, Upper::Unbounded) {
             if keep > 0 || value.is_some() {
                 merged.push(key, value);
             }
@@ -418,7 +469,7 @@ impl LsmTable {
 }
 
 /// Exclusive upper bound of a scan.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Upper<'a> {
     Unbounded,
     /// Stop before this key.
@@ -490,24 +541,89 @@ fn disjoint(cursors: &[Cursor<'_>]) -> bool {
     })
 }
 
+/// A walked run's entries `at..stop`, read back to back. `stop` is where
+/// the scan's upper bound falls in the run, found once when the window
+/// opens, so no walked key is compared with the bound; the entry at `stop`,
+/// if the run has one, is the first key past it.
+#[derive(Debug)]
+struct Window<'a> {
+    arena: Arena<'a>,
+    /// Where the window opened: the run's head.
+    start: usize,
+    at: usize,
+    stop: usize,
+}
+
+impl<'a> Window<'a> {
+    /// The entries of `run` from `start` up to the first one `upper` does
+    /// not admit.
+    fn open(run: &'a Run, start: usize, upper: &Upper<'_>) -> Self {
+        Window {
+            arena: run.arena(),
+            start,
+            at: start,
+            stop: run.partition(start, |key| upper.admits(key)),
+        }
+    }
+
+    /// Hand `f` each live pair left in the window, until it fails. The view
+    /// and the position live in locals while the loop runs.
+    #[inline]
+    fn drain<E>(
+        &mut self,
+        f: &mut impl FnMut(&'a [u8], &'a [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let (arena, stop, mut at) = (self.arena, self.stop, self.at);
+        while at < stop {
+            at += 1;
+            if let (key, Some(value)) = arena.entry(at - 1) {
+                if let Err(e) = f(key, value) {
+                    self.at = at;
+                    return Err(e);
+                }
+            }
+        }
+        self.at = at;
+        Ok(())
+    }
+}
+
+impl<'a> Iterator for Window<'a> {
+    type Item = Entry<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Entry<'a>> {
+        if self.at == self.stop {
+            return None;
+        }
+        self.at += 1;
+        Some(self.arena.entry(self.at - 1))
+    }
+}
+
 /// The sources of a scan or a compaction, ordered newest first, read in key
-/// order: each key once, with the newest source's entry — tombstones
-/// included. Key-disjoint sources are walked one after another, any others
-/// k-way merged; see the module docs.
+/// order up to the upper bound: each key once, with the newest source's
+/// entry — tombstones included. Key-disjoint sources are walked one after
+/// another, a run as a [`Window`] and the memtable entry by entry; any
+/// others are k-way merged. See the module docs.
 #[derive(Debug)]
 struct Merge<'a> {
+    /// The run a walk is reading.
+    window: Option<Window<'a>>,
+    /// The sources not yet drained. In a walk they are key-disjoint and
+    /// sorted by descending key: the walk reads the last one and drops it
+    /// once it is dry.
     cursors: Vec<Cursor<'a>>,
-    /// The sources are key-disjoint and `cursors` is sorted by descending
-    /// key: the walk reads the last cursor and drops it once it is dry.
     walk: bool,
-    /// Source entries consumed so far.
+    upper: Upper<'a>,
+    /// Source entries consumed so far, except by the open window.
     stepped: u64,
 }
 
 impl<'a> Merge<'a> {
     /// Position on `sources`, dropping those whose first key `upper` does
     /// not admit: their later keys are larger still.
-    fn new(sources: impl Iterator<Item = Source<'a>>, upper: &Upper<'_>) -> Self {
+    fn new(sources: impl Iterator<Item = Source<'a>>, upper: Upper<'a>) -> Self {
         let mut cursors: Vec<Cursor<'a>> = sources
             .map(|mut s| (s.next(), s))
             .filter(|(head, _)| head.is_some_and(|(key, _)| upper.admits(key)))
@@ -517,10 +633,18 @@ impl<'a> Merge<'a> {
             cursors.sort_unstable_by(|(a, _), (b, _)| b.cmp(a));
         }
         Merge {
+            window: None,
             cursors,
             walk,
+            upper,
             stepped: 0,
         }
+    }
+
+    /// Source entries consumed so far.
+    fn consumed(&self) -> u64 {
+        let window = self.window.as_ref().map_or(0, |w| w.at - w.start);
+        self.stepped + window as u64
     }
 
     /// Replace source `i`'s head with its next entry.
@@ -529,31 +653,52 @@ impl<'a> Merge<'a> {
         *head = rest.next();
         self.stepped += 1;
     }
-}
 
-impl<'a> Iterator for Merge<'a> {
-    type Item = Entry<'a>;
-
-    #[inline]
-    fn next(&mut self) -> Option<Entry<'a>> {
-        if self.walk {
-            // The head, read when the sources were sized up, comes first;
-            // after it the walk reads the source directly. (Storing every
-            // entry back as the head would cost more than the walk itself.)
-            loop {
-                let (head, rest) = self.cursors.last_mut()?;
-                let entry = if head.is_some() {
-                    head.take()
-                } else {
-                    rest.next()
-                };
-                if let Some(entry) = entry {
-                    self.stepped += 1;
-                    return Some(entry);
-                }
-                self.cursors.pop();
+    /// The next entry once the open window, if any, is dry: the walk's next
+    /// source, or the merge's next key.
+    fn refill(&mut self) -> Option<Entry<'a>> {
+        if let Some(window) = self.window.take() {
+            self.stepped += (window.at - window.start) as u64;
+            if window.stop < window.arena.len() {
+                // The bound falls inside this run, past every later source:
+                // the entry at `stop` is read, and the scan is over.
+                self.stepped += 1;
+                self.cursors.clear();
+                return None;
             }
         }
+        loop {
+            let entry = if self.walk {
+                let (head, rest) = self.cursors.last_mut()?;
+                if let &mut Source::Run(run, at) = rest {
+                    // The window opens on the head, read when the sources
+                    // were sized up and admitted by the bound: it is not
+                    // empty.
+                    self.cursors.pop();
+                    let mut window = Window::open(run, at - 1, &self.upper);
+                    let entry = window.next();
+                    self.window = Some(window);
+                    return entry;
+                }
+                let Some(entry) = head.take().or_else(|| rest.next()) else {
+                    self.cursors.pop();
+                    continue;
+                };
+                self.stepped += 1;
+                entry
+            } else {
+                self.merged()?
+            };
+            if !self.upper.admits(entry.0) {
+                self.cursors.clear();
+                return None;
+            }
+            return Some(entry);
+        }
+    }
+
+    /// The k-way merge's next key.
+    fn merged(&mut self) -> Option<Entry<'a>> {
         // One pass for the smallest head key; the newest source (lowest
         // index) wins ties. A head equal to the best so far is an older
         // version of that key: shadowed whatever wins, so it is stepped
@@ -575,12 +720,24 @@ impl<'a> Iterator for Merge<'a> {
     }
 }
 
+impl<'a> Iterator for Merge<'a> {
+    type Item = Entry<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Entry<'a>> {
+        match self.window.as_mut().and_then(Window::next) {
+            Some(entry) => Some(entry),
+            None => self.refill(),
+        }
+    }
+}
+
 /// Borrowing cursor over the live pairs of a key range; see
-/// [`LsmTable::scan_range`].
+/// [`LsmTable::scan_range`]. Read it as an iterator, or drain it with
+/// [`Scan::visit`].
 #[derive(Debug)]
 pub struct Scan<'a> {
     merge: Merge<'a>,
-    upper: Upper<'a>,
     runs: u64,
 }
 
@@ -590,32 +747,55 @@ impl<'a> Iterator for Scan<'a> {
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let (key, value) = self.merge.next()?;
-            if !self.upper.admits(key) {
-                self.merge.cursors.clear();
-                return None;
-            }
             // A tombstone suppresses the older versions the merge skipped;
             // a walk has none to suppress.
-            if let Some(value) = value {
+            if let (key, Some(value)) = self.merge.next()? {
                 return Some((key, value));
             }
         }
     }
 }
 
-impl Scan<'_> {
+impl<'a> Scan<'a> {
     /// Whether this scan merges overlapping sources rather than walking
     /// key-disjoint ones back to back (see the module docs).
     pub fn merges(&self) -> bool {
         !self.merge.walk
+    }
+
+    /// Hand `f` every pair the iterator yields, in order, until `f` fails:
+    /// its first error ends the visit and is returned. A walked run is
+    /// drained in one loop; the memtable and a merge are read through
+    /// [`Iterator::next`]. The scan consumes, and counts, the same entries
+    /// the iterator would.
+    pub fn visit<E>(
+        mut self,
+        mut f: impl FnMut(&'a [u8], &'a [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.drain(&mut f)
+    }
+
+    /// [`Scan::visit`], leaving the scan to its caller.
+    fn drain<E>(
+        &mut self,
+        f: &mut impl FnMut(&'a [u8], &'a [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        loop {
+            if let Some(window) = &mut self.merge.window {
+                window.drain(f)?;
+            }
+            match self.next() {
+                Some((key, value)) => f(key, value)?,
+                None => return Ok(()),
+            }
+        }
     }
 }
 
 impl Drop for Scan<'_> {
     fn drop(&mut self) {
         if let Some(c) = counters() {
-            c.cells_scanned.add(self.merge.stepped);
+            c.cells_scanned.add(self.merge.consumed());
             c.runs_probed.add(self.runs);
             c.scans.inc();
             c.merged_scans.add(u64::from(self.merges()));
@@ -990,6 +1170,81 @@ mod tests {
         assert_eq!(read(t.scan_prefix(&[1])), (want, false));
         assert_eq!(read(t.scan_prefix(&[2])).0, vec![(key(2, 0), vec![0])]);
         assert_eq!(read(t.scan_prefix(&[3])), (vec![], false));
+    }
+
+    #[test]
+    fn visit_consumes_what_the_iterator_consumes() {
+        // Two key-disjoint runs and a memtable above them, each ending in a
+        // tombstone for a key no other source holds: a walk.
+        let mut walked = LsmTable::new(LsmConfig {
+            memtable_limit: 1_000,
+            max_runs: 1_000,
+        });
+        for (keys, gone) in [(0..10, 10), (11..20, 20), (30..35, 35)] {
+            for k in keys {
+                walked.put(&[k], &[k]);
+            }
+            walked.delete(&[gone]);
+            if gone < 35 {
+                walked.flush();
+            }
+        }
+        let full = walked.scan_range(&[], None);
+        assert!(!full.merges());
+        assert_eq!(full.merge.consumed(), 0, "heads count once they are read");
+        let mut merged = walked.clone();
+        merged.put(&[5], b"new");
+        assert!(merged.scan_range(&[], None).merges());
+        let bounds: [(&[u8], Option<&[u8]>); 4] = [
+            (&[], None),
+            (&[3], Some(&[15])),
+            (&[12], Some(&[32])),
+            (&[19], Some(&[40])),
+        ];
+        for t in [&walked, &merged] {
+            let scans = bounds
+                .iter()
+                .map(|&(lo, hi)| (lo, hi.map_or(Upper::Unbounded, Upper::Below)))
+                .chain([
+                    (&[7u8][..], Upper::Prefix(&[7])),
+                    (&[31], Upper::Prefix(&[31])),
+                ]);
+            for (lo, upper) in scans {
+                let scan = || t.scan(lo, upper.clone());
+                let pairs = scan().count();
+                // Stopped at each pair, and run to the end (`pairs + 1`).
+                for k in 1..=pairs + 1 {
+                    let mut iterated = scan();
+                    iterated.by_ref().take(k).for_each(drop);
+                    let mut visited = scan();
+                    let mut seen = 0;
+                    let stopped = visited.drain(&mut |_, _| {
+                        seen += 1;
+                        if seen == k {
+                            return Err(());
+                        }
+                        Ok(())
+                    });
+                    assert_eq!(stopped.is_err(), k <= pairs);
+                    let what = format!("{lo:?} {upper:?} stopped at {k} of {pairs}");
+                    assert_eq!(
+                        visited.merge.consumed(),
+                        iterated.merge.consumed(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+        // Every entry is consumed, tombstones included; a bounded walk also
+        // consumes the first key past its bound.
+        let consumed = |mut scan: Scan<'_>| {
+            scan.by_ref().for_each(drop);
+            scan.merge.consumed()
+        };
+        assert_eq!(consumed(walked.scan_range(&[], None)), 27);
+        assert_eq!(consumed(walked.scan_range(&[3], Some(&[15]))), 8 + 4 + 1);
+        assert_eq!(consumed(walked.scan_range(&[12], Some(&[32]))), 9 + 2 + 1);
+        assert_eq!(consumed(walked.scan_prefix(&[7])), 1 + 1);
     }
 
     #[test]

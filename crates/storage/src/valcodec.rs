@@ -11,6 +11,11 @@
 //! 0x03 <8 bytes LE>         Float
 //! 0x04 <varint len> <utf8>  Str
 //! ```
+//!
+//! A filter compares a stored value with the one it wants where it lies:
+//! [`value_eq`] matches a stored string by its length and bytes without
+//! building a `String`, and decodes any other value (which allocates
+//! nothing) to compare it through `Value`'s own equality.
 
 use gm_model::Value;
 
@@ -85,6 +90,23 @@ pub fn skip_value(buf: &[u8], pos: &mut usize) -> Option<()> {
     Some(())
 }
 
+/// Whether the value encoded at `pos` equals `want`, advancing `pos` past
+/// it. A stored string is compared in place, by length and then bytes, so
+/// no `String` is built; any other stored value is decoded and compared
+/// through `Value`'s equality (`Int`/`Float` cross-equality, floats by
+/// `total_cmp`). `None` on malformed input, exactly where [`skip_value`]
+/// says so: a string's bytes are not checked to be UTF-8.
+pub fn value_eq(buf: &[u8], pos: &mut usize, want: &Value) -> Option<bool> {
+    if buf.get(*pos) != Some(&0x04) {
+        return decode_value(buf, pos).map(|v| v == *want);
+    }
+    let mut at = *pos + 1;
+    read_varint(buf, &mut at)?;
+    skip_value(buf, pos)?;
+    let stored = buf.get(at..*pos);
+    Some(matches!(want, Value::Str(s) if stored == Some(s.as_bytes())))
+}
+
 /// Append a `(name-id, value)` property list. Name ids come from the engine's
 /// interner.
 pub fn encode_props(out: &mut Vec<u8>, props: &[(u32, Value)]) {
@@ -120,10 +142,22 @@ pub fn skip_props(buf: &[u8], pos: &mut usize) -> Option<()> {
 /// past the whole list): only that value is materialised. The outer `None`
 /// is malformed input, the inner one an absent name.
 pub fn find_prop(buf: &[u8], pos: &mut usize, name_id: u32) -> Option<Option<Value>> {
+    find_prop_by(buf, pos, name_id, decode_value)
+}
+
+/// [`find_prop`], the value under `name_id` read by `read` (which must
+/// advance `pos` past it, as [`decode_value`] and [`value_eq`] do) and the
+/// others skipped.
+pub fn find_prop_by<T>(
+    buf: &[u8],
+    pos: &mut usize,
+    name_id: u32,
+    mut read: impl FnMut(&[u8], &mut usize) -> Option<T>,
+) -> Option<Option<T>> {
     let mut found = None;
     for _ in 0..read_varint(buf, pos)? {
         if read_varint(buf, pos)? == u64::from(name_id) && found.is_none() {
-            found = Some(decode_value(buf, pos)?);
+            found = Some(read(buf, pos)?);
         } else {
             skip_value(buf, pos)?;
         }

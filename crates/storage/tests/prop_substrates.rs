@@ -3,7 +3,8 @@
 use gm_model::value::Value;
 use gm_storage::bptree::{BPlusIter, BPlusTree, Finger};
 use gm_storage::codec::{delta_decode, delta_encode, read_varint, write_varint};
-use gm_storage::lsm::{LsmConfig, LsmTable};
+use gm_storage::lsm::{LsmConfig, LsmTable, Scan};
+use gm_storage::valcodec::{encode_value, value_eq};
 use gm_storage::{Bitmap, HashIndex, PageStore, RecordFile};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -197,9 +198,9 @@ fn arb_spo_key() -> BoxedStrategy<(u64, u64, u64)> {
     (1u64..4, 0u64..4, 0u64..40).boxed()
 }
 
-/// A relational index key: numbers and strings across the `Value` order,
-/// with `Int`/`Float` cross-equality, `-0.0` below `0`, infinities and NaN.
-fn arb_value_key() -> BoxedStrategy<(Value, u64)> {
+/// Numbers and strings across the `Value` order, with `Int`/`Float`
+/// cross-equality, `-0.0` below `0`, infinities and NaN.
+fn arb_ordered_value() -> BoxedStrategy<Value> {
     const FLOATS: [f64; 8] = [
         -0.0,
         0.0,
@@ -211,12 +212,27 @@ fn arb_value_key() -> BoxedStrategy<(Value, u64)> {
         f64::NAN,
     ];
     const STRS: [&str; 6] = ["", "a", "ab", "abc", "b", "ba"];
-    let value = prop_oneof![
+    prop_oneof![
         (-3i64..4).prop_map(Value::Int),
         any::<prop::sample::Index>().prop_map(|i| Value::Float(FLOATS[i.index(FLOATS.len())])),
         any::<prop::sample::Index>().prop_map(|i| Value::Str(STRS[i.index(STRS.len())].into())),
-    ];
-    (value, 0u64..4).boxed()
+    ]
+    .boxed()
+}
+
+/// A relational index key: a value of [`arb_ordered_value`] and a tiebreak.
+fn arb_value_key() -> BoxedStrategy<(Value, u64)> {
+    (arb_ordered_value(), 0u64..4).boxed()
+}
+
+/// A value of every tag.
+fn arb_value() -> BoxedStrategy<Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        arb_ordered_value(),
+    ]
+    .boxed()
 }
 
 #[derive(Debug, Clone)]
@@ -436,6 +452,37 @@ fn lsm_check(lsm: &LsmTable, model: &LsmModel, probes: &[Vec<u8>]) -> Result<(),
             pairs(lsm.scan_range(lo, None)),
             owned(model.range(lo.clone()..))
         );
+        visit_check(|| lsm.scan_prefix(probe))?;
+        visit_check(|| lsm.scan_range(lo, Some(hi)))?;
+    }
+    visit_check(|| lsm.scan_range(&[], None))
+}
+
+/// `Scan::visit` hands over exactly the pairs the iterator yields, in
+/// order; an `Err` at the k-th pair ends the visit there and is returned.
+fn visit_check<'a>(scan: impl Fn() -> Scan<'a>) -> Result<(), TestCaseError> {
+    let want: Vec<_> = scan().collect();
+    let mut got = Vec::new();
+    let drained = scan().visit(|k, v| {
+        got.push((k, v));
+        Ok::<_, usize>(())
+    });
+    prop_assert_eq!(drained, Ok(()));
+    prop_assert_eq!(&got, &want);
+    for k in [1, want.len() / 2 + 1, want.len()] {
+        if k == 0 || k > want.len() {
+            continue;
+        }
+        let mut got = Vec::new();
+        let stopped = scan().visit(|key, v| {
+            got.push((key, v));
+            if got.len() == k {
+                return Err(k);
+            }
+            Ok(())
+        });
+        prop_assert_eq!(stopped, Err(k));
+        prop_assert_eq!(&got[..], &want[..k]);
     }
     Ok(())
 }
@@ -775,6 +822,24 @@ proptest! {
         prop_assert!(lsm.run_count() <= 1);
         lsm_check(&lsm, &model, &probes)?;
         lsm_check(&frozen, &frozen_model, &probes)?;
+    }
+
+    /// `value_eq` on an encoded value answers what `Value`'s equality does,
+    /// over every pair of tags — `Int`/`Float` cross-equality and NaN
+    /// included — and steps over exactly the encoded value.
+    #[test]
+    fn value_eq_matches_value_equality(stored in arb_value(), want in arb_value()) {
+        let mut buf = Vec::new();
+        encode_value(&mut buf, &stored);
+        let end = buf.len();
+        buf.push(0xAA); // whatever follows the value is left alone
+        let mut pos = 0;
+        prop_assert_eq!(value_eq(&buf, &mut pos, &want), Some(stored == want));
+        prop_assert_eq!(pos, end);
+        prop_assert_eq!(value_eq(&buf, &mut 0, &stored), Some(true));
+        for cut in 0..end {
+            prop_assert_eq!(value_eq(&buf[..cut], &mut 0, &want), None, "cut at {}", cut);
+        }
     }
 
     /// Varint and delta codecs round-trip arbitrary input.

@@ -1,12 +1,15 @@
 //! A `has()` scan on the record engines allocates per match, not per
 //! scanned record: linked and cluster compare each stored property in
 //! place, and the triple engine's per-subject SPO probe walks the tree
-//! without collecting. Nor does the triple engine's degree count collect a
-//! hub's edges. Counted with `gm_model::testkit`'s wrapping global
-//! allocator, per thread so the harness's other threads do not leak into
-//! the count.
+//! without collecting. So does the columnar engine's whole-store scan: it
+//! compares each stored cell, and each edge entry's property, in place.
+//! Nor does the triple engine's degree count collect a hub's edges.
+//! Counted with `gm_model::testkit`'s wrapping global allocator, per thread
+//! so the harness's other threads do not leak into the count.
 
-use graphmark::engines::{cluster::ClusterGraph, linked::LinkedGraph, triple::TripleGraph};
+use graphmark::engines::{
+    cluster::ClusterGraph, columnar::ColumnarGraph, linked::LinkedGraph, triple::TripleGraph,
+};
 use graphmark::model::api::{Direction, GraphDb, GraphSnapshot, LoadOptions};
 use graphmark::model::testkit::{self, CountingAlloc};
 use graphmark::model::value::Value;
@@ -48,6 +51,7 @@ fn engines(data: &Dataset) -> Vec<Box<dyn GraphDb>> {
         Box::new(LinkedGraph::v2()),
         Box::new(ClusterGraph::new()),
         Box::new(TripleGraph::new()),
+        Box::new(ColumnarGraph::v10()),
     ];
     for db in &mut out {
         db.bulk_load(data, &LoadOptions::default()).unwrap();
